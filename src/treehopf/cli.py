@@ -44,7 +44,7 @@ from .hopf_planar import HF, KP
 from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
 from .morphisms import MAP_TABLE
 from .pairings import ip_sym, pair_kp_hf, pair_kt_ck, pair_ns_qs
-from .verify import SUITE_NAMES, SuiteBoundError, run_all, run_suite
+from .verify import SUITE_NAMES, run_all, run_suite
 
 ALGEBRAS = {
     "kt": KT, "gl": KT,
@@ -498,17 +498,10 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
-    try:
-        if args.suite == "all":
-            reports = run_all(args.max_degree)
-        else:
-            reports = [run_suite(args.suite, args.max_degree)]
-    except SuiteBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.suite == "all":
+        reports = run_all(args.max_degree)
+    else:
+        reports = [run_suite(args.suite, args.max_degree)]
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -628,11 +621,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError and SuiteBoundError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # exit 1 is reserved for a failed verification
+        print("error: input is nested too deeply to process", file=sys.stderr)
         return 2
 
 

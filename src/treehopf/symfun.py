@@ -297,19 +297,11 @@ def alpha_minus(a: LinComb) -> LinComb:
     return LinComb(data)
 
 
-def alpha_plus_dual(a: LinComb) -> LinComb:
-    """Dual of alpha_plus on the E basis: strip a trailing E_1, else zero."""
-    data = {}
-    for comp, c in a.items():
-        if comp and comp[-1] == 1:
-            key = comp[:-1]
-            data[key] = data.get(key, 0) + c
-    return LinComb(data)
+# Dual of alpha_plus on the E basis: strip a trailing E_1, else zero.
+alpha_plus_dual = alpha_minus
 
-
-def alpha_minus_dual(a: LinComb) -> LinComb:
-    """Dual of alpha_minus on the E basis: right-multiply by E_1."""
-    return a.map_keys(lambda comp: comp + (1,))
+# Dual of alpha_minus on the E basis: right-multiply by E_1.
+alpha_minus_dual = alpha_plus
 
 
 class TruncatedPolynomial:

@@ -15,6 +15,7 @@ arithmetic still finishes in minutes.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, gcd
 import random
 
@@ -28,9 +29,13 @@ from .trees import (
     enumerate_planar,
     enumerate_rooted,
     forests_of_degree,
+    ladder_forest,
     ordered_forests_of_degree,
     planar_fiber,
+    planar_from_string,
     planar_ladder,
+    planar_ladder_forest,
+    rooted_from_string,
     sym_order,
 )
 from .hopf import swap_tensor, tensor_map, tensor_mult
@@ -78,6 +83,7 @@ from .pairings import (
 
 _SPOT_SEED = 74530121
 _SPOT_COUNT = 8
+_SPOT_DEGREE = 5
 
 
 class SuiteBoundError(ValueError):
@@ -134,19 +140,33 @@ class SuiteReport:
         return [head] + [r.line() for r in self.results]
 
 
-class _Collector:
-    def __init__(self):
-        self.results = []
+def _check(identity, range_tested, cases, holds, describe):
+    """Result of one identity: ``holds(*case)`` for each case in order.  The
+    first case that fails is reported as ``describe(*case)``, so the
+    counterexample text is only built for a failure."""
+    for case in cases:
+        if not holds(*case):
+            return IdentityResult(identity, range_tested, "fail", describe(*case))
+    return IdentityResult(identity, range_tested, "pass")
 
-    def check(self, identity, range_tested, cases):
-        """cases yields (ok, counterexample-string) pairs; first failure wins."""
-        for ok, ce in cases:
-            if not ok:
-                self.results.append(
-                    IdentityResult(identity, range_tested, "fail", ce)
-                )
-                return
-        self.results.append(IdentityResult(identity, range_tested, "pass"))
+
+def _each(identity, range_tested, var, ns, holds):
+    """``holds(n)`` for each n in ns; a failure reads ``var = n``."""
+    return _check(
+        identity, range_tested, ((n,) for n in ns), holds, lambda n: f"{var} = {n}"
+    )
+
+
+def _counts(identity, range_tested, ns, *sides):
+    """``got(n) == want(n)`` for each n in ns and each side (text, got,
+    want) in turn; a failure reads ``text`` formatted with n, got, want."""
+    return _check(
+        identity,
+        range_tested,
+        ((n, text, got(n), want(n)) for n in ns for text, got, want in sides),
+        lambda n, text, got, want: got == want,
+        lambda n, text, got, want: text.format(n=n, got=got, want=want),
+    )
 
 
 # ---------------------------------------------------------------- counting
@@ -302,15 +322,67 @@ def _gram_rank(pairing, keys_a, keys_b) -> int:
     return exact_rank(rows)
 
 
+# ------------------------------------------------------------------- cases
+
+def _basis_singles(alg, n):
+    return [LinComb.single(k) for k in alg.basis(n)]
+
+
+def _keys(basis, d):
+    """Cases (key, element) for the keys of ``basis(n)``, n <= d, in order."""
+    for n in range(d + 1):
+        for key in basis(n):
+            yield key, LinComb.single(key)
+
+
+def _split(basis, n, hoist=None):
+    """Cases (x, y, hx, kx, ky, n): basis elements x, y of keys kx, ky and
+    degrees i, n - i, in order of i, x, y.  ``hx = hoist(x)`` is computed
+    once per x."""
+    for i in range(n + 1):
+        for kx in basis(i):
+            x = LinComb.single(kx)
+            hx = hoist(x) if hoist else None
+            for ky in basis(n - i):
+                yield x, LinComb.single(ky), hx, kx, ky, n
+
+
+def _pairs(basis, d, hoist=None):
+    """The cases of ``_split`` for every total degree n <= d."""
+    for n in range(d + 1):
+        yield from _split(basis, n, hoist)
+
+
+def _triples(alg, d):
+    """Cases (x, y, z, xy): basis elements of degrees i, j, n - i - j for
+    n <= d, in order of n, i, j, x, y, z; xy is computed once per (x, y)."""
+    for n in range(d + 1):
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                for x in _basis_singles(alg, i):
+                    for y in _basis_singles(alg, j):
+                        xy = alg.product(x, y)
+                        for z in _basis_singles(alg, n - i - j):
+                            yield x, y, z, xy
+
+
+def _divided_powers(alg, seq, k):
+    """Delta seq(k) = sum of seq(i) (x) seq(k - i): seq is a sequence of
+    divided powers through k."""
+    cop = alg.coproduct(seq(k))
+    pieces = (LinComb.tensor(seq(i), seq(k - i)) for i in range(k + 1))
+    return cop == sum(pieces, LinComb.zero())
+
+
+def _symmetric(t):
+    return swap_tensor(t) == t
+
+
 # ------------------------------------------------------------- suite: axioms
 
 _ALGEBRAS = (KT, HK, KP, HF, SYM, QSYM, NSYM)
 _COMMUTATIVE = {"ck", "sym", "qsym"}
 _COCOMMUTATIVE = {"kt", "sym", "nsym"}
-
-
-def _basis_singles(alg, n):
-    return [LinComb.single(k) for k in alg.basis(n)]
 
 
 def _coassoc_ok(alg, key):
@@ -349,534 +421,310 @@ def _antipode_convolution_ok(alg, key):
     return left == target and right == target
 
 
+def _grading_cases(alg, d):
+    """Cases (n, degrees, parts): for each total degree n <= d, the degrees
+    of the terms of the product of each basis pair, then of the coproduct
+    of each basis key; ``parts`` holds the keys involved."""
+    for n in range(d + 1):
+        for x, y, _, kx, ky, _ in _split(alg.basis, n):
+            yield n, [alg.degree(k) for k in alg.product(x, y)], (kx, ky)
+        for key in alg.basis(n):
+            cop = alg._ck(key)
+            yield n, [alg.degree(k1) + alg.degree(k2) for k1, k2 in cop], (key,)
+
+
+def _axioms(alg, d):
+    """The Hopf algebra axioms of one algebra on its basis through degree d.
+    A basis element formats as its key string, so ``alg.format(x)`` and
+    ``alg.key_str(key)`` name a counterexample alike."""
+    fmt = alg.format
+    key_text = lambda key, x: alg.key_str(key)
+    pair_text = lambda x, y, *_: f"{fmt(x)} , {fmt(y)}"
+    keys = lambda: _keys(alg.basis, d)
+    rows = [
+        ("product is associative", _triples(alg, d),
+         lambda x, y, z, xy: alg.product(xy, z) == alg.product(x, alg.product(y, z)),
+         lambda x, y, z, xy: f"{fmt(x)} , {fmt(y)} , {fmt(z)}"),
+        ("unit laws", keys(),
+         lambda key, x: alg.product(alg.one(), x) == x == alg.product(x, alg.one()),
+         key_text),
+        ("coproduct is coassociative", keys(), lambda key, x: _coassoc_ok(alg, key),
+         key_text),
+        ("counit laws", keys(), lambda key, x: _counit_ok(alg, key), key_text),
+        ("coproduct is an algebra morphism", _pairs(alg.basis, d, alg.coproduct),
+         lambda x, y, cx, *_: alg.coproduct(alg.product(x, y))
+         == tensor_mult(alg, cx, alg.coproduct(y)),
+         pair_text),
+        ("antipode convolution identity", keys(),
+         lambda key, x: _antipode_convolution_ok(alg, key), key_text),
+        ("operations respect the grading", _grading_cases(alg, d),
+         lambda n, degrees, parts: all(m == n for m in degrees),
+         lambda n, degrees, parts: " , ".join(map(alg.key_str, parts))),
+    ]
+    if alg.name in _COMMUTATIVE:
+        rows.append(("product is commutative", _pairs(alg.basis, d),
+                     lambda x, y, *_: alg.product(x, y) == alg.product(y, x), pair_text))
+    if alg.name in _COCOMMUTATIVE:
+        rows.append(("coproduct is cocommutative", keys(),
+                     lambda key, x: _symmetric(alg._ck(key)), key_text))
+    return [
+        _check(f"{alg.name}: {identity}", f"degree <= {d}", *row)
+        for identity, *row in rows
+    ]
+
+
+def _noncommuting(alg, k1, k2):
+    x, y = LinComb.single(k1), LinComb.single(k2)
+    return alg.product(x, y) != alg.product(y, x)
+
+
+def _noncocommuting(alg, key):
+    return not _symmetric(alg.coproduct(LinComb.single(key)))
+
+
+def _witnesses():
+    """Cases (holds, text): fixed elements that do not (co)commute."""
+    rt, pt = rooted_from_string, planar_from_string
+    hf1, hf2 = (OrderedForest((planar_ladder(i),)) for i in (1, 2))
+    yield _noncommuting(KT, rt("[[]]"), rt("[[][]]")), "kt commuted"
+    yield _noncommuting(KP, pt("[[]]"), pt("[[][]]")), "kp commuted"
+    yield _noncommuting(HF, hf1, hf2), "hf commuted"
+    yield _noncommuting(NSYM, (1,), (2,)), "nsym commuted"
+    yield _noncocommuting(HK, Forest((rt("[[][]]"),))), "ck cocommuted"
+    yield _noncocommuting(QSYM, (2, 1)), "qsym cocommuted"
+    yield _noncocommuting(KP, pt("[[][[]]]")), "kp cocommuted"
+    yield _noncocommuting(HF, OrderedForest((pt("[[][[]]]"),))), "hf cocommuted"
+
+
+def _antipode_signs_e(i):
+    return SYM.antipode(e(i)) == (-1) ** i * h(i)
+
+
 def _suite_hopf_axioms(d: int) -> list[IdentityResult]:
-    col = _Collector()
-    for alg in _ALGEBRAS:
-        name = alg.name
-
-        def assoc():
-            for n in range(d + 1):
-                for i in range(n + 1):
-                    for j in range(n - i + 1):
-                        k = n - i - j
-                        for x in _basis_singles(alg, i):
-                            for y in _basis_singles(alg, j):
-                                xy = alg.product(x, y)
-                                for z in _basis_singles(alg, k):
-                                    ok = alg.product(xy, z) == alg.product(
-                                        x, alg.product(y, z)
-                                    )
-                                    yield ok, None if ok else (
-                                        f"{alg.format(x)} , {alg.format(y)} , {alg.format(z)}"
-                                    )
-
-        col.check(f"{name}: product is associative", f"degree <= {d}", assoc())
-
-        def unit_laws():
-            for n in range(d + 1):
-                for x in _basis_singles(alg, n):
-                    ok = alg.product(alg.one(), x) == x == alg.product(x, alg.one())
-                    yield ok, None if ok else alg.format(x)
-
-        col.check(f"{name}: unit laws", f"degree <= {d}", unit_laws())
-
-        def coassoc():
-            for n in range(d + 1):
-                for key in alg.basis(n):
-                    ok = _coassoc_ok(alg, key)
-                    yield ok, None if ok else alg.key_str(key)
-
-        col.check(f"{name}: coproduct is coassociative", f"degree <= {d}", coassoc())
-
-        def counit():
-            for n in range(d + 1):
-                for key in alg.basis(n):
-                    ok = _counit_ok(alg, key)
-                    yield ok, None if ok else alg.key_str(key)
-
-        col.check(f"{name}: counit laws", f"degree <= {d}", counit())
-
-        def compat():
-            for n in range(d + 1):
-                for i in range(n + 1):
-                    for x in _basis_singles(alg, i):
-                        cx = alg.coproduct(x)
-                        for y in _basis_singles(alg, n - i):
-                            lhs = alg.coproduct(alg.product(x, y))
-                            rhs = tensor_mult(alg, cx, alg.coproduct(y))
-                            ok = lhs == rhs
-                            yield ok, None if ok else (
-                                f"{alg.format(x)} , {alg.format(y)}"
-                            )
-
-        col.check(
-            f"{name}: coproduct is an algebra morphism", f"degree <= {d}", compat()
-        )
-
-        def antipode():
-            for n in range(d + 1):
-                for key in alg.basis(n):
-                    ok = _antipode_convolution_ok(alg, key)
-                    yield ok, None if ok else alg.key_str(key)
-
-        col.check(
-            f"{name}: antipode convolution identity", f"degree <= {d}", antipode()
-        )
-
-        def grading():
-            for n in range(d + 1):
-                for i in range(n + 1):
-                    for x in _basis_singles(alg, i):
-                        for y in _basis_singles(alg, n - i):
-                            prod = alg.product(x, y)
-                            ok = all(alg.degree(k) == n for k in prod)
-                            yield ok, None if ok else (
-                                f"{alg.format(x)} , {alg.format(y)}"
-                            )
-                for key in alg.basis(n):
-                    cop = alg._ck(key)
-                    ok = all(
-                        alg.degree(k1) + alg.degree(k2) == n for k1, k2 in cop
-                    )
-                    yield ok, None if ok else alg.key_str(key)
-
-        col.check(f"{name}: operations respect the grading", f"degree <= {d}", grading())
-
-        if name in _COMMUTATIVE:
-
-            def commut():
-                for n in range(d + 1):
-                    for i in range(n + 1):
-                        for x in _basis_singles(alg, i):
-                            for y in _basis_singles(alg, n - i):
-                                ok = alg.product(x, y) == alg.product(y, x)
-                                yield ok, None if ok else (
-                                    f"{alg.format(x)} , {alg.format(y)}"
-                                )
-
-            col.check(f"{name}: product is commutative", f"degree <= {d}", commut())
-
-        if name in _COCOMMUTATIVE:
-
-            def cocommut():
-                for n in range(d + 1):
-                    for key in alg.basis(n):
-                        cop = alg._ck(key)
-                        ok = swap_tensor(cop) == cop
-                        yield ok, None if ok else alg.key_str(key)
-
-            col.check(
-                f"{name}: coproduct is cocommutative", f"degree <= {d}", cocommut()
-            )
-
-    # fixed witnesses for the negative structure claims
-    def witnesses():
-        from .trees import rooted_from_string, planar_from_string
-
-        t1 = LinComb.single(rooted_from_string("[[]]"))
-        t2 = LinComb.single(rooted_from_string("[[][]]"))
-        yield KT.product(t1, t2) != KT.product(t2, t1), "kt commuted"
-        p1 = LinComb.single(planar_from_string("[[]]"))
-        p2 = LinComb.single(planar_from_string("[[][]]"))
-        yield KP.product(p1, p2) != KP.product(p2, p1), "kp commuted"
-        f1 = LinComb.single(OrderedForest((planar_ladder(1),)))
-        f2 = LinComb.single(OrderedForest((planar_ladder(2),)))
-        yield HF.product(f1, f2) != HF.product(f2, f1), "hf commuted"
-        e1 = LinComb.single((1,))
-        e2 = LinComb.single((2,))
-        yield NSYM.product(e1, e2) != NSYM.product(e2, e1), "nsym commuted"
-        cherry = LinComb.single(Forest((rooted_from_string("[[][]]"),)))
-        cop = HK.coproduct(cherry)
-        yield swap_tensor(cop) != cop, "ck cocommuted"
-        cop = QSYM.coproduct(LinComb.single((2, 1)))
-        yield swap_tensor(cop) != cop, "qsym cocommuted"
-        cop = KP.coproduct(LinComb.single(planar_from_string("[[][[]]]")))
-        yield swap_tensor(cop) != cop, "kp cocommuted"
-        cop = HF.coproduct(
-            LinComb.single(OrderedForest((planar_from_string("[[][[]]]"),)))
-        )
-        yield swap_tensor(cop) != cop, "hf cocommuted"
-
-    col.check(
+    results = [result for alg in _ALGEBRAS for result in _axioms(alg, d)]
+    results.append(_check(
         "noncommutativity and noncocommutativity witnesses",
         "fixed low-degree elements",
-        witnesses(),
-    )
-
-    def signed_complete():
-        for i in range(9):
-            ok = SYM.antipode(e(i)) == (-1) ** i * h(i)
-            yield ok, None if ok else f"i = {i}"
-
-    col.check(
-        "sym: antipode sends elementary to signed complete", "i <= 8", signed_complete()
-    )
-    return col.results
+        _witnesses(), lambda ok, text: ok, lambda ok, text: text,
+    ))
+    results.append(_each(
+        "sym: antipode sends elementary to signed complete", "i <= 8", "i", range(9),
+        _antipode_signs_e,
+    ))
+    return results
 
 
 # --------------------------------------------------------------- suite: ideh
 
+def _alternating_sum(n):
+    pieces = ((-1) ** (n - i) * SYM.product(e(i), h(n - i)) for i in range(n + 1))
+    return sum(pieces, LinComb.zero())
+
+
+def _primitive(alg, x):
+    one = alg.one()
+    return alg.coproduct(x) == LinComb.tensor(x, one) + LinComb.tensor(one, x)
+
+
 def _suite_ideh(d: int) -> list[IdentityResult]:
-    col = _Collector()
-
-    def alternating():
-        for n in range(1, d + 1):
-            acc = LinComb.zero()
-            for i in range(n + 1):
-                acc += (-1) ** (n - i) * SYM.product(e(i), h(n - i))
-            ok = acc == LinComb.zero()
-            yield ok, None if ok else f"degree {n}: {SYM.format(acc)}"
-
-    col.check(
-        "alternating elementary/complete convolution vanishes",
-        f"degree <= {d}",
-        alternating(),
-    )
-
-    def signed():
-        for i in range(d + 1):
-            ok = SYM.antipode(e(i)) == (-1) ** i * h(i)
-            yield ok, None if ok else f"i = {i}"
-
-    col.check("antipode sends e_i to (-1)^i h_i", f"i <= {d}", signed())
-
-    def complete_vs_compositions():
-        for k in range(d + 1):
-            lhs = include_sym(h(k))
-            rhs = LinComb((c, 1) for c in compositions_of(k))
-            ok = lhs == rhs
-            yield ok, None if ok else f"k = {k}"
-
-    col.check(
-        "complete function is the sum of all compositions",
-        f"degree <= {d}",
-        complete_vs_compositions(),
-    )
-
-    def powers_primitive():
-        for k in range(1, d + 1):
-            pk = p(k)
-            cop = SYM.coproduct(pk)
-            expect = LinComb.tensor(pk, SYM.one()) + LinComb.tensor(SYM.one(), pk)
-            ok = cop == expect
-            yield ok, None if ok else f"k = {k}"
-
-    col.check("power sums are primitive", f"degree <= {d}", powers_primitive())
-
-    def elementary_divided():
-        for k in range(d + 1):
-            cop = SYM.coproduct(e(k))
-            expect = LinComb.zero()
-            for i in range(k + 1):
-                expect += LinComb.tensor(e(i), e(k - i))
-            ok = cop == expect
-            yield ok, None if ok else f"k = {k}"
-
-    col.check("elementary functions are divided powers", f"degree <= {d}", elementary_divided())
-    return col.results
+    degree = f"degree <= {d}"
+    return [
+        _check("alternating elementary/complete convolution vanishes", degree,
+               ((n, _alternating_sum(n)) for n in range(1, d + 1)),
+               lambda n, acc: acc == LinComb.zero(),
+               lambda n, acc: f"degree {n}: {SYM.format(acc)}"),
+        _each("antipode sends e_i to (-1)^i h_i", f"i <= {d}", "i", range(d + 1),
+              _antipode_signs_e),
+        _each("complete function is the sum of all compositions", degree, "k",
+              range(d + 1),
+              lambda k: include_sym(h(k)) == LinComb((c, 1) for c in compositions_of(k))),
+        _each("power sums are primitive", degree, "k", range(1, d + 1),
+              lambda k: _primitive(SYM, p(k))),
+        _each("elementary functions are divided powers", degree, "k", range(d + 1),
+              lambda k: _divided_powers(SYM, e, k)),
+    ]
 
 
 # ------------------------------------------------------------ suite: hexagon
 
-def _nsym_units(d):
-    for n in range(d + 1):
-        for comp in compositions_of(n):
-            yield comp, LinComb.single(comp)
+def _spot_pairs(dom, fn, rng):
+    """Seeded cases shaped like ``_split``: _SPOT_COUNT random basis pairs
+    for each split of _SPOT_DEGREE, with fn applied to the left factor."""
+    for i in range(_SPOT_DEGREE + 1):
+        lows = dom.basis(i)
+        highs = dom.basis(_SPOT_DEGREE - i)
+        if not lows or not highs:
+            continue
+        for _ in range(_SPOT_COUNT):
+            k1 = rng.choice(lows)
+            k2 = rng.choice(highs)
+            x = LinComb.single(k1)
+            yield x, LinComb.single(k2), fn(x), k1, k2, _SPOT_DEGREE
+
+
+def _spot_keys(dom, rng):
+    """Seeded cases shaped like ``_keys``: basis keys of _SPOT_DEGREE."""
+    keys = dom.basis(_SPOT_DEGREE)
+    for key in rng.sample(keys, min(_SPOT_COUNT, len(keys))):
+        yield key, LinComb.single(key)
+
+
+def _unit_counit_cases(dom, cod, fn, d):
+    """Cases (lhs, rhs, key): the image of the unit, then the counit of the
+    image of each basis key of degree <= d."""
+    yield fn(dom.one()), cod.one(), None
+    for key, x in _keys(dom.basis, d):
+        yield cod.counit(fn(x)), dom.counit(x), key
+
+
+def _morphism_checks(name, dom, cod, fn, d, rng):
+    """fn: dom -> cod is a Hopf morphism, exhaustively through degree 4,
+    plus seeded spot checks at _SPOT_DEGREE once d reaches it."""
+    exhaustive = min(4, d)
+    spotted = f"degree <= {exhaustive} exhaustive, degree-{_SPOT_DEGREE} spot checks"
+    pairs = _pairs(dom.basis, exhaustive, fn)
+    keys = _keys(dom.basis, exhaustive)
+    if d >= _SPOT_DEGREE:
+        pairs = chain(pairs, _spot_pairs(dom, fn, rng))
+        keys = chain(keys, _spot_keys(dom, rng))
+
+    def fk(key):
+        return fn(LinComb.single(key))
+
+    return [
+        _check(f"{name} is multiplicative", spotted, pairs,
+               lambda x, y, fx, *_: fn(dom.product(x, y)) == cod.product(fx, fn(y)),
+               lambda x, y, *_: f"{dom.format(x)} , {dom.format(y)}"),
+        _check(f"{name} is comultiplicative", spotted, keys,
+               lambda key, x: cod.coproduct(fn(x)) == tensor_map(dom._ck(key), fk, fk),
+               lambda key, x: dom.key_str(key)),
+        _check(f"{name} preserves unit and counit", f"degree <= {exhaustive}",
+               _unit_counit_cases(dom, cod, fn, exhaustive),
+               lambda lhs, rhs, key: lhs == rhs,
+               lambda lhs, rhs, key: "unit image" if key is None else dom.key_str(key)),
+    ]
 
 
 def _suite_hexagon(d: int) -> list[IdentityResult]:
-    col = _Collector()
-
-    def upper():
-        for comp, x in _nsym_units(d):
-            ok = rho(MAP_TABLE["Phi"][2](x)) == phi(tau(x))
-            yield ok, None if ok else f"E{comp}"
-
-    col.check(
-        "upper diamond: forgetting order after ladder insertion matches "
-        "ladders of the abelianization",
-        f"degree <= {d}",
-        upper(),
-    )
-
-    def left():
-        for comp, x in _nsym_units(d):
-            ok = phi_star(Z(x)) == tau(x)
-            yield ok, None if ok else f"E{comp}"
-
-    col.check(
-        "left triangle: ladder-shape projection of the tree image is the "
-        "abelianization",
-        f"degree <= {d}",
-        left(),
-    )
-
-    def right():
-        for n in range(d + 1):
-            for lam in partitions_of(n):
-                x = LinComb.single(lam)
-                ok = Z_star(phi(x)) == include_sym(x)
-                yield ok, None if ok else f"m{lam}"
-
-    col.check(
-        "right triangle: forest image collapses to the symmetrization",
-        f"degree <= {d}",
-        right(),
-    )
-
-    def lower():
-        Phi_star = MAP_TABLE["Phistar"][2]
-        rho_star = MAP_TABLE["rhostar"][2]
-        for n in range(d + 1):
-            for t in enumerate_rooted(n + 1):
-                x = LinComb.single(t)
-                ok = Phi_star(rho_star(x)) == include_sym(phi_star(x))
-                yield ok, None if ok else t.encoding
-
-    col.check(
-        "lower diamond: planar-fiber then ladder projection matches "
-        "symmetrized ladder projection",
-        f"degree <= {d}",
-        lower(),
-    )
-
-    def full():
-        Phi_ = MAP_TABLE["Phi"][2]
-        Phi_star = MAP_TABLE["Phistar"][2]
-        rho_star = MAP_TABLE["rhostar"][2]
-        for comp, x in _nsym_units(d):
-            ok = Z_star(rho(Phi_(x))) == Phi_star(rho_star(Z(x)))
-            yield ok, None if ok else f"E{comp}"
-
-    col.check(
-        "full circuit: both long ways from divided powers to compositions agree",
-        f"degree <= {d}",
-        full(),
-    )
+    degree = f"degree <= {d}"
+    Phi, Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phi", "Phistar", "rhostar"))
+    word_text = lambda comp, x: f"E{comp}"
+    rows = [
+        ("upper diamond: forgetting order after ladder insertion matches "
+         "ladders of the abelianization", _keys(compositions_of, d),
+         lambda comp, x: rho(Phi(x)) == phi(tau(x)), word_text),
+        ("left triangle: ladder-shape projection of the tree image is the "
+         "abelianization", _keys(compositions_of, d),
+         lambda comp, x: phi_star(Z(x)) == tau(x), word_text),
+        ("right triangle: forest image collapses to the symmetrization",
+         _keys(partitions_of, d),
+         lambda lam, x: Z_star(phi(x)) == include_sym(x), lambda lam, x: f"m{lam}"),
+        ("lower diamond: planar-fiber then ladder projection matches "
+         "symmetrized ladder projection", _keys(KT.basis, d),
+         lambda t, x: Phistar(rhostar(x)) == include_sym(phi_star(x)),
+         lambda t, x: t.encoding),
+        ("full circuit: both long ways from divided powers to compositions agree",
+         _keys(compositions_of, d),
+         lambda comp, x: Z_star(rho(Phi(x))) == Phistar(rhostar(Z(x))), word_text),
+    ]
+    results = [_check(identity, degree, *row) for identity, *row in rows]
 
     # the nine maps (plus the poset realization) are Hopf morphisms
-    exhaustive = min(4, d)
-    spot_degree = 5
     rng = random.Random(_SPOT_SEED)
     for mname, (dom, cod, fn) in MAP_TABLE.items():
-
-        def mult_cases(dom=dom, cod=cod, fn=fn):
-            for n in range(exhaustive + 1):
-                for i in range(n + 1):
-                    for x in _basis_singles(dom, i):
-                        fx = fn(x)
-                        for y in _basis_singles(dom, n - i):
-                            ok = fn(dom.product(x, y)) == cod.product(fx, fn(y))
-                            yield ok, None if ok else (
-                                f"{dom.format(x)} , {dom.format(y)}"
-                            )
-            if d >= spot_degree:
-                for i in range(spot_degree + 1):
-                    lows = dom.basis(i)
-                    highs = dom.basis(spot_degree - i)
-                    if not lows or not highs:
-                        continue
-                    for _ in range(_SPOT_COUNT):
-                        k1 = rng.choice(lows)
-                        k2 = rng.choice(highs)
-                        x = LinComb.single(k1)
-                        y = LinComb.single(k2)
-                        ok = fn(dom.product(x, y)) == cod.product(fn(x), fn(y))
-                        yield ok, None if ok else (
-                            f"{dom.key_str(k1)} , {dom.key_str(k2)}"
-                        )
-
-        col.check(
-            f"{mname} is multiplicative",
-            f"degree <= {exhaustive} exhaustive, degree-{spot_degree} spot checks",
-            mult_cases(),
-        )
-
-        def comult_cases(dom=dom, cod=cod, fn=fn):
-            def fk(key):
-                return fn(LinComb.single(key))
-
-            for n in range(exhaustive + 1):
-                for key in dom.basis(n):
-                    lhs = cod.coproduct(fk(key))
-                    rhs = tensor_map(dom._ck(key), fk, fk)
-                    ok = lhs == rhs
-                    yield ok, None if ok else dom.key_str(key)
-            if d >= spot_degree:
-                keys = dom.basis(spot_degree)
-                picks = rng.sample(keys, min(_SPOT_COUNT, len(keys)))
-                for key in picks:
-                    lhs = cod.coproduct(fk(key))
-                    rhs = tensor_map(dom._ck(key), fk, fk)
-                    ok = lhs == rhs
-                    yield ok, None if ok else dom.key_str(key)
-
-        col.check(
-            f"{mname} is comultiplicative",
-            f"degree <= {exhaustive} exhaustive, degree-{spot_degree} spot checks",
-            comult_cases(),
-        )
-
-        def unit_counit(dom=dom, cod=cod, fn=fn):
-            yield fn(dom.one()) == cod.one(), "unit image"
-            for n in range(exhaustive + 1):
-                for key in dom.basis(n):
-                    x = LinComb.single(key)
-                    ok = cod.counit(fn(x)) == dom.counit(x)
-                    yield ok, None if ok else dom.key_str(key)
-
-        col.check(
-            f"{mname} preserves unit and counit",
-            f"degree <= {exhaustive}",
-            unit_counit(),
-        )
-    return col.results
+        results += _morphism_checks(mname, dom, cod, fn, d, rng)
+    return results
 
 
 # ---------------------------------------------------------- suite: dualities
 
-def _suite_dualities(d: int) -> list[IdentityResult]:
-    col = _Collector()
-    instances = [
-        (
-            "compositions against divided powers",
-            QSYM, ip_qs, NSYM, ip_ns, lambda a: a,
+def _pairing_cases(A, B, d):
+    """Cases (left, right, tleft, tright, algebras, elements) of
+    <xy, z> = <x (x) y, Delta z> and <w, yz> = <Delta w, y (x) z>, per degree;
+    the coproducts of z and of w are computed once per degree."""
+    for n in range(d + 1):
+        zs = _basis_singles(B, n)
+        cops = [B.coproduct(z) for z in zs]
+        for x, y, *_ in _split(A.basis, n):
+            xy = A.product(x, y)
+            txy = LinComb.tensor(x, y)
+            for z, cz in zip(zs, cops):
+                yield xy, z, txy, cz, (A, A, B), (x, y, z)
+        ws = _basis_singles(A, n)
+        wcops = [A.coproduct(w) for w in ws]
+        for y, z, *_ in _split(B.basis, n):
+            yz = B.product(y, z)
+            tyz = LinComb.tensor(y, z)
+            for w, cw in zip(ws, wcops):
+                yield w, yz, cw, tyz, (A, B, B), (w, y, z)
+
+
+def _pairing_compat(label, A, B, pairing, d):
+    return _check(
+        f"Hopf pairing compatibility: {label}", f"degree <= {d}", _pairing_cases(A, B, d),
+        lambda left, right, tleft, tright, *_: pairing(left, right)
+        == pair_tensor(pairing, tleft, tright),
+        lambda left, right, tleft, tright, algs, elements: " , ".join(
+            alg.format(x) for alg, x in zip(algs, elements)
         ),
-        ("forests against grafting", HK, ip_ck, KT, ip_kt, forest_b_plus),
-        (
-            "ordered forests against planar grafting",
-            HF, ip_hf, KP, ip_kp, ordered_forest_b_plus,
-        ),
-        ("symmetric functions against themselves", SYM, ip_sym, SYM, ip_sym, lambda a: a),
-    ]
-    for label, A, ipa, B, ipb, psi in instances:
-        report = check_duality_criterion(A, ipa, B, ipb, psi, d)
-        col.check(
-            f"duality criterion: {label}",
-            f"degree <= {d}",
-            [(report.ok, None if report.ok else str(report))],
-        )
-
-    pairings = [
-        ("divided powers with compositions", NSYM, QSYM, pair_ns_qs),
-        ("grafting with forests", KT, HK, pair_kt_ck),
-    ]
-    for label, A, B, pairing in pairings:
-
-        def compat(A=A, B=B, pairing=pairing):
-            for n in range(d + 1):
-                zs = _basis_singles(B, n)
-                cops = [B.coproduct(z) for z in zs]
-                for i in range(n + 1):
-                    for x in _basis_singles(A, i):
-                        for y in _basis_singles(A, n - i):
-                            xy = A.product(x, y)
-                            txy = LinComb.tensor(x, y)
-                            for z, cz in zip(zs, cops):
-                                ok = pairing(xy, z) == pair_tensor(pairing, txy, cz)
-                                yield ok, None if ok else (
-                                    f"{A.format(x)} , {A.format(y)} , {B.format(z)}"
-                                )
-                ws = _basis_singles(A, n)
-                wcops = [A.coproduct(w) for w in ws]
-                for i in range(n + 1):
-                    for y in _basis_singles(B, i):
-                        for z in _basis_singles(B, n - i):
-                            yz = B.product(y, z)
-                            tyz = LinComb.tensor(y, z)
-                            for w, cw in zip(ws, wcops):
-                                ok = pairing(w, yz) == pair_tensor(pairing, cw, tyz)
-                                yield ok, None if ok else (
-                                    f"{A.format(w)} , {B.format(y)} , {B.format(z)}"
-                                )
-
-        col.check(
-            f"Hopf pairing compatibility: {label}", f"degree <= {d}", compat()
-        )
-
-    def grams():
-        grid = [
-            ("grafting inner product", ip_kt, KT, KT),
-            ("forest inner product", ip_ck, HK, HK),
-            ("planar grafting inner product", ip_kp, KP, KP),
-            ("ordered forest inner product", ip_hf, HF, HF),
-            ("symmetric inner product", ip_sym, SYM, SYM),
-            ("divided power/composition pairing", pair_ns_qs, NSYM, QSYM),
-            ("grafting/forest pairing", pair_kt_ck, KT, HK),
-            ("planar/ordered-forest pairing", pair_kp_hf, KP, HF),
-        ]
-        for label, pairing, A, B in grid:
-            for n in range(d + 2):
-                ka = A.basis(n)
-                kb = B.basis(n)
-                rank = _gram_rank(pairing, ka, kb)
-                ok = rank == len(ka) == len(kb)
-                yield ok, None if ok else f"{label} at degree {n}: rank {rank}"
-
-    col.check("Gram matrices are nondegenerate", f"degree <= {d + 1}", grams())
-
-    def z_adjoint():
-        for n in range(d + 1):
-            forests = [LinComb.single(f) for f in forests_of_degree(n)]
-            zf = [Z_star(f) for f in forests]
-            for comp in compositions_of(n):
-                u = LinComb.single(comp)
-                zu = Z(u)
-                for f, zstar_f in zip(forests, zf):
-                    ok = pair_kt_ck(zu, f) == pair_ns_qs(u, zstar_f)
-                    yield ok, None if ok else f"E{comp} , {HK.format(f)}"
-
-    col.check(
-        "tree embedding is adjoint to the composition quotient",
-        f"degree <= {d}",
-        z_adjoint(),
     )
 
-    def alpha_adjoint():
-        for n in range(1, d + 1):
-            for cu in compositions_of(n):
-                u = LinComb.single(cu)
-                for cv in compositions_of(n - 1):
-                    v = LinComb.single(cv)
-                    ok = pair_ns_qs(alpha_plus_dual(u), v) == pair_ns_qs(
-                        u, alpha_plus(v)
-                    )
-                    yield ok, None if ok else f"E{cu} , M{cv}"
-            for cu in compositions_of(n - 1):
-                u = LinComb.single(cu)
-                for cv in compositions_of(n):
-                    v = LinComb.single(cv)
-                    ok = pair_ns_qs(alpha_minus_dual(u), v) == pair_ns_qs(
-                        u, alpha_minus(v)
-                    )
-                    yield ok, None if ok else f"E{cu} , M{cv}"
 
-    col.check(
-        "append/strip operators are mutually adjoint", f"degree <= {d}", alpha_adjoint()
-    )
-
-    def elementary_delta():
+def _gram_cases(d):
+    """Cases (label, n, rank, rows, columns) of each Gram matrix, n <= d + 1."""
+    grid = [
+        ("grafting inner product", ip_kt, KT, KT),
+        ("forest inner product", ip_ck, HK, HK),
+        ("planar grafting inner product", ip_kp, KP, KP),
+        ("ordered forest inner product", ip_hf, HF, HF),
+        ("symmetric inner product", ip_sym, SYM, SYM),
+        ("divided power/composition pairing", pair_ns_qs, NSYM, QSYM),
+        ("grafting/forest pairing", pair_kt_ck, KT, HK),
+        ("planar/ordered-forest pairing", pair_kp_hf, KP, HF),
+    ]
+    for label, pairing, A, B in grid:
         for n in range(d + 2):
-            for lam in partitions_of(n):
-                mlam = LinComb.single(lam)
-                for i in range(n + 1):
-                    for mu in partitions_of(i):
-                        for nu in partitions_of(n - i):
-                            emunu = SYM.product(
-                                _e_of_partition(mu), _e_of_partition(nu)
-                            )
-                            expected = 1 if tuple(
-                                sorted(mu + nu, reverse=True)
-                            ) == lam else 0
-                            ok = ip_sym(emunu, mlam) == expected
-                            yield ok, None if ok else f"e{mu}*e{nu} vs m{lam}"
+            ka = A.basis(n)
+            kb = B.basis(n)
+            yield label, n, _gram_rank(pairing, ka, kb), len(ka), len(kb)
 
-    col.check(
-        "split elementary products hit monomials as deltas",
-        f"degree <= {d + 1}",
-        elementary_delta(),
-    )
-    return col.results
+
+def _z_adjoint_cases(d):
+    """Cases (comp, u, Z(u), f, Zstar(f)); Zstar(f) is computed once per f."""
+    for n in range(d + 1):
+        forests = [LinComb.single(f) for f in forests_of_degree(n)]
+        zf = [Z_star(f) for f in forests]
+        for comp in compositions_of(n):
+            u = LinComb.single(comp)
+            zu = Z(u)
+            for f, zstar_f in zip(forests, zf):
+                yield comp, u, zu, f, zstar_f
+
+
+def _alpha_cases(d):
+    """Cases (dual, op, cu, u, cv, v) with u, v of degrees n, n - 1 for
+    alpha_plus, then n - 1, n for alpha_minus, for 1 <= n <= d."""
+    for n in range(1, d + 1):
+        for dual, op, i, j in (
+            (alpha_plus_dual, alpha_plus, n, n - 1),
+            (alpha_minus_dual, alpha_minus, n - 1, n),
+        ):
+            for cu in compositions_of(i):
+                u = LinComb.single(cu)
+                for cv in compositions_of(j):
+                    yield dual, op, cu, u, cv, LinComb.single(cv)
+
+
+def _delta_cases(d):
+    """Cases (mu, nu, lam, e_mu e_nu, m_lam) with |mu| + |nu| = |lam| <= d + 1."""
+    for n in range(d + 2):
+        for lam in partitions_of(n):
+            mlam = LinComb.single(lam)
+            for i in range(n + 1):
+                for mu in partitions_of(i):
+                    for nu in partitions_of(n - i):
+                        emunu = SYM.product(_e_of_partition(mu), _e_of_partition(nu))
+                        yield mu, nu, lam, emunu, mlam
 
 
 def _e_of_partition(lam):
@@ -886,389 +734,185 @@ def _e_of_partition(lam):
     return acc
 
 
+def _suite_dualities(d: int) -> list[IdentityResult]:
+    degree = f"degree <= {d}"
+    instances = [
+        ("compositions against divided powers", QSYM, ip_qs, NSYM, ip_ns, lambda a: a),
+        ("forests against grafting", HK, ip_ck, KT, ip_kt, forest_b_plus),
+        (
+            "ordered forests against planar grafting",
+            HF, ip_hf, KP, ip_kp, ordered_forest_b_plus,
+        ),
+        ("symmetric functions against themselves", SYM, ip_sym, SYM, ip_sym, lambda a: a),
+    ]
+    results = [
+        _check(f"duality criterion: {label}", degree,
+               [(check_duality_criterion(A, ipa, B, ipb, psi, d),)],
+               lambda report: report.ok, str)
+        for label, A, ipa, B, ipb, psi in instances
+    ]
+    results.append(_pairing_compat(
+        "divided powers with compositions", NSYM, QSYM, pair_ns_qs, d
+    ))
+    results.append(_pairing_compat("grafting with forests", KT, HK, pair_kt_ck, d))
+    rows = [
+        ("Gram matrices are nondegenerate", f"degree <= {d + 1}", _gram_cases(d),
+         lambda label, n, rank, na, nb: rank == na == nb,
+         lambda label, n, rank, *_: f"{label} at degree {n}: rank {rank}"),
+        ("tree embedding is adjoint to the composition quotient", degree,
+         _z_adjoint_cases(d),
+         lambda comp, u, zu, f, zstar_f: pair_kt_ck(zu, f) == pair_ns_qs(u, zstar_f),
+         lambda comp, u, zu, f, zstar_f: f"E{comp} , {HK.format(f)}"),
+        ("append/strip operators are mutually adjoint", degree, _alpha_cases(d),
+         lambda dual, op, cu, u, cv, v: pair_ns_qs(dual(u), v) == pair_ns_qs(u, op(v)),
+         lambda dual, op, cu, u, cv, v: f"E{cu} , M{cv}"),
+        ("split elementary products hit monomials as deltas", f"degree <= {d + 1}",
+         _delta_cases(d),
+         lambda mu, nu, lam, emunu, mlam: ip_sym(emunu, mlam)
+         == (1 if tuple(sorted(mu + nu, reverse=True)) == lam else 0),
+         lambda mu, nu, lam, *_: f"e{mu}*e{nu} vs m{lam}"),
+    ]
+    return results + [_check(*row) for row in rows]
+
+
 # --------------------------------------------------- suite: divided powers
 
 def _suite_divided_powers(d: int) -> list[IdentityResult]:
-    col = _Collector()
+    def hf_chain(i):
+        return LinComb.single(planar_ladder_forest((i,)) if i else HF.unit_key())
 
-    def kappa_divided():
-        for n in range(d + 1):
-            cop = KT.coproduct(kappa(n))
-            expect = LinComb.zero()
-            for i in range(n + 1):
-                expect += LinComb.tensor(kappa(i), kappa(n - i))
-            ok = cop == expect
-            yield ok, None if ok else f"n = {n}"
+    def hk_chain(i):
+        return LinComb.single(ladder_forest((i,)) if i else EMPTY_FOREST)
 
-    col.check(
-        "symmetry-weighted tree sums are divided powers", f"n <= {d}", kappa_divided()
-    )
-
-    def eps_divided():
-        for n in range(d + 1):
-            cop = KT.coproduct(epsilon(n))
-            expect = LinComb.zero()
-            for i in range(n + 1):
-                expect += LinComb.tensor(epsilon(i), epsilon(n - i))
-            ok = cop == expect
-            yield ok, None if ok else f"n = {n}"
-
-    col.check(
-        "alternating tree elements are divided powers", f"n <= {d}", eps_divided()
-    )
-
-    def eps_antipode():
-        for n in range(d + 1):
-            ok = epsilon(n) == (-1) ** n * KT.antipode(kappa(n))
-            yield ok, None if ok else f"n = {n}"
-
-    col.check(
-        "alternating elements are the signed antipode images", f"n <= {d}", eps_antipode()
-    )
-
-    def eps_corolla():
-        for n in range(d + 1):
-            ok = factorial(n) * epsilon(n) == LinComb.single(corolla(n))
-            yield ok, None if ok else f"n = {n}"
-
-    col.check(
-        "factorial multiple is the star tree", f"n <= {d}", eps_corolla()
-    )
-
-    def kappa_to_complete():
-        for n in range(d + 1):
-            ok = phi_star(kappa(n)) == h(n)
-            yield ok, None if ok else f"n = {n}"
-
-    col.check(
-        "ladder projection of the weighted sum is complete", f"n <= {d}", kappa_to_complete()
-    )
-
-    def eps_to_elementary():
-        for n in range(d + 1):
-            ok = phi_star(epsilon(n)) == e(n)
-            yield ok, None if ok else f"n = {n}"
-
-    col.check(
-        "ladder projection of the alternating element is elementary",
-        f"n <= {d}",
-        eps_to_elementary(),
-    )
-
-    def hf_ladders():
-        from .trees import planar_ladder_forest
-
-        for i in range(d + 1):
-            x = LinComb.single(planar_ladder_forest((i,)) if i else HF.unit_key())
-            cop = HF.coproduct(x)
-            expect = LinComb.zero()
-            for a in range(i + 1):
-                la = planar_ladder_forest((a,)) if a else HF.unit_key()
-                lb = planar_ladder_forest((i - a,)) if i - a else HF.unit_key()
-                expect += LinComb.tensor(LinComb.single(la), LinComb.single(lb))
-            ok = cop == expect
-            yield ok, None if ok else f"i = {i}"
-
-    col.check(
-        "chains are divided powers among ordered forests", f"i <= {d}", hf_ladders()
-    )
-
-    def hk_ladders():
-        from .trees import ladder_forest
-
-        for i in range(d + 1):
-            x = LinComb.single(ladder_forest((i,)) if i else EMPTY_FOREST)
-            cop = HK.coproduct(x)
-            expect = LinComb.zero()
-            for a in range(i + 1):
-                la = ladder_forest((a,)) if a else EMPTY_FOREST
-                lb = ladder_forest((i - a,)) if i - a else EMPTY_FOREST
-                expect += LinComb.tensor(LinComb.single(la), LinComb.single(lb))
-            ok = cop == expect
-            yield ok, None if ok else f"i = {i}"
-
-    col.check(
-        "chains are divided powers among forests", f"i <= {d}", hk_ladders()
-    )
-    return col.results
+    rows = [
+        ("symmetry-weighted tree sums are divided powers", "n",
+         lambda n: _divided_powers(KT, kappa, n)),
+        ("alternating tree elements are divided powers", "n",
+         lambda n: _divided_powers(KT, epsilon, n)),
+        ("alternating elements are the signed antipode images", "n",
+         lambda n: epsilon(n) == (-1) ** n * KT.antipode(kappa(n))),
+        ("factorial multiple is the star tree", "n",
+         lambda n: factorial(n) * epsilon(n) == LinComb.single(corolla(n))),
+        ("ladder projection of the weighted sum is complete", "n",
+         lambda n: phi_star(kappa(n)) == h(n)),
+        ("ladder projection of the alternating element is elementary", "n",
+         lambda n: phi_star(epsilon(n)) == e(n)),
+        ("chains are divided powers among ordered forests", "i",
+         lambda i: _divided_powers(HF, hf_chain, i)),
+        ("chains are divided powers among forests", "i",
+         lambda i: _divided_powers(HK, hk_chain, i)),
+    ]
+    return [
+        _each(identity, f"{var} <= {d}", var, range(d + 1), holds)
+        for identity, var, holds in rows
+    ]
 
 
 # ------------------------------------------------ suite: zstar intertwining
 
 def _suite_zstar_intertwine(d: int) -> list[IdentityResult]:
-    col = _Collector()
-
-    def plus():
-        for n in range(d + 1):
-            for f in forests_of_degree(n):
-                x = LinComb.single(f)
-                ok = Z_star(ck_b_plus(x)) == alpha_plus(Z_star(x))
-                yield ok, None if ok else HK.key_str(f)
-
-    col.check(
-        "rooting a forest appends a part one", f"degree <= {d}", plus()
-    )
-
-    def minus():
-        for n in range(d + 1):
-            for f in forests_of_degree(n):
-                x = LinComb.single(f)
-                ok = Z_star(ck_b_minus(x)) == alpha_minus(Z_star(x))
-                yield ok, None if ok else HK.key_str(f)
-
-    col.check(
-        "root removal strips a part one", f"degree <= {d}", minus()
-    )
-
-    def poset_agrees():
-        for n in range(d + 1):
-            for f in forests_of_degree(n):
-                x = LinComb.single(f)
-                ok = kbar(x) == Z_star(x)
-                yield ok, None if ok else HK.key_str(f)
-
-    col.check(
-        "poset labeling realization agrees with the recursion",
-        f"degree <= {d}",
-        poset_agrees(),
-    )
-
-    def dual_plus():
-        for n in range(d):
-            for comp in compositions_of(n):
-                u = LinComb.single(comp)
-                ok = Z(alpha_plus_dual(u)) == strip_primitive_root(Z(u))
-                yield ok, None if ok else f"E{comp}"
-
-    col.check(
-        "dual append matches root stripping after the single-child projection",
-        f"degree <= {d - 1}",
-        dual_plus(),
-    )
-
-    def dual_minus():
-        eps1 = epsilon(1)
-        for n in range(d):
-            for comp in compositions_of(n):
-                u = LinComb.single(comp)
-                ok = Z(alpha_minus_dual(u)) == KT.product(Z(u), eps1)
-                yield ok, None if ok else f"E{comp}"
-
-    col.check(
-        "dual strip matches right multiplication by the chain of two",
-        f"degree <= {d - 1}",
-        dual_minus(),
-    )
-    return col.results
+    forests, words = f"degree <= {d}", f"degree <= {d - 1}"
+    forest_text = lambda f, x: HK.key_str(f)
+    word_text = lambda comp, u: f"E{comp}"
+    eps1 = epsilon(1)
+    rows = [
+        ("rooting a forest appends a part one", forests, _keys(forests_of_degree, d),
+         lambda f, x: Z_star(ck_b_plus(x)) == alpha_plus(Z_star(x)), forest_text),
+        ("root removal strips a part one", forests, _keys(forests_of_degree, d),
+         lambda f, x: Z_star(ck_b_minus(x)) == alpha_minus(Z_star(x)), forest_text),
+        ("poset labeling realization agrees with the recursion", forests,
+         _keys(forests_of_degree, d), lambda f, x: kbar(x) == Z_star(x), forest_text),
+        ("dual append matches root stripping after the single-child projection",
+         words, _keys(compositions_of, d - 1),
+         lambda comp, u: Z(alpha_plus_dual(u)) == strip_primitive_root(Z(u)), word_text),
+        ("dual strip matches right multiplication by the chain of two",
+         words, _keys(compositions_of, d - 1),
+         lambda comp, u: Z(alpha_minus_dual(u)) == KT.product(Z(u), eps1), word_text),
+    ]
+    return [_check(*row) for row in rows]
 
 
 # ------------------------------------------------ suite: zstar surjectivity
 
 def _suite_zstar_surjectivity(d: int) -> list[IdentityResult]:
-    col = _Collector()
+    def rank(n):
+        return rank_of([Z_star(LinComb.single(f)) for f in forests_of_degree(n)], n)
 
-    def ranks():
-        for n in range(1, d + 1):
-            images = [Z_star(LinComb.single(f)) for f in forests_of_degree(n)]
-            rank = rank_of(images, n)
-            ok = rank == composition_count(n)
-            yield ok, None if ok else f"degree {n}: rank {rank}"
-
-    col.check(
-        "forest images span every composition",
-        f"1 <= degree <= {d}",
-        ranks(),
-    )
-    return col.results
+    return [_check(
+        "forest images span every composition", f"1 <= degree <= {d}",
+        ((n, rank(n)) for n in range(1, d + 1)),
+        lambda n, r: r == composition_count(n), lambda n, r: f"degree {n}: rank {r}",
+    )]
 
 
 # --------------------------------------------- suite: quasi-shuffle oracle
 
+def _product_error(alg, x, y):
+    """The error message of ``alg.product(x, y)``, or None if it succeeds."""
+    try:
+        alg.product(x, y)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
-    col = _Collector()
-
-    def oracle():
-        for n in range(d + 1):
-            for i in range(n + 1):
-                for ci in compositions_of(i):
-                    x = LinComb.single(ci)
-                    for cj in compositions_of(n - i):
-                        y = LinComb.single(cj)
-                        lhs = expand_truncated(QSYM.product(x, y), n)
-                        rhs = expand_truncated(x, n) * expand_truncated(y, n)
-                        ok = lhs == rhs
-                        yield ok, None if ok else f"M{ci} * M{cj}"
-
-    col.check(
-        "product agrees with truncated polynomial multiplication",
-        f"combined degree <= {d}",
-        oracle(),
-    )
-
-    def derivation():
-        for n in range(d + 1):
-            for i in range(n + 1):
-                for ci in compositions_of(i):
-                    x = LinComb.single(ci)
-                    amx = alpha_minus(x)
-                    for cj in compositions_of(n - i):
-                        y = LinComb.single(cj)
-                        lhs = alpha_minus(QSYM.product(x, y))
-                        rhs = QSYM.product(amx, y) + QSYM.product(x, alpha_minus(y))
-                        ok = lhs == rhs
-                        yield ok, None if ok else f"M{ci} , M{cj}"
-
-    col.check(
-        "stripping a trailing one is a derivation", f"degree <= {d}", derivation()
-    )
-
-    def closure():
-        for n in range(d + 1):
-            for i in range(n + 1):
-                for mu in partitions_of(i):
-                    x = LinComb.single(mu)
-                    for nu in partitions_of(n - i):
-                        y = LinComb.single(nu)
-                        try:
-                            SYM.product(x, y)
-                        except ValueError as exc:
-                            yield False, f"m{mu} * m{nu}: {exc}"
-                            continue
-                        yield True, None
-
-    col.check(
-        "products of symmetrized elements stay symmetric", f"degree <= {d}", closure()
-    )
-
-    def mult_embedding():
-        for n in range(d + 1):
-            for i in range(n + 1):
-                for mu in partitions_of(i):
-                    x = LinComb.single(mu)
-                    for nu in partitions_of(n - i):
-                        y = LinComb.single(nu)
-                        lhs = include_sym(SYM.product(x, y))
-                        rhs = QSYM.product(include_sym(x), include_sym(y))
-                        ok = lhs == rhs
-                        yield ok, None if ok else f"m{mu} , m{nu}"
-
-    col.check(
-        "symmetrization is multiplicative", f"degree <= {d}", mult_embedding()
-    )
-    return col.results
+    degree = f"degree <= {d}"
+    rows = [
+        ("product agrees with truncated polynomial multiplication",
+         f"combined degree <= {d}", _pairs(compositions_of, d),
+         lambda x, y, _, ci, cj, n: expand_truncated(QSYM.product(x, y), n)
+         == expand_truncated(x, n) * expand_truncated(y, n),
+         lambda x, y, _, ci, cj, n: f"M{ci} * M{cj}"),
+        ("stripping a trailing one is a derivation", degree,
+         _pairs(compositions_of, d, alpha_minus),
+         lambda x, y, amx, *_: alpha_minus(QSYM.product(x, y))
+         == QSYM.product(amx, y) + QSYM.product(x, alpha_minus(y)),
+         lambda x, y, _, ci, cj, n: f"M{ci} , M{cj}"),
+        ("products of symmetrized elements stay symmetric", degree,
+         _pairs(partitions_of, d),
+         lambda x, y, *_: _product_error(SYM, x, y) is None,
+         lambda x, y, _, mu, nu, n: f"m{mu} * m{nu}: {_product_error(SYM, x, y)}"),
+        ("symmetrization is multiplicative", degree, _pairs(partitions_of, d),
+         lambda x, y, *_: include_sym(SYM.product(x, y))
+         == QSYM.product(include_sym(x), include_sym(y)),
+         lambda x, y, _, mu, nu, n: f"m{mu} , m{nu}"),
+    ]
+    return [_check(*row) for row in rows]
 
 
 # ---------------------------------------------- suite: enumeration counts
 
 def _suite_enumeration_counts(d: int) -> list[IdentityResult]:
-    col = _Collector()
-
-    def rooted_counts():
-        for n in range(1, d + 1):
-            got = len(enumerate_rooted(n))
-            want = rooted_count(n)
-            yield got == want, None if got == want else f"{n} vertices: {got} != {want}"
-
-    col.check(
-        "unordered tree counts match the convolution recurrence",
-        f"vertices <= {d}",
-        rooted_counts(),
-    )
-
-    def rooted_brute():
-        for n in range(1, d + 1):
-            got = {t.encoding for t in enumerate_rooted(n)}
-            want = _leaf_growth(n)
-            yield got == want, None if got == want else f"{n} vertices"
-
-    col.check(
-        "unordered trees match the leaf-growth generator",
-        f"vertices <= {d}",
-        rooted_brute(),
-    )
-
-    def planar_counts():
-        for n in range(1, d + 1):
-            got = len(enumerate_planar(n))
-            want = catalan(n - 1)
-            yield got == want, None if got == want else f"{n} vertices: {got} != {want}"
-
-    col.check("planar tree counts are Catalan", f"vertices <= {d}", planar_counts())
-
-    def planar_brute():
-        for n in range(1, d + 1):
-            got = {t.encoding for t in enumerate_planar(n)}
-            want = _dyck_planar(n)
-            yield got == want, None if got == want else f"{n} vertices"
-
-    col.check(
-        "planar trees match the bracket-string generator",
-        f"vertices <= {d}",
-        planar_brute(),
-    )
-
-    def forest_counts():
-        for n in range(d):
-            got = len(forests_of_degree(n))
-            want = rooted_count(n + 1)
-            yield got == want, None if got == want else f"degree {n}: {got} != {want}"
-            got2 = len(ordered_forests_of_degree(n))
-            want2 = catalan(n)
-            yield got2 == want2, None if got2 == want2 else (
-                f"ordered degree {n}: {got2} != {want2}"
-            )
-
-    col.check(
-        "forest bases biject with trees one degree up",
-        f"degree <= {d - 1}",
-        forest_counts(),
-    )
-
-    def word_counts():
-        for n in range(1, d + 1):
-            got = len(compositions_of(n))
-            want = composition_count(n)
-            yield got == want, None if got == want else f"compositions of {n}"
-            got2 = len(partitions_of(n))
-            want2 = partition_count(n)
-            yield got2 == want2, None if got2 == want2 else f"partitions of {n}"
-
-    col.check(
-        "composition and partition counts match closed forms",
-        f"n <= {d}",
-        word_counts(),
-    )
-
-    def labeling_counts():
-        for n in range(1, d + 1):
-            total = sum(
-                factorial(n) // sym_order(t) for t in enumerate_rooted(n)
-            )
-            want = n ** (n - 1)
-            yield total == want, None if total == want else (
-                f"{n} vertices: {total} != {want}"
-            )
-
-    col.check(
-        "symmetry orders count labeled rooted trees",
-        f"vertices <= {d}",
-        labeling_counts(),
-    )
-
-    def fiber_counts():
-        for n in range(1, d + 1):
-            total = sum(len(planar_fiber(t)) for t in enumerate_rooted(n))
-            want = catalan(n - 1)
-            yield total == want, None if total == want else (
-                f"{n} vertices: {total} != {want}"
-            )
-
-    col.check(
-        "planar embeddings partition the planar trees",
-        f"vertices <= {d}",
-        fiber_counts(),
-    )
-    return col.results
+    vertices, ns = f"vertices <= {d}", range(1, d + 1)
+    mismatch = "{n} vertices: {got} != {want}"
+    rows = [
+        ("unordered tree counts match the convolution recurrence", vertices, ns,
+         (mismatch, lambda n: len(enumerate_rooted(n)), rooted_count)),
+        ("unordered trees match the leaf-growth generator", vertices, ns,
+         ("{n} vertices", lambda n: {t.encoding for t in enumerate_rooted(n)},
+          _leaf_growth)),
+        ("planar tree counts are Catalan", vertices, ns,
+         (mismatch, lambda n: len(enumerate_planar(n)), lambda n: catalan(n - 1))),
+        ("planar trees match the bracket-string generator", vertices, ns,
+         ("{n} vertices", lambda n: {t.encoding for t in enumerate_planar(n)},
+          _dyck_planar)),
+        ("forest bases biject with trees one degree up", f"degree <= {d - 1}", range(d),
+         ("degree {n}: {got} != {want}", lambda n: len(forests_of_degree(n)),
+          lambda n: rooted_count(n + 1)),
+         ("ordered degree {n}: {got} != {want}",
+          lambda n: len(ordered_forests_of_degree(n)), catalan)),
+        ("composition and partition counts match closed forms", f"n <= {d}", ns,
+         ("compositions of {n}", lambda n: len(compositions_of(n)), composition_count),
+         ("partitions of {n}", lambda n: len(partitions_of(n)), partition_count)),
+        ("symmetry orders count labeled rooted trees", vertices, ns,
+         (mismatch, lambda n: sum(factorial(n) // sym_order(t) for t in enumerate_rooted(n)),
+          lambda n: n ** (n - 1))),
+        ("planar embeddings partition the planar trees", vertices, ns,
+         (mismatch, lambda n: sum(len(planar_fiber(t)) for t in enumerate_rooted(n)),
+          lambda n: catalan(n - 1))),
+    ]
+    return [_counts(*row) for row in rows]
 
 
 # ------------------------------------------------------------ registry
@@ -1288,46 +932,31 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _estimate_cases(name: str, n: int) -> int:
-    """Rough elementary-check count used in refusal messages."""
-    if name == "hopf-axioms":
-        total = 0
-        for counts in (
-            lambda m: rooted_count(m + 1),
-            lambda m: catalan(m),
-            lambda m: partition_count(m),
-            lambda m: composition_count(m),
-        ):
-            for s in range(n + 1):
-                for i in range(s + 1):
-                    for j in range(s - i + 1):
-                        total += counts(i) * counts(j) * counts(s - i - j)
-        return total
-    if name == "hexagon":
-        return sum(composition_count(m) * catalan(m) for m in range(n + 1))
-    if name == "dualities":
-        total = 0
-        for m in range(n + 1):
-            pairs = sum(
-                catalan(i) * catalan(m - i) for i in range(m + 1)
-            )
-            total += pairs * catalan(m)
-        return total + catalan(n + 1) ** 3
-    if name == "divided-powers":
-        return sum(rooted_count(m + 1) ** 2 for m in range(n + 1))
-    if name == "zstar-intertwine":
-        return sum(
-            rooted_count(m + 1) * composition_count(m) for m in range(n + 1)
+# Rough elementary-check counts per suite, used in refusal messages.
+_ESTIMATES = {
+    "hopf-axioms": lambda n: sum(
+        count(i) * count(j) * count(s - i - j)
+        for count in (
+            lambda m: rooted_count(m + 1), catalan, partition_count, composition_count
         )
-    if name == "zstar-surjectivity":
-        return rooted_count(n + 1) * composition_count(n) ** 2
-    if name == "quasi-shuffle-oracle":
-        return 4 ** n
-    if name == "enumeration-counts":
-        return rooted_count(n) * n * n + catalan(n - 1) * n
-    if name == "ideh":
-        return partition_count(n) ** 3
-    raise ValueError(f"unknown suite: {name}")
+        for s in range(n + 1)
+        for i in range(s + 1)
+        for j in range(s - i + 1)
+    ),
+    "hexagon": lambda n: sum(composition_count(m) * catalan(m) for m in range(n + 1)),
+    "dualities": lambda n: sum(
+        sum(catalan(i) * catalan(m - i) for i in range(m + 1)) * catalan(m)
+        for m in range(n + 1)
+    ) + catalan(n + 1) ** 3,
+    "divided-powers": lambda n: sum(rooted_count(m + 1) ** 2 for m in range(n + 1)),
+    "zstar-intertwine": lambda n: sum(
+        rooted_count(m + 1) * composition_count(m) for m in range(n + 1)
+    ),
+    "zstar-surjectivity": lambda n: rooted_count(n + 1) * composition_count(n) ** 2,
+    "quasi-shuffle-oracle": lambda n: 4 ** n,
+    "enumeration-counts": lambda n: rooted_count(n) * n * n + catalan(n - 1) * n,
+    "ideh": lambda n: partition_count(n) ** 3,
+}
 
 
 def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
@@ -1340,7 +969,7 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
     if d < 0:
         raise ValueError("max_degree must be nonnegative")
     if d > cap:
-        est = _estimate_cases(name, d)
+        est = _ESTIMATES[name](d)
         raise SuiteBoundError(
             f"suite {name} at max_degree {d} would need roughly {est:,} "
             f"elementary checks with exact arithmetic; the cap is {cap}. "

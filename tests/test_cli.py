@@ -167,6 +167,22 @@ def test_parse_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, depth",
+    [(("antipode", "--algebra", "kt"), 1200), (("map", "--name", "rhostar"), 600)],
+    ids=["antipode-kt", "map-rhostar"],
+)
+def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
+    # exit 1 means a verification failed; input too deep to process is exit 2
+    chain = "[" * depth + "]" * depth
+    code, out, err = run(capsys, *argv, chain)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_product_json_terms(capsys):
     code, out, _ = run(
         capsys, "product", "--algebra", "gl", "--format", "json",

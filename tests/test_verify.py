@@ -1,9 +1,13 @@
 """Verification driver: counting oracles, exact rank, suite plumbing."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+import treehopf.verify
+from treehopf.cli import main
 from treehopf.foundations import LinComb
 from treehopf.verify import (
     SUITE_NAMES,
@@ -135,3 +139,57 @@ def test_run_all_defaults():
     assert len(reports) == len(SUITE_NAMES)
     assert all(r.ok for r in reports)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
+
+
+# sha256 of each suite's JSON report at degree 3 (keys sorted)
+REPORT_DIGESTS = {
+    "hopf-axioms": "7b3b5bcd81d49e8477d4f97ad6c78d641b7d3f9c5223434b9e958d38930089d5",
+    "hexagon": "1308894190ddc37e2dc039e03b8b9c3ff318709e308ac4aaadf6e7949b850021",
+    "dualities": "0d2550378388476ae3b5d7e82d4dc8eac5780c9a3ac22b22cbbae7e8672ed5bf",
+    "divided-powers": "5e1309ce781b776deade7059eba3aad347e3ec994d62b22e315b5c6ecbd25f23",
+    "zstar-intertwine": "bb4b5ff71477fd07080b826635916eec4fbd69fe4e973f98ce9996028bea7847",
+    "zstar-surjectivity": "bb4c46d1959f107e64e0e0af88e4df547d18988a20efc0f2b86db7ed5150ed75",
+    "quasi-shuffle-oracle": "e6cb3518e71e3a9c572328ee29a47ac8c352cb35de894e39cd93831bad484257",
+    "enumeration-counts": "07da75785778f3de63deff63020e789054a6f8d618709aae58f7fac461eed232",
+    "ideh": "e176269f3a77b7eda145cd21f96af906e7f220d472af6ff39d2674cd05ab262d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_suite_report_is_pinned(name):
+    report = run_suite(name, 3).to_dict()
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name]
+
+
+def test_failure_reports_first_counterexample(monkeypatch):
+    monkeypatch.setattr(treehopf.verify, "kbar", lambda x: LinComb.zero())
+    rep = run_suite("zstar-intertwine", 3)
+    assert not rep.ok
+    failed = [r for r in rep.results if r.status == "fail"]
+    assert [r.identity for r in failed] == [
+        "poset labeling realization agrees with the recursion"
+    ]
+    assert failed[0].counterexample == "1"
+    lines = rep.lines()
+    assert lines[0].endswith("FAILURES FOUND")
+    assert (
+        "  [FAIL] poset labeling realization agrees with the recursion "
+        "(degree <= 3)\n         counterexample: 1"
+    ) in lines
+
+
+def test_failed_verification_exits_one(monkeypatch, capsys):
+    tau = treehopf.verify.tau
+    monkeypatch.setattr(treehopf.verify, "tau", lambda x: 2 * tau(x))
+    code = main(["verify", "--suite", "hexagon", "--max-degree", "2",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    failed = {
+        r["identity"].split(":")[0]: r["counterexample"]
+        for r in report["results"] if r["status"] == "fail"
+    }
+    assert failed == {"upper diamond": "E()", "left triangle": "E()"}
