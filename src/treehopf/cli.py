@@ -18,8 +18,13 @@ Element syntax, by algebra context:
 
 Rational coefficients attach with *, e.g. 1/2*[[][]] + 2*[[[]]] - M(2).
 A bare rational is that multiple of the unit.  Unordered tree input is
-canonicalized; planar and ordered input is taken as written.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse error.
+canonicalized; planar and ordered input is taken as written.
+
+Exit codes: 0 success; 1 a verification found a defect, including one the
+library detects by raising while a suite runs; 2 a refusal.  Every refusal
+(a parse error, a cap, a suite bound, input nested too deeply) prints
+exactly one "error:" line on stderr; a command line that argparse rejects
+also exits 2, after its usage text.
 """
 
 import argparse
@@ -65,6 +70,14 @@ PAIR_KINDS = {
 
 ENUM_CAP = 12
 SERIES_CAP = 10
+VARS_CAP = 10
+
+# algebra whose basis is written as part lists -> (basis letter, context word)
+_PART_LISTS = {
+    "sym": ("m", "symmetric"),
+    "qsym": ("M", "quasi-symmetric"),
+    "nsym": ("E", "noncommutative"),
+}
 
 
 class ParseError(ValueError):
@@ -117,119 +130,68 @@ class _Parser:
 
     def term(self) -> LinComb:
         self.skip_ws()
-        coeff = None
-        if self.peek().isdigit():
-            coeff = self.rational()
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_ws()
-            else:
-                # a bare rational is a multiple of the unit
-                return coeff * self.algebra.one()
-        atom = self.atom()
-        return atom if coeff is None else coeff * atom
+        if not self.peek().isdigit():
+            return self.atom()
+        coeff = self.rational()
+        self.skip_ws()
+        if self.peek() != "*":
+            # a bare rational is a multiple of the unit
+            return coeff * self.algebra.one()
+        self.pos += 1
+        self.skip_ws()
+        return coeff * self.atom()
 
     def rational(self):
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        num = int(self.text[start : self.pos])
-        if self.peek() == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("expected digits after '/'")
-            den = int(self.text[dstart : self.pos])
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return num
+        num = self.integer("digits")
+        if self.peek() != "/":
+            return num
+        self.pos += 1
+        den = self.integer("digits after '/'")
+        if den == 0:
+            self.error("zero denominator")
+        return Fraction(num, den)
 
     def atom(self) -> LinComb:
         name = self.algebra.name
         ch = self.peek()
         if ch == "":
             self.error("expected an element")
+        if ch == "1":
+            self.pos += 1
+            return self.algebra.one()
+        if name in _PART_LISTS:
+            return self.part_atom(name, ch)
         if name == "kt":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            return LinComb.single(self.tree_atom(RootedTree))
-        if name == "kp":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            return LinComb.single(self.planar_atom())
-        if name == "ck":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
+            key = self.tree_atom(RootedTree)
+        elif name == "kp":
+            key = self.planar_atom()
+        elif name == "ck":
             trees = [self.tree_atom(RootedTree)]
-            while True:
+            self.skip_ws()
+            while self.peek() in ("[", "l"):
+                trees.append(self.tree_atom(RootedTree))
                 self.skip_ws()
-                if self.peek() in ("[", "l"):
-                    trees.append(self.tree_atom(RootedTree))
-                else:
-                    break
-            return LinComb.single(Forest(tuple(trees)))
-        if name == "hf":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            if ch == "(":
-                self.pos += 1
-                members = []
-                self.skip_ws()
-                if self.peek() == ")":
-                    self.pos += 1
-                    return self.algebra.one()
-                while True:
-                    members.append(self.planar_atom())
-                    self.skip_ws()
-                    if self.peek() == ",":
-                        self.pos += 1
-                        self.skip_ws()
-                        continue
-                    self.expect(")")
-                    break
-                return LinComb.single(OrderedForest(tuple(members)))
-            return LinComb.single(OrderedForest((self.planar_atom(),)))
-        if name == "sym":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            if ch == "m":
-                parts = self.part_list("m")
-                return LinComb.single(tuple(sorted(parts, reverse=True)))
-            if ch in "ehp":
-                self.pos += 1
-                k = self.integer("basis index")
-                if ch == "e":
-                    return e(k)
-                if ch == "h":
-                    return h(k)
-                if k < 1:
-                    self.error("power sums start at 1")
-                return p(k)
-            self.error(f"unexpected {ch!r} in symmetric context")
-        if name == "qsym":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            if ch == "M":
-                return LinComb.single(self.part_list("M"))
-            self.error(f"unexpected {ch!r} in quasi-symmetric context")
-        if name == "nsym":
-            if ch == "1":
-                self.pos += 1
-                return self.algebra.one()
-            if ch == "E":
-                return LinComb.single(self.part_list("E"))
-            self.error(f"unexpected {ch!r} in noncommutative context")
-        self.error(f"no grammar for algebra {name}")
+            key = Forest(tuple(trees))
+        else:  # hf: a bare tree is the one-tree forest
+            trees = self.comma_list(self.planar_atom) if ch == "(" else (self.planar_atom(),)
+            key = OrderedForest(trees)
+        return LinComb.single(key)
+
+    def part_atom(self, name, ch) -> LinComb:
+        letter, word = _PART_LISTS[name]
+        if name == "sym" and ch in "ehp":
+            self.pos += 1
+            k = self.integer("basis index")
+            if ch == "p" and k < 1:
+                self.error("power sums start at 1")
+            return {"e": e, "h": h, "p": p}[ch](k)
+        if ch != letter:
+            self.error(f"unexpected {ch!r} in {word} context")
+        self.pos += 1
+        parts = self.comma_list(self.part)
+        if name == "sym":  # a partition lists its parts in weakly decreasing order
+            parts = tuple(sorted(parts, reverse=True))
+        return LinComb.single(parts)
 
     def tree_atom(self, factory):
         ch = self.peek()
@@ -257,55 +219,48 @@ class _Parser:
             self.error(f"expected {what}")
         return int(self.text[start : self.pos])
 
-    def part_list(self, letter):
-        self.expect(letter)
+    def part(self):
+        n = self.integer("positive part")
+        if n < 1:
+            self.error("parts must be positive")
+        return n
+
+    def comma_list(self, item) -> tuple:
+        """``(item, item, ...)``, possibly empty, with spaces around items."""
         self.expect("(")
-        parts = []
+        items = []
         self.skip_ws()
         if self.peek() == ")":
             self.pos += 1
             return ()
         while True:
-            n = self.integer("positive part")
-            if n < 1:
-                self.error("parts must be positive")
-            parts.append(n)
+            items.append(item())
             self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                self.skip_ws()
-                continue
-            self.expect(")")
-            break
-        return tuple(parts)
+            if self.peek() != ",":
+                self.expect(")")
+                return tuple(items)
+            self.pos += 1
+            self.skip_ws()
 
 
 def parse_element(text: str, context: str) -> LinComb:
     if context not in ALGEBRAS:
         raise ParseError(f"unknown algebra {context!r}", 0)
-    parser = _Parser(text, ALGEBRAS[context])
-    result = parser.parse()
-    return result
+    return _Parser(text, ALGEBRAS[context]).parse()
 
 
 # ------------------------------------------------------------- serialization
 
-def _coeff_str(c):
-    return str(c)
-
-
 def element_terms(algebra, a: LinComb):
     keys = sorted(a.keys(), key=algebra.key_sort)
-    return [
-        {"coefficient": _coeff_str(a[k]), "basis": algebra.key_str(k)} for k in keys
-    ]
+    return [{"coefficient": str(a[k]), "basis": algebra.key_str(k)} for k in keys]
 
 
 def tensor_terms(algebra, t: LinComb):
     keys = sorted(t.keys(), key=algebra.tensor_key_sort)
     return [
         {
-            "coefficient": _coeff_str(t[k]),
+            "coefficient": str(t[k]),
             "left": algebra.key_str(k[0]),
             "right": algebra.key_str(k[1]),
         }
@@ -321,63 +276,52 @@ def _emit(args, text_fn, json_obj):
     return 0
 
 
+def _element(args, alg, result, **fields):
+    """Print an element of ``alg``; ``fields`` head its JSON document."""
+    doc = {**fields, "terms": element_terms(alg, result)}
+    return _emit(args, lambda: alg.format(result), doc)
+
+
+def _tensor(args, alg, result):
+    doc = {"algebra": alg.name, "terms": tensor_terms(alg, result)}
+    return _emit(args, lambda: alg.format_tensor(result), doc)
+
+
+def _scalar(args, value):
+    return _emit(args, lambda: str(value), {"value": str(value)})
+
+
+def _monomial(expo, c):
+    """Text of the term c * x1^expo[0] * x2^expo[1] * ..."""
+    body = "*".join(
+        f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(expo) if k
+    )
+    return str(c) if not body else body if c == 1 else f"{c}*{body}"
+
+
 # ---------------------------------------------------------------- handlers
+#
+# A handler returns the exit code and refuses input by raising ValueError;
+# ``main`` prints the refusal.
 
-def _cmd_product(args):
-    alg = ALGEBRAS[args.algebra]
-    x = parse_element(args.left, args.algebra)
-    y = parse_element(args.right, args.algebra)
-    result = alg.product(x, y)
-    return _emit(
-        args,
-        lambda: alg.format(result),
-        {"algebra": alg.name, "terms": element_terms(alg, result)},
-    )
-
-
-def _cmd_coproduct(args):
-    alg = ALGEBRAS[args.algebra]
-    x = parse_element(args.element, args.algebra)
-    result = alg.coproduct(x)
-    return _emit(
-        args,
-        lambda: alg.format_tensor(result),
-        {"algebra": alg.name, "terms": tensor_terms(alg, result)},
-    )
-
-
-def _cmd_antipode(args):
-    alg = ALGEBRAS[args.algebra]
-    x = parse_element(args.element, args.algebra)
-    result = alg.antipode(x)
-    return _emit(
-        args,
-        lambda: alg.format(result),
-        {"algebra": alg.name, "terms": element_terms(alg, result)},
-    )
-
-
-def _cmd_counit(args):
-    alg = ALGEBRAS[args.algebra]
-    x = parse_element(args.element, args.algebra)
-    value = alg.counit(x)
-    return _emit(args, lambda: _coeff_str(value), {"value": _coeff_str(value)})
+def _cmd_operation(args):
+    """product, coproduct, antipode and counit in the --algebra context."""
+    alg, op = ALGEBRAS[args.algebra], args.command
+    texts = (args.left, args.right) if op == "product" else (args.element,)
+    result = getattr(alg, op)(*(parse_element(text, args.algebra) for text in texts))
+    if op == "coproduct":
+        return _tensor(args, alg, result)
+    if op == "counit":
+        return _scalar(args, result)
+    return _element(args, alg, result, algebra=alg.name)
 
 
 def _cmd_map(args):
     domain, codomain, fn = MAP_TABLE[args.name]
-    ctx = domain.name
-    x = parse_element(args.element, ctx)
-    result = fn(x)
-    return _emit(
-        args,
-        lambda: codomain.format(result),
-        {
-            "map": args.name,
-            "domain": domain.name,
-            "codomain": codomain.name,
-            "terms": element_terms(codomain, result),
-        },
+    result = fn(parse_element(args.element, domain.name))
+    return _element(
+        args, codomain, result,
+        map=args.name, domain=domain.name, codomain=codomain.name,
     )
 
 
@@ -385,135 +329,110 @@ def _cmd_pair(args):
     left_alg, right_alg, pairing = PAIR_KINDS[args.kind]
     x = parse_element(args.left, left_alg.name)
     y = parse_element(args.right, right_alg.name)
-    value = pairing(x, y)
-    return _emit(args, lambda: _coeff_str(value), {"value": _coeff_str(value)})
+    return _scalar(args, pairing(x, y))
 
 
-def _series_guard(n):
+def _cmd_series(args):
+    """kappa and epsilon, the sums over all trees of a given size."""
+    n = args.n
     if n < 0:
-        raise ParseError("index must be nonnegative", 0)
+        raise ValueError("index must be nonnegative")
     if n > SERIES_CAP:
-        print(
-            f"error: index {n} exceeds the cap {SERIES_CAP}; these elements "
-            f"sum over all trees of that size and grow superexponentially",
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
-def _cmd_kappa(args):
-    if not _series_guard(args.n):
-        return 2
-    result = kappa(args.n)
-    return _emit(
-        args,
-        lambda: KT.format(result),
-        {"algebra": "kt", "terms": element_terms(KT, result)},
-    )
-
-
-def _cmd_epsilon(args):
-    if not _series_guard(args.n):
-        return 2
-    result = epsilon(args.n)
-    return _emit(
-        args,
-        lambda: KT.format(result),
-        {"algebra": "kt", "terms": element_terms(KT, result)},
-    )
+        raise ValueError(f"index {n} exceeds the cap {SERIES_CAP}; these elements "
+                         f"sum over all trees of that size and grow superexponentially")
+    result = kappa(n) if args.command == "kappa" else epsilon(n)
+    return _element(args, KT, result, algebra=KT.name)
 
 
 def _cmd_enumerate(args):
     kind = "planar" if args.planar else args.kind
     n = args.vertices
     if n < 1:
-        print("error: vertex count must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("vertex count must be at least 1")
     if n > ENUM_CAP:
-        print(
-            f"error: refusing to enumerate {n}-vertex trees (cap {ENUM_CAP}); "
-            f"counts grow exponentially",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"refusing to enumerate {n}-vertex trees (cap {ENUM_CAP}); "
+                         f"counts grow exponentially")
     if kind == "rooted":
-        trees = enumerate_rooted(n)
-        names = [t.encoding for t in trees]
+        names = [t.encoding for t in enumerate_rooted(n)]
     else:
-        trees = enumerate_planar(n)
-        names = ["p" + t.encoding for t in trees]
+        names = ["p" + t.encoding for t in enumerate_planar(n)]
+    doc = {"kind": kind, "vertices": n, "count": len(names)}
     if args.count_only:
-        return _emit(
-            args,
-            lambda: str(len(names)),
-            {"kind": kind, "vertices": n, "count": len(names)},
-        )
-    return _emit(
-        args,
-        lambda: "\n".join(names),
-        {"kind": kind, "vertices": n, "count": len(names), "trees": names},
-    )
+        return _emit(args, lambda: str(len(names)), doc)
+    return _emit(args, lambda: "\n".join(names), {**doc, "trees": names})
 
 
 def _cmd_expand(args):
     x = parse_element(args.element, "qsym")
-    if args.vars < 0:
-        print("error: variable count must be nonnegative", file=sys.stderr)
-        return 2
-    if args.vars > 10:
-        print("error: refusing more than 10 variables", file=sys.stderr)
-        return 2
-    poly = expand_truncated(x, args.vars)
-    items = sorted(poly.terms.items())
-
-    def fmt():
-        if not items:
-            return "0"
-        parts = []
-        for expo, c in items:
-            factors = [
-                f"x{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(expo)
-                if k
-            ]
-            body = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                parts.append(body)
-            else:
-                parts.append(f"{c}*{body}" if factors else str(c))
-        return " + ".join(parts)
-
+    n = args.vars
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    if n > VARS_CAP:
+        raise ValueError(f"refusing more than {VARS_CAP} variables")
+    items = sorted(expand_truncated(x, n).terms.items())
+    terms = [{"coefficient": str(c), "exponents": list(expo)} for expo, c in items]
     return _emit(
-        args,
-        fmt,
-        {
-            "vars": args.vars,
-            "terms": [
-                {"coefficient": _coeff_str(c), "exponents": list(expo)}
-                for expo, c in items
-            ],
-        },
+        args, lambda: " + ".join(_monomial(*item) for item in items) or "0",
+        {"vars": n, "terms": terms},
     )
 
 
 def _cmd_verify(args):
-    if args.suite == "all":
-        reports = run_all(args.max_degree)
-    else:
-        reports = [run_suite(args.suite, args.max_degree)]
-    ok = all(r.ok for r in reports)
+    one, d = args.suite != "all", args.max_degree
+    reports = [run_suite(args.suite, d)] if one else run_all(d)
     if args.format == "json":
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if args.suite != "all" else payload,
-                         indent=2, sort_keys=True))
+        docs = [r.to_dict() for r in reports]
+        print(json.dumps(docs[0] if one else docs, indent=2, sort_keys=True))
     else:
-        for r in reports:
-            print("\n".join(r.lines()))
-    return 0 if ok else 1
+        print("\n".join(line for r in reports for line in r.lines()))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # ------------------------------------------------------------------ parser
+
+_FORMAT = ("--format", {
+    "choices": ("text", "json"), "default": "text",
+    "help": "output encoding (default text)",
+})
+_ALGEBRA = ("--algebra", {
+    "required": True, "choices": sorted(ALGEBRAS),
+    "help": "algebra context for parsing and printing",
+})
+_ELEMENT = ("element", {})
+_INDEX = ("n", {"type": int})
+
+# subcommand -> (help, handler, arguments before --format, arguments after it);
+# an argument is (name, add_argument keywords)
+_COMMANDS = {
+    "product": ("multiply two elements", _cmd_operation,
+                [_ALGEBRA], [("left", {}), ("right", {})]),
+    "coproduct": ("coproduct of an element", _cmd_operation, [_ALGEBRA], [_ELEMENT]),
+    "antipode": ("antipode of an element", _cmd_operation, [_ALGEBRA], [_ELEMENT]),
+    "counit": ("counit of an element", _cmd_operation, [_ALGEBRA], [_ELEMENT]),
+    "map": ("apply one of the named homomorphisms", _cmd_map,
+            [("--name", {"required": True, "choices": sorted(MAP_TABLE)})],
+            [_ELEMENT]),
+    "pair": ("evaluate a duality pairing", _cmd_pair,
+             [("--kind", {"required": True, "choices": sorted(PAIR_KINDS)})],
+             [("--left", {"required": True}), ("--right", {"required": True})]),
+    "kappa": ("symmetry-weighted sum of all trees of a given size", _cmd_series,
+              [], [_INDEX]),
+    "epsilon": ("alternating divided-power partner of kappa", _cmd_series,
+                [], [_INDEX]),
+    "enumerate": ("list or count trees by vertex count", _cmd_enumerate, [
+        ("--kind", {"choices": ("rooted", "planar"), "default": "rooted"}),
+        ("--planar", {"action": "store_true", "help": "shorthand for --kind planar"}),
+        ("--vertices", {"type": int, "required": True}),
+        ("--count-only", {"action": "store_true"}),
+    ], []),
+    "expand": ("realize a quasi-symmetric element as a polynomial", _cmd_expand,
+               [("--vars", {"type": int, "required": True})], [_ELEMENT]),
+    "verify": ("run an identity verification suite", _cmd_verify, [
+        ("--suite", {"required": True, "choices": SUITE_NAMES + ("all",)}),
+        ("--max-degree", {"type": int}),
+    ], []),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -522,111 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
         "compositions, and partitions",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="output encoding (default text)",
-        )
-
-    def add_algebra(p):
-        p.add_argument(
-            "--algebra", required=True, choices=sorted(ALGEBRAS),
-            help="algebra context for parsing and printing",
-        )
-
-    pr = sub.add_parser("product", help="multiply two elements")
-    add_algebra(pr)
-    add_format(pr)
-    pr.add_argument("left")
-    pr.add_argument("right")
-    pr.set_defaults(fn=_cmd_product)
-
-    co = sub.add_parser("coproduct", help="coproduct of an element")
-    add_algebra(co)
-    add_format(co)
-    co.add_argument("element")
-    co.set_defaults(fn=_cmd_coproduct)
-
-    an = sub.add_parser("antipode", help="antipode of an element")
-    add_algebra(an)
-    add_format(an)
-    an.add_argument("element")
-    an.set_defaults(fn=_cmd_antipode)
-
-    cu = sub.add_parser("counit", help="counit of an element")
-    add_algebra(cu)
-    add_format(cu)
-    cu.add_argument("element")
-    cu.set_defaults(fn=_cmd_counit)
-
-    mp = sub.add_parser("map", help="apply one of the named homomorphisms")
-    mp.add_argument("--name", required=True, choices=sorted(MAP_TABLE))
-    add_format(mp)
-    mp.add_argument("element")
-    mp.set_defaults(fn=_cmd_map)
-
-    pa = sub.add_parser("pair", help="evaluate a duality pairing")
-    pa.add_argument("--kind", required=True, choices=sorted(PAIR_KINDS))
-    add_format(pa)
-    pa.add_argument("--left", required=True)
-    pa.add_argument("--right", required=True)
-    pa.set_defaults(fn=_cmd_pair)
-
-    ka = sub.add_parser(
-        "kappa", help="symmetry-weighted sum of all trees of a given size"
-    )
-    add_format(ka)
-    ka.add_argument("n", type=int)
-    ka.set_defaults(fn=_cmd_kappa)
-
-    ep = sub.add_parser(
-        "epsilon", help="alternating divided-power partner of kappa"
-    )
-    add_format(ep)
-    ep.add_argument("n", type=int)
-    ep.set_defaults(fn=_cmd_epsilon)
-
-    en = sub.add_parser("enumerate", help="list or count trees by vertex count")
-    en.add_argument("--kind", choices=("rooted", "planar"), default="rooted")
-    en.add_argument(
-        "--planar", action="store_true", help="shorthand for --kind planar"
-    )
-    en.add_argument("--vertices", type=int, required=True)
-    en.add_argument("--count-only", action="store_true")
-    add_format(en)
-    en.set_defaults(fn=_cmd_enumerate)
-
-    ex = sub.add_parser(
-        "expand", help="realize a quasi-symmetric element as a polynomial"
-    )
-    ex.add_argument("--vars", type=int, required=True)
-    add_format(ex)
-    ex.add_argument("element")
-    ex.set_defaults(fn=_cmd_expand)
-
-    ve = sub.add_parser("verify", help="run an identity verification suite")
-    ve.add_argument(
-        "--suite", required=True, choices=SUITE_NAMES + ("all",),
-    )
-    ve.add_argument("--max-degree", type=int, default=None)
-    add_format(ve)
-    ve.set_defaults(fn=_cmd_verify)
-
+    for command, (help_text, handler, before, after) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        for name, options in before + [_FORMAT] + after:
+            parser.add_argument(name, **options)
+        parser.set_defaults(fn=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # ParseError and SuiteBoundError included
+    except (ValueError, RecursionError) as exc:
+        # every refusal, ParseError and SuiteBoundError included; exit 1 is
+        # reserved for a failed verification
+        if isinstance(exc, RecursionError):
+            exc = "input is nested too deeply to process"
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # exit 1 is reserved for a failed verification
-        print("error: input is nested too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -244,7 +244,9 @@ def _transition(n: int):
         for i, lam in enumerate(parts)
     ]
     for col in range(size):
-        pivot = next(r for r in range(col, size) if matrix[r][col])
+        pivot = next((r for r in range(col, size) if matrix[r][col]), None)
+        if pivot is None:
+            raise ValueError(f"e-to-m transition matrix of degree {n} is singular")
         matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
         inv = 1 / matrix[col][col]
         matrix[col] = [x * inv for x in matrix[col]]

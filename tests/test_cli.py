@@ -1,6 +1,8 @@
 """Command-line behavior: grammar, output formats, exit codes."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -107,6 +109,10 @@ def test_series_elements(capsys):
     code, _, err = run(capsys, "kappa", "40")
     assert code == 2
     assert "cap" in err
+    code, out, err = run(capsys, "kappa", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: index must be nonnegative\n"
 
 
 def test_expand_golden(capsys):
@@ -272,3 +278,64 @@ def test_build_parser_smoke():
         ["product", "--algebra", "kt", "[[]]", "[[]]"]
     )
     assert ns.command == "product"
+
+
+# The exact JSON document of each subcommand on the README inputs.
+JSON_DOCS = [
+    (("coproduct", "--algebra", "qsym", "M(2,1)"),
+     {"algebra": "qsym", "terms": [
+         {"coefficient": "1", "left": "1", "right": "M(2,1)"},
+         {"coefficient": "1", "left": "M(2)", "right": "M(1)"},
+         {"coefficient": "1", "left": "M(2,1)", "right": "1"}]}),
+    (("antipode", "--algebra", "sym", "e3"),
+     {"algebra": "sym", "terms": [
+         {"basis": "m(1,1,1)", "coefficient": "-1"},
+         {"basis": "m(2,1)", "coefficient": "-1"},
+         {"basis": "m(3)", "coefficient": "-1"}]}),
+    (("counit", "--algebra", "nsym", "E(1,2) + 3*1"), {"value": "3"}),
+    (("pair", "--kind", "kt-ck", "--left", "[[][]]", "--right", "[] []"),
+     {"value": "2"}),
+    (("kappa", "2"),
+     {"algebra": "kt", "terms": [{"basis": "[[[]]]", "coefficient": "1"},
+                                 {"basis": "[[][]]", "coefficient": "1/2"}]}),
+    (("epsilon", "2"),
+     {"algebra": "kt", "terms": [{"basis": "[[][]]", "coefficient": "1/2"}]}),
+    (("enumerate", "--kind", "rooted", "--vertices", "5"),
+     {"count": 9, "kind": "rooted", "vertices": 5, "trees": [
+         "[[[[[]]]]]", "[[[[][]]]]", "[[[][[]]]]", "[[[][][]]]", "[[[]][[]]]",
+         "[[][[[]]]]", "[[][[][]]]", "[[][][[]]]", "[[][][][]]"]}),
+    (("enumerate", "--kind", "rooted", "--vertices", "5", "--count-only"),
+     {"count": 9, "kind": "rooted", "vertices": 5}),
+    (("expand", "--vars", "2", "M(2,1)"),
+     {"terms": [{"coefficient": "1", "exponents": [2, 1]}], "vars": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc", JSON_DOCS,
+    ids=[argv[0] + ("-count-only" if "--count-only" in argv else "") for argv, _ in JSON_DOCS],
+)
+def test_json_document_is_pinned(capsys, argv, doc):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def readme_examples():
+    """(argv, printed line) for each ``treehopf`` example in README's
+    "Command line" block that shows its output."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.strip().splitlines()
+    return [
+        (shlex.split(line)[1:], following)
+        for line, following in zip(lines, lines[1:] + [""])
+        if line.startswith("treehopf ") and not line.startswith("treehopf verify")
+    ]
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) == 8
+    for argv, printed in examples:
+        assert run(capsys, *argv) == (0, printed + "\n", ""), argv

@@ -193,3 +193,36 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
         for r in report["results"] if r["status"] == "fail"
     }
     assert failed == {"upper diamond": "E()", "left triangle": "E()"}
+
+
+@pytest.fixture
+def concatenating_qsym(monkeypatch):
+    """QSYM whose product concatenates compositions (a defect), with every
+    memo that a SYM or QSYM product feeds emptied, so the result does not
+    depend on what earlier tests computed."""
+    from treehopf import morphisms, symfun
+
+    for alg in (symfun.QSYM, symfun.SYM):
+        monkeypatch.setattr(alg, "_prod_memo", {})
+        monkeypatch.setattr(alg, "_antipode_memo", {})
+    for module, memo in ((symfun, "_E_TO_M"), (symfun, "_M_TO_E"),
+                         (morphisms, "_TAU_MEMO"), (morphisms, "_ZSTAR_MEMO")):
+        monkeypatch.setattr(module, memo, {})
+    # an instance attribute, so undoing the patch leaves the class method
+    monkeypatch.setitem(vars(symfun.QSYM), "product_keys",
+                        lambda l, r: LinComb.single(l + r))
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_library_detected_defect_fails_verification(concatenating_qsym, capsys, name):
+    # a ValueError raised while checking is a failed identity (exit 1),
+    # not a usage error (exit 2)
+    code = main(["verify", "--suite", name, "--max-degree", "3"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert err == ""
+    if name == "quasi-shuffle-oracle":
+        assert code == 1
+        line = next(l for l in out.splitlines() if "stay symmetric" in l)
+        assert line.startswith("  [FAIL] products of symmetrized elements stay symmetric")
+        assert "not symmetric" in out
