@@ -104,6 +104,11 @@ class _Parser:
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def at_digit(self):
+        # ASCII only: str.isdigit also takes '²' or '٣', and "" at the end
+        # of the text is a substring of any string of digits
+        return "0" <= self.peek() <= "9"
+
     def expect(self, ch):
         if self.peek() != ch:
             self.error(f"expected {ch!r}")
@@ -130,7 +135,7 @@ class _Parser:
 
     def term(self) -> LinComb:
         self.skip_ws()
-        if not self.peek().isdigit():
+        if not self.at_digit():
             return self.atom()
         coeff = self.rational()
         self.skip_ws()
@@ -213,7 +218,7 @@ class _Parser:
 
     def integer(self, what):
         start = self.pos
-        while self.peek().isdigit():
+        while self.at_digit():
             self.pos += 1
         if start == self.pos:
             self.error(f"expected {what}")

@@ -275,6 +275,11 @@ def m_to_e(a: LinComb) -> LinComb:
     return out
 
 
+def m_to_e_row(lam) -> dict:
+    """m_lam in the elementary basis, as a new dict {mu: coefficient of e_mu}."""
+    return dict(_transition(sum(lam))[1][lam].items())
+
+
 def e_to_m(a: LinComb) -> LinComb:
     """Expand e-basis coefficients back into the monomial basis."""
     out = LinComb.zero()

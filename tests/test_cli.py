@@ -174,6 +174,21 @@ def test_parse_error_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("product", "--algebra", "kt", "²*[]", "[]"),
+         "error: expected a tree, found '²' at position 0\n"),
+        (("expand", "--vars", "2", "M(٣)"), "error: expected positive part at position 2\n"),
+    ],
+    ids=["superscript-coefficient", "arabic-indic-part"],
+)
+def test_only_ascii_digits_are_numbers(capsys, argv, message):
+    # str.isdigit accepts these, and int() reads the Arabic-Indic digit as 3
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "argv, depth",
     [(("antipode", "--algebra", "kt"), 1200), (("map", "--name", "rhostar"), 600)],
     ids=["antipode-kt", "map-rhostar"],

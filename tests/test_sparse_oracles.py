@@ -1,0 +1,440 @@
+"""The sparse pairing rows, sparse exact rank and row-form duality criterion
+against the dense all-pairs definitions they replaced, kept here as oracles:
+dense Bareiss elimination, pairings of every two basis keys, and the triple
+loop over basis triples."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+import treehopf.verify
+from treehopf.foundations import LinComb, compositions_of
+from treehopf.hopf_planar import HF, KP, ordered_forest_b_plus
+from treehopf.hopf_rooted import HK, KT, forest_b_plus
+from treehopf.morphisms import Z_star
+from treehopf.pairings import (
+    check_duality_criterion,
+    check_pairing_compatibility,
+    ip_ck,
+    ip_hf,
+    ip_kp,
+    ip_kt,
+    ip_ns,
+    ip_qs,
+    ip_sym,
+    pair_kp_hf,
+    pair_kt_ck,
+    pair_ns_qs,
+    pair_tensor,
+)
+from treehopf import symfun
+from treehopf.symfun import NSYM, QSYM, SYM, m_to_e
+from treehopf.trees import PlanarTree, RootedTree, forests_of_degree, sym_order
+from treehopf.verify import _ESTIMATES, exact_rank, rank_of
+
+s = LinComb.single
+
+
+# ------------------------------------------------------------------ oracles
+
+def bareiss_rank(rows) -> int:
+    """Exact rank by dense fraction-free (Bareiss) elimination after
+    clearing denominators per row."""
+    mat = []
+    for row in rows:
+        r = list(row)
+        if not any(r):
+            continue
+        denom = 1
+        for x in r:
+            if isinstance(x, Fraction):
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+        mat.append([int(x * denom) for x in r])
+    if not mat:
+        return 0
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if mat[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivval = mat[rank][col]
+        for r in range(rank + 1, nrows):
+            factor = mat[r][col]
+            for c in range(col, ncols):
+                mat[r][c] = (pivval * mat[r][c] - factor * mat[rank][c]) // prev
+        prev = pivval
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _kron(x, y):
+    return 1 if x == y else 0
+
+
+# The key-level definition of each pairing, and the algebras it couples.
+DEFINITIONS = {
+    "ip_kt": (ip_kt, KT, KT, lambda t, u: sym_order(t) if t == u else 0),
+    "ip_ck": (ip_ck, HK, HK, lambda f, g: sym_order(RootedTree(f.trees)) if f == g else 0),
+    "ip_kp": (ip_kp, KP, KP, _kron),
+    "ip_hf": (ip_hf, HF, HF, _kron),
+    "ip_qs": (ip_qs, QSYM, QSYM, _kron),
+    "ip_ns": (ip_ns, NSYM, NSYM, _kron),
+    "ip_sym": (ip_sym, SYM, SYM, lambda la, mu: m_to_e(s(la))[mu]),
+    "pair_kt_ck": (pair_kt_ck, KT, HK,
+                   lambda t, f: sym_order(t) if t == RootedTree(f.trees) else 0),
+    "pair_ns_qs": (pair_ns_qs, NSYM, QSYM, _kron),
+    "pair_kp_hf": (pair_kp_hf, KP, HF, lambda t, f: 1 if t == PlanarTree(f.trees) else 0),
+}
+
+
+def all_pairs(pair_key):
+    """The bilinear extension of a key-level pairing, over every two terms."""
+
+    def pairing(a, b):
+        acc = 0
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                v = pair_key(k1, k2)
+                if v:
+                    acc = acc + c1 * c2 * v
+        return acc
+
+    return pairing
+
+
+def ip_sym_by_e(a, b):
+    """(e_lam, m_mu) = delta: the left argument in the elementary basis."""
+    acc = 0
+    for lam, c in m_to_e(a).items():
+        d = b[lam]
+        if d:
+            acc = acc + c * d
+    return acc
+
+
+ORACLE = {pairing: all_pairs(key) for pairing, _, _, key in DEFINITIONS.values()}
+ORACLE[ip_sym] = ip_sym_by_e
+
+
+def pair_tensor_by_singles(pairing, s_, t):
+    acc = 0
+    for (a1, a2), c1 in s_.items():
+        for (b1, b2), c2 in t.items():
+            v1 = pairing(s(a1), s(b1))
+            if not v1:
+                continue
+            v2 = pairing(s(a2), s(b2))
+            if v2:
+                acc = acc + c1 * c2 * v1 * v2
+    return acc
+
+
+def criterion_by_triples(A, ip_A, B, ip_B, psi, max_degree):
+    """The duality criterion as a loop over every basis pair and triple,
+    each side paired through ``ORACLE``; (ok, checked, hypothesis,
+    counterexample) of the first failure."""
+    ip_A, ip_B = ORACLE[ip_A], ORACLE[ip_B]
+    checked = 0
+    for n in range(max_degree + 1):
+        singles = [s(k) for k in A.basis(n)]
+        images = [psi(x) for x in singles]
+        for i, x in enumerate(singles):
+            for j in range(i, len(singles)):
+                checked += 1
+                if ip_A(x, singles[j]) != ip_B(images[i], images[j]):
+                    return (False, checked, "a",
+                            f"degree {n}: {A.format(x)} , {A.format(singles[j])}")
+    for n in range(max_degree + 1):
+        triples_a3 = [(k, s(k)) for k in A.basis(n)]
+        psi_a3 = {k: psi(x) for k, x in triples_a3}
+        cop_a3 = {k: A.coproduct(x) for k, x in triples_a3}
+        cop_psi_a3 = {k: B.coproduct(psi_a3[k]) for k, _ in triples_a3}
+        for i in range(n + 1):
+            for k1 in A.basis(i):
+                a1 = s(k1)
+                p1 = psi(a1)
+                for k2 in A.basis(n - i):
+                    a2 = s(k2)
+                    p2 = psi(a2)
+                    prod_A = A.product(a1, a2)
+                    prod_B = B.product(p1, p2)
+                    left_tensor = LinComb.tensor(p1, p2)
+                    a_tensor = LinComb.tensor(a1, a2)
+                    for k3, a3 in triples_a3:
+                        checked += 2
+                        text = f"{A.key_str(k1)} , {A.key_str(k2)} , {A.key_str(k3)}"
+                        if ip_A(prod_A, a3) != pair_tensor_by_singles(
+                            ip_B, left_tensor, cop_psi_a3[k3]
+                        ):
+                            return (False, checked, "b", text)
+                        if pair_tensor_by_singles(ip_A, a_tensor, cop_a3[k3]) != ip_B(
+                            prod_B, psi_a3[k3]
+                        ):
+                            return (False, checked, "c", text)
+    return (True, checked, None, None)
+
+
+def _outcome(check, *args):
+    """(ok, checked, hypothesis, counterexample), or the ValueError text."""
+    try:
+        got = check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if isinstance(got, tuple):
+        return got
+    return (got.ok, got.checked, got.hypothesis, got.counterexample)
+
+
+# -------------------------------------------------------------------- ranks
+
+def _random_matrix(rng, nrows, ncols, rank, fractions):
+    """A random nrows x ncols matrix of rank at most ``rank``, with some
+    rows zeroed."""
+    def entry():
+        x = rng.randint(-3, 3)
+        return Fraction(x, rng.randint(1, 4)) if fractions and x else x
+
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    mat = [[sum(l[k] * right[k][j] for k in range(rank)) for j in range(ncols)] for l in left]
+    for i in rng.sample(range(nrows), nrows // 4):
+        mat[i] = [0] * ncols
+    return mat
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_sparse_rank_matches_bareiss_on_random_matrices(fractions):
+    rng = random.Random(20260 + fractions)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)  # wide, tall and square
+        mat = _random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), fractions)
+        want = bareiss_rank(mat)
+        assert exact_rank(mat) == want
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+        rng.shuffle(sparse)
+        assert exact_rank(sparse) == want
+    assert exact_rank([{}, {"a": 0}, [0, 0]]) == 0
+
+
+GRAMS = [
+    (ip_kt, KT, KT), (ip_ck, HK, HK), (ip_kp, KP, KP), (ip_hf, HF, HF),
+    (ip_sym, SYM, SYM), (pair_ns_qs, NSYM, QSYM), (pair_kt_ck, KT, HK),
+    (pair_kp_hf, KP, HF),
+]
+
+
+def test_gram_ranks_match_bareiss_through_degree_6():
+    for pairing, A, B in GRAMS:
+        oracle = ORACLE[pairing]
+        for n in range(7):
+            ka, kb = A.basis(n), B.basis(n)
+            dense = [[oracle(s(x), s(y)) for y in kb] for x in ka]
+            want = bareiss_rank(dense)
+            assert want == len(ka) == len(kb)
+            assert treehopf.verify._gram_rank(pairing, ka) == want
+
+
+def test_rank_of_matches_bareiss_through_degree_7():
+    for n in range(1, 8):
+        els = [Z_star(s(f)) for f in forests_of_degree(n)]
+        comps = compositions_of(n)
+        dense = [[el[c] for c in comps] for el in els]
+        assert rank_of(els, n) == bareiss_rank(dense)
+        # and on the first half of them, fewer rows than columns at every degree
+        half = len(els) // 2
+        assert rank_of(els[:half], n) == bareiss_rank(dense[:half])
+
+
+# ----------------------------------------------------------------- pairings
+
+def _random_element(rng, alg, degrees):
+    out = LinComb.zero()
+    for _ in range(rng.randint(0, 4)):
+        keys = alg.basis(rng.choice(degrees))
+        coeff = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+        out = out + s(rng.choice(keys), coeff)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DEFINITIONS))
+def test_rows_match_the_all_pairs_definition(name):
+    pairing, A, B, key = DEFINITIONS[name]
+    for n in range(6):
+        kb = B.basis(n)
+        for k in A.basis(n):
+            want = {y: key(k, y) for y in kb if key(k, y)}
+            assert pairing.row(k) == want
+            for y in kb:
+                assert pairing(s(k), s(y)) == key(k, y)
+    rng = random.Random(sum(map(ord, name)))
+    oracle = all_pairs(key)
+    for _ in range(60):
+        a = _random_element(rng, A, range(5))
+        b = _random_element(rng, B, range(5))
+        assert pairing(a, b) == oracle(a, b)
+        if pairing is ip_sym:
+            assert pairing(a, b) == ip_sym_by_e(a, b)
+        t = LinComb.tensor(a, _random_element(rng, A, range(4)))
+        u = LinComb.tensor(b, _random_element(rng, B, range(4)))
+        assert pair_tensor(pairing, t, u) == pair_tensor_by_singles(oracle, t, u)
+
+
+# ---------------------------------------------------------------- criterion
+
+INSTANCES = {
+    "qsym-nsym": (QSYM, ip_qs, NSYM, ip_ns, lambda a: a),
+    "hk-kt": (HK, ip_ck, KT, ip_kt, forest_b_plus),
+    "hf-kp": (HF, ip_hf, KP, ip_kp, ordered_forest_b_plus),
+    "sym-sym": (SYM, ip_sym, SYM, ip_sym, lambda a: a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_criterion_report_matches_the_triple_loop(name):
+    for d in range(5):
+        got = _outcome(check_duality_criterion, *INSTANCES[name], d)
+        assert got == _outcome(criterion_by_triples, *INSTANCES[name], d)
+        assert got[0]
+
+
+def _drop_one(psi, A):
+    """psi with the one term of the image of the last degree-3 key dropped."""
+    victim = A.basis(3)[-1]
+    return lambda a: LinComb.zero() if victim in a else psi(a)
+
+
+def _negate_degree(psi, A, n):
+    """psi negated on the keys of degree n only: (a) still holds."""
+    keys = set(A.basis(n))
+    return lambda a: -psi(a) if keys & set(a.keys()) else psi(a)
+
+
+FAULTS = {
+    "psi doubled": lambda A, psi: lambda a: 2 * psi(a),
+    "psi negated": lambda A, psi: lambda a: -psi(a),
+    "psi negated in degree 3": lambda A, psi: _negate_degree(psi, A, 3),
+    "psi negated in degree 4": lambda A, psi: _negate_degree(psi, A, 4),
+    "psi drops one term": lambda A, psi: _drop_one(psi, A),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_criterion_report_matches_under_a_faulty_map(name, fault):
+    A, ip_A, B, ip_B, psi = INSTANCES[name]
+    bad = (A, ip_A, B, ip_B, FAULTS[fault](A, psi))
+    got = _outcome(check_duality_criterion, *bad, 4)
+    assert got == _outcome(criterion_by_triples, *bad, 4)
+    assert not got[0]
+
+
+def _drop_last_term(product_keys):
+    def broken(k1, k2):
+        terms = list(product_keys(k1, k2).items())
+        return LinComb(terms[:-1] if len(terms) > 1 else terms)
+
+    return broken
+
+
+def _double_last_term(product_keys):
+    def broken(k1, k2):
+        terms = list(product_keys(k1, k2).items())
+        if len(terms) > 2:
+            terms[-1] = (terms[-1][0], 2 * terms[-1][1])
+        return LinComb(terms)
+
+    return broken
+
+
+BROKEN = {"drops its last term": _drop_last_term, "doubles its last term": _double_last_term}
+
+
+# For each instance, the algebra whose product has several terms.
+BROKEN_PRODUCT = {"qsym-nsym": QSYM, "hk-kt": KT, "hf-kp": KP, "sym-sym": SYM}
+
+
+def _forget_products(monkeypatch, alg):
+    """Empty the memos that the product of alg feeds, so a run does not
+    depend on what ran before it."""
+    for owner in {alg, SYM, QSYM}:
+        monkeypatch.setattr(owner, "_prod_memo", {})
+    for memo in ("_E_TO_M", "_M_TO_E"):
+        monkeypatch.setattr(symfun, memo, {})
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_criterion_report_matches_under_a_broken_product(name, broken, monkeypatch):
+    alg = BROKEN_PRODUCT[name]
+    product_keys = type(alg).product_keys.__get__(alg)
+    monkeypatch.setitem(vars(alg), "product_keys", BROKEN[broken](product_keys))
+    _forget_products(monkeypatch, alg)
+    got = _outcome(check_duality_criterion, *INSTANCES[name], 4)
+    _forget_products(monkeypatch, alg)
+    assert got == _outcome(criterion_by_triples, *INSTANCES[name], 4)
+    assert got[0] is not True
+
+
+def test_dualities_estimate_tracks_the_criteria_checks():
+    for d in range(3, 6):
+        checked = sum(check_duality_criterion(*inst, d).checked for inst in INSTANCES.values())
+        assert checked / 5 <= _ESTIMATES["dualities"](d) <= 5 * checked
+
+
+# ------------------------------------------------------------ compatibility
+
+def compatibility_by_triples(A, B, pairing, max_degree):
+    """The first failure of <xy, z> = <x (x) y, Delta z> and
+    <w, yz> = <Delta w, y (x) z> over every basis triple, or None."""
+    oracle = ORACLE[pairing]
+    for n in range(max_degree + 1):
+        zs = [s(k) for k in B.basis(n)]
+        cops = [B.coproduct(z) for z in zs]
+        for i in range(n + 1):
+            for kx in A.basis(i):
+                for ky in A.basis(n - i):
+                    x, y = s(kx), s(ky)
+                    xy, txy = A.product(x, y), LinComb.tensor(x, y)
+                    for z, cz in zip(zs, cops):
+                        if oracle(xy, z) != pair_tensor_by_singles(oracle, txy, cz):
+                            return f"{A.format(x)} , {A.format(y)} , {B.format(z)}"
+        ws = [s(k) for k in A.basis(n)]
+        wcops = [A.coproduct(w) for w in ws]
+        for i in range(n + 1):
+            for ky in B.basis(i):
+                for kz in B.basis(n - i):
+                    y, z = s(ky), s(kz)
+                    yz, tyz = B.product(y, z), LinComb.tensor(y, z)
+                    for w, cw in zip(ws, wcops):
+                        if oracle(w, yz) != pair_tensor_by_singles(oracle, cw, tyz):
+                            return f"{A.format(w)} , {B.format(y)} , {B.format(z)}"
+    return None
+
+
+COMPATIBLE = {"nsym-qsym": (NSYM, QSYM, pair_ns_qs), "kt-hk": (KT, HK, pair_kt_ck)}
+
+
+@pytest.mark.parametrize("broken", [None] + sorted(BROKEN))
+@pytest.mark.parametrize("name", sorted(COMPATIBLE))
+def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch):
+    A, B, pairing = COMPATIBLE[name]
+    if broken:
+        # break the product of the side with several terms per product
+        alg = QSYM if A is NSYM else KT
+        product_keys = type(alg).product_keys.__get__(alg)
+        monkeypatch.setitem(vars(alg), "product_keys", BROKEN[broken](product_keys))
+        _forget_products(monkeypatch, alg)
+    got = check_pairing_compatibility(A, B, pairing, 4)
+    assert got == compatibility_by_triples(A, B, pairing, 4)
+    assert (got is None) == (broken is None)
