@@ -24,11 +24,13 @@ Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
 (a parse error, a cap, a suite bound, input nested too deeply) prints
 exactly one "error:" line on stderr; a command line that argparse rejects
-also exits 2, after its usage text.
+also exits 2, after its usage text.  A command whose stdout is closed
+before it finishes writing exits 141, as if killed by SIGPIPE.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -39,10 +41,7 @@ from .trees import (
     PlanarTree,
     RootedTree,
     _parse_tree,
-    enumerate_planar,
-    enumerate_rooted,
     ladder,
-    planar_ladder,
 )
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
@@ -205,7 +204,7 @@ class _Parser:
             k = self.integer("chain length")
             if k < 1:
                 self.error("chains start at 1 vertex")
-            return ladder(k) if factory is RootedTree else planar_ladder(k)
+            return ladder(k, factory)
         if ch != "[":
             self.error(f"expected a tree, found {ch!r}")
         tree, self.pos = _parse_tree(self.text, self.pos, factory)
@@ -357,10 +356,8 @@ def _cmd_enumerate(args):
     if n > ENUM_CAP:
         raise ValueError(f"refusing to enumerate {n}-vertex trees (cap {ENUM_CAP}); "
                          f"counts grow exponentially")
-    if kind == "rooted":
-        names = [t.encoding for t in enumerate_rooted(n)]
-    else:
-        names = ["p" + t.encoding for t in enumerate_planar(n)]
+    alg = KT if kind == "rooted" else KP
+    names = [alg.key_str(t) for t in alg.basis(n - 1)]
     doc = {"kind": kind, "vertices": n, "count": len(names)}
     if args.count_only:
         return _emit(args, lambda: str(len(names)), doc)
@@ -468,7 +465,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """The console script: ``main``, exiting 141 if stdout closes early."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at shutdown; let that land
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

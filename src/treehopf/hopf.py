@@ -124,25 +124,7 @@ class HopfAlgebra:
     # printing
 
     def format(self, a: LinComb) -> str:
-        if not a:
-            return "0"
-        pieces = []
-        for key in sorted(a.keys(), key=self.key_sort):
-            c = a[key]
-            neg = c < 0
-            mag = -c if neg else c
-            ks = self.key_str(key)
-            if ks == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = ks
-            else:
-                body = f"{mag}*{ks}"
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        return _signed_sum(a, self.key_sort, self.key_str)
 
     def tensor_key_str(self, pair) -> str:
         return f"{self.key_str(pair[0])} ⊗ {self.key_str(pair[1])}"
@@ -156,20 +138,32 @@ class HopfAlgebra:
         )
 
     def format_tensor(self, t: LinComb) -> str:
-        if not t:
-            return "0"
-        pieces = []
-        for pair in sorted(t.keys(), key=self.tensor_key_sort):
-            c = t[pair]
-            neg = c < 0
-            mag = -c if neg else c
-            ks = self.tensor_key_str(pair)
-            body = ks if mag == 1 else f"{mag}*{ks}"
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        return _signed_sum(t, self.tensor_key_sort, self.tensor_key_str)
+
+
+def _signed_sum(a: LinComb, key_sort, key_str) -> str:
+    """The terms of ``a`` in ``key_sort`` order, as ``2*x - y + 1/2*z``: a
+    coefficient 1 is left out, and the unit (key string "1") prints as its
+    bare coefficient."""
+    if not a:
+        return "0"
+    pieces = []
+    for key in sorted(a.keys(), key=key_sort):
+        c = a[key]
+        neg = c < 0
+        mag = -c if neg else c
+        ks = key_str(key)
+        if ks == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = ks
+        else:
+            body = f"{mag}*{ks}"
+        if not pieces:
+            pieces.append("-" + body if neg else body)
+        else:
+            pieces.append(("- " if neg else "+ ") + body)
+    return " ".join(pieces)
 
 
 def tensor_map(t: LinComb, left, right) -> LinComb:

@@ -14,15 +14,24 @@ HF (basis: ordered forests, degree = total vertices) is the free associative
 algebra on planar trees under concatenation, with the coproduct defined by
 the same root-recursion as the unordered forest algebra.  KP and HF are
 graded duals under the Kronecker pairing (planar trees are rigid).
+
+The grafting (``_graft``), the grading, the forest product and coproduct
+(``ForestAlgebra``) and the b_plus isomorphism are those of ``hopf_rooted``,
+applied to planar trees and ordered forests.
 """
 
 from itertools import combinations_with_replacement
 
 from .foundations import LinComb
-from .hopf import HopfAlgebra, tensor_mult
+from .hopf_rooted import (
+    ForestAlgebra,
+    GraftingAlgebra,
+    _graft,
+    forest_b_plus,
+    tree_children_forest,
+)
 from .trees import (
     EMPTY_ORDERED_FOREST,
-    OrderedForest,
     PLANAR_LEAF,
     PlanarTree,
     enumerate_planar,
@@ -52,41 +61,17 @@ def attachment_points(t: PlanarTree) -> list[tuple[int, int]]:
     return out
 
 
-def _graft_planar(node, extra, idx):
-    my = idx
-    idx += 1
-    kids = []
-    for g, child in enumerate(node.children):
-        more = extra.get((my, g))
-        if more:
-            kids.extend(more)
-        sub, idx = _graft_planar(child, extra, idx)
-        kids.append(sub)
-    more = extra.get((my, len(node.children)))
-    if more:
-        kids.extend(more)
-    return PlanarTree(kids), idx
-
-
-class PlanarGraftingAlgebra(HopfAlgebra):
+class PlanarGraftingAlgebra(GraftingAlgebra):
     """Planar-tree Hopf algebra with the ordered attachment product."""
 
     name = "kp"
-
-    def unit_key(self):
-        return PLANAR_LEAF
-
-    def degree(self, t):
-        return t.size - 1
+    leaf = PLANAR_LEAF
 
     def basis(self, n):
         return enumerate_planar(n + 1)
 
     def key_str(self, t):
         return "p" + t.encoding
-
-    def key_sort(self, t):
-        return (t.size, t.encoding)
 
     def product_keys(self, t, tp):
         subs = t.children
@@ -95,8 +80,9 @@ class PlanarGraftingAlgebra(HopfAlgebra):
         for choice in combinations_with_replacement(range(len(points)), len(subs)):
             extra = {}
             for sub, pi in zip(subs, choice):
-                extra.setdefault(points[pi], []).append(sub)
-            grafted, _ = _graft_planar(tp, extra, 0)
+                v, gap = points[pi]
+                extra.setdefault(v, []).append((gap, sub))
+            grafted, _ = _graft(tp, extra, 0)
             acc[grafted] = acc.get(grafted, 0) + 1
         return LinComb(acc)
 
@@ -109,20 +95,15 @@ class PlanarGraftingAlgebra(HopfAlgebra):
         return LinComb(acc)
 
 
-class OrderedForestAlgebra(HopfAlgebra):
+class OrderedForestAlgebra(ForestAlgebra):
     """Free associative Hopf algebra on planar trees (concatenation)."""
 
     name = "hf"
-
-    def __init__(self):
-        super().__init__()
-        self._tree_cop_memo = {}
-
-    def unit_key(self):
-        return EMPTY_ORDERED_FOREST
-
-    def degree(self, f):
-        return f.degree
+    empty = EMPTY_ORDERED_FOREST
+    # HK's own, entered here too, so that wrapping them on one class (as
+    # perfbench's tracer does) leaves the other algebra's alone
+    product_keys = ForestAlgebra.product_keys
+    coproduct_key = ForestAlgebra.coproduct_key
 
     def basis(self, n):
         return ordered_forests_of_degree(n)
@@ -132,41 +113,9 @@ class OrderedForestAlgebra(HopfAlgebra):
             return "1"
         return "(%s)" % ",".join(t.encoding for t in f.trees)
 
-    def key_sort(self, f):
-        return f.sort_key
-
-    def product_keys(self, f, g):
-        return LinComb.single(OrderedForest(f.trees + g.trees))
-
-    def coproduct_key(self, f):
-        out = LinComb.single((EMPTY_ORDERED_FOREST, EMPTY_ORDERED_FOREST))
-        for t in f.trees:
-            out = tensor_mult(self, out, self._tree_coproduct(t))
-        return out
-
-    def _tree_coproduct(self, t):
-        cached = self._tree_cop_memo.get(t)
-        if cached is not None:
-            return cached
-        inner = self.coproduct_key(OrderedForest(t.children))
-        acc = {(OrderedForest((t,)), EMPTY_ORDERED_FOREST): 1}
-        for (u, v), c in inner.items():
-            pair = (u, OrderedForest((PlanarTree(v.trees),)))
-            acc[pair] = acc.get(pair, 0) + c
-        out = LinComb(acc)
-        self._tree_cop_memo[t] = out
-        return out
-
 
 KP = PlanarGraftingAlgebra()
 HF = OrderedForestAlgebra()
 
-
-def ordered_forest_b_plus(a: LinComb) -> LinComb:
-    """Degree-preserving isomorphism from ordered forests onto planar trees."""
-    return a.map_keys(lambda f: PlanarTree(f.trees))
-
-
-def planar_tree_children(a: LinComb) -> LinComb:
-    """Inverse of ordered_forest_b_plus."""
-    return a.map_keys(lambda t: OrderedForest(t.children))
+ordered_forest_b_plus = forest_b_plus
+planar_tree_children = tree_children_forest

@@ -1,18 +1,23 @@
-"""The two Hopf algebras on unordered rooted trees.
+"""The two Hopf algebras on unordered rooted trees, and the grafting and
+forest machinery that their planar twins in ``hopf_planar`` share.
 
 KT (basis: rooted trees, degree = vertices - 1) carries the grafting
 product: t ∘ t' sums, over all ways to send each child subtree of t's root
 to a vertex of t', the tree obtained by grafting them there.  Its coproduct
 splits the root's child subtrees into two subsets.  It is cocommutative and
-the single vertex is the two-sided unit.
+the single vertex is the two-sided unit.  ``_graft`` attaches subtrees at
+(vertex, gap) positions of a tree of either kind; KT uses only gap 0, since
+a rooted tree sorts its children anyway.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended multiplicatively to forests.  The two algebras are graded duals
-of each other under the pairing in ``pairings``.
+and extended multiplicatively to forests.  ``ForestAlgebra`` builds its
+forests and trees from the kind of its unit forest, so HF is the same class
+with the empty ordered forest as unit.  KT and HK are graded duals of each
+other under the pairing in ``pairings``.
 
 Also here: the degree-n tree sums weighted by inverse symmetry order
 (``kappa``), the divided-power sequence obtained from them by the defining
@@ -31,6 +36,8 @@ from .trees import (
     Forest,
     LEAF,
     RootedTree,
+    b_minus,
+    b_plus,
     enumerate_rooted,
     forests_of_degree,
     ladder,
@@ -39,7 +46,10 @@ from .trees import (
 
 
 def _graft(node, extra, idx):
-    """Rebuild ``node`` with extra subtrees attached at preorder indices."""
+    """Rebuild ``node`` with extra subtrees attached.  ``extra`` maps the
+    preorder index of a vertex to its (gap, subtree) pairs, gaps weakly
+    increasing; gap g sits just before the vertex's g-th child, the last
+    gap after its last child."""
     my = idx
     idx += 1
     kids = []
@@ -48,17 +58,21 @@ def _graft(node, extra, idx):
         kids.append(sub)
     more = extra.get(my)
     if more:
-        kids.extend(more)
-    return RootedTree(kids), idx
+        # last gap first, so that each insertion leaves the earlier gaps put
+        for gap, sub in reversed(more):
+            kids.insert(gap, sub)
+    return type(node)(kids), idx
 
 
 class GraftingAlgebra(HopfAlgebra):
-    """Rooted-tree Hopf algebra with the vertex-attachment product."""
+    """Rooted-tree Hopf algebra with the vertex-attachment product; its unit
+    is the class's ``leaf``, which KP sets to the planar leaf."""
 
     name = "kt"
+    leaf = LEAF
 
     def unit_key(self):
-        return LEAF
+        return self.leaf
 
     def degree(self, t):
         return t.size - 1
@@ -75,12 +89,11 @@ class GraftingAlgebra(HopfAlgebra):
     def product_keys(self, t, tp):
         """Sum over all |tp|^n attachments of t's root subtrees into tp."""
         subs = t.children
-        m = tp.size
         acc = {}
-        for assignment in iter_product(range(m), repeat=len(subs)):
+        for assignment in iter_product(range(tp.size), repeat=len(subs)):
             extra = {}
             for sub, v in zip(subs, assignment):
-                extra.setdefault(v, []).append(sub)
+                extra.setdefault(v, []).append((0, sub))
             grafted, _ = _graft(tp, extra, 0)
             acc[grafted] = acc.get(grafted, 0) + 1
         return LinComb(acc)
@@ -99,16 +112,19 @@ class GraftingAlgebra(HopfAlgebra):
 
 
 class ForestAlgebra(HopfAlgebra):
-    """Polynomial Hopf algebra on rooted trees (product: forest union)."""
+    """Hopf algebra of forests under concatenation, with the root-recursion
+    coproduct.  As HK, the polynomial algebra on rooted trees; ``empty``, the
+    unit, fixes the kind of forest, and with it that of every tree built."""
 
     name = "ck"
+    empty = EMPTY_FOREST
 
     def __init__(self):
         super().__init__()
         self._tree_cop_memo = {}
 
     def unit_key(self):
-        return EMPTY_FOREST
+        return self.empty
 
     def degree(self, f):
         return f.degree
@@ -125,10 +141,10 @@ class ForestAlgebra(HopfAlgebra):
         return f.sort_key
 
     def product_keys(self, f, g):
-        return LinComb.single(Forest(f.trees + g.trees))
+        return LinComb.single(type(f)(f.trees + g.trees))
 
     def coproduct_key(self, f):
-        out = LinComb.single((EMPTY_FOREST, EMPTY_FOREST))
+        out = LinComb.single((self.empty, self.empty))
         for t in f.trees:
             out = tensor_mult(self, out, self._tree_coproduct(t))
         return out
@@ -138,10 +154,11 @@ class ForestAlgebra(HopfAlgebra):
         if cached is not None:
             return cached
         # recurse on the strictly smaller forest of root-child subtrees
-        inner = self.coproduct_key(Forest(t.children))
-        acc = {(Forest((t,)), EMPTY_FOREST): 1}
+        inner = self.coproduct_key(b_minus(t))
+        forest = type(self.empty)
+        acc = {(forest((t,)), self.empty): 1}
         for (u, v), c in inner.items():
-            pair = (u, Forest((RootedTree(v.trees),)))
+            pair = (u, forest((b_plus(v),)))
             acc[pair] = acc.get(pair, 0) + c
         out = LinComb(acc)
         self._tree_cop_memo[t] = out
@@ -215,13 +232,14 @@ def tree_b_plus(a: LinComb) -> LinComb:
 
 
 def forest_b_plus(a: LinComb) -> LinComb:
-    """Degree-preserving isomorphism from forests onto trees: f -> b_plus(f)."""
-    return a.map_keys(lambda f: RootedTree(f.trees))
+    """Degree-preserving isomorphism from forests onto trees (and from
+    ordered forests onto planar trees): f -> b_plus(f)."""
+    return a.map_keys(b_plus)
 
 
 def tree_children_forest(a: LinComb) -> LinComb:
     """Inverse of forest_b_plus: t -> the forest of t's root subtrees."""
-    return a.map_keys(lambda t: Forest(t.children))
+    return a.map_keys(b_minus)
 
 
 def ck_b_plus(a: LinComb) -> LinComb:

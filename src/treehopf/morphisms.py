@@ -22,14 +22,12 @@ from .foundations import LinComb, pi_forget
 from .trees import (
     Forest,
     LEAF,
-    OrderedForest,
-    PLANAR_LEAF,
     RootedTree,
     forget_order,
     is_ladder,
-    ladder,
+    ladder_forest,
     planar_fiber,
-    planar_ladder,
+    planar_ladder_forest,
     sym_order,
 )
 from .hopf_rooted import KT, HK, epsilon
@@ -58,8 +56,7 @@ def phi(a: LinComb) -> LinComb:
     """Send e_k to the k-vertex ladder; monomial input is converted first."""
     out = LinComb.zero()
     for lam, c in m_to_e(a).items():
-        key = Forest(tuple(ladder(part) for part in lam))
-        out += c * LinComb.single(key)
+        out += c * LinComb.single(ladder_forest(lam))
     return out
 
 
@@ -79,9 +76,7 @@ def _phi_star_key(t: RootedTree) -> LinComb:
 
 def Phi(a: LinComb) -> LinComb:
     """Send E_I to the ordered forest of planar ladders with sizes I."""
-    return a.map_keys(
-        lambda comp: OrderedForest(tuple(planar_ladder(part) for part in comp))
-    )
+    return a.map_keys(planar_ladder_forest)
 
 
 def Phi_star(a: LinComb) -> LinComb:

@@ -35,27 +35,34 @@ from .foundations import (
 from .hopf import HopfAlgebra
 
 
-class QuasiSymmetricFunctions(HopfAlgebra):
-    """Monomial-basis quasi-symmetric functions."""
-
-    name = "qsym"
+class _PartLists(HopfAlgebra):
+    """Basis keys are tuples of positive parts, compositions unless the
+    subclass's ``basis`` says otherwise; the empty tuple is the unit and the
+    degree is the sum of the parts.  A key prints as ``letter(parts)``."""
 
     def unit_key(self):
         return ()
 
-    def degree(self, comp):
-        return sum(comp)
+    def degree(self, parts):
+        return sum(parts)
 
     def basis(self, n):
         return compositions_of(n)
 
-    def key_str(self, comp):
-        if not comp:
+    def key_str(self, parts):
+        if not parts:
             return "1"
-        return "M(%s)" % ",".join(str(p) for p in comp)
+        return "%s(%s)" % (self.letter, ",".join(str(p) for p in parts))
 
-    def key_sort(self, comp):
-        return (sum(comp), comp)
+    def key_sort(self, parts):
+        return (sum(parts), parts)
+
+
+class QuasiSymmetricFunctions(_PartLists):
+    """Monomial-basis quasi-symmetric functions."""
+
+    name = "qsym"
+    letter = "M"
 
     def product_keys(self, left, right):
         """Quasi-shuffle: take a part from either side, or fuse one of each."""
@@ -81,27 +88,11 @@ class QuasiSymmetricFunctions(HopfAlgebra):
         )
 
 
-class NoncommutativeSymmetricFunctions(HopfAlgebra):
+class NoncommutativeSymmetricFunctions(_PartLists):
     """Free associative algebra on divided-power generators E_1, E_2, ..."""
 
     name = "nsym"
-
-    def unit_key(self):
-        return ()
-
-    def degree(self, comp):
-        return sum(comp)
-
-    def basis(self, n):
-        return compositions_of(n)
-
-    def key_str(self, comp):
-        if not comp:
-            return "1"
-        return "E(%s)" % ",".join(str(p) for p in comp)
-
-    def key_sort(self, comp):
-        return (sum(comp), comp)
+    letter = "E"
 
     def product_keys(self, left, right):
         return LinComb.single(left + right)
@@ -118,27 +109,14 @@ class NoncommutativeSymmetricFunctions(HopfAlgebra):
         return LinComb(acc)
 
 
-class SymmetricFunctions(HopfAlgebra):
+class SymmetricFunctions(_PartLists):
     """Monomial-basis symmetric functions (partition-indexed)."""
 
     name = "sym"
-
-    def unit_key(self):
-        return ()
-
-    def degree(self, lam):
-        return sum(lam)
+    letter = "m"
 
     def basis(self, n):
         return partitions_of(n)
-
-    def key_str(self, lam):
-        if not lam:
-            return "1"
-        return "m(%s)" % ",".join(str(p) for p in lam)
-
-    def key_sort(self, lam):
-        return (sum(lam), lam)
 
     def product_keys(self, lam, mu):
         prod = QSYM.product(include_sym(LinComb.single(lam)), include_sym(LinComb.single(mu)))

@@ -1,14 +1,16 @@
-"""Rooted trees, planar rooted trees, forests, and their enumeration.
+"""Rooted trees, planar rooted trees, their forests, and their enumeration.
 
 Encoding: ``[]`` is a single vertex, ``[c1c2...ck]`` is a root whose child
-subtrees have encodings c1..ck.  A rooted (unordered) tree stores its
-children sorted by (size, encoding), so isomorphic trees get identical
-encodings and encoding equality is isomorphism.  A planar tree keeps its
-children exactly in written order.
+subtrees have encodings c1..ck.  One class body serves both kinds of tree,
+and one both kinds of forest; the kinds differ only in the class attribute
+``ordered``.  A ``RootedTree`` sorts its children by (size, encoding), so
+isomorphic trees get identical encodings and encoding equality is
+isomorphism; a ``PlanarTree`` keeps them in written order.  A ``Forest`` is a
+multiset of rooted trees (stored sorted), an ``OrderedForest`` a sequence
+of planar trees.  No tree or forest equals one of the other kind.
 
-Forests are multisets of rooted trees (stored sorted); ordered forests are
-sequences of planar trees.  ``b_plus`` grafts the members of a forest onto a
-new common root and ``b_minus`` removes the root again; the two are inverse
+``b_plus`` grafts the members of a forest onto a new common root and
+``b_minus`` removes the root again; for either kind they are inverse
 bijections between forests with n vertices and trees with n + 1.
 """
 
@@ -21,18 +23,15 @@ def _tree_key(t):
     return (t.size, t.encoding)
 
 
-class RootedTree:
-    """Unordered rooted tree in canonical form.
-
-    The constructor accepts children in any order and sorts them, so every
-    way of building an isomorphic tree produces the same object value.
-    """
+class _Tree:
+    """Rooted tree; the subclass's ``ordered`` says whether the children
+    keep their written order or are put in the canonical one."""
 
     __slots__ = ("children", "encoding", "size", "_hash")
 
     def __init__(self, children=()):
-        kids = sorted(children, key=_tree_key)
-        self.children = tuple(kids)
+        kids = tuple(children if self.ordered else sorted(children, key=_tree_key))
+        self.children = kids
         self.encoding = "[%s]" % "".join(c.encoding for c in kids)
         self.size = 1 + sum(c.size for c in kids)
         self._hash = hash(self.encoding)
@@ -42,51 +41,23 @@ class RootedTree:
         return (self.size, self.encoding)
 
     def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.encoding == other.encoding
+        return other.__class__ is self.__class__ and self.encoding == other.encoding
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"RootedTree({self.encoding!r})"
+        return f"{self.__class__.__name__}({self.encoding!r})"
 
 
-class PlanarTree:
-    """Rooted tree whose children are ordered; written order is meaning."""
-
-    __slots__ = ("children", "encoding", "size", "_hash")
-
-    def __init__(self, children=()):
-        self.children = tuple(children)
-        self.encoding = "[%s]" % "".join(c.encoding for c in self.children)
-        self.size = 1 + sum(c.size for c in self.children)
-        self._hash = hash(("p", self.encoding))
-
-    @property
-    def sort_key(self):
-        return (self.size, self.encoding)
-
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"PlanarTree({self.encoding!r})"
-
-
-LEAF = RootedTree()
-PLANAR_LEAF = PlanarTree()
-
-
-class Forest:
-    """Multiset of rooted trees, stored sorted by the canonical tree order."""
+class _Forest:
+    """Forest of ``tree_type`` trees, kept in order as that kind keeps
+    its children."""
 
     __slots__ = ("trees", "degree", "_hash")
 
     def __init__(self, trees=()):
-        ts = tuple(sorted(trees, key=_tree_key))
+        ts = tuple(trees if self.ordered else sorted(trees, key=_tree_key))
         self.trees = ts
         self.degree = sum(t.size for t in ts)
         self._hash = hash(tuple(t.encoding for t in ts))
@@ -96,59 +67,69 @@ class Forest:
         return (self.degree, tuple(t.sort_key for t in self.trees))
 
     def __eq__(self, other):
-        return isinstance(other, Forest) and self.trees == other.trees
+        return other.__class__ is self.__class__ and self.trees == other.trees
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return "Forest(%s)" % " ".join(t.encoding for t in self.trees)
+        members = ("," if self.ordered else " ").join(t.encoding for t in self.trees)
+        return f"{self.__class__.__name__}({members})"
 
 
-class OrderedForest:
+class RootedTree(_Tree):
+    """Unordered rooted tree in canonical form: the constructor sorts the
+    children, so every way of building an isomorphic tree gives one value."""
+
+    __slots__ = ()
+    ordered = False
+
+
+class PlanarTree(_Tree):
+    """Rooted tree whose children are ordered; written order is meaning."""
+
+    __slots__ = ()
+    ordered = True
+
+
+class Forest(_Forest):
+    """Multiset of rooted trees, stored sorted by the canonical tree order."""
+
+    __slots__ = ()
+    ordered = False
+    tree_type = RootedTree
+
+
+class OrderedForest(_Forest):
     """Sequence of planar trees; order carries meaning."""
 
-    __slots__ = ("trees", "degree", "_hash")
-
-    def __init__(self, trees=()):
-        self.trees = tuple(trees)
-        self.degree = sum(t.size for t in self.trees)
-        self._hash = hash(("of",) + tuple(t.encoding for t in self.trees))
-
-    @property
-    def sort_key(self):
-        return (self.degree, tuple(t.sort_key for t in self.trees))
-
-    def __eq__(self, other):
-        return isinstance(other, OrderedForest) and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "OrderedForest(%s)" % ",".join(t.encoding for t in self.trees)
+    __slots__ = ()
+    ordered = True
+    tree_type = PlanarTree
 
 
+RootedTree.forest_type = Forest
+PlanarTree.forest_type = OrderedForest
+
+LEAF = RootedTree()
+PLANAR_LEAF = PlanarTree()
 EMPTY_FOREST = Forest()
 EMPTY_ORDERED_FOREST = OrderedForest()
 
 
-def b_plus(forest: Forest) -> RootedTree:
-    """Graft all members of a forest onto a fresh common root."""
-    return RootedTree(forest.trees)
+def b_plus(forest):
+    """Graft all members of a forest onto a fresh common root: a rooted tree
+    from a ``Forest``, a planar tree from an ``OrderedForest``."""
+    return forest.tree_type(forest.trees)
 
 
-def b_minus(tree: RootedTree) -> Forest:
+def b_minus(tree):
     """Delete the root, leaving the forest of its child subtrees."""
-    return Forest(tree.children)
+    return tree.forest_type(tree.children)
 
 
-def b_plus_planar(forest: OrderedForest) -> PlanarTree:
-    return PlanarTree(forest.trees)
-
-
-def b_minus_planar(tree: PlanarTree) -> OrderedForest:
-    return OrderedForest(tree.children)
+b_plus_planar = b_plus
+b_minus_planar = b_minus
 
 
 _SYM_ORDER: dict[RootedTree, int] = {}
@@ -174,22 +155,47 @@ def sym_order(t: RootedTree) -> int:
 @lru_cache(maxsize=None)
 def enumerate_rooted(n: int) -> tuple[RootedTree, ...]:
     """All rooted trees with n vertices, in canonical (size, encoding) order."""
-    if n < 1:
-        raise ValueError("a tree has at least one vertex")
-    if n == 1:
-        return (LEAF,)
-    return tuple(
-        sorted((RootedTree(ts) for ts in _tree_multisets(n - 1)), key=_tree_key)
-    )
+    return _trees(n, RootedTree)
 
 
 @lru_cache(maxsize=None)
-def _tree_multisets(m: int) -> tuple[tuple[RootedTree, ...], ...]:
-    """All multisets of rooted trees with m vertices total, each multiset as a
-    tuple that is non-decreasing in the canonical order."""
+def enumerate_planar(n: int) -> tuple[PlanarTree, ...]:
+    """All planar rooted trees with n vertices (Catalan(n-1) of them)."""
+    return _trees(n, PlanarTree)
+
+
+@lru_cache(maxsize=None)
+def forests_of_degree(n: int) -> tuple[Forest, ...]:
+    """All forests with n vertices total (n = 0 gives the empty forest)."""
+    return _forests(n, Forest)
+
+
+@lru_cache(maxsize=None)
+def ordered_forests_of_degree(n: int) -> tuple[OrderedForest, ...]:
+    """All ordered forests with n vertices total (Catalan(n) of them)."""
+    return _forests(n, OrderedForest)
+
+
+def _trees(n, kind):
+    if n < 1:
+        raise ValueError("a tree has at least one vertex")
+    return tuple(sorted(map(kind, _child_lists(n - 1, kind)), key=_tree_key))
+
+
+def _forests(n, kind):
+    lists = _child_lists(n, kind.tree_type)
+    return tuple(sorted(map(kind, lists), key=lambda f: f.sort_key))
+
+
+@lru_cache(maxsize=None)
+def _child_lists(m: int, kind) -> tuple[tuple, ...]:
+    """All lists of trees of ``kind`` with m vertices in total: every
+    multiset of rooted trees, as a tuple non-decreasing in the canonical
+    order, or every sequence of planar trees."""
     if m == 0:
         return ((),)
-    pool = [t for s in range(1, m + 1) for t in enumerate_rooted(s)]
+    trees_of_size = enumerate_planar if kind.ordered else enumerate_rooted
+    pool = [t for s in range(1, m + 1) for t in trees_of_size(s)]
     out = []
 
     def grow(remaining, start, acc):
@@ -201,56 +207,12 @@ def _tree_multisets(m: int) -> tuple[tuple[RootedTree, ...], ...]:
             if t.size > remaining:
                 break  # pool is sorted by size
             acc.append(t)
-            grow(remaining - t.size, idx, acc)
+            # a multiset continues from t, a sequence from the whole pool
+            grow(remaining - t.size, 0 if kind.ordered else idx, acc)
             acc.pop()
 
     grow(m, 0, [])
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def forests_of_degree(n: int) -> tuple[Forest, ...]:
-    """All forests with n vertices total (n = 0 gives the empty forest)."""
-    return tuple(
-        sorted((Forest(ts) for ts in _tree_multisets(n)), key=lambda f: f.sort_key)
-    )
-
-
-@lru_cache(maxsize=None)
-def enumerate_planar(n: int) -> tuple[PlanarTree, ...]:
-    """All planar rooted trees with n vertices (Catalan(n-1) of them)."""
-    if n < 1:
-        raise ValueError("a tree has at least one vertex")
-    if n == 1:
-        return (PLANAR_LEAF,)
-    return tuple(
-        sorted(
-            (PlanarTree(seq) for seq in _planar_sequences(n - 1)), key=_tree_key
-        )
-    )
-
-
-@lru_cache(maxsize=None)
-def _planar_sequences(m: int) -> tuple[tuple[PlanarTree, ...], ...]:
-    """All sequences of planar trees with m vertices total."""
-    if m == 0:
-        return ((),)
-    out = []
-    for s in range(1, m + 1):
-        for t in enumerate_planar(s):
-            for rest in _planar_sequences(m - s):
-                out.append((t,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def ordered_forests_of_degree(n: int) -> tuple[OrderedForest, ...]:
-    return tuple(
-        sorted(
-            (OrderedForest(seq) for seq in _planar_sequences(n)),
-            key=lambda f: f.sort_key,
-        )
-    )
 
 
 def forget_order(t: PlanarTree) -> RootedTree:
@@ -276,31 +238,29 @@ def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:
     return out
 
 
-def ladder(i: int) -> RootedTree:
-    """The chain with i vertices (single vertex for i = 1)."""
+def ladder(i: int, kind=RootedTree):
+    """The chain with i vertices (single vertex for i = 1), a rooted tree or,
+    with ``kind`` PlanarTree, a planar one."""
     if i < 1:
         raise ValueError("ladder length must be positive")
-    t = LEAF
+    t = kind()
     for _ in range(i - 1):
-        t = RootedTree((t,))
+        t = kind((t,))
     return t
 
 
 def planar_ladder(i: int) -> PlanarTree:
-    if i < 1:
-        raise ValueError("ladder length must be positive")
-    t = PLANAR_LEAF
-    for _ in range(i - 1):
-        t = PlanarTree((t,))
-    return t
+    return ladder(i, PlanarTree)
 
 
-def ladder_forest(parts) -> Forest:
-    return Forest(ladder(i) for i in parts)
+def ladder_forest(parts, kind=Forest):
+    """The forest (or, with ``kind`` OrderedForest, the ordered forest) of
+    chains with the given vertex counts."""
+    return kind(ladder(i, kind.tree_type) for i in parts)
 
 
 def planar_ladder_forest(parts) -> OrderedForest:
-    return OrderedForest(planar_ladder(i) for i in parts)
+    return ladder_forest(parts, OrderedForest)
 
 
 def is_ladder(t) -> bool:

@@ -8,8 +8,9 @@ iteration order, and the only randomness (degree-5 spot checks of
 morphism properties) uses a hard-coded seed.
 
 Suites refuse degree bounds past their caps with a case-count estimate
-instead of silently grinding; the caps are set where exhaustive exact
-arithmetic still finishes in minutes.
+instead of silently grinding.  A cap is the degree past which a suite
+refuses, not a measure of its speed: README's suite table gives each
+suite's time at its default degree and at its cap.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +22,6 @@ import random
 
 from .foundations import LinComb, compositions_of, partitions_of
 from .trees import (
-    EMPTY_FOREST,
     Forest,
     LEAF,
     OrderedForest,
@@ -34,7 +34,6 @@ from .trees import (
     planar_fiber,
     planar_from_string,
     planar_ladder,
-    planar_ladder_forest,
     rooted_from_string,
     sym_order,
 )
@@ -794,11 +793,9 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
 # --------------------------------------------------- suite: divided powers
 
 def _suite_divided_powers(d: int) -> list[IdentityResult]:
-    def hf_chain(i):
-        return LinComb.single(planar_ladder_forest((i,)) if i else HF.unit_key())
-
-    def hk_chain(i):
-        return LinComb.single(ladder_forest((i,)) if i else EMPTY_FOREST)
+    def chain(kind):
+        """The forest of one i-vertex chain (empty for i = 0), as an element."""
+        return lambda i: LinComb.single(ladder_forest((i,) if i else (), kind))
 
     rows = [
         ("symmetry-weighted tree sums are divided powers", "n",
@@ -814,9 +811,9 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
         ("ladder projection of the alternating element is elementary", "n",
          lambda n: phi_star(epsilon(n)) == e(n)),
         ("chains are divided powers among ordered forests", "i",
-         lambda i: _divided_powers(HF, hf_chain, i)),
+         lambda i: _divided_powers(HF, chain(OrderedForest), i)),
         ("chains are divided powers among forests", "i",
-         lambda i: _divided_powers(HK, hk_chain, i)),
+         lambda i: _divided_powers(HK, chain(Forest), i)),
     ]
     return [
         _each(identity, f"{var} <= {d}", var, range(d + 1), holds)

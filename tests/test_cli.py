@@ -1,11 +1,15 @@
 """Command-line behavior: grammar, output formats, exit codes."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import treehopf
 from treehopf.cli import build_parser, main, parse_element
 from treehopf.foundations import LinComb
 from treehopf.trees import rooted_from_string as rt, Forest
@@ -202,6 +206,21 @@ def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the child has imported anything, and
+    # verify computes its whole report before it writes a line
+    src = str(pathlib.Path(treehopf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "treehopf.cli", "verify", "--suite", "ideh"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 141
+    assert err == b""
 
 
 def test_product_json_terms(capsys):

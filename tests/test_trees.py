@@ -7,6 +7,7 @@ import pytest
 
 from treehopf.trees import (
     EMPTY_FOREST,
+    EMPTY_ORDERED_FOREST,
     LEAF,
     PLANAR_LEAF,
     Forest,
@@ -169,11 +170,39 @@ def test_b_plus_b_minus():
     assert t.size == 4
     assert b_minus(t) == f
     assert b_plus(EMPTY_FOREST) == LEAF
-    for n in range(1, 6):
-        for u in enumerate_rooted(n):
-            assert b_plus(b_minus(u)) == u
+    for n in range(1, 7):
+        for u in enumerate_rooted(n) + enumerate_planar(n):
+            back = b_plus(b_minus(u))
+            assert back == u and type(back) is type(u), u
         for p in enumerate_planar(n):
             assert b_plus_planar(b_minus_planar(p)) == p
+
+
+@pytest.mark.parametrize(
+    "rooted, planar",
+    [
+        (LEAF, PLANAR_LEAF),
+        (rooted_from_string("[[][[]]]"), planar_from_string("[[][[]]]")),
+        (Forest((LEAF, ladder(2))), OrderedForest((PLANAR_LEAF, planar_ladder(2)))),
+        (EMPTY_FOREST, EMPTY_ORDERED_FOREST),
+    ],
+)
+def test_twin_kinds_with_one_encoding_stay_apart(rooted, planar):
+    def written(x):
+        return x.encoding if hasattr(x, "encoding") else [t.encoding for t in x.trees]
+
+    assert written(rooted) == written(planar)
+    assert rooted != planar and planar != rooted
+    keys = {rooted: "rooted", planar: "planar"}
+    assert len(keys) == 2 and keys[rooted] == "rooted" and keys[planar] == "planar"
+
+
+def test_repr_names_the_class():
+    assert repr(rooted_from_string("[[[]][]]")) == "RootedTree('[[][[]]]')"
+    assert repr(planar_from_string("[[[]][]]")) == "PlanarTree('[[[]][]]')"
+    assert repr(Forest((ladder(2), LEAF))) == "Forest([] [[]])"
+    assert repr(OrderedForest((planar_ladder(2), PLANAR_LEAF))) == "OrderedForest([[]],[])"
+    assert repr(EMPTY_ORDERED_FOREST) == "OrderedForest()"
 
 
 def test_forest_canonical_order():
