@@ -7,13 +7,43 @@ floats, so identity checks downstream are literal term-by-term equalities.
 
 Coproducts reuse the same container with ordered pairs ``(key, key)`` as
 keys; nothing in the container itself cares what the keys mean.
+
+Every cache in the package is registered here: a function memoized with
+``memo``, or a dict made by ``memo_table`` for the recursions that look
+themselves up inline.  ``clear_caches`` empties them all.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import permutations
 
 Scalar = int | Fraction
+
+# the clear method of every registered cache
+_CLEARS = []
+
+
+def memo(fn):
+    """``functools.cache`` of ``fn``, registered for ``clear_caches``."""
+    cached = cache(fn)
+    _CLEARS.append(cached.cache_clear)
+    return cached
+
+
+def memo_table() -> dict:
+    """A new dict, registered for ``clear_caches``, for a cache looked up
+    inline: the per-algebra memos, and the recursions along tree depth,
+    where a ``memo`` wrapper's extra call per level would lower the deepest
+    tree that fits under the recursion limit."""
+    table = {}
+    _CLEARS.append(table.clear)
+    return table
+
+
+def clear_caches():
+    """Empty every registered cache."""
+    for clear in _CLEARS:
+        clear()
 
 
 class LinComb:
@@ -168,7 +198,7 @@ class LinComb:
         return "LinComb({%s})" % inside
 
 
-@lru_cache(maxsize=None)
+@memo
 def compositions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All compositions (ordered tuples of positive parts) summing to n.
 
@@ -186,7 +216,7 @@ def compositions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def partitions_of(n: int, largest: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All partitions of n as weakly decreasing tuples, largest part first."""
     if n < 0:
@@ -206,7 +236,7 @@ def pi_forget(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(comp, reverse=True))
 
 
-@lru_cache(maxsize=None)
+@memo
 def rearrangements(partition: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All distinct compositions whose parts rearrange to ``partition``."""
     return tuple(sorted(set(permutations(partition))))

@@ -10,11 +10,12 @@ recursion serves all of them:
 
 where the sum runs over the middle (both-sides-positive-degree) terms of the
 coproduct of x.  Products, coproducts, and antipodes of basis keys are
-memoized per algebra instance; entries are only ever written once, so
+memoized per algebra instance, in tables registered with
+``foundations.clear_caches``; entries are only ever written once, so
 reusing the singletons across threads is safe in CPython.
 """
 
-from .foundations import LinComb
+from .foundations import LinComb, memo_table
 
 
 class HopfAlgebra:
@@ -23,9 +24,9 @@ class HopfAlgebra:
     name = "?"
 
     def __init__(self):
-        self._prod_memo = {}
-        self._cop_memo = {}
-        self._antipode_memo = {}
+        self._prod_memo = memo_table()
+        self._cop_memo = memo_table()
+        self._antipode_memo = memo_table()
 
     # combinatorial structure, supplied by subclasses
 

@@ -28,7 +28,6 @@ from .hopf_rooted import (
     GraftingAlgebra,
     _graft,
     forest_b_plus,
-    tree_children_forest,
 )
 from .trees import (
     EMPTY_ORDERED_FOREST,
@@ -118,4 +117,3 @@ KP = PlanarGraftingAlgebra()
 HF = OrderedForestAlgebra()
 
 ordered_forest_b_plus = forest_b_plus
-planar_tree_children = tree_children_forest

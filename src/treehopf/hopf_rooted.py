@@ -29,7 +29,7 @@ extensions.
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .foundations import LinComb
+from .foundations import LinComb, memo, memo_table
 from .hopf import HopfAlgebra, tensor_mult
 from .trees import (
     EMPTY_FOREST,
@@ -121,7 +121,7 @@ class ForestAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._tree_cop_memo = {}
+        self._tree_cop_memo = memo_table()
 
     def unit_key(self):
         return self.empty
@@ -169,25 +169,17 @@ KT = GraftingAlgebra()
 HK = ForestAlgebra()
 
 
-_KAPPA: dict[int, LinComb] = {}
-_EPSILON: dict[int, LinComb] = {}
-
-
+@memo
 def kappa(n: int) -> LinComb:
     """Sum of all degree-n trees, each weighted by 1/sym_order."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return KT.one()
-    cached = _KAPPA.get(n)
-    if cached is None:
-        cached = LinComb(
-            (t, Fraction(1, sym_order(t))) for t in enumerate_rooted(n + 1)
-        )
-        _KAPPA[n] = cached
-    return cached
+    return LinComb((t, Fraction(1, sym_order(t))) for t in enumerate_rooted(n + 1))
 
 
+@memo
 def epsilon(n: int) -> LinComb:
     """Divided-power sequence: alternating convolution inverse of kappa.
 
@@ -199,15 +191,12 @@ def epsilon(n: int) -> LinComb:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return KT.one()
-    cached = _EPSILON.get(n)
-    if cached is None:
-        acc = LinComb.zero()
-        sign = 1
-        for i in range(1, n + 1):
-            acc += sign * KT.product(kappa(i), epsilon(n - i))
-            sign = -sign
-        _EPSILON[n] = cached = acc
-    return cached
+    acc = LinComb.zero()
+    sign = 1
+    for i in range(1, n + 1):
+        acc += sign * KT.product(kappa(i), epsilon(n - i))
+        sign = -sign
+    return acc
 
 
 def primitive_projection(a: LinComb) -> LinComb:
@@ -235,11 +224,6 @@ def forest_b_plus(a: LinComb) -> LinComb:
     """Degree-preserving isomorphism from forests onto trees (and from
     ordered forests onto planar trees): f -> b_plus(f)."""
     return a.map_keys(b_plus)
-
-
-def tree_children_forest(a: LinComb) -> LinComb:
-    """Inverse of forest_b_plus: t -> the forest of t's root subtrees."""
-    return a.map_keys(b_minus)
 
 
 def ck_b_plus(a: LinComb) -> LinComb:

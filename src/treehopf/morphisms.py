@@ -18,10 +18,9 @@ element indexed by the fiber sizes.  Keeping both implementations gives
 two unrelated code paths whose agreement is a strong regression check.
 """
 
-from .foundations import LinComb, pi_forget
+from .foundations import LinComb, memo, memo_table, pi_forget
 from .trees import (
     Forest,
-    LEAF,
     RootedTree,
     forget_order,
     is_ladder,
@@ -32,24 +31,12 @@ from .trees import (
 )
 from .hopf_rooted import KT, HK, epsilon
 from .hopf_planar import KP, HF
-from .symfun import NSYM, QSYM, SYM, e, m_to_e, alpha_plus
+from .symfun import NSYM, QSYM, SYM, alpha_plus, e_to_m_row, m_to_e
 
 
 def tau(a: LinComb) -> LinComb:
     """Abelianization: send each divided-power generator E_k to e_k."""
-    return a.apply_linear(_tau_key)
-
-
-_TAU_MEMO: dict[tuple, LinComb] = {}
-
-
-def _tau_key(comp):
-    if comp not in _TAU_MEMO:
-        if not comp:
-            _TAU_MEMO[comp] = SYM.one()
-        else:
-            _TAU_MEMO[comp] = SYM.product(_tau_key(comp[:-1]), e(comp[-1]))
-    return _TAU_MEMO[comp]
+    return a.apply_linear(e_to_m_row)
 
 
 def phi(a: LinComb) -> LinComb:
@@ -109,21 +96,19 @@ def _rho_star_key(t: RootedTree) -> LinComb:
     return LinComb((p, order) for p in planar_fiber(t))
 
 
-_Z_MEMO: dict[tuple, LinComb] = {(): LinComb.single(LEAF)}
-
-
 def Z(a: LinComb) -> LinComb:
     """Algebra morphism into the grafting algebra taking E_k to epsilon(k)."""
     return a.apply_linear(_z_key)
 
 
+@memo
 def _z_key(comp):
-    if comp not in _Z_MEMO:
-        _Z_MEMO[comp] = KT.product(_z_key(comp[:-1]), epsilon(comp[-1]))
-    return _Z_MEMO[comp]
+    if not comp:
+        return KT.one()
+    return KT.product(_z_key(comp[:-1]), epsilon(comp[-1]))
 
 
-_ZSTAR_MEMO: dict[str, LinComb] = {}
+_ZSTAR_MEMO: dict[str, LinComb] = memo_table()
 
 
 def Z_star(a: LinComb) -> LinComb:
@@ -158,12 +143,8 @@ def kbar(a: LinComb) -> LinComb:
     return a.apply_linear(_kbar_forest)
 
 
-_KBAR_MEMO: dict[Forest, LinComb] = {}
-
-
+@memo
 def _kbar_forest(f: Forest) -> LinComb:
-    if f in _KBAR_MEMO:
-        return _KBAR_MEMO[f]
     child_mask = []
 
     def build(t):
@@ -177,11 +158,11 @@ def _kbar_forest(f: Forest) -> LinComb:
         build(t)
     n = len(child_mask)
     full = (1 << n) - 1
-    memo = {full: {(): 1}}
+    tails = {full: {(): 1}}
 
     def rest(removed):
-        if removed in memo:
-            return memo[removed]
+        if removed in tails:
+            return tails[removed]
         avail = [
             v
             for v in range(n)
@@ -198,12 +179,10 @@ def _kbar_forest(f: Forest) -> LinComb:
             for comp, c in rest(removed | mask).items():
                 key = (count,) + comp
                 acc[key] = acc.get(key, 0) + c
-        memo[removed] = acc
+        tails[removed] = acc
         return acc
 
-    out = LinComb(rest(0))
-    _KBAR_MEMO[f] = out
-    return out
+    return LinComb(rest(0))
 
 
 # name -> (domain, codomain, function), the table the CLI and the

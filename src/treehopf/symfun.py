@@ -16,18 +16,20 @@ closure.  Its coproduct splits the part multiset into an ordered pair of
 submultisets, each distinct splitting once.
 
 The elementary/complete/power sums live here too, along with the conversion
-between the monomial and elementary bases (exact linear solve per degree),
+between the monomial and elementary bases (integer back-substitution along
+the dominance order, one memoized row per partition),
 the append-a-part-one operator alpha_plus with its one-sided inverse
 alpha_minus, their NSYM duals, and the truncated polynomial realization of
 QSYM used as an independent oracle for the quasi-shuffle product.
 """
 
-from fractions import Fraction
 from itertools import product as iter_product
+from operator import add
 
 from .foundations import (
     LinComb,
     compositions_of,
+    memo,
     partitions_of,
     pi_forget,
     rearrangements,
@@ -197,74 +199,47 @@ def p(k: int) -> LinComb:
     return LinComb.single((k,))
 
 
-_E_TO_M: dict[int, dict[tuple, LinComb]] = {}
-_M_TO_E: dict[int, dict[tuple, LinComb]] = {}
+def _conjugate(lam):
+    return tuple(sum(1 for part in lam if part > i) for i in range(max(lam, default=0)))
 
 
-def _transition(n: int):
-    """Expansions of the products e_lam in the monomial basis, degree n,
-    plus the inverse transition, solved exactly by Gauss-Jordan."""
-    if n in _E_TO_M:
-        return _E_TO_M[n], _M_TO_E[n]
-    parts = partitions_of(n)
-    e_rows = {}
-    for lam in parts:
-        acc = SYM.one()
-        for part in lam:
-            acc = SYM.product(acc, e(part))
-        e_rows[lam] = acc
-    index = {lam: j for j, lam in enumerate(parts)}
-    size = len(parts)
-    # augmented [A | I] over Fraction, rows indexed like parts
-    matrix = [
-        [Fraction(e_rows[lam][mu]) for mu in parts]
-        + [Fraction(1 if j == i else 0) for j in range(size)]
-        for i, lam in enumerate(parts)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if matrix[r][col]), None)
-        if pivot is None:
-            raise ValueError(f"e-to-m transition matrix of degree {n} is singular")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [x * inv for x in matrix[col]]
-        for r in range(size):
-            if r != col and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[col])]
-    # inverse of A: m_mu = sum_j inv[index(mu)][j] e_{parts[j]}
-    m_rows = {}
-    for mu in parts:
-        i = index[mu]
-        m_rows[mu] = LinComb(
-            (parts[j], matrix[i][size + j]) for j in range(size)
-        )
-    _E_TO_M[n] = e_rows
-    _M_TO_E[n] = m_rows
-    return e_rows, m_rows
+@memo
+def e_to_m_row(comp) -> LinComb:
+    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition; the
+    product starts from e_{i_1}, not from 1."""
+    if len(comp) <= 1:
+        return e(sum(comp))
+    return SYM.product(e_to_m_row(comp[:-1]), e(comp[-1]))
+
+
+@memo
+def _m_row(lam) -> LinComb:
+    """m_lam in the elementary basis, by integer back-substitution:
+    e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
+    dominance order (Macdonald, ch. I.6), so only the down-set of lam is
+    visited."""
+    conj = _conjugate(lam)
+    row = {conj: 1}
+    for mu, c in e_to_m_row(conj).items():
+        if mu != lam:
+            for nu, d in _m_row(mu).items():
+                row[nu] = row.get(nu, 0) - c * d
+    return LinComb(row)
 
 
 def m_to_e(a: LinComb) -> LinComb:
     """Rewrite a monomial-basis element as coefficients on the e_lam basis."""
-    out = LinComb.zero()
-    for lam, c in a.items():
-        _, rows = _transition(sum(lam))
-        out += c * rows[lam]
-    return out
+    return a.apply_linear(_m_row)
 
 
 def m_to_e_row(lam) -> dict:
     """m_lam in the elementary basis, as a new dict {mu: coefficient of e_mu}."""
-    return dict(_transition(sum(lam))[1][lam].items())
+    return dict(_m_row(lam).items())
 
 
 def e_to_m(a: LinComb) -> LinComb:
     """Expand e-basis coefficients back into the monomial basis."""
-    out = LinComb.zero()
-    for lam, c in a.items():
-        rows, _ = _transition(sum(lam))
-        out += c * rows[lam]
-    return out
+    return a.apply_linear(e_to_m_row)
 
 
 def alpha_plus(a: LinComb) -> LinComb:
@@ -289,70 +264,58 @@ alpha_plus_dual = alpha_minus
 alpha_minus_dual = alpha_plus
 
 
-class TruncatedPolynomial:
-    """Polynomial in x_1..x_nvars with exact coefficients, dict-backed.
+class TruncatedPolynomial(LinComb):
+    """Polynomial in x_1..x_nvars with exact coefficients: a LinComb over
+    exponent tuples of length nvars that also multiplies.  Just enough
+    arithmetic for the oracle: addition, multiplication, scalar scaling,
+    equality."""
 
-    Keys are exponent tuples of length nvars.  Just enough arithmetic for
-    the oracle: addition, multiplication, scalar scaling, equality.
-    """
-
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=()):
+        super().__init__(terms)
         self.nvars = nvars
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for expo, c in items:
-            cur = data.get(expo, 0) + c
-            if cur:
-                data[expo] = cur
-            else:
-                data.pop(expo, None)
-        self.terms = data
+
+    @property
+    def terms(self) -> dict:
+        return self._terms
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedPolynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
+    def _same_vars(self, out):
+        return out if out is NotImplemented else TruncatedPolynomial(self.nvars, out.items())
+
+    def _check_vars(self, other):
+        if isinstance(other, TruncatedPolynomial) and self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        data = dict(self.terms)
-        for expo, c in other.terms.items():
-            cur = data.get(expo, 0) + c
-            if cur:
-                data[expo] = cur
-            else:
-                data.pop(expo, None)
-        return TruncatedPolynomial(self.nvars, data)
+
+    def __add__(self, other):
+        self._check_vars(other)
+        return self._same_vars(LinComb.__add__(self, other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedPolynomial(
-                self.nvars, {e_: c * other for e_, c in self.terms.items()}
-            )
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-        data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                data[expo] = data.get(expo, 0) + c1 * c2
-        return TruncatedPolynomial(self.nvars, data)
+        if not isinstance(other, TruncatedPolynomial):
+            return self._same_vars(LinComb.__mul__(self, other))
+        self._check_vars(other)
+        prod = LinComb.tensor(self, other)
+        return self._same_vars(prod.map_keys(lambda pair: tuple(map(add, *pair))))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"TruncatedPolynomial({self.nvars}, {self.terms})"
+        return f"TruncatedPolynomial({self.nvars}, {self._terms})"
 
 
-def _monomial_expansion(comp, nvars: int) -> TruncatedPolynomial:
-    """Sum of x_{n1}^{i1} ... x_{nk}^{ik} over n1 < ... < nk <= nvars."""
+def _monomial_expansion(comp, nvars: int) -> dict:
+    """Sum of x_{n1}^{i1} ... x_{nk}^{ik} over n1 < ... < nk <= nvars, as
+    {exponent tuple: coefficient}."""
     k = len(comp)
     data = {}
 
@@ -366,7 +329,7 @@ def _monomial_expansion(comp, nvars: int) -> TruncatedPolynomial:
             expo[v] = 0
 
     place(0, 0, [0] * nvars)
-    return TruncatedPolynomial(nvars, data)
+    return data
 
 
 def expand_truncated(a: LinComb, nvars: int) -> TruncatedPolynomial:
@@ -377,7 +340,5 @@ def expand_truncated(a: LinComb, nvars: int) -> TruncatedPolynomial:
     """
     if nvars < 0:
         raise ValueError("variable count must be nonnegative")
-    out = TruncatedPolynomial(nvars, {})
-    for comp, c in a.items():
-        out = out + c * _monomial_expansion(comp, nvars)
-    return out
+    image = a.apply_linear(lambda comp: _monomial_expansion(comp, nvars))
+    return TruncatedPolynomial(nvars, image.items())

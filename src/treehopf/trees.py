@@ -14,9 +14,10 @@ of planar trees.  No tree or forest equals one of the other kind.
 bijections between forests with n vertices and trees with n + 1.
 """
 
-from functools import lru_cache
 from itertools import groupby, permutations, product
 from math import factorial
+
+from .foundations import memo, memo_table
 
 
 def _tree_key(t):
@@ -132,7 +133,7 @@ b_plus_planar = b_plus
 b_minus_planar = b_minus
 
 
-_SYM_ORDER: dict[RootedTree, int] = {}
+_SYM_ORDER: dict[RootedTree, int] = memo_table()
 
 
 def sym_order(t: RootedTree) -> int:
@@ -152,25 +153,25 @@ def sym_order(t: RootedTree) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_rooted(n: int) -> tuple[RootedTree, ...]:
     """All rooted trees with n vertices, in canonical (size, encoding) order."""
     return _trees(n, RootedTree)
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_planar(n: int) -> tuple[PlanarTree, ...]:
     """All planar rooted trees with n vertices (Catalan(n-1) of them)."""
     return _trees(n, PlanarTree)
 
 
-@lru_cache(maxsize=None)
+@memo
 def forests_of_degree(n: int) -> tuple[Forest, ...]:
     """All forests with n vertices total (n = 0 gives the empty forest)."""
     return _forests(n, Forest)
 
 
-@lru_cache(maxsize=None)
+@memo
 def ordered_forests_of_degree(n: int) -> tuple[OrderedForest, ...]:
     """All ordered forests with n vertices total (Catalan(n) of them)."""
     return _forests(n, OrderedForest)
@@ -187,7 +188,7 @@ def _forests(n, kind):
     return tuple(sorted(map(kind, lists), key=lambda f: f.sort_key))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _child_lists(m: int, kind) -> tuple[tuple, ...]:
     """All lists of trees of ``kind`` with m vertices in total: every
     multiset of rooted trees, as a tuple non-decreasing in the canonical
@@ -220,7 +221,7 @@ def forget_order(t: PlanarTree) -> RootedTree:
     return RootedTree(forget_order(c) for c in t.children)
 
 
-_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = {}
+_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table()
 
 
 def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:

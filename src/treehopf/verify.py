@@ -15,12 +15,11 @@ suite's time at its default degree and at its cap.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
 import random
 
-from .foundations import LinComb, compositions_of, partitions_of
+from .foundations import LinComb, compositions_of, memo, partitions_of
 from .trees import (
     Forest,
     LEAF,
@@ -176,7 +175,7 @@ def _counts(identity, range_tested, ns, *sides):
 
 # ---------------------------------------------------------------- counting
 
-@lru_cache(maxsize=None)
+@memo
 def rooted_count(n: int) -> int:
     """Number of unordered rooted trees with n vertices, by the classical
     divisor-sum convolution (no enumeration)."""
@@ -194,7 +193,7 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def partition_count(n: int) -> int:
     if n < 0:
         return 0

@@ -208,14 +208,35 @@ def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
     assert "Traceback" not in err
 
 
+def test_phi_of_e25_is_the_25_vertex_ladder(capsys):
+    # m_(1^25) = e_25 has a one-partition down-set, so no degree-25 table
+    code, out, err = run(capsys, "map", "--name", "phi", "e25")
+    assert (code, err) == (0, "")
+    assert out == "[" * 25 + "]" * 25 + "\n"
+
+
+def _cli_env():
+    src = str(pathlib.Path(treehopf.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("name", ["rhostar", "Zstar"])
+def test_deep_chain_fits_under_the_recursion_limit(name):
+    # these recursions along tree depth keep their caches in inline dicts;
+    # a memo wrapper per level would refuse this chain with exit 2
+    chain = "[" * 450 + "]" * 450
+    done = subprocess.run([sys.executable, "-m", "treehopf.cli", "map", "--name", name, chain],
+                          capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.strip()
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the read end is closed before the child has imported anything, and
     # verify computes its whole report before it writes a line
-    src = str(pathlib.Path(treehopf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.Popen(
         [sys.executable, "-m", "treehopf.cli", "verify", "--suite", "ideh"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     child.stdout.close()
     err = child.stderr.read()

@@ -1,16 +1,22 @@
 """Linear-combination container and integer-combinatorics helpers."""
 
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
+import treehopf
+from treehopf import foundations
 from treehopf.foundations import (
     LinComb,
+    clear_caches,
     compositions_of,
     partitions_of,
     pi_forget,
     rearrangements,
 )
+from treehopf.verify import SUITE_NAMES, run_suite
 
 
 def test_lincomb_zero_pruning():
@@ -110,3 +116,71 @@ def test_rearrangements_multinomial():
         assert len(seen) == want
         assert len(set(seen)) == len(seen)
         assert all(pi_forget(c) == tuple(sorted(part, reverse=True)) for c in seen)
+
+
+# ------------------------------------------------------------ cache registry
+
+def _cache_sizes():
+    """The number of entries in every registered cache."""
+    sizes = []
+    for clear in foundations._CLEARS:
+        cache = clear.__self__
+        sizes.append(len(cache) if isinstance(cache, dict) else cache.cache_info().currsize)
+    return sizes
+
+
+def test_clear_caches_empties_every_registered_cache():
+    from treehopf import KT, SYM, morphisms, symfun, trees
+
+    registered = {id(clear.__self__) for clear in foundations._CLEARS}
+    for cache in (KT._prod_memo, SYM._antipode_memo, trees.enumerate_rooted,
+                  trees._FIBER, symfun.e_to_m_row, morphisms._ZSTAR_MEMO):
+        assert id(cache) in registered
+
+    first = [run_suite(name, 3).to_dict() for name in SUITE_NAMES]
+    assert sum(_cache_sizes()) > 0
+    clear_caches()
+    assert set(_cache_sizes()) == {0}
+    assert [run_suite(name, 3).to_dict() for name in SUITE_NAMES] == first
+
+
+def _memo_definitions(tree):
+    """Imports of functools caches, and empty dicts bound to a module-level
+    name or to a ``*_memo`` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in ("cache", "lru_cache")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "functools"]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+            and not value.args and not value.keywords)
+        if not empty:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name) and node in tree.body:
+                found.append(target.id)
+            elif isinstance(target, ast.Attribute) and target.attr.endswith("_memo"):
+                found.append(target.attr)
+    return found
+
+
+def test_every_cache_goes_through_the_registry():
+    package = pathlib.Path(treehopf.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "foundations.py":
+            continue
+        assert _memo_definitions(ast.parse(path.read_text())) == [], path.name
+    assert _memo_definitions(ast.parse("import functools\nfrom functools import lru_cache\n"
+                                       "_T = {}\n_U: dict = dict()\n"
+                                       "class A:\n    def f(self):\n        self._x_memo = {}\n"
+                                       "        local = {}\n")) == [
+        "functools", "lru_cache", "_T", "_U", "_x_memo"]

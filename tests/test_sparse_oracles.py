@@ -1,7 +1,8 @@
-"""The sparse pairing rows, sparse exact rank and row-form duality criterion
-against the dense all-pairs definitions they replaced, kept here as oracles:
-dense Bareiss elimination, pairings of every two basis keys, and the triple
-loop over basis triples."""
+"""The sparse pairing rows, sparse exact rank, row-form duality criterion and
+back-substituted e/m transition against the dense definitions they
+replaced, kept here as oracles: dense Bareiss elimination, pairings of every
+two basis keys, the triple loop over basis triples, and the whole-degree
+Fraction Gauss-Jordan inversion of the e-to-m matrix."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import gcd
 import pytest
 
 import treehopf.verify
-from treehopf.foundations import LinComb, compositions_of
+from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
 from treehopf.hopf_planar import HF, KP, ordered_forest_b_plus
 from treehopf.hopf_rooted import HK, KT, forest_b_plus
 from treehopf.morphisms import Z_star
@@ -29,8 +30,7 @@ from treehopf.pairings import (
     pair_ns_qs,
     pair_tensor,
 )
-from treehopf import symfun
-from treehopf.symfun import NSYM, QSYM, SYM, m_to_e
+from treehopf.symfun import NSYM, QSYM, SYM, e, e_to_m, m_to_e
 from treehopf.trees import PlanarTree, RootedTree, forests_of_degree, sym_order
 from treehopf.verify import _ESTIMATES, exact_rank, rank_of
 
@@ -196,6 +196,39 @@ def _outcome(check, *args):
     return (got.ok, got.checked, got.hypothesis, got.counterexample)
 
 
+def transition_by_elimination(n):
+    """The e_lam of degree n in the monomial basis, built as products from 1,
+    and the m_lam in the elementary basis, by Gauss-Jordan elimination of
+    the whole p(n) x p(n) matrix over Fraction."""
+    parts = partitions_of(n)
+    e_rows = {}
+    for lam in parts:
+        acc = SYM.one()
+        for part in lam:
+            acc = SYM.product(acc, e(part))
+        e_rows[lam] = acc
+    size = len(parts)
+    matrix = [
+        [Fraction(e_rows[lam][mu]) for mu in parts]
+        + [Fraction(1 if j == i else 0) for j in range(size)]
+        for i, lam in enumerate(parts)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        inv = 1 / matrix[col][col]
+        matrix[col] = [x * inv for x in matrix[col]]
+        for r in range(size):
+            if r != col and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[col])]
+    m_rows = {
+        mu: LinComb((parts[j], matrix[i][size + j]) for j in range(size))
+        for i, mu in enumerate(parts)
+    }
+    return e_rows, m_rows
+
+
 # -------------------------------------------------------------------- ranks
 
 def _random_matrix(rng, nrows, ncols, rank, fractions):
@@ -290,6 +323,21 @@ def test_rows_match_the_all_pairs_definition(name):
         assert pair_tensor(pairing, t, u) == pair_tensor_by_singles(oracle, t, u)
 
 
+# --------------------------------------------------------------- transition
+
+@pytest.mark.parametrize("n", range(9))
+def test_transitions_match_the_whole_degree_elimination(n):
+    e_rows, m_rows = transition_by_elimination(n)
+    for lam in partitions_of(n):
+        assert e_to_m(s(lam)) == e_rows[lam]
+        got = m_to_e(s(lam))
+        assert got == m_rows[lam]
+        assert all(type(c) is int for _, c in got.items()), lam
+        row = ip_sym.row(lam)
+        assert row == dict(m_rows[lam].items())
+        assert row is not ip_sym.row(lam)
+
+
 # ---------------------------------------------------------------- criterion
 
 INSTANCES = {
@@ -364,24 +412,25 @@ BROKEN = {"drops its last term": _drop_last_term, "doubles its last term": _doub
 BROKEN_PRODUCT = {"qsym-nsym": QSYM, "hk-kt": KT, "hf-kp": KP, "sym-sym": SYM}
 
 
-def _forget_products(monkeypatch, alg):
-    """Empty the memos that the product of alg feeds, so a run does not
-    depend on what ran before it."""
-    for owner in {alg, SYM, QSYM}:
-        monkeypatch.setattr(owner, "_prod_memo", {})
-    for memo in ("_E_TO_M", "_M_TO_E"):
-        monkeypatch.setattr(symfun, memo, {})
+@pytest.fixture
+def fresh_caches():
+    """Every cache emptied before the test and again after it, so a run does
+    not depend on what ran before it, and memos that a broken product filled
+    never reach a later test."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @pytest.mark.parametrize("broken", sorted(BROKEN))
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_criterion_report_matches_under_a_broken_product(name, broken, monkeypatch):
+def test_criterion_report_matches_under_a_broken_product(name, broken, monkeypatch,
+                                                         fresh_caches):
     alg = BROKEN_PRODUCT[name]
     product_keys = type(alg).product_keys.__get__(alg)
     monkeypatch.setitem(vars(alg), "product_keys", BROKEN[broken](product_keys))
-    _forget_products(monkeypatch, alg)
     got = _outcome(check_duality_criterion, *INSTANCES[name], 4)
-    _forget_products(monkeypatch, alg)
+    clear_caches()
     assert got == _outcome(criterion_by_triples, *INSTANCES[name], 4)
     assert got[0] is not True
 
@@ -427,14 +476,14 @@ COMPATIBLE = {"nsym-qsym": (NSYM, QSYM, pair_ns_qs), "kt-hk": (KT, HK, pair_kt_c
 
 @pytest.mark.parametrize("broken", [None] + sorted(BROKEN))
 @pytest.mark.parametrize("name", sorted(COMPATIBLE))
-def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch):
+def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch,
+                                                       fresh_caches):
     A, B, pairing = COMPATIBLE[name]
     if broken:
         # break the product of the side with several terms per product
         alg = QSYM if A is NSYM else KT
         product_keys = type(alg).product_keys.__get__(alg)
         monkeypatch.setitem(vars(alg), "product_keys", BROKEN[broken](product_keys))
-        _forget_products(monkeypatch, alg)
     got = check_pairing_compatibility(A, B, pairing, 4)
     assert got == compatibility_by_triples(A, B, pairing, 4)
     assert (got is None) == (broken is None)

@@ -8,7 +8,7 @@ import pytest
 
 import treehopf.verify
 from treehopf.cli import main
-from treehopf.foundations import LinComb
+from treehopf.foundations import LinComb, clear_caches
 from treehopf.verify import (
     SUITE_NAMES,
     SuiteBoundError,
@@ -198,19 +198,17 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
 @pytest.fixture
 def concatenating_qsym(monkeypatch):
     """QSYM whose product concatenates compositions (a defect), with every
-    memo that a SYM or QSYM product feeds emptied, so the result does not
-    depend on what earlier tests computed."""
-    from treehopf import morphisms, symfun
+    cache emptied before the test, so the result does not depend on what
+    earlier tests computed, and again after it, so that nothing the defect
+    computed reaches a later test."""
+    from treehopf import symfun
 
-    for alg in (symfun.QSYM, symfun.SYM):
-        monkeypatch.setattr(alg, "_prod_memo", {})
-        monkeypatch.setattr(alg, "_antipode_memo", {})
-    for module, memo in ((symfun, "_E_TO_M"), (symfun, "_M_TO_E"),
-                         (morphisms, "_TAU_MEMO"), (morphisms, "_ZSTAR_MEMO")):
-        monkeypatch.setattr(module, memo, {})
+    clear_caches()
     # an instance attribute, so undoing the patch leaves the class method
     monkeypatch.setitem(vars(symfun.QSYM), "product_keys",
                         lambda l, r: LinComb.single(l + r))
+    yield
+    clear_caches()
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
