@@ -8,16 +8,22 @@ floats, so identity checks downstream are literal term-by-term equalities.
 Coproducts reuse the same container with ordered pairs ``(key, key)`` as
 keys; nothing in the container itself cares what the keys mean.
 
+``LinComb`` is the one place where terms are summed and zeros pruned.  Every
+structure map is the linear extension of a rule on basis keys: a linear map
+is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product is
+``bilinear``, and a key-level rule that already emits each key once hands
+its dict to ``trusted``, or its keys with repetitions to ``tally``, so no
+result is summed a second time.
+
 Every cache in the package is registered here: a function memoized with
 ``memo``, or a dict made by ``memo_table`` for the recursions that look
 themselves up inline.  ``clear_caches`` empties them all.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-
-Scalar = int | Fraction
 
 # the clear method of every registered cache
 _CLEARS = []
@@ -68,16 +74,25 @@ class LinComb:
         self._terms = data
 
     @classmethod
-    def single(cls, key, coeff=1):
+    def trusted(cls, data: dict):
+        """Wrap ``data``, a dict already summed and pruned (no key twice, no
+        zero coefficient), without copying or checking it."""
         out = cls.__new__(cls)
-        out._terms = {key: coeff} if coeff else {}
+        out._terms = data
         return out
 
     @classmethod
+    def tally(cls, keys):
+        """The sum of ``keys``: each distinct key with its multiplicity."""
+        return cls.trusted(dict(Counter(keys)))
+
+    @classmethod
+    def single(cls, key, coeff=1):
+        return cls.trusted({key: coeff} if coeff else {})
+
+    @classmethod
     def zero(cls):
-        out = cls.__new__(cls)
-        out._terms = {}
-        return out
+        return cls.trusted({})
 
     def items(self):
         return self._terms.items()
@@ -120,9 +135,7 @@ class LinComb:
                 data[key] = cur
             else:
                 data.pop(key, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb.trusted(data)
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
@@ -134,31 +147,25 @@ class LinComb:
                 data[key] = cur
             else:
                 data.pop(key, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb.trusted(data)
 
     def __neg__(self):
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return LinComb.trusted({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         if not scalar:
             return LinComb.zero()
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: c * scalar for k, c in self._terms.items()}
-        return out
+        return LinComb.trusted({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def apply_linear(self, image):
         """Linear extension: sum of coeff * image(key) over all terms.
 
-        ``image`` maps a basis key to a LinComb (possibly in a different
-        algebra's keys).
+        ``image`` maps a basis key to a LinComb or a dict (possibly over a
+        different algebra's keys).
         """
         data = {}
         for key, c in self._terms.items():
@@ -168,30 +175,39 @@ class LinComb:
                     data[k2] = cur
                 else:
                     data.pop(k2, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb.trusted(data)
+
+    @staticmethod
+    def bilinear(a, b, image):
+        """Bilinear extension: sum of c1 * c2 * image(k1, k2) over the terms
+        of ``a`` and ``b``, with ``image`` as in ``apply_linear``."""
+        data = {}
+        b_terms = b._terms.items()
+        for k1, c1 in a._terms.items():
+            for k2, c2 in b_terms:
+                c = c1 * c2
+                for key, ck in image(k1, k2).items():
+                    cur = data.get(key, 0) + c * ck
+                    if cur:
+                        data[key] = cur
+                    else:
+                        data.pop(key, None)
+        return LinComb.trusted(data)
 
     def map_keys(self, relabel):
         """Relabel every key by ``relabel`` (which must stay injective-enough
         to keep keys canonical; coefficients of collapsing keys add)."""
-        return LinComb((relabel(k), c) for k, c in self._terms.items())
+        return LinComb([(relabel(k), c) for k, c in self._terms.items()])
 
     def filter_keys(self, keep):
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: c for k, c in self._terms.items() if keep(k)}
-        return out
+        return LinComb.trusted({k: c for k, c in self._terms.items() if keep(k)})
 
     @staticmethod
     def tensor(a, b):
         """Outer product: keys become ordered pairs."""
-        data = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                data[(k1, k2)] = c1 * c2
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb.trusted({
+            (k1, k2): c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()
+        })
 
     def __repr__(self):
         inside = ", ".join(f"{k!r}: {c}" for k, c in self._terms.items())

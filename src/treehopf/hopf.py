@@ -2,9 +2,13 @@
 
 Each concrete algebra supplies the combinatorics on basis keys (grading,
 basis enumeration, product and coproduct of keys, printing); this base class
-supplies the linear extensions, the counit, and the antipode.  Because every
-algebra here is graded with a one-dimensional degree-0 part, one antipode
-recursion serves all of them:
+supplies the linear extensions, the counit, and the antipode.  Every
+extension is one of the two sums in ``LinComb``: the product and
+``tensor_mult`` are ``LinComb.bilinear`` over the memoized key products (the
+latter over their tensor), and the coproduct, the antipode and
+``tensor_map`` are ``apply_linear``.  Because every algebra here is graded
+with a one-dimensional degree-0 part, one antipode recursion serves all of
+them:
 
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
@@ -62,10 +66,6 @@ class HopfAlgebra:
     def element(self, key) -> LinComb:
         return LinComb.single(key)
 
-    def basis_upto(self, n: int):
-        for d in range(n + 1):
-            yield from self.basis(d)
-
     def _pk(self, k1, k2) -> LinComb:
         memo = self._prod_memo
         out = memo.get((k1, k2))
@@ -83,17 +83,7 @@ class HopfAlgebra:
         return out
 
     def product(self, a: LinComb, b: LinComb) -> LinComb:
-        data = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                c = c1 * c2
-                for key, ck in self._pk(k1, k2).items():
-                    cur = data.get(key, 0) + c * ck
-                    if cur:
-                        data[key] = cur
-                    else:
-                        data.pop(key, None)
-        return LinComb(data)
+        return LinComb.bilinear(a, b, self._pk)
 
     def coproduct(self, a: LinComb) -> LinComb:
         return a.apply_linear(self._ck)
@@ -172,39 +162,16 @@ def tensor_map(t: LinComb, left, right) -> LinComb:
 
     ``left`` and ``right`` send a basis key to a LinComb.
     """
-    data = {}
-    for (k1, k2), c in t.items():
-        img1 = left(k1)
-        img2 = right(k2)
-        for x, cx in img1.items():
-            ccx = c * cx
-            for y, cy in img2.items():
-                pair = (x, y)
-                cur = data.get(pair, 0) + ccx * cy
-                if cur:
-                    data[pair] = cur
-                else:
-                    data.pop(pair, None)
-    return LinComb(data)
+    return t.apply_linear(lambda pair: LinComb.tensor(left(pair[0]), right(pair[1])))
 
 
 def tensor_mult(algebra: HopfAlgebra, t1: LinComb, t2: LinComb) -> LinComb:
     """Componentwise product of two tensors over the same algebra."""
-    data = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            c = c1 * c2
-            for x, cx in algebra._pk(a1, a2).items():
-                ccx = c * cx
-                for y, cy in algebra._pk(b1, b2).items():
-                    pair = (x, y)
-                    cur = data.get(pair, 0) + ccx * cy
-                    if cur:
-                        data[pair] = cur
-                    else:
-                        data.pop(pair, None)
-    return LinComb(data)
+    pk = algebra._pk
+    return LinComb.bilinear(
+        t1, t2, lambda p, q: LinComb.tensor(pk(p[0], q[0]), pk(p[1], q[1]))
+    )
 
 
 def swap_tensor(t: LinComb) -> LinComb:
-    return LinComb(((k2, k1), c) for (k1, k2), c in t.items())
+    return t.map_keys(lambda pair: (pair[1], pair[0]))

@@ -15,7 +15,7 @@ algebra on planar trees under concatenation, with the coproduct defined by
 the same root-recursion as the unordered forest algebra.  KP and HF are
 graded duals under the Kronecker pairing (planar trees are rigid).
 
-The grafting (``_graft``), the grading, the forest product and coproduct
+The grafting (``_grafts``), the grading, the forest product and coproduct
 (``ForestAlgebra``) and the b_plus isomorphism are those of ``hopf_rooted``,
 applied to planar trees and ordered forests.
 """
@@ -26,8 +26,7 @@ from .foundations import LinComb
 from .hopf_rooted import (
     ForestAlgebra,
     GraftingAlgebra,
-    _graft,
-    forest_b_plus,
+    _grafts,
 )
 from .trees import (
     EMPTY_ORDERED_FOREST,
@@ -74,24 +73,13 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
 
     def product_keys(self, t, tp):
         subs = t.children
-        points = attachment_points(tp)
-        acc = {}
-        for choice in combinations_with_replacement(range(len(points)), len(subs)):
-            extra = {}
-            for sub, pi in zip(subs, choice):
-                v, gap = points[pi]
-                extra.setdefault(v, []).append((gap, sub))
-            grafted, _ = _graft(tp, extra, 0)
-            acc[grafted] = acc.get(grafted, 0) + 1
-        return LinComb(acc)
+        choices = combinations_with_replacement(attachment_points(tp), len(subs))
+        return LinComb.tally(_grafts(tp, subs, choices))
 
     def coproduct_key(self, t):
         kids = t.children
-        acc = {}
-        for cut in range(len(kids) + 1):
-            pair = (PlanarTree(kids[:cut]), PlanarTree(kids[cut:]))
-            acc[pair] = acc.get(pair, 0) + 1
-        return LinComb(acc)
+        cuts = range(len(kids) + 1)
+        return LinComb.trusted({(PlanarTree(kids[:c]), PlanarTree(kids[c:])): 1 for c in cuts})
 
 
 class OrderedForestAlgebra(ForestAlgebra):
@@ -115,5 +103,3 @@ class OrderedForestAlgebra(ForestAlgebra):
 
 KP = PlanarGraftingAlgebra()
 HF = OrderedForestAlgebra()
-
-ordered_forest_b_plus = forest_b_plus

@@ -64,6 +64,17 @@ def _graft(node, extra, idx):
     return type(node)(kids), idx
 
 
+def _grafts(tp, subs, choices):
+    """The tree ``tp`` with the subtrees ``subs`` grafted at one choice of
+    attachment points at a time: each choice gives every subtree, in order,
+    a (vertex, gap) point."""
+    for choice in choices:
+        extra = {}
+        for sub, (v, gap) in zip(subs, choice):
+            extra.setdefault(v, []).append((gap, sub))
+        yield _graft(tp, extra, 0)[0]
+
+
 class GraftingAlgebra(HopfAlgebra):
     """Rooted-tree Hopf algebra with the vertex-attachment product; its unit
     is the class's ``leaf``, which KP sets to the planar leaf."""
@@ -89,26 +100,20 @@ class GraftingAlgebra(HopfAlgebra):
     def product_keys(self, t, tp):
         """Sum over all |tp|^n attachments of t's root subtrees into tp."""
         subs = t.children
-        acc = {}
-        for assignment in iter_product(range(tp.size), repeat=len(subs)):
-            extra = {}
-            for sub, v in zip(subs, assignment):
-                extra.setdefault(v, []).append((0, sub))
-            grafted, _ = _graft(tp, extra, 0)
-            acc[grafted] = acc.get(grafted, 0) + 1
-        return LinComb(acc)
+        points = [(v, 0) for v in range(tp.size)]
+        return LinComb.tally(_grafts(tp, subs, iter_product(points, repeat=len(subs))))
 
     def coproduct_key(self, t):
         """Split the root's child subtrees over all 2^k two-colorings."""
         kids = t.children
         k = len(kids)
-        acc = {}
-        for mask in range(1 << k):
-            left = [kids[i] for i in range(k) if mask >> i & 1]
-            right = [kids[i] for i in range(k) if not mask >> i & 1]
-            pair = (RootedTree(left), RootedTree(right))
-            acc[pair] = acc.get(pair, 0) + 1
-        return LinComb(acc)
+        return LinComb.tally(
+            (
+                RootedTree([kids[i] for i in range(k) if mask >> i & 1]),
+                RootedTree([kids[i] for i in range(k) if not mask >> i & 1]),
+            )
+            for mask in range(1 << k)
+        )
 
 
 class ForestAlgebra(HopfAlgebra):
@@ -144,10 +149,13 @@ class ForestAlgebra(HopfAlgebra):
         return LinComb.single(type(f)(f.trees + g.trees))
 
     def coproduct_key(self, f):
-        out = LinComb.single((self.empty, self.empty))
+        """The product of the coproducts of the trees of ``f``; the empty
+        forest's is 1 ⊗ 1."""
+        out = None
         for t in f.trees:
-            out = tensor_mult(self, out, self._tree_coproduct(t))
-        return out
+            cop = self._tree_coproduct(t)
+            out = cop if out is None else tensor_mult(self, out, cop)
+        return LinComb.single((self.empty, self.empty)) if out is None else out
 
     def _tree_coproduct(self, t):
         cached = self._tree_cop_memo.get(t)
@@ -156,11 +164,11 @@ class ForestAlgebra(HopfAlgebra):
         # recurse on the strictly smaller forest of root-child subtrees
         inner = self.coproduct_key(b_minus(t))
         forest = type(self.empty)
-        acc = {(forest((t,)), self.empty): 1}
-        for (u, v), c in inner.items():
-            pair = (u, forest((b_plus(v),)))
-            acc[pair] = acc.get(pair, 0) + c
-        out = LinComb(acc)
+        # the pairs are distinct: b_plus is injective, and only the first
+        # has the unit on the right
+        terms = {(forest((t,)), self.empty): 1}
+        terms.update(((u, forest((b_plus(v),))), c) for (u, v), c in inner.items())
+        out = LinComb.trusted(terms)
         self._tree_cop_memo[t] = out
         return out
 
@@ -176,7 +184,7 @@ def kappa(n: int) -> LinComb:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return KT.one()
-    return LinComb((t, Fraction(1, sym_order(t))) for t in enumerate_rooted(n + 1))
+    return LinComb.trusted({t: Fraction(1, sym_order(t)) for t in enumerate_rooted(n + 1)})
 
 
 @memo
@@ -207,17 +215,7 @@ def primitive_projection(a: LinComb) -> LinComb:
 def strip_primitive_root(a: LinComb) -> LinComb:
     """Root removal on the grafting algebra: a tree whose root has exactly
     one child maps to that child subtree; every other tree maps to zero."""
-    data = {}
-    for t, c in a.items():
-        if len(t.children) == 1:
-            child = t.children[0]
-            data[child] = data.get(child, 0) + c
-    return LinComb(data)
-
-
-def tree_b_plus(a: LinComb) -> LinComb:
-    """Linear extension of t -> b_plus({t}) inside the grafting algebra."""
-    return a.map_keys(lambda t: RootedTree((t,)))
+    return primitive_projection(a).map_keys(lambda t: t.children[0])
 
 
 def forest_b_plus(a: LinComb) -> LinComb:
@@ -235,17 +233,12 @@ def ck_b_plus(a: LinComb) -> LinComb:
 def ck_b_minus(a: LinComb) -> LinComb:
     """Root removal extended to forests as a derivation: replace one member
     tree at a time by the forest of its root subtrees."""
-    data = {}
-    for f, c in a.items():
-        ts = f.trees
-        for i, t in enumerate(ts):
-            g = Forest(ts[:i] + t.children + ts[i + 1 :])
-            cur = data.get(g, 0) + c
-            if cur:
-                data[g] = cur
-            else:
-                data.pop(g, None)
-    return LinComb(data)
+    return a.apply_linear(_ck_b_minus_key)
+
+
+def _ck_b_minus_key(f: Forest) -> LinComb:
+    ts = f.trees
+    return LinComb.tally(Forest(ts[:i] + t.children + ts[i + 1 :]) for i, t in enumerate(ts))
 
 
 def corolla(n: int) -> RootedTree:

@@ -21,12 +21,12 @@ two unrelated code paths whose agreement is a strong regression check.
 from .foundations import LinComb, memo, memo_table, pi_forget
 from .trees import (
     Forest,
+    OrderedForest,
     RootedTree,
     forget_order,
     is_ladder,
     ladder_forest,
     planar_fiber,
-    planar_ladder_forest,
     sym_order,
 )
 from .hopf_rooted import KT, HK, epsilon
@@ -41,10 +41,7 @@ def tau(a: LinComb) -> LinComb:
 
 def phi(a: LinComb) -> LinComb:
     """Send e_k to the k-vertex ladder; monomial input is converted first."""
-    out = LinComb.zero()
-    for lam, c in m_to_e(a).items():
-        out += c * LinComb.single(ladder_forest(lam))
-    return out
+    return m_to_e(a).map_keys(ladder_forest)
 
 
 def phi_star(a: LinComb) -> LinComb:
@@ -58,12 +55,12 @@ def _phi_star_key(t: RootedTree) -> LinComb:
     if not all(is_ladder(c) for c in t.children):
         return LinComb.zero()
     lam = pi_forget(tuple(c.size for c in t.children))
-    return LinComb({lam: sym_order(t)})
+    return LinComb.single(lam, sym_order(t))
 
 
 def Phi(a: LinComb) -> LinComb:
     """Send E_I to the ordered forest of planar ladders with sizes I."""
-    return a.map_keys(planar_ladder_forest)
+    return a.map_keys(lambda comp: ladder_forest(comp, OrderedForest))
 
 
 def Phi_star(a: LinComb) -> LinComb:
@@ -93,7 +90,7 @@ def rho_star(a: LinComb) -> LinComb:
 
 def _rho_star_key(t: RootedTree) -> LinComb:
     order = sym_order(t)
-    return LinComb((p, order) for p in planar_fiber(t))
+    return LinComb.trusted(dict.fromkeys(planar_fiber(t), order))
 
 
 def Z(a: LinComb) -> LinComb:
@@ -182,7 +179,7 @@ def _kbar_forest(f: Forest) -> LinComb:
         tails[removed] = acc
         return acc
 
-    return LinComb(rest(0))
+    return LinComb.trusted(rest(0))
 
 
 # name -> (domain, codomain, function), the table the CLI and the

@@ -73,21 +73,16 @@ class QuasiSymmetricFunctions(_PartLists):
         if not right:
             return LinComb.single(left)
         a, b = left[0], right[0]
-        acc = {}
-        for head, tail in (
-            ((a,), self._pk(left[1:], right)),
-            ((b,), self._pk(left, right[1:])),
-            ((a + b,), self._pk(left[1:], right[1:])),
-        ):
-            for comp, c in tail.items():
-                key = head + comp
-                acc[key] = acc.get(key, 0) + c
-        return LinComb(acc)
+        first, second = self._pk(left[1:], right), self._pk(left, right[1:])
+        # the first parts a, b and a + b tell the kinds of term apart, unless a == b
+        parts = [((a,), first + second)] if a == b else [((a,), first), ((b,), second)]
+        parts.append(((a + b,), self._pk(left[1:], right[1:])))
+        return LinComb.trusted(
+            {head + comp: c for head, tail in parts for comp, c in tail.items()}
+        )
 
     def coproduct_key(self, comp):
-        return LinComb(
-            ((comp[:i], comp[i:]), 1) for i in range(len(comp) + 1)
-        )
+        return LinComb.trusted({(comp[:i], comp[i:]): 1 for i in range(len(comp) + 1)})
 
 
 class NoncommutativeSymmetricFunctions(_PartLists):
@@ -108,7 +103,7 @@ class NoncommutativeSymmetricFunctions(_PartLists):
                     key = (l + ((i,) if i else ()), r + ((part - i,) if part - i else ()))
                     new[key] = new.get(key, 0) + c
             acc = new
-        return LinComb(acc)
+        return LinComb.trusted(acc)
 
 
 class SymmetricFunctions(_PartLists):
@@ -128,15 +123,15 @@ class SymmetricFunctions(_PartLists):
         """Each distinct ordered splitting of the part multiset, once."""
         values = sorted(set(lam), reverse=True)
         mults = [lam.count(v) for v in values]
-        acc = {}
+        splits = []
         for taken in iter_product(*(range(m + 1) for m in mults)):
             left = []
             right = []
             for v, m, k in zip(values, mults, taken):
                 left.extend([v] * k)
                 right.extend([v] * (m - k))
-            acc[(tuple(left), tuple(right))] = 1
-        return LinComb(acc)
+            splits.append((tuple(left), tuple(right)))
+        return LinComb.trusted(dict.fromkeys(splits, 1))
 
 
 QSYM = QuasiSymmetricFunctions()
@@ -147,11 +142,7 @@ SYM = SymmetricFunctions()
 def include_sym(a: LinComb) -> LinComb:
     """Embed SYM into QSYM: a partition becomes the sum of its distinct
     rearrangements as compositions."""
-    data = {}
-    for lam, c in a.items():
-        for comp in rearrangements(lam):
-            data[comp] = data.get(comp, 0) + c
-    return LinComb(data)
+    return a.apply_linear(lambda lam: dict.fromkeys(rearrangements(lam), 1))
 
 
 def collect_sym(q: LinComb) -> LinComb:
@@ -249,12 +240,7 @@ def alpha_plus(a: LinComb) -> LinComb:
 
 def alpha_minus(a: LinComb) -> LinComb:
     """Strip a trailing part 1; kill compositions that do not end in 1."""
-    data = {}
-    for comp, c in a.items():
-        if comp and comp[-1] == 1:
-            key = comp[:-1]
-            data[key] = data.get(key, 0) + c
-    return LinComb(data)
+    return a.filter_keys(lambda comp: comp[-1:] == (1,)).map_keys(lambda comp: comp[:-1])
 
 
 # Dual of alpha_plus on the E basis: strip a trailing E_1, else zero.

@@ -129,10 +129,6 @@ def b_minus(tree):
     return tree.forest_type(tree.children)
 
 
-b_plus_planar = b_plus
-b_minus_planar = b_minus
-
-
 _SYM_ORDER: dict[RootedTree, int] = memo_table()
 
 
@@ -258,10 +254,6 @@ def ladder_forest(parts, kind=Forest):
     """The forest (or, with ``kind`` OrderedForest, the ordered forest) of
     chains with the given vertex counts."""
     return kind(ladder(i, kind.tree_type) for i in parts)
-
-
-def planar_ladder_forest(parts) -> OrderedForest:
-    return ladder_forest(parts, OrderedForest)
 
 
 def is_ladder(t) -> bool:

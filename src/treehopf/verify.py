@@ -48,7 +48,7 @@ from .hopf_rooted import (
     kappa,
     strip_primitive_root,
 )
-from .hopf_planar import HF, KP, ordered_forest_b_plus
+from .hopf_planar import HF, KP
 from .symfun import (
     NSYM,
     QSYM,
@@ -58,6 +58,7 @@ from .symfun import (
     alpha_plus,
     alpha_plus_dual,
     e,
+    e_to_m_row,
     expand_truncated,
     h,
     include_sym,
@@ -733,16 +734,9 @@ def _delta_cases(d):
                 for mu in partitions_of(i):
                     for nu in partitions_of(n - i):
                         if (mu, nu) not in rows:
-                            emunu = SYM.product(_e_of_partition(mu), _e_of_partition(nu))
+                            emunu = SYM.product(e_to_m_row(mu), e_to_m_row(nu))
                             rows[mu, nu] = row_of(ip_sym, emunu)
                         yield mu, nu, lam, rows[mu, nu].get(lam, 0)
-
-
-def _e_of_partition(lam):
-    acc = SYM.one()
-    for part in lam:
-        acc = SYM.product(acc, e(part))
-    return acc
 
 
 def _suite_dualities(d: int) -> list[IdentityResult]:
@@ -750,10 +744,7 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
     instances = [
         ("compositions against divided powers", QSYM, ip_qs, NSYM, ip_ns, lambda a: a),
         ("forests against grafting", HK, ip_ck, KT, ip_kt, forest_b_plus),
-        (
-            "ordered forests against planar grafting",
-            HF, ip_hf, KP, ip_kp, ordered_forest_b_plus,
-        ),
+        ("ordered forests against planar grafting", HF, ip_hf, KP, ip_kp, forest_b_plus),
         ("symmetric functions against themselves", SYM, ip_sym, SYM, ip_sym, lambda a: a),
     ]
     results = [

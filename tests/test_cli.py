@@ -220,12 +220,17 @@ def _cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("name", ["rhostar", "Zstar"])
-def test_deep_chain_fits_under_the_recursion_limit(name):
+@pytest.mark.parametrize("command", [
+    pytest.param(["map", "--name", "rhostar"], id="rhostar"),
+    pytest.param(["map", "--name", "Zstar"], id="Zstar"),
+    pytest.param(["coproduct", "--algebra", "ck"], id="ck-coproduct"),
+])
+def test_deep_chain_fits_under_the_recursion_limit(command):
     # these recursions along tree depth keep their caches in inline dicts;
-    # a memo wrapper per level would refuse this chain with exit 2
+    # a memo wrapper per level, or one more frame per level of the forest
+    # coproduct, would refuse this chain with exit 2
     chain = "[" * 450 + "]" * 450
-    done = subprocess.run([sys.executable, "-m", "treehopf.cli", "map", "--name", name, chain],
+    done = subprocess.run([sys.executable, "-m", "treehopf.cli", *command, chain],
                           capture_output=True, text=True, env=_cli_env())
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.strip()

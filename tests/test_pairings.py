@@ -124,7 +124,6 @@ def test_hopf_compatibility_instances():
 
 def test_duality_criterion_instances():
     from treehopf.pairings import ip_hf, ip_kp
-    from treehopf.trees import b_plus_planar
 
     rep = check_duality_criterion(QSYM, ip_qs, NSYM, ip_ns, lambda a: a, 4)
     assert rep.ok and rep.checked > 400
@@ -133,7 +132,7 @@ def test_duality_criterion_instances():
     )
     assert rep.ok
     rep = check_duality_criterion(
-        HF, ip_hf, KP, ip_kp, lambda a: a.map_keys(b_plus_planar), 4
+        HF, ip_hf, KP, ip_kp, lambda a: a.map_keys(b_plus), 4
     )
     assert rep.ok
     rep = check_duality_criterion(SYM, ip_sym, SYM, ip_sym, lambda a: a, 4)

@@ -1,8 +1,10 @@
-"""The sparse pairing rows, sparse exact rank, row-form duality criterion and
-back-substituted e/m transition against the dense definitions they
-replaced, kept here as oracles: dense Bareiss elimination, pairings of every
-two basis keys, the triple loop over basis triples, and the whole-degree
-Fraction Gauss-Jordan inversion of the e-to-m matrix."""
+"""The sparse pairing rows, sparse exact rank, row-form duality criterion,
+back-substituted e/m transition and the linear extensions through
+``LinComb`` against the definitions they replaced, kept here as oracles:
+dense Bareiss elimination, pairings of every two basis keys, the triple loop
+over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
+e-to-m matrix, and the hand-written product, tensor product and tensor map
+loops."""
 
 import random
 from fractions import Fraction
@@ -12,9 +14,10 @@ import pytest
 
 import treehopf.verify
 from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
-from treehopf.hopf_planar import HF, KP, ordered_forest_b_plus
+from treehopf.hopf import tensor_map, tensor_mult
+from treehopf.hopf_planar import HF, KP
 from treehopf.hopf_rooted import HK, KT, forest_b_plus
-from treehopf.morphisms import Z_star
+from treehopf.morphisms import MAP_TABLE, Z_star
 from treehopf.pairings import (
     check_duality_criterion,
     check_pairing_compatibility,
@@ -343,7 +346,7 @@ def test_transitions_match_the_whole_degree_elimination(n):
 INSTANCES = {
     "qsym-nsym": (QSYM, ip_qs, NSYM, ip_ns, lambda a: a),
     "hk-kt": (HK, ip_ck, KT, ip_kt, forest_b_plus),
-    "hf-kp": (HF, ip_hf, KP, ip_kp, ordered_forest_b_plus),
+    "hf-kp": (HF, ip_hf, KP, ip_kp, forest_b_plus),
     "sym-sym": (SYM, ip_sym, SYM, ip_sym, lambda a: a),
 }
 
@@ -487,3 +490,134 @@ def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch
     got = check_pairing_compatibility(A, B, pairing, 4)
     assert got == compatibility_by_triples(A, B, pairing, 4)
     assert (got is None) == (broken is None)
+
+
+# ------------------------------------------------------ linear extensions
+
+def _add_into(data, key, term, cancels):
+    """Add ``term`` at ``key``, pruning a zero; count each cancellation."""
+    cur = data.get(key, 0) + term
+    if cur:
+        data[key] = cur
+    else:
+        data.pop(key, None)
+        cancels[0] += 1
+
+
+def product_by_loops(alg, a, b, cancels):
+    """The product as a loop over both arguments, summed again in LinComb()."""
+    data = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            c = c1 * c2
+            for key, ck in alg._pk(k1, k2).items():
+                _add_into(data, key, c * ck, cancels)
+    return LinComb(data)
+
+
+def tensor_map_by_loops(t, left, right, cancels):
+    data = {}
+    for (k1, k2), c in t.items():
+        img1 = left(k1)
+        img2 = right(k2)
+        for x, cx in img1.items():
+            ccx = c * cx
+            for y, cy in img2.items():
+                _add_into(data, (x, y), ccx * cy, cancels)
+    return LinComb(data)
+
+
+def tensor_mult_by_loops(alg, t1, t2, cancels):
+    data = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            c = c1 * c2
+            for x, cx in alg._pk(a1, a2).items():
+                ccx = c * cx
+                for y, cy in alg._pk(b1, b2).items():
+                    _add_into(data, (x, y), ccx * cy, cancels)
+    return LinComb(data)
+
+
+ALGEBRAS = (KT, HK, KP, HF, SYM, QSYM, NSYM)
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+
+
+def _cancelling_pair(rng, alg, n):
+    """a = c x + d 1 + r and b = e 1 + f x + r' for a random basis element x
+    of degree 1..n and random r, r' of degree <= n, with c e + d f = 0: the
+    x terms of ab, from x 1 and from 1 x, cancel."""
+    x = rng.choice(alg.basis(rng.randint(1, n)))
+    c, d, f = (rng.choice(COEFFS) for _ in range(3))
+    e_ = Fraction(-d * f) / c
+    if e_.denominator == 1:
+        e_ = int(e_)
+    unit = alg.unit_key()
+    a = s(x, c) + s(unit, d) + _random_element(rng, alg, range(n + 1))
+    b = s(unit, e_) + s(x, f) + _random_element(rng, alg, range(n + 1))
+    return a, b
+
+
+def _pruned(x):
+    return all(c != 0 for _, c in x.items())
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: alg.name)
+def test_linear_extensions_match_the_loops_through_degree_4(alg):
+    rng = random.Random(f"extensions {alg.name}")
+    # cancellations seen by the product, tensor_mult and tensor_map loops
+    cancels = [0], [0], [0]
+    for n in range(1, 5):
+        for _ in range(6):
+            a, b = _cancelling_pair(rng, alg, n)
+            ab = alg.product(a, b)
+            assert ab == product_by_loops(alg, a, b, cancels[0])
+            ca, cb = alg.coproduct(a), alg.coproduct(b)
+            t1 = ca + LinComb.tensor(a, b)
+            assert tensor_mult(alg, t1, cb) == tensor_mult_by_loops(alg, t1, cb, cancels[1])
+            left = lambda k: alg.product(s(k), b)
+            assert tensor_map(t1, left, alg.antipode_key) == tensor_map_by_loops(
+                t1, left, alg.antipode_key, cancels[2])
+            for x in (ab, ca, cb, alg.antipode(a), alg.antipode(ab)):
+                assert _pruned(x)
+    assert all(count for (count,) in cancels), cancels
+
+
+def _cancelling(rng, fn, keys):
+    """(a, key): a = c1 k1 + c2 k2 for two of ``keys`` whose images under
+    ``fn`` share ``key``, with coefficients that cancel ``key`` in fn(a);
+    None if no two images meet within a few tries."""
+    if len(keys) < 2:
+        return None
+    for _ in range(30):
+        k1, k2 = rng.sample(list(keys), 2)
+        i1, i2 = fn(s(k1)), fn(s(k2))
+        common = [k for k in i1.keys() if k in i2]
+        if common:
+            key = rng.choice(common)
+            scale = rng.choice(COEFFS)
+            return s(k1, scale * i2[key]) - s(k2, scale * i1[key]), key
+    return None
+
+
+def test_no_result_holds_a_zero_coefficient():
+    rng = random.Random("zero coefficients")
+    ops = {f"{alg.name} {op}": (alg, getattr(alg, op))
+           for alg in ALGEBRAS for op in ("coproduct", "antipode")}
+    ops.update((name, (dom, fn)) for name, (dom, _, fn) in MAP_TABLE.items())
+    cancelled = set()
+    for name, (dom, fn) in ops.items():
+        for n in range(2, 5):
+            for _ in range(3):
+                found = _cancelling(rng, fn, dom.basis(n))
+                if found:
+                    a, key = found
+                    out = fn(a)
+                    assert key not in out and _pruned(out), (name, a)
+                    cancelled.add(name)
+                x, y = _cancelling_pair(rng, dom, n)
+                assert _pruned(fn(x)) and _pruned(fn(dom.product(x, y))), (name, x, y)
+    # every antipode, and every map under which the images of two basis
+    # keys can meet
+    antipodes = {f"{alg.name} antipode" for alg in ALGEBRAS}
+    assert antipodes | {"tau", "phi", "rho", "Z", "Zstar", "kbar"} <= cancelled, cancelled
