@@ -1,6 +1,6 @@
 """Exact Hopf-algebra computations on trees, compositions, and partitions.
 
-Six graded connected Hopf algebras over the rationals, the family of
+Seven graded connected Hopf algebras over the rationals, the family of
 homomorphisms connecting them, the bilinear pairings realizing their
 dualities, and a verification driver that machine-checks the structural
 identities to a configurable degree.

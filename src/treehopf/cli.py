@@ -70,6 +70,8 @@ PAIR_KINDS = {
 ENUM_CAP = 12
 SERIES_CAP = 10
 VARS_CAP = 10
+# longest chain literal l<k>; each of its k trees holds its own encoding
+CHAIN_CAP = 1000
 
 # algebra whose basis is written as part lists -> (basis letter, context word)
 _PART_LISTS = {
@@ -204,6 +206,9 @@ class _Parser:
             k = self.integer("chain length")
             if k < 1:
                 self.error("chains start at 1 vertex")
+            if k > CHAIN_CAP:
+                raise ValueError(f"chain length {k} exceeds the cap {CHAIN_CAP}; its trees "
+                                 f"would hold {k * (k + 1):,} characters of encodings")
             return ladder(k, factory)
         if ch != "[":
             self.error(f"expected a tree, found {ch!r}")
@@ -439,7 +444,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="treehopf",
-        description="exact computations in six graded Hopf algebras of trees, "
+        description="exact computations in seven graded Hopf algebras of trees, "
         "compositions, and partitions",
     )
     sub = top.add_subparsers(dest="command", required=True)

@@ -13,10 +13,11 @@ them:
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
 where the sum runs over the middle (both-sides-positive-degree) terms of the
-coproduct of x.  Products, coproducts, and antipodes of basis keys are
-memoized per algebra instance, in tables registered with
-``foundations.clear_caches``; entries are only ever written once, so
-reusing the singletons across threads is safe in CPython.
+coproduct of x, and is one ``apply_linear`` over those terms.  Products,
+coproducts, and antipodes of basis keys are memoized per algebra instance,
+in tables registered with ``foundations.clear_caches``; entries are only
+ever written once, so reusing the singletons across threads is safe in
+CPython.
 """
 
 from .foundations import LinComb, memo_table
@@ -63,9 +64,6 @@ class HopfAlgebra:
     def one(self) -> LinComb:
         return LinComb.single(self.unit_key())
 
-    def element(self, key) -> LinComb:
-        return LinComb.single(key)
-
     def _pk(self, k1, k2) -> LinComb:
         memo = self._prod_memo
         out = memo.get((k1, k2))
@@ -100,12 +98,10 @@ class HopfAlgebra:
         if key == unit:
             out = self.one()
         else:
-            acc = LinComb.single(key, -1)
-            for (left, right), c in self._ck(key).items():
-                if left == unit or right == unit:
-                    continue
-                acc -= c * self.product(self.antipode_key(left), LinComb.single(right))
-            out = acc
+            middle = self._ck(key).filter_keys(lambda pair: unit not in pair)
+            out = LinComb.single(key, -1) - middle.apply_linear(
+                lambda pair: self.product(self.antipode_key(pair[0]), LinComb.single(pair[1]))
+            )
         memo[key] = out
         return out
 

@@ -29,7 +29,7 @@ extensions.
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .foundations import LinComb, memo, memo_table
+from .foundations import LinComb, memo
 from .hopf import HopfAlgebra, tensor_mult
 from .trees import (
     EMPTY_FOREST,
@@ -124,10 +124,6 @@ class ForestAlgebra(HopfAlgebra):
     name = "ck"
     empty = EMPTY_FOREST
 
-    def __init__(self):
-        super().__init__()
-        self._tree_cop_memo = memo_table()
-
     def unit_key(self):
         return self.empty
 
@@ -149,28 +145,24 @@ class ForestAlgebra(HopfAlgebra):
         return LinComb.single(type(f)(f.trees + g.trees))
 
     def coproduct_key(self, f):
-        """The product of the coproducts of the trees of ``f``; the empty
-        forest's is 1 ⊗ 1."""
-        out = None
-        for t in f.trees:
-            cop = self._tree_coproduct(t)
-            out = cop if out is None else tensor_mult(self, out, cop)
-        return LinComb.single((self.empty, self.empty)) if out is None else out
-
-    def _tree_coproduct(self, t):
-        cached = self._tree_cop_memo.get(t)
-        if cached is not None:
-            return cached
-        # recurse on the strictly smaller forest of root-child subtrees
-        inner = self.coproduct_key(b_minus(t))
+        """The product of the coproducts of the one-tree forests of ``f``;
+        the empty forest's is 1 ⊗ 1."""
+        trees = f.trees
         forest = type(self.empty)
-        # the pairs are distinct: b_plus is injective, and only the first
-        # has the unit on the right
-        terms = {(forest((t,)), self.empty): 1}
+        if not trees:
+            return LinComb.single((self.empty, self.empty))
+        if len(trees) > 1:
+            out = self._ck(forest(trees[:1]))
+            for t in trees[1:]:
+                out = tensor_mult(self, out, self._ck(forest((t,))))
+            return out
+        # recurse on the strictly smaller forest of root-child subtrees; the
+        # pairs are distinct: b_plus is injective, and only the first has the
+        # unit on the right
+        terms = {(f, self.empty): 1}
+        inner = self._ck(b_minus(trees[0]))
         terms.update(((u, forest((b_plus(v),))), c) for (u, v), c in inner.items())
-        out = LinComb.trusted(terms)
-        self._tree_cop_memo[t] = out
-        return out
+        return LinComb.trusted(terms)
 
 
 KT = GraftingAlgebra()

@@ -1,4 +1,4 @@
-"""The nine homomorphisms connecting the six algebras, plus kbar.
+"""The nine homomorphisms connecting the seven algebras, plus kbar.
 
 They fit in one commuting diagram shaped like a hexagon.  Out of NSYM:
 Phi into HF, tau into SYM, Z into KT.  Into QSYM: Phi_star from KP,

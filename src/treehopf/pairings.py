@@ -11,13 +11,17 @@ elementary basis of one argument meets the monomial basis of the other.
 
 Every pairing is read from its key-level row, ``pairing.row(k)``: the
 nonzero pairings ``{k': <k, k'>}`` of one basis key.  Most rows have one
-entry, so nothing here pairs every two basis keys.
+entry, so nothing here pairs every two basis keys.  The row of an element a
+is ``a.apply_linear(pairing.row)``, a ``LinComb`` like any other, and <a, b>
+is its dot product with b.
 
 check_duality_criterion machine-checks the three hypotheses under which a
 degree-preserving linear map psi: A -> B exhibits B as the graded dual of
 A: psi preserves inner products, and it exchanges product against
 coproduct in both directions.  check_pairing_compatibility checks that a
-pairing of A with B exchanges product against coproduct.
+pairing of A with B exchanges product against coproduct.  Both compare
+rows of elements, and reach keys of the other side through a transposed
+index ``{k: {j: c}}`` (``_transpose``), itself a linear image.
 """
 
 from dataclasses import dataclass
@@ -33,16 +37,15 @@ def _bilinear(row):
     ``row`` attribute.  A row is a new dict on every call."""
 
     def pairing(a: LinComb, b: LinComb):
-        acc = 0
-        for k1, c1 in a.items():
-            for k2, v in row(k1).items():
-                c2 = b[k2]
-                if c2:
-                    acc = acc + c1 * c2 * v
-        return acc
+        return _dot(a.apply_linear(row), b)
 
     pairing.row = row
     return pairing
+
+
+def _dot(u: LinComb, b: LinComb):
+    """The sum of ``u[k] * b[k]`` over the keys k of both."""
+    return sum(c * b[k] for k, c in u.items() if k in b)
 
 
 def _kron(k):
@@ -68,59 +71,36 @@ def pair_tensor(pairing, s: LinComb, t: LinComb):
     """Componentwise pairing of two tensors: couple lefts with lefts and
     rights with rights, multiply, and sum."""
     row = pairing.row
-    acc = 0
-    for (a1, a2), c1 in s.items():
-        row2 = row(a2)
-        for b1, v1 in row(a1).items():
-            for b2, v2 in row2.items():
-                c2 = t[(b1, b2)]
-                if c2:
-                    acc = acc + c1 * c2 * v1 * v2
-    return acc
+    return _dot(s.apply_linear(lambda pair: LinComb.tensor(row(pair[0]), row(pair[1]))), t)
 
 
 # ------------------------------------------------------------ sparse rows
 
-def row_of(pairing, a: LinComb) -> dict:
-    """``{k': <a, k'>}`` for an element a: the rows of its keys, weighted.
-    An entry may be zero where terms cancel."""
-    out = {}
-    for k, c in a.items():
-        for k2, v in pairing.row(k).items():
-            out[k2] = out.get(k2, 0) + c * v
-    return out
-
-
-def _outer(u: dict, v: dict) -> dict:
-    return {(x, y): c * d for x, c in u.items() for y, d in v.items()}
-
-
-def _transpose(columns) -> dict:
-    """``{k: [(j, c), ...]}``: for each (j, element) of ``columns``, the
-    keys k of the element with their coefficients c."""
-    index = {}
+def _transpose(columns, index=None) -> dict:
+    """``{k: {j: c}}``: for each (j, element) of ``columns``, the keys k of
+    the element with their coefficients c, added to ``index`` (by default a
+    new dict)."""
+    index = {} if index is None else index
     for j, el in columns:
         for k, c in el.items():
-            index.setdefault(k, []).append((j, c))
+            index.setdefault(k, {})[j] = c
     return index
 
 
-def _through(index, u: dict) -> dict:
+def _through(index, u: LinComb) -> LinComb:
     """``{j: sum over k of u[k] * c}``: u against every column j of a
     ``_transpose`` index."""
-    out = {}
-    for k, v in u.items():
-        for j, c in index.get(k, ()):
-            out[j] = out.get(j, 0) + v * c
-    return out
+    return u.apply_linear(lambda k: index.get(k, {}))
 
 
-def _first_mismatch(left: dict, right: dict, pos: dict, start=0):
+def _first_mismatch(left: LinComb, right: LinComb, pos: dict, start=0):
     """The least position ``pos[k] >= start`` of a key k at which two
     sparse rows differ, or None.  Keys without a position are ignored."""
+    if left == right:  # the common case, compared in C
+        return None
     return min(
         (pos[k] for k in left.keys() | right.keys()
-         if pos.get(k, -1) >= start and left.get(k, 0) != right.get(k, 0)),
+         if pos.get(k, -1) >= start and left[k] != right[k]),
         default=None,
     )
 
@@ -149,29 +129,27 @@ def check_pairing_compatibility(A, B, pairing, max_degree: int) -> str | None:
     first, then every y, z, and the third key varies fastest.  Both sides
     are sparse rows over the third key."""
     row = pairing.row
-    cols = {}  # key b of B -> [(a, <a, b>)] over the keys a of A
+    cols = {}  # key b of B -> {a: <a, b>} over the keys a of A
     for n in range(max_degree + 1):
         zs = B.basis(n)
         pos = {z: j for j, z in enumerate(zs)}
-        cop = _transpose([(z, B.coproduct(LinComb.single(z))) for z in zs])
+        cop = _transpose((z, B.coproduct(LinComb.single(z))) for z in zs)
         for kx, ky in _key_pairs(A, n):
-            left = row_of(pairing, _single_product(A, kx, ky))
-            j = _first_mismatch(left, _through(cop, _outer(row(kx), row(ky))), pos)
+            left = _single_product(A, kx, ky).apply_linear(row)
+            j = _first_mismatch(left, _through(cop, LinComb.tensor(row(kx), row(ky))), pos)
             if j is not None:
                 return " , ".join(
                     alg.format(LinComb.single(k))
                     for alg, k in ((A, kx), (A, ky), (B, zs[j]))
                 )
         ws = A.basis(n)
-        for w in ws:
-            for b, v in row(w).items():
-                cols.setdefault(b, []).append((w, v))
+        _transpose(((w, row(w)) for w in ws), cols)
         pos = {w: j for j, w in enumerate(ws)}
-        cop = _transpose([(w, A.coproduct(LinComb.single(w))) for w in ws])
+        cop = _transpose((w, A.coproduct(LinComb.single(w))) for w in ws)
         for ky, kz in _key_pairs(B, n):
             left = _through(cols, _single_product(B, ky, kz))
-            col_y, col_z = dict(cols.get(ky, ())), dict(cols.get(kz, ()))
-            j = _first_mismatch(left, _through(cop, _outer(col_y, col_z)), pos)
+            right = LinComb.tensor(cols.get(ky, {}), cols.get(kz, {}))
+            j = _first_mismatch(left, _through(cop, right), pos)
             if j is not None:
                 return " , ".join(
                     alg.format(LinComb.single(k))
@@ -224,8 +202,8 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
             images[k] = psi(LinComb.single(k))
         psi_index.append(_transpose((k, images[k]) for k in keys))
         for i, k in enumerate(keys):
-            row = ip_A.row(k)
-            paired[k] = row_of(ip_B, images[k])
+            row = LinComb.trusted(ip_A.row(k))
+            paired[k] = images[k].apply_linear(ip_B.row)
             j = _first_mismatch(row, _through(psi_index[n], paired[k]), pos, i)
             if j is not None:
                 return CriterionReport(
@@ -237,17 +215,19 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
     for n in range(max_degree + 1):
         keys = A.basis(n)
         pos = {k: i for i, k in enumerate(keys)}
-        cop_A = _transpose([(k, A.coproduct(LinComb.single(k))) for k in keys])
-        cop_B = _transpose([(k, B.coproduct(images[k])) for k in keys])
+        cop_A = _transpose((k, A.coproduct(LinComb.single(k))) for k in keys)
+        cop_B = _transpose((k, B.coproduct(images[k])) for k in keys)
         for k1, k2 in _key_pairs(A, n):
             prod_A = _single_product(A, k1, k2)
             prod_B = B.product(images[k1], images[k2])
             jb = _first_mismatch(
-                row_of(ip_A, prod_A), _through(cop_B, _outer(paired[k1], paired[k2])), pos
+                prod_A.apply_linear(ip_A.row),
+                _through(cop_B, LinComb.tensor(paired[k1], paired[k2])),
+                pos,
             )
             jc = _first_mismatch(
-                _through(cop_A, _outer(ip_A.row(k1), ip_A.row(k2))),
-                _through(psi_index[n], row_of(ip_B, prod_B)),
+                _through(cop_A, LinComb.tensor(ip_A.row(k1), ip_A.row(k2))),
+                _through(psi_index[n], prod_B.apply_linear(ip_B.row)),
                 pos,
             )
             if jb is None and jc is None:

@@ -210,12 +210,8 @@ def _m_row(lam) -> LinComb:
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
     visited."""
     conj = _conjugate(lam)
-    row = {conj: 1}
-    for mu, c in e_to_m_row(conj).items():
-        if mu != lam:
-            for nu, d in _m_row(mu).items():
-                row[nu] = row.get(nu, 0) - c * d
-    return LinComb(row)
+    lower = e_to_m_row(conj).filter_keys(lambda mu: mu != lam)
+    return LinComb.single(conj) - lower.apply_linear(_m_row)
 
 
 def m_to_e(a: LinComb) -> LinComb:

@@ -275,17 +275,14 @@ def _parse_tree(text: str, pos: int, factory):
     return factory(kids), pos + 1
 
 
-def rooted_from_string(text: str) -> RootedTree:
-    """Parse bracket syntax into a rooted tree (auto-canonicalized)."""
-    t, end = _parse_tree(text, 0, RootedTree)
+def rooted_from_string(text: str, kind=RootedTree):
+    """Parse bracket syntax into a rooted tree (auto-canonicalized) or, with
+    ``kind`` PlanarTree, a planar tree (written order kept)."""
+    t, end = _parse_tree(text, 0, kind)
     if end != len(text):
         raise ValueError(f"trailing input at position {end}")
     return t
 
 
 def planar_from_string(text: str) -> PlanarTree:
-    """Parse bracket syntax into a planar tree (written order kept)."""
-    t, end = _parse_tree(text, 0, PlanarTree)
-    if end != len(text):
-        raise ValueError(f"trailing input at position {end}")
-    return t
+    return rooted_from_string(text, PlanarTree)

@@ -78,7 +78,6 @@ from .pairings import (
     pair_kp_hf,
     pair_kt_ck,
     pair_ns_qs,
-    row_of,
 )
 
 _SPOT_SEED = 74530121
@@ -432,25 +431,21 @@ def _coassoc_ok(alg, key):
 
 def _counit_ok(alg, key):
     cop = alg._ck(key)
-    left = LinComb.zero()
-    right = LinComb.zero()
     unit = alg.unit_key()
-    for (k1, k2), c in cop.items():
-        if k1 == unit:
-            left += c * LinComb.single(k2)
-        if k2 == unit:
-            right += c * LinComb.single(k1)
+    left = cop.filter_keys(lambda pair: pair[0] == unit).map_keys(lambda pair: pair[1])
+    right = cop.filter_keys(lambda pair: pair[1] == unit).map_keys(lambda pair: pair[0])
     x = LinComb.single(key)
     return left == x and right == x
 
 
 def _antipode_convolution_ok(alg, key):
     cop = alg._ck(key)
-    left = LinComb.zero()
-    right = LinComb.zero()
-    for (k1, k2), c in cop.items():
-        left += c * alg.product(alg.antipode_key(k1), LinComb.single(k2))
-        right += c * alg.product(LinComb.single(k1), alg.antipode_key(k2))
+    left = cop.apply_linear(
+        lambda pair: alg.product(alg.antipode_key(pair[0]), LinComb.single(pair[1]))
+    )
+    right = cop.apply_linear(
+        lambda pair: alg.product(LinComb.single(pair[0]), alg.antipode_key(pair[1]))
+    )
     target = alg.counit(LinComb.single(key)) * alg.one()
     return left == target and right == target
 
@@ -705,9 +700,9 @@ def _z_adjoint_cases(d):
         zf = [Z_star(LinComb.single(f)) for f in forests]
         for comp in compositions_of(n):
             u = LinComb.single(comp)
-            zu = row_of(pair_kt_ck, Z(u))
+            zu = Z(u).apply_linear(pair_kt_ck.row)
             for f, zstar_f in zip(forests, zf):
-                yield comp, u, zu.get(f, 0), f, zstar_f
+                yield comp, u, zu[f], f, zstar_f
 
 
 def _alpha_cases(d):
@@ -735,8 +730,8 @@ def _delta_cases(d):
                     for nu in partitions_of(n - i):
                         if (mu, nu) not in rows:
                             emunu = SYM.product(e_to_m_row(mu), e_to_m_row(nu))
-                            rows[mu, nu] = row_of(ip_sym, emunu)
-                        yield mu, nu, lam, rows[mu, nu].get(lam, 0)
+                            rows[mu, nu] = emunu.apply_linear(ip_sym.row)
+                        yield mu, nu, lam, rows[mu, nu][lam]
 
 
 def _suite_dualities(d: int) -> list[IdentityResult]:

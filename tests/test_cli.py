@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import treehopf
-from treehopf.cli import build_parser, main, parse_element
+import treehopf.cli
+from treehopf.cli import CHAIN_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb
 from treehopf.trees import rooted_from_string as rt, Forest
 from treehopf.hopf_rooted import KT
@@ -206,6 +207,21 @@ def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
+    # a chain of k vertices holds k encodings of up to 2k characters
+    def build(k, kind):
+        raise AssertionError("the chain was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treehopf.cli, "ladder", build)
+        code, out, err = run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP + 1}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: chain length {CHAIN_CAP + 1} exceeds the cap {CHAIN_CAP}")
+    assert len(err.splitlines()) == 1
+    assert run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP}") == (0, "0\n", "")
+    assert run(capsys, "coproduct", "--algebra", "ck", f"l2 l{CHAIN_CAP + 1}")[0] == 2
 
 
 def test_phi_of_e25_is_the_25_vertex_ladder(capsys):

@@ -184,3 +184,45 @@ def test_every_cache_goes_through_the_registry():
                                        "class A:\n    def f(self):\n        self._x_memo = {}\n"
                                        "        local = {}\n")) == [
         "functools", "lru_cache", "_T", "_U", "_x_memo"]
+
+
+def _accumulations(tree):
+    """Top-level functions and methods (``Class.method``) that add to or
+    subtract from a ``d.get(k, 0)`` lookup: a sparse sum written by hand."""
+
+    def get_or_zero(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == 0)
+
+    def sums(node):
+        return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Add, ast.Sub))
+                   and (get_or_zero(sub.left) or get_or_zero(sub.right))
+                   for sub in ast.walk(node))
+
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef)]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return [name for name, node in scopes if sums(node)]
+
+
+def test_sparse_sums_outside_foundations_go_through_lincomb():
+    # the exceptions: an output-sensitive DP over splits, two oracles kept
+    # independent of LinComb, and an in-place integer row update
+    allowed = {"symfun.NoncommutativeSymmetricFunctions.coproduct_key",
+               "morphisms._kbar_forest", "symfun._monomial_expansion", "verify._clear"}
+    package = pathlib.Path(treehopf.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "foundations.py":
+            found |= {f"{path.stem}.{name}" for name in _accumulations(ast.parse(path.read_text()))}
+    assert found <= allowed, found - allowed
+    assert _accumulations(ast.parse(
+        "def f(d):\n    def g():\n        d[1] = d.get(1, 0) + 2\n"
+        "class A:\n    def g(self, d):\n        x = d.get(2, 0) - 1\n"
+        "    def h(self, d):\n        return d.get(3, 0) != 1\n"
+        "total = {}.get(4, 0) + 1\n")) == ["f", "A.g", "<module>"]

@@ -3,8 +3,9 @@ back-substituted e/m transition and the linear extensions through
 ``LinComb`` against the definitions they replaced, kept here as oracles:
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
-e-to-m matrix, and the hand-written product, tensor product and tensor map
-loops."""
+e-to-m matrix, the hand-written product, tensor product and tensor map
+loops, the antipode's accumulator loop, and the forest coproduct memoized
+per tree."""
 
 import random
 from fractions import Fraction
@@ -34,7 +35,14 @@ from treehopf.pairings import (
     pair_tensor,
 )
 from treehopf.symfun import NSYM, QSYM, SYM, e, e_to_m, m_to_e
-from treehopf.trees import PlanarTree, RootedTree, forests_of_degree, sym_order
+from treehopf.trees import (
+    PlanarTree,
+    RootedTree,
+    b_minus,
+    b_plus,
+    forests_of_degree,
+    sym_order,
+)
 from treehopf.verify import _ESTIMATES, exact_rank, rank_of
 
 s = LinComb.single
@@ -621,3 +629,84 @@ def test_no_result_holds_a_zero_coefficient():
     # keys can meet
     antipodes = {f"{alg.name} antipode" for alg in ALGEBRAS}
     assert antipodes | {"tau", "phi", "rho", "Z", "Zstar", "kbar"} <= cancelled, cancelled
+
+
+# ------------------------------------------ antipode and forest coproduct
+
+def antipode_by_accumulation(alg, key, memo):
+    """S(key) as an accumulator: -key, less c S(x') x'' for each middle term
+    c x' (x) x'' of the coproduct, one term at a time."""
+    out = memo.get(key)
+    if out is not None:
+        return out
+    unit = alg.unit_key()
+    if key == unit:
+        out = alg.one()
+    else:
+        acc = LinComb.single(key, -1)
+        for (left, right), c in alg._ck(key).items():
+            if left == unit or right == unit:
+                continue
+            acc -= c * alg.product(antipode_by_accumulation(alg, left, memo), s(right))
+        out = acc
+    memo[key] = out
+    return out
+
+
+def forest_coproduct_by_trees(alg, f, memo):
+    """The coproduct of a forest as the product of those of its trees, each
+    found from the forest of its root's children and memoized per tree."""
+    out = None
+    for t in f.trees:
+        cop = tree_coproduct(alg, t, memo)
+        out = cop if out is None else tensor_mult(alg, out, cop)
+    return s((alg.empty, alg.empty)) if out is None else out
+
+
+def tree_coproduct(alg, t, memo):
+    cached = memo.get(t)
+    if cached is not None:
+        return cached
+    inner = forest_coproduct_by_trees(alg, b_minus(t), memo)
+    forest = type(alg.empty)
+    out = s((forest((t,)), alg.empty))
+    for (u, v), c in inner.items():
+        out += s((u, forest((b_plus(v),))), c)
+    memo[t] = out
+    return out
+
+
+def _by_keys(a, image):
+    """The sum of c image(k) over the terms c k of a, one term at a time."""
+    out = LinComb.zero()
+    for k, c in a.items():
+        out += c * image(k)
+    return out
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: alg.name)
+def test_antipode_matches_the_accumulator_through_degree_5(alg, fresh_caches):
+    memo = {}
+    oracle = lambda k: antipode_by_accumulation(alg, k, memo)
+    for n in range(6):
+        for key in alg.basis(n):
+            assert alg.antipode_key(key) == oracle(key), alg.key_str(key)
+    rng = random.Random(f"antipode {alg.name}")
+    for _ in range(20):
+        a = _random_element(rng, alg, range(6))
+        assert alg.antipode(a) == _by_keys(a, oracle)
+
+
+@pytest.mark.parametrize("alg", (HK, HF), ids=lambda alg: alg.name)
+def test_forest_coproduct_matches_the_per_tree_recursion_through_degree_7(alg,
+                                                                          fresh_caches):
+    memo = {}
+    oracle = lambda f: forest_coproduct_by_trees(alg, f, memo)
+    for n in range(8):
+        for f in alg.basis(n):
+            assert alg._ck(f) == oracle(f), alg.key_str(f)
+    clear_caches()
+    rng = random.Random(f"coproduct {alg.name}")
+    for _ in range(20):
+        a = _random_element(rng, alg, range(8))
+        assert alg.coproduct(a) == _by_keys(a, oracle)
