@@ -23,7 +23,6 @@ themselves up inline.  ``clear_caches`` empties them all.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 # the clear method of every registered cache
 _CLEARS = []
@@ -252,7 +251,29 @@ def pi_forget(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(comp, reverse=True))
 
 
+def multiset_permutations(items):
+    """Each distinct ordering of ``items`` once, in lexicographic order, as
+    tuples: Knuth's Algorithm L (TAOCP 7.2.1.2) steps from the sorted
+    ordering to the next larger one, so the cost is that of the orderings
+    returned, not of all n! permutations."""
+    a = sorted(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+
+
 @memo
 def rearrangements(partition: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All distinct compositions whose parts rearrange to ``partition``."""
-    return tuple(sorted(set(permutations(partition))))
+    """All distinct compositions whose parts rearrange to ``partition``, in
+    lexicographic order."""
+    return tuple(multiset_permutations(partition))

@@ -3,11 +3,14 @@ forest machinery that their planar twins in ``hopf_planar`` share.
 
 KT (basis: rooted trees, degree = vertices - 1) carries the grafting
 product: t ∘ t' sums, over all ways to send each child subtree of t's root
-to a vertex of t', the tree obtained by grafting them there.  Its coproduct
-splits the root's child subtrees into two subsets.  It is cocommutative and
-the single vertex is the two-sided unit.  ``_graft`` attaches subtrees at
-(vertex, gap) positions of a tree of either kind; KT uses only gap 0, since
-a rooted tree sorts its children anyway.
+to a vertex of t', the tree obtained by grafting them there.  Equal child
+subtrees are sent together: a group of m of them goes to each multiset of m
+vertices once, weighted by the number of ways to send them there, as KP's
+ordered product takes each weakly increasing sequence of points once.  Its
+coproduct splits the root's child subtrees into two subsets.  It is
+cocommutative and the single vertex is the two-sided unit.  ``_graft``
+attaches subtrees at (vertex, gap) positions of a tree of either kind; KT
+uses only gap 0, since a rooted tree sorts its children anyway.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
@@ -26,8 +29,11 @@ has a single child, and the root-removal operators in their various linear
 extensions.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iter_product
+from math import factorial, prod
 
 from .foundations import LinComb, memo
 from .hopf import HopfAlgebra, tensor_mult
@@ -98,10 +104,23 @@ class GraftingAlgebra(HopfAlgebra):
         return (t.size, t.encoding)
 
     def product_keys(self, t, tp):
-        """Sum over all |tp|^n attachments of t's root subtrees into tp."""
-        subs = t.children
+        """Sum over all |tp|^n attachments of t's root subtrees into tp.  A
+        group of m equal subtrees goes to each multiset of m vertices once,
+        weighted by the m! / (product of c_v!) attachments that send c_v of
+        them to each vertex v."""
         points = [(v, 0) for v in range(tp.size)]
-        return LinComb.tally(_grafts(tp, subs, iter_product(points, repeat=len(subs))))
+        groups = [
+            [(combo, factorial(len(combo)) // prod(map(factorial, Counter(combo).values())))
+             for combo in combinations_with_replacement(points, len(list(same)))]
+            for _, same in groupby(t.children)
+        ]
+        choices, weights = [], []
+        for picks in iter_product(*groups):
+            choices.append(tuple(chain.from_iterable(combo for combo, _ in picks)))
+            weights.append(prod(w for _, w in picks))
+        # grafted here, not lazily inside LinComb's constructor, so that
+        # the grafting is timed as this kernel's work
+        return LinComb(list(zip(_grafts(tp, t.children, choices), weights)))
 
     def coproduct_key(self, t):
         """Split the root's child subtrees over all 2^k two-colorings."""

@@ -10,10 +10,13 @@ divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n.  It is the
 graded dual of QSYM under the Kronecker pairing of compositions.
 
 SYM uses the monomial basis indexed by partitions.  It embeds into QSYM by
-symmetrizing (a partition maps to the sum of its distinct rearrangements);
-products are computed there and collected back, which also machine-checks
-closure.  Its coproduct splits the part multiset into an ordered pair of
-submultisets, each distinct splitting once.
+symmetrizing (a partition maps to the sum of its distinct rearrangements).
+Products are computed on partitions directly: each multiset of columns
+pairing parts of one factor with parts of the other, or with nothing, is
+made once and counted by its layouts.  The quasi-shuffle-oracle suite checks
+them against the QSYM product of the symmetrizations, collected back.  The
+coproduct splits the part multiset into an ordered pair of submultisets,
+each distinct splitting once.
 
 The elementary/complete/power sums live here too, along with the conversion
 between the monomial and elementary bases (integer back-substitution along
@@ -23,8 +26,10 @@ alpha_minus, their NSYM duals, and the truncated polynomial realization of
 QSYM used as an independent oracle for the quasi-shuffle product.
 """
 
+from collections import Counter
 from itertools import product as iter_product
-from operator import add
+from math import factorial, prod
+from operator import add, sub
 
 from .foundations import (
     LinComb,
@@ -116,8 +121,10 @@ class SymmetricFunctions(_PartLists):
         return partitions_of(n)
 
     def product_keys(self, lam, mu):
-        prod = QSYM.product(include_sym(LinComb.single(lam)), include_sym(LinComb.single(mu)))
-        return collect_sym(prod)
+        """m_lam m_mu on partitions (Macdonald, ch. I.2): the coefficient of
+        m_nu counts the pairs of rearrangements of lam and mu, each padded
+        with zeros, that add up to nu."""
+        return LinComb(_column_sums(lam, mu))
 
     def coproduct_key(self, lam):
         """Each distinct ordered splitting of the part multiset, once."""
@@ -132,6 +139,46 @@ class SymmetricFunctions(_PartLists):
                 right.extend([v] * (m - k))
             splits.append((tuple(left), tuple(right)))
         return LinComb.trusted(dict.fromkeys(splits, 1))
+
+
+def _column_sums(lam, mu):
+    """The terms (nu, count) of m_lam m_mu, with a partition nu once for
+    each multiset of columns that adds up to it.  A pair of padded
+    rearrangements adding up to nu is a sequence of columns (a, b), a a
+    part of lam or 0 and b a part of mu or 0, not both 0.  Each multiset of
+    columns is made once, a part value of lam at a time, and counted by its
+    layouts along a fixed ordering of nu: the columns of sum v fill the r_v
+    places of v in r_v! / (product of their multiplicities' factorials)
+    ways."""
+    partners = Counter(mu)
+    values = list(Counter(lam).items())
+    out = []
+
+    def fuse(i, sums, ties, free):
+        # sums: the column sums so far; ties: the product of the factorials
+        # of the columns' multiplicities; free: parts of mu left
+        if i == len(values):
+            for b, f in zip(partners, free):
+                sums += (b,) * f
+                ties *= factorial(f)
+            layouts = prod(map(factorial, Counter(sums).values()))
+            out.append((tuple(sorted(sums, reverse=True)), layouts // ties))
+            return
+        a, m = values[i]
+        # how many of the m parts a fuse with each part value of mu
+        takes = [()]
+        for f in free:
+            takes = [t + (k,) for t in takes for k in range(min(f, m - sum(t)) + 1)]
+        for t in takes:
+            alone = m - sum(t)
+            more = sums + (a,) * alone
+            for b, k in zip(partners, t):
+                more += (a + b,) * k
+            fuse(i + 1, more, ties * factorial(alone) * prod(map(factorial, t)),
+                 tuple(map(sub, free, t)))
+
+    fuse(0, (), 1, tuple(partners.values()))
+    return out
 
 
 QSYM = QuasiSymmetricFunctions()

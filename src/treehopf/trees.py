@@ -14,10 +14,10 @@ of planar trees.  No tree or forest equals one of the other kind.
 bijections between forests with n vertices and trees with n + 1.
 """
 
-from itertools import groupby, permutations, product
+from itertools import groupby, product
 from math import factorial
 
-from .foundations import memo, memo_table
+from .foundations import memo, memo_table, multiset_permutations
 
 
 def _tree_key(t):
@@ -225,11 +225,15 @@ def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:
     cached = _FIBER.get(t)
     if cached is not None:
         return cached
-    options = {c: planar_fiber(c) for c in set(t.children)}
-    results = set()
-    for ordering in set(permutations(t.children)):
-        for combo in product(*(options[c] for c in ordering)):
-            results.add(PlanarTree(combo))
+    rank = {c: i for i, c in enumerate(dict.fromkeys(t.children))}
+    options = [planar_fiber(c) for c in rank]
+    # each distinct ordering of the children, with one embedding of each,
+    # is a distinct planar tree
+    results = [
+        PlanarTree(combo)
+        for ordering in multiset_permutations(rank[c] for c in t.children)
+        for combo in product(*(options[i] for i in ordering))
+    ]
     out = tuple(sorted(results, key=_tree_key))
     _FIBER[t] = out
     return out

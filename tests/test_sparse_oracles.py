@@ -4,20 +4,31 @@ back-substituted e/m transition and the linear extensions through
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
-loops, the antipode's accumulator loop, and the forest coproduct memoized
-per tree."""
+loops, the antipode's accumulator loop, the forest coproduct memoized
+per tree, and the key kernels that enumerated every permutation or vertex
+assignment and dropped the repeats: rearrangements from all permutations,
+the SYM product through QSYM, the KT product over all |t'|^k attachments,
+planar embeddings from all orderings of the children, and the hopf-axioms
+estimate as a triple sum."""
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 
 import pytest
 
 import treehopf.verify
-from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
+from treehopf.foundations import (
+    LinComb,
+    clear_caches,
+    compositions_of,
+    partitions_of,
+    rearrangements,
+)
 from treehopf.hopf import tensor_map, tensor_mult
 from treehopf.hopf_planar import HF, KP
-from treehopf.hopf_rooted import HK, KT, forest_b_plus
+from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
 from treehopf.morphisms import MAP_TABLE, Z_star
 from treehopf.pairings import (
     check_duality_criterion,
@@ -34,16 +45,27 @@ from treehopf.pairings import (
     pair_ns_qs,
     pair_tensor,
 )
-from treehopf.symfun import NSYM, QSYM, SYM, e, e_to_m, m_to_e
+from treehopf.symfun import NSYM, QSYM, SYM, collect_sym, e, e_to_m, include_sym, m_to_e
 from treehopf.trees import (
     PlanarTree,
     RootedTree,
+    _tree_key,
     b_minus,
     b_plus,
+    enumerate_rooted,
     forests_of_degree,
+    planar_fiber,
     sym_order,
 )
-from treehopf.verify import _ESTIMATES, exact_rank, rank_of
+from treehopf.verify import (
+    _ESTIMATES,
+    catalan,
+    composition_count,
+    exact_rank,
+    partition_count,
+    rank_of,
+    rooted_count,
+)
 
 s = LinComb.single
 
@@ -710,3 +732,85 @@ def test_forest_coproduct_matches_the_per_tree_recursion_through_degree_7(alg,
     for _ in range(20):
         a = _random_element(rng, alg, range(8))
         assert alg.coproduct(a) == _by_keys(a, oracle)
+
+
+# ------------------------------------------------------------- key kernels
+
+def rearrangements_by_permutations(partition):
+    return tuple(sorted(set(permutations(partition))))
+
+
+def sym_product_through_qsym(lam, mu):
+    return collect_sym(QSYM.product(include_sym(s(lam)), include_sym(s(mu))))
+
+
+def kt_product_by_assignments(t, tp):
+    """Every one of the |tp|^k ways to send the k root subtrees of t to
+    vertices of tp, each grafted and counted."""
+    points = [(v, 0) for v in range(tp.size)]
+    return LinComb.tally(_grafts(tp, t.children, product(points, repeat=len(t.children))))
+
+
+def planar_fiber_by_permutations(t, memo):
+    """The planar trees over t from every permutation of its children, with
+    the repeats dropped."""
+    cached = memo.get(t)
+    if cached is not None:
+        return cached
+    options = {c: planar_fiber_by_permutations(c, memo) for c in set(t.children)}
+    results = set()
+    for ordering in set(permutations(t.children)):
+        for combo in product(*(options[c] for c in ordering)):
+            results.add(PlanarTree(combo))
+    out = memo[t] = tuple(sorted(results, key=_tree_key))
+    return out
+
+
+def hopf_axioms_estimate_by_triples(n):
+    return sum(
+        count(i) * count(j) * count(s - i - j)
+        for count in (
+            lambda m: rooted_count(m + 1), catalan, partition_count, composition_count
+        )
+        for s in range(n + 1)
+        for i in range(s + 1)
+        for j in range(s - i + 1)
+    )
+
+
+def test_rearrangements_match_the_permutations_through_degree_10(fresh_caches):
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert rearrangements(lam) == rearrangements_by_permutations(lam), lam
+
+
+def test_sym_product_matches_the_qsym_round_trip_through_degree_9(fresh_caches):
+    for n in range(10):
+        for i in range(n + 1):
+            for lam in partitions_of(i):
+                for mu in partitions_of(n - i):
+                    want = sym_product_through_qsym(lam, mu)
+                    assert SYM.product_keys(lam, mu) == want, (lam, mu)
+                    assert SYM.product(s(lam), s(mu)) == want, (lam, mu)
+
+
+def test_kt_product_matches_every_assignment_through_8_vertices(fresh_caches):
+    for n in range(2, 9):
+        for i in range(1, n):
+            for t in enumerate_rooted(i):
+                for tp in enumerate_rooted(n - i):
+                    want = kt_product_by_assignments(t, tp)
+                    assert KT.product_keys(t, tp) == want, (t, tp)
+                    assert KT.product(s(t), s(tp)) == want, (t, tp)
+
+
+def test_planar_fiber_matches_the_permutations_through_9_vertices(fresh_caches):
+    memo = {}
+    for n in range(1, 10):
+        for t in enumerate_rooted(n):
+            assert planar_fiber(t) == planar_fiber_by_permutations(t, memo), t
+
+
+def test_hopf_axioms_estimate_matches_the_triple_sum():
+    for n in range(41):
+        assert _ESTIMATES["hopf-axioms"](n) == hopf_axioms_estimate_by_triples(n), n
