@@ -48,7 +48,7 @@ from .hopf_planar import HF, KP
 from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
 from .morphisms import MAP_TABLE
 from .pairings import ip_sym, pair_kp_hf, pair_kt_ck, pair_ns_qs
-from .verify import SUITE_NAMES, run_all, run_suite
+from .verify import SUITE_NAMES, partition_count, run_all, run_suite
 
 ALGEBRAS = {
     "kt": KT, "gl": KT,
@@ -70,8 +70,11 @@ PAIR_KINDS = {
 ENUM_CAP = 12
 SERIES_CAP = 10
 VARS_CAP = 10
-# longest chain literal l<k>; each of its k trees holds its own encoding
+# longest chain literal l<k>, each of whose k trees holds its own encoding,
+# and largest index of the e<k> and h<k> shorthands
 CHAIN_CAP = 1000
+# most terms the h<k> shorthand may expand to: p(45) = 89,134 fits
+TERM_CAP = 100_000
 
 # algebra whose basis is written as part lists -> (basis letter, context word)
 _PART_LISTS = {
@@ -190,6 +193,12 @@ class _Parser:
             k = self.integer("basis index")
             if ch == "p" and k < 1:
                 self.error("power sums start at 1")
+            if ch in "eh" and k > CHAIN_CAP:
+                raise ValueError(f"{ch}{k} exceeds the index cap {CHAIN_CAP}; its "
+                                 f"partitions have up to {k:,} parts")
+            # p(0), ..., p(k) in turn, so that the memo's recursion stays shallow
+            if ch == "h" and (n := [partition_count(j) for j in range(k + 1)][-1]) > TERM_CAP:
+                raise ValueError(f"h{k} has {n:,} terms, more than the cap {TERM_CAP:,}")
             return {"e": e, "h": h, "p": p}[ch](k)
         if ch != letter:
             self.error(f"unexpected {ch!r} in {word} context")
@@ -376,7 +385,7 @@ def _cmd_expand(args):
         raise ValueError("variable count must be nonnegative")
     if n > VARS_CAP:
         raise ValueError(f"refusing more than {VARS_CAP} variables")
-    items = sorted(expand_truncated(x, n).terms.items())
+    items = sorted(expand_truncated(x, n).items())
     terms = [{"coefficient": str(c), "exponents": list(expo)} for expo, c in items]
     return _emit(
         args, lambda: " + ".join(_monomial(*item) for item in items) or "0",

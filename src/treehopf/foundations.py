@@ -23,6 +23,8 @@ themselves up inline.  ``clear_caches`` empties them all.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import comb
 
 # the clear method of every registered cache
 _CLEARS = []
@@ -270,6 +272,21 @@ def multiset_permutations(items):
             k -= 1
         a[j], a[k] = a[k], a[j]
         a[j + 1 :] = a[:j:-1]
+
+
+def multiset_splits(items):
+    """Each distinct split of the multiset ``items`` into an ordered pair of
+    submultisets once, as ``(left, right, count)``, where ``count`` (a
+    product of binomials) is how many of the 2^n two-colourings give it.
+    Both halves list equal items together, in order of first occurrence."""
+    groups = list(Counter(items).items())
+    for taken in product(*(range(m + 1) for _, m in groups)):
+        left, right, count = [], [], 1
+        for (value, m), k in zip(groups, taken):
+            left += [value] * k
+            right += [value] * (m - k)
+            count *= comb(m, k)
+        yield tuple(left), tuple(right), count
 
 
 @memo

@@ -35,7 +35,7 @@ from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iter_product
 from math import factorial, prod
 
-from .foundations import LinComb, memo
+from .foundations import LinComb, memo, multiset_splits
 from .hopf import HopfAlgebra, tensor_mult
 from .trees import (
     EMPTY_FOREST,
@@ -123,16 +123,10 @@ class GraftingAlgebra(HopfAlgebra):
         return LinComb(list(zip(_grafts(tp, t.children, choices), weights)))
 
     def coproduct_key(self, t):
-        """Split the root's child subtrees over all 2^k two-colorings."""
-        kids = t.children
-        k = len(kids)
-        return LinComb.tally(
-            (
-                RootedTree([kids[i] for i in range(k) if mask >> i & 1]),
-                RootedTree([kids[i] for i in range(k) if not mask >> i & 1]),
-            )
-            for mask in range(1 << k)
-        )
+        """Split the root's child subtrees over all 2^k two-colorings, each
+        distinct split once, weighted by the colorings that give it."""
+        return LinComb.trusted({(RootedTree(l), RootedTree(r)): count
+                                for l, r, count in multiset_splits(t.children)})
 
 
 class ForestAlgebra(HopfAlgebra):

@@ -23,11 +23,11 @@ between the monomial and elementary bases (integer back-substitution along
 the dominance order, one memoized row per partition),
 the append-a-part-one operator alpha_plus with its one-sided inverse
 alpha_minus, their NSYM duals, and the truncated polynomial realization of
-QSYM used as an independent oracle for the quasi-shuffle product.
+QSYM used as an independent oracle for the quasi-shuffle product: a
+polynomial in x_1..x_n is a LinComb over exponent tuples of length n.
 """
 
 from collections import Counter
-from itertools import product as iter_product
 from math import factorial, prod
 from operator import add, sub
 
@@ -35,6 +35,7 @@ from .foundations import (
     LinComb,
     compositions_of,
     memo,
+    multiset_splits,
     partitions_of,
     pi_forget,
     rearrangements,
@@ -128,17 +129,7 @@ class SymmetricFunctions(_PartLists):
 
     def coproduct_key(self, lam):
         """Each distinct ordered splitting of the part multiset, once."""
-        values = sorted(set(lam), reverse=True)
-        mults = [lam.count(v) for v in values]
-        splits = []
-        for taken in iter_product(*(range(m + 1) for m in mults)):
-            left = []
-            right = []
-            for v, m, k in zip(values, mults, taken):
-                left.extend([v] * k)
-                right.extend([v] * (m - k))
-            splits.append((tuple(left), tuple(right)))
-        return LinComb.trusted(dict.fromkeys(splits, 1))
+        return LinComb.trusted({(l, r): 1 for l, r, _ in multiset_splits(lam)})
 
 
 def _column_sums(lam, mu):
@@ -198,22 +189,13 @@ def collect_sym(q: LinComb) -> LinComb:
     Raises ValueError when the argument is not symmetric (some rearrangement
     class has unequal or missing coefficients).
     """
-    out = {}
-    seen = set()
-    for comp in q:
-        lam = pi_forget(comp)
-        if lam in seen:
-            continue
-        seen.add(lam)
-        c = q[lam]  # the weakly decreasing rearrangement is itself a composition
-        for other in rearrangements(lam):
-            if q[other] != c:
-                raise ValueError(
-                    f"not symmetric: coefficient of {other} differs from {lam}"
-                )
-        if c:
-            out[lam] = c
-    return LinComb(out)
+    out = LinComb.trusted({lam: q[lam] for lam in map(pi_forget, q) if q[lam]})
+    wrong = include_sym(out) - q
+    if wrong:
+        other = next(iter(wrong))
+        raise ValueError(f"not symmetric: coefficient of {other} differs from "
+                         f"{pi_forget(other)}")
+    return out
 
 
 def e(k: int) -> LinComb:
@@ -293,55 +275,6 @@ alpha_plus_dual = alpha_minus
 alpha_minus_dual = alpha_plus
 
 
-class TruncatedPolynomial(LinComb):
-    """Polynomial in x_1..x_nvars with exact coefficients: a LinComb over
-    exponent tuples of length nvars that also multiplies.  Just enough
-    arithmetic for the oracle: addition, multiplication, scalar scaling,
-    equality."""
-
-    __slots__ = ("nvars",)
-
-    def __init__(self, nvars: int, terms=()):
-        super().__init__(terms)
-        self.nvars = nvars
-
-    @property
-    def terms(self) -> dict:
-        return self._terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedPolynomial)
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
-
-    def _same_vars(self, out):
-        return out if out is NotImplemented else TruncatedPolynomial(self.nvars, out.items())
-
-    def _check_vars(self, other):
-        if isinstance(other, TruncatedPolynomial) and self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other):
-        self._check_vars(other)
-        return self._same_vars(LinComb.__add__(self, other))
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedPolynomial):
-            return self._same_vars(LinComb.__mul__(self, other))
-        self._check_vars(other)
-        prod = LinComb.tensor(self, other)
-        return self._same_vars(prod.map_keys(lambda pair: tuple(map(add, *pair))))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"TruncatedPolynomial({self.nvars}, {self._terms})"
-
-
 def _monomial_expansion(comp, nvars: int) -> dict:
     """Sum of x_{n1}^{i1} ... x_{nk}^{ik} over n1 < ... < nk <= nvars, as
     {exponent tuple: coefficient}."""
@@ -361,13 +294,18 @@ def _monomial_expansion(comp, nvars: int) -> dict:
     return data
 
 
-def expand_truncated(a: LinComb, nvars: int) -> TruncatedPolynomial:
-    """Realize a QSYM element as a polynomial in x_1..x_nvars.
+def expand_truncated(a: LinComb, nvars: int) -> LinComb:
+    """Realize a QSYM element as a polynomial in x_1..x_nvars, a LinComb
+    over exponent tuples of length nvars.
 
     Faithful (injective) on elements of degree <= nvars, which is what makes
     it an independent oracle for the quasi-shuffle product.
     """
     if nvars < 0:
         raise ValueError("variable count must be nonnegative")
-    image = a.apply_linear(lambda comp: _monomial_expansion(comp, nvars))
-    return TruncatedPolynomial(nvars, image.items())
+    return a.apply_linear(lambda comp: _monomial_expansion(comp, nvars))
+
+
+def polynomial_product(f: LinComb, g: LinComb) -> LinComb:
+    """The product of two polynomials over exponent tuples of one length."""
+    return LinComb.bilinear(f, g, lambda a, b: {tuple(map(add, a, b)): 1})

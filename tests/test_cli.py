@@ -11,7 +11,7 @@ import pytest
 
 import treehopf
 import treehopf.cli
-from treehopf.cli import CHAIN_CAP, build_parser, main, parse_element
+from treehopf.cli import CHAIN_CAP, TERM_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb
 from treehopf.trees import rooted_from_string as rt, Forest
 from treehopf.hopf_rooted import KT
@@ -222,6 +222,31 @@ def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monke
     assert len(err.splitlines()) == 1
     assert run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP}") == (0, "0\n", "")
     assert run(capsys, "coproduct", "--algebra", "ck", f"l2 l{CHAIN_CAP + 1}")[0] == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"e{CHAIN_CAP + 1}", f"e{CHAIN_CAP + 1} exceeds the index cap {CHAIN_CAP}; its "
+                          f"partitions have up to {CHAIN_CAP + 1:,} parts"),
+    ("e100000000", "e100000000 exceeds the index cap"),
+    (f"h{CHAIN_CAP + 1}", f"h{CHAIN_CAP + 1} exceeds the index cap {CHAIN_CAP}"),
+    ("h46", f"h46 has 105,558 terms, more than the cap {TERM_CAP:,}"),
+    ("h99", "h99 has 169,229,875 terms"),
+])
+def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypatch, text,
+                                                              message):
+    # e<k> is one partition of k parts, h<k> sums over all p(k) partitions of k
+    def build(k):
+        raise AssertionError("the shorthand was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treehopf.cli, "e", build)
+        patch.setattr(treehopf.cli, "h", build)
+        code, out, err = run(capsys, "counit", "--algebra", "sym", text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+    assert run(capsys, "counit", "--algebra", "sym", "h45") == (0, "0\n", "")
+    assert run(capsys, "counit", "--algebra", "sym", f"e{CHAIN_CAP}") == (0, "0\n", "")
 
 
 def test_phi_of_e25_is_the_25_vertex_ladder(capsys):

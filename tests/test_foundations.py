@@ -12,6 +12,7 @@ from treehopf.foundations import (
     LinComb,
     clear_caches,
     compositions_of,
+    multiset_splits,
     partitions_of,
     pi_forget,
     rearrangements,
@@ -116,6 +117,19 @@ def test_rearrangements_multinomial():
         assert len(seen) == want
         assert len(set(seen)) == len(seen)
         assert all(pi_forget(c) == tuple(sorted(part, reverse=True)) for c in seen)
+
+
+def test_multiset_splits_count_the_two_colourings():
+    for items in [(), (3,), (2, 1), (1, 1, 1), (3, 2, 2, 1), ("b", "a", "b", "b")]:
+        splits = list(multiset_splits(items))
+        assert sum(count for _, _, count in splits) == 2 ** len(items)
+        assert len({(l, r) for l, r, _ in splits}) == len(splits)
+        for left, right, _ in splits:
+            assert sorted(left + right) == sorted(items)
+    assert list(multiset_splits("aab")) == [
+        ((), ("a", "a", "b"), 1), (("b",), ("a", "a"), 1),
+        (("a",), ("a", "b"), 2), (("a", "b"), ("a",), 2),
+        (("a", "a"), ("b",), 1), (("a", "a", "b"), (), 1)]
 
 
 # ------------------------------------------------------------ cache registry
@@ -226,3 +240,19 @@ def test_sparse_sums_outside_foundations_go_through_lincomb():
         "class A:\n    def g(self, d):\n        x = d.get(2, 0) - 1\n"
         "    def h(self, d):\n        return d.get(3, 0) != 1\n"
         "total = {}.get(4, 0) + 1\n")) == ["f", "A.g", "<module>"]
+
+
+def _lincomb_subclasses(tree):
+    """Classes whose bases name ``LinComb``."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", getattr(base, "attr", None)) == "LinComb"
+                    for base in node.bases)]
+
+
+def test_lincomb_is_the_only_vector_type():
+    package = pathlib.Path(treehopf.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert _lincomb_subclasses(ast.parse(path.read_text())) == [], path.name
+    assert _lincomb_subclasses(ast.parse(
+        "class A(LinComb):\n    pass\nclass B(foundations.LinComb):\n    pass\n"
+        "class C(HopfAlgebra):\n    pass\n")) == ["A", "B"]

@@ -8,6 +8,7 @@ loops, the antipode's accumulator loop, the forest coproduct memoized
 per tree, and the key kernels that enumerated every permutation or vertex
 assignment and dropped the repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
+the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, and the hopf-axioms
 estimate as a triple sum."""
 
@@ -18,11 +19,13 @@ from math import gcd
 
 import pytest
 
+import treehopf.hopf_rooted
 import treehopf.verify
 from treehopf.foundations import (
     LinComb,
     clear_caches,
     compositions_of,
+    multiset_splits,
     partitions_of,
     rearrangements,
 )
@@ -751,6 +754,17 @@ def kt_product_by_assignments(t, tp):
     return LinComb.tally(_grafts(tp, t.children, product(points, repeat=len(t.children))))
 
 
+def kt_coproduct_by_colourings(t):
+    """Every one of the 2^k two-colourings of the k root subtrees of t, each
+    colour class under a new root, and counted."""
+    kids = t.children
+    return LinComb.tally(
+        (RootedTree([c for i, c in enumerate(kids) if mask >> i & 1]),
+         RootedTree([c for i, c in enumerate(kids) if not mask >> i & 1]))
+        for mask in range(1 << len(kids))
+    )
+
+
 def planar_fiber_by_permutations(t, memo):
     """The planar trees over t from every permutation of its children, with
     the repeats dropped."""
@@ -802,6 +816,28 @@ def test_kt_product_matches_every_assignment_through_8_vertices(fresh_caches):
                     want = kt_product_by_assignments(t, tp)
                     assert KT.product_keys(t, tp) == want, (t, tp)
                     assert KT.product(s(t), s(tp)) == want, (t, tp)
+
+
+def _rooted_trees_through_10_vertices():
+    trees = [t for n in range(1, 11) for t in enumerate_rooted(n)]
+    assert len(trees) == 1205
+    return trees
+
+
+def test_kt_coproduct_matches_every_colouring_through_10_vertices(fresh_caches):
+    for t in _rooted_trees_through_10_vertices():
+        assert KT.coproduct_key(t) == kt_coproduct_by_colourings(t), t
+
+
+def test_the_colouring_oracle_sees_an_unweighted_split(monkeypatch, fresh_caches):
+    # with every split counted once, exactly the trees whose root has two
+    # equal subtrees lose their multiplicities
+    monkeypatch.setattr(treehopf.hopf_rooted, "multiset_splits",
+                        lambda items: ((l, r, 1) for l, r, _ in multiset_splits(items)))
+    trees = _rooted_trees_through_10_vertices()
+    wrong = [t for t in trees if KT.coproduct_key(t) != kt_coproduct_by_colourings(t)]
+    assert wrong == [t for t in trees if len(set(t.children)) < len(t.children)]
+    assert RootedTree([RootedTree()] * 2) in wrong
 
 
 def test_planar_fiber_matches_the_permutations_through_9_vertices(fresh_caches):
