@@ -75,6 +75,10 @@ VARS_CAP = 10
 CHAIN_CAP = 1000
 # most terms the h<k> shorthand may expand to: p(45) = 89,134 fits
 TERM_CAP = 100_000
+# most vertices a kt or kp product may rebuild: each attachment choice
+# grafts a whole tree, about (result vertices)^2 / 2 of them counting the
+# subtrees' encodings; [[][]] into l80 is 10.9 million
+GRAFT_CAP = 20_000_000
 
 # algebra whose basis is written as part lists -> (basis letter, context word)
 _PART_LISTS = {
@@ -326,12 +330,29 @@ def _cmd_operation(args):
     """product, coproduct, antipode and counit in the --algebra context."""
     alg, op = ALGEBRAS[args.algebra], args.command
     texts = (args.left, args.right) if op == "product" else (args.element,)
-    result = getattr(alg, op)(*(parse_element(text, args.algebra) for text in texts))
+    elements = [parse_element(text, args.algebra) for text in texts]
+    if op == "product" and hasattr(alg, "product_choices"):
+        _check_graft_cost(alg, *elements)
+    result = getattr(alg, op)(*elements)
     if op == "coproduct":
         return _tensor(args, alg, result)
     if op == "counit":
         return _scalar(args, result)
     return _element(args, alg, result, algebra=alg.name)
+
+
+def _check_graft_cost(alg, x, y):
+    """Refuse a grafting product whose attachment choices, each rebuilding
+    a whole tree, would rebuild more than ``GRAFT_CAP`` vertices."""
+    choices = cost = 0
+    for t in x:
+        for tp in y:
+            n = alg.product_choices(t, tp)
+            choices += n
+            cost += n * (t.size + tp.size - 1) ** 2 // 2
+    if cost > GRAFT_CAP:
+        raise ValueError(f"this product would graft {choices:,} attachment choices, "
+                         f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
 
 
 def _cmd_map(args):

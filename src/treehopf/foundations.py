@@ -4,6 +4,9 @@ Every algebra in this package represents its elements the same way: a
 finitely supported map from canonical hashable basis keys to exact rational
 coefficients.  Coefficients are ``int`` or ``fractions.Fraction``, never
 floats, so identity checks downstream are literal term-by-term equalities.
+A sum over inputs with a ``Fraction`` coefficient hands back its whole
+coefficients as ``int``s, so that only genuine fractions (1/n! in
+``epsilon``, 1/2 in ``kappa``) pay ``Fraction`` arithmetic downstream.
 
 Coproducts reuse the same container with ordered pairs ``(key, key)`` as
 keys; nothing in the container itself cares what the keys mean.
@@ -166,34 +169,41 @@ class LinComb:
         """Linear extension: sum of coeff * image(key) over all terms.
 
         ``image`` maps a basis key to a LinComb or a dict (possibly over a
-        different algebra's keys).
+        different algebra's keys).  If a coefficient of ``self`` is a
+        ``Fraction``, the whole coefficients of the result come back as
+        ``int``s.
         """
         data = {}
+        fractions = False
         for key, c in self._terms.items():
+            fractions = fractions or type(c) is Fraction
             for k2, c2 in image(key).items():
                 cur = data.get(k2, 0) + c * c2
                 if cur:
                     data[k2] = cur
                 else:
                     data.pop(k2, None)
-        return LinComb.trusted(data)
+        return LinComb.trusted(_whole(data) if fractions else data)
 
     @staticmethod
     def bilinear(a, b, image):
         """Bilinear extension: sum of c1 * c2 * image(k1, k2) over the terms
-        of ``a`` and ``b``, with ``image`` as in ``apply_linear``."""
+        of ``a`` and ``b``, with ``image`` and whole coefficients as in
+        ``apply_linear``."""
         data = {}
+        fractions = False
         b_terms = b._terms.items()
         for k1, c1 in a._terms.items():
             for k2, c2 in b_terms:
                 c = c1 * c2
+                fractions = fractions or type(c) is Fraction
                 for key, ck in image(k1, k2).items():
                     cur = data.get(key, 0) + c * ck
                     if cur:
                         data[key] = cur
                     else:
                         data.pop(key, None)
-        return LinComb.trusted(data)
+        return LinComb.trusted(_whole(data) if fractions else data)
 
     def map_keys(self, relabel):
         """Relabel every key by ``relabel`` (which must stay injective-enough
@@ -213,6 +223,17 @@ class LinComb:
     def __repr__(self):
         inside = ", ".join(f"{k!r}: {c}" for k, c in self._terms.items())
         return "LinComb({%s})" % inside
+
+
+def _whole(data: dict) -> dict:
+    """``data`` with each whole ``Fraction`` coefficient replaced in place by
+    its ``int``, so that later arithmetic on it runs at ``int`` speed.  The
+    sums call it only when an input coefficient is a ``Fraction``, so that
+    integer-only work pays no extra pass."""
+    for key, c in data.items():
+        if type(c) is Fraction and c.denominator == 1:
+            data[key] = c.numerator
+    return data
 
 
 @memo

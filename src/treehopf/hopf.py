@@ -16,8 +16,10 @@ where the sum runs over the middle (both-sides-positive-degree) terms of the
 coproduct of x, and is one ``apply_linear`` over those terms.  Products,
 coproducts, and antipodes of basis keys are memoized per algebra instance,
 in tables registered with ``foundations.clear_caches``; entries are only
-ever written once, so reusing the singletons across threads is safe in
-CPython.
+ever written once.  Nothing in the package uses threads, and the
+algebras are meant for one thread at a time: interning a new tree or
+forest (``trees``) looks it up and then inserts it, so two threads
+building the same new key at once could each get an object of their own.
 """
 
 from .foundations import LinComb, memo_table

@@ -21,6 +21,7 @@ applied to planar trees and ordered forests.
 """
 
 from itertools import combinations_with_replacement
+from math import comb
 
 from .foundations import LinComb
 from .hopf_rooted import (
@@ -75,6 +76,12 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
         subs = t.children
         choices = combinations_with_replacement(attachment_points(tp), len(subs))
         return LinComb.tally(_grafts(tp, subs, choices))
+
+    def product_choices(self, t, tp):
+        """binomial(2m + n - 2, n): the weakly increasing sequences of n
+        points among the 2m - 1 of a tree with m vertices."""
+        n = len(t.children)
+        return comb(2 * tp.size + n - 2, n)
 
     def coproduct_key(self, t):
         kids = t.children

@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iter_product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .foundations import LinComb, memo, multiset_splits
 from .hopf import HopfAlgebra, tensor_mult
@@ -121,6 +121,13 @@ class GraftingAlgebra(HopfAlgebra):
         # grafted here, not lazily inside LinComb's constructor, so that
         # the grafting is timed as this kernel's work
         return LinComb(list(zip(_grafts(tp, t.children, choices), weights)))
+
+    def product_choices(self, t, tp):
+        """How many attachments ``product_keys`` grafts, each rebuilding a
+        whole tree: a multiset of vertices of tp for each group of equal
+        root subtrees of t."""
+        m = tp.size
+        return prod(comb(m + k - 1, k) for k in Counter(t.children).values())
 
     def coproduct_key(self, t):
         """Split the root's child subtrees over all 2^k two-colorings, each

@@ -179,7 +179,11 @@ def _kbar_forest(f: Forest) -> LinComb:
         tails[removed] = acc
         return acc
 
-    return LinComb.trusted(rest(0))
+    out = rest(0)
+    # each recursive closure refers to itself through its cell: unbind them,
+    # so that the tables they hold are freed now, not by the cyclic collector
+    del build, rest
+    return LinComb.trusted(out)
 
 
 # name -> (domain, codomain, function), the table the CLI and the

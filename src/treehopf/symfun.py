@@ -28,6 +28,7 @@ polynomial in x_1..x_n is a LinComb over exponent tuples of length n.
 """
 
 from collections import Counter
+from itertools import combinations
 from math import factorial, prod
 from operator import add, sub
 
@@ -277,20 +278,14 @@ alpha_minus_dual = alpha_plus
 
 def _monomial_expansion(comp, nvars: int) -> dict:
     """Sum of x_{n1}^{i1} ... x_{nk}^{ik} over n1 < ... < nk <= nvars, as
-    {exponent tuple: coefficient}."""
-    k = len(comp)
+    {exponent tuple: coefficient}.  The parts are positive, so each choice
+    of variables gives its own exponent tuple, with coefficient 1."""
     data = {}
-
-    def place(pos, var, expo):
-        if pos == k:
-            data[tuple(expo)] = data.get(tuple(expo), 0) + 1
-            return
-        for v in range(var, nvars - (k - pos) + 1):
-            expo[v] = comp[pos]
-            place(pos + 1, v + 1, expo)
-            expo[v] = 0
-
-    place(0, 0, [0] * nvars)
+    for places in combinations(range(nvars), len(comp)):
+        expo = [0] * nvars
+        for v, part in zip(places, comp):
+            expo[v] = part
+        data[tuple(expo)] = 1
     return data
 
 

@@ -9,6 +9,15 @@ isomorphism; a ``PlanarTree`` keeps them in written order.  A ``Forest`` is a
 multiset of rooted trees (stored sorted), an ``OrderedForest`` a sequence
 of planar trees.  No tree or forest equals one of the other kind.
 
+Trees and forests are interned (hash-consed): each kind keeps a table
+from the tuple of its (already interned) children or members to a weak
+reference to the one live object built from them, and the constructor
+returns that object when there is one.  So equal values are the same
+object, and equality and hashing are the identity defaults, which run in
+C.  An entry goes away with the last reference to its object.  The tables
+are not caches: ``clear_caches`` leaves them alone, since a tree built
+after emptying them would not equal a live one built before.
+
 ``b_plus`` grafts the members of a forest onto a new common root and
 ``b_minus`` removes the root again; for either kind they are inverse
 bijections between forests with n vertices and trees with n + 1.
@@ -16,36 +25,73 @@ bijections between forests with n vertices and trees with n + 1.
 
 from itertools import groupby, product
 from math import factorial
+from operator import attrgetter
+from weakref import ref
 
 from .foundations import memo, memo_table, multiset_permutations
 
+_tree_key = attrgetter("size", "encoding")
+_encoding = attrgetter("encoding")
+_size = attrgetter("size")
 
-def _tree_key(t):
-    return (t.size, t.encoding)
+
+class _Entry(ref):
+    """A table's weak reference to an interned object, which carries the
+    object's key so that it can remove its entry."""
+
+    __slots__ = ("key",)
+
+
+class _InternTable(dict):
+    """One kind's intern table: the tuple of children (or members) of each
+    live object -> an ``_Entry`` for it, removed when the object dies.
+    ``weakref.WeakValueDictionary`` does the same, but runs its lookups
+    and inserts in Python; here a hit is one ``dict.get`` and one call of
+    the reference, both in C."""
+
+    def __init__(self):
+        super().__init__()
+        self._on_death = self._remove  # one bound method for every entry
+
+    def add(self, key, obj):
+        entry = _Entry(obj, self._on_death)
+        entry.key = key
+        self[key] = entry
+        return obj
+
+    def _remove(self, entry):
+        # the key may already belong to a newer object
+        if self.get(entry.key) is entry:
+            del self[entry.key]
 
 
 class _Tree:
     """Rooted tree; the subclass's ``ordered`` says whether the children
-    keep their written order or are put in the canonical one."""
+    keep their written order or are put in the canonical one.  Interned:
+    the constructor returns the live tree of this kind with these children
+    if there is one."""
 
-    __slots__ = ("children", "encoding", "size", "_hash")
+    __slots__ = ("children", "encoding", "size", "__weakref__")
 
-    def __init__(self, children=()):
-        kids = tuple(children if self.ordered else sorted(children, key=_tree_key))
+    def __new__(cls, children=()):
+        kids = tuple(children) if cls.ordered else tuple(sorted(children, key=_tree_key))
+        entry = cls._interned.get(kids)
+        if entry is not None and (self := entry()) is not None:
+            return self
+        self = object.__new__(cls)
         self.children = kids
-        self.encoding = "[%s]" % "".join(c.encoding for c in kids)
-        self.size = 1 + sum(c.size for c in kids)
-        self._hash = hash(self.encoding)
+        self.encoding = "[%s]" % "".join(map(_encoding, kids))
+        self.size = 1 + sum(map(_size, kids))
+        return cls._interned.add(kids, self)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the table, not by filling the
+        # slots of an object that ``cls()`` returned
+        return (type(self), (self.children,))
 
     @property
     def sort_key(self):
         return (self.size, self.encoding)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.encoding == other.encoding
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"{self.__class__.__name__}({self.encoding!r})"
@@ -53,25 +99,26 @@ class _Tree:
 
 class _Forest:
     """Forest of ``tree_type`` trees, kept in order as that kind keeps
-    its children."""
+    its children; interned as trees are."""
 
-    __slots__ = ("trees", "degree", "_hash")
+    __slots__ = ("trees", "degree", "__weakref__")
 
-    def __init__(self, trees=()):
-        ts = tuple(trees if self.ordered else sorted(trees, key=_tree_key))
+    def __new__(cls, trees=()):
+        ts = tuple(trees) if cls.ordered else tuple(sorted(trees, key=_tree_key))
+        entry = cls._interned.get(ts)
+        if entry is not None and (self := entry()) is not None:
+            return self
+        self = object.__new__(cls)
         self.trees = ts
-        self.degree = sum(t.size for t in ts)
-        self._hash = hash(tuple(t.encoding for t in ts))
+        self.degree = sum(map(_size, ts))
+        return cls._interned.add(ts, self)
+
+    def __reduce__(self):
+        return (type(self), (self.trees,))
 
     @property
     def sort_key(self):
         return (self.degree, tuple(t.sort_key for t in self.trees))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         members = ("," if self.ordered else " ").join(t.encoding for t in self.trees)
@@ -84,6 +131,7 @@ class RootedTree(_Tree):
 
     __slots__ = ()
     ordered = False
+    _interned = _InternTable()
 
 
 class PlanarTree(_Tree):
@@ -91,6 +139,7 @@ class PlanarTree(_Tree):
 
     __slots__ = ()
     ordered = True
+    _interned = _InternTable()
 
 
 class Forest(_Forest):
@@ -99,6 +148,7 @@ class Forest(_Forest):
     __slots__ = ()
     ordered = False
     tree_type = RootedTree
+    _interned = _InternTable()
 
 
 class OrderedForest(_Forest):
@@ -107,6 +157,7 @@ class OrderedForest(_Forest):
     __slots__ = ()
     ordered = True
     tree_type = PlanarTree
+    _interned = _InternTable()
 
 
 RootedTree.forest_type = Forest
@@ -180,8 +231,9 @@ def _trees(n, kind):
 
 
 def _forests(n, kind):
-    lists = _child_lists(n, kind.tree_type)
-    return tuple(sorted(map(kind, lists), key=lambda f: f.sort_key))
+    # _child_lists lists them in the lexicographic order of their members,
+    # which is the order of the forests' sort_key
+    return tuple(map(kind, _child_lists(n, kind.tree_type)))
 
 
 @memo

@@ -919,8 +919,8 @@ def _suite_enumeration_counts(d: int) -> list[IdentityResult]:
 # ------------------------------------------------------------ registry
 
 _SUITES = {
-    "hopf-axioms": (5, 6, _suite_hopf_axioms),
-    "hexagon": (6, 7, _suite_hexagon),
+    "hopf-axioms": (5, 7, _suite_hopf_axioms),
+    "hexagon": (6, 8, _suite_hexagon),
     "dualities": (5, 7, _suite_dualities),
     "divided-powers": (6, 7, _suite_divided_powers),
     "zstar-intertwine": (6, 7, _suite_zstar_intertwine),

@@ -11,7 +11,9 @@ import pytest
 
 import treehopf
 import treehopf.cli
-from treehopf.cli import CHAIN_CAP, TERM_CAP, build_parser, main, parse_element
+import treehopf.hopf_planar
+import treehopf.hopf_rooted
+from treehopf.cli import CHAIN_CAP, GRAFT_CAP, TERM_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb
 from treehopf.trees import rooted_from_string as rt, Forest
 from treehopf.hopf_rooted import KT
@@ -155,7 +157,7 @@ def test_verify_bound_refusal(capsys):
         capsys, "verify", "--suite", "hexagon", "--max-degree", "9"
     )
     assert code == 2
-    assert "cap is 7" in err
+    assert "cap is 8" in err
 
 
 def test_verify_unknown_suite_usage_error(capsys):
@@ -247,6 +249,39 @@ def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypat
     assert len(err.splitlines()) == 1
     assert run(capsys, "counit", "--algebra", "sym", "h45") == (0, "0\n", "")
     assert run(capsys, "counit", "--algebra", "sym", f"e{CHAIN_CAP}") == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("algebra, left, right, message", [
+    ("kt", "[[][]]", "l325", "this product would graft 52,975 attachment choices, "
+     f"rebuilding roughly 2,832,281,887 vertices; the cap is {GRAFT_CAP:,}"),
+    ("kt", "[[][]] + [[[]]]", "l1000", "this product would graft 501,500 attachment choices"),
+    ("kp", "p[[][][][][][][][][]]", "l60", "this product would graft 17,722,355,795,375 "),
+])
+def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monkeypatch,
+                                                                   algebra, left, right,
+                                                                   message):
+    def graft(*args):
+        raise AssertionError("a tree was grafted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treehopf.hopf_rooted, "_grafts", graft)
+        patch.setattr(treehopf.hopf_planar, "_grafts", graft)
+        code, out, err = run(capsys, "product", "--algebra", algebra, left, right)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_grafting_products_below_the_cap_are_answered(capsys):
+    # 3,240 choices into trees of 82 vertices: about 10.9 million
+    code, out, err = run(capsys, "product", "--algebra", "kt", "[[][]]", "l80")
+    assert (code, err) == (0, "")
+    assert {term.count("[") for term in out.split(" + ")} == {82}
+    # the largest kp product of the benchmark's pool, about 4.5e5, stays far below
+    code, out, err = run(capsys, "product", "--algebra", "kp", "p[[][][][][]]",
+                         "p[[[[[[[]]]]]]]")
+    assert (code, err) == (0, "")
+    assert 10 * 6188 * 11 ** 2 // 2 < GRAFT_CAP
 
 
 def test_phi_of_e25_is_the_25_vertex_ladder(capsys):

@@ -207,3 +207,18 @@ def test_maps_preserve_grading():
 def test_Z_star_rational_linearity():
     x = s(forest("[[]]"), Fraction(1, 2)) - 3 * s(forest("[]"))
     assert Z_star(x) == Fraction(1, 2) * s((1, 1)) - 3 * s((1,))
+
+
+def test_hexagon_maps_give_integer_input_int_coefficients():
+    # 1/n! enters through epsilon; the sums it takes part in come out
+    # whole, and are then ints, not Fractions with denominator 1
+    def ints(a):
+        return all(type(c) is int for _, c in a.items())
+
+    for n in range(1, 7):
+        x = LinComb({comp: i + 1 for i, comp in enumerate(compositions_of(n))})
+        assert ints(rho_star(Z(x)))
+        assert ints(Phi_star(rho_star(Z(x))))
+        assert ints(Phi_star(LinComb({t: 2 for t in KP.basis(n)})))
+        assert ints(Z_star(LinComb({f: 3 for f in forests_of_degree(n)})))
+        assert ints(Z_star(rho(Phi(x))))

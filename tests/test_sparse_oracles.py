@@ -10,9 +10,13 @@ assignment and dropped the repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
 the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, and the hopf-axioms
-estimate as a triple sum."""
+estimate as a triple sum.  Interned trees and forests are checked against
+equality of kind and encoding, and the rooted-tree classes against
+``networkx``'s rooted tree isomorphism."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -32,7 +36,7 @@ from treehopf.foundations import (
 from treehopf.hopf import tensor_map, tensor_mult
 from treehopf.hopf_planar import HF, KP
 from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
-from treehopf.morphisms import MAP_TABLE, Z_star
+from treehopf.morphisms import MAP_TABLE, Z_star, kbar
 from treehopf.pairings import (
     check_duality_criterion,
     check_pairing_compatibility,
@@ -48,16 +52,33 @@ from treehopf.pairings import (
     pair_ns_qs,
     pair_tensor,
 )
-from treehopf.symfun import NSYM, QSYM, SYM, collect_sym, e, e_to_m, include_sym, m_to_e
+from treehopf.symfun import (
+    NSYM,
+    QSYM,
+    SYM,
+    _monomial_expansion,
+    collect_sym,
+    e,
+    e_to_m,
+    include_sym,
+    m_to_e,
+)
 from treehopf.trees import (
+    Forest,
+    OrderedForest,
     PlanarTree,
     RootedTree,
     _tree_key,
     b_minus,
     b_plus,
+    enumerate_planar,
     enumerate_rooted,
     forests_of_degree,
+    forget_order,
+    ordered_forests_of_degree,
     planar_fiber,
+    planar_from_string,
+    rooted_from_string,
     sym_order,
 )
 from treehopf.verify import (
@@ -847,6 +868,184 @@ def test_planar_fiber_matches_the_permutations_through_9_vertices(fresh_caches):
             assert planar_fiber(t) == planar_fiber_by_permutations(t, memo), t
 
 
+def monomial_expansion_by_placement(comp, nvars):
+    """The recursion that placed one part at a time on a variable after
+    the last one, summing as it went."""
+    k, data = len(comp), {}
+
+    def place(pos, var, expo):
+        if pos == k:
+            data[tuple(expo)] = data.get(tuple(expo), 0) + 1
+            return
+        for v in range(var, nvars - (k - pos) + 1):
+            expo[v] = comp[pos]
+            place(pos + 1, v + 1, expo)
+            expo[v] = 0
+
+    place(0, 0, [0] * nvars)
+    return data
+
+
+def test_monomial_expansion_matches_the_placement_recursion():
+    for n in range(8):
+        for comp in compositions_of(n):
+            for nvars in range(9):
+                want = monomial_expansion_by_placement(comp, nvars)
+                got = _monomial_expansion(comp, nvars)
+                assert got == want and list(got) == list(want), (comp, nvars)
+
+
+def test_kbar_and_the_monomial_expansion_leave_no_cyclic_garbage(fresh_caches):
+    # their recursions used to hold their working tables in reference
+    # cycles, which only the cyclic collector frees
+    forest = Forest([rooted_from_string("[[[]][]]"), rooted_from_string("[[][][]]")])
+    gc.collect()
+    gc.disable()
+    try:
+        assert kbar(s(forest)) == Z_star(s(forest))
+        assert len(_monomial_expansion((2, 1, 1), 6)) == 20
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_hopf_axioms_estimate_matches_the_triple_sum():
     for n in range(41):
         assert _ESTIMATES["hopf-axioms"](n) == hopf_axioms_estimate_by_triples(n), n
+
+
+# ------------------------------------------------------------- interning
+
+def _shuffled(t, rng):
+    """The bracket string of t with the children of every vertex shuffled."""
+    kids = [_shuffled(c, rng) for c in t.children]
+    rng.shuffle(kids)
+    return "[" + "".join(kids) + "]"
+
+
+def _value(x):
+    """What makes two trees or forests equal: their kind and encoding."""
+    if isinstance(x, (RootedTree, PlanarTree)):
+        return type(x), x.encoding
+    return type(x), tuple(t.encoding for t in x.trees)
+
+
+def _interning_faults(objects):
+    """The values among ``objects`` held by more than one object, and the
+    objects that hold more than one value: both empty exactly when
+    ``a is b`` ⇔ equal kind and encoding, over all pairs."""
+    ids_of, values_of = {}, {}
+    for x in objects:
+        ids_of.setdefault(_value(x), set()).add(id(x))
+        values_of.setdefault(id(x), set()).add(_value(x))
+    return ([v for v, ids in ids_of.items() if len(ids) > 1],
+            [vs for vs in values_of.values() if len(vs) > 1])
+
+
+def _built_two_ways(max_vertices, max_degree, rng):
+    """Every tree of up to ``max_vertices`` vertices and every forest of up
+    to ``max_degree`` of both kinds, from the enumerations and again from
+    parsed bracket strings: rooted ones with shuffled children, and as
+    ``forget_order`` of each planar tree over them."""
+    out = []
+    for n in range(1, max_vertices + 1):
+        for t in enumerate_rooted(n):
+            out += [t, rooted_from_string(_shuffled(t, rng))]
+            out += map(forget_order, planar_fiber(t))
+        for t in enumerate_planar(n):
+            out += [t, planar_from_string(t.encoding)]
+    for n in range(max_degree + 1):
+        for f in forests_of_degree(n):
+            trees = [rooted_from_string(_shuffled(t, rng)) for t in f.trees]
+            rng.shuffle(trees)
+            out += [f, Forest(trees)]
+        for f in ordered_forests_of_degree(n):
+            out += [f, OrderedForest(planar_from_string(t.encoding) for t in f.trees)]
+    return out
+
+
+def test_equal_trees_and_forests_are_one_object():
+    objects = _built_two_ways(9, 7, random.Random(11))
+    # each rooted tree enumerated, parsed, and forgotten from each planar
+    # tree over it; each planar tree and each forest of either kind twice
+    assert len(objects) == 2 * 486 + 3 * 2056 + 2 * 200 + 2 * 626
+    assert _interning_faults(objects) == ([], [])
+    # the twin kinds share encodings but never an object
+    assert RootedTree() is not PlanarTree() and Forest() is not OrderedForest()
+
+
+def test_a_table_that_forgets_is_caught(monkeypatch, fresh_caches):
+    class Forgetful(type(RootedTree._interned)):
+        def get(self, key, default=None):
+            return default
+
+    monkeypatch.setattr(RootedTree, "_interned", Forgetful())
+    duplicated, _ = _interning_faults(_built_two_ways(4, 0, random.Random(11)))
+    assert (RootedTree, "[[][[]]]") in duplicated
+    assert all(kind is RootedTree for kind, _ in duplicated)
+
+
+def test_identity_survives_clear_caches():
+    t = rooted_from_string("[[][[]]]")
+    f = Forest((t, t))
+    clear_caches()
+    assert rooted_from_string("[[[]][]]") is t
+    assert Forest((rooted_from_string("[[[]][]]"),) * 2) is f
+
+
+def test_an_unreferenced_tree_leaves_its_table():
+    t = PlanarTree([planar_from_string("[[[]][]]")] * 7)
+    key, ref = t.children, weakref.ref(t)
+    assert PlanarTree._interned[key]() is t
+    f = OrderedForest(key)
+    fkey, fref = f.trees, weakref.ref(f)
+    del t, f
+    gc.collect()
+    assert ref() is None and fref() is None
+    assert key not in PlanarTree._interned and fkey not in OrderedForest._interned
+
+
+def _networkx_tree(t, nx):
+    g = nx.Graph()
+    g.add_node(0)
+
+    def walk(node, idx):
+        me = idx
+        for c in node.children:
+            g.add_edge(me, idx + 1)
+            idx = walk(c, idx + 1)
+        return idx
+
+    walk(t, 0)
+    return g
+
+
+def _rooted_invariant(g, nx):
+    """A rooted-tree isomorphism invariant, to skip pairs that cannot be
+    isomorphic: each vertex's depth and degree."""
+    depth = nx.single_source_shortest_path_length(g, 0)
+    return tuple(sorted((depth[v], g.degree(v)) for v in g))
+
+
+def test_interned_classes_are_the_networkx_isomorphism_classes():
+    nx = pytest.importorskip("networkx")
+    iso = nx.algorithms.isomorphism.rooted_tree_isomorphism
+    for n in range(1, 10):
+        # classes of the planar trees under networkx's rooted isomorphism
+        reps, classes = {}, []
+        for p in enumerate_planar(n):
+            g = _networkx_tree(p, nx)
+            bucket = reps.setdefault(_rooted_invariant(g, nx), [])
+            for h, members in bucket:
+                if iso(g, 0, h, 0):
+                    members.append(p)
+                    break
+            else:
+                bucket.append((g, [p]))
+                classes.append(bucket[-1][1])
+        by_object = {}
+        for p in enumerate_planar(n):
+            by_object.setdefault(forget_order(p), []).append(p)
+        assert len(classes) == len(by_object) == rooted_count(n)
+        assert sorted(sorted(map(id, c)) for c in classes) == sorted(
+            sorted(map(id, c)) for c in by_object.values())

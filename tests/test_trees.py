@@ -1,7 +1,9 @@
 """Tree data types: canonical forms, enumeration, symmetry, planar fibers."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -220,6 +222,14 @@ def test_forest_enumeration_counts():
         assert len(ordered_forests_of_degree(n)) == CATALAN[n]
 
 
+def test_forest_enumerations_are_in_sort_key_order():
+    # built in the order their member lists are generated, without a sort
+    for n in range(9):
+        for fs in (forests_of_degree(n), ordered_forests_of_degree(n)):
+            assert list(fs) == sorted(fs, key=lambda f: f.sort_key)
+            assert len(set(fs)) == len(fs)
+
+
 def test_forget_order_and_fiber():
     assert forget_order(planar_from_string("[[[]][]]")) == rooted_from_string(
         "[[][[]]]"
@@ -247,3 +257,27 @@ def test_ladders():
     assert not is_ladder(rooted_from_string("[[][]]"))
     # a ladder admits exactly one planar layout
     assert planar_fiber(ladder(4)) == (planar_ladder(4),)
+
+
+def _trees_and_forests():
+    for n in range(1, 6):
+        yield from enumerate_rooted(n)
+        yield from enumerate_planar(n)
+    for n in range(5):
+        yield from forests_of_degree(n)
+        yield from ordered_forests_of_degree(n)
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    for x in _trees_and_forests():
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+    # a copy built through ``cls()`` would have overwritten these
+    assert (LEAF.encoding, LEAF.children, LEAF.size) == ("[]", (), 1)
+    assert (PLANAR_LEAF.encoding, PLANAR_LEAF.children, PLANAR_LEAF.size) == ("[]", (), 1)
+    assert (EMPTY_FOREST.trees, EMPTY_FOREST.degree) == ((), 0)
+    assert (EMPTY_ORDERED_FOREST.trees, EMPTY_ORDERED_FOREST.degree) == ((), 0)
+    assert RootedTree() is LEAF and PlanarTree() is PLANAR_LEAF
+    assert Forest() is EMPTY_FOREST and OrderedForest() is EMPTY_ORDERED_FOREST

@@ -126,10 +126,10 @@ def test_bound_refusal_names_cap_and_estimate():
     msg = str(exc.value)
     assert "hexagon" in msg
     assert "max_degree 9" in msg
-    assert "cap is 7" in msg
-    assert "--max-degree 7" in msg
+    assert "cap is 8" in msg
+    assert "--max-degree 8" in msg
     with pytest.raises(SuiteBoundError):
-        run_suite("hopf-axioms", 7)
+        run_suite("hopf-axioms", 8)
     with pytest.raises(SuiteBoundError):
         run_suite("dualities", 8)
 
