@@ -80,12 +80,9 @@ TERM_CAP = 100_000
 # subtrees' encodings; [[][]] into l80 is 10.9 million
 GRAFT_CAP = 20_000_000
 
-# algebra whose basis is written as part lists -> (basis letter, context word)
-_PART_LISTS = {
-    "sym": ("m", "symmetric"),
-    "qsym": ("M", "quasi-symmetric"),
-    "nsym": ("E", "noncommutative"),
-}
+# algebra whose basis is written as part lists (after its ``letter``) ->
+# the context word of its parse errors
+_PART_LISTS = {"sym": "symmetric", "qsym": "quasi-symmetric", "nsym": "noncommutative"}
 
 
 class ParseError(ValueError):
@@ -191,7 +188,6 @@ class _Parser:
         return LinComb.single(key)
 
     def part_atom(self, name, ch) -> LinComb:
-        letter, word = _PART_LISTS[name]
         if name == "sym" and ch in "ehp":
             self.pos += 1
             k = self.integer("basis index")
@@ -204,8 +200,8 @@ class _Parser:
             if ch == "h" and (n := [partition_count(j) for j in range(k + 1)][-1]) > TERM_CAP:
                 raise ValueError(f"h{k} has {n:,} terms, more than the cap {TERM_CAP:,}")
             return {"e": e, "h": h, "p": p}[ch](k)
-        if ch != letter:
-            self.error(f"unexpected {ch!r} in {word} context")
+        if ch != self.algebra.letter:
+            self.error(f"unexpected {ch!r} in {_PART_LISTS[name]} context")
         self.pos += 1
         parts = self.comma_list(self.part)
         if name == "sym":  # a partition lists its parts in weakly decreasing order

@@ -57,6 +57,7 @@ def attachment_points(t: PlanarTree) -> list[tuple[int, int]]:
         return idx
 
     walk(t, 0)
+    del walk  # it refers to itself: unbind it, so that no cycle is left
     return out
 
 

@@ -196,7 +196,11 @@ def kappa(n: int) -> LinComb:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return KT.one()
-    return LinComb.trusted({t: Fraction(1, sym_order(t)) for t in enumerate_rooted(n + 1)})
+    # a weight 1 stays an int, so that only genuine fractions pay Fraction arithmetic
+    return LinComb.trusted({
+        t: Fraction(1, order) if (order := sym_order(t)) > 1 else 1
+        for t in enumerate_rooted(n + 1)
+    })
 
 
 @memo

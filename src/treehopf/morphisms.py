@@ -105,7 +105,7 @@ def _z_key(comp):
     return KT.product(_z_key(comp[:-1]), epsilon(comp[-1]))
 
 
-_ZSTAR_MEMO: dict[str, LinComb] = memo_table()
+_ZSTAR_MEMO: dict[RootedTree, LinComb] = memo_table()
 
 
 def Z_star(a: LinComb) -> LinComb:
@@ -122,10 +122,10 @@ def _zstar_forest(trees) -> LinComb:
 
 
 def _zstar_tree(t: RootedTree) -> LinComb:
-    enc = t.encoding
-    if enc not in _ZSTAR_MEMO:
-        _ZSTAR_MEMO[enc] = alpha_plus(_zstar_forest(t.children))
-    return _ZSTAR_MEMO[enc]
+    out = _ZSTAR_MEMO.get(t)
+    if out is None:
+        out = _ZSTAR_MEMO[t] = alpha_plus(_zstar_forest(t.children))
+    return out
 
 
 def kbar(a: LinComb) -> LinComb:

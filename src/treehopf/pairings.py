@@ -19,9 +19,10 @@ check_duality_criterion machine-checks the three hypotheses under which a
 degree-preserving linear map psi: A -> B exhibits B as the graded dual of
 A: psi preserves inner products, and it exchanges product against
 coproduct in both directions.  check_pairing_compatibility checks that a
-pairing of A with B exchanges product against coproduct.  Both compare
-rows of elements, and reach keys of the other side through a transposed
-index ``{k: {j: c}}`` (``_transpose``), itself a linear image.
+pairing of A with B exchanges product against coproduct.  Every such
+exchange is one ``_exchange`` of two sparse rows over a third key, which
+reaches the coproducts of the third keys through a transposed index
+``{k: {j: c}}`` (``_transpose``).
 """
 
 from dataclasses import dataclass
@@ -113,8 +114,12 @@ def _key_pairs(alg, n):
                 yield k1, k2
 
 
-def _single_product(alg, k1, k2):
-    return alg.product(LinComb.single(k1), LinComb.single(k2))
+def _exchange(product_row: LinComb, row1, row2, cop: dict, pos: dict):
+    """The least position ``pos[k]`` of a third key k at which <k1 k2, k>,
+    given as ``product_row``, differs from <k1 (x) k2, coproduct(k)>, read
+    from the rows of k1 and k2 through ``cop``, the ``_transpose`` of the
+    coproducts of the third keys; or None."""
+    return _first_mismatch(product_row, _through(cop, LinComb.tensor(row1, row2)), pos)
 
 
 # --------------------------------------------------------------- checkers
@@ -126,35 +131,27 @@ def check_pairing_compatibility(A, B, pairing, max_degree: int) -> str | None:
       <w, y z> = <coproduct(w), y (x) z>    (w in A, y, z in B)
 
     on basis keys, or None.  Per degree n <= max_degree every x, y comes
-    first, then every y, z, and the third key varies fastest.  Both sides
-    are sparse rows over the third key."""
-    row = pairing.row
+    first, then every y, z, and the third key varies fastest.  Each
+    identity is one ``_exchange`` per pair of keys: the rows of keys of A
+    are ``pairing.row``, and those of keys of B are its transpose."""
     cols = {}  # key b of B -> {a: <a, b>} over the keys a of A
+    directions = (
+        (A, B, pairing.row, False),
+        # the counterexample names the key w of A first
+        (B, A, lambda k: cols.get(k, {}), True),
+    )
     for n in range(max_degree + 1):
-        zs = B.basis(n)
-        pos = {z: j for j, z in enumerate(zs)}
-        cop = _transpose((z, B.coproduct(LinComb.single(z))) for z in zs)
-        for kx, ky in _key_pairs(A, n):
-            left = _single_product(A, kx, ky).apply_linear(row)
-            j = _first_mismatch(left, _through(cop, LinComb.tensor(row(kx), row(ky))), pos)
-            if j is not None:
-                return " , ".join(
-                    alg.format(LinComb.single(k))
-                    for alg, k in ((A, kx), (A, ky), (B, zs[j]))
-                )
-        ws = A.basis(n)
-        _transpose(((w, row(w)) for w in ws), cols)
-        pos = {w: j for j, w in enumerate(ws)}
-        cop = _transpose((w, A.coproduct(LinComb.single(w))) for w in ws)
-        for ky, kz in _key_pairs(B, n):
-            left = _through(cols, _single_product(B, ky, kz))
-            right = LinComb.tensor(cols.get(ky, {}), cols.get(kz, {}))
-            j = _first_mismatch(left, _through(cop, right), pos)
-            if j is not None:
-                return " , ".join(
-                    alg.format(LinComb.single(k))
-                    for alg, k in ((A, ws[j]), (B, ky), (B, kz))
-                )
+        _transpose(((w, pairing.row(w)) for w in A.basis(n)), cols)
+        for P, Q, row, third_first in directions:
+            qs = Q.basis(n)
+            pos = {q: j for j, q in enumerate(qs)}
+            cop = _transpose((q, Q._ck(q)) for q in qs)
+            for k1, k2 in _key_pairs(P, n):
+                j = _exchange(P._pk(k1, k2).apply_linear(row), row(k1), row(k2), cop, pos)
+                if j is not None:
+                    keys = [P.key_str(k1), P.key_str(k2)]
+                    keys.insert(0 if third_first else 2, Q.key_str(qs[j]))
+                    return " , ".join(keys)
     return None
 
 
@@ -208,28 +205,20 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
             if j is not None:
                 return CriterionReport(
                     False, checked + j - i + 1, "a",
-                    f"degree {n}: {A.format(LinComb.single(k))} , "
-                    f"{A.format(LinComb.single(keys[j]))}",
+                    f"degree {n}: {A.key_str(k)} , {A.key_str(keys[j])}",
                 )
             checked += len(keys) - i
     for n in range(max_degree + 1):
         keys = A.basis(n)
         pos = {k: i for i, k in enumerate(keys)}
-        cop_A = _transpose((k, A.coproduct(LinComb.single(k))) for k in keys)
+        cop_A = _transpose((k, A._ck(k)) for k in keys)
         cop_B = _transpose((k, B.coproduct(images[k])) for k in keys)
         for k1, k2 in _key_pairs(A, n):
-            prod_A = _single_product(A, k1, k2)
-            prod_B = B.product(images[k1], images[k2])
-            jb = _first_mismatch(
-                prod_A.apply_linear(ip_A.row),
-                _through(cop_B, LinComb.tensor(paired[k1], paired[k2])),
-                pos,
-            )
-            jc = _first_mismatch(
-                _through(cop_A, LinComb.tensor(ip_A.row(k1), ip_A.row(k2))),
-                _through(psi_index[n], prod_B.apply_linear(ip_B.row)),
-                pos,
-            )
+            prod_B = B.product(images[k1], images[k2]).apply_linear(ip_B.row)
+            jb = _exchange(A._pk(k1, k2).apply_linear(ip_A.row),
+                           paired[k1], paired[k2], cop_B, pos)
+            jc = _exchange(_through(psi_index[n], prod_B),
+                           ip_A.row(k1), ip_A.row(k2), cop_A, pos)
             if jb is None and jc is None:
                 checked += 2 * len(keys)
                 continue

@@ -170,6 +170,7 @@ def _column_sums(lam, mu):
                  tuple(map(sub, free, t)))
 
     fuse(0, (), 1, tuple(partners.values()))
+    del fuse  # it refers to itself: unbind it, so that no cycle is left
     return out
 
 

@@ -261,6 +261,7 @@ def _child_lists(m: int, kind) -> tuple[tuple, ...]:
             acc.pop()
 
     grow(m, 0, [])
+    del grow  # it refers to itself: unbind it, so that no cycle is left
     return tuple(out)
 
 

@@ -260,6 +260,7 @@ def _dyck_planar(n: int) -> set[str]:
             walk(prefix + "]", opened, closed + 1)
 
     walk("", 0, 0)
+    del walk  # it refers to itself: unbind it, so that no cycle is left
     return out
 
 

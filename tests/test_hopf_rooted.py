@@ -114,10 +114,12 @@ def test_kappa_values():
         + s(rt("[[][[]]]"))
         + s(rt("[[][][]]"), Fraction(1, 6))
     )
-    # weights are reciprocal symmetry orders over all trees of each size
+    # weights are reciprocal symmetry orders over all trees of each size,
+    # and a weight 1 is an int, not Fraction(1, 1)
     for n in range(1, 6):
         k = kappa(n)
         assert set(k.keys()) == set(enumerate_rooted(n + 1))
+        assert all(type(c) is (int if c == 1 else Fraction) for _, c in k.items()), n
 
 
 def test_epsilon_is_scaled_corolla():

@@ -12,6 +12,7 @@ from treehopf.morphisms import (
     Phi,
     Phi_star,
     Z,
+    _ZSTAR_MEMO,
     Z_star,
     kbar,
     phi,
@@ -23,6 +24,7 @@ from treehopf.morphisms import (
 from treehopf.trees import (
     Forest,
     OrderedForest,
+    RootedTree,
     enumerate_rooted,
     forests_of_degree,
     ladder,
@@ -136,6 +138,8 @@ def test_Z_star_values():
     assert got == want
     # multiplicative on disjoint unions
     assert Z_star(s(forest("[]", "[]"))) == QSYM.product(s((1,)), s((1,)))
+    # memoized by the interned trees themselves
+    assert _ZSTAR_MEMO and all(type(t) is RootedTree for t in _ZSTAR_MEMO)
 
 
 def test_Z_star_versus_level_counting():

@@ -34,7 +34,7 @@ from treehopf.foundations import (
     rearrangements,
 )
 from treehopf.hopf import tensor_map, tensor_mult
-from treehopf.hopf_planar import HF, KP
+from treehopf.hopf_planar import HF, KP, attachment_points
 from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
 from treehopf.morphisms import MAP_TABLE, Z_star, kbar
 from treehopf.pairings import (
@@ -56,6 +56,7 @@ from treehopf.symfun import (
     NSYM,
     QSYM,
     SYM,
+    _column_sums,
     _monomial_expansion,
     collect_sym,
     e,
@@ -68,6 +69,7 @@ from treehopf.trees import (
     OrderedForest,
     PlanarTree,
     RootedTree,
+    _child_lists,
     _tree_key,
     b_minus,
     b_plus,
@@ -896,14 +898,20 @@ def test_monomial_expansion_matches_the_placement_recursion():
 
 
 def test_kbar_and_the_monomial_expansion_leave_no_cyclic_garbage(fresh_caches):
-    # their recursions used to hold their working tables in reference
-    # cycles, which only the cyclic collector frees
+    # their recursions, and the recursive closures of the SYM product, the
+    # planar attachment points, the child lists and the Dyck words, used to
+    # hold their working tables in reference cycles, which only the cyclic
+    # collector frees
     forest = Forest([rooted_from_string("[[[]][]]"), rooted_from_string("[[][][]]")])
     gc.collect()
     gc.disable()
     try:
         assert kbar(s(forest)) == Z_star(s(forest))
         assert len(_monomial_expansion((2, 1, 1), 6)) == 20
+        assert len(_column_sums((2, 1), (1, 1))) == 4
+        assert len(attachment_points(planar_from_string("[[[]][]]"))) == 7
+        assert len(_child_lists(4, RootedTree)) == 9
+        assert len(treehopf.verify._dyck_planar(4)) == 5
         assert gc.collect() == 0
     finally:
         gc.enable()
