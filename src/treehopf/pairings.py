@@ -106,11 +106,12 @@ def _first_mismatch(left: LinComb, right: LinComb, pos: dict, start=0):
     )
 
 
-def _key_pairs(alg, n):
-    """Basis key pairs (k1, k2) of degrees (i, n - i), in order of i, k1, k2."""
+def _key_pairs(basis, n):
+    """Key pairs (k1, k2) of ``basis(i)`` and ``basis(n - i)``, in order of
+    i, k1, k2."""
     for i in range(n + 1):
-        for k1 in alg.basis(i):
-            for k2 in alg.basis(n - i):
+        for k1 in basis(i):
+            for k2 in basis(n - i):
                 yield k1, k2
 
 
@@ -146,7 +147,7 @@ def check_pairing_compatibility(A, B, pairing, max_degree: int) -> str | None:
             qs = Q.basis(n)
             pos = {q: j for j, q in enumerate(qs)}
             cop = _transpose((q, Q._ck(q)) for q in qs)
-            for k1, k2 in _key_pairs(P, n):
+            for k1, k2 in _key_pairs(P.basis, n):
                 j = _exchange(P._pk(k1, k2).apply_linear(row), row(k1), row(k2), cop, pos)
                 if j is not None:
                     keys = [P.key_str(k1), P.key_str(k2)]
@@ -213,7 +214,7 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
         pos = {k: i for i, k in enumerate(keys)}
         cop_A = _transpose((k, A._ck(k)) for k in keys)
         cop_B = _transpose((k, B.coproduct(images[k])) for k in keys)
-        for k1, k2 in _key_pairs(A, n):
+        for k1, k2 in _key_pairs(A.basis, n):
             prod_B = B.product(images[k1], images[k2]).apply_linear(ip_B.row)
             jb = _exchange(A._pk(k1, k2).apply_linear(ip_A.row),
                            paired[k1], paired[k2], cop_B, pos)

@@ -1,11 +1,17 @@
 """Identity verification suites.
 
 Every algebraic claim the library makes is runnable: each suite below
-exhaustively checks a family of identities on homogeneous bases up to a
-configurable degree and reports pass/fail per identity, with the first
-counterexample when one exists.  Reports are deterministic: fixed
-iteration order, and the only randomness (degree-5 spot checks of
-morphism properties) uses a hard-coded seed.
+checks a family of identities on homogeneous bases up to a configurable
+degree and reports pass/fail per identity, with the first counterexample
+when one exists.  Every check is exhaustive through the requested degree
+but one: the hexagon suite checks that its maps are Hopf morphisms
+exhaustively through degree 4, plus seeded degree-5 spot checks.
+Reports are deterministic: fixed iteration order, and the only
+randomness (those spot checks) uses a hard-coded seed.
+
+A check walks basis keys, and reads the product and coproduct of keys
+from the algebra memos (``alg._pk``, ``alg._ck``); a counterexample names
+its keys with ``key_str``.
 
 Suites refuse degree bounds past their caps with a case-count estimate
 instead of silently grinding.  A cap is the degree past which a suite
@@ -68,6 +74,7 @@ from .symfun import (
 )
 from .morphisms import MAP_TABLE, Z, Z_star, kbar, phi, phi_star, rho, tau
 from .pairings import (
+    _key_pairs,
     check_duality_criterion,
     check_pairing_compatibility,
     ip_ck,
@@ -360,10 +367,6 @@ def _gram_rank(pairing, keys) -> int:
 
 # ------------------------------------------------------------------- cases
 
-def _basis_singles(alg, n):
-    return [LinComb.single(k) for k in alg.basis(n)]
-
-
 def _keys(basis, d):
     """Cases (key, element) for the keys of ``basis(n)``, n <= d, in order."""
     for n in range(d + 1):
@@ -371,35 +374,34 @@ def _keys(basis, d):
             yield key, LinComb.single(key)
 
 
-def _split(basis, n, hoist=None):
-    """Cases (x, y, hx, kx, ky, n): basis elements x, y of keys kx, ky and
-    degrees i, n - i, in order of i, x, y.  ``hx = hoist(x)`` is computed
-    once per x."""
-    for i in range(n + 1):
-        for kx in basis(i):
-            x = LinComb.single(kx)
-            hx = hoist(x) if hoist else None
-            for ky in basis(n - i):
-                yield x, LinComb.single(ky), hx, kx, ky, n
-
-
-def _pairs(basis, d, hoist=None):
-    """The cases of ``_split`` for every total degree n <= d."""
+def _pairs(basis, d):
+    """Cases (k1, k2, n): the ``_key_pairs`` of each total degree n <= d."""
     for n in range(d + 1):
-        yield from _split(basis, n, hoist)
+        for k1, k2 in _key_pairs(basis, n):
+            yield k1, k2, n
 
 
 def _triples(alg, d):
-    """Cases (x, y, z, xy): basis elements of degrees i, j, n - i - j for
-    n <= d, in order of n, i, j, x, y, z; xy is computed once per (x, y)."""
+    """Cases (kx, ky, kz, xy): basis keys of degrees i, j, n - i - j for
+    n <= d, in order of n, i, j, kx, ky, kz, with xy the product of kx, ky."""
     for n in range(d + 1):
         for i in range(n + 1):
             for j in range(n - i + 1):
-                for x in _basis_singles(alg, i):
-                    for y in _basis_singles(alg, j):
-                        xy = alg.product(x, y)
-                        for z in _basis_singles(alg, n - i - j):
-                            yield x, y, z, xy
+                for kx in alg.basis(i):
+                    for ky in alg.basis(j):
+                        xy = alg._pk(kx, ky)
+                        for kz in alg.basis(n - i - j):
+                            yield kx, ky, kz, xy
+
+
+def _times_key(alg, a, key):
+    """The product ``a key`` of an element and a basis key."""
+    return a.apply_linear(lambda k: alg._pk(k, key))
+
+
+def _key_times(alg, key, a):
+    """The product ``key a`` of a basis key and an element."""
+    return a.apply_linear(lambda k: alg._pk(key, k))
 
 
 def _divided_powers(alg, seq, k):
@@ -422,34 +424,27 @@ _COCOMMUTATIVE = {"kt", "sym", "nsym"}
 
 
 def _coassoc_ok(alg, key):
-    cop = alg._ck(key)
-    lhs = tensor_map(cop, alg._ck, LinComb.single).map_keys(
-        lambda pair: (pair[0][0], pair[0][1], pair[1])
-    )
-    rhs = tensor_map(cop, LinComb.single, alg._ck).map_keys(
-        lambda pair: (pair[0], pair[1][0], pair[1][1])
-    )
+    """Both ways of applying the coproduct twice to a key agree, as sums
+    over key triples."""
+    ck = alg._ck
+    lhs = ck(key).apply_linear(lambda p: {(a, b, p[1]): c for (a, b), c in ck(p[0]).items()})
+    rhs = ck(key).apply_linear(lambda p: {(p[0], a, b): c for (a, b), c in ck(p[1]).items()})
     return lhs == rhs
 
 
-def _counit_ok(alg, key):
+def _counit_ok(alg, key, x):
     cop = alg._ck(key)
     unit = alg.unit_key()
     left = cop.filter_keys(lambda pair: pair[0] == unit).map_keys(lambda pair: pair[1])
     right = cop.filter_keys(lambda pair: pair[1] == unit).map_keys(lambda pair: pair[0])
-    x = LinComb.single(key)
     return left == x and right == x
 
 
-def _antipode_convolution_ok(alg, key):
+def _antipode_convolution_ok(alg, key, x):
     cop = alg._ck(key)
-    left = cop.apply_linear(
-        lambda pair: alg.product(alg.antipode_key(pair[0]), LinComb.single(pair[1]))
-    )
-    right = cop.apply_linear(
-        lambda pair: alg.product(LinComb.single(pair[0]), alg.antipode_key(pair[1]))
-    )
-    target = alg.counit(LinComb.single(key)) * alg.one()
+    left = cop.apply_linear(lambda pair: _times_key(alg, alg.antipode_key(pair[0]), pair[1]))
+    right = cop.apply_linear(lambda pair: _key_times(alg, pair[0], alg.antipode_key(pair[1])))
+    target = alg.counit(x) * alg.one()
     return left == target and right == target
 
 
@@ -458,44 +453,40 @@ def _grading_cases(alg, d):
     of the terms of the product of each basis pair, then of the coproduct
     of each basis key; ``parts`` holds the keys involved."""
     for n in range(d + 1):
-        for x, y, _, kx, ky, _ in _split(alg.basis, n):
-            yield n, [alg.degree(k) for k in alg.product(x, y)], (kx, ky)
+        for kx, ky in _key_pairs(alg.basis, n):
+            yield n, [alg.degree(k) for k in alg._pk(kx, ky)], (kx, ky)
         for key in alg.basis(n):
             cop = alg._ck(key)
             yield n, [alg.degree(k1) + alg.degree(k2) for k1, k2 in cop], (key,)
 
 
 def _axioms(alg, d):
-    """The Hopf algebra axioms of one algebra on its basis through degree d.
-    A basis element formats as its key string, so ``alg.format(x)`` and
-    ``alg.key_str(key)`` name a counterexample alike."""
-    fmt = alg.format
-    key_text = lambda key, x: alg.key_str(key)
-    pair_text = lambda x, y, *_: f"{fmt(x)} , {fmt(y)}"
+    """The Hopf algebra axioms of one algebra on its basis through degree d."""
+    pk, ck, text = alg._pk, alg._ck, alg.key_str
+    unit = alg.unit_key()
+    key_text = lambda key, x: text(key)
+    pair_text = lambda kx, ky, n: f"{text(kx)} , {text(ky)}"
     keys = lambda: _keys(alg.basis, d)
     rows = [
         ("product is associative", _triples(alg, d),
-         lambda x, y, z, xy: alg.product(xy, z) == alg.product(x, alg.product(y, z)),
-         lambda x, y, z, xy: f"{fmt(x)} , {fmt(y)} , {fmt(z)}"),
-        ("unit laws", keys(),
-         lambda key, x: alg.product(alg.one(), x) == x == alg.product(x, alg.one()),
-         key_text),
+         lambda kx, ky, kz, xy: _times_key(alg, xy, kz) == _key_times(alg, kx, pk(ky, kz)),
+         lambda kx, ky, kz, xy: f"{text(kx)} , {text(ky)} , {text(kz)}"),
+        ("unit laws", keys(), lambda key, x: pk(unit, key) == x == pk(key, unit), key_text),
         ("coproduct is coassociative", keys(), lambda key, x: _coassoc_ok(alg, key),
          key_text),
-        ("counit laws", keys(), lambda key, x: _counit_ok(alg, key), key_text),
-        ("coproduct is an algebra morphism", _pairs(alg.basis, d, alg.coproduct),
-         lambda x, y, cx, *_: alg.coproduct(alg.product(x, y))
-         == tensor_mult(alg, cx, alg.coproduct(y)),
+        ("counit laws", keys(), lambda key, x: _counit_ok(alg, key, x), key_text),
+        ("coproduct is an algebra morphism", _pairs(alg.basis, d),
+         lambda kx, ky, n: alg.coproduct(pk(kx, ky)) == tensor_mult(alg, ck(kx), ck(ky)),
          pair_text),
         ("antipode convolution identity", keys(),
-         lambda key, x: _antipode_convolution_ok(alg, key), key_text),
+         lambda key, x: _antipode_convolution_ok(alg, key, x), key_text),
         ("operations respect the grading", _grading_cases(alg, d),
          lambda n, degrees, parts: all(m == n for m in degrees),
-         lambda n, degrees, parts: " , ".join(map(alg.key_str, parts))),
+         lambda n, degrees, parts: " , ".join(map(text, parts))),
     ]
     if alg.name in _COMMUTATIVE:
         rows.append(("product is commutative", _pairs(alg.basis, d),
-                     lambda x, y, *_: alg.product(x, y) == alg.product(y, x), pair_text))
+                     lambda kx, ky, n: pk(kx, ky) == pk(ky, kx), pair_text))
     if alg.name in _COCOMMUTATIVE:
         rows.append(("coproduct is cocommutative", keys(),
                      lambda key, x: _symmetric(alg._ck(key)), key_text))
@@ -506,12 +497,11 @@ def _axioms(alg, d):
 
 
 def _noncommuting(alg, k1, k2):
-    x, y = LinComb.single(k1), LinComb.single(k2)
-    return alg.product(x, y) != alg.product(y, x)
+    return alg._pk(k1, k2) != alg._pk(k2, k1)
 
 
 def _noncocommuting(alg, key):
-    return not _symmetric(alg.coproduct(LinComb.single(key)))
+    return not _symmetric(alg._ck(key))
 
 
 def _witnesses():
@@ -579,9 +569,9 @@ def _suite_ideh(d: int) -> list[IdentityResult]:
 
 # ------------------------------------------------------------ suite: hexagon
 
-def _spot_pairs(dom, fn, rng):
-    """Seeded cases shaped like ``_split``: _SPOT_COUNT random basis pairs
-    for each split of _SPOT_DEGREE, with fn applied to the left factor."""
+def _spot_pairs(dom, rng):
+    """Seeded cases shaped like ``_pairs``: _SPOT_COUNT random basis key
+    pairs for each split of _SPOT_DEGREE."""
     for i in range(_SPOT_DEGREE + 1):
         lows = dom.basis(i)
         highs = dom.basis(_SPOT_DEGREE - i)
@@ -590,8 +580,7 @@ def _spot_pairs(dom, fn, rng):
         for _ in range(_SPOT_COUNT):
             k1 = rng.choice(lows)
             k2 = rng.choice(highs)
-            x = LinComb.single(k1)
-            yield x, LinComb.single(k2), fn(x), k1, k2, _SPOT_DEGREE
+            yield k1, k2, _SPOT_DEGREE
 
 
 def _spot_keys(dom, rng):
@@ -614,10 +603,10 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
     plus seeded spot checks at _SPOT_DEGREE once d reaches it."""
     exhaustive = min(4, d)
     spotted = f"degree <= {exhaustive} exhaustive, degree-{_SPOT_DEGREE} spot checks"
-    pairs = _pairs(dom.basis, exhaustive, fn)
+    pairs = _pairs(dom.basis, exhaustive)
     keys = _keys(dom.basis, exhaustive)
     if d >= _SPOT_DEGREE:
-        pairs = chain(pairs, _spot_pairs(dom, fn, rng))
+        pairs = chain(pairs, _spot_pairs(dom, rng))
         keys = chain(keys, _spot_keys(dom, rng))
 
     def fk(key):
@@ -625,8 +614,8 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
 
     return [
         _check(f"{name} is multiplicative", spotted, pairs,
-               lambda x, y, fx, *_: fn(dom.product(x, y)) == cod.product(fx, fn(y)),
-               lambda x, y, *_: f"{dom.format(x)} , {dom.format(y)}"),
+               lambda kx, ky, n: fn(dom._pk(kx, ky)) == cod.product(fk(kx), fk(ky)),
+               lambda kx, ky, n: f"{dom.key_str(kx)} , {dom.key_str(ky)}"),
         _check(f"{name} is comultiplicative", spotted, keys,
                lambda key, x: cod.coproduct(fn(x)) == tensor_map(dom._ck(key), fk, fk),
                lambda key, x: dom.key_str(key)),
@@ -728,13 +717,11 @@ def _delta_cases(d):
     for n in range(d + 2):
         rows = {}
         for lam in partitions_of(n):
-            for i in range(n + 1):
-                for mu in partitions_of(i):
-                    for nu in partitions_of(n - i):
-                        if (mu, nu) not in rows:
-                            emunu = SYM.product(e_to_m_row(mu), e_to_m_row(nu))
-                            rows[mu, nu] = emunu.apply_linear(ip_sym.row)
-                        yield mu, nu, lam, rows[mu, nu][lam]
+            for mu, nu in _key_pairs(SYM.basis, n):
+                if (mu, nu) not in rows:
+                    emunu = SYM.product(e_to_m_row(mu), e_to_m_row(nu))
+                    rows[mu, nu] = emunu.apply_linear(ip_sym.row)
+                yield mu, nu, lam, rows[mu, nu][lam]
 
 
 def _suite_dualities(d: int) -> list[IdentityResult]:
@@ -860,25 +847,25 @@ def _symmetrized_product_error(x, y):
 
 def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
     degree = f"degree <= {d}"
+    pk, s = QSYM._pk, LinComb.single
     rows = [
         ("product agrees with truncated polynomial multiplication",
-         f"combined degree <= {d}", _pairs(compositions_of, d),
-         lambda x, y, _, ci, cj, n: expand_truncated(QSYM.product(x, y), n)
-         == polynomial_product(expand_truncated(x, n), expand_truncated(y, n)),
-         lambda x, y, _, ci, cj, n: f"M{ci} * M{cj}"),
-        ("stripping a trailing one is a derivation", degree,
-         _pairs(compositions_of, d, alpha_minus),
-         lambda x, y, amx, *_: alpha_minus(QSYM.product(x, y))
-         == QSYM.product(amx, y) + QSYM.product(x, alpha_minus(y)),
-         lambda x, y, _, ci, cj, n: f"M{ci} , M{cj}"),
-        ("products of symmetrized elements stay symmetric", degree,
-         _pairs(partitions_of, d),
-         lambda x, y, *_: _symmetrized_product_error(x, y) is None,
-         lambda x, y, _, mu, nu, n: f"m{mu} * m{nu}: {_symmetrized_product_error(x, y)}"),
-        ("symmetrization is multiplicative", degree, _pairs(partitions_of, d),
-         lambda x, y, *_: include_sym(SYM.product(x, y))
-         == QSYM.product(include_sym(x), include_sym(y)),
-         lambda x, y, _, mu, nu, n: f"m{mu} , m{nu}"),
+         f"combined degree <= {d}", _pairs(QSYM.basis, d),
+         lambda ci, cj, n: expand_truncated(pk(ci, cj), n)
+         == polynomial_product(expand_truncated(s(ci), n), expand_truncated(s(cj), n)),
+         lambda ci, cj, n: f"M{ci} * M{cj}"),
+        ("stripping a trailing one is a derivation", degree, _pairs(QSYM.basis, d),
+         lambda ci, cj, n: alpha_minus(pk(ci, cj))
+         == _times_key(QSYM, alpha_minus(s(ci)), cj)
+         + _key_times(QSYM, ci, alpha_minus(s(cj))),
+         lambda ci, cj, n: f"M{ci} , M{cj}"),
+        ("products of symmetrized elements stay symmetric", degree, _pairs(SYM.basis, d),
+         lambda mu, nu, n: _symmetrized_product_error(s(mu), s(nu)) is None,
+         lambda mu, nu, n: f"m{mu} * m{nu}: {_symmetrized_product_error(s(mu), s(nu))}"),
+        ("symmetrization is multiplicative", degree, _pairs(SYM.basis, d),
+         lambda mu, nu, n: include_sym(SYM._pk(mu, nu))
+         == QSYM.product(include_sym(s(mu)), include_sym(s(nu))),
+         lambda mu, nu, n: f"m{mu} , m{nu}"),
     ]
     return [_check(*row) for row in rows]
 

@@ -530,7 +530,10 @@ def compatibility_by_triples(A, B, pairing, max_degree):
     return None
 
 
-COMPATIBLE = {"nsym-qsym": (NSYM, QSYM, pair_ns_qs), "kt-hk": (KT, HK, pair_kt_ck)}
+COMPATIBLE = {"nsym-qsym": (NSYM, QSYM, pair_ns_qs), "kt-hk": (KT, HK, pair_kt_ck),
+              "kp-hf": (KP, HF, pair_kp_hf)}
+# the side of each pairing whose products have several terms
+BROKEN_SIDE = {"nsym-qsym": QSYM, "kt-hk": KT, "kp-hf": KP}
 
 
 @pytest.mark.parametrize("broken", [None] + sorted(BROKEN))
@@ -539,8 +542,7 @@ def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch
                                                        fresh_caches):
     A, B, pairing = COMPATIBLE[name]
     if broken:
-        # break the product of the side with several terms per product
-        alg = QSYM if A is NSYM else KT
+        alg = BROKEN_SIDE[name]
         product_keys = type(alg).product_keys.__get__(alg)
         monkeypatch.setitem(vars(alg), "product_keys", BROKEN[broken](product_keys))
     got = check_pairing_compatibility(A, B, pairing, 4)

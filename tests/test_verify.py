@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import treehopf.verify
+from treehopf import HF, HK, KP, KT, NSYM, QSYM, SYM
 from treehopf.cli import main
 from treehopf.foundations import LinComb, clear_caches
+from treehopf.morphisms import MAP_TABLE
 from treehopf.verify import (
     SUITE_NAMES,
     SuiteBoundError,
@@ -224,3 +226,111 @@ def test_library_detected_defect_fails_verification(concatenating_qsym, capsys, 
         line = next(l for l in out.splitlines() if "stay symmetric" in l)
         assert line.startswith("  [FAIL] products of symmetrized elements stay symmetric")
         assert "not symmetric" in out
+
+
+def _drops_last_term(coproduct_key):
+    def broken(key):
+        terms = list(coproduct_key(key).items())
+        return LinComb(terms[:-1] if len(terms) > 1 else terms)
+
+    return broken
+
+
+def _wrong_in_degree_5(dom, fn):
+    """fn with its image of degree-5 input doubled: wrong only where the
+    hexagon suite has spot checks, not exhaustive ones."""
+    return lambda x: fn(x) + fn(x.filter_keys(lambda k: dom.degree(k) == 5))
+
+
+# the failing identities and their counterexamples under each defect
+FAILURE_REPORTS = {
+    "qsym product concatenates": {
+        "qsym: coproduct is an algebra morphism": "M(1) , M(1)",
+        "qsym: product is commutative": "M(1) , M(2)",
+    },
+    "kt coproduct drops a term": {
+        "kt: coproduct is coassociative": "[[][]]",
+        "kt: counit laws": "[[]]",
+        "kt: coproduct is an algebra morphism": "[[]] , [[]]",
+        "kt: antipode convolution identity": "[[]]",
+        "kt: coproduct is cocommutative": "[[]]",
+    },
+    "hf coproduct drops a term": {
+        "hf: counit laws": "([])",
+        "hf: antipode convolution identity": "([])",
+    },
+    "tau": {"tau is multiplicative": "E(1) , E(2,2)",
+            "tau is comultiplicative": "E(1,1,1,1,1)"},
+    "phi": {"phi is multiplicative": "m(1) , m(2,1,1)",
+            "phi is comultiplicative": "m(1,1,1,1,1)"},
+    "phistar": {"phistar is multiplicative": "[[]] , [[][[[]]]]",
+                "phistar is comultiplicative": "[[][[]][[]]]"},
+    "Phi": {
+        "upper diamond: forgetting order after ladder insertion matches ladders "
+        "of the abelianization": "E(5,)",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "Phi is multiplicative": "E(1) , E(2,2)",
+        "Phi is comultiplicative": "E(5)",
+    },
+    "Phistar": {
+        "lower diamond: planar-fiber then ladder projection matches symmetrized "
+        "ladder projection": "[[[[[[]]]]]]",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "Phistar is multiplicative": "p[[]] , p[[][][[]]]",
+    },
+    "rho": {"rho is multiplicative": "([]) , ([[][]],[])",
+            "rho is comultiplicative": "([[]],[],[[]])"},
+    "rhostar": {
+        "lower diamond: planar-fiber then ladder projection matches symmetrized "
+        "ladder projection": "[[[[[[]]]]]]",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "rhostar is multiplicative": "[[]] , [[][[[]]]]",
+        "rhostar is comultiplicative": "[[][][][][]]",
+    },
+    "Z": {"Z is multiplicative": "E(1) , E(1,1,1,1)",
+          "Z is comultiplicative": "E(3,1,1)"},
+    "Zstar": {"Zstar is multiplicative": "[] , [[[[]]]]",
+              "Zstar is comultiplicative": "[[[]][[]]]"},
+    "kbar": {"kbar is multiplicative": "[] , [[][[]]]",
+             "kbar is comultiplicative": "[] [[][[]]]"},
+}
+
+
+# hopf-axioms at degree 3 under a broken key rule: (algebra, method, the
+# broken method made from the original)
+KEY_DEFECTS = {
+    "qsym product concatenates": (QSYM, "product_keys",
+                                  lambda product_keys: lambda l, r: LinComb.single(l + r)),
+    "kt coproduct drops a term": (KT, "coproduct_key", _drops_last_term),
+    "hf coproduct drops a term": (HF, "coproduct_key", _drops_last_term),
+}
+
+
+@pytest.mark.parametrize("defect", list(FAILURE_REPORTS))
+def test_failure_reports_are_pinned(defect, monkeypatch):
+    # a map defect runs hexagon at 5, where its Hopf-morphism failures are
+    # seeded spot cases
+    clear_caches()
+    if defect in KEY_DEFECTS:
+        alg, attr, breaking = KEY_DEFECTS[defect]
+        # an instance attribute, so undoing the patch leaves the class method
+        monkeypatch.setitem(vars(alg), attr, breaking(getattr(type(alg), attr).__get__(alg)))
+        suite, degree = "hopf-axioms", 3
+    else:
+        dom, cod, fn = MAP_TABLE[defect]
+        monkeypatch.setitem(MAP_TABLE, defect, (dom, cod, _wrong_in_degree_5(dom, fn)))
+        suite, degree = "hexagon", 5
+    try:
+        report = run_suite(suite, degree)
+    finally:
+        clear_caches()
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == FAILURE_REPORTS[defect]
+
+
+def test_a_basis_key_formats_as_its_key_string():
+    # the counterexamples name keys with key_str, as format names a one-term sum
+    for alg in (KT, HK, KP, HF, SYM, QSYM, NSYM):
+        for n in range(6):
+            for key in alg.basis(n):
+                assert alg.format(s(key)) == alg.key_str(key), (alg.name, key)
