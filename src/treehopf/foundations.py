@@ -16,7 +16,16 @@ structure map is the linear extension of a rule on basis keys: a linear map
 is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product is
 ``bilinear``, and a key-level rule that already emits each key once hands
 its dict to ``trusted``, or its keys with repetitions to ``tally``, so no
-result is summed a second time.
+result is summed a second time.  The sums compute no identity: a new key
+takes its term as it is, and a unit coefficient multiplies nothing, so no
+``Fraction`` is built for 0 + x, 1 * x or x * 1.
+
+The image of a basis key under an extension is a LinComb or a dict.  A
+dict image is copied (its zero coefficients pruned), never kept, since its
+owner may write to it later.  A LinComb image may be returned as it is: a
+sum of one term with coefficient 1 is its image, so a result may be a
+memo entry shared with other callers.  No result is ever mutated, and only
+this module reads the terms of a LinComb.
 
 Every cache in the package is registered here: a function memoized with
 ``memo``, or a dict made by ``memo_table`` for the recursions that look
@@ -67,15 +76,8 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            cur = data.get(key, 0) + coeff
-            if cur:
-                data[key] = cur
-            else:
-                data.pop(key, None)
-        self._terms = data
+        self._terms = _sum([(1, items)])
 
     @classmethod
     def trusted(cls, data: dict):
@@ -132,26 +134,12 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            cur = data.get(key, 0) + c
-            if cur:
-                data[key] = cur
-            else:
-                data.pop(key, None)
-        return LinComb.trusted(data)
+        return LinComb.trusted(_sum([(1, other._terms.items())], dict(self._terms)))
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            cur = data.get(key, 0) - c
-            if cur:
-                data[key] = cur
-            else:
-                data.pop(key, None)
-        return LinComb.trusted(data)
+        return LinComb.trusted(_sum([(-1, other._terms.items())], dict(self._terms)))
 
     def __neg__(self):
         return LinComb.trusted({k: -c for k, c in self._terms.items()})
@@ -161,7 +149,7 @@ class LinComb:
             return NotImplemented
         if not scalar:
             return LinComb.zero()
-        return LinComb.trusted({k: c * scalar for k, c in self._terms.items()})
+        return _one_term(scalar, self)
 
     __rmul__ = __mul__
 
@@ -169,40 +157,73 @@ class LinComb:
         """Linear extension: sum of coeff * image(key) over all terms.
 
         ``image`` maps a basis key to a LinComb or a dict (possibly over a
-        different algebra's keys).  If a coefficient of ``self`` is a
-        ``Fraction``, the whole coefficients of the result come back as
-        ``int``s.
+        different algebra's keys).  A dict image is copied, never kept, and
+        its zero coefficients are pruned; a LinComb image may come back as
+        it is, when ``self`` is that key with coefficient 1.  If a
+        coefficient of ``self`` is a ``Fraction``, the whole coefficients of
+        the result come back as ``int``s.
         """
+        terms = self._terms
+        if len(terms) == 1:
+            for key, c in terms.items():
+                return _one_term(c, image(key))
         data = {}
+        get = data.get
         fractions = False
-        for key, c in self._terms.items():
-            fractions = fractions or type(c) is Fraction
-            for k2, c2 in image(key).items():
-                cur = data.get(k2, 0) + c * c2
-                if cur:
-                    data[k2] = cur
+        for key, c in terms.items():
+            frac = type(c) is Fraction
+            if frac:
+                fractions = True
+            unit = c == 1
+            for k, x in image(key).items():
+                if not unit:
+                    x = (c if x == 1 else c * x) if frac else c * x
+                cur = get(k)
+                if cur is None:
+                    if x:
+                        data[k] = x
                 else:
-                    data.pop(k2, None)
+                    cur += x
+                    if cur:
+                        data[k] = cur
+                    else:
+                        del data[k]
         return LinComb.trusted(_whole(data) if fractions else data)
 
     @staticmethod
     def bilinear(a, b, image):
         """Bilinear extension: sum of c1 * c2 * image(k1, k2) over the terms
-        of ``a`` and ``b``, with ``image`` and whole coefficients as in
-        ``apply_linear``."""
+        of ``a`` and ``b``, with ``image``, its contract and whole
+        coefficients as in ``apply_linear``."""
+        a_terms, b_terms = a._terms, b._terms.items()
+        one_term = len(a_terms) == 1 == len(b_terms)
         data = {}
+        get = data.get
         fractions = False
-        b_terms = b._terms.items()
-        for k1, c1 in a._terms.items():
+        for k1, c1 in a_terms.items():
+            frac1 = type(c1) is Fraction
+            unit1 = not frac1 and c1 == 1
             for k2, c2 in b_terms:
-                c = c1 * c2
-                fractions = fractions or type(c) is Fraction
-                for key, ck in image(k1, k2).items():
-                    cur = data.get(key, 0) + c * ck
-                    if cur:
-                        data[key] = cur
+                c = c2 if unit1 else c1 if frac1 and c2 == 1 else c1 * c2
+                if one_term:
+                    return _one_term(c, image(k1, k2))
+                frac = type(c) is Fraction
+                if frac:
+                    fractions = True
+                unit = c == 1
+                for k, x in image(k1, k2).items():
+                    if not unit:
+                        x = (c if x == 1 else c * x) if frac else c * x
+                    cur = get(k)
+                    if cur is None:
+                        if x:
+                            data[k] = x
                     else:
-                        data.pop(key, None)
+                        cur += x
+                        if cur:
+                            data[k] = cur
+                        else:
+                            del data[k]
         return LinComb.trusted(_whole(data) if fractions else data)
 
     def map_keys(self, relabel):
@@ -215,10 +236,18 @@ class LinComb:
 
     @staticmethod
     def tensor(a, b):
-        """Outer product: keys become ordered pairs."""
-        return LinComb.trusted({
-            (k1, k2): c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()
-        })
+        """Outer product of two LinCombs or dicts: keys become ordered
+        pairs.  A unit coefficient multiplies nothing, and whole ``Fraction``
+        coefficients come back as ``int``s."""
+        b_items = b.items()
+        data = {
+            (k1, k2): c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+            for k1, c1 in a.items() for k2, c2 in b_items
+        }
+        for c in data.values():
+            if type(c) is Fraction:
+                return LinComb.trusted(_whole(data))
+        return LinComb.trusted(data)
 
     def __repr__(self):
         inside = ", ".join(f"{k!r}: {c}" for k, c in self._terms.items())
@@ -234,6 +263,51 @@ def _whole(data: dict) -> dict:
         if type(c) is Fraction and c.denominator == 1:
             data[key] = c.numerator
     return data
+
+
+def _sum(scaled, data=None) -> dict:
+    """``data`` (by default a new dict) plus c * x for each (key, x) of
+    ``items``, for each (c, items) of ``scaled``: added in place, zeros
+    pruned, and whole coefficients made ``int``s if a c is a ``Fraction``.
+    A new key takes its term as it is, a c equal to 1 multiplies nothing,
+    and under a ``Fraction`` c a coefficient 1 gives c.  ``apply_linear``
+    and ``bilinear`` run this loop inline: a call of it for each of their
+    input terms would cost more than skipping the identities saves."""
+    data = {} if data is None else data
+    get = data.get
+    fractions = False
+    for c, items in scaled:
+        frac = type(c) is Fraction
+        if frac:
+            fractions = True
+        unit = c == 1
+        for key, x in items:
+            if not unit:
+                x = (c if x == 1 else c * x) if frac else c * x
+            cur = get(key)
+            if cur is None:
+                if x:
+                    data[key] = x
+            else:
+                cur += x
+                if cur:
+                    data[key] = cur
+                else:
+                    del data[key]
+    return _whole(data) if fractions else data
+
+
+def _one_term(c, image) -> LinComb:
+    """``c`` times ``image``, the sum of one term: a LinComb image with an
+    ``int`` c of 1 comes back as it is, and a dict image is copied with its
+    zeros pruned."""
+    if type(c) is not int:
+        return LinComb.trusted(_sum([(c, image.items())]))
+    if c == 1:
+        if isinstance(image, LinComb):
+            return image
+        return LinComb.trusted({k: x for k, x in image.items() if x})
+    return LinComb.trusted({k: c * x for k, x in image.items() if x})
 
 
 @memo

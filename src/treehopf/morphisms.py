@@ -51,6 +51,7 @@ def phi_star(a: LinComb) -> LinComb:
     return a.apply_linear(_phi_star_key)
 
 
+@memo
 def _phi_star_key(t: RootedTree) -> LinComb:
     if not all(is_ladder(c) for c in t.children):
         return LinComb.zero()
@@ -69,6 +70,7 @@ def Phi_star(a: LinComb) -> LinComb:
     return a.apply_linear(_Phi_star_key)
 
 
+@memo
 def _Phi_star_key(t) -> LinComb:
     if not all(is_ladder(c) for c in t.children):
         return LinComb.zero()

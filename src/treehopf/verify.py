@@ -910,9 +910,9 @@ _SUITES = {
     "hopf-axioms": (5, 7, _suite_hopf_axioms),
     "hexagon": (6, 8, _suite_hexagon),
     "dualities": (5, 7, _suite_dualities),
-    "divided-powers": (6, 7, _suite_divided_powers),
-    "zstar-intertwine": (6, 7, _suite_zstar_intertwine),
-    "zstar-surjectivity": (7, 8, _suite_zstar_surjectivity),
+    "divided-powers": (6, 8, _suite_divided_powers),
+    "zstar-intertwine": (6, 8, _suite_zstar_intertwine),
+    "zstar-surjectivity": (7, 9, _suite_zstar_surjectivity),
     "quasi-shuffle-oracle": (6, 7, _suite_quasi_shuffle_oracle),
     "enumeration-counts": (8, 11, _suite_enumeration_counts),
     "ideh": (8, 18, _suite_ideh),

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import treehopf
-from treehopf import foundations
+from treehopf import foundations, pairings
 from treehopf.foundations import (
     LinComb,
     clear_caches,
@@ -257,3 +257,47 @@ def test_lincomb_is_the_only_vector_type():
     assert _lincomb_subclasses(ast.parse(
         "class A(LinComb):\n    pass\nclass B(foundations.LinComb):\n    pass\n"
         "class C(HopfAlgebra):\n    pass\n")) == ["A", "B"]
+
+
+def test_a_sum_copies_a_dict_image_and_never_wraps_it():
+    # pairings._transpose grows the dicts of its index in place after
+    # _through has summed one of them as an image
+    image = {"x": 1, "y": Fraction(1, 2)}
+    sums = [
+        LinComb.single("k").apply_linear(lambda k: image),
+        LinComb.single("k", 3).apply_linear(lambda k: image),
+        LinComb.bilinear(LinComb.single("k"), LinComb.single("j"), lambda k, j: image),
+        LinComb(image),
+    ]
+    before = [dict(x.items()) for x in sums]
+    image["x"] = 7
+    image["z"] = 1
+    assert [dict(x.items()) for x in sums] == before
+    index = pairings._transpose([("a", LinComb.single("k", 2))])
+    row = pairings._through(index, LinComb.single("k"))
+    pairings._transpose([("b", LinComb.single("k", 5))], index)
+    assert dict(row.items()) == {"a": 2}
+
+
+def test_a_unit_sum_of_one_lincomb_image_is_that_image():
+    image = LinComb({"x": 2, "y": -1})
+    assert LinComb.single("k").apply_linear(lambda k: image) is image
+    assert LinComb.bilinear(LinComb.single("k"), LinComb.single("j"), lambda k, j: image) is image
+    assert image * 1 is image
+    assert type((LinComb.single("k", 2) * Fraction(1, 2))["k"]) is int
+
+
+def _private_term_reads(tree):
+    """Lines that read the ``_terms`` attribute of an object."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+
+
+def test_only_foundations_reads_the_terms_of_a_lincomb():
+    # a sum may hand back a memo entry as its result, so a caller that wrote
+    # into the dict of a LinComb would change that entry for every later reader
+    package = pathlib.Path(treehopf.__file__).parent
+    readers = {path.name for path in package.glob("*.py")
+               if _private_term_reads(ast.parse(path.read_text()))}
+    assert readers == {"foundations.py"}
+    assert _private_term_reads(ast.parse("a._terms\nb.terms\nc._terms.items()\n")) == [1, 3]

@@ -4,7 +4,8 @@ back-substituted e/m transition and the linear extensions through
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
-loops, the antipode's accumulator loop, the forest coproduct memoized
+loops, the antipode's accumulator loop, LinComb's sums as they were before
+they skipped 0 + x and 1 * x, the forest coproduct memoized
 per tree, and the key kernels that enumerated every permutation or vertex
 assignment and dropped the repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
@@ -16,6 +17,7 @@ equality of kind and encoding, and the rooted-tree classes against
 
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
@@ -23,6 +25,7 @@ from math import gcd
 
 import pytest
 
+import treehopf.foundations
 import treehopf.hopf_rooted
 import treehopf.verify
 from treehopf.foundations import (
@@ -91,6 +94,7 @@ from treehopf.verify import (
     partition_count,
     rank_of,
     rooted_count,
+    run_suite,
 )
 
 s = LinComb.single
@@ -679,6 +683,195 @@ def test_no_result_holds_a_zero_coefficient():
     # keys can meet
     antipodes = {f"{alg.name} antipode" for alg in ALGEBRAS}
     assert antipodes | {"tau", "phi", "rho", "Z", "Zstar", "kbar"} <= cancelled, cancelled
+
+
+# ------------------------------------------------- identity-free sums
+
+# LinComb's sums before they skipped identities (0 + x for a new key, 1 * x
+# for a unit coefficient), copied as they were but for reading terms through
+# ``items()``: ``_terms`` is private to foundations.
+
+def _whole_by_loop(data):
+    for key, c in data.items():
+        if type(c) is Fraction and c.denominator == 1:
+            data[key] = c.numerator
+    return data
+
+
+def init_by_loop(terms=()):
+    data = {}
+    items = terms.items() if isinstance(terms, dict) else terms
+    for key, coeff in items:
+        cur = data.get(key, 0) + coeff
+        if cur:
+            data[key] = cur
+        else:
+            data.pop(key, None)
+    return LinComb.trusted(data)
+
+
+def add_by_loop(self, other):
+    data = dict(self.items())
+    for key, c in other.items():
+        cur = data.get(key, 0) + c
+        if cur:
+            data[key] = cur
+        else:
+            data.pop(key, None)
+    return LinComb.trusted(data)
+
+
+def sub_by_loop(self, other):
+    data = dict(self.items())
+    for key, c in other.items():
+        cur = data.get(key, 0) - c
+        if cur:
+            data[key] = cur
+        else:
+            data.pop(key, None)
+    return LinComb.trusted(data)
+
+
+def apply_linear_by_loop(self, image):
+    data = {}
+    fractions = False
+    for key, c in self.items():
+        fractions = fractions or type(c) is Fraction
+        for k2, c2 in image(key).items():
+            cur = data.get(k2, 0) + c * c2
+            if cur:
+                data[k2] = cur
+            else:
+                data.pop(k2, None)
+    return LinComb.trusted(_whole_by_loop(data) if fractions else data)
+
+
+def bilinear_by_loop(a, b, image):
+    data = {}
+    fractions = False
+    b_terms = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b_terms:
+            c = c1 * c2
+            fractions = fractions or type(c) is Fraction
+            for key, ck in image(k1, k2).items():
+                cur = data.get(key, 0) + c * ck
+                if cur:
+                    data[key] = cur
+                else:
+                    data.pop(key, None)
+    return LinComb.trusted(_whole_by_loop(data) if fractions else data)
+
+
+def tensor_by_loop(a, b):
+    """The outer product as it was, then whole coefficients made ``int``s
+    if a coefficient of either factor is a ``Fraction``."""
+    data = {(k1, k2): c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()}
+    if any(type(c) is Fraction for x in (a, b) for _, c in x.items()):
+        _whole_by_loop(data)
+    return LinComb.trusted(data)
+
+
+def _typed(x):
+    """Each coefficient with its type: 2 and Fraction(2) differ."""
+    return {k: (type(c), c) for k, c in x.items()}
+
+
+def _check_sums_against_the_loops():
+    """A seeded search for inputs on which a sum of LinComb differs from its
+    loop, in value or in the type of a coefficient; raises AssertionError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.integers(0, 3)
+    coeffs = st.one_of(
+        st.integers(-3, 3).filter(bool),
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)]),
+    )
+    lincombs = st.dictionaries(keys, coeffs, max_size=4).map(LinComb.trusted)
+    # a dict image may carry zeros, which every sum prunes
+    dicts = st.dictionaries(keys, st.one_of(coeffs, st.sampled_from([0, Fraction(0)])),
+                            max_size=4)
+    images = st.lists(st.one_of(lincombs, dicts), min_size=4, max_size=4)
+    pairs = st.lists(st.tuples(keys, st.one_of(coeffs, st.just(0))), max_size=6)
+    one, half = LinComb.single, Fraction(1, 2)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200, report_multiple_bugs=False)
+    @hypothesis.given(lincombs, lincombs, images, pairs)
+    # a one-term sum of a dict image with a zero, under coefficients 1 and 2
+    @hypothesis.example(one(0), one(1, 2), [{1: 0, 2: 3}] * 4, [])
+    # terms that cancel, and Fraction terms that sum to a whole number
+    @hypothesis.example(LinComb.trusted({0: 1, 1: -1}), LinComb.trusted({0: half, 1: half}),
+                        [{2: 1, 3: half}, {2: 1, 3: -half}, one(3, half), one(2)],
+                        [(0, half), (0, half), (1, 1), (1, -1)])
+    def check(a, b, imgs, pairs):
+        image = imgs.__getitem__
+
+        def pair_image(k1, k2):
+            return imgs[(k1 + k2) % 4]
+
+        for got, want in (
+            (a.apply_linear(image), apply_linear_by_loop(a, image)),
+            (LinComb.bilinear(a, b, pair_image), bilinear_by_loop(a, b, pair_image)),
+            (a + b, add_by_loop(a, b)),
+            (a - b, sub_by_loop(a, b)),
+            (LinComb(pairs), init_by_loop(pairs)),
+            (LinComb(dict(pairs)), init_by_loop(dict(pairs))),
+            (LinComb.tensor(a, b), tensor_by_loop(a, b)),
+            (LinComb.tensor(a, imgs[0]), tensor_by_loop(a, imgs[0])),
+        ):
+            assert _typed(got) == _typed(want), (a, b, imgs, pairs)
+
+    check()
+
+
+def test_sums_match_the_loops_in_value_and_type():
+    _check_sums_against_the_loops()
+
+
+def test_the_loops_catch_a_one_term_sum_that_ignores_its_coefficient(monkeypatch):
+    one_term = treehopf.foundations._one_term
+    monkeypatch.setattr(treehopf.foundations, "_one_term", lambda c, image: one_term(1, image))
+    with pytest.raises(AssertionError):
+        _check_sums_against_the_loops()
+
+
+def test_tensor_map_of_a_fraction_valued_map_gives_ints_on_integer_input():
+    # (1/2 x) (x) (4 y), three times: 6, an int, where the outer product of
+    # the images alone used to leave Fraction(2)
+    t = LinComb.trusted({("a", "b"): 3, ("c", "d"): -1})
+    got = tensor_map(t, lambda k: s(k, Fraction(1, 2)), lambda k: s(k, Fraction(4)))
+    assert _typed(got) == {("a", "b"): (int, 6), ("c", "d"): (int, -2)}
+    assert _typed(LinComb.tensor(s("x", Fraction(1, 2)), s("y", 2))) == {("x", "y"): (int, 1)}
+
+
+def test_sums_in_foundations_build_no_fraction_for_an_identity(monkeypatch, fresh_caches):
+    """While the hexagon and divided-powers suites run, no line of
+    foundations computes 0 + x, x + 0, 1 * x or x * 1 with a Fraction x."""
+    identities = []
+
+    def watch(name, unit):
+        op = getattr(Fraction, name)
+
+        def watched(x, y):
+            caller = sys._getframe(1).f_code
+            if (x == unit or y == unit) and caller.co_filename == foundations_file:
+                identities.append((name, caller.co_name, x, y))
+            return op(x, y)
+
+        monkeypatch.setattr(Fraction, name, watched)
+
+    foundations_file = treehopf.foundations.__file__
+    for name in ("__add__", "__radd__"):
+        watch(name, 0)
+    for name in ("__mul__", "__rmul__"):
+        watch(name, 1)
+    assert run_suite("hexagon", 5).ok and run_suite("divided-powers", 6).ok
+    assert identities == []
+    # the watch sees identities computed on a line of foundations
+    exec(compile("0 + half, half * 1", foundations_file, "eval"), {"half": Fraction(1, 2)})
+    assert [name for name, *_ in identities] == ["__radd__", "__mul__"]
 
 
 # ------------------------------------------ antipode and forest coproduct
