@@ -5,10 +5,11 @@ basis enumeration, product and coproduct of keys, printing); this base class
 supplies the linear extensions, the counit, and the antipode.  Every
 extension is one of the two sums in ``LinComb``: the product and
 ``tensor_mult`` are ``LinComb.bilinear`` over the memoized key products (the
-latter over their tensor), and the coproduct, the antipode and
-``tensor_map`` are ``apply_linear``.  Because every algebra here is graded
-with a one-dimensional degree-0 part, one antipode recursion serves all of
-them:
+latter over the pairs of their terms), and the coproduct, the antipode and
+``tensor_map`` are ``apply_linear``.  HK, HF and NSYM are free: ``factors``
+splits a key into generators g_1...g_k, and the key's coproduct is the
+product of theirs and its antipode S(g_k)...S(g_1).  Every other key takes
+the recursion that a one-dimensional degree-0 part allows:
 
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
@@ -21,6 +22,8 @@ algebras are meant for one thread at a time: interning a new tree or
 forest (``trees``) looks it up and then inserts it, so two threads
 building the same new key at once could each get an object of their own.
 """
+
+from functools import reduce
 
 from .foundations import LinComb, memo_table
 
@@ -51,8 +54,12 @@ class HopfAlgebra:
         raise NotImplementedError
 
     def coproduct_key(self, key) -> LinComb:
-        """Coproduct of a basis key, as a LinComb over ordered key pairs."""
+        """Coproduct of the unit or a generator, as a LinComb over key pairs."""
         raise NotImplementedError
+
+    def factors(self, key) -> tuple:
+        """The generators whose product, in order, is ``key``: ``(key,)`` unless free."""
+        return (key,)
 
     def key_str(self, key) -> str:
         raise NotImplementedError
@@ -78,7 +85,10 @@ class HopfAlgebra:
         memo = self._cop_memo
         out = memo.get(key)
         if out is None:
-            out = self.coproduct_key(key)
+            gens = self.factors(key)
+            out = self._ck(gens[0]) if len(gens) > 1 else self.coproduct_key(key)
+            for g in gens[1:]:
+                out = tensor_mult(self, out, self._ck(g))
             memo[key] = out
         return out
 
@@ -97,7 +107,10 @@ class HopfAlgebra:
         if out is not None:
             return out
         unit = self.unit_key()
-        if key == unit:
+        if len(gens := self.factors(key)) > 1:
+            # S reverses products: S(g_1 ... g_k) = S(g_k) ... S(g_1)
+            out = reduce(self.product, map(self.antipode_key, reversed(gens)))
+        elif key == unit:
             out = self.one()
         else:
             middle = self._ck(key).filter_keys(lambda pair: unit not in pair)
@@ -166,9 +179,12 @@ def tensor_map(t: LinComb, left, right) -> LinComb:
 def tensor_mult(algebra: HopfAlgebra, t1: LinComb, t2: LinComb) -> LinComb:
     """Componentwise product of two tensors over the same algebra."""
     pk = algebra._pk
-    return LinComb.bilinear(
-        t1, t2, lambda p, q: LinComb.tensor(pk(p[0], q[0]), pk(p[1], q[1]))
-    )
+
+    def image(p, q):
+        right = pk(p[1], q[1]).items()
+        return {(x, y): c * d for x, c in pk(p[0], q[0]).items() for y, d in right}
+
+    return LinComb.bilinear(t1, t2, image)
 
 
 def swap_tensor(t: LinComb) -> LinComb:

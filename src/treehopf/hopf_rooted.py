@@ -17,10 +17,10 @@ trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended multiplicatively to forests.  ``ForestAlgebra`` builds its
-forests and trees from the kind of its unit forest, so HF is the same class
-with the empty ordered forest as unit.  KT and HK are graded duals of each
-other under the pairing in ``pairings``.
+and extended to forests by ``HopfAlgebra``'s multiplicative rule.
+``ForestAlgebra`` builds its forests and trees from the kind of its unit
+forest, so HF is the same class with the empty ordered forest as unit.  KT
+and HK are graded duals of each other under the pairing in ``pairings``.
 
 Also here: the degree-n tree sums weighted by inverse symmetry order
 (``kappa``), the divided-power sequence obtained from them by the defining
@@ -36,7 +36,7 @@ from itertools import product as iter_product
 from math import comb, factorial, prod
 
 from .foundations import LinComb, memo, multiset_splits
-from .hopf import HopfAlgebra, tensor_mult
+from .hopf import HopfAlgebra
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -164,24 +164,20 @@ class ForestAlgebra(HopfAlgebra):
     def product_keys(self, f, g):
         return LinComb.single(type(f)(f.trees + g.trees))
 
+    def factors(self, f):
+        return tuple(type(f)((t,)) for t in f.trees)
+
     def coproduct_key(self, f):
-        """The product of the coproducts of the one-tree forests of ``f``;
-        the empty forest's is 1 ⊗ 1."""
-        trees = f.trees
-        forest = type(self.empty)
-        if not trees:
-            return LinComb.single((self.empty, self.empty))
-        if len(trees) > 1:
-            out = self._ck(forest(trees[:1]))
-            for t in trees[1:]:
-                out = tensor_mult(self, out, self._ck(forest((t,))))
-            return out
+        """Δ of a one-tree forest by the root recursion; of the empty one, 1 ⊗ 1."""
+        if not f.trees:
+            return LinComb.single((f, f))
         # recurse on the strictly smaller forest of root-child subtrees; the
         # pairs are distinct: b_plus is injective, and only the first has the
         # unit on the right
+        (t,) = f.trees
         terms = {(f, self.empty): 1}
-        inner = self._ck(b_minus(trees[0]))
-        terms.update(((u, forest((b_plus(v),))), c) for (u, v), c in inner.items())
+        inner = self._ck(b_minus(t))
+        terms.update(((u, type(f)((b_plus(v),))), c) for (u, v), c in inner.items())
         return LinComb.trusted(terms)
 
 

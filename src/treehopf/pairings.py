@@ -34,8 +34,8 @@ from .symfun import m_to_e_row
 
 def _bilinear(row):
     """The pairing of two elements, given ``row(k) = {k': <k, k'>}``, the
-    nonzero pairings of one basis key, which is kept as the pairing's
-    ``row`` attribute.  A row is a new dict on every call."""
+    nonzero pairings of one basis key as a ``LinComb`` (never written to),
+    which is kept as the pairing's ``row`` attribute."""
 
     def pairing(a: LinComb, b: LinComb):
         return _dot(a.apply_linear(row), b)
@@ -49,21 +49,17 @@ def _dot(u: LinComb, b: LinComb):
     return sum(c * b[k] for k, c in u.items() if k in b)
 
 
-def _kron(k):
-    return {k: 1}
-
-
-ip_kt = _bilinear(lambda t: {t: sym_order(t)})
+ip_kt = _bilinear(lambda t: LinComb.single(t, sym_order(t)))
 # rooting both sides reduces to the tree case
-ip_ck = _bilinear(lambda f: {f: sym_order(RootedTree(f.trees))})
-ip_kp = _bilinear(_kron)
-ip_hf = _bilinear(_kron)
-ip_qs = _bilinear(_kron)
-ip_ns = _bilinear(_kron)
+ip_ck = _bilinear(lambda f: LinComb.single(f, sym_order(RootedTree(f.trees))))
+ip_kp = _bilinear(LinComb.single)
+ip_hf = _bilinear(LinComb.single)
+ip_qs = _bilinear(LinComb.single)
+ip_ns = _bilinear(LinComb.single)
 # a tree meets the one forest that it is the rooting of
-pair_kt_ck = _bilinear(lambda t: {Forest(t.children): sym_order(t)})
-pair_ns_qs = _bilinear(_kron)
-pair_kp_hf = _bilinear(lambda t: {OrderedForest(t.children): 1})
+pair_kt_ck = _bilinear(lambda t: LinComb.single(Forest(t.children), sym_order(t)))
+pair_ns_qs = _bilinear(LinComb.single)
+pair_kp_hf = _bilinear(lambda t: LinComb.single(OrderedForest(t.children)))
 # (e_lam, m_mu) = delta, so (m_lam, m_mu) is the coefficient of e_mu in m_lam
 ip_sym = _bilinear(m_to_e_row)
 
@@ -200,9 +196,8 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
             images[k] = psi(LinComb.single(k))
         psi_index.append(_transpose((k, images[k]) for k in keys))
         for i, k in enumerate(keys):
-            row = LinComb.trusted(ip_A.row(k))
             paired[k] = images[k].apply_linear(ip_B.row)
-            j = _first_mismatch(row, _through(psi_index[n], paired[k]), pos, i)
+            j = _first_mismatch(ip_A.row(k), _through(psi_index[n], paired[k]), pos, i)
             if j is not None:
                 return CriterionReport(
                     False, checked + j - i + 1, "a",

@@ -6,8 +6,9 @@ to a part of the other) and the deconcatenation coproduct.
 
 NSYM is the free associative algebra on generators E_1, E_2, ... with basis
 the products E_I indexed by compositions, concatenation product, and the
-divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n.  It is the
-graded dual of QSYM under the Kronecker pairing of compositions.
+divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n, extended to
+every E_I by ``HopfAlgebra``'s multiplicative rule.  It is the graded dual
+of QSYM under the Kronecker pairing of compositions.
 
 SYM uses the monomial basis indexed by partitions.  It embeds into QSYM by
 symmetrizing (a partition maps to the sum of its distinct rearrangements).
@@ -101,16 +102,14 @@ class NoncommutativeSymmetricFunctions(_PartLists):
     def product_keys(self, left, right):
         return LinComb.single(left + right)
 
+    def factors(self, comp):
+        return tuple((part,) for part in comp)
+
     def coproduct_key(self, comp):
-        acc = {((), ()): 1}
-        for part in comp:
-            new = {}
-            for (l, r), c in acc.items():
-                for i in range(part + 1):
-                    key = (l + ((i,) if i else ()), r + ((part - i,) if part - i else ()))
-                    new[key] = new.get(key, 0) + c
-            acc = new
-        return LinComb.trusted(acc)
+        """Δ(E_n) = sum of E_i ⊗ E_{n-i} over 0 <= i <= n, where E_0 = 1."""
+        (n,) = comp or (0,)
+        part = lambda i: (i,) if i else ()
+        return LinComb.trusted({(part(i), part(n - i)): 1 for i in range(n + 1)})
 
 
 class SymmetricFunctions(_PartLists):
@@ -235,24 +234,19 @@ def e_to_m_row(comp) -> LinComb:
 
 
 @memo
-def _m_row(lam) -> LinComb:
+def m_to_e_row(lam) -> LinComb:
     """m_lam in the elementary basis, by integer back-substitution:
     e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
     visited."""
     conj = _conjugate(lam)
     lower = e_to_m_row(conj).filter_keys(lambda mu: mu != lam)
-    return LinComb.single(conj) - lower.apply_linear(_m_row)
+    return LinComb.single(conj) - lower.apply_linear(m_to_e_row)
 
 
 def m_to_e(a: LinComb) -> LinComb:
     """Rewrite a monomial-basis element as coefficients on the e_lam basis."""
-    return a.apply_linear(_m_row)
-
-
-def m_to_e_row(lam) -> dict:
-    """m_lam in the elementary basis, as a new dict {mu: coefficient of e_mu}."""
-    return dict(_m_row(lam).items())
+    return a.apply_linear(m_to_e_row)
 
 
 def e_to_m(a: LinComb) -> LinComb:

@@ -274,10 +274,10 @@ def _dyck_planar(n: int) -> set[str]:
 # ------------------------------------------------------------------ ranks
 
 def _integer_row(row) -> dict:
-    """A matrix row, a dict ``{column: entry}`` or a dense sequence, as a
-    new dict of its nonzero entries with denominators cleared, divided by
-    the gcd of its entries."""
-    entries = row.items() if isinstance(row, dict) else enumerate(row)
+    """A matrix row, a mapping ``{column: entry}`` (a dict or a ``LinComb``)
+    or a dense sequence, as a new dict of its nonzero entries with
+    denominators cleared, divided by the gcd of its entries."""
+    entries = row.items() if hasattr(row, "items") else enumerate(row)
     r = {c: x for c, x in entries if x}
     denom = lcm(*(x.denominator for x in r.values() if isinstance(x, Fraction)))
     r = {c: int(x * denom) for c, x in r.items()}
@@ -313,7 +313,7 @@ def _clear(r: dict, col, prow: dict):
 
 def exact_rank(rows) -> int:
     """Exact rank of a matrix with integer or Fraction entries.  A row is a
-    sparse dict ``{column: entry}`` or a dense sequence.
+    sparse mapping ``{column: entry}`` or a dense sequence.
 
     Sparse fraction-free Gauss-Jordan elimination over the integers, one
     row at a time, sparsest rows first.  The pivot rows found so far hold
@@ -351,12 +351,10 @@ def rank_of(elements, degree: int) -> int:
     """Exact rank of a set of homogeneous degree-n elements written in the
     composition basis."""
     comps = set(compositions_of(degree))
-    rows = []
-    for el in elements:
-        for key in el.keys():
-            if key not in comps:
-                raise ValueError(f"element not homogeneous of degree {degree}: {key}")
-        rows.append(dict(el.items()))
+    rows = list(elements)
+    stray = next((key for el in rows for key in el.keys() if key not in comps), None)
+    if stray is not None:
+        raise ValueError(f"element not homogeneous of degree {degree}: {stray}")
     return exact_rank(rows)
 
 

@@ -225,11 +225,9 @@ def _accumulations(tree):
 
 
 def test_sparse_sums_outside_foundations_go_through_lincomb():
-    # the exceptions, each still present: an output-sensitive DP over
-    # splits, an oracle kept independent of LinComb, and an in-place integer
-    # row update
-    allowed = {"symfun.NoncommutativeSymmetricFunctions.coproduct_key",
-               "morphisms._kbar_forest", "verify._clear"}
+    # the exceptions, each still present: an oracle kept independent of
+    # LinComb, and an in-place integer row update
+    allowed = {"morphisms._kbar_forest", "verify._clear"}
     package = pathlib.Path(treehopf.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

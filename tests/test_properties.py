@@ -1,5 +1,6 @@
-"""Property tests of the element parser, seeded and reproducible: every text
-ends in an element or a refusal, and printing is a fixed point of parsing."""
+"""Property tests, seeded and reproducible: every text ends in an element or
+a refusal, printing is a fixed point of parsing, and the free algebras keep
+their Hopf rules on elements above the suites' caps."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from treehopf.cli import ALGEBRAS, parse_element  # noqa: E402
 from treehopf.foundations import LinComb  # noqa: E402
+from treehopf.hopf import tensor_mult  # noqa: E402
 
 # seeded by the test's own source; no example database is read or written
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -53,3 +55,25 @@ def test_print_parse_print_is_a_fixed_point(case):
     assert again == element
     assert alg.format(again) == printed
 
+
+def _above_the_caps(alg):
+    """Sums of two or three basis elements of degree 6 to 9, with nonzero
+    integer coefficients."""
+    keys = st.integers(6, 9).flatmap(lambda n: st.sampled_from(alg.basis(n)))
+    terms = st.tuples(keys, st.integers(-3, 3).filter(bool))
+    return st.lists(terms, min_size=2, max_size=3).map(LinComb)
+
+
+# 40 examples take about 3 s
+@settings(SEEDED, max_examples=40)
+@given(st.sampled_from(("ck", "hf", "nsym")).map(ALGEBRAS.get).flatmap(
+    lambda alg: st.tuples(st.just(alg), _above_the_caps(alg), _above_the_caps(alg))))
+def test_free_algebras_keep_their_hopf_rules_above_the_caps(case):
+    alg, x, y = case
+    xy = alg.product(x, y)
+    assert alg.coproduct(xy) == tensor_mult(alg, alg.coproduct(x), alg.coproduct(y))
+    assert alg.antipode(xy) == alg.product(alg.antipode(y), alg.antipode(x))
+    # (S (x) id), then the product: the counit of x times the unit
+    s_id = alg.coproduct(x).apply_linear(
+        lambda pair: alg.product(alg.antipode_key(pair[0]), LinComb.single(pair[1])))
+    assert s_id == alg.counit(x) * alg.one()

@@ -5,9 +5,10 @@ dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
 loops, the antipode's accumulator loop, LinComb's sums as they were before
-they skipped 0 + x and 1 * x, the forest coproduct memoized
-per tree, and the key kernels that enumerated every permutation or vertex
-assignment and dropped the repeats: rearrangements from all permutations,
+they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
+NSYM's coproduct as a DP over the splits of each part, and the key kernels
+that enumerated every permutation or vertex assignment and dropped the
+repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
 the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, and the hopf-axioms
@@ -28,6 +29,7 @@ import pytest
 import treehopf.foundations
 import treehopf.hopf_rooted
 import treehopf.verify
+from treehopf.cli import parse_element
 from treehopf.foundations import (
     LinComb,
     clear_caches,
@@ -370,7 +372,7 @@ def test_rows_match_the_all_pairs_definition(name):
         kb = B.basis(n)
         for k in A.basis(n):
             want = {y: key(k, y) for y in kb if key(k, y)}
-            assert pairing.row(k) == want
+            assert dict(pairing.row(k).items()) == want
             for y in kb:
                 assert pairing(s(k), s(y)) == key(k, y)
     rng = random.Random(sum(map(ord, name)))
@@ -396,9 +398,10 @@ def test_transitions_match_the_whole_degree_elimination(n):
         got = m_to_e(s(lam))
         assert got == m_rows[lam]
         assert all(type(c) is int for _, c in got.items()), lam
+        # the row is the memoized m-to-e row itself, never a copy of it
         row = ip_sym.row(lam)
-        assert row == dict(m_rows[lam].items())
-        assert row is not ip_sym.row(lam)
+        assert row == m_rows[lam]
+        assert row is ip_sym.row(lam)
 
 
 # ---------------------------------------------------------------- criterion
@@ -927,8 +930,21 @@ def _by_keys(a, image):
     return out
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: alg.name)
-def test_antipode_matches_the_accumulator_through_degree_5(alg, fresh_caches):
+def nsym_coproduct_by_splits(comp):
+    """The coproduct of E_comp as the DP over the splits of each part i into
+    i' + i'' (zero parts dropped), one part at a time."""
+    acc = {((), ()): 1}
+    for part in comp:
+        new = {}
+        for (l, r), c in acc.items():
+            for i in range(part + 1):
+                key = (l + ((i,) if i else ()), r + ((part - i,) if part - i else ()))
+                new[key] = new.get(key, 0) + c
+        acc = new
+    return LinComb.trusted(acc)
+
+
+def _antipodes_match(alg):
     memo = {}
     oracle = lambda k: antipode_by_accumulation(alg, k, memo)
     for n in range(6):
@@ -940,9 +956,12 @@ def test_antipode_matches_the_accumulator_through_degree_5(alg, fresh_caches):
         assert alg.antipode(a) == _by_keys(a, oracle)
 
 
-@pytest.mark.parametrize("alg", (HK, HF), ids=lambda alg: alg.name)
-def test_forest_coproduct_matches_the_per_tree_recursion_through_degree_7(alg,
-                                                                          fresh_caches):
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: alg.name)
+def test_antipode_matches_the_accumulator_through_degree_5(alg, fresh_caches):
+    _antipodes_match(alg)
+
+
+def _forest_coproducts_match(alg):
     memo = {}
     oracle = lambda f: forest_coproduct_by_trees(alg, f, memo)
     for n in range(8):
@@ -953,6 +972,62 @@ def test_forest_coproduct_matches_the_per_tree_recursion_through_degree_7(alg,
     for _ in range(20):
         a = _random_element(rng, alg, range(8))
         assert alg.coproduct(a) == _by_keys(a, oracle)
+
+
+@pytest.mark.parametrize("alg", (HK, HF), ids=lambda alg: alg.name)
+def test_forest_coproduct_matches_the_per_tree_recursion_through_degree_7(alg,
+                                                                          fresh_caches):
+    _forest_coproducts_match(alg)
+
+
+def _nsym_coproducts_match():
+    for n in range(9):
+        for comp in compositions_of(n):
+            assert NSYM._ck(comp) == nsym_coproduct_by_splits(comp), comp
+
+
+def test_nsym_coproduct_matches_the_split_dp_through_degree_8(fresh_caches):
+    _nsym_coproducts_match()
+
+
+COPRODUCTS_MATCH = {"hf": lambda: _forest_coproducts_match(HF), "nsym": _nsym_coproducts_match}
+
+
+@pytest.mark.parametrize("alg", (HF, NSYM), ids=lambda alg: alg.name)
+def test_the_oracles_catch_factors_in_reverse_order(alg, monkeypatch, fresh_caches):
+    factors = type(alg).factors.__get__(alg)
+    monkeypatch.setitem(vars(alg), "factors", lambda key: factors(key)[::-1])
+    with pytest.raises(AssertionError):
+        COPRODUCTS_MATCH[alg.name]()
+    clear_caches()
+    with pytest.raises(AssertionError):
+        _antipodes_match(alg)
+
+
+@pytest.mark.parametrize("alg, text", [(NSYM, "E(4,4,3,3,2,2)"),
+                                       (HF, "([[][]],[[[]]],[[][]],[[]],[[]])")],
+                         ids=["nsym", "hf"])
+def test_coproduct_key_sees_only_generators_and_the_unit(alg, text, monkeypatch,
+                                                         fresh_caches):
+    seen = []
+    coproduct_key = type(alg).coproduct_key.__get__(alg)
+    monkeypatch.setitem(vars(alg), "coproduct_key", lambda k: seen.append(k) or coproduct_key(k))
+    (key,) = parse_element(text, alg.name).keys()
+    assert len(alg.factors(key)) > 1
+    alg.antipode_key(key)
+    alg._ck(key)
+    unit = alg.unit_key()
+    assert set(alg.factors(key)) <= set(seen)
+    assert all(k == unit or alg.factors(k) == (k,) for k in seen), seen
+
+
+def test_antipodes_of_long_products_leave_the_recursion_limit_alone(fresh_caches):
+    # the antipode walks a key's factors in a loop: a product of more
+    # factors than the recursion limit still gets its antipode
+    leaves = Forest((RootedTree(),) * 1200)
+    assert len(leaves.trees) > sys.getrecursionlimit()
+    assert HK.antipode_key(leaves) == s(leaves, (-1) ** 1200)
+    assert NSYM.antipode_key((1,) * 1000) == s((1,) * 1000)
 
 
 # ------------------------------------------------------------- key kernels
