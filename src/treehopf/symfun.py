@@ -31,7 +31,7 @@ polynomial in x_1..x_n is a LinComb over exponent tuples of length n.
 from collections import Counter
 from itertools import combinations
 from math import factorial, prod
-from operator import add, sub
+from operator import sub
 
 from .foundations import (
     LinComb,
@@ -294,8 +294,3 @@ def expand_truncated(a: LinComb, nvars: int) -> LinComb:
     if nvars < 0:
         raise ValueError("variable count must be nonnegative")
     return a.apply_linear(lambda comp: _monomial_expansion(comp, nvars))
-
-
-def polynomial_product(f: LinComb, g: LinComb) -> LinComb:
-    """The product of two polynomials over exponent tuples of one length."""
-    return LinComb.bilinear(f, g, lambda a, b: {tuple(map(add, a, b)): 1})

@@ -1,6 +1,7 @@
 """Property tests, seeded and reproducible: every text ends in an element or
-a refusal, printing is a fixed point of parsing, and the free algebras keep
-their Hopf rules on elements above the suites' caps."""
+a refusal, printing is a fixed point of parsing, and above the suites'
+caps the free algebras keep their Hopf rules and the quasi-shuffle product
+agrees with polynomial multiplication."""
 
 import pytest
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from treehopf.cli import ALGEBRAS, parse_element  # noqa: E402
 from treehopf.foundations import LinComb  # noqa: E402
 from treehopf.hopf import tensor_mult  # noqa: E402
+from treehopf.symfun import QSYM, expand_truncated  # noqa: E402
+
+from test_sparse_oracles import polynomial_product  # noqa: E402
 
 # seeded by the test's own source; no example database is read or written
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -77,3 +81,23 @@ def test_free_algebras_keep_their_hopf_rules_above_the_caps(case):
     s_id = alg.coproduct(x).apply_linear(
         lambda pair: alg.product(alg.antipode_key(pair[0]), LinComb.single(pair[1])))
     assert s_id == alg.counit(x) * alg.one()
+
+
+def _homogeneous(alg, n):
+    """Sums of two or three basis elements of degree n, with nonzero
+    rational coefficients."""
+    terms = st.tuples(st.sampled_from(alg.basis(n)),
+                      st.fractions(-5, 5, max_denominator=6).filter(bool))
+    return st.lists(terms, min_size=2, max_size=3).map(LinComb)
+
+
+# the suite checks basis keys with coefficient 1 through degree 8; these
+# are sums with fraction coefficients of combined degree 9 or 10, and 20
+# examples take about 3 s
+@settings(SEEDED, max_examples=20)
+@given(st.integers(9, 10).flatmap(lambda n: st.integers(1, n - 1).flatmap(
+    lambda i: st.tuples(st.just(n), _homogeneous(QSYM, i), _homogeneous(QSYM, n - i)))))
+def test_quasi_shuffle_realizes_polynomial_multiplication_above_the_cap(case):
+    n, x, y = case
+    assert expand_truncated(QSYM.product(x, y), n) == polynomial_product(
+        expand_truncated(x, n), expand_truncated(y, n))

@@ -11,10 +11,12 @@ that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
 the KT coproduct over all 2^k two-colourings of the root's children,
-planar embeddings from all orderings of the children, and the hopf-axioms
-estimate as a triple sum.  Interned trees and forests are checked against
-equality of kind and encoding, and the rooted-tree classes against
-``networkx``'s rooted tree isomorphism."""
+planar embeddings from all orderings of the children, the hopf-axioms
+estimate as a triple sum, and the quasi-shuffle-oracle suite's product of
+polynomials on exponent tuples, before it packed each tuple into an int.
+Interned trees and forests are checked against equality of kind and
+encoding, and the rooted-tree classes against ``networkx``'s rooted tree
+isomorphism."""
 
 import gc
 import random
@@ -22,7 +24,8 @@ import sys
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import comb, gcd
+from operator import add
 
 import pytest
 
@@ -43,6 +46,7 @@ from treehopf.hopf_planar import HF, KP, attachment_points
 from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
 from treehopf.morphisms import MAP_TABLE, Z_star, kbar
 from treehopf.pairings import (
+    _key_pairs,
     check_duality_criterion,
     check_pairing_compatibility,
     ip_ck,
@@ -66,6 +70,7 @@ from treehopf.symfun import (
     collect_sym,
     e,
     e_to_m,
+    expand_truncated,
     include_sym,
     m_to_e,
 )
@@ -90,6 +95,9 @@ from treehopf.trees import (
 )
 from treehopf.verify import (
     _ESTIMATES,
+    _packed,
+    _pairs,
+    _polynomial_product_holds,
     catalan,
     composition_count,
     exact_rank,
@@ -1190,6 +1198,97 @@ def test_kbar_and_the_monomial_expansion_leave_no_cyclic_garbage(fresh_caches):
 def test_hopf_axioms_estimate_matches_the_triple_sum():
     for n in range(41):
         assert _ESTIMATES["hopf-axioms"](n) == hopf_axioms_estimate_by_triples(n), n
+
+
+# ---------------------------------------------------- quasi-shuffle oracle
+
+def polynomial_product(f: LinComb, g: LinComb) -> LinComb:
+    """The product of two polynomials over exponent tuples of one length."""
+    return LinComb.bilinear(f, g, lambda a, b: {tuple(map(add, a, b)): 1})
+
+
+def polynomial_row_by_tuples(ci, cj, n):
+    """The suite's row "product agrees with truncated polynomial
+    multiplication" on exponent tuples, as it was before it packed them."""
+    return expand_truncated(QSYM._pk(ci, cj), n) == polynomial_product(
+        expand_truncated(s(ci), n), expand_truncated(s(cj), n))
+
+
+def _shuffles(product_keys):
+    """The quasi-shuffle without its fused parts a + b."""
+    def broken(left, right):
+        if not left or not right:
+            return s(left + right)
+        return (QSYM._pk(left[1:], right).map_keys(lambda comp: left[:1] + comp)
+                + QSYM._pk(left, right[1:]).map_keys(lambda comp: right[:1] + comp))
+
+    return broken
+
+
+def _adds_a_part_above_the_degree(product_keys):
+    """Adds M(n + 2, 1, ..., 1) - M(1, 2, 1, ..., 1), both of length n, to a
+    product of degree n >= 2: their exponent tuples differ, but packed in
+    base n + 1 both are n + 2 + (n + 1) + (n + 1)^2 + ..."""
+    def broken(left, right):
+        n = sum(left) + sum(right)
+        if n < 2:
+            return product_keys(left, right)
+        ones = (1,) * (n - 2)
+        return product_keys(left, right) + s((n + 2, 1) + ones) - s((1, 2) + ones)
+
+    return broken
+
+
+# broken QSYM products, each made from the true one
+QSYM_DEFECTS = {
+    "concatenates": lambda product_keys: lambda left, right: s(left + right),
+    "drops the fused part": _shuffles,
+    "adds a part above the degree": _adds_a_part_above_the_degree,
+}
+
+
+@pytest.mark.parametrize("defect", [None] + sorted(QSYM_DEFECTS))
+def test_the_packed_row_gives_the_tuple_verdicts_through_degree_7(defect, monkeypatch,
+                                                                  fresh_caches):
+    if defect is not None:
+        product_keys = type(QSYM).product_keys.__get__(QSYM)
+        monkeypatch.setitem(vars(QSYM), "product_keys", QSYM_DEFECTS[defect](product_keys))
+    verdicts = {case: (_polynomial_product_holds(*case), polynomial_row_by_tuples(*case))
+                for case in _pairs(QSYM.basis, 7)}
+    assert [case for case, (got, want) in verdicts.items() if got != want] == []
+    assert all(want for got, want in verdicts.values()) == (defect is None)
+
+
+def test_the_suite_packs_exponent_tuples_injectively(monkeypatch):
+    # every (nvars, base) the suite packs with, on every exponent tuple of
+    # degree <= nvars: the expansions of the compositions of those degrees
+    packings = set()
+
+    def spy(comp, nvars, base):
+        packings.add((nvars, base))
+        return _packed(comp, nvars, base)
+
+    monkeypatch.setattr(treehopf.verify, "_packed", spy)
+    assert run_suite("quasi-shuffle-oracle", 7).ok
+    assert {nvars for nvars, base in packings} == set(range(8))
+    for nvars, base in packings:
+        tuple_of = {}
+        for m in range(nvars + 1):
+            for comp in compositions_of(m):
+                expos = _monomial_expansion(comp, nvars)
+                for expo, x in zip(expos, _packed(comp, nvars, base)):
+                    assert tuple_of.setdefault(x, expo) == expo, (nvars, base, expo)
+    # base n would not do: x_v^n and x_{v+1} pack alike
+    assert set(_packed((3,), 3, 3)) & set(_packed((1,), 3, 3)) == {3, 9}
+
+
+def test_quasi_shuffle_estimate_counts_the_monomial_products():
+    # an expansion in n variables has C(n, length) monomials
+    products = 0
+    for n in range(10):
+        products += sum(comb(n, len(ci)) * comb(n, len(cj))
+                        for ci, cj in _key_pairs(QSYM.basis, n))
+        assert products / 2 <= _ESTIMATES["quasi-shuffle-oracle"](n) <= 2 * products, n
 
 
 # ------------------------------------------------------------- interning

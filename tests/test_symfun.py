@@ -28,8 +28,9 @@ from treehopf.symfun import (
     include_sym,
     m_to_e,
     p,
-    polynomial_product,
 )
+
+from test_sparse_oracles import polynomial_product
 
 s = LinComb.single
 

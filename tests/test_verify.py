@@ -24,6 +24,8 @@ from treehopf.verify import (
     run_suite,
 )
 
+from test_sparse_oracles import QSYM_DEFECTS
+
 s = LinComb.single
 
 
@@ -134,6 +136,9 @@ def test_bound_refusal_names_cap_and_estimate():
         run_suite("hopf-axioms", 8)
     with pytest.raises(SuiteBoundError):
         run_suite("dualities", 8)
+    with pytest.raises(SuiteBoundError) as exc:
+        run_suite("quasi-shuffle-oracle", 9)
+    assert "cap is 8" in str(exc.value)
 
 
 def test_run_all_defaults():
@@ -293,16 +298,31 @@ FAILURE_REPORTS = {
               "Zstar is comultiplicative": "[[[]][[]]]"},
     "kbar": {"kbar is multiplicative": "[] , [[][[]]]",
              "kbar is comultiplicative": "[] [[][[]]]"},
+    "qsym product concatenates, quasi-shuffle-oracle": {
+        "product agrees with truncated polynomial multiplication": "M(1,) * M(1,)",
+        "stripping a trailing one is a derivation": "M(1,) , M(1,)",
+        "products of symmetrized elements stay symmetric":
+            "m(1,) * m(2,): not symmetric: coefficient of (1, 2) differs from (2, 1)",
+        "symmetrization is multiplicative": "m(1,) , m(1,)",
+    },
+    "qsym product drops the fused part, quasi-shuffle-oracle": {
+        "product agrees with truncated polynomial multiplication": "M(1,) * M(1,)",
+        "symmetrization is multiplicative": "m(1,) , m(1,)",
+    },
 }
 
 
-# hopf-axioms at degree 3 under a broken key rule: (algebra, method, the
+# a suite at degree 3 under a broken key rule: (suite, algebra, method, the
 # broken method made from the original)
 KEY_DEFECTS = {
-    "qsym product concatenates": (QSYM, "product_keys",
-                                  lambda product_keys: lambda l, r: LinComb.single(l + r)),
-    "kt coproduct drops a term": (KT, "coproduct_key", _drops_last_term),
-    "hf coproduct drops a term": (HF, "coproduct_key", _drops_last_term),
+    "qsym product concatenates": ("hopf-axioms", QSYM, "product_keys",
+                                  QSYM_DEFECTS["concatenates"]),
+    "kt coproduct drops a term": ("hopf-axioms", KT, "coproduct_key", _drops_last_term),
+    "hf coproduct drops a term": ("hopf-axioms", HF, "coproduct_key", _drops_last_term),
+    "qsym product concatenates, quasi-shuffle-oracle": (
+        "quasi-shuffle-oracle", QSYM, "product_keys", QSYM_DEFECTS["concatenates"]),
+    "qsym product drops the fused part, quasi-shuffle-oracle": (
+        "quasi-shuffle-oracle", QSYM, "product_keys", QSYM_DEFECTS["drops the fused part"]),
 }
 
 
@@ -312,10 +332,10 @@ def test_failure_reports_are_pinned(defect, monkeypatch):
     # seeded spot cases
     clear_caches()
     if defect in KEY_DEFECTS:
-        alg, attr, breaking = KEY_DEFECTS[defect]
+        suite, alg, attr, breaking = KEY_DEFECTS[defect]
         # an instance attribute, so undoing the patch leaves the class method
         monkeypatch.setitem(vars(alg), attr, breaking(getattr(type(alg), attr).__get__(alg)))
-        suite, degree = "hopf-axioms", 3
+        degree = 3
     else:
         dom, cod, fn = MAP_TABLE[defect]
         monkeypatch.setitem(MAP_TABLE, defect, (dom, cod, _wrong_in_degree_5(dom, fn)))
