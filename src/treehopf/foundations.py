@@ -16,9 +16,11 @@ structure map is the linear extension of a rule on basis keys: a linear map
 is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product is
 ``bilinear``, and a key-level rule that already emits each key once hands
 its dict to ``trusted``, or its keys with repetitions to ``tally``, so no
-result is summed a second time.  The sums compute no identity: a new key
-takes its term as it is, and a unit coefficient multiplies nothing, so no
-``Fraction`` is built for 0 + x, 1 * x or x * 1.
+result is summed a second time.  Two loops do the summing: ``_sum``, and
+the copy of it inlined in ``apply_linear``, the hottest sum.  The sums
+compute no identity: a new key takes its term as it is, and a unit
+coefficient multiplies nothing, so no ``Fraction`` is built for 0 + x,
+1 * x or x * 1.
 
 The image of a basis key under an extension is a LinComb or a dict.  A
 dict image is copied (its zero coefficients pruned), never kept, since its
@@ -195,36 +197,12 @@ class LinComb:
         """Bilinear extension: sum of c1 * c2 * image(k1, k2) over the terms
         of ``a`` and ``b``, with ``image``, its contract and whole
         coefficients as in ``apply_linear``."""
-        a_terms, b_terms = a._terms, b._terms.items()
-        one_term = len(a_terms) == 1 == len(b_terms)
-        data = {}
-        get = data.get
-        fractions = False
-        for k1, c1 in a_terms.items():
-            frac1 = type(c1) is Fraction
-            unit1 = not frac1 and c1 == 1
-            for k2, c2 in b_terms:
-                c = c2 if unit1 else c1 if frac1 and c2 == 1 else c1 * c2
-                if one_term:
-                    return _one_term(c, image(k1, k2))
-                frac = type(c) is Fraction
-                if frac:
-                    fractions = True
-                unit = c == 1
-                for k, x in image(k1, k2).items():
-                    if not unit:
-                        x = (c if x == 1 else c * x) if frac else c * x
-                    cur = get(k)
-                    if cur is None:
-                        if x:
-                            data[k] = x
-                    else:
-                        cur += x
-                        if cur:
-                            data[k] = cur
-                        else:
-                            del data[k]
-        return LinComb.trusted(_whole(data) if fractions else data)
+        a_items, b_items = a._terms.items(), b._terms.items()
+        if len(a_items) == 1 == len(b_items):
+            for (k1, c1), (k2, c2) in zip(a_items, b_items):
+                return _one_term(_times(c1, c2), image(k1, k2))
+        return LinComb.trusted(_sum([(_times(c1, c2), image(k1, k2).items())
+                                     for k1, c1 in a_items for k2, c2 in b_items]))
 
     def map_keys(self, relabel):
         """Relabel every key by ``relabel`` (which must stay injective-enough
@@ -270,9 +248,11 @@ def _sum(scaled, data=None) -> dict:
     ``items``, for each (c, items) of ``scaled``: added in place, zeros
     pruned, and whole coefficients made ``int``s if a c is a ``Fraction``.
     A new key takes its term as it is, a c equal to 1 multiplies nothing,
-    and under a ``Fraction`` c a coefficient 1 gives c.  ``apply_linear``
-    and ``bilinear`` run this loop inline: a call of it for each of their
-    input terms would cost more than skipping the identities saves."""
+    and under a ``Fraction`` c a coefficient 1 gives c.  ``bilinear`` hands
+    it one (c, items) per pair of terms.  ``apply_linear`` runs this loop
+    inline: every coproduct, antipode, map and suite row goes through it,
+    and a list of (c, items) built on each of its calls slows the heaviest
+    suites measurably (CHANGES.md)."""
     data = {} if data is None else data
     get = data.get
     fractions = False
@@ -295,6 +275,18 @@ def _sum(scaled, data=None) -> dict:
                 else:
                     del data[key]
     return _whole(data) if fractions else data
+
+
+def _times(c1, c2):
+    """c1 * c2, with no product computed for an ``int`` c1 of 1, nor for a
+    c2 of 1 under a ``Fraction`` c1.  A ``Fraction`` factor keeps the
+    product a ``Fraction``, so that the sum it scales still makes its whole
+    coefficients ``int``s."""
+    if c1 == 1 and type(c1) is int:
+        return c2
+    if c2 == 1 and type(c1) is Fraction:
+        return c1
+    return c1 * c2
 
 
 def _one_term(c, image) -> LinComb:

@@ -194,8 +194,8 @@ def collect_sym(q: LinComb) -> LinComb:
     wrong = include_sym(out) - q
     if wrong:
         other = next(iter(wrong))
-        raise ValueError(f"not symmetric: coefficient of {other} differs from "
-                         f"{pi_forget(other)}")
+        raise ValueError(f"not symmetric: coefficient of {QSYM.key_str(other)} differs "
+                         f"from {QSYM.key_str(pi_forget(other))}")
     return out
 
 
@@ -247,11 +247,6 @@ def m_to_e_row(lam) -> LinComb:
 def m_to_e(a: LinComb) -> LinComb:
     """Rewrite a monomial-basis element as coefficients on the e_lam basis."""
     return a.apply_linear(m_to_e_row)
-
-
-def e_to_m(a: LinComb) -> LinComb:
-    """Expand e-basis coefficients back into the monomial basis."""
-    return a.apply_linear(e_to_m_row)
 
 
 def alpha_plus(a: LinComb) -> LinComb:

@@ -626,7 +626,7 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
 def _suite_hexagon(d: int) -> list[IdentityResult]:
     degree = f"degree <= {d}"
     Phi, Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phi", "Phistar", "rhostar"))
-    word_text = lambda comp, x: f"E{comp}"
+    word_text = lambda comp, x: NSYM.key_str(comp)
     rows = [
         ("upper diamond: forgetting order after ladder insertion matches "
          "ladders of the abelianization", _keys(compositions_of, d),
@@ -636,7 +636,7 @@ def _suite_hexagon(d: int) -> list[IdentityResult]:
          lambda comp, x: phi_star(Z(x)) == tau(x), word_text),
         ("right triangle: forest image collapses to the symmetrization",
          _keys(partitions_of, d),
-         lambda lam, x: Z_star(phi(x)) == include_sym(x), lambda lam, x: f"m{lam}"),
+         lambda lam, x: Z_star(phi(x)) == include_sym(x), lambda lam, x: SYM.key_str(lam)),
         ("lower diamond: planar-fiber then ladder projection matches "
          "symmetrized ladder projection", _keys(KT.basis, d),
          lambda t, x: Phistar(rhostar(x)) == include_sym(phi_star(x)),
@@ -708,6 +708,12 @@ def _alpha_cases(d):
                     yield dual, op, cu, u, cv, LinComb.single(cv)
 
 
+def _e_str(mu):
+    """e_mu, written as SYM writes m_mu: ``e(2,1)``, and 1 for the empty
+    partition."""
+    return SYM.key_str(mu).replace("m", "e")
+
+
 def _delta_cases(d):
     """Cases (mu, nu, lam, <e_mu e_nu, m_lam>) with |mu| + |nu| = |lam| <= d + 1;
     the pairings of e_mu e_nu are computed once per (mu, nu)."""
@@ -749,15 +755,15 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
         ("tree embedding is adjoint to the composition quotient", degree,
          _z_adjoint_cases(d),
          lambda comp, u, zu_f, f, zstar_f: zu_f == pair_ns_qs(u, zstar_f),
-         lambda comp, u, zu_f, f, zstar_f: f"E{comp} , {HK.format(LinComb.single(f))}"),
+         lambda comp, u, zu_f, f, zstar_f: f"{NSYM.key_str(comp)} , {HK.key_str(f)}"),
         ("append/strip operators are mutually adjoint", degree, _alpha_cases(d),
          lambda dual, op, cu, u, cv, v: pair_ns_qs(dual(u), v) == pair_ns_qs(u, op(v)),
-         lambda dual, op, cu, u, cv, v: f"E{cu} , M{cv}"),
+         lambda dual, op, cu, u, cv, v: f"{NSYM.key_str(cu)} , {QSYM.key_str(cv)}"),
         ("split elementary products hit monomials as deltas", f"degree <= {d + 1}",
          _delta_cases(d),
          lambda mu, nu, lam, value: value
          == (1 if tuple(sorted(mu + nu, reverse=True)) == lam else 0),
-         lambda mu, nu, lam, *_: f"e{mu}*e{nu} vs m{lam}"),
+         lambda mu, nu, lam, *_: f"{_e_str(mu)}*{_e_str(nu)} vs {SYM.key_str(lam)}"),
     ]
     return results + [_check(*row) for row in rows]
 
@@ -765,7 +771,7 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
 # --------------------------------------------------- suite: divided powers
 
 def _suite_divided_powers(d: int) -> list[IdentityResult]:
-    def chain(kind):
+    def chain_forest(kind):
         """The forest of one i-vertex chain (empty for i = 0), as an element."""
         return lambda i: LinComb.single(ladder_forest((i,) if i else (), kind))
 
@@ -783,9 +789,9 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
         ("ladder projection of the alternating element is elementary", "n",
          lambda n: phi_star(epsilon(n)) == e(n)),
         ("chains are divided powers among ordered forests", "i",
-         lambda i: _divided_powers(HF, chain(OrderedForest), i)),
+         lambda i: _divided_powers(HF, chain_forest(OrderedForest), i)),
         ("chains are divided powers among forests", "i",
-         lambda i: _divided_powers(HK, chain(Forest), i)),
+         lambda i: _divided_powers(HK, chain_forest(Forest), i)),
     ]
     return [
         _each(identity, f"{var} <= {d}", var, range(d + 1), holds)
@@ -798,7 +804,7 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
 def _suite_zstar_intertwine(d: int) -> list[IdentityResult]:
     forests, words = f"degree <= {d}", f"degree <= {d - 1}"
     forest_text = lambda f, x: HK.key_str(f)
-    word_text = lambda comp, u: f"E{comp}"
+    word_text = lambda comp, u: NSYM.key_str(comp)
     eps1 = epsilon(1)
     rows = [
         ("rooting a forest appends a part one", forests, _keys(forests_of_degree, d),
@@ -879,19 +885,20 @@ def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
     rows = [
         ("product agrees with truncated polynomial multiplication",
          f"combined degree <= {d}", _pairs(QSYM.basis, d), _polynomial_product_holds,
-         lambda ci, cj, n: f"M{ci} * M{cj}"),
+         lambda ci, cj, n: f"{QSYM.key_str(ci)} * {QSYM.key_str(cj)}"),
         ("stripping a trailing one is a derivation", degree, _pairs(QSYM.basis, d),
          lambda ci, cj, n: alpha_minus(pk(ci, cj))
          == _times_key(QSYM, alpha_minus(s(ci)), cj)
          + _key_times(QSYM, ci, alpha_minus(s(cj))),
-         lambda ci, cj, n: f"M{ci} , M{cj}"),
+         lambda ci, cj, n: f"{QSYM.key_str(ci)} , {QSYM.key_str(cj)}"),
         ("products of symmetrized elements stay symmetric", degree, _pairs(SYM.basis, d),
          lambda mu, nu, n: _symmetrized_product_error(s(mu), s(nu)) is None,
-         lambda mu, nu, n: f"m{mu} * m{nu}: {_symmetrized_product_error(s(mu), s(nu))}"),
+         lambda mu, nu, n: f"{SYM.key_str(mu)} * {SYM.key_str(nu)}: "
+         f"{_symmetrized_product_error(s(mu), s(nu))}"),
         ("symmetrization is multiplicative", degree, _pairs(SYM.basis, d),
          lambda mu, nu, n: include_sym(SYM._pk(mu, nu))
          == QSYM.product(include_sym(s(mu)), include_sym(s(nu))),
-         lambda mu, nu, n: f"m{mu} , m{nu}"),
+         lambda mu, nu, n: f"{SYM.key_str(mu)} , {SYM.key_str(nu)}"),
     ]
     return [_check(*row) for row in rows]
 

@@ -200,6 +200,19 @@ def test_every_cache_goes_through_the_registry():
         "functools", "lru_cache", "_T", "_U", "_x_memo"]
 
 
+def _scopes(tree):
+    """(name, node) for each top-level statement of a module, a method
+    named ``Class.method``, and any other statement ``<module>``."""
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef)]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return scopes
+
+
 def _accumulations(tree):
     """Top-level functions and methods (``Class.method``) that add to or
     subtract from a ``d.get(k, 0)`` lookup: a sparse sum written by hand."""
@@ -214,14 +227,35 @@ def _accumulations(tree):
                    and (get_or_zero(sub.left) or get_or_zero(sub.right))
                    for sub in ast.walk(node))
 
-    scopes = []
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            scopes += [(f"{node.name}.{item.name}", item) for item in node.body
-                       if isinstance(item, ast.FunctionDef)]
-        else:
-            scopes.append((getattr(node, "name", "<module>"), node))
-    return [name for name, node in scopes if sums(node)]
+    return [name for name, node in _scopes(tree) if sums(node)]
+
+
+def _prunings(tree):
+    """Top-level functions and methods with a ``del d[key]`` statement: a
+    summing loop that prunes the entry a term cancelled."""
+
+    def prunes(node):
+        return any(isinstance(sub, ast.Delete)
+                   and any(isinstance(target, ast.Subscript) for target in sub.targets)
+                   for sub in ast.walk(node))
+
+    return [name for name, node in _scopes(tree) if prunes(node)]
+
+
+def test_foundations_sums_in_two_loops():
+    # apply_linear keeps its inline copy of _sum's loop for speed; every
+    # other sum, bilinear's included, goes through _sum
+    source = pathlib.Path(foundations.__file__).read_text()
+    assert _prunings(ast.parse(source)) == ["LinComb.apply_linear", "_sum"]
+    third = ("def _sum_pairs(pairs):\n    data = {}\n    for key, x in pairs:\n"
+             "        data[key] = data.get(key, 0) + x\n        if not data[key]:\n"
+             "            del data[key]\n    return data\n")
+    assert _prunings(ast.parse(source + third)) == [
+        "LinComb.apply_linear", "_sum", "_sum_pairs"]
+    assert _prunings(ast.parse(
+        "class A:\n    def f(self, d):\n        del d[1], self.x\n"
+        "    def g(self, d):\n        del d\n"
+        "def h(d):\n    d.pop(1)\n")) == ["A.f"]
 
 
 def test_sparse_sums_outside_foundations_go_through_lincomb():

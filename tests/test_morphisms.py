@@ -3,7 +3,10 @@ linking them."""
 
 from fractions import Fraction
 
+import pytest
+
 from treehopf.foundations import LinComb, compositions_of, partitions_of
+from treehopf.hopf import tensor_map
 from treehopf.hopf_rooted import KT, HK, epsilon, kappa
 from treehopf.hopf_planar import HF, KP
 from treehopf.symfun import NSYM, QSYM, SYM, e, h, include_sym
@@ -226,3 +229,70 @@ def test_hexagon_maps_give_integer_input_int_coefficients():
         assert ints(Phi_star(LinComb({t: 2 for t in KP.basis(n)})))
         assert ints(Z_star(LinComb({f: 3 for f in forests_of_degree(n)})))
         assert ints(Z_star(rho(Phi(x))))
+
+
+# ------------------------------------------------ every map is a Hopf morphism
+
+# the free domains: a key is the product of its generators
+FREE = (NSYM, HK, HF)
+
+
+def _generators(alg, n):
+    """Algebra generators of degree n >= 1: E_n, e_n = m(1^n), the one-tree
+    forests, and every key of KT and KP."""
+    if alg is NSYM:
+        return [(n,)]
+    if alg is SYM:
+        return [(1,) * n]
+    if alg in FREE:
+        return [f for f in alg.basis(n) if len(f.trees) == 1]
+    return alg.basis(n)
+
+
+def _hopf_morphism_failure(dom, cod, fn, d):
+    """The first case of degree <= d on which fn: dom -> cod is not a Hopf
+    morphism, or None.  On a free domain f(xy) = f(x) f(y) follows from the
+    case of a generator x and any key y, by induction on the factors of x;
+    other domains take every key pair.  Once f and both coproducts are
+    algebra morphisms, f is a coalgebra morphism if it is one on algebra
+    generators (Grinberg-Reiner, Hopf Algebras in Combinatorics, ch. 1).
+    Unit and counit are checked on every key."""
+
+    def image(key):
+        return fn(s(key))
+
+    lefts = _generators if dom in FREE else lambda alg, i: alg.basis(i)
+    if fn(dom.one()) != cod.one():
+        return ("unit",)
+    for n in range(d + 1):
+        for key in dom.basis(n):
+            if cod.counit(image(key)) != dom.counit(s(key)):
+                return "counit", key
+    for n in range(1, d + 1):
+        for i in range(1, n + 1):
+            for x in lefts(dom, i):
+                for y in dom.basis(n - i):
+                    if fn(dom.product(s(x), s(y))) != cod.product(image(x), image(y)):
+                        return "product", x, y
+        for g in _generators(dom, n):
+            if cod.coproduct(image(g)) != tensor_map(dom.coproduct(s(g)), image, image):
+                return "coproduct", g
+    return None
+
+
+def test_every_map_is_a_hopf_morphism_through_degree_6():
+    for name, (dom, cod, fn) in MAP_TABLE.items():
+        assert _hopf_morphism_failure(dom, cod, fn, 6) is None, name
+
+
+@pytest.mark.parametrize("name", sorted(MAP_TABLE))
+@pytest.mark.parametrize("keys", [
+    lambda dom: reversed(dom.basis(6)),  # a product of generators, in a free domain
+    lambda dom: _generators(dom, 6),
+], ids=["last key", "first generator"])
+def test_a_map_wrong_on_one_degree_6_key_is_no_hopf_morphism(name, keys):
+    dom, cod, fn = MAP_TABLE[name]
+    key = next(k for k in keys(dom) if fn(s(k)))
+    wrong = lambda x: fn(x) + fn(x.filter_keys(lambda k: k == key))
+    assert _hopf_morphism_failure(dom, cod, wrong, 5) is None
+    assert _hopf_morphism_failure(dom, cod, wrong, 6) is not None

@@ -5,7 +5,8 @@ from fractions import Fraction
 from treehopf.foundations import LinComb, compositions_of, partitions_of
 from treehopf.hopf_rooted import HK, KT
 from treehopf.hopf_planar import HF, KP
-from treehopf.symfun import NSYM, QSYM, SYM, e_to_m
+from treehopf.morphisms import tau
+from treehopf.symfun import NSYM, QSYM, SYM
 from treehopf.pairings import (
     check_duality_criterion,
     ip_ck,
@@ -89,7 +90,7 @@ def test_partition_pairing_values():
         for la in partitions_of(n):
             # (e_la, m_mu) = delta
             for mu in partitions_of(n):
-                assert ip_sym(e_to_m(s(la)), s(mu)) == (1 if la == mu else 0)
+                assert ip_sym(tau(s(la)), s(mu)) == (1 if la == mu else 0)
 
 
 def test_partition_pairing_symmetric():

@@ -44,7 +44,7 @@ from treehopf.foundations import (
 from treehopf.hopf import tensor_map, tensor_mult
 from treehopf.hopf_planar import HF, KP, attachment_points
 from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
-from treehopf.morphisms import MAP_TABLE, Z_star, kbar
+from treehopf.morphisms import MAP_TABLE, Z_star, kbar, tau
 from treehopf.pairings import (
     _key_pairs,
     check_duality_criterion,
@@ -69,7 +69,6 @@ from treehopf.symfun import (
     _monomial_expansion,
     collect_sym,
     e,
-    e_to_m,
     expand_truncated,
     include_sym,
     m_to_e,
@@ -402,7 +401,7 @@ def test_rows_match_the_all_pairs_definition(name):
 def test_transitions_match_the_whole_degree_elimination(n):
     e_rows, m_rows = transition_by_elimination(n)
     for lam in partitions_of(n):
-        assert e_to_m(s(lam)) == e_rows[lam]
+        assert tau(s(lam)) == e_rows[lam]
         got = m_to_e(s(lam))
         assert got == m_rows[lam]
         assert all(type(c) is int for _, c in got.items()), lam

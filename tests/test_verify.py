@@ -199,7 +199,7 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
         r["identity"].split(":")[0]: r["counterexample"]
         for r in report["results"] if r["status"] == "fail"
     }
-    assert failed == {"upper diamond": "E()", "left triangle": "E()"}
+    assert failed == {"upper diamond": "1", "left triangle": "1"}
 
 
 @pytest.fixture
@@ -272,15 +272,15 @@ FAILURE_REPORTS = {
                 "phistar is comultiplicative": "[[][[]][[]]]"},
     "Phi": {
         "upper diamond: forgetting order after ladder insertion matches ladders "
-        "of the abelianization": "E(5,)",
-        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "of the abelianization": "E(5)",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5)",
         "Phi is multiplicative": "E(1) , E(2,2)",
         "Phi is comultiplicative": "E(5)",
     },
     "Phistar": {
         "lower diamond: planar-fiber then ladder projection matches symmetrized "
         "ladder projection": "[[[[[[]]]]]]",
-        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5)",
         "Phistar is multiplicative": "p[[]] , p[[][][[]]]",
     },
     "rho": {"rho is multiplicative": "([]) , ([[][]],[])",
@@ -288,7 +288,7 @@ FAILURE_REPORTS = {
     "rhostar": {
         "lower diamond: planar-fiber then ladder projection matches symmetrized "
         "ladder projection": "[[[[[[]]]]]]",
-        "full circuit: both long ways from divided powers to compositions agree": "E(5,)",
+        "full circuit: both long ways from divided powers to compositions agree": "E(5)",
         "rhostar is multiplicative": "[[]] , [[][[[]]]]",
         "rhostar is comultiplicative": "[[][][][][]]",
     },
@@ -299,15 +299,15 @@ FAILURE_REPORTS = {
     "kbar": {"kbar is multiplicative": "[] , [[][[]]]",
              "kbar is comultiplicative": "[] [[][[]]]"},
     "qsym product concatenates, quasi-shuffle-oracle": {
-        "product agrees with truncated polynomial multiplication": "M(1,) * M(1,)",
-        "stripping a trailing one is a derivation": "M(1,) , M(1,)",
+        "product agrees with truncated polynomial multiplication": "M(1) * M(1)",
+        "stripping a trailing one is a derivation": "M(1) , M(1)",
         "products of symmetrized elements stay symmetric":
-            "m(1,) * m(2,): not symmetric: coefficient of (1, 2) differs from (2, 1)",
-        "symmetrization is multiplicative": "m(1,) , m(1,)",
+            "m(1) * m(2): not symmetric: coefficient of M(1,2) differs from M(2,1)",
+        "symmetrization is multiplicative": "m(1) , m(1)",
     },
     "qsym product drops the fused part, quasi-shuffle-oracle": {
-        "product agrees with truncated polynomial multiplication": "M(1,) * M(1,)",
-        "symmetrization is multiplicative": "m(1,) , m(1,)",
+        "product agrees with truncated polynomial multiplication": "M(1) * M(1)",
+        "symmetrization is multiplicative": "m(1) , m(1)",
     },
 }
 
@@ -354,3 +354,37 @@ def test_a_basis_key_formats_as_its_key_string():
         for n in range(6):
             for key in alg.basis(n):
                 assert alg.format(s(key)) == alg.key_str(key), (alg.name, key)
+
+
+# (suite, the name in verify that is broken) -> the failing identities and
+# their counterexamples, each naming its keys with key_str
+KEY_STR_REPORTS = {
+    ("dualities", "Z"): {
+        "tree embedding is adjoint to the composition quotient": "E(2) , [] []"},
+    ("dualities", "alpha_plus_dual"): {
+        "append/strip operators are mutually adjoint": "E(1,1) , M(1)"},
+    ("dualities", "e_to_m_row"): {
+        "split elementary products hit monomials as deltas": "1*e(2) vs m(2)"},
+    ("zstar-intertwine", "alpha_plus_dual"): {
+        "dual append matches root stripping after the single-child projection": "E(1,1)"},
+    ("hexagon", "include_sym"): {
+        "right triangle: forest image collapses to the symmetrization": "m(2)",
+        "lower diamond: planar-fiber then ladder projection matches symmetrized "
+        "ladder projection": "[[[]]]"},
+}
+
+
+@pytest.mark.parametrize("suite, name", list(KEY_STR_REPORTS))
+def test_counterexamples_name_keys_with_key_str(suite, name, monkeypatch):
+    # the broken function doubles its image of each input of degree >= 2;
+    # e_to_m_row takes a partition, the others a homogeneous element
+    clear_caches()
+    fn = getattr(treehopf.verify, name)
+    degree = sum if name == "e_to_m_row" else lambda x: max(map(sum, x.keys()), default=0)
+    monkeypatch.setattr(treehopf.verify, name, lambda x: fn(x) if degree(x) < 2 else 2 * fn(x))
+    try:
+        report = run_suite(suite, 3)
+    finally:
+        clear_caches()
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == KEY_STR_REPORTS[suite, name]
