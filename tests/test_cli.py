@@ -14,7 +14,7 @@ import treehopf.cli
 import treehopf.hopf_planar
 import treehopf.hopf_rooted
 from treehopf.cli import CHAIN_CAP, GRAFT_CAP, TERM_CAP, build_parser, main, parse_element
-from treehopf.foundations import LinComb
+from treehopf.foundations import LinComb, clear_caches
 from treehopf.trees import rooted_from_string as rt, Forest
 from treehopf.hopf_rooted import KT
 
@@ -55,9 +55,16 @@ def test_enumerate_count_golden(capsys):
 
 
 def test_enumerate_planar_listing(capsys):
-    code, out, _ = run(capsys, "enumerate", "--planar", "--vertices", "3")
+    code, out, _ = run(capsys, "enumerate", "--kind", "planar", "--vertices", "3")
     assert code == 0
     assert out.split() == ["p[[[]]]", "p[[][]]"]
+
+
+def test_enumerate_takes_its_kind_from_kind_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", "rooted", "--planar", "--vertices", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --planar" in capsys.readouterr().err
 
 
 def test_enumerate_guard(capsys):
@@ -120,6 +127,19 @@ def test_series_elements(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: index must be nonnegative\n"
+
+
+def test_tree_embedding_of_a_divided_power_needs_no_tree_sum(capsys, monkeypatch):
+    # Z sends E_n to epsilon(n), the corolla with n leaves over n!, with no
+    # kappa and no grafting of whole sums
+    def no_kappa(n):
+        raise AssertionError(f"kappa({n}) called")
+
+    clear_caches()
+    monkeypatch.setattr(treehopf.hopf_rooted, "kappa", no_kappa)
+    code, out, _ = run(capsys, "map", "--name", "Z", "E(14)")
+    assert code == 0
+    assert out == "1/87178291200*[" + "[]" * 14 + "]\n"
 
 
 def test_expand_golden(capsys):

@@ -24,6 +24,7 @@ from treehopf.trees import (
     ladder,
     rooted_from_string as rt,
 )
+from test_sparse_oracles import epsilon_by_recursion
 
 s = LinComb.single
 
@@ -123,9 +124,10 @@ def test_kappa_values():
 
 
 def test_epsilon_is_scaled_corolla():
+    # epsilon returns the closed form; the recursion that defines it is the oracle
     for n in range(0, 7):
         want = LinComb.single(corolla(n), Fraction(1, math.factorial(n)))
-        assert epsilon(n) == want
+        assert epsilon_by_recursion(n) == want
 
 
 def test_epsilon_antipode_relation():

@@ -6,7 +6,8 @@ over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
 loops, the antipode's accumulator loop, LinComb's sums as they were before
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
-NSYM's coproduct as a DP over the splits of each part, and the key kernels
+NSYM's coproduct as a DP over the splits of each part, epsilon by the
+alternating recursion that defines it, and the key kernels
 that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
@@ -32,18 +33,19 @@ import pytest
 import treehopf.foundations
 import treehopf.hopf_rooted
 import treehopf.verify
-from treehopf.cli import parse_element
+from treehopf.cli import SERIES_CAP, parse_element
 from treehopf.foundations import (
     LinComb,
     clear_caches,
     compositions_of,
+    memo,
     multiset_splits,
     partitions_of,
     rearrangements,
 )
 from treehopf.hopf import tensor_map, tensor_mult
 from treehopf.hopf_planar import HF, KP, attachment_points
-from treehopf.hopf_rooted import HK, KT, _grafts, forest_b_plus
+from treehopf.hopf_rooted import HK, KT, _grafts, corolla, epsilon, forest_b_plus, kappa
 from treehopf.morphisms import MAP_TABLE, Z_star, kbar, tau
 from treehopf.pairings import (
     _key_pairs,
@@ -1035,6 +1037,51 @@ def test_antipodes_of_long_products_leave_the_recursion_limit_alone(fresh_caches
     assert len(leaves.trees) > sys.getrecursionlimit()
     assert HK.antipode_key(leaves) == s(leaves, (-1) ** 1200)
     assert NSYM.antipode_key((1,) * 1000) == s((1,) * 1000)
+
+
+# ---------------------------------------------------------- divided powers
+
+@memo
+def epsilon_by_recursion(n: int) -> LinComb:
+    """Divided-power sequence: alternating convolution inverse of kappa.
+
+    epsilon(n) = kappa(1)∘epsilon(n-1) - kappa(2)∘epsilon(n-2) + ...
+    ± kappa(n), with epsilon(0) the unit.  Equals 1/n! times the corolla
+    with n leaf children.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n == 0:
+        return KT.one()
+    acc = LinComb.zero()
+    sign = 1
+    for i in range(1, n + 1):
+        acc += sign * KT.product(kappa(i), epsilon_by_recursion(n - i))
+        sign = -sign
+    return acc
+
+
+def test_epsilon_is_the_recursion_in_value_and_type_through_the_series_cap():
+    # every epsilon the CLI prints
+    for n in range(SERIES_CAP + 1):
+        assert _typed(epsilon(n)) == _typed(epsilon_by_recursion(n)), n
+        assert {type(c) for _, c in epsilon(n).items()} == {int if n <= 1 else Fraction}, n
+
+
+def test_the_divided_powers_suite_sees_epsilon_wrong_at_one_degree(monkeypatch):
+    true_epsilon = treehopf.hopf_rooted.epsilon
+    monkeypatch.setattr(treehopf.verify, "epsilon", lambda n: s(corolla(5), Fraction(1, 24))
+                        if n == 5 else true_epsilon(n))
+    report = run_suite("divided-powers", 6)
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == {
+        "alternating tree elements are divided powers": "n = 5",
+        "alternating elements are the signed antipode images": "n = 5",
+        "factorial multiple is the star tree": "n = 5",
+        "ladder projection of the alternating element is elementary": "n = 5",
+    }
+    assert "  [FAIL] factorial multiple is the star tree (n <= 6)\n" \
+           "         counterexample: n = 5" in report.lines()
 
 
 # ------------------------------------------------------------- key kernels
