@@ -31,7 +31,8 @@ this module reads the terms of a LinComb.
 
 Every cache in the package is registered here: a function memoized with
 ``memo``, or a dict made by ``memo_table`` for the recursions that look
-themselves up inline.  ``clear_caches`` empties them all.
+themselves up inline, or that ``bottom_up`` fills from an explicit stack.
+``clear_caches`` empties them all.
 """
 
 from collections import Counter
@@ -65,6 +66,27 @@ def clear_caches():
     """Empty every registered cache."""
     for clear in _CLEARS:
         clear()
+
+
+def bottom_up(key, table: dict, needs, compute):
+    """``table[key]``, filled first if missing: ``compute(k)`` gives the
+    value of a key k once ``table`` holds every key that ``needs(k)``
+    lists.  Keys are filled from an explicit stack, the needed ones first,
+    so a chain of needs as long as a tree is deep costs no Python
+    recursion."""
+    stack = [key]
+    while stack:
+        k = stack[-1]
+        if k in table:
+            stack.pop()
+            continue
+        missing = [d for d in needs(k) if d not in table]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        table[k] = compute(k)
+    return table[key]
 
 
 class LinComb:

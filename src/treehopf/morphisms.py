@@ -16,13 +16,23 @@ reads a forest as a poset (children below parents) and sums, over all
 strictly order-preserving surjections onto {1..j}, the monomial basis
 element indexed by the fiber sizes.  Keeping both implementations gives
 two unrelated code paths whose agreement is a strong regression check.
+kbar computes by leaf stripping: the first fiber is a nonempty set S of
+leaves, so kbar(f) sums M_(|S|) followed by kbar(f minus S) over every S.
+It memoizes each tree's ways to lose leaves, grouped by what is left, and
+kbar per forest, so equal leaves and equal subtrees cost one entry each
+and every stripped forest is shared by all the forests that reach it.
+Z_star is memoized per forest too; both recursions run from explicit
+stacks, so a deep tree costs no Python recursion.
 """
 
-from .foundations import LinComb, memo, memo_table, pi_forget
+from operator import attrgetter
+
+from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget
 from .trees import (
     Forest,
     OrderedForest,
     RootedTree,
+    b_minus,
     forget_order,
     is_ladder,
     ladder_forest,
@@ -107,27 +117,35 @@ def _z_key(comp):
     return KT.product(_z_key(comp[:-1]), epsilon(comp[-1]))
 
 
-_ZSTAR_MEMO: dict[RootedTree, LinComb] = memo_table()
+_ZSTAR_MEMO: dict[Forest, LinComb] = memo_table()
 
 
 def Z_star(a: LinComb) -> LinComb:
     """The unique algebra morphism from forests to qsym that intertwines
     rooting a forest with appending a part 1."""
-    return a.apply_linear(lambda f: _zstar_forest(f.trees))
+    return a.apply_linear(_zstar_key)
 
 
-def _zstar_forest(trees) -> LinComb:
-    acc = QSYM.one()
-    for t in trees:
-        acc = QSYM.product(acc, _zstar_tree(t))
-    return acc
+def _zstar_key(f: Forest) -> LinComb:
+    """Z_star of one forest, memoized per forest.  A single tree goes to
+    alpha_plus of the forest of its children, and a forest of several
+    trees to the product of the forest of all but its last tree with the
+    forest of that tree alone."""
+    return bottom_up(f, _ZSTAR_MEMO, _zstar_parts, _zstar_value)
 
 
-def _zstar_tree(t: RootedTree) -> LinComb:
-    out = _ZSTAR_MEMO.get(t)
-    if out is None:
-        out = _ZSTAR_MEMO[t] = alpha_plus(_zstar_forest(t.children))
-    return out
+def _zstar_parts(f: Forest) -> tuple:
+    trees = f.trees
+    if len(trees) > 1:
+        return Forest(trees[:-1]), Forest(trees[-1:])
+    return tuple(map(b_minus, trees))
+
+
+def _zstar_value(f: Forest) -> LinComb:
+    parts = [_ZSTAR_MEMO[g] for g in _zstar_parts(f)]
+    if len(parts) == 2:
+        return QSYM.product(*parts)
+    return alpha_plus(parts[0]) if parts else QSYM.one()
 
 
 def kbar(a: LinComb) -> LinComb:
@@ -137,55 +155,74 @@ def kbar(a: LinComb) -> LinComb:
     built level by level: repeatedly remove a nonempty set of currently
     minimal vertices and record its size, so a finished run is exactly a
     strictly order-preserving surjection onto {1..number of rounds} and
-    contributes the composition of its fiber sizes.
+    contributes the composition of its fiber sizes.  The minimal vertices
+    are the leaves, so kbar(f) is the sum over nonempty sets S of leaves
+    of M_(|S|) followed by kbar(f minus S): leaf stripping, memoized per
+    forest.
     """
     return a.apply_linear(_kbar_forest)
 
 
-@memo
+_KBAR_MEMO: dict[Forest, LinComb] = memo_table()
+# tree -> {(what is left of it, or None, number of leaves removed): the
+# number of sets of its leaves whose removal leaves that}
+_LEAF_STRIPS: dict[RootedTree, dict] = memo_table()
+_children = attrgetter("children")
+
+
 def _kbar_forest(f: Forest) -> LinComb:
-    child_mask = []
+    """kbar of one forest by leaf stripping, with integer sums of its own.
 
-    def build(t):
-        my = len(child_mask)
-        child_mask.append(0)
-        for c in t.children:
-            child_mask[my] |= 1 << build(c)
-        return my
+    The sets of leaves of a forest are folded tree by tree from the
+    memoized strips of each tree, and those of a tree from the strips of
+    its children, grouping equal results: identical leaves and identical
+    subtrees add to one entry each, so a corolla with k leaves has k + 1
+    strips, not 2^k.
+    """
+    out = _KBAR_MEMO.get(f)
+    if out is not None:  # a hit builds none of the helpers below
+        return out
 
-    for t in f.trees:
-        build(t)
-    n = len(child_mask)
-    full = (1 << n) - 1
-    tails = {full: {(): 1}}
-
-    def rest(removed):
-        if removed in tails:
-            return tails[removed]
-        avail = [
-            v
-            for v in range(n)
-            if not removed >> v & 1 and child_mask[v] & removed == child_mask[v]
-        ]
-        acc = {}
-        for bits in range(1, 1 << len(avail)):
-            mask = 0
-            count = 0
-            for i, v in enumerate(avail):
-                if bits >> i & 1:
-                    mask |= 1 << v
-                    count += 1
-            for comp, c in rest(removed | mask).items():
-                key = (count,) + comp
-                acc[key] = acc.get(key, 0) + c
-        tails[removed] = acc
+    def fold(trees):
+        # {(what is left of trees, as a tuple sorted by identity, which is
+        # canonical for interned trees; leaves removed): count}
+        acc = {((), 0): 1}
+        for t in trees:
+            strips = _LEAF_STRIPS[t].items()
+            grown = {}
+            for (kept, k), m in acc.items():
+                for (rest, j), n in strips:
+                    left = kept if rest is None else tuple(sorted(kept + (rest,), key=id))
+                    grown[left, k + j] = grown.get((left, k + j), 0) + m * n
+            acc = grown
         return acc
 
-    out = rest(0)
-    # each recursive closure refers to itself through its cell: unbind them,
-    # so that the tables they hold are freed now, not by the cyclic collector
-    del build, rest
-    return LinComb.trusted(out)
+    def tree_strips(t):
+        if not t.children:
+            return {(t, 0): 1, (None, 1): 1}
+        return {(RootedTree(kept), k): m for (kept, k), m in fold(t.children).items()}
+
+    def moves(g):
+        # {(forest left, leaves removed): count} over the nonempty sets of
+        # leaves of g, kept for the call, since kbar_of reads them again
+        out = moves_of.get(g)
+        if out is None:
+            for t in g.trees:
+                bottom_up(t, _LEAF_STRIPS, _children, tree_strips)
+            out = moves_of[g] = {(Forest(kept), k): m
+                                 for (kept, k), m in fold(g.trees).items() if k}
+        return out
+
+    def kbar_of(g):
+        terms = {} if g.trees else {(): 1}
+        for (h, k), m in moves(g).items():
+            for comp, c in _KBAR_MEMO[h].items():
+                key = (k,) + comp
+                terms[key] = terms.get(key, 0) + m * c
+        return LinComb.trusted(terms)
+
+    moves_of = {}
+    return bottom_up(f, _KBAR_MEMO, lambda g: [h for h, _ in moves(g)], kbar_of)
 
 
 # name -> (domain, codomain, function), the table the CLI and the

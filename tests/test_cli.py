@@ -332,6 +332,18 @@ def test_deep_chain_fits_under_the_recursion_limit(command):
     assert done.stdout.strip()
 
 
+@pytest.mark.parametrize("name, depth", [("kbar", 984), ("Zstar", 492)])
+def test_deepest_ladder_of_the_level_count_maps(name, depth):
+    # both maps recurse over forests from explicit stacks, not by a Python
+    # frame per level: 984 vertices is the deepest ladder the command line
+    # parses, and Zstar, at two frames per level, once answered at most 492
+    chain = "[" * depth + "]" * depth
+    done = subprocess.run([sys.executable, "-m", "treehopf.cli", "map", "--name", name, chain],
+                          capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "M(%s)\n" % ",".join(["1"] * depth)
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the read end is closed before the child has imported anything, and
     # verify computes its whole report before it writes a line

@@ -4,12 +4,14 @@ import ast
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import treehopf
 from treehopf import foundations, pairings
 from treehopf.foundations import (
     LinComb,
+    bottom_up,
     clear_caches,
     compositions_of,
     multiset_splits,
@@ -156,6 +158,16 @@ def test_clear_caches_empties_every_registered_cache():
     clear_caches()
     assert set(_cache_sizes()) == {0}
     assert [run_suite(name, 3).to_dict() for name in SUITE_NAMES] == first
+
+
+def test_bottom_up_fills_a_chain_deeper_than_the_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+    table = {}
+    needs = lambda k: [k - 1] if k else []
+    assert bottom_up(n, table, needs, lambda k: table[k - 1] + 1 if k else 0) == n
+    assert len(table) == n + 1
+    # a filled key is read, not computed again
+    assert bottom_up(n, table, needs, None) == n
 
 
 def _memo_definitions(tree):

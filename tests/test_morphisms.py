@@ -2,10 +2,11 @@
 linking them."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from treehopf.foundations import LinComb, compositions_of, partitions_of
+from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
 from treehopf.hopf import tensor_map
 from treehopf.hopf_rooted import KT, HK, epsilon, kappa
 from treehopf.hopf_planar import HF, KP
@@ -15,6 +16,8 @@ from treehopf.morphisms import (
     Phi,
     Phi_star,
     Z,
+    _KBAR_MEMO,
+    _LEAF_STRIPS,
     _ZSTAR_MEMO,
     Z_star,
     kbar,
@@ -27,7 +30,6 @@ from treehopf.morphisms import (
 from treehopf.trees import (
     Forest,
     OrderedForest,
-    RootedTree,
     enumerate_rooted,
     forests_of_degree,
     ladder,
@@ -141,8 +143,9 @@ def test_Z_star_values():
     assert got == want
     # multiplicative on disjoint unions
     assert Z_star(s(forest("[]", "[]"))) == QSYM.product(s((1,)), s((1,)))
-    # memoized by the interned trees themselves
-    assert _ZSTAR_MEMO and all(type(t) is RootedTree for t in _ZSTAR_MEMO)
+    # memoized by the interned forests themselves, the smaller ones included
+    assert _ZSTAR_MEMO and all(type(f) is Forest for f in _ZSTAR_MEMO)
+    assert forest("[[]]") in _ZSTAR_MEMO
 
 
 def test_Z_star_versus_level_counting():
@@ -157,6 +160,31 @@ def test_kbar_values():
     assert kbar(s(forest("[[]]"))) == s((1, 1))
     assert kbar(s(forest("[[][]]"))) == s((1, 1, 1), 2) + s((2, 1))
     assert kbar(s(forest("[]", "[]"))) == s((1, 1), 2) + s((2,))
+
+
+def _multinomial(parts):
+    return factorial(sum(parts)) // prod(map(factorial, parts))
+
+
+def test_kbar_closed_forms_at_14_vertices():
+    # each of n isolated vertices is a leaf until it is removed, so a run
+    # of leaf stripping is an ordered set partition of them; the n leaves
+    # of the corolla go the same way, and its root, a leaf only once they
+    # are gone, comes last, alone
+    leaf = rt("[]")
+    isolated = kbar(s(Forest([leaf] * 14)))
+    corolla = kbar(s(forest("[" + "[]" * 14 + "]")))
+    want = {alpha: _multinomial(alpha) for alpha in compositions_of(14)}
+    assert dict(isolated.items()) == want
+    assert dict(corolla.items()) == {alpha + (1,): c for alpha, c in want.items()}
+    assert {type(c) for _, c in isolated.items()} == {int}
+
+
+def test_kbar_and_Z_star_memos_are_registered():
+    assert kbar(s(forest("[[]]", "[]"))) == Z_star(s(forest("[[]]", "[]")))
+    assert _KBAR_MEMO and _LEAF_STRIPS and _ZSTAR_MEMO
+    clear_caches()
+    assert not (_KBAR_MEMO or _LEAF_STRIPS or _ZSTAR_MEMO)
 
 
 def test_upper_square():

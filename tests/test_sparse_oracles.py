@@ -7,7 +7,8 @@ e-to-m matrix, the hand-written product, tensor product and tensor map
 loops, the antipode's accumulator loop, LinComb's sums as they were before
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
-alternating recursion that defines it, and the key kernels
+alternating recursion that defines it, kbar over every downset of its
+poset, and the key kernels
 that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments,
@@ -20,6 +21,7 @@ encoding, and the rooted-tree classes against ``networkx``'s rooted tree
 isomorphism."""
 
 import gc
+import inspect
 import random
 import sys
 import weakref
@@ -32,6 +34,7 @@ import pytest
 
 import treehopf.foundations
 import treehopf.hopf_rooted
+import treehopf.morphisms
 import treehopf.verify
 from treehopf.cli import SERIES_CAP, parse_element
 from treehopf.foundations import (
@@ -1082,6 +1085,102 @@ def test_the_divided_powers_suite_sees_epsilon_wrong_at_one_degree(monkeypatch):
     }
     assert "  [FAIL] factorial multiple is the star tree (n <= 6)\n" \
            "         counterexample: n = 5" in report.lines()
+
+
+# --------------------------------------------------------------------- kbar
+
+@memo
+def kbar_by_downsets(f: Forest) -> LinComb:
+    """kbar of one forest as it was computed before leaf stripping: every
+    downset of the poset as a bitmask, and at each one every nonempty subset
+    of its minimal vertices."""
+    child_mask = []
+
+    def build(t):
+        my = len(child_mask)
+        child_mask.append(0)
+        for c in t.children:
+            child_mask[my] |= 1 << build(c)
+        return my
+
+    for t in f.trees:
+        build(t)
+    n = len(child_mask)
+    full = (1 << n) - 1
+    tails = {full: {(): 1}}
+
+    def rest(removed):
+        if removed in tails:
+            return tails[removed]
+        avail = [
+            v
+            for v in range(n)
+            if not removed >> v & 1 and child_mask[v] & removed == child_mask[v]
+        ]
+        acc = {}
+        for bits in range(1, 1 << len(avail)):
+            mask = 0
+            count = 0
+            for i, v in enumerate(avail):
+                if bits >> i & 1:
+                    mask |= 1 << v
+                    count += 1
+            for comp, c in rest(removed | mask).items():
+                key = (count,) + comp
+                acc[key] = acc.get(key, 0) + c
+        tails[removed] = acc
+        return acc
+
+    out = rest(0)
+    # each recursive closure refers to itself through its cell: unbind them,
+    # so that the tables they hold are freed now, not by the cyclic collector
+    del build, rest
+    return LinComb.trusted(out)
+
+
+def _heavy_kbar_forests():
+    """A heavy kbar input of the benchmark's stream, the corolla with 12
+    leaves and 12 isolated vertices; the last two take seconds by
+    downsets, since every set of their leaves is one."""
+    leaves = [rooted_from_string("[]")] * 12
+    heavy = map(rooted_from_string, ["[]", "[]", "[[[]][[][][][[]]]]"])
+    return [Forest(heavy), Forest([RootedTree(leaves)]), Forest(leaves)]
+
+
+def test_kbar_is_the_downset_dp_through_degree_8(fresh_caches):
+    for n in range(9):
+        for f in forests_of_degree(n):
+            assert _typed(kbar(s(f))) == _typed(kbar_by_downsets(f)), f
+
+
+def test_kbar_is_the_downset_dp_on_heavy_forests(fresh_caches):
+    for f in _heavy_kbar_forests():
+        assert _typed(kbar(s(f))) == _typed(kbar_by_downsets(f)), f
+
+
+def kbar_stripping_one_leaf_at_a_time():
+    """``morphisms._kbar_forest`` with one fault, built from its source
+    with memos of its own: each step removes a single leaf, never a larger
+    set of leaves."""
+    source = inspect.getsource(treehopf.morphisms._kbar_forest)
+    broken = source.replace(".items() if k}", ".items() if k == 1}")
+    assert broken.count("if k == 1}") == 1
+    namespace = dict(vars(treehopf.morphisms), _KBAR_MEMO={}, _LEAF_STRIPS={})
+    exec(broken, namespace)
+    return namespace["_kbar_forest"]
+
+
+def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkeypatch):
+    broken = kbar_stripping_one_leaf_at_a_time()
+    wrong = [f for n in range(9) for f in forests_of_degree(n)
+             if broken(f) != kbar_by_downsets(f)]
+    assert wrong[0] == Forest([rooted_from_string("[]")] * 2)
+    monkeypatch.setattr(treehopf.morphisms, "_kbar_forest", broken)
+    report = run_suite("zstar-intertwine", 3)
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == {"poset labeling realization agrees with the recursion": "[] []"}
+    assert "  [FAIL] poset labeling realization agrees with the recursion " \
+           "(degree <= 3)\n         counterexample: [] []" in report.lines()
 
 
 # ------------------------------------------------------------- key kernels
