@@ -22,9 +22,10 @@ canonicalized; planar and ordered input is taken as written.
 
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
-(a parse error, a cap, a suite bound, input nested too deeply) prints
-exactly one "error:" line on stderr; a command line that argparse rejects
-also exits 2, after its usage text.  A command whose stdout is closed
+(a parse error, a cap, a suite bound, a kt or kp product over the graft
+budget ``hopf_rooted.GRAFT_CAP``, input nested too deeply) prints exactly
+one "error:" line on stderr; a command line that argparse rejects also
+exits 2, after its usage text.  A command whose stdout is closed
 before it finishes writing exits 141, as if killed by SIGPIPE.
 """
 
@@ -75,10 +76,6 @@ VARS_CAP = 10
 CHAIN_CAP = 1000
 # most terms the h<k> shorthand may expand to: p(45) = 89,134 fits
 TERM_CAP = 100_000
-# most vertices a kt or kp product may rebuild: each attachment choice
-# grafts a whole tree, about (result vertices)^2 / 2 of them counting the
-# subtrees' encodings; [[][]] into l80 is 10.9 million
-GRAFT_CAP = 20_000_000
 
 # algebra whose basis is written as part lists (after its ``letter``) ->
 # the context word of its parse errors
@@ -327,28 +324,12 @@ def _cmd_operation(args):
     alg, op = ALGEBRAS[args.algebra], args.command
     texts = (args.left, args.right) if op == "product" else (args.element,)
     elements = [parse_element(text, args.algebra) for text in texts]
-    if op == "product" and hasattr(alg, "product_choices"):
-        _check_graft_cost(alg, *elements)
     result = getattr(alg, op)(*elements)
     if op == "coproduct":
         return _tensor(args, alg, result)
     if op == "counit":
         return _scalar(args, result)
     return _element(args, alg, result, algebra=alg.name)
-
-
-def _check_graft_cost(alg, x, y):
-    """Refuse a grafting product whose attachment choices, each rebuilding
-    a whole tree, would rebuild more than ``GRAFT_CAP`` vertices."""
-    choices = cost = 0
-    for t in x:
-        for tp in y:
-            n = alg.product_choices(t, tp)
-            choices += n
-            cost += n * (t.size + tp.size - 1) ** 2 // 2
-    if cost > GRAFT_CAP:
-        raise ValueError(f"this product would graft {choices:,} attachment choices, "
-                         f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
 
 
 def _cmd_map(args):

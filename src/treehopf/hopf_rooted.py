@@ -12,6 +12,14 @@ cocommutative and the single vertex is the two-sided unit.  ``_graft``
 attaches subtrees at (vertex, gap) positions of a tree of either kind; KT
 uses only gap 0, since a rooted tree sorts its children anyway.
 
+Each attachment choice rebuilds a whole tree, so the cost of a grafting
+product grows far faster than its inputs.  ``GraftingAlgebra.product``, which
+KP inherits, keeps one budget for both: it prices the key products it has not
+yet memoized and refuses the product above ``GRAFT_CAP`` before grafting
+anything.  Every caller meets that guard: the CLI's ``product``, Z, the
+antipode recursion and library code.  Key-level lookups (``_pk``), as the
+verification suites and ``tensor_mult`` make them, are not priced.
+
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
 
@@ -42,6 +50,7 @@ from .trees import (
     Forest,
     LEAF,
     RootedTree,
+    _tree_key,
     b_minus,
     b_plus,
     enumerate_rooted,
@@ -49,6 +58,11 @@ from .trees import (
     ladder,
     sym_order,
 )
+
+# most vertices one kt or kp product may rebuild: each attachment choice
+# grafts a whole tree, about (result vertices)^2 / 2 of them counting the
+# subtrees' encodings; [[][]] into l80 is 10.9 million
+GRAFT_CAP = 20_000_000
 
 
 def _graft(node, extra, idx):
@@ -100,8 +114,24 @@ class GraftingAlgebra(HopfAlgebra):
     def key_str(self, t):
         return t.encoding
 
-    def key_sort(self, t):
-        return (t.size, t.encoding)
+    key_sort = _tree_key
+
+    def product(self, a, b):
+        """The grafting product, refused before any tree is grafted when its
+        key products not yet memoized would rebuild more than ``GRAFT_CAP``
+        vertices."""
+        memo = self._prod_memo
+        choices = cost = 0
+        for t in a:
+            for tp in b:
+                if (t, tp) not in memo:
+                    n = self.product_choices(t, tp)
+                    choices += n
+                    cost += n * (t.size + tp.size - 1) ** 2 // 2
+        if cost > GRAFT_CAP:
+            raise ValueError(f"this product would graft {choices:,} attachment choices, "
+                             f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
+        return super().product(a, b)
 
     def product_keys(self, t, tp):
         """Sum over all |tp|^n attachments of t's root subtrees into tp.  A

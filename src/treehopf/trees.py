@@ -30,6 +30,8 @@ from weakref import ref
 
 from .foundations import memo, memo_table, multiset_permutations
 
+# the canonical order of trees, by size and then encoding: children and
+# forest members are sorted by it, and trees and forests print in it
 _tree_key = attrgetter("size", "encoding")
 _encoding = attrgetter("encoding")
 _size = attrgetter("size")
@@ -89,10 +91,6 @@ class _Tree:
         # slots of an object that ``cls()`` returned
         return (type(self), (self.children,))
 
-    @property
-    def sort_key(self):
-        return (self.size, self.encoding)
-
     def __repr__(self):
         return f"{self.__class__.__name__}({self.encoding!r})"
 
@@ -118,7 +116,7 @@ class _Forest:
 
     @property
     def sort_key(self):
-        return (self.degree, tuple(t.sort_key for t in self.trees))
+        return (self.degree, tuple(map(_tree_key, self.trees)))
 
     def __repr__(self):
         members = ("," if self.ordered else " ").join(t.encoding for t in self.trees)

@@ -13,10 +13,10 @@ import treehopf
 import treehopf.cli
 import treehopf.hopf_planar
 import treehopf.hopf_rooted
-from treehopf.cli import CHAIN_CAP, GRAFT_CAP, TERM_CAP, build_parser, main, parse_element
+from treehopf.cli import CHAIN_CAP, TERM_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb, clear_caches
 from treehopf.trees import rooted_from_string as rt, Forest
-from treehopf.hopf_rooted import KT
+from treehopf.hopf_rooted import GRAFT_CAP, KT
 
 
 def run(capsys, *argv):
@@ -289,6 +289,38 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
         code, out, err = run(capsys, "product", "--algebra", algebra, left, right)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("warm, element, message", [
+    # epsilon(10) grafted into epsilon(10): the product of two 10-leaf
+    # corollas, which the product command refuses too
+    ("E(10)", "E(10,10)", "this product would graft 184,756 attachment choices, "
+     f"rebuilding roughly 40,738,698 vertices; the cap is {GRAFT_CAP:,}"),
+    ("E(8,8)", "E(8,8,8)", "this product would graft 145,190,817 attachment choices"),
+])
+def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, element, message):
+    # Z multiplies the epsilons of the parts in turn: every product but the
+    # last is below the cap, and is computed before grafting is forbidden
+    assert run(capsys, "map", "--name", "Z", warm)[0] == 0
+
+    def graft(*args):
+        raise AssertionError("a tree was grafted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treehopf.hopf_rooted, "_grafts", graft)
+        code, out, err = run(capsys, "map", "--name", "Z", element)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_grafting_antipode_meets_the_graft_budget(capsys):
+    # the recursion grafts S of smaller corollas into leaves of this one
+    code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 16 + "]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: this product would graft ")
+    assert err.rstrip().endswith(f"the cap is {GRAFT_CAP:,}")
     assert len(err.splitlines()) == 1
 
 

@@ -1,10 +1,15 @@
 """Grafting algebra on rooted trees and its dual forest algebra."""
 
 import math
+import re
 from fractions import Fraction
 
-from treehopf.foundations import LinComb
+import pytest
+
+import treehopf.hopf_rooted
+from treehopf.foundations import LinComb, clear_caches
 from treehopf.hopf_rooted import (
+    GRAFT_CAP,
     HK,
     KT,
     ck_b_minus,
@@ -65,6 +70,24 @@ def test_grafting_coefficient_sum():
             for t2 in enumerate_rooted(m):
                 prod = KT.product(s(t1), s(t2))
                 assert sum(c for _, c in prod.items()) == m ** k
+
+
+def test_grafting_product_above_the_cap_is_refused_from_the_library():
+    c10 = s(corolla(10))
+    message = ("this product would graft 184,756 attachment choices, rebuilding roughly "
+               f"40,738,698 vertices; the cap is {GRAFT_CAP:,}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KT.product(c10, c10)
+
+
+def test_graft_budget_prices_only_key_products_not_yet_memoized(monkeypatch):
+    clear_caches()
+    x, y = s(corolla(2)), s(ladder(3))
+    first = KT.product(x, y)
+    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 0)
+    assert KT.product(x, y) == first
+    with pytest.raises(ValueError, match="the cap is 0$"):
+        KT.product(y, x)
 
 
 def test_grafting_coproduct_splits_branches():
