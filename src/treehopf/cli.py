@@ -35,7 +35,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .foundations import LinComb
+from .foundations import LinComb, memo
 from .trees import (
     Forest,
     OrderedForest,
@@ -447,7 +447,10 @@ _COMMANDS = {
 }
 
 
+@memo
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing a
+    command line leaves no state in it."""
     top = argparse.ArgumentParser(
         prog="treehopf",
         description="exact computations in seven graded Hopf algebras of trees, "

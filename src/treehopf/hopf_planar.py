@@ -15,20 +15,20 @@ algebra on planar trees under concatenation, with the coproduct defined by
 the same root-recursion as the unordered forest algebra.  KP and HF are
 graded duals under the Kronecker pairing (planar trees are rigid).
 
-The grafting (``_grafts``), the grading, the forest product and coproduct
-(``ForestAlgebra``) and the b_plus isomorphism are those of ``hopf_rooted``,
-applied to planar trees and ordered forests.
+The grafting recursion (``GraftingAlgebra.graft``), the grading, the
+forest product and coproduct (``ForestAlgebra``) and the b_plus isomorphism
+are those of ``hopf_rooted``, applied to planar trees and ordered forests.
+Only the shares differ: the points of a child subtree u_i lie between gap
+i - 1 and gap i of its parent, so a weakly increasing choice of points of T'
+splits T_1..T_n into consecutive blocks: one for gap 0 of T''s root, one
+grafted into its first child subtree, one for gap 1, and so on to the last
+gap (``_blocks``).
 """
 
-from itertools import combinations_with_replacement
 from math import comb
 
 from .foundations import LinComb
-from .hopf_rooted import (
-    ForestAlgebra,
-    GraftingAlgebra,
-    _grafts,
-)
+from .hopf_rooted import ForestAlgebra, GraftingAlgebra, _blocks
 from .trees import (
     EMPTY_ORDERED_FOREST,
     PLANAR_LEAF,
@@ -36,29 +36,6 @@ from .trees import (
     enumerate_planar,
     ordered_forests_of_degree,
 )
-
-
-def attachment_points(t: PlanarTree) -> list[tuple[int, int]]:
-    """The 2m - 1 attachment points of a planar tree, in natural order.
-
-    Each point is (preorder index of a vertex, gap position among its
-    children); gap g sits just before the g-th child, with the final gap
-    after the last child.
-    """
-    out = []
-
-    def walk(node, idx):
-        my = idx
-        idx += 1
-        out.append((my, 0))
-        for g, child in enumerate(node.children):
-            idx = walk(child, idx)
-            out.append((my, g + 1))
-        return idx
-
-    walk(t, 0)
-    del walk  # it refers to itself: unbind it, so that no cycle is left
-    return out
 
 
 class PlanarGraftingAlgebra(GraftingAlgebra):
@@ -73,10 +50,12 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
     def key_str(self, t):
         return "p" + t.encoding
 
-    def product_keys(self, t, tp):
-        subs = t.children
-        choices = combinations_with_replacement(attachment_points(tp), len(subs))
-        return LinComb.tally(_grafts(tp, subs, choices))
+    # the grafting recursion of KT, entered here so that wrapping it on one
+    # class (as perfbench's tracer does) leaves the other algebra's alone;
+    # a child subtree takes the next block of the ordered branches, after a
+    # block left in the root's gap before it
+    product_keys = GraftingAlgebra.product_keys
+    _shares = staticmethod(_blocks)
 
     def product_choices(self, t, tp):
         """binomial(2m + n - 2, n): the weakly increasing sequences of n

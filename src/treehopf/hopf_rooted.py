@@ -3,22 +3,32 @@ forest machinery that their planar twins in ``hopf_planar`` share.
 
 KT (basis: rooted trees, degree = vertices - 1) carries the grafting
 product: t ∘ t' sums, over all ways to send each child subtree of t's root
-to a vertex of t', the tree obtained by grafting them there.  Equal child
-subtrees are sent together: a group of m of them goes to each multiset of m
-vertices once, weighted by the number of ways to send them there, as KP's
-ordered product takes each weakly increasing sequence of points once.  Its
-coproduct splits the root's child subtrees into two subsets.  It is
-cocommutative and the single vertex is the two-sided unit.  ``_graft``
-attaches subtrees at (vertex, gap) positions of a tree of either kind; KT
-uses only gap 0, since a rooted tree sorts its children anyway.
+to a vertex of t', the tree obtained by grafting them there.  Its coproduct
+splits the root's child subtrees into two subsets.  It is cocommutative and
+the single vertex is the two-sided unit.
 
-Each attachment choice rebuilds a whole tree, so the cost of a grafting
-product grows far faster than its inputs.  ``GraftingAlgebra.product``, which
-KP inherits, keeps one budget for both: it prices the key products it has not
-yet memoized and refuses the product above ``GRAFT_CAP`` before grafting
-anything.  Every caller meets that guard: the CLI's ``product``, Z, the
-antipode recursion and library code.  Key-level lookups (``_pk``), as the
-verification suites and ``tensor_mult`` make them, are not priced.
+``GraftingAlgebra.graft``, which KP shares, grafts a collection S of
+branches into a tree T = B+(c_1 ... c_k) by a recursion over T's subtrees:
+it folds over the children, each c_i takes a share of the branches left and
+is grafted with it recursively, and whatever is left after the last child
+stays at T's root.  Each result is memoized per (T, S) in a per-algebra
+table, filled from an explicit stack (``foundations.bottom_up``), so a deep
+tree costs no Python recursion.  The two algebras differ only in how S
+shares out (``_shares``): for KT, S is a sorted multiset, a child takes any
+sub-multiset, weighted by the product of binomials C(m, j) over the kinds of
+branch, so the counts stay those of the |t'|^k labelled attachments; for KP,
+S is a sequence, and a child takes the next block after a block left in the
+root's gap before it.  Partial results with equal branches left and equal
+children so far merge, so each is carried on once.
+
+``GraftingAlgebra.product``, which KP inherits, keeps one budget for both:
+it prices the key products it has not yet memoized by their attachment
+choices (``product_choices``), each at about v^2 / 2 vertices for a result of
+v vertices, as when each choice rebuilt a whole tree, and refuses the
+product above ``GRAFT_CAP`` before grafting anything.  Every caller meets
+that guard: the CLI's ``product``, Z, the antipode recursion and library
+code.  Key-level lookups (``_pk``), as the verification suites and
+``tensor_mult`` make them, are not priced.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
@@ -39,11 +49,9 @@ child; and the root-removal operators in their various linear extensions.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, groupby
-from itertools import product as iter_product
 from math import comb, factorial, prod
 
-from .foundations import LinComb, memo, multiset_splits
+from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
 from .hopf import HopfAlgebra
 from .trees import (
     EMPTY_FOREST,
@@ -59,40 +67,28 @@ from .trees import (
     sym_order,
 )
 
-# most vertices one kt or kp product may rebuild: each attachment choice
-# grafts a whole tree, about (result vertices)^2 / 2 of them counting the
-# subtrees' encodings; [[][]] into l80 is 10.9 million
+# most vertices one kt or kp product may graft, priced by the attachment
+# choices it counts, each at about (result vertices)^2 / 2 vertices, the
+# subtrees' encodings included; [[][]] into l80 is 10.9 million
 GRAFT_CAP = 20_000_000
 
 
-def _graft(node, extra, idx):
-    """Rebuild ``node`` with extra subtrees attached.  ``extra`` maps the
-    preorder index of a vertex to its (gap, subtree) pairs, gaps weakly
-    increasing; gap g sits just before the vertex's g-th child, the last
-    gap after its last child."""
-    my = idx
-    idx += 1
-    kids = []
-    for child in node.children:
-        sub, idx = _graft(child, extra, idx)
-        kids.append(sub)
-    more = extra.get(my)
-    if more:
-        # last gap first, so that each insertion leaves the earlier gaps put
-        for gap, sub in reversed(more):
-            kids.insert(gap, sub)
-    return type(node)(kids), idx
+@memo
+def _submultisets(branches):
+    """The ways a child subtree takes part of the sorted multiset
+    ``branches``: (nothing left at the root before it, the part it takes,
+    the rest, how many choices of the labelled branches give that part)."""
+    return tuple(((), part, rest, count) for part, rest, count in multiset_splits(branches))
 
 
-def _grafts(tp, subs, choices):
-    """The tree ``tp`` with the subtrees ``subs`` grafted at one choice of
-    attachment points at a time: each choice gives every subtree, in order,
-    a (vertex, gap) point."""
-    for choice in choices:
-        extra = {}
-        for sub, (v, gap) in zip(subs, choice):
-            extra.setdefault(v, []).append((gap, sub))
-        yield _graft(tp, extra, 0)[0]
+@memo
+def _blocks(branches):
+    """The ways the sequence ``branches`` splits at a child subtree: a block
+    for the root's gap before the child, the next block for the child, the
+    rest after it; each split once."""
+    n = len(branches)
+    return tuple((branches[:a], branches[a:b], branches[b:], 1)
+                 for a in range(n + 1) for b in range(a, n + 1))
 
 
 class GraftingAlgebra(HopfAlgebra):
@@ -101,6 +97,10 @@ class GraftingAlgebra(HopfAlgebra):
 
     name = "kt"
     leaf = LEAF
+
+    def __init__(self):
+        super().__init__()
+        self._graft_memo = memo_table()
 
     def unit_key(self):
         return self.leaf
@@ -134,28 +134,71 @@ class GraftingAlgebra(HopfAlgebra):
         return super().product(a, b)
 
     def product_keys(self, t, tp):
-        """Sum over all |tp|^n attachments of t's root subtrees into tp.  A
-        group of m equal subtrees goes to each multiset of m vertices once,
-        weighted by the m! / (product of c_v!) attachments that send c_v of
-        them to each vertex v."""
-        points = [(v, 0) for v in range(tp.size)]
-        groups = [
-            [(combo, factorial(len(combo)) // prod(map(factorial, Counter(combo).values())))
-             for combo in combinations_with_replacement(points, len(list(same)))]
-            for _, same in groupby(t.children)
-        ]
-        choices, weights = [], []
-        for picks in iter_product(*groups):
-            choices.append(tuple(chain.from_iterable(combo for combo, _ in picks)))
-            weights.append(prod(w for _, w in picks))
-        # grafted here, not lazily inside LinComb's constructor, so that
-        # the grafting is timed as this kernel's work
-        return LinComb(list(zip(_grafts(tp, t.children, choices), weights)))
+        """t's root subtrees grafted into tp, in every attachment: |tp|^k
+        of them for k subtrees, each distinct tree once with its count."""
+        return LinComb.trusted(self.graft(tp, t.children))
+
+    def graft(self, tree, branches):
+        """The trees that grafting ``branches`` into ``tree`` gives, as a
+        dict tree -> number of attachments, memoized per (tree, branches)."""
+        if not branches:
+            return {tree: 1}
+        if not tree.children:
+            return {type(tree)(branches): 1}
+        return bottom_up((tree, branches), self._graft_memo, self._graft_needs,
+                         self._graft_fold)
+
+    # the ways a child subtree takes part of the branches left: here a
+    # sub-multiset, weighted by the binomials of choosing its members
+    _shares = staticmethod(_submultisets)
+
+    def _graft_needs(self, key):
+        tree, branches = key
+        parts = dict.fromkeys(part for _, part, _, _ in self._shares(branches) if part)
+        return [(child, part) for child in dict.fromkeys(tree.children) if child.children
+                for part in parts]
+
+    def _graft_fold(self, key):
+        """Fold over the children of ``tree``: each takes a share of the
+        branches left and is grafted with it, from the memo; the branches
+        left after the last child stay at the root.  Before the last child,
+        a partial result is the branches left and the children so far, kept
+        sorted when the children are unordered, so that equal partial trees
+        merge."""
+        tree, branches = key
+        *firsts, last = tree.children
+        states = {(branches, ()): 1}
+        for child in firsts:
+            grown = {}
+            get = grown.get
+            for left, kids, sub, count in self._graft_child(states, child):
+                kids += (sub,)
+                state = (left, kids if tree.ordered else tuple(sorted(kids, key=_tree_key)))
+                grown[state] = get(state, 0) + count
+            states = grown
+        out = {}
+        get = out.get
+        make = type(tree)
+        for left, kids, sub, count in self._graft_child(states, last):
+            result = make(kids + (sub,) + left)
+            out[result] = get(result, 0) + count
+        return out
+
+    def _graft_child(self, states, child):
+        """(branches left, children so far, ``child`` grafted, count) for
+        each share of the branches left that ``child`` can take, from each
+        partial result in ``states``; ``graft`` finds every share of a child
+        with children in the memo, as ``_graft_needs`` listed it."""
+        for (rest, kids), count in states.items():
+            for gap, part, left, weight in self._shares(rest):
+                kids_gap, scale = kids + gap, count * weight
+                for sub, n in self.graft(child, part).items():
+                    yield left, kids_gap, sub, scale * n
 
     def product_choices(self, t, tp):
-        """How many attachments ``product_keys`` grafts, each rebuilding a
-        whole tree: a multiset of vertices of tp for each group of equal
-        root subtrees of t."""
+        """The attachment choices that ``product`` prices for t ∘ tp: a
+        multiset of vertices of tp for each group of equal root subtrees of
+        t."""
         m = tp.size
         return prod(comb(m + k - 1, k) for k in Counter(t.children).values())
 

@@ -11,12 +11,11 @@ import pytest
 
 import treehopf
 import treehopf.cli
-import treehopf.hopf_planar
 import treehopf.hopf_rooted
 from treehopf.cli import CHAIN_CAP, TERM_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb, clear_caches
 from treehopf.trees import rooted_from_string as rt, Forest
-from treehopf.hopf_rooted import GRAFT_CAP, KT
+from treehopf.hopf_rooted import GRAFT_CAP, KT, GraftingAlgebra
 
 
 def run(capsys, *argv):
@@ -283,9 +282,9 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
     def graft(*args):
         raise AssertionError("a tree was grafted")
 
+    # KP grafts through the same method
     with monkeypatch.context() as patch:
-        patch.setattr(treehopf.hopf_rooted, "_grafts", graft)
-        patch.setattr(treehopf.hopf_planar, "_grafts", graft)
+        patch.setattr(GraftingAlgebra, "graft", graft)
         code, out, err = run(capsys, "product", "--algebra", algebra, left, right)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
@@ -308,7 +307,7 @@ def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, elemen
         raise AssertionError("a tree was grafted")
 
     with monkeypatch.context() as patch:
-        patch.setattr(treehopf.hopf_rooted, "_grafts", graft)
+        patch.setattr(GraftingAlgebra, "graft", graft)
         code, out, err = run(capsys, "map", "--name", "Z", element)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
@@ -334,6 +333,18 @@ def test_grafting_products_below_the_cap_are_answered(capsys):
                          "p[[[[[[[]]]]]]]")
     assert (code, err) == (0, "")
     assert 10 * 6188 * 11 ** 2 // 2 < GRAFT_CAP
+
+
+def test_the_deepest_ladder_under_the_graft_budget_is_answered(capsys):
+    # 341 choices, rebuilding 341 * 342^2 // 2 = 19,942,362 vertices: the
+    # grafting recursion runs down 341 levels from an explicit stack
+    assert 341 * 342 ** 2 // 2 <= GRAFT_CAP < 342 * 343 ** 2 // 2
+    code, out, err = run(capsys, "product", "--algebra", "kt", "[[]]", "l341")
+    assert (code, err) == (0, "")
+    terms = out.split(" + ")
+    assert len(terms) == 341
+    assert {term.count("[") for term in terms} == {342}
+    assert run(capsys, "product", "--algebra", "kt", "[[]]", "l342")[0] == 2
 
 
 def test_phi_of_e25_is_the_25_vertex_ladder(capsys):
@@ -478,6 +489,24 @@ def test_build_parser_smoke():
         ["product", "--algebra", "kt", "[[]]", "[[]]"]
     )
     assert ns.command == "product"
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_command_lines(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as rejected:
+        main(["product", "--algebra", "nosuch", "[[]]", "[[]]"])
+    assert rejected.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as rejected:
+        main(["product", "--algebra", "kt", "[[]]"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "product", "--algebra", "gl", "[[]]", "[[][]]") == (
+        0, "2*[[][[]]] + [[][][]]\n", "")
+    # an option given once is not a default the next time
+    assert run(capsys, "counit", "--algebra", "kt", "[]", "--format", "json") == (
+        0, '{\n  "value": "1"\n}\n', "")
+    assert run(capsys, "counit", "--algebra", "kt", "[]") == (0, "1\n", "")
 
 
 # The exact JSON document of each subcommand on the README inputs.

@@ -3,7 +3,7 @@
 import math
 
 from treehopf.foundations import LinComb
-from treehopf.hopf_planar import HF, KP, attachment_points
+from treehopf.hopf_planar import HF, KP
 from treehopf.trees import (
     EMPTY_ORDERED_FOREST,
     PLANAR_LEAF,
@@ -53,21 +53,18 @@ def test_planar_product_respects_child_order():
 
 
 def test_planar_attachment_count():
-    # n ordered branches into a planar tree with m vertices:
-    # choose a multiset of n slots among the 2m-1 gaps
-    for m in range(1, 6):
-        for n in range(0, 7 - m + 1):
-            first = pt("[" + "[]" * n + "]")
-            for t2 in enumerate_planar(m):
-                prod = KP.product(s(first), s(t2))
-                total = sum(c for _, c in prod.items())
-                assert total == math.comb(2 * m + n - 2, n), (m, n)
-
-
-def test_attachment_points_count():
-    for m in range(1, 7):
-        for t in enumerate_planar(m):
-            assert len(attachment_points(t)) == 2 * m - 1
+    # n ordered branches into a planar tree with m vertices: choose a
+    # multiset of n slots among the 2m-1 gaps; for every pair of trees
+    # through degree 8
+    for size in range(2, 11):
+        for i in range(1, size):
+            for first in enumerate_planar(i):
+                n = len(first.children)
+                for t2 in enumerate_planar(size - i):
+                    m = t2.size
+                    prod = KP.product(s(first), s(t2))
+                    total = sum(c for _, c in prod.items())
+                    assert total == math.comb(2 * m + n - 2, n), (first, t2)
 
 
 def test_planar_coproduct_prefix_splits():

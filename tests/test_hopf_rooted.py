@@ -63,13 +63,15 @@ def test_grafting_noncommutative():
 
 
 def test_grafting_coefficient_sum():
-    # k branches map into m vertices independently: coefficient sum m^k
-    for t1 in enumerate_rooted(4):
-        k = len(t1.children)
-        for m in range(1, 5):
-            for t2 in enumerate_rooted(m):
-                prod = KT.product(s(t1), s(t2))
-                assert sum(c for _, c in prod.items()) == m ** k
+    # k branches map into m vertices independently: coefficient sum m^k,
+    # for every pair of trees through degree 8
+    for n in range(2, 11):
+        for i in range(1, n):
+            for t1 in enumerate_rooted(i):
+                k = len(t1.children)
+                for t2 in enumerate_rooted(n - i):
+                    prod = KT.product(s(t1), s(t2))
+                    assert sum(c for _, c in prod.items()) == t2.size ** k, (t1, t2)
 
 
 def test_grafting_product_above_the_cap_is_refused_from_the_library():

@@ -11,7 +11,9 @@ alternating recursion that defines it, kbar over every downset of its
 poset, and the key kernels
 that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
-the SYM product through QSYM, the KT product over all |t'|^k attachments,
+the SYM product through QSYM, the KT product over all |t'|^k attachments
+and the KP product over every weakly increasing choice of attachment
+points, each grafted as a whole tree,
 the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, the hopf-axioms
 estimate as a triple sum, and the quasi-shuffle-oracle suite's product of
@@ -26,7 +28,7 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, gcd
 from operator import add
 
@@ -47,8 +49,18 @@ from treehopf.foundations import (
     rearrangements,
 )
 from treehopf.hopf import tensor_map, tensor_mult
-from treehopf.hopf_planar import HF, KP, attachment_points
-from treehopf.hopf_rooted import HK, KT, _grafts, corolla, epsilon, forest_b_plus, kappa
+from treehopf.hopf_planar import HF, KP, PlanarGraftingAlgebra
+from treehopf.hopf_rooted import (
+    HK,
+    KT,
+    GraftingAlgebra,
+    _blocks,
+    _submultisets,
+    corolla,
+    epsilon,
+    forest_b_plus,
+    kappa,
+)
 from treehopf.morphisms import MAP_TABLE, Z_star, kbar, tau
 from treehopf.pairings import (
     _key_pairs,
@@ -91,6 +103,7 @@ from treehopf.trees import (
     enumerate_rooted,
     forests_of_degree,
     forget_order,
+    ladder,
     ordered_forests_of_degree,
     planar_fiber,
     planar_from_string,
@@ -1193,11 +1206,70 @@ def sym_product_through_qsym(lam, mu):
     return collect_sym(QSYM.product(include_sym(s(lam)), include_sym(s(mu))))
 
 
+def _graft(node, extra, idx):
+    """Rebuild ``node`` with extra subtrees attached.  ``extra`` maps the
+    preorder index of a vertex to its (gap, subtree) pairs, gaps weakly
+    increasing; gap g sits just before the vertex's g-th child, the last
+    gap after its last child."""
+    my = idx
+    idx += 1
+    kids = []
+    for child in node.children:
+        sub, idx = _graft(child, extra, idx)
+        kids.append(sub)
+    more = extra.get(my)
+    if more:
+        # last gap first, so that each insertion leaves the earlier gaps put
+        for gap, sub in reversed(more):
+            kids.insert(gap, sub)
+    return type(node)(kids), idx
+
+
+def _grafts(tp, subs, choices):
+    """The tree ``tp`` with the subtrees ``subs`` grafted at one choice of
+    attachment points at a time: each choice gives every subtree, in order,
+    a (vertex, gap) point; each choice rebuilds a whole tree."""
+    for choice in choices:
+        extra = {}
+        for sub, (v, gap) in zip(subs, choice):
+            extra.setdefault(v, []).append((gap, sub))
+        yield _graft(tp, extra, 0)[0]
+
+
+def attachment_points(t):
+    """The 2m - 1 attachment points of a planar tree with m vertices, in
+    natural order: (preorder index of a vertex, gap among its children),
+    for a vertex v with children u_1..u_c gap 0 of v, the points of u_1,
+    gap 1 of v, ..., the points of u_c, gap c of v."""
+    out = []
+
+    def walk(node, idx):
+        my = idx
+        idx += 1
+        out.append((my, 0))
+        for g, child in enumerate(node.children):
+            idx = walk(child, idx)
+            out.append((my, g + 1))
+        return idx
+
+    walk(t, 0)
+    del walk  # it refers to itself: unbind it, so that no cycle is left
+    return out
+
+
 def kt_product_by_assignments(t, tp):
     """Every one of the |tp|^k ways to send the k root subtrees of t to
     vertices of tp, each grafted and counted."""
     points = [(v, 0) for v in range(tp.size)]
     return LinComb.tally(_grafts(tp, t.children, product(points, repeat=len(t.children))))
+
+
+def kp_product_by_choices(t, tp):
+    """Every one of the binomial(2m + k - 2, k) weakly increasing choices of
+    points of tp for the k ordered root subtrees of t, each grafted and
+    counted."""
+    choices = combinations_with_replacement(attachment_points(tp), len(t.children))
+    return LinComb.tally(_grafts(tp, t.children, choices))
 
 
 def kt_coproduct_by_colourings(t):
@@ -1254,14 +1326,57 @@ def test_sym_product_matches_the_qsym_round_trip_through_degree_9(fresh_caches):
                     assert SYM.product(s(lam), s(mu)) == want, (lam, mu)
 
 
-def test_kt_product_matches_every_assignment_through_8_vertices(fresh_caches):
-    for n in range(2, 9):
-        for i in range(1, n):
-            for t in enumerate_rooted(i):
-                for tp in enumerate_rooted(n - i):
-                    want = kt_product_by_assignments(t, tp)
-                    assert KT.product_keys(t, tp) == want, (t, tp)
-                    assert KT.product(s(t), s(tp)) == want, (t, tp)
+def _key_pairs_through(alg, degree):
+    """Every pair of trees of ``alg`` whose degrees sum to at most ``degree``."""
+    return [pair for n in range(degree + 1) for pair in _key_pairs(alg.basis, n)]
+
+
+def test_attachment_points_count():
+    for m in range(1, 7):
+        for t in enumerate_planar(m):
+            assert len(attachment_points(t)) == 2 * m - 1
+
+
+def test_kt_product_matches_every_assignment_through_degree_7(fresh_caches):
+    for t, tp in _key_pairs_through(KT, 7):
+        want = kt_product_by_assignments(t, tp)
+        assert KT.product_keys(t, tp) == want, (t, tp)
+        assert KT.product(s(t), s(tp)) == want, (t, tp)
+
+
+def test_kp_product_matches_every_weakly_increasing_choice_through_degree_7(fresh_caches):
+    for t, tp in _key_pairs_through(KP, 7):
+        want = kp_product_by_choices(t, tp)
+        assert KP.product_keys(t, tp) == want, (t, tp)
+        assert KP.product(s(t), s(tp)) == want, (t, tp)
+
+
+def test_the_assignment_oracle_sees_an_unweighted_share(monkeypatch, fresh_caches):
+    # a child subtree taking j of the m equal root subtrees of t counted
+    # once, not binomial(m, j) times: exactly the products of a t with two
+    # equal root subtrees into a tp with a child go wrong
+    monkeypatch.setattr(
+        GraftingAlgebra, "_shares",
+        staticmethod(lambda rest: tuple((gap, part, left, 1)
+                                        for gap, part, left, _ in _submultisets(rest))))
+    pairs = _key_pairs_through(KT, 6)
+    wrong = [(t, tp) for t, tp in pairs if KT.product_keys(t, tp) != kt_product_by_assignments(t, tp)]
+    assert wrong == [(t, tp) for t, tp in pairs
+                     if len(set(t.children)) < len(t.children) and tp.size > 1]
+    assert (corolla(2), ladder(2)) in wrong
+
+
+def test_the_choice_oracle_sees_a_gap_block_after_its_child(monkeypatch, fresh_caches):
+    # the root's gap before a child given the block after the child's:
+    # the counts stay, the order of the grafted subtrees goes wrong
+    monkeypatch.setattr(
+        PlanarGraftingAlgebra, "_shares",
+        staticmethod(lambda rest: tuple((part, gap, left, 1)
+                                        for gap, part, left, _ in _blocks(rest))))
+    pairs = _key_pairs_through(KP, 6)
+    wrong = [(t, tp) for t, tp in pairs if KP.product_keys(t, tp) != kp_product_by_choices(t, tp)]
+    assert (planar_from_string("[[][[]]]"), planar_from_string("[[]]")) in wrong
+    assert all(len(set(t.children)) > 1 and tp.size > 1 for t, tp in wrong)
 
 
 def _rooted_trees_through_10_vertices():
@@ -1322,9 +1437,9 @@ def test_monomial_expansion_matches_the_placement_recursion():
 
 def test_kbar_and_the_monomial_expansion_leave_no_cyclic_garbage(fresh_caches):
     # their recursions, and the recursive closures of the SYM product, the
-    # planar attachment points, the child lists and the Dyck words, used to
-    # hold their working tables in reference cycles, which only the cyclic
-    # collector frees
+    # child lists and the Dyck words, used to hold their working tables in
+    # reference cycles, which only the cyclic collector frees; the grafting
+    # recursion, with its explicit stack and generators, is checked with them
     forest = Forest([rooted_from_string("[[[]][]]"), rooted_from_string("[[][][]]")])
     gc.collect()
     gc.disable()
@@ -1332,7 +1447,8 @@ def test_kbar_and_the_monomial_expansion_leave_no_cyclic_garbage(fresh_caches):
         assert kbar(s(forest)) == Z_star(s(forest))
         assert len(_monomial_expansion((2, 1, 1), 6)) == 20
         assert len(_column_sums((2, 1), (1, 1))) == 4
-        assert len(attachment_points(planar_from_string("[[[]][]]"))) == 7
+        assert len(KP.product_keys(planar_from_string("[[][]]"),
+                                   planar_from_string("[[[]][]]"))) == 17
         assert len(_child_lists(4, RootedTree)) == 9
         assert len(treehopf.verify._dyck_planar(4)) == 5
         assert gc.collect() == 0
