@@ -23,7 +23,8 @@ canonicalized; planar and ordered input is taken as written.
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
 (a parse error, a cap, a suite bound, a kt or kp product over the graft
-budget ``hopf_rooted.GRAFT_CAP``, input nested too deeply) prints exactly
+budget ``hopf_rooted.GRAFT_CAP``, a sym, qsym or nsym antipode of more
+than ``TERM_CAP`` terms, input nested too deeply) prints exactly
 one "error:" line on stderr; a command line that argparse rejects also
 exits 2, after its usage text.  A command whose stdout is closed
 before it finishes writing exits 141, as if killed by SIGPIPE.
@@ -46,7 +47,7 @@ from .trees import (
 )
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
-from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
+from .symfun import COUNT_LIMIT, NSYM, QSYM, SYM, e, expand_truncated, h, p
 from .morphisms import MAP_TABLE
 from .pairings import ip_sym, pair_kp_hf, pair_kt_ck, pair_ns_qs
 from .verify import SUITE_NAMES, partition_count, run_all, run_suite
@@ -74,7 +75,8 @@ VARS_CAP = 10
 # longest chain literal l<k>, each of whose k trees holds its own encoding,
 # and largest index of the e<k> and h<k> shorthands
 CHAIN_CAP = 1000
-# most terms the h<k> shorthand may expand to: p(45) = 89,134 fits
+# most terms the h<k> shorthand may expand to, and the sym, qsym or nsym
+# antipode may return: p(45) = 89,134 fits
 TERM_CAP = 100_000
 
 # algebra whose basis is written as part lists (after its ``letter``) ->
@@ -193,8 +195,7 @@ class _Parser:
             if ch in "eh" and k > CHAIN_CAP:
                 raise ValueError(f"{ch}{k} exceeds the index cap {CHAIN_CAP}; its "
                                  f"partitions have up to {k:,} parts")
-            # p(0), ..., p(k) in turn, so that the memo's recursion stays shallow
-            if ch == "h" and (n := [partition_count(j) for j in range(k + 1)][-1]) > TERM_CAP:
+            if ch == "h" and (n := partition_count(k)) > TERM_CAP:
                 raise ValueError(f"h{k} has {n:,} terms, more than the cap {TERM_CAP:,}")
             return {"e": e, "h": h, "p": p}[ch](k)
         if ch != self.algebra.letter:
@@ -324,12 +325,24 @@ def _cmd_operation(args):
     alg, op = ALGEBRAS[args.algebra], args.command
     texts = (args.left, args.right) if op == "product" else (args.element,)
     elements = [parse_element(text, args.algebra) for text in texts]
+    if op == "antipode" and alg.name in _PART_LISTS:
+        _check_antipode_terms(alg, elements[0])
     result = getattr(alg, op)(*elements)
     if op == "coproduct":
         return _tensor(args, alg, result)
     if op == "counit":
         return _scalar(args, result)
     return _element(args, alg, result, algebra=alg.name)
+
+
+def _check_antipode_terms(alg, a):
+    """Refuse the antipode of a sym, qsym or nsym element whose terms'
+    ``antipode_terms`` add up to more than ``TERM_CAP``: its number of terms
+    on qsym and nsym, a bound on it on sym."""
+    count = min(sum(map(alg.antipode_terms, a)), COUNT_LIMIT + 1)
+    if count > TERM_CAP:
+        text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
+        raise ValueError(f"this antipode would have {text} terms; the cap is {TERM_CAP:,}")
 
 
 def _cmd_map(args):

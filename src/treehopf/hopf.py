@@ -8,8 +8,12 @@ extension is one of the two sums in ``LinComb``: the product and
 latter over the pairs of their terms), and the coproduct, the antipode and
 ``tensor_map`` are ``apply_linear``.  HK, HF and NSYM are free: ``factors``
 splits a key into generators g_1...g_k, and the key's coproduct is the
-product of theirs and its antipode S(g_k)...S(g_1).  Every other key takes
-the recursion that a one-dimensional degree-0 part allows:
+product of theirs and its antipode S(g_k)...S(g_1).  The antipode of any
+other key but the unit is the algebra's ``antipode_rule``.  Five algebras
+give it in closed form, each term once and with no cancellation: SYM and
+QSYM on every key, NSYM on E_n, HK and HF on one-tree forests.  KT and KP
+keep the default, the recursion that a one-dimensional degree-0 part
+allows:
 
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
@@ -106,19 +110,26 @@ class HopfAlgebra:
         out = memo.get(key)
         if out is not None:
             return out
-        unit = self.unit_key()
         if len(gens := self.factors(key)) > 1:
             # S reverses products: S(g_1 ... g_k) = S(g_k) ... S(g_1)
             out = reduce(self.product, map(self.antipode_key, reversed(gens)))
-        elif key == unit:
+        elif key == self.unit_key():
             out = self.one()
         else:
-            middle = self._ck(key).filter_keys(lambda pair: unit not in pair)
-            out = LinComb.single(key, -1) - middle.apply_linear(
-                lambda pair: self.product(self.antipode_key(pair[0]), LinComb.single(pair[1]))
-            )
+            out = self.antipode_rule(key)
         memo[key] = out
         return out
+
+    def antipode_rule(self, key) -> LinComb:
+        """S of a key that is neither the unit nor a product of other
+        keys, by the recursion S(x) = -x - sum S(x') x'' over the middle
+        terms of its coproduct.  An algebra with a closed form overrides
+        this; ``antipode_key`` is the one entry point, and memoizes."""
+        unit = self.unit_key()
+        middle = self._ck(key).filter_keys(lambda pair: unit not in pair)
+        return LinComb.single(key, -1) - middle.apply_linear(
+            lambda pair: self.product(self.antipode_key(pair[0]), LinComb.single(pair[1]))
+        )
 
     def antipode(self, a: LinComb) -> LinComb:
         return a.apply_linear(self.antipode_key)

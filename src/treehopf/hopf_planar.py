@@ -12,8 +12,11 @@ root subtrees at each of the n + 1 positions.
 
 HF (basis: ordered forests, degree = total vertices) is the free associative
 algebra on planar trees under concatenation, with the coproduct defined by
-the same root-recursion as the unordered forest algebra.  KP and HF are
-graded duals under the Kronecker pairing (planar trees are rigid).
+the same root-recursion as the unordered forest algebra, and the antipode of
+a tree by the same forest formula, where order now counts: the pieces cut
+off come in reverse pre-order of their cut edges, then the trunk.  KP keeps
+the antipode recursion.  KP and HF are graded duals under the Kronecker
+pairing (planar trees are rigid).
 
 The grafting recursion (``GraftingAlgebra.graft``), the grading, the
 forest product and coproduct (``ForestAlgebra``) and the b_plus isomorphism

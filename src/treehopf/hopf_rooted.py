@@ -35,7 +35,11 @@ trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended to forests by ``HopfAlgebra``'s multiplicative rule.
+and extended to forests by ``HopfAlgebra``'s multiplicative rule.  The
+antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
+over the sets of edges cut, of the pieces left, grouped per subtree
+(``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
+the 2^(edges) cut sets.  KT keeps ``HopfAlgebra``'s antipode recursion.
 ``ForestAlgebra`` builds its forests and trees from the kind of its unit
 forest, so HF is the same class with the empty ordered forest as unit.  KT
 and HK are graded duals of each other under the pairing in ``pairings``.
@@ -50,6 +54,7 @@ child; and the root-removal operators in their various linear extensions.
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
 from .hopf import HopfAlgebra
@@ -66,6 +71,8 @@ from .trees import (
     ladder,
     sym_order,
 )
+
+_children = attrgetter("children")
 
 # most vertices one kt or kp product may graft, priced by the attachment
 # choices it counts, each at about (result vertices)^2 / 2 vertices, the
@@ -217,6 +224,10 @@ class ForestAlgebra(HopfAlgebra):
     name = "ck"
     empty = EMPTY_FOREST
 
+    def __init__(self):
+        super().__init__()
+        self._cut_memo = memo_table()
+
     def unit_key(self):
         return self.empty
 
@@ -252,6 +263,47 @@ class ForestAlgebra(HopfAlgebra):
         inner = self._ck(b_minus(t))
         terms.update(((u, type(f)((b_plus(v),))), c) for (u, v), c in inner.items())
         return LinComb.trusted(terms)
+
+    def antipode_rule(self, f):
+        """S of a one-tree forest by the forest formula (Connes-Kreimer):
+        the sum over the sets C of edges of (-1)^(|C| + 1) times the forest
+        of the pieces that cutting C leaves, for HF the pieces cut off in
+        reverse pre-order of their cut edges, then the trunk.  A forest of
+        k + 1 pieces comes only from k cuts, so no two terms cancel."""
+        (t,) = f.trees
+        forest = type(f)
+        counts = Counter()
+        for (trunk, pieces), n in self._cuts(t).items():
+            counts[forest(pieces + (trunk,))] += n
+        return LinComb.trusted({g: -n if len(g.trees) % 2 else n for g, n in counts.items()})
+
+    def _cuts(self, t):
+        """(trunk, pieces cut off) -> how many sets of edges of t cutting
+        leaves them, memoized per tree and filled from an explicit stack."""
+        return bottom_up(t, self._cut_memo, _children, self._cut_fold)
+
+    def _cut_fold(self, t):
+        """Fold over the children of t, each with its cuts from the memo:
+        a child's trunk stays a child of t's trunk, or its edge is cut too
+        and the trunk is one more piece, after those cut off below it; the
+        pieces of a later child come first.  Partial results of a tree with
+        unordered children are kept sorted, so that equal ones merge; by
+        identity, which is equality for interned trees, since ``Forest``
+        puts the pieces in the canonical order in the end."""
+        memo = self._cut_memo
+        states = {((), ()): 1}
+        for child in t.children:
+            grown = Counter()
+            for (kids, pieces), count in states.items():
+                for (trunk, below), n in memo[child].items():
+                    for state in ((kids + (trunk,), below + pieces),
+                                  (kids, below + (trunk,) + pieces)):
+                        if not t.ordered:
+                            state = tuple(sorted(state[0], key=id)), tuple(sorted(state[1], key=id))
+                        grown[state] += count * n
+            states = grown
+        make = type(t)
+        return {(make(kids), pieces): count for (kids, pieces), count in states.items()}
 
 
 KT = GraftingAlgebra()

@@ -19,6 +19,14 @@ them against the QSYM product of the symmetrizations, collected back.  The
 coproduct splits the part multiset into an ordered pair of submultisets,
 each distinct splitting once.
 
+The antipodes are closed forms with no cancellation, as ``HopfAlgebra``
+describes: S(M_a) sums the coarsenings of a reversed (Malvenuto-Reutenauer;
+Ehrenborg), S(m_lam) collects that sum on partitions, a count of the
+rearrangements of lam that coarsen to each term, and S(E_n) is the signed
+sum of E_J over the compositions J of n.  ``antipode_terms`` counts the
+terms of S on a key (on SYM, bounds them) before any is made, which the CLI
+checks against its term cap.
+
 The elementary/complete/power sums live here too, along with the conversion
 between the monomial and elementary bases (integer back-substitution along
 the dominance order, one memoized row per partition),
@@ -28,9 +36,9 @@ QSYM used as an independent oracle for the quasi-shuffle product: a
 polynomial in x_1..x_n is a LinComb over exponent tuples of length n.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import sub
 
 from .foundations import (
@@ -92,6 +100,17 @@ class QuasiSymmetricFunctions(_PartLists):
     def coproduct_key(self, comp):
         return LinComb.trusted({(comp[:i], comp[i:]): 1 for i in range(len(comp) + 1)})
 
+    def antipode_rule(self, comp):
+        """S(M_a) = (-1)^len(a) times the sum of M_b over the coarsenings b
+        of a reversed (Malvenuto-Reutenauer; Ehrenborg): each once."""
+        sign = -1 if len(comp) % 2 else 1
+        return LinComb.trusted(dict.fromkeys(_coarsenings(comp[::-1]), sign))
+
+    def antipode_terms(self, comp):
+        """The number of terms of S(M_comp), 2^(len - 1), or
+        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        return _power_of_two(max(len(comp) - 1, 0))
+
 
 class NoncommutativeSymmetricFunctions(_PartLists):
     """Free associative algebra on divided-power generators E_1, E_2, ..."""
@@ -110,6 +129,16 @@ class NoncommutativeSymmetricFunctions(_PartLists):
         (n,) = comp or (0,)
         part = lambda i: (i,) if i else ()
         return LinComb.trusted({(part(i), part(n - i)): 1 for i in range(n + 1)})
+
+    def antipode_rule(self, comp):
+        """S(E_n) = sum of (-1)^len(J) E_J over the compositions J of n."""
+        (n,) = comp
+        return LinComb.trusted({j: -1 if len(j) % 2 else 1 for j in compositions_of(n)})
+
+    def antipode_terms(self, comp):
+        """The number of terms of S(E_comp), the product of 2^(a - 1) over
+        its parts a, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        return _power_of_two(sum(comp) - len(comp))
 
 
 class SymmetricFunctions(_PartLists):
@@ -130,6 +159,21 @@ class SymmetricFunctions(_PartLists):
     def coproduct_key(self, lam):
         """Each distinct ordered splitting of the part multiset, once."""
         return LinComb.trusted({(l, r): 1 for l, r, _ in multiset_splits(lam)})
+
+    def antipode_rule(self, lam):
+        """QSYM's rule collected on partitions: the coefficient of m_mu in
+        S(m_lam) is (-1)^len(lam) times the number of rearrangements of lam
+        that coarsen to mu, a positive count (``_coarsening_counts``)."""
+        sign = -1 if len(lam) % 2 else 1
+        return LinComb.trusted({mu: sign * c for mu, c in _coarsening_counts(lam).items()})
+
+    def antipode_terms(self, lam):
+        """An upper bound on the number of terms of S(m_lam), exact for e_n:
+        a term merges the parts of lam by a set partition of them, so it is
+        a partition of |lam| into at most len(lam) parts, and there are no
+        more terms than set partitions.  ``COUNT_LIMIT + 1`` above
+        ``COUNT_LIMIT``."""
+        return min(_partitions_at_most(sum(lam), len(lam)), _set_partitions(len(lam)))
 
 
 def _column_sums(lam, mu):
@@ -171,6 +215,103 @@ def _column_sums(lam, mu):
     fuse(0, (), 1, tuple(partners.values()))
     del fuse  # it refers to itself: unbind it, so that no cycle is left
     return out
+
+
+def _coarsenings(comp):
+    """Every composition made by adding up runs of consecutive parts of
+    ``comp``: one for each subset of the gaps between its parts."""
+    out = [comp[:1]]
+    for part in comp[1:]:
+        out = [c + (part,) for c in out] + [c[:-1] + (c[-1] + part,) for c in out]
+    return out
+
+
+def _coarsening_counts(lam):
+    """mu -> the number of rearrangements of the partition lam that coarsen
+    to mu: the splits of the multiset lam into blocks B_1, B_2, ... with
+    sums mu_1 >= mu_2 >= ..., each counted by the product of the distinct
+    orderings of its blocks.  The blocks are taken in turn, largest sum
+    first; a partial split is the part sums so far and the multiset left,
+    and the partial splits with the same sums and the same multiset left
+    are carried on as one, with the sum of their counts.  The prefixes of
+    mu are walked from an explicit stack."""
+    values = tuple(sorted(set(lam), reverse=True))
+    counts = {}
+    stack = [((), sum(lam), {tuple(lam.count(v) for v in values): 1})]
+    while stack:
+        mu, rest, states = stack.pop()
+        grown = {}
+        for left, c in states.items():
+            for s, after, w in _blocks_up_to(values, left, mu[-1] if mu else rest):
+                if (by_left := grown.get(s)) is None:
+                    by_left = grown[s] = defaultdict(int)
+                by_left[after] += c * w
+        for s, by_left in grown.items():
+            if s == rest:
+                (counts[mu + (s,)],) = by_left.values()
+            else:
+                stack.append((mu + (s,), rest - s, by_left))
+    return counts
+
+
+@memo
+def _blocks_up_to(values, left, cap):
+    """(sum s, multiplicities left, distinct orderings of the block) for
+    each nonempty block of the multiset with ``left`` copies of each of
+    ``values`` whose parts add up to s <= cap and leave no part above s,
+    which no later block, of sum at most s, could take."""
+    partial = [((), 0)]
+    for v, m in zip(values, left):
+        partial = [(taken + (k,), s + k * v)
+                   for taken, s in partial for k in range(min(m, (cap - s) // v) + 1)]
+    blocks = []
+    for taken, s in partial:
+        rest = tuple(map(sub, left, taken))
+        if s and all(v <= s for v, r in zip(values, rest) if r):
+            blocks.append((s, rest, factorial(sum(taken)) // prod(map(factorial, taken))))
+    return tuple(blocks)
+
+
+# the largest term count that ``antipode_terms`` computes: past it, it
+# returns COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
+COUNT_LIMIT = 10**9
+
+
+def _power_of_two(k):
+    return 1 << k if k < COUNT_LIMIT.bit_length() else COUNT_LIMIT + 1
+
+
+@memo
+def _partitions_at_most(n, k):
+    """The partitions of n into at most k parts, or ``COUNT_LIMIT + 1``
+    above ``COUNT_LIMIT``: a table over m <= n, started at k = 3 from its
+    closed form round((m + 3)^2 / 12), so that it has at most
+    sqrt(12 COUNT_LIMIT) places, and grown a part size at a time, which
+    stops once the count passes the limit."""
+    k = min(k, n)
+    if k <= 2:
+        count = n // 2 + 1 if k == 2 else 1
+    elif (n + 3) ** 2 // 12 > COUNT_LIMIT:
+        count = COUNT_LIMIT + 1
+    else:
+        table = [((m + 3) ** 2 + 6) // 12 for m in range(n + 1)]
+        for j in range(4, k + 1):
+            for m in range(j, n + 1):
+                table[m] += table[m - j]
+            if table[n] > COUNT_LIMIT:
+                break
+        count = table[n]
+    return min(count, COUNT_LIMIT + 1)
+
+
+@memo
+def _set_partitions(k):
+    """The Bell number B(k), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``,
+    by B(m + 1) = sum of C(m, i) B(i), stopped once past the limit."""
+    bell = [1]
+    while len(bell) <= k and bell[-1] <= COUNT_LIMIT:
+        bell.append(sum(comb(len(bell) - 1, i) * b for i, b in enumerate(bell)))
+    return min(bell[-1], COUNT_LIMIT + 1)
 
 
 QSYM = QuasiSymmetricFunctions()

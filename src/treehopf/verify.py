@@ -25,7 +25,7 @@ from itertools import chain
 from math import comb, factorial, gcd, lcm
 import random
 
-from .foundations import LinComb, compositions_of, memo, partitions_of
+from .foundations import LinComb, compositions_of, memo, memo_table, partitions_of
 from .trees import (
     Forest,
     LEAF,
@@ -182,45 +182,51 @@ def _counts(identity, range_tested, ns, *sides):
 
 # ---------------------------------------------------------------- counting
 
-@memo
+_ROOTED = memo_table()  # n -> rooted_count(n), filled for n = 1, 2, ... in turn
+_DIVISOR_SUMS = memo_table()  # k -> the sum of d * rooted_count(d) over d | k
+
+
 def rooted_count(n: int) -> int:
     """Number of unordered rooted trees with n vertices, by the classical
-    divisor-sum convolution (no enumeration)."""
-    if n <= 1:
-        return 1 if n == 1 else 0
-    total = 0
-    for k in range(1, n):
-        s = sum(d * rooted_count(d) for d in range(1, k + 1) if k % d == 0)
-        total += s * rooted_count(n - k)
-    assert total % (n - 1) == 0
-    return total // (n - 1)
+    divisor-sum convolution (no enumeration), as a table filled up to n."""
+    if n < 1:
+        return 0
+    table, sums = _ROOTED, _DIVISOR_SUMS
+    for m in range(len(table) + 1, n + 1):
+        if m == 1:
+            table[1] = 1
+            continue
+        k = m - 1
+        sums[k] = sum(d * table[d] for d in range(1, k + 1) if k % d == 0)
+        total = sum(sums[k] * table[m - k] for k in range(1, m))
+        assert total % (m - 1) == 0
+        table[m] = total // (m - 1)
+    return table[n]
 
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@memo
+_PARTITIONS = memo_table()  # n -> partition_count(n), filled for n = 0, 1, ... in turn
+
+
 def partition_count(n: int) -> int:
+    """Number of partitions of n, by the pentagonal-number recurrence, as a
+    table filled up to n."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    # pentagonal-number recurrence
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    table = _PARTITIONS
+    for m in range(len(table), n + 1):
+        total, k = 0 if m else 1, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * table[m - g]
+            if (g := g + k) <= m:
+                total += sign * table[m - g]
+            k += 1
+        table[m] = total
+    return table[n]
 
 
 def composition_count(n: int) -> int:
@@ -963,7 +969,10 @@ def _convolve(a, b):
     return [sum(a[i] * b[s - i] for i in range(s + 1)) for s in range(len(a))]
 
 
-# Rough elementary-check counts per suite, used in refusal messages.
+# Rough elementary-check counts per suite, used in refusal messages, and the
+# largest degree at which a refusal computes one: at 600 the slowest,
+# hopf-axioms', takes under a second, at 2,000 half a minute.
+_ESTIMATE_DEGREE = 600
 _ESTIMATES = {
     # basis triples of total degree <= n in each of kt, kp, sym and qsym
     "hopf-axioms": lambda n: sum(
@@ -1003,9 +1012,13 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
     if d < 0:
         raise ValueError("max_degree must be nonnegative")
     if d > cap:
-        est = _ESTIMATES[name](d)
+        # an estimate takes time quadratic in its degree or more, and grows
+        # with it: past _ESTIMATE_DEGREE, the one at that degree bounds it
+        shown = min(d, _ESTIMATE_DEGREE)
+        est = _ESTIMATES[name](shown)
+        need = f"roughly {est:,}" if shown == d else f"more than {est:,}"
         raise SuiteBoundError(
-            f"suite {name} at max_degree {d} would need roughly {est:,} "
+            f"suite {name} at max_degree {d} would need {need} "
             f"elementary checks with exact arithmetic; the cap is {cap}. "
             f"Rerun with --max-degree {cap} or lower."
         )

@@ -270,6 +270,54 @@ def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypat
     assert run(capsys, "counit", "--algebra", "sym", f"e{CHAIN_CAP}") == (0, "0\n", "")
 
 
+@pytest.mark.parametrize("algebra, text, message", [
+    ("qsym", "M(" + ",".join("1" * 22) + ")", "up to 2,097,152 terms"),
+    ("nsym", "E(18)", "up to 131,072 terms"),
+    ("nsym", "E(1000000000)", "more than 1,000,000,000 terms"),
+    ("sym", "e50", "up to 204,226 terms"),
+    ("sym", "m(2,2," + ",".join("1" * 44) + ")", "up to 147,271 terms"),
+    ("sym", "h30", "up to 15,505,062 terms"),
+])
+def test_antipode_above_the_term_cap_is_refused_before_it_starts(capsys, monkeypatch, algebra,
+                                                                 text, message):
+    # the term count of each key: 2^(len - 1) for M_a, the product of
+    # 2^(a_i - 1) for E_a, and for m_lam at most the partitions of |lam|
+    # into at most len(lam) parts (p(48) less the two with more than 46
+    # parts above), or the set partitions of its parts if fewer
+    alg = treehopf.cli.ALGEBRAS[algebra]
+
+    def start(key):
+        raise AssertionError("the antipode was started")
+
+    monkeypatch.setitem(vars(alg), "antipode_key", start)
+    code, out, err = run(capsys, "antipode", "--algebra", algebra, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: this antipode would have {message}; the cap is {TERM_CAP:,}\n"
+
+
+def test_antipodes_within_the_term_cap_answer(capsys):
+    # e45 has p(45) = 89,134 terms; a few parts, however large, have few
+    code, out, err = run(capsys, "antipode", "--algebra", "sym", "e45")
+    assert (code, err) == (0, "")
+    assert out.count("m(") == 89_134
+    a, b = 10**9, 10**9 + 1
+    assert run(capsys, "antipode", "--algebra", "sym", f"m({a},1)") == (
+        0, f"m({a},1) + 2*m({b})\n", "")
+    assert run(capsys, "antipode", "--algebra", "qsym", f"M({a})") == (0, f"-M({a})\n", "")
+
+
+@pytest.mark.parametrize("suite, degree, need", [
+    ("ideh", 600, "roughly 96,074,925,086,720,"), ("enumeration-counts", 2000, "more than "),
+    ("hopf-axioms", 100_000, "more than ")])
+def test_suite_bounds_far_above_the_cap_name_their_estimate(capsys, suite, degree, need):
+    # the counts behind the estimate are tables filled in a loop, not a
+    # recursion one level per degree; past degree 600, the estimate there
+    # bounds the one asked for from below
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: suite {suite} at max_degree {degree} would need {need}")
+
+
 @pytest.mark.parametrize("algebra, left, right, message", [
     ("kt", "[[][]]", "l325", "this product would graft 52,975 attachment choices, "
      f"rebuilding roughly 2,832,281,887 vertices; the cap is {GRAFT_CAP:,}"),

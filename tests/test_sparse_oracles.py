@@ -4,7 +4,8 @@ back-substituted e/m transition and the linear extensions through
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
-loops, the antipode's accumulator loop, LinComb's sums as they were before
+loops, the antipode's accumulator loop (the recursion behind the closed-form
+antipodes of SYM, QSYM and the generators of NSYM, HK and HF), LinComb's sums as they were before
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
 alternating recursion that defines it, kbar over every downset of its
@@ -28,7 +29,8 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from functools import reduce
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import comb, gcd
 from operator import add
 
@@ -48,7 +50,7 @@ from treehopf.foundations import (
     partitions_of,
     rearrangements,
 )
-from treehopf.hopf import tensor_map, tensor_mult
+from treehopf.hopf import HopfAlgebra, tensor_map, tensor_mult
 from treehopf.hopf_planar import HF, KP, PlanarGraftingAlgebra
 from treehopf.hopf_rooted import (
     HK,
@@ -87,6 +89,7 @@ from treehopf.symfun import (
     collect_sym,
     e,
     expand_truncated,
+    h,
     include_sym,
     m_to_e,
 )
@@ -969,12 +972,11 @@ def nsym_coproduct_by_splits(comp):
     return LinComb.trusted(acc)
 
 
-def _antipodes_match(alg):
+def _antipodes_match(alg, degree=5, extra=()):
     memo = {}
     oracle = lambda k: antipode_by_accumulation(alg, k, memo)
-    for n in range(6):
-        for key in alg.basis(n):
-            assert alg.antipode_key(key) == oracle(key), alg.key_str(key)
+    for key in chain((k for n in range(degree + 1) for k in alg.basis(n)), extra):
+        assert alg.antipode_key(key) == oracle(key), alg.key_str(key)
     rng = random.Random(f"antipode {alg.name}")
     for _ in range(20):
         a = _random_element(rng, alg, range(6))
@@ -984,6 +986,71 @@ def _antipodes_match(alg):
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: alg.name)
 def test_antipode_matches_the_accumulator_through_degree_5(alg, fresh_caches):
     _antipodes_match(alg)
+
+
+@pytest.mark.parametrize("alg, degree, extra", [
+    (SYM, 10, ()), (QSYM, 9, ()), (NSYM, 5, [(n,) for n in range(6, 11)]), (HK, 8, ()),
+    (HF, 8, ())], ids=["sym", "qsym", "nsym", "ck", "hf"])
+def test_closed_form_antipodes_match_the_accumulator(alg, degree, extra, fresh_caches):
+    # the closed forms on every key (sym, qsym) or generator (E_n, one-tree
+    # forests), and on products of generators through their factors
+    _antipodes_match(alg, degree, extra)
+
+
+# a broken closed form: (algebra, the attribute broken, the broken attribute
+# made from the original, the degree of hopf-axioms that sees it, the
+# first key of its failing row)
+ANTIPODE_DEFECTS = {
+    # M_a's coarsenings taken on a as written, not reversed
+    "qsym coarsens a unreversed": (QSYM, "antipode_rule",
+                                   lambda rule: lambda comp: rule(comp[::-1]), 3, "M(2,1)"),
+    # the pieces cut off in pre-order of their cut edges; a tree needs four
+    # vertices to have two different pieces to cut off, so degree 3 cannot
+    # see it
+    "hf pieces in pre-order": (
+        HF, "_cuts",
+        lambda cuts: lambda t: {(trunk, pieces[::-1]): n for (trunk, pieces), n in cuts(t).items()},
+        4, "([[[][]]])"),
+}
+
+
+@pytest.mark.parametrize("defect", list(ANTIPODE_DEFECTS))
+def test_broken_closed_form_antipodes_fail_the_oracle_and_the_axioms(defect, monkeypatch,
+                                                                     fresh_caches):
+    alg, attr, breaking, degree, key = ANTIPODE_DEFECTS[defect]
+    monkeypatch.setitem(vars(alg), attr, breaking(getattr(type(alg), attr).__get__(alg)))
+    with pytest.raises(AssertionError):
+        _antipodes_match(alg)
+    clear_caches()
+    report = run_suite("hopf-axioms", degree - 1)
+    assert report.ok
+    clear_caches()
+    report = run_suite("hopf-axioms", degree)
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == {f"{alg.name}: antipode convolution identity": key}
+
+
+def test_sym_antipode_is_the_signed_involution_omega_through_degree_8(fresh_caches):
+    # S(m_lam) = (-1)^|lam| omega(m_lam), and omega sends e_mu to h_mu: the
+    # m_lam = sum c_mu e_mu of m_to_e gives sum c_mu h_mu, with no antipode
+    for n in range(9):
+        for lam in partitions_of(n):
+            omega = m_to_e(s(lam)).apply_linear(
+                lambda mu: reduce(SYM.product, map(h, mu), SYM.one()))
+            assert SYM.antipode_key(lam) == (-1) ** n * omega, lam
+
+
+def test_five_algebras_take_no_antipode_recursion(monkeypatch, fresh_caches):
+    def recursion(self, key):
+        raise AssertionError(f"{self.name} took the recursion at {self.key_str(key)}")
+
+    monkeypatch.setattr(HopfAlgebra, "antipode_rule", recursion)
+    for alg in (SYM, QSYM, NSYM, HK, HF):
+        for n in range(7):
+            for key in alg.basis(n):
+                alg.antipode_key(key)
+    with pytest.raises(AssertionError, match="kt took the recursion at"):
+        KT.antipode_key(corolla(2))
 
 
 def _forest_coproducts_match(alg):

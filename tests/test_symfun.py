@@ -220,6 +220,17 @@ def test_expanded_symmetric_functions_are_symmetric():
             assert permuted == poly, la
 
 
+@pytest.mark.parametrize("alg", [SYM, QSYM, NSYM], ids=lambda alg: alg.name)
+def test_antipode_term_counts_bound_the_terms_through_degree_9(alg):
+    # exact on qsym and nsym, and on sym for e_n; never below the count
+    for n in range(10):
+        for key in alg.basis(n):
+            bound, terms = alg.antipode_terms(key), len(alg.antipode_key(key))
+            assert bound >= terms, key
+            if alg is not SYM or key == (1,) * n:
+                assert bound == terms, key
+
+
 def test_qsym_antipode_small():
     assert QSYM.antipode(s((1,))) == -s((1,))
     # single parts deconcatenate trivially, so their antipode just negates
