@@ -173,10 +173,10 @@ def test_verify_json(capsys):
 
 def test_verify_bound_refusal(capsys):
     code, _, err = run(
-        capsys, "verify", "--suite", "hexagon", "--max-degree", "9"
+        capsys, "verify", "--suite", "hexagon", "--max-degree", "10"
     )
     assert code == 2
-    assert "cap is 8" in err
+    assert "cap is 9" in err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -9,7 +9,8 @@ antipodes of SYM, QSYM and the generators of NSYM, HK and HF), LinComb's sums as
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
 alternating recursion that defines it, kbar over every downset of its
-poset, and the key kernels
+poset, the hexagon's full circuit through Phistar and rhostar of
+the whole image Z(x), before it read them once per tree, and the key kernels
 that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments
@@ -63,7 +64,7 @@ from treehopf.hopf_rooted import (
     forest_b_plus,
     kappa,
 )
-from treehopf.morphisms import MAP_TABLE, Z_star, kbar, tau
+from treehopf.morphisms import MAP_TABLE, Z, Z_star, kbar, tau
 from treehopf.pairings import (
     _key_pairs,
     check_duality_criterion,
@@ -115,6 +116,7 @@ from treehopf.trees import (
 )
 from treehopf.verify import (
     _ESTIMATES,
+    _key_rule,
     _packed,
     _pairs,
     _polynomial_product_holds,
@@ -1261,6 +1263,28 @@ def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkey
     assert failed == {"poset labeling realization agrees with the recursion": "[] []"}
     assert "  [FAIL] poset labeling realization agrees with the recursion " \
            "(degree <= 3)\n         counterexample: [] []" in report.lines()
+
+
+# -------------------------------------------------------- hexagon key rules
+
+def test_the_full_circuit_key_rule_is_the_direct_path_through_degree_7(fresh_caches):
+    # the hexagon maps Z(x) through Phistar and rhostar one tree at a time,
+    # each tree once per run; the direct path maps the whole image at once
+    Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phistar", "rhostar"))
+    computed = []
+
+    def lower_of(x):
+        computed.append(x)
+        return Phistar(rhostar(x))
+
+    lower = _key_rule(lower_of)
+    for n in range(8):
+        for t in KT.basis(n):
+            assert _typed(lower(t)) == _typed(Phistar(rhostar(s(t)))), t
+        for comp in compositions_of(n):
+            zx = Z(s(comp))
+            assert _typed(zx.apply_linear(lower)) == _typed(Phistar(rhostar(zx))), comp
+    assert computed == [s(t) for n in range(8) for t in KT.basis(n)]
 
 
 # ------------------------------------------------------------- key kernels

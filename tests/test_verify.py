@@ -136,12 +136,13 @@ def test_unknown_suite_rejected():
 
 def test_bound_refusal_names_cap_and_estimate():
     with pytest.raises(SuiteBoundError) as exc:
-        run_suite("hexagon", 9)
+        run_suite("hexagon", 10)
     msg = str(exc.value)
     assert "hexagon" in msg
-    assert "max_degree 9" in msg
-    assert "cap is 8" in msg
-    assert "--max-degree 8" in msg
+    assert "max_degree 10" in msg
+    assert "roughly 10,059,754 elementary checks" in msg
+    assert "cap is 9" in msg
+    assert "--max-degree 9" in msg
     with pytest.raises(SuiteBoundError):
         run_suite("hopf-axioms", 8)
     with pytest.raises(SuiteBoundError):
@@ -357,6 +358,20 @@ def test_failure_reports_are_pinned(defect, monkeypatch):
         clear_caches()
     failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
     assert failed == FAILURE_REPORTS[defect]
+
+
+def test_a_broken_map_is_forgotten_when_the_next_run_starts(monkeypatch):
+    # the hexagon reads each tree's Phistar(rhostar(t)) from a key rule that
+    # lives for one run: what a broken Phistar computed never reaches the
+    # next run, though no cache is cleared in between
+    dom, cod, fn = MAP_TABLE["Phistar"]
+    with monkeypatch.context() as patch:
+        patch.setitem(MAP_TABLE, "Phistar", (dom, cod, _wrong_in_degree_5(dom, fn)))
+        broken = run_suite("hexagon", 5)
+    failed = {r.identity: r.counterexample for r in broken.results if r.status == "fail"}
+    circuit = "full circuit: both long ways from divided powers to compositions agree"
+    assert failed[circuit] == "E(5)"
+    assert run_suite("hexagon", 5).ok
 
 
 def test_a_basis_key_formats_as_its_key_string():
