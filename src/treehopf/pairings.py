@@ -22,10 +22,10 @@ coproduct in both directions.  check_pairing_compatibility checks that a
 pairing of A with B exchanges product against coproduct.  Every such
 exchange is one ``_exchange`` of two sparse rows over a third key, which
 reaches the coproducts of the third keys through a transposed index
-``{k: {j: c}}`` (``_transpose``).
+``{k: {j: c}}`` (``_transpose``).  ``verify`` reuses ``_transpose``,
+``_through`` and ``_first_mismatch`` for the adjoint rows of its dualities
+suite.
 """
-
-from dataclasses import dataclass
 
 from .foundations import LinComb
 from .trees import Forest, OrderedForest, RootedTree, sym_order
@@ -152,12 +152,15 @@ def check_pairing_compatibility(A, B, pairing, max_degree: int) -> str | None:
     return None
 
 
-@dataclass
 class CriterionReport:
-    ok: bool
-    checked: int
-    hypothesis: str | None = None
-    counterexample: str | None = None
+    __slots__ = ("ok", "checked", "hypothesis", "counterexample")
+
+    def __init__(self, ok: bool, checked: int, hypothesis: str | None = None,
+                 counterexample: str | None = None):
+        self.ok = ok
+        self.checked = checked
+        self.hypothesis = hypothesis
+        self.counterexample = counterexample
 
     def __str__(self):
         if self.ok:

@@ -11,12 +11,17 @@ randomness (those spot checks) uses a hard-coded seed.
 
 A check walks basis keys, and reads the product and coproduct of keys
 from the algebra memos (``alg._pk``, ``alg._ck``); a counterexample names
-its keys with ``key_str``.  The hexagon cells and the morphism rows apply a
-map to an element through a key rule (``_key_rule``), which memoizes the
-image of each basis key in a dict that lives for one suite run: the full
-circuit maps each tree of Z(x) through Phistar and rhostar once per run,
-not once per composition.  It is not a registered memo, since the maps it
-reads may be patched between runs.
+its keys with ``key_str``.  The adjoint and delta rows of the dualities
+suite compare sparse rows, as the duality criterion does, not every key
+pair: <f(u), v> = <u, g(v)> is the row of f(u) against u's row through the
+transpose of g, and each e_mu e_nu is its row against a one-term delta.
+
+The hexagon cells and the morphism rows apply a map to an element
+through a key rule (``_key_rule``), which memoizes the image of each basis
+key in a dict that lives for one suite run: the full circuit maps each
+tree of Z(x) through Phistar and rhostar once per run, not once per
+composition.  It is not a registered memo, since the maps it reads may be
+patched between runs.
 
 Suites refuse degree bounds past their caps with a case-count estimate
 instead of silently grinding.  A cap is the degree past which a suite
@@ -24,7 +29,6 @@ refuses, not a measure of its speed: README's suite table gives each
 suite's time at its default degree and at its cap.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd, lcm
@@ -77,7 +81,10 @@ from .symfun import (
 )
 from .morphisms import MAP_TABLE, Z, Z_star, kbar, phi, phi_star, rho, tau
 from .pairings import (
+    _first_mismatch,
     _key_pairs,
+    _through,
+    _transpose,
     check_duality_criterion,
     check_pairing_compatibility,
     ip_ck,
@@ -101,12 +108,15 @@ class SuiteBoundError(ValueError):
     """Raised when a requested degree bound exceeds a suite's cap."""
 
 
-@dataclass
 class IdentityResult:
-    identity: str
-    range_tested: str
-    status: str  # "pass" or "fail"
-    counterexample: str | None = None
+    __slots__ = ("identity", "range_tested", "status", "counterexample")
+
+    def __init__(self, identity: str, range_tested: str, status: str,
+                 counterexample: str | None = None):
+        self.identity = identity
+        self.range_tested = range_tested
+        self.status = status  # "pass" or "fail"
+        self.counterexample = counterexample
 
     def to_dict(self):
         d = {
@@ -126,11 +136,13 @@ class IdentityResult:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    max_degree: int
-    results: list[IdentityResult] = field(default_factory=list)
+    __slots__ = ("suite", "max_degree", "results")
+
+    def __init__(self, suite: str, max_degree: int, results: list[IdentityResult]):
+        self.suite = suite
+        self.max_degree = max_degree
+        self.results = results
 
     @property
     def ok(self) -> bool:
@@ -194,9 +206,12 @@ _DIVISOR_SUMS = memo_table()  # k -> the sum of d * rooted_count(d) over d | k
 def rooted_count(n: int) -> int:
     """Number of unordered rooted trees with n vertices, by the classical
     divisor-sum convolution (no enumeration), as a table filled up to n."""
+    table = _ROOTED
+    if n in table:
+        return table[n]
     if n < 1:
         return 0
-    table, sums = _ROOTED, _DIVISOR_SUMS
+    sums = _DIVISOR_SUMS
     for m in range(len(table) + 1, n + 1):
         if m == 1:
             table[1] = 1
@@ -219,9 +234,11 @@ _PARTITIONS = memo_table()  # n -> partition_count(n), filled for n = 0, 1, ... 
 def partition_count(n: int) -> int:
     """Number of partitions of n, by the pentagonal-number recurrence, as a
     table filled up to n."""
+    table = _PARTITIONS
+    if n in table:
+        return table[n]
     if n < 0:
         return 0
-    table = _PARTITIONS
     for m in range(len(table), n + 1):
         total, k = 0 if m else 1, 1
         while (g := k * (3 * k - 1) // 2) <= m:
@@ -687,6 +704,13 @@ def _once(check, *args):
     yield (check(*args),)
 
 
+def _found(identity, range_tested, finder, *args):
+    """Result of an identity checked by one call: ``finder(*args)`` is its
+    first counterexample as text, or None."""
+    return _check(identity, range_tested, _once(finder, *args),
+                  lambda failure: failure is None, str)
+
+
 def _gram_cases(d):
     """Cases (label, n, rank, rows, columns) of each Gram matrix, n <= d + 1."""
     grid = [
@@ -706,31 +730,39 @@ def _gram_cases(d):
             yield label, n, _gram_rank(pairing, ka), len(ka), len(kb)
 
 
-def _z_adjoint_cases(d):
-    """Cases (comp, u, <Z(u), f>, f, Zstar(f)) for forests f; Zstar(f) is
-    computed once per f, and the pairings of Z(u) once per u."""
+def _adjoint_failure(blocks, u_str, v_str):
+    """The first basis keys (u, v) at which <f(u), v> differs from
+    <u, g(v)>, as text ``u , v``, or None.  Each block (us, vs, f, g,
+    f_pairing, g_pairing) is checked in turn, by u, then by v.  Per u it
+    compares two sparse rows over the keys v: the row of f(u) under
+    ``f_pairing``, and u's row under ``g_pairing`` through the transpose of
+    g on vs (Grinberg-Reiner, Hopf Algebras in Combinatorics, 1.6)."""
+    for us, vs, f, g, f_pairing, g_pairing in blocks:
+        pos = {v: j for j, v in enumerate(vs)}
+        g_index = _transpose((v, g(LinComb.single(v))) for v in vs)
+        for u in us:
+            f_row = f(LinComb.single(u)).apply_linear(f_pairing.row)
+            j = _first_mismatch(f_row, _through(g_index, g_pairing.row(u)), pos)
+            if j is not None:
+                return f"{u_str(u)} , {v_str(vs[j])}"
+    return None
+
+
+def _z_adjoint_blocks(d):
+    """Z against Zstar: compositions u and forests v of each degree n <= d."""
     for n in range(d + 1):
-        forests = forests_of_degree(n)
-        zf = [Z_star(LinComb.single(f)) for f in forests]
-        for comp in compositions_of(n):
-            u = LinComb.single(comp)
-            zu = Z(u).apply_linear(pair_kt_ck.row)
-            for f, zstar_f in zip(forests, zf):
-                yield comp, u, zu[f], f, zstar_f
+        yield compositions_of(n), forests_of_degree(n), Z, Z_star, pair_kt_ck, pair_ns_qs
 
 
-def _alpha_cases(d):
-    """Cases (dual, op, cu, u, cv, v) with u, v of degrees n, n - 1 for
-    alpha_plus, then n - 1, n for alpha_minus, for 1 <= n <= d."""
+def _alpha_blocks(d):
+    """The duals of alpha_plus and alpha_minus against them: u, v of degrees
+    n, n - 1 for alpha_plus, then n - 1, n for alpha_minus, for 1 <= n <= d."""
     for n in range(1, d + 1):
         for dual, op, i, j in (
             (alpha_plus_dual, alpha_plus, n, n - 1),
             (alpha_minus_dual, alpha_minus, n - 1, n),
         ):
-            for cu in compositions_of(i):
-                u = LinComb.single(cu)
-                for cv in compositions_of(j):
-                    yield dual, op, cu, u, cv, LinComb.single(cv)
+            yield compositions_of(i), compositions_of(j), dual, op, pair_ns_qs, pair_ns_qs
 
 
 def _e_str(mu):
@@ -739,17 +771,26 @@ def _e_str(mu):
     return SYM.key_str(mu).replace("m", "e")
 
 
-def _delta_cases(d):
-    """Cases (mu, nu, lam, <e_mu e_nu, m_lam>) with |mu| + |nu| = |lam| <= d + 1;
-    the pairings of e_mu e_nu are computed once per (mu, nu)."""
+def _delta_failure(d):
+    """The first (n, lam, (mu, nu)) with |mu| + |nu| = |lam| = n <= d + 1
+    at which <e_mu e_nu, m_lam> is not the delta of lam and the parts of mu
+    and nu, as text, or None.  The row of each e_mu e_nu is compared with
+    its one-term delta; the first failure, by lam and then by (mu, nu), is
+    the least (lam, (mu, nu)) among the pairs' first mismatches."""
     for n in range(d + 2):
-        rows = {}
-        for lam in partitions_of(n):
-            for mu, nu in _key_pairs(SYM.basis, n):
-                if (mu, nu) not in rows:
-                    emunu = SYM.product(e_to_m_row(mu), e_to_m_row(nu))
-                    rows[mu, nu] = emunu.apply_linear(ip_sym.row)
-                yield mu, nu, lam, rows[mu, nu][lam]
+        lams = partitions_of(n)
+        pos = {lam: j for j, lam in enumerate(lams)}
+        first = None  # (position of lam, mu, nu)
+        for mu, nu in _key_pairs(SYM.basis, n):
+            row = SYM.product(e_to_m_row(mu), e_to_m_row(nu)).apply_linear(ip_sym.row)
+            delta = LinComb.single(tuple(sorted(mu + nu, reverse=True)))
+            j = _first_mismatch(row, delta, pos)
+            if j is not None and (first is None or j < first[0]):
+                first = j, mu, nu
+        if first is not None:
+            j, mu, nu = first
+            return f"{_e_str(mu)}*{_e_str(nu)} vs {SYM.key_str(lams[j])}"
+    return None
 
 
 def _suite_dualities(d: int) -> list[IdentityResult]:
@@ -765,32 +806,24 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
                _once(check_duality_criterion, *instance, d), lambda report: report.ok, str)
         for label, *instance in instances
     ] + [
-        _check(f"Hopf pairing compatibility: {label}", degree,
-               _once(check_pairing_compatibility, A, B, pairing, d),
-               lambda failure: failure is None, str)
+        _found(f"Hopf pairing compatibility: {label}", degree,
+               check_pairing_compatibility, A, B, pairing, d)
         for label, A, B, pairing in (
             ("divided powers with compositions", NSYM, QSYM, pair_ns_qs),
             ("grafting with forests", KT, HK, pair_kt_ck),
         )
     ]
-    rows = [
-        ("Gram matrices are nondegenerate", f"degree <= {d + 1}", _gram_cases(d),
-         lambda label, n, rank, na, nb: rank == na == nb,
-         lambda label, n, rank, *_: f"{label} at degree {n}: rank {rank}"),
-        ("tree embedding is adjoint to the composition quotient", degree,
-         _z_adjoint_cases(d),
-         lambda comp, u, zu_f, f, zstar_f: zu_f == pair_ns_qs(u, zstar_f),
-         lambda comp, u, zu_f, f, zstar_f: f"{NSYM.key_str(comp)} , {HK.key_str(f)}"),
-        ("append/strip operators are mutually adjoint", degree, _alpha_cases(d),
-         lambda dual, op, cu, u, cv, v: pair_ns_qs(dual(u), v) == pair_ns_qs(u, op(v)),
-         lambda dual, op, cu, u, cv, v: f"{NSYM.key_str(cu)} , {QSYM.key_str(cv)}"),
-        ("split elementary products hit monomials as deltas", f"degree <= {d + 1}",
-         _delta_cases(d),
-         lambda mu, nu, lam, value: value
-         == (1 if tuple(sorted(mu + nu, reverse=True)) == lam else 0),
-         lambda mu, nu, lam, *_: f"{_e_str(mu)}*{_e_str(nu)} vs {SYM.key_str(lam)}"),
+    return results + [
+        _check("Gram matrices are nondegenerate", f"degree <= {d + 1}", _gram_cases(d),
+               lambda label, n, rank, na, nb: rank == na == nb,
+               lambda label, n, rank, *_: f"{label} at degree {n}: rank {rank}"),
+        _found("tree embedding is adjoint to the composition quotient", degree,
+               _adjoint_failure, _z_adjoint_blocks(d), NSYM.key_str, HK.key_str),
+        _found("append/strip operators are mutually adjoint", degree,
+               _adjoint_failure, _alpha_blocks(d), NSYM.key_str, QSYM.key_str),
+        _found("split elementary products hit monomials as deltas", f"degree <= {d + 1}",
+               _delta_failure, d),
     ]
-    return results + [_check(*row) for row in rows]
 
 
 # --------------------------------------------------- suite: divided powers

@@ -10,7 +10,8 @@ they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
 alternating recursion that defines it, kbar over every downset of its
 poset, the hexagon's full circuit through Phistar and rhostar of
-the whole image Z(x), before it read them once per tree, and the key kernels
+the whole image Z(x), before it read them once per tree, the dualities
+suite's adjoint and delta rows over every key pair, and the key kernels
 that enumerated every permutation or vertex assignment and dropped the
 repeats: rearrangements from all permutations,
 the SYM product through QSYM, the KT product over all |t'|^k attachments
@@ -585,6 +586,131 @@ def test_pairing_compatibility_matches_the_triple_loop(name, broken, monkeypatch
     got = check_pairing_compatibility(A, B, pairing, 4)
     assert got == compatibility_by_triples(A, B, pairing, 4)
     assert (got is None) == (broken is None)
+
+
+# ------------------------------------------------- adjoint and delta rows
+
+# The dualities suite's adjoint and delta rows as they were, one case per
+# key pair.  They read the maps from ``treehopf.verify`` when they run, as
+# the suite does, so a map broken there reaches both.
+V = treehopf.verify
+
+
+def _first_failure(cases, holds, describe):
+    """``describe(*case)`` of the first case that does not hold, or None."""
+    return next((describe(*case) for case in cases if not holds(*case)), None)
+
+
+def _z_adjoint_cases(d):
+    """Cases (comp, u, <Z(u), f>, f, Zstar(f)) for forests f; Zstar(f) is
+    computed once per f, and the pairings of Z(u) once per u."""
+    for n in range(d + 1):
+        forests = forests_of_degree(n)
+        zf = [V.Z_star(s(f)) for f in forests]
+        for comp in compositions_of(n):
+            u = s(comp)
+            zu = V.Z(u).apply_linear(pair_kt_ck.row)
+            for f, zstar_f in zip(forests, zf):
+                yield comp, u, zu[f], f, zstar_f
+
+
+def z_adjoint_by_pairs(d):
+    return _first_failure(
+        _z_adjoint_cases(d),
+        lambda comp, u, zu_f, f, zstar_f: zu_f == pair_ns_qs(u, zstar_f),
+        lambda comp, u, zu_f, f, zstar_f: f"{NSYM.key_str(comp)} , {HK.key_str(f)}")
+
+
+def _alpha_cases(d):
+    """Cases (dual, op, cu, u, cv, v) with u, v of degrees n, n - 1 for
+    alpha_plus, then n - 1, n for alpha_minus, for 1 <= n <= d."""
+    for n in range(1, d + 1):
+        for dual, op, i, j in (
+            (V.alpha_plus_dual, V.alpha_plus, n, n - 1),
+            (V.alpha_minus_dual, V.alpha_minus, n - 1, n),
+        ):
+            for cu in compositions_of(i):
+                u = s(cu)
+                for cv in compositions_of(j):
+                    yield dual, op, cu, u, cv, s(cv)
+
+
+def alpha_by_pairs(d):
+    return _first_failure(
+        _alpha_cases(d),
+        lambda dual, op, cu, u, cv, v: pair_ns_qs(dual(u), v) == pair_ns_qs(u, op(v)),
+        lambda dual, op, cu, u, cv, v: f"{NSYM.key_str(cu)} , {QSYM.key_str(cv)}")
+
+
+def _delta_cases(d):
+    """Cases (mu, nu, lam, <e_mu e_nu, m_lam>) with |mu| + |nu| = |lam| <= d + 1;
+    the pairings of e_mu e_nu are computed once per (mu, nu)."""
+    for n in range(d + 2):
+        rows = {}
+        for lam in partitions_of(n):
+            for mu, nu in _key_pairs(SYM.basis, n):
+                if (mu, nu) not in rows:
+                    emunu = SYM.product(V.e_to_m_row(mu), V.e_to_m_row(nu))
+                    rows[mu, nu] = emunu.apply_linear(ip_sym.row)
+                yield mu, nu, lam, rows[mu, nu][lam]
+
+
+def delta_by_pairs(d):
+    return _first_failure(
+        _delta_cases(d),
+        lambda mu, nu, lam, value: value
+        == (1 if tuple(sorted(mu + nu, reverse=True)) == lam else 0),
+        lambda mu, nu, lam, *_: f"{V._e_str(mu)}*{V._e_str(nu)} vs {SYM.key_str(lam)}")
+
+
+# each row: (its key-pair oracle, the suite's sparse-row finder)
+ADJOINT_ROWS = {
+    "z-adjoint": (z_adjoint_by_pairs,
+                  lambda d: V._adjoint_failure(V._z_adjoint_blocks(d), NSYM.key_str,
+                                               HK.key_str)),
+    "alpha": (alpha_by_pairs,
+              lambda d: V._adjoint_failure(V._alpha_blocks(d), NSYM.key_str, QSYM.key_str)),
+    "delta": (delta_by_pairs, lambda d: V._delta_failure(d)),
+}
+
+
+def _element_degree(x):
+    return max((HK.degree(k) if isinstance(k, Forest) else sum(k) for k in x.keys()),
+               default=0)
+
+
+# a map that the rows read from treehopf.verify -> (the degree of its input,
+# the least suite degree whose rows reach an input of degree 4): alpha_minus
+# pairs degrees n - 1 and n, and the delta row runs to degree d + 1
+BROKEN_FROM_DEGREE_4 = {"Z": (_element_degree, 4), "alpha_minus_dual": (_element_degree, 5),
+                        "e_to_m_row": (sum, 3)}
+
+
+@pytest.mark.parametrize("broken", [None] + sorted(BROKEN_FROM_DEGREE_4))
+def test_adjoint_and_delta_rows_match_the_key_pair_walks_through_degree_7(
+        broken, monkeypatch, fresh_caches):
+    seen_from = 8
+    if broken:
+        fn, (degree, seen_from) = getattr(V, broken), BROKEN_FROM_DEGREE_4[broken]
+        monkeypatch.setattr(V, broken, lambda x: fn(x) if degree(x) < 4 else 2 * fn(x))
+    outcomes = {}
+    for name, (oracle, row) in ADJOINT_ROWS.items():
+        for d in range(8):
+            outcomes[name, d] = row(d)
+            assert outcomes[name, d] == oracle(d), (name, d)
+    # the rows pass on the working maps, and a broken map fails one of them
+    # from the first degree that reaches the break on
+    failing = {d for (name, d), got in outcomes.items() if got is not None}
+    assert failing == set(range(seen_from, 8))
+
+
+def test_a_transpose_that_drops_a_column_fails_against_the_oracle(monkeypatch):
+    transpose = V._transpose
+    monkeypatch.setattr(V, "_transpose", lambda columns: transpose(list(columns)[:-1]))
+    for name in ("z-adjoint", "alpha"):
+        oracle, row = ADJOINT_ROWS[name]
+        assert oracle(3) is None
+        assert row(3) is not None, name
 
 
 # ------------------------------------------------------ linear extensions

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,11 +177,42 @@ REPORT_DIGESTS = {
 }
 
 
+# sha256 of the dualities suite's JSON report at each degree through its cap
+DUALITIES_DIGESTS = [
+    "e260bceebd1bad45d44f913ec57f65c508305059d0fee2a731c80f7f258d9b82",
+    "2128acee49621b7558a491dcbb132cbd290e92f721d37ba985e3a079cb893eac",
+    "1dac90f12dbb8bed8a3cae8338e2d7c268f191d7a7551f74b340bc765f07c2b7",
+    "0d2550378388476ae3b5d7e82d4dc8eac5780c9a3ac22b22cbbae7e8672ed5bf",
+    "2b5668af2000891772a02dd0f36be66c365276f81da7f006930585d11d9c472a",
+    "ac8d8519259834ed3b46fef0d0c5a5e5e665a0e0b972155f21cfefe6a83c9930",
+    "4a34fb038f920ad30842a1f7cebc463eaa06e43fcd670993485f6008b15e0e92",
+    "c2073fe6636a6b876e467855882cb179e0896ec1762068a8015e3d0e2c31658c",
+]
+
+
+def _report_digest(name, degree):
+    text = json.dumps(run_suite(name, degree).to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_suite_report_is_pinned(name):
-    report = run_suite(name, 3).to_dict()
-    text = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name]
+    assert _report_digest(name, 3) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("degree", range(len(DUALITIES_DIGESTS)))
+def test_dualities_report_is_pinned_through_its_cap(degree):
+    assert _report_digest("dualities", degree) == DUALITIES_DIGESTS[degree]
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # each costs import time that the CLI pays on every invocation
+    code = ("import sys, treehopf.cli, treehopf.verify; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(treehopf.verify.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_failure_reports_first_counterexample(monkeypatch):
