@@ -19,8 +19,10 @@ and the KP product over every weakly increasing choice of attachment
 points, each grafted as a whole tree,
 the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, the hopf-axioms
-estimate as a triple sum, and the quasi-shuffle-oracle suite's product of
-polynomials on exponent tuples, before it packed each tuple into an int.
+estimate as a triple sum, the quasi-shuffle-oracle suite's product of
+polynomials on exponent tuples, before it packed each tuple into an int,
+and the zstar-surjectivity suite's elimination over the image of every
+forest, before one level forest per composition certified the rank.
 Interned trees and forests are checked against equality of kind and
 encoding, and the rooted-tree classes against ``networkx``'s rooted tree
 isomorphism."""
@@ -1411,6 +1413,104 @@ def test_the_full_circuit_key_rule_is_the_direct_path_through_degree_7(fresh_cac
             zx = Z(s(comp))
             assert _typed(zx.apply_linear(lower)) == _typed(Phistar(rhostar(zx))), comp
     assert computed == [s(t) for n in range(8) for t in KT.basis(n)]
+
+
+# ------------------------------------------- zstar surjectivity certificate
+
+def level_sizes(forest):
+    """The number of vertices at each depth of a forest, deepest first."""
+    sizes, level = [], list(forest.trees)
+    while level:
+        sizes.append(len(level))
+        level = [c for t in level for c in t.children]
+    return tuple(reversed(sizes))
+
+
+def check_the_surjectivity_certificate():
+    # the suite's rank is the rank by elimination over every forest's image,
+    # the suite's path before the certificate
+    for n in range(1, 9):
+        assert V._zstar_rank(n) == rank_of([Z_star(s(f)) for f in forests_of_degree(n)], n), n
+    # and each level forest has its composition's level sizes and leads with
+    # that composition at coefficient 1
+    for n in range(1, 10):
+        for comp in compositions_of(n):
+            forest = V._level_forest(comp)
+            assert level_sizes(forest) == comp
+            image = Z_star(s(forest))
+            lead = V._lead(image)
+            assert (lead, image[lead]) == (comp, 1), comp
+
+
+def test_the_surjectivity_certificate_matches_elimination_over_every_forest():
+    check_the_surjectivity_certificate()
+
+
+def test_leads_under_lexicographic_order_fail_the_certificate_oracle(monkeypatch):
+    # the ranks still agree, since distinct leads under any order certify
+    # the rank, but under plain lexicographic order the image of [] [[]],
+    # the level forest of (1, 2), leads with (2, 1)
+    monkeypatch.setattr(V, "_lead", max)
+    with pytest.raises(AssertionError, match=r"^\(1, 2\)\nassert \(\(2, 1\), 1\)"):
+        check_the_surjectivity_certificate()
+
+
+def test_images_without_the_one_part_composition_fail_with_the_eliminated_rank(monkeypatch):
+    # M_(n) dropped from every image of degree >= 3: no level forest leads
+    # with (n), and elimination over every image names the rank
+    zstar, rank, eliminated = V.Z_star, V.rank_of, []
+    monkeypatch.setattr(
+        V, "Z_star", lambda x: zstar(x).filter_keys(lambda c: len(c) > 1 or c[0] < 3))
+    monkeypatch.setattr(V, "rank_of", lambda rows, n: eliminated.append(n) or rank(rows, n))
+    assert run_suite("zstar-surjectivity", 5).to_dict() == {
+        "suite": "zstar-surjectivity", "max_degree": 5, "ok": False,
+        "results": [{"identity": "forest images span every composition",
+                     "range": "1 <= degree <= 5", "status": "fail",
+                     "counterexample": "degree 3: rank 3"}]}
+    assert eliminated == [3]
+
+
+def test_a_level_forest_without_its_lead_falls_back_to_elimination(monkeypatch):
+    # the image of the level forest of (2, 2) loses M_(2,2): the certificate
+    # fails at degree 4, and the other forests' images still span
+    zstar, rank, eliminated = V.Z_star, V.rank_of, []
+    target = s(V._level_forest((2, 2)))
+    monkeypatch.setattr(V, "Z_star", lambda x: zstar(x).filter_keys(
+        lambda c: c != (2, 2)) if x == target else zstar(x))
+    monkeypatch.setattr(V, "rank_of", lambda rows, n: eliminated.append(n) or rank(rows, n))
+    assert not V._triangular(4)
+    assert run_suite("zstar-surjectivity", 6).ok
+    assert eliminated == [4]
+
+
+def _with_lower_term(y):
+    n = max(map(sum, y.keys()), default=0)
+    return y + s((1,) * (n - 1)) if n >= 2 else y
+
+
+# a defect in Z_star -> what the suite reports at degree 4, as elimination
+# over every forest's image reports it: M_(1^(n-1)) added to every image of
+# degree n >= 2 leaves every lead in place, so only the certificate's degree
+# check sends it to rank_of, and a zero image has no lead
+IMAGE_DEFECTS = {
+    "term of lower degree": (_with_lower_term,
+                             "ValueError: element not homogeneous of degree 2: (1,)"),
+    "zero image of the leaf": (lambda y: y if y.keys() != {(1,)} else LinComb.zero(),
+                               "degree 1: rank 0"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(IMAGE_DEFECTS))
+def test_images_off_the_certificate_fail_as_elimination_does(defect, monkeypatch):
+    zstar, (broken, text) = V.Z_star, IMAGE_DEFECTS[defect]
+    monkeypatch.setattr(V, "Z_star", lambda x: broken(zstar(x)))
+    assert run_suite("zstar-surjectivity", 4).results[0].counterexample == text
+
+
+def test_zstar_surjectivity_estimate_counts_the_certificate_terms():
+    for n in range(1, 10):
+        terms = sum(len(Z_star(s(V._level_forest(c)))) for c in compositions_of(n))
+        assert terms / 5 <= _ESTIMATES["zstar-surjectivity"](n) <= 5 * terms, n
 
 
 # ------------------------------------------------------------- key kernels

@@ -154,6 +154,11 @@ def test_bound_refusal_names_cap_and_estimate():
     with pytest.raises(SuiteBoundError) as exc:
         run_suite("quasi-shuffle-oracle", 9)
     assert "cap is 8" in str(exc.value)
+    with pytest.raises(SuiteBoundError) as exc:
+        run_suite("zstar-surjectivity", 11)
+    msg = str(exc.value)
+    assert "roughly 352,716 elementary checks" in msg
+    assert "cap is 10" in msg
 
 
 def test_run_all_defaults():
