@@ -20,14 +20,20 @@ Rational coefficients attach with *, e.g. 1/2*[[][]] + 2*[[[]]] - M(2).
 A bare rational is that multiple of the unit.  Unordered tree input is
 canonicalized; planar and ordered input is taken as written.
 
+Brackets nest at most ``CHAIN_CAP`` deep, the longest chain l<k>: the one
+depth limit, checked while scanning, before any tree is built.  Every walk
+along a tree's depth runs from a loop or an explicit stack, so no tree the
+parser accepts meets Python's recursion limit.
+
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
 (a parse error, a cap, a suite bound, a kt or kp product over the graft
-budget ``hopf_rooted.GRAFT_CAP``, a sym, qsym or nsym antipode of more
-than ``TERM_CAP`` terms, input nested too deeply) prints exactly
-one "error:" line on stderr; a command line that argparse rejects also
-exits 2, after its usage text.  A command whose stdout is closed
-before it finishes writing exits 141, as if killed by SIGPIPE.
+budget ``hopf_rooted.GRAFT_CAP``, an antipode of more than ``TERM_CAP``
+terms on any algebra but ck and hf, a part list too long for the recursion
+limit) prints exactly one "error:" line on stderr; a command line that
+argparse rejects also exits 2, after its usage text.  A command whose
+stdout is closed before it finishes writing exits 141, as if killed by
+SIGPIPE.
 """
 
 import argparse
@@ -219,8 +225,24 @@ class _Parser:
             return ladder(k, factory)
         if ch != "[":
             self.error(f"expected a tree, found {ch!r}")
+        self.check_nesting()
         tree, self.pos = _parse_tree(self.text, self.pos, factory)
         return tree
+
+    def check_nesting(self):
+        """Refuse brackets nested deeper than ``CHAIN_CAP``, the longest
+        chain l<k>, while scanning them, before any tree is built."""
+        depth = 0
+        for pos in range(self.pos, len(self.text)):
+            ch = self.text[pos]
+            if ch == "[":
+                depth += 1
+                if depth > CHAIN_CAP:
+                    raise ParseError(f"brackets nested deeper than the cap {CHAIN_CAP}", pos)
+            elif ch == "]" and depth > 1:
+                depth -= 1
+            else:  # the tree's end, or a parse error that _parse_tree reports
+                return
 
     def planar_atom(self):
         if self.peek() == "p":
@@ -325,7 +347,8 @@ def _cmd_operation(args):
     alg, op = ALGEBRAS[args.algebra], args.command
     texts = (args.left, args.right) if op == "product" else (args.element,)
     elements = [parse_element(text, args.algebra) for text in texts]
-    if op == "antipode" and alg.name in _PART_LISTS:
+    # every algebra but ck and hf prices its antipode before computing it
+    if op == "antipode" and hasattr(alg, "antipode_terms"):
         _check_antipode_terms(alg, elements[0])
     result = getattr(alg, op)(*elements)
     if op == "coproduct":
@@ -336,9 +359,9 @@ def _cmd_operation(args):
 
 
 def _check_antipode_terms(alg, a):
-    """Refuse the antipode of a sym, qsym or nsym element whose terms'
-    ``antipode_terms`` add up to more than ``TERM_CAP``: its number of terms
-    on qsym and nsym, a bound on it on sym."""
+    """Refuse the antipode of an element whose terms' ``antipode_terms``
+    add up to more than ``TERM_CAP``: its number of terms on qsym and nsym,
+    a bound on it on sym, kt and kp."""
     count = min(sum(map(alg.antipode_terms, a)), COUNT_LIMIT + 1)
     if count > TERM_CAP:
         text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
@@ -484,7 +507,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RecursionError) as exc:
         # every refusal, ParseError and SuiteBoundError included; exit 1 is
-        # reserved for a failed verification
+        # reserved for a failed verification.  No tree reaches the recursion
+        # limit; a part list of hundreds of parts does, in tau, Z and the
+        # qsym product, which recurse once per part and have no work bound
         if isinstance(exc, RecursionError):
             exc = "input is nested too deeply to process"
         print(f"error: {exc}", file=sys.stderr)

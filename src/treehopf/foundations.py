@@ -30,8 +30,8 @@ memo entry shared with other callers.  No result is ever mutated, and only
 this module reads the terms of a LinComb.
 
 Every cache in the package is registered here: a function memoized with
-``memo``, or a dict made by ``memo_table`` for the recursions that look
-themselves up inline, or that ``bottom_up`` fills from an explicit stack.
+``memo``, or a dict made by ``memo_table`` that ``bottom_up`` fills from an
+explicit stack, or that its owner looks up inline.
 ``clear_caches`` empties them all.
 """
 
@@ -53,10 +53,10 @@ def memo(fn):
 
 
 def memo_table() -> dict:
-    """A new dict, registered for ``clear_caches``, for a cache looked up
-    inline: the per-algebra memos, and the recursions along tree depth,
-    where a ``memo`` wrapper's extra call per level would lower the deepest
-    tree that fits under the recursion limit."""
+    """A new dict, registered for ``clear_caches``, for a cache that
+    ``bottom_up`` fills or that its owner looks up inline: the walks along
+    tree depth, whose values need those of a key's children, and the
+    per-algebra memos."""
     table = {}
     _CLEARS.append(table.clear)
     return table
@@ -70,10 +70,13 @@ def clear_caches():
 
 def bottom_up(key, table: dict, needs, compute):
     """``table[key]``, filled first if missing: ``compute(k)`` gives the
-    value of a key k once ``table`` holds every key that ``needs(k)``
-    lists.  Keys are filled from an explicit stack, the needed ones first,
-    so a chain of needs as long as a tree is deep costs no Python
-    recursion."""
+    value of a key k, never None, once ``table`` holds every key that
+    ``needs(k)`` lists.  Keys are filled from an explicit stack, the needed
+    ones first, so a chain of needs as long as a tree is deep costs no
+    Python recursion.  A key already in ``table`` costs one dict lookup."""
+    value = table.get(key)
+    if value is not None:
+        return value
     stack = [key]
     while stack:
         k = stack[-1]

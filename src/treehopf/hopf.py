@@ -21,15 +21,19 @@ where the sum runs over the middle (both-sides-positive-degree) terms of the
 coproduct of x, and is one ``apply_linear`` over those terms.  Products,
 coproducts, and antipodes of basis keys are memoized per algebra instance,
 in tables registered with ``foundations.clear_caches``; entries are only
-ever written once.  Nothing in the package uses threads, and the
-algebras are meant for one thread at a time: interning a new tree or
-forest (``trees``) looks it up and then inserts it, so two threads
-building the same new key at once could each get an object of their own.
+ever written once.  The coproducts are filled from an explicit stack
+(``foundations.bottom_up``), a key's generators first, and before a
+generator the keys that ``coproduct_needs`` names, so that HK's and HF's
+root recursion costs no Python recursion.  Nothing in the package uses
+threads, and the algebras are meant for one thread at a time: interning a
+new tree or forest (``trees``) looks it up and then inserts it, so two
+threads building the same new key at once could each get an object of
+their own.
 """
 
 from functools import reduce
 
-from .foundations import LinComb, memo_table
+from .foundations import LinComb, bottom_up, memo_table
 
 
 class HopfAlgebra:
@@ -61,6 +65,11 @@ class HopfAlgebra:
         """Coproduct of the unit or a generator, as a LinComb over key pairs."""
         raise NotImplementedError
 
+    def coproduct_needs(self, key) -> tuple:
+        """The keys whose coproducts ``coproduct_key`` reads, through
+        ``_ck``, for the unit or a generator: none unless overridden."""
+        return ()
+
     def factors(self, key) -> tuple:
         """The generators whose product, in order, is ``key``: ``(key,)`` unless free."""
         return (key,)
@@ -86,14 +95,27 @@ class HopfAlgebra:
         return out
 
     def _ck(self, key) -> LinComb:
-        memo = self._cop_memo
-        out = memo.get(key)
+        # a hit is one lookup inline, with no call: the suites read every
+        # key's coproduct here
+        out = self._cop_memo.get(key)
         if out is None:
-            gens = self.factors(key)
-            out = self._ck(gens[0]) if len(gens) > 1 else self.coproduct_key(key)
-            for g in gens[1:]:
-                out = tensor_mult(self, out, self._ck(g))
-            memo[key] = out
+            out = bottom_up(key, self._cop_memo, self._cop_needs, self._cop_fold)
+        return out
+
+    def _cop_needs(self, key):
+        gens = self.factors(key)
+        return gens if len(gens) > 1 else self.coproduct_needs(key)
+
+    def _cop_fold(self, key):
+        """The coproduct of a key of several generators, the product of
+        theirs from the memo; of any other key, ``coproduct_key``."""
+        gens = self.factors(key)
+        if len(gens) < 2:
+            return self.coproduct_key(key)
+        memo = self._cop_memo
+        out = memo[gens[0]]
+        for g in gens[1:]:
+            out = tensor_mult(self, out, memo[g])
         return out
 
     def product(self, a: LinComb, b: LinComb) -> LinComb:

@@ -36,6 +36,7 @@ from .trees import (
     EMPTY_ORDERED_FOREST,
     PLANAR_LEAF,
     PlanarTree,
+    catalan,
     enumerate_planar,
     ordered_forests_of_degree,
 )
@@ -65,6 +66,9 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
         points among the 2m - 1 of a tree with m vertices."""
         n = len(t.children)
         return comb(2 * tp.size + n - 2, n)
+
+    tree_count = staticmethod(lambda n: catalan(n - 1))
+    branch_points = staticmethod(lambda n: 2 * n - 2)
 
     def coproduct_key(self, t):
         kids = t.children

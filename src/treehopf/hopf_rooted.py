@@ -12,13 +12,13 @@ branches into a tree T = B+(c_1 ... c_k) by a recursion over T's subtrees:
 it folds over the children, each c_i takes a share of the branches left and
 is grafted with it recursively, and whatever is left after the last child
 stays at T's root.  Each result is memoized per (T, S) in a per-algebra
-table, filled from an explicit stack (``foundations.bottom_up``), so a deep
-tree costs no Python recursion.  The two algebras differ only in how S
-shares out (``_shares``): for KT, S is a sorted multiset, a child takes any
-sub-multiset, weighted by the product of binomials C(m, j) over the kinds of
-branch, so the counts stay those of the |t'|^k labelled attachments; for KP,
-S is a sequence, and a child takes the next block after a block left in the
-root's gap before it.  Partial results with equal branches left and equal
+table, filled from an explicit stack (``foundations.bottom_up``), as every
+walk along a tree's depth in this package is.  The two algebras differ
+only in how S shares out (``_shares``): for KT, S is a sorted multiset, a
+child takes any sub-multiset, weighted by the product of binomials C(m, j)
+over the kinds of branch, so the counts stay those of the |t'|^k labelled
+attachments; for KP, S is a sequence, and a child takes the next block
+after a block left in the root's gap before it.  Partial results with equal branches left and equal
 children so far merge, so each is carried on once.
 
 ``GraftingAlgebra.product``, which KP inherits, keeps one budget for both:
@@ -35,7 +35,9 @@ trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended to forests by ``HopfAlgebra``'s multiplicative rule.  The
+and extended to forests by ``HopfAlgebra``'s multiplicative rule; since
+``coproduct_needs`` names b_minus(t), the coproducts down a tree are filled
+from the memo's explicit stack, the deepest first.  The
 antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
 over the sets of edges cut, of the pieces left, grouped per subtree
 (``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
@@ -58,6 +60,7 @@ from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
 from .hopf import HopfAlgebra
+from .symfun import COUNT_LIMIT
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -69,6 +72,7 @@ from .trees import (
     enumerate_rooted,
     forests_of_degree,
     ladder,
+    rooted_count,
     sym_order,
 )
 
@@ -209,6 +213,35 @@ class GraftingAlgebra(HopfAlgebra):
         m = tp.size
         return prod(comb(m + k - 1, k) for k in Counter(t.children).values())
 
+    # how many trees of n vertices there are, and at how many places a root
+    # branch of an n-vertex tree can be grafted into its others (see
+    # ``antipode_terms``)
+    tree_count = staticmethod(rooted_count)
+    branch_points = staticmethod(lambda n: n)
+
+    def antipode_terms(self, t):
+        """An upper bound on the number of terms of S(t), or ``COUNT_LIMIT
+        + 1`` above ``COUNT_LIMIT``.  A tree of at most one root branch is
+        the unit or primitive, so S(t) is t or -t.  Otherwise S keeps the
+        degree, so its terms are trees of t's size, and each grafts some of
+        the k root branches of t into the others, never into the root: at
+        most n^(k - 1) ways for n vertices, by Cayley's formula for rooted
+        forests on the branches weighted by their sizes, and for a planar
+        tree at most (2n - 2)^(k - 1), a branch taking one of the gaps of a
+        later branch's vertices or none."""
+        n, k = t.size, len(t.children)
+        if k < 2:
+            return 1
+        # with k >= 2 branches, n >= 3, so the base is at least 2, and its
+        # power to COUNT_LIMIT's bit length already passes the limit
+        ways = self.branch_points(n) ** min(k - 1, COUNT_LIMIT.bit_length())
+        # the tree counts grow with the size, so none past the first above
+        # the limit is computed
+        m = 1
+        while m < n and self.tree_count(m) <= COUNT_LIMIT:
+            m += 1
+        return min(ways, self.tree_count(m), COUNT_LIMIT + 1)
+
     def coproduct_key(self, t):
         """Split the root's child subtrees over all 2^k two-colorings, each
         distinct split once, weighted by the colorings that give it."""
@@ -250,6 +283,9 @@ class ForestAlgebra(HopfAlgebra):
 
     def factors(self, f):
         return tuple(type(f)((t,)) for t in f.trees)
+
+    def coproduct_needs(self, f):
+        return tuple(map(b_minus, f.trees))
 
     def coproduct_key(self, f):
         """Δ of a one-tree forest by the root recursion; of the empty one, 1 ⊗ 1."""

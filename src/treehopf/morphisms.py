@@ -21,8 +21,8 @@ leaves, so kbar(f) sums M_(|S|) followed by kbar(f minus S) over every S.
 It memoizes each tree's ways to lose leaves, grouped by what is left, and
 kbar per forest, so equal leaves and equal subtrees cost one entry each
 and every stripped forest is shared by all the forests that reach it.
-Z_star is memoized per forest too; both recursions run from explicit
-stacks, so a deep tree costs no Python recursion.
+Z_star is memoized per forest too; both are filled from explicit stacks
+(``foundations.bottom_up``), as every walk along a tree's depth is.
 """
 
 from operator import attrgetter

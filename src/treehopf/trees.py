@@ -24,17 +24,18 @@ bijections between forests with n vertices and trees with n + 1.
 """
 
 from itertools import groupby, product
-from math import factorial
+from math import comb, factorial
 from operator import attrgetter
 from weakref import ref
 
-from .foundations import memo, memo_table, multiset_permutations
+from .foundations import bottom_up, memo, memo_table, multiset_permutations
 
 # the canonical order of trees, by size and then encoding: children and
 # forest members are sorted by it, and trees and forests print in it
 _tree_key = attrgetter("size", "encoding")
 _encoding = attrgetter("encoding")
 _size = attrgetter("size")
+_children = attrgetter("children")
 
 
 class _Entry(ref):
@@ -88,8 +89,9 @@ class _Tree:
 
     def __reduce__(self):
         # copy and pickle rebuild through the table, not by filling the
-        # slots of an object that ``cls()`` returned
-        return (type(self), (self.children,))
+        # slots of an object that ``cls()`` returned, and from the encoding
+        # by the parser's loop, not by one nested reduce per level
+        return (rooted_from_string, (self.encoding, type(self)))
 
     def __repr__(self):
         return f"{self.__class__.__name__}({self.encoding!r})"
@@ -185,16 +187,17 @@ def sym_order(t: RootedTree) -> int:
     """Order of the automorphism group of a rooted tree.
 
     Product over vertices of prod_i m_i! where the m_i are the multiplicities
-    of the isomorphism classes among the vertex's child subtrees.
+    of the isomorphism classes among the vertex's child subtrees; memoized
+    per tree, and filled from an explicit stack.
     """
-    cached = _SYM_ORDER.get(t)
-    if cached is not None:
-        return cached
+    return bottom_up(t, _SYM_ORDER, _children, _sym_order_fold)
+
+
+def _sym_order_fold(t):
     order = 1
-    for _, grp in groupby(t.children):
-        block = list(grp)
-        order *= factorial(len(block)) * sym_order(block[0]) ** len(block)
-    _SYM_ORDER[t] = order
+    for child, block in groupby(t.children):
+        m = len(list(block))
+        order *= factorial(m) * _SYM_ORDER[child] ** m
     return order
 
 
@@ -220,6 +223,36 @@ def forests_of_degree(n: int) -> tuple[Forest, ...]:
 def ordered_forests_of_degree(n: int) -> tuple[OrderedForest, ...]:
     """All ordered forests with n vertices total (Catalan(n) of them)."""
     return _forests(n, OrderedForest)
+
+
+_ROOTED = memo_table()  # n -> rooted_count(n), filled for n = 1, 2, ... in turn
+_DIVISOR_SUMS = memo_table()  # k -> the sum of d * rooted_count(d) over d | k
+
+
+def rooted_count(n: int) -> int:
+    """Number of unordered rooted trees with n vertices, by the classical
+    divisor-sum convolution (no enumeration), as a table filled up to n."""
+    table = _ROOTED
+    if n in table:
+        return table[n]
+    if n < 1:
+        return 0
+    sums = _DIVISOR_SUMS
+    for m in range(len(table) + 1, n + 1):
+        if m == 1:
+            table[1] = 1
+            continue
+        k = m - 1
+        sums[k] = sum(d * table[d] for d in range(1, k + 1) if k % d == 0)
+        total = sum(sums[k] * table[m - k] for k in range(1, m))
+        assert total % (m - 1) == 0
+        table[m] = total // (m - 1)
+    return table[n]
+
+
+def catalan(n: int) -> int:
+    """The n-th Catalan number: planar trees with n + 1 vertices."""
+    return comb(2 * n, n) // (n + 1)
 
 
 def _trees(n, kind):
@@ -263,21 +296,31 @@ def _child_lists(m: int, kind) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table()
+
+
 def forget_order(t: PlanarTree) -> RootedTree:
-    """Collapse a planar tree to its underlying rooted tree."""
-    return RootedTree(forget_order(c) for c in t.children)
+    """Collapse a planar tree to its underlying rooted tree; memoized per
+    tree, and filled from an explicit stack."""
+    return bottom_up(t, _FORGOTTEN, _children, _forget_fold)
+
+
+def _forget_fold(t):
+    return RootedTree([_FORGOTTEN[c] for c in t.children])
 
 
 _FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table()
 
 
 def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:
-    """All distinct planar trees whose underlying rooted tree is t."""
-    cached = _FIBER.get(t)
-    if cached is not None:
-        return cached
+    """All distinct planar trees whose underlying rooted tree is t; memoized
+    per tree, and filled from an explicit stack."""
+    return bottom_up(t, _FIBER, _children, _fiber_fold)
+
+
+def _fiber_fold(t):
     rank = {c: i for i, c in enumerate(dict.fromkeys(t.children))}
-    options = [planar_fiber(c) for c in rank]
+    options = [_FIBER[c] for c in rank]
     # each distinct ordering of the children, with one embedding of each,
     # is a distinct planar tree
     results = [
@@ -285,9 +328,7 @@ def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:
         for ordering in multiset_permutations(rank[c] for c in t.children)
         for combo in product(*(options[i] for i in ordering))
     ]
-    out = tuple(sorted(results, key=_tree_key))
-    _FIBER[t] = out
-    return out
+    return tuple(sorted(results, key=_tree_key))
 
 
 def ladder(i: int, kind=RootedTree):
@@ -318,16 +359,24 @@ def is_ladder(t) -> bool:
 
 
 def _parse_tree(text: str, pos: int, factory):
+    """The tree of ``factory``'s kind whose encoding starts at ``pos``, and
+    the position after it.  A loop over the brackets, with a list of the
+    children so far of each open vertex, so that any depth parses."""
     if pos >= len(text) or text[pos] != "[":
         raise ValueError(f"expected '[' at position {pos}")
-    pos += 1
-    kids = []
-    while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_tree(text, pos, factory)
-        kids.append(child)
-    if pos >= len(text) or text[pos] != "]":
-        raise ValueError(f"expected ']' at position {pos}")
-    return factory(kids), pos + 1
+    open_kids = []
+    while True:
+        ch = text[pos] if pos < len(text) else ""
+        if ch == "[":
+            open_kids.append([])
+        elif ch == "]":
+            tree = factory(open_kids.pop())
+            if not open_kids:
+                return tree, pos + 1
+            open_kids[-1].append(tree)
+        else:
+            raise ValueError(f"expected ']' at position {pos}")
+        pos += 1
 
 
 def rooted_from_string(text: str, kind=RootedTree):

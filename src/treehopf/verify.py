@@ -45,6 +45,7 @@ from .trees import (
     LEAF,
     OrderedForest,
     RootedTree,
+    catalan,
     enumerate_planar,
     enumerate_rooted,
     forests_of_degree,
@@ -53,6 +54,7 @@ from .trees import (
     planar_fiber,
     planar_from_string,
     planar_ladder,
+    rooted_count,
     rooted_from_string,
     sym_order,
 )
@@ -203,35 +205,6 @@ def _counts(identity, range_tested, ns, *sides):
 
 
 # ---------------------------------------------------------------- counting
-
-_ROOTED = memo_table()  # n -> rooted_count(n), filled for n = 1, 2, ... in turn
-_DIVISOR_SUMS = memo_table()  # k -> the sum of d * rooted_count(d) over d | k
-
-
-def rooted_count(n: int) -> int:
-    """Number of unordered rooted trees with n vertices, by the classical
-    divisor-sum convolution (no enumeration), as a table filled up to n."""
-    table = _ROOTED
-    if n in table:
-        return table[n]
-    if n < 1:
-        return 0
-    sums = _DIVISOR_SUMS
-    for m in range(len(table) + 1, n + 1):
-        if m == 1:
-            table[1] = 1
-            continue
-        k = m - 1
-        sums[k] = sum(d * table[d] for d in range(1, k + 1) if k % d == 0)
-        total = sum(sums[k] * table[m - k] for k in range(1, m))
-        assert total % (m - 1) == 0
-        table[m] = total // (m - 1)
-    return table[n]
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
 
 _PARTITIONS = memo_table()  # n -> partition_count(n), filled for n = 0, 1, ... in turn
 

@@ -214,33 +214,23 @@ def test_only_ascii_digits_are_numbers(capsys, argv, message):
     assert (code, out, err) == (2, "", message)
 
 
-@pytest.mark.parametrize(
-    "argv, depth",
-    [(("antipode", "--algebra", "kt"), 1200), (("map", "--name", "rhostar"), 600)],
-    ids=["antipode-kt", "map-rhostar"],
-)
-def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
-    # exit 1 means a verification failed; input too deep to process is exit 2
-    chain = "[" * depth + "]" * depth
-    code, out, err = run(capsys, *argv, chain)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
-
-
 def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
-    # a chain of k vertices holds k encodings of up to 2k characters
-    def build(k, kind):
+    # a chain of k vertices holds k encodings of up to 2k characters;
+    # brackets nested as deep are refused at the same cap, while scanning
+    def build(*args):
         raise AssertionError("the chain was built")
 
     with monkeypatch.context() as patch:
         patch.setattr(treehopf.cli, "ladder", build)
+        patch.setattr(treehopf.cli, "_parse_tree", build)
         code, out, err = run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP + 1}")
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: chain length {CHAIN_CAP + 1} exceeds the cap {CHAIN_CAP}")
-    assert len(err.splitlines()) == 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: chain length {CHAIN_CAP + 1} exceeds the cap {CHAIN_CAP}")
+        assert len(err.splitlines()) == 1
+        deep = "[[]" + "[" * CHAIN_CAP + "]" * (CHAIN_CAP + 1)
+        assert run(capsys, "counit", "--algebra", "kt", deep) == (
+            2, "", f"error: brackets nested deeper than the cap {CHAIN_CAP} "
+                   f"at position {CHAIN_CAP + 2}\n")
     assert run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP}") == (0, "0\n", "")
     assert run(capsys, "coproduct", "--algebra", "ck", f"l2 l{CHAIN_CAP + 1}")[0] == 2
 
@@ -362,13 +352,25 @@ def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, elemen
     assert len(err.splitlines()) == 1
 
 
-def test_grafting_antipode_meets_the_graft_budget(capsys):
-    # the recursion grafts S of smaller corollas into leaves of this one
-    code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 16 + "]")
+def test_grafting_antipode_meets_the_graft_budget(capsys, monkeypatch):
+    # S of the 16-leaf corolla keeps the degree, so it has at most
+    # rooted_count(17) = 634,847 terms: refused before any graft
+    def start(key):
+        raise AssertionError("the antipode was started")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(vars(KT), "antipode_key", start)
+        code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 16 + "]")
+    assert (code, out) == (2, "")
+    assert err == f"error: this antipode would have up to 634,847 terms; the cap is {TERM_CAP:,}\n"
+    # within the term cap, the recursion grafts S of smaller corollas into
+    # leaves of this one, and each product meets the graft budget
+    clear_caches()
+    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 1000)
+    code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 6 + "]")
     assert (code, out) == (2, "")
     assert err.startswith("error: this product would graft ")
-    assert err.rstrip().endswith(f"the cap is {GRAFT_CAP:,}")
-    assert len(err.splitlines()) == 1
+    assert err.endswith("; the cap is 1,000\n")
 
 
 def test_grafting_products_below_the_cap_are_answered(capsys):
@@ -407,32 +409,66 @@ def _cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(["map", "--name", "rhostar"], id="rhostar"),
-    pytest.param(["map", "--name", "Zstar"], id="Zstar"),
-    pytest.param(["coproduct", "--algebra", "ck"], id="ck-coproduct"),
-])
-def test_deep_chain_fits_under_the_recursion_limit(command):
-    # these recursions along tree depth keep their caches in inline dicts;
-    # a memo wrapper per level, or one more frame per level of the forest
-    # coproduct, would refuse this chain with exit 2
-    chain = "[" * 450 + "]" * 450
-    done = subprocess.run([sys.executable, "-m", "treehopf.cli", *command, chain],
-                          capture_output=True, text=True, env=_cli_env())
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.strip()
+# every subcommand that takes a tree, in each tree context, as its argv
+# before the tree: a product takes the tree twice, and a pairing pairs it
+# with the forest under its root
+_TREE_COMMANDS = [
+    *([op, "--algebra", alg] for alg in ("kt", "kp", "ck", "hf")
+      for op in ("coproduct", "counit", "product")),
+    ["antipode", "--algebra", "kt"], ["antipode", "--algebra", "kp"],
+    *(["map", "--name", name] for name in ("phistar", "Phistar", "rhostar", "rho", "Zstar",
+                                           "kbar")),
+    ["pair", "--kind", "kt-ck", "--right", "{forest}", "--left"],
+    ["pair", "--kind", "kp-hf", "--right", "{forest}", "--left"],
+]
+
+_RUN_UNDER_A_LOW_LIMIT = """
+import contextlib, io, json, sys
+from treehopf.cli import main
+sys.setrecursionlimit(200)
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as o, \\
+            contextlib.redirect_stderr(io.StringIO()) as e:
+        code = main(argv)
+    out.append([code, o.getvalue(), e.getvalue()])
+print(json.dumps(out))
+"""
 
 
-@pytest.mark.parametrize("name, depth", [("kbar", 984), ("Zstar", 492)])
-def test_deepest_ladder_of_the_level_count_maps(name, depth):
-    # both maps recurse over forests from explicit stacks, not by a Python
-    # frame per level: 984 vertices is the deepest ladder the command line
-    # parses, and Zstar, at two frames per level, once answered at most 492
-    chain = "[" * depth + "]" * depth
-    done = subprocess.run([sys.executable, "-m", "treehopf.cli", "map", "--name", name, chain],
+def test_the_deepest_tree_runs_every_command_under_a_low_recursion_limit():
+    # every walk along a tree's depth is a loop or a fill from an explicit
+    # stack, so CHAIN_CAP, which the parser checks, is the one depth limit;
+    # the antipodes of ck and hf ladders are left out, having p(n) terms
+    runs = []
+    for tree, forest in ((f"l{CHAIN_CAP}", f"l{CHAIN_CAP - 1}"),
+                         ("[" * CHAIN_CAP + "]" * CHAIN_CAP,
+                          "[" * (CHAIN_CAP - 1) + "]" * (CHAIN_CAP - 1))):
+        for argv in _TREE_COMMANDS:
+            argv = [arg.format(forest=forest) for arg in argv] + [tree]
+            runs.append(argv + [tree] if argv[0] == "product" else argv)
+    too_deep = "[" * (CHAIN_CAP + 1) + "]" * (CHAIN_CAP + 1)
+    runs += [["coproduct", "--algebra", alg, too_deep] for alg in ("kt", "kp", "ck", "hf")]
+    done = subprocess.run([sys.executable, "-c", _RUN_UNDER_A_LOW_LIMIT, json.dumps(runs)],
                           capture_output=True, text=True, env=_cli_env())
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "M(%s)\n" % ",".join(["1"] * depth)
+    results = dict(zip(map(tuple, runs), json.loads(done.stdout)))
+    assert len(results) == len(runs) == 2 * len(_TREE_COMMANDS) + 4
+    chain = "[" * CHAIN_CAP + "]" * CHAIN_CAP
+    ones = "M(%s)\n" % ",".join(["1"] * CHAIN_CAP)
+    for argv, (code, out, err) in results.items():
+        if argv[-1] == too_deep:
+            assert (code, out, err) == (2, "", f"error: brackets nested deeper than the cap "
+                                               f"{CHAIN_CAP} at position {CHAIN_CAP}\n"), argv
+        elif argv[0] == "product" and argv[2] in ("kt", "kp"):
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: this product would graft "), argv
+            assert err.endswith(f"; the cap is {GRAFT_CAP:,}\n"), argv
+        else:
+            assert (code, err) == (0, ""), argv
+            want = {"counit": "0\n", "antipode": f"-{'p' * (argv[2] == 'kp')}{chain}\n",
+                    "pair": "1\n", "Zstar": ones, "kbar": ones}
+            assert out == want.get(argv[0], want.get(argv[2], out)) and out.strip(), argv
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

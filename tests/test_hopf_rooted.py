@@ -8,6 +8,7 @@ import pytest
 
 import treehopf.hopf_rooted
 from treehopf.foundations import LinComb, clear_caches
+from treehopf.hopf_planar import KP
 from treehopf.hopf_rooted import (
     GRAFT_CAP,
     HK,
@@ -20,6 +21,7 @@ from treehopf.hopf_rooted import (
     primitive_projection,
     strip_primitive_root,
 )
+from treehopf.symfun import COUNT_LIMIT
 from treehopf.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -119,6 +121,20 @@ def test_grafting_antipode():
     for n in range(0, 5):
         for t in enumerate_rooted(n + 1):
             assert KT.antipode(KT.antipode(s(t))) == s(t)
+
+
+@pytest.mark.parametrize("alg", (KT, KP), ids=lambda alg: alg.name)
+def test_antipode_term_bound_is_never_below_the_count(alg):
+    # exact for a tree of at most one root branch, S(t) = ±t
+    for n in range(1, 10):
+        for t in alg.basis(n - 1):
+            bound, terms = alg.antipode_terms(t), len(alg.antipode_key(t))
+            assert bound >= terms, t
+            assert bound == terms or len(t.children) > 1, t
+    # the 16-leaf corolla's bound is the trees of its size; a large tree's
+    # passes the limit, and no count of its size is computed
+    assert KT.antipode_terms(corolla(16)) == 634_847
+    assert alg.antipode_terms(type(alg.leaf)([alg.leaf] * 100_000)) == COUNT_LIMIT + 1
 
 
 def test_grafting_unit_and_counit():

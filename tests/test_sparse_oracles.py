@@ -23,7 +23,10 @@ estimate as a triple sum, the quasi-shuffle-oracle suite's product of
 polynomials on exponent tuples, before it packed each tuple into an int,
 and the zstar-surjectivity suite's elimination over the image of every
 forest, before one level forest per composition certified the rank.
-Interned trees and forests are checked against equality of kind and
+The walks along a tree's depth (symmetry orders, the rooted tree under a
+planar tree, planar embeddings and the forest coproduct) are checked
+against recursions of a Python call per level, as they were before they
+were filled from explicit stacks.  Interned trees and forests are checked against equality of kind and
 encoding, and the rooted-tree classes against ``networkx``'s rooted tree
 isomorphism."""
 
@@ -34,8 +37,8 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations_with_replacement, permutations, product
-from math import comb, gcd
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from math import comb, factorial, gcd
 from operator import add
 
 import pytest
@@ -43,6 +46,7 @@ import pytest
 import treehopf.foundations
 import treehopf.hopf_rooted
 import treehopf.morphisms
+import treehopf.trees
 import treehopf.verify
 from treehopf.cli import SERIES_CAP, parse_element
 from treehopf.foundations import (
@@ -1723,6 +1727,67 @@ def test_planar_fiber_matches_the_permutations_through_9_vertices(fresh_caches):
     for n in range(1, 10):
         for t in enumerate_rooted(n):
             assert planar_fiber(t) == planar_fiber_by_permutations(t, memo), t
+
+
+def sym_order_by_recursion(t):
+    """The automorphism group order, a Python call per level of t."""
+    order = 1
+    for _, grp in groupby(t.children):
+        block = list(grp)
+        order *= factorial(len(block)) * sym_order_by_recursion(block[0]) ** len(block)
+    return order
+
+
+def forget_order_by_recursion(t):
+    """The rooted tree under a planar tree, a Python call per level of t."""
+    return RootedTree(forget_order_by_recursion(c) for c in t.children)
+
+
+def _walks_match(max_vertices):
+    """The walks along tree depth, each filled from an explicit stack,
+    against a recursion on every tree, planar tree and forest (of HK and
+    HF) through ``max_vertices`` vertices: the forest coproduct against the
+    root recursion memoized per tree, and the planar fibers against all
+    orderings of the children."""
+    fibers = {}
+    for n in range(1, max_vertices + 1):
+        for t in enumerate_rooted(n):
+            assert sym_order(t) == sym_order_by_recursion(t), t
+            assert planar_fiber(t) == planar_fiber_by_permutations(t, fibers), t
+        for t in enumerate_planar(n):
+            assert forget_order(t) is forget_order_by_recursion(t), t
+    for alg in (HK, HF):
+        coproducts = {}
+        for n in range(max_vertices + 1):
+            for f in alg.basis(n):
+                assert alg._ck(f) == forest_coproduct_by_trees(alg, f, coproducts), f
+
+
+def test_walks_along_tree_depth_match_their_recursions_through_9_vertices(fresh_caches):
+    _walks_match(9)
+
+
+def _drop_last_child(fold):
+    return lambda t: fold(type(t)(t.children[:-1]))
+
+
+# a fill that drops the last child of each tree: (module, attribute,
+# the broken attribute made from the original)
+BROKEN_FILLS = {
+    "sym_order": (treehopf.trees, "_sym_order_fold", _drop_last_child),
+    "forget_order": (treehopf.trees, "_forget_fold", _drop_last_child),
+    "planar_fiber": (treehopf.trees, "_fiber_fold", _drop_last_child),
+    "forest coproduct": (treehopf.hopf_rooted, "b_minus",
+                         lambda b_minus: lambda t: b_minus(type(t)(t.children[:-1]))),
+}
+
+
+@pytest.mark.parametrize("fill", list(BROKEN_FILLS))
+def test_the_recursions_catch_a_fill_that_drops_a_child(fill, monkeypatch, fresh_caches):
+    module, attr, breaking = BROKEN_FILLS[fill]
+    monkeypatch.setattr(module, attr, breaking(getattr(module, attr)))
+    with pytest.raises(AssertionError):
+        _walks_match(4)
 
 
 def monomial_expansion_by_placement(comp, nvars):

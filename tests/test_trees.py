@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from treehopf.cli import CHAIN_CAP
 from treehopf.trees import (
     EMPTY_FOREST,
     EMPTY_ORDERED_FOREST,
@@ -266,6 +267,12 @@ def _trees_and_forests():
     for n in range(5):
         yield from forests_of_degree(n)
         yield from ordered_forests_of_degree(n)
+    # as deep as the command line takes, one nested reduce per level would
+    # pass the recursion limit
+    deep = ladder(CHAIN_CAP), planar_ladder(CHAIN_CAP)
+    yield from deep
+    yield Forest(deep[:1] * 2)
+    yield OrderedForest(deep[1:] * 2)
 
 
 def test_copy_and_pickle_return_the_interned_object():
