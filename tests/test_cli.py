@@ -214,6 +214,21 @@ def test_only_ascii_digits_are_numbers(capsys, argv, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv, depth",
+    [(("antipode", "--algebra", "kt"), 1200), (("map", "--name", "rhostar"), CHAIN_CAP + 1)],
+    ids=["antipode-kt", "map-rhostar"],
+)
+def test_deep_nesting_is_a_usage_error(capsys, argv, depth):
+    # exit 1 means a verification failed; input too deep to process is exit 2,
+    # refused by the parser at the bracket that passes the cap
+    chain = "[" * depth + "]" * depth
+    code, out, err = run(capsys, *argv, chain)
+    assert (code, out) == (2, "")
+    assert err == f"error: brackets nested deeper than the cap {CHAIN_CAP} at position {CHAIN_CAP}\n"
+    assert "Traceback" not in err
+
+
 def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
     # a chain of k vertices holds k encodings of up to 2k characters;
     # brackets nested as deep are refused at the same cap, while scanning
@@ -407,6 +422,33 @@ def test_phi_of_e25_is_the_25_vertex_ladder(capsys):
 def _cli_env():
     src = str(pathlib.Path(treehopf.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["map", "--name", "rhostar"], id="rhostar"),
+    pytest.param(["map", "--name", "Zstar"], id="Zstar"),
+    pytest.param(["coproduct", "--algebra", "ck"], id="ck-coproduct"),
+])
+def test_deep_chain_fits_under_the_recursion_limit(command):
+    # these walks along tree depth run from explicit stacks, so a chain
+    # deeper than the default recursion limit is answered, not refused
+    chain = "[" * 450 + "]" * 450
+    done = subprocess.run([sys.executable, "-m", "treehopf.cli", *command, chain],
+                          capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("name, depth", [("kbar", 984), ("Zstar", 492)])
+def test_deepest_ladder_of_the_level_count_maps(name, depth):
+    # both maps recurse over forests from explicit stacks, not by a Python
+    # frame per level: Zstar, at two frames per level, once answered at
+    # most 492 vertices, and kbar at most 984
+    chain = "[" * depth + "]" * depth
+    done = subprocess.run([sys.executable, "-m", "treehopf.cli", "map", "--name", name, chain],
+                          capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "M(%s)\n" % ",".join(["1"] * depth)
 
 
 # every subcommand that takes a tree, in each tree context, as its argv
