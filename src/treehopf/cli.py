@@ -25,15 +25,20 @@ depth limit, checked while scanning, before any tree is built.  Every walk
 along a tree's depth runs from a loop or an explicit stack, so no tree the
 parser accepts meets Python's recursion limit.
 
+This module checks only the shape of its input: chain lengths, bracket
+depth, the indices of e<k> and h<k>, the command caps and suite degrees.
+The library operation that would build a result refuses it: a kt or kp
+product over the graft budget ``hopf_rooted.GRAFT_CAP``, and an antipode or
+an image under tau of more than ``hopf.TERM_CAP`` terms, each priced by its
+own algebra or map before any term is made.
+
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
-(a parse error, a cap, a suite bound, a kt or kp product over the graft
-budget ``hopf_rooted.GRAFT_CAP``, an antipode of more than ``TERM_CAP``
-terms on any algebra but ck and hf, a part list too long for the recursion
-limit) prints exactly one "error:" line on stderr; a command line that
-argparse rejects also exits 2, after its usage text.  A command whose
-stdout is closed before it finishes writing exits 141, as if killed by
-SIGPIPE.
+(a parse error, a cap, a suite bound, a library refusal, a part list too
+long for the recursion limit) prints exactly one "error:" line on stderr;
+a command line that argparse rejects also exits 2, after its usage text.
+A command whose stdout is closed before it finishes writing exits 141, as
+if killed by SIGPIPE.
 """
 
 import argparse
@@ -51,9 +56,10 @@ from .trees import (
     _parse_tree,
     ladder,
 )
+from .hopf import TERM_CAP
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
-from .symfun import COUNT_LIMIT, NSYM, QSYM, SYM, e, expand_truncated, h, p
+from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
 from .morphisms import MAP_TABLE
 from .pairings import ip_sym, pair_kp_hf, pair_kt_ck, pair_ns_qs
 from .verify import SUITE_NAMES, partition_count, run_all, run_suite
@@ -81,9 +87,6 @@ VARS_CAP = 10
 # longest chain literal l<k>, each of whose k trees holds its own encoding,
 # and largest index of the e<k> and h<k> shorthands
 CHAIN_CAP = 1000
-# most terms the h<k> shorthand may expand to, and the sym, qsym or nsym
-# antipode may return: p(45) = 89,134 fits
-TERM_CAP = 100_000
 
 # algebra whose basis is written as part lists (after its ``letter``) ->
 # the context word of its parse errors
@@ -347,25 +350,12 @@ def _cmd_operation(args):
     alg, op = ALGEBRAS[args.algebra], args.command
     texts = (args.left, args.right) if op == "product" else (args.element,)
     elements = [parse_element(text, args.algebra) for text in texts]
-    # every algebra but ck and hf prices its antipode before computing it
-    if op == "antipode" and hasattr(alg, "antipode_terms"):
-        _check_antipode_terms(alg, elements[0])
     result = getattr(alg, op)(*elements)
     if op == "coproduct":
         return _tensor(args, alg, result)
     if op == "counit":
         return _scalar(args, result)
     return _element(args, alg, result, algebra=alg.name)
-
-
-def _check_antipode_terms(alg, a):
-    """Refuse the antipode of an element whose terms' ``antipode_terms``
-    add up to more than ``TERM_CAP``: its number of terms on qsym and nsym,
-    a bound on it on sym, kt and kp."""
-    count = min(sum(map(alg.antipode_terms, a)), COUNT_LIMIT + 1)
-    if count > TERM_CAP:
-        text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
-        raise ValueError(f"this antipode would have {text} terms; the cap is {TERM_CAP:,}")
 
 
 def _cmd_map(args):
@@ -506,10 +496,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, RecursionError) as exc:
-        # every refusal, ParseError and SuiteBoundError included; exit 1 is
-        # reserved for a failed verification.  No tree reaches the recursion
-        # limit; a part list of hundreds of parts does, in tau, Z and the
-        # qsym product, which recurse once per part and have no work bound
+        # every refusal, ParseError, SuiteBoundError and the library's term
+        # and graft caps included; exit 1 is reserved for a failed
+        # verification.  No tree reaches the recursion limit; a part list of
+        # hundreds of parts does, in Z, phi and the qsym product, which
+        # recurse once per part and have no work bound
         if isinstance(exc, RecursionError):
             exc = "input is nested too deeply to process"
         print(f"error: {exc}", file=sys.stderr)

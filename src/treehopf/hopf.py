@@ -18,7 +18,11 @@ allows:
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
 where the sum runs over the middle (both-sides-positive-degree) terms of the
-coproduct of x, and is one ``apply_linear`` over those terms.  Products,
+coproduct of x, and is one ``apply_linear`` over those terms.  Every algebra
+prices its antipode too: ``antipode_terms`` bounds the terms of S on a key
+(on QSYM and NSYM it counts them), and ``antipode`` refuses an element
+whose keys' bounds add up to more than ``TERM_CAP`` before it makes any
+term; ``antipode_key``, which the suites call, is not priced.  Products,
 coproducts, and antipodes of basis keys are memoized per algebra instance,
 in tables registered with ``foundations.clear_caches``; entries are only
 ever written once.  The coproducts are filled from an explicit stack
@@ -33,7 +37,39 @@ their own.
 
 from functools import reduce
 
-from .foundations import LinComb, bottom_up, memo_table
+from .foundations import LinComb, bottom_up, memo, memo_table
+
+# most terms an antipode, an image under tau or the h<k> shorthand may have:
+# p(45) = 89,134 fits
+TERM_CAP = 100_000
+# the largest term count that a bound computes: past it, it returns
+# COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
+COUNT_LIMIT = 10**9
+
+
+def _power_of_two(k):
+    return 1 << k if k < COUNT_LIMIT.bit_length() else COUNT_LIMIT + 1
+
+
+@memo
+def _growing_count(count, n):
+    """``count(n)`` for a count of n >= 1 that grows with n, or
+    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: no count past the first
+    above the limit is computed.  Memoized, since an element's antipode
+    prices each of its keys."""
+    m = 1
+    while m < n and count(m) <= COUNT_LIMIT:
+        m += 1
+    return min(count(m), COUNT_LIMIT + 1)
+
+
+def check_terms(what, count):
+    """Refuse ``what`` before any of it is made when ``count``, a bound on
+    its terms, is above ``TERM_CAP``; a count above ``COUNT_LIMIT`` is
+    named only as more than that."""
+    if count > TERM_CAP:
+        text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
+        raise ValueError(f"{what} would have {text} terms; the cap is {TERM_CAP:,}")
 
 
 class HopfAlgebra:
@@ -153,7 +189,16 @@ class HopfAlgebra:
             lambda pair: self.product(self.antipode_key(pair[0]), LinComb.single(pair[1]))
         )
 
+    def antipode_terms(self, key) -> int:
+        """An upper bound on the number of terms of S(key), or
+        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``, computed without making
+        any of them."""
+        raise NotImplementedError
+
     def antipode(self, a: LinComb) -> LinComb:
+        """S of an element, refused before any term is made when the
+        ``antipode_terms`` of its keys add up to more than ``TERM_CAP``."""
+        check_terms("this antipode", sum(map(self.antipode_terms, a)))
         return a.apply_linear(self.antipode_key)
 
     # printing

@@ -42,6 +42,11 @@ from .trees import (
 )
 
 
+def _planar_count(n):
+    """The planar trees of n vertices, as many as ordered forests of n - 1."""
+    return catalan(n - 1)
+
+
 class PlanarGraftingAlgebra(GraftingAlgebra):
     """Planar-tree Hopf algebra with the ordered attachment product."""
 
@@ -67,7 +72,7 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
         n = len(t.children)
         return comb(2 * tp.size + n - 2, n)
 
-    tree_count = staticmethod(lambda n: catalan(n - 1))
+    tree_count = staticmethod(_planar_count)
     branch_points = staticmethod(lambda n: 2 * n - 2)
 
     def coproduct_key(self, t):
@@ -85,6 +90,7 @@ class OrderedForestAlgebra(ForestAlgebra):
     # perfbench's tracer does) leaves the other algebra's alone
     product_keys = ForestAlgebra.product_keys
     coproduct_key = ForestAlgebra.coproduct_key
+    tree_count = staticmethod(_planar_count)
 
     def basis(self, n):
         return ordered_forests_of_degree(n)

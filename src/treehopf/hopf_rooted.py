@@ -41,7 +41,10 @@ from the memo's explicit stack, the deepest first.  The
 antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
 over the sets of edges cut, of the pieces left, grouped per subtree
 (``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
-the 2^(edges) cut sets.  KT keeps ``HopfAlgebra``'s antipode recursion.
+the 2^(edges) cut sets.  Its price (``antipode_terms``) is the smaller of
+the 2^(edges) cut sets and the forests of its degree.  KT keeps
+``HopfAlgebra``'s antipode recursion, priced by the trees of its degree
+and the ways to graft its root branches.
 ``ForestAlgebra`` builds its forests and trees from the kind of its unit
 forest, so HF is the same class with the empty ordered forest as unit.  KT
 and HK are graded duals of each other under the pairing in ``pairings``.
@@ -59,8 +62,7 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
-from .hopf import HopfAlgebra
-from .symfun import COUNT_LIMIT
+from .hopf import COUNT_LIMIT, HopfAlgebra, _growing_count, _power_of_two
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -235,12 +237,7 @@ class GraftingAlgebra(HopfAlgebra):
         # with k >= 2 branches, n >= 3, so the base is at least 2, and its
         # power to COUNT_LIMIT's bit length already passes the limit
         ways = self.branch_points(n) ** min(k - 1, COUNT_LIMIT.bit_length())
-        # the tree counts grow with the size, so none past the first above
-        # the limit is computed
-        m = 1
-        while m < n and self.tree_count(m) <= COUNT_LIMIT:
-            m += 1
-        return min(ways, self.tree_count(m), COUNT_LIMIT + 1)
+        return min(ways, _growing_count(self.tree_count, n))
 
     def coproduct_key(self, t):
         """Split the root's child subtrees over all 2^k two-colorings, each
@@ -299,6 +296,20 @@ class ForestAlgebra(HopfAlgebra):
         inner = self._ck(b_minus(t))
         terms.update(((u, type(f)((b_plus(v),))), c) for (u, v), c in inner.items())
         return LinComb.trusted(terms)
+
+    # how many trees of n vertices there are, as many as forests of n - 1
+    # (``b_plus``)
+    tree_count = staticmethod(rooted_count)
+
+    def antipode_terms(self, f):
+        """An upper bound on the number of terms of S(f), or ``COUNT_LIMIT
+        + 1`` above ``COUNT_LIMIT``: S(f) is the product of S of f's trees,
+        each a sum over the sets of its edges, so it has at most
+        2^(|f| - #trees) terms, and S keeps the degree, so they are forests
+        of |f| vertices.  Exact on HF ladders, whose cut sets each leave a
+        different ordered forest."""
+        n = f.degree
+        return min(_power_of_two(n - len(f.trees)), _growing_count(self.tree_count, n + 1))
 
     def antipode_rule(self, f):
         """S of a one-tree forest by the forest formula (Connes-Kreimer):

@@ -39,13 +39,21 @@ from .trees import (
     planar_fiber,
     sym_order,
 )
+from .hopf import check_terms
 from .hopf_rooted import KT, HK, epsilon
 from .hopf_planar import KP, HF
-from .symfun import NSYM, QSYM, SYM, alpha_plus, e_to_m_row, m_to_e
+from .symfun import NSYM, QSYM, SYM, _partitions_at_most, alpha_plus, e_to_m_row, m_to_e
 
 
 def tau(a: LinComb) -> LinComb:
-    """Abelianization: send each divided-power generator E_k to e_k."""
+    """Abelianization: send each divided-power generator E_k to e_k.
+
+    Refused before any row is made when the keys' bounds add up to more
+    than ``TERM_CAP``: a monomial of e_alpha has exponents of at most
+    len(alpha), so the terms of e_alpha are partitions of |alpha| into
+    parts of at most len(alpha), as many as into at most len(alpha) parts."""
+    check_terms("this image under tau",
+                sum(_partitions_at_most(sum(comp), len(comp)) for comp in a))
     return a.apply_linear(e_to_m_row)
 
 

@@ -24,8 +24,8 @@ describes: S(M_a) sums the coarsenings of a reversed (Malvenuto-Reutenauer;
 Ehrenborg), S(m_lam) collects that sum on partitions, a count of the
 rearrangements of lam that coarsen to each term, and S(E_n) is the signed
 sum of E_J over the compositions J of n.  ``antipode_terms`` counts the
-terms of S on a key (on SYM, bounds them) before any is made, which the CLI
-checks against its term cap.
+terms of S on a key (on SYM, bounds them) before any is made, which
+``HopfAlgebra.antipode`` checks against its term cap.
 
 The elementary/complete/power sums live here too, along with the conversion
 between the monomial and elementary bases (integer back-substitution along
@@ -50,7 +50,7 @@ from .foundations import (
     pi_forget,
     rearrangements,
 )
-from .hopf import HopfAlgebra
+from .hopf import COUNT_LIMIT, HopfAlgebra, _power_of_two
 
 
 class _PartLists(HopfAlgebra):
@@ -270,15 +270,6 @@ def _blocks_up_to(values, left, cap):
         if s and all(v <= s for v, r in zip(values, rest) if r):
             blocks.append((s, rest, factorial(sum(taken)) // prod(map(factorial, taken))))
     return tuple(blocks)
-
-
-# the largest term count that ``antipode_terms`` computes: past it, it
-# returns COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
-COUNT_LIMIT = 10**9
-
-
-def _power_of_two(k):
-    return 1 << k if k < COUNT_LIMIT.bit_length() else COUNT_LIMIT + 1
 
 
 @memo

@@ -282,13 +282,18 @@ def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypat
     ("sym", "e50", "up to 204,226 terms"),
     ("sym", "m(2,2," + ",".join("1" * 44) + ")", "up to 147,271 terms"),
     ("sym", "h30", "up to 15,505,062 terms"),
+    ("ck", "l18", "up to 131,072 terms"),
+    ("ck", "l300", "more than 1,000,000,000 terms"),
+    ("hf", "l40", "more than 1,000,000,000 terms"),
+    ("hf", "([[]],l17)", "up to 131,072 terms"),
 ])
 def test_antipode_above_the_term_cap_is_refused_before_it_starts(capsys, monkeypatch, algebra,
                                                                  text, message):
     # the term count of each key: 2^(len - 1) for M_a, the product of
     # 2^(a_i - 1) for E_a, and for m_lam at most the partitions of |lam|
     # into at most len(lam) parts (p(48) less the two with more than 46
-    # parts above), or the set partitions of its parts if fewer
+    # parts above), or the set partitions of its parts if fewer; for a
+    # ck or hf forest at most 2^(edges), one term per set of edges cut
     alg = treehopf.cli.ALGEBRAS[algebra]
 
     def start(key):
@@ -309,6 +314,11 @@ def test_antipodes_within_the_term_cap_answer(capsys):
     assert run(capsys, "antipode", "--algebra", "sym", f"m({a},1)") == (
         0, f"m({a},1) + 2*m({b})\n", "")
     assert run(capsys, "antipode", "--algebra", "qsym", f"M({a})") == (0, f"-M({a})\n", "")
+    # the 17-vertex ladder's 2^16 cut sets are within the cap; on ck they
+    # fall on its p(17) = 297 forests
+    code, out, err = run(capsys, "antipode", "--algebra", "ck", "l17")
+    assert (code, err) == (0, "")
+    assert out.count(" + ") + out.count(" - ") + 1 == 297
 
 
 @pytest.mark.parametrize("suite, degree, need", [
@@ -457,7 +467,7 @@ def test_deepest_ladder_of_the_level_count_maps(name, depth):
 _TREE_COMMANDS = [
     *([op, "--algebra", alg] for alg in ("kt", "kp", "ck", "hf")
       for op in ("coproduct", "counit", "product")),
-    ["antipode", "--algebra", "kt"], ["antipode", "--algebra", "kp"],
+    *(["antipode", "--algebra", alg] for alg in ("kt", "kp", "ck", "hf")),
     *(["map", "--name", name] for name in ("phistar", "Phistar", "rhostar", "rho", "Zstar",
                                            "kbar")),
     ["pair", "--kind", "kt-ck", "--right", "{forest}", "--left"],
@@ -481,7 +491,7 @@ print(json.dumps(out))
 def test_the_deepest_tree_runs_every_command_under_a_low_recursion_limit():
     # every walk along a tree's depth is a loop or a fill from an explicit
     # stack, so CHAIN_CAP, which the parser checks, is the one depth limit;
-    # the antipodes of ck and hf ladders are left out, having p(n) terms
+    # the ck and hf antipodes are refused by their 2^999 cut sets
     runs = []
     for tree, forest in ((f"l{CHAIN_CAP}", f"l{CHAIN_CAP - 1}"),
                          ("[" * CHAIN_CAP + "]" * CHAIN_CAP,
@@ -506,6 +516,9 @@ def test_the_deepest_tree_runs_every_command_under_a_low_recursion_limit():
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: this product would graft "), argv
             assert err.endswith(f"; the cap is {GRAFT_CAP:,}\n"), argv
+        elif argv[0] == "antipode" and argv[2] in ("ck", "hf"):
+            assert (code, out, err) == (2, "", "error: this antipode would have more than "
+                                               f"1,000,000,000 terms; the cap is {TERM_CAP:,}\n"), argv
         else:
             assert (code, err) == (0, ""), argv
             want = {"counit": "0\n", "antipode": f"-{'p' * (argv[2] == 'kp')}{chain}\n",

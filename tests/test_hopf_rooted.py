@@ -8,7 +8,7 @@ import pytest
 
 import treehopf.hopf_rooted
 from treehopf.foundations import LinComb, clear_caches
-from treehopf.hopf_planar import KP
+from treehopf.hopf_planar import HF, KP
 from treehopf.hopf_rooted import (
     GRAFT_CAP,
     HK,
@@ -21,13 +21,16 @@ from treehopf.hopf_rooted import (
     primitive_projection,
     strip_primitive_root,
 )
-from treehopf.symfun import COUNT_LIMIT
+from treehopf.hopf import COUNT_LIMIT
 from treehopf.trees import (
     EMPTY_FOREST,
     LEAF,
     Forest,
+    OrderedForest,
+    PlanarTree,
     enumerate_rooted,
     forests_of_degree,
+    is_ladder,
     ladder,
     rooted_from_string as rt,
 )
@@ -123,18 +126,41 @@ def test_grafting_antipode():
             assert KT.antipode(KT.antipode(s(t))) == s(t)
 
 
-@pytest.mark.parametrize("alg", (KT, KP), ids=lambda alg: alg.name)
-def test_antipode_term_bound_is_never_below_the_count(alg):
-    # exact for a tree of at most one root branch, S(t) = ±t
-    for n in range(1, 10):
-        for t in alg.basis(n - 1):
-            bound, terms = alg.antipode_terms(t), len(alg.antipode_key(t))
-            assert bound >= terms, t
-            assert bound == terms or len(t.children) > 1, t
+def _one_root_branch(t):
+    return len(t.children) < 2
+
+
+def _one_edge(f):
+    return f.degree - len(f.trees) < 2
+
+
+def _ladders(f):
+    return all(map(is_ladder, f.trees))
+
+
+def _planar_corolla(n):
+    return PlanarTree([KP.leaf] * n)
+
+
+@pytest.mark.parametrize("alg, exact, wide", [
+    (KT, _one_root_branch, corolla),
+    (KP, _one_root_branch, _planar_corolla),
+    (HK, _one_edge, lambda n: Forest((corolla(n),))),
+    (HF, _ladders, lambda n: OrderedForest((_planar_corolla(n),))),
+], ids=("kt", "kp", "ck", "hf"))
+def test_antipode_term_bound_is_never_below_the_count(alg, exact, wide):
+    # exact for a tree of at most one root branch, S(t) = ±t, for a forest
+    # of at most one edge, and for HF ladders, where S(l_n) has 2^(n - 1)
+    # terms, one per cut set
+    for n in range(9):
+        for key in alg.basis(n):
+            bound, terms = alg.antipode_terms(key), len(alg.antipode_key(key))
+            assert bound >= terms, key
+            assert bound == terms or not exact(key), key
     # the 16-leaf corolla's bound is the trees of its size; a large tree's
     # passes the limit, and no count of its size is computed
     assert KT.antipode_terms(corolla(16)) == 634_847
-    assert alg.antipode_terms(type(alg.leaf)([alg.leaf] * 100_000)) == COUNT_LIMIT + 1
+    assert alg.antipode_terms(wide(100_000)) == COUNT_LIMIT + 1
 
 
 def test_grafting_unit_and_counit():

@@ -6,11 +6,12 @@ from math import factorial, prod
 
 import pytest
 
+import treehopf.morphisms
 from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
-from treehopf.hopf import tensor_map
+from treehopf.hopf import TERM_CAP, tensor_map
 from treehopf.hopf_rooted import KT, HK, epsilon, kappa
 from treehopf.hopf_planar import HF, KP
-from treehopf.symfun import NSYM, QSYM, SYM, e, h, include_sym
+from treehopf.symfun import NSYM, QSYM, SYM, _partitions_at_most, e, h, include_sym
 from treehopf.morphisms import (
     MAP_TABLE,
     Phi,
@@ -64,6 +65,24 @@ def test_tau_multiplicative():
                     assert tau(NSYM.product(s(a), s(b))) == SYM.product(
                         tau(s(a)), tau(s(b))
                     )
+
+
+def test_tau_above_the_term_cap_is_refused_before_any_row(monkeypatch):
+    # a monomial of e_alpha has exponents of at most len(alpha), so the
+    # partitions of |alpha| into at most len(alpha) parts bound its terms
+    for n in range(11):
+        for comp in compositions_of(n):
+            assert _partitions_at_most(n, len(comp)) >= len(tau(s(comp))), comp
+
+    def row(comp):
+        raise AssertionError("a row was made")
+
+    monkeypatch.setattr(treehopf.morphisms, "e_to_m_row", row)
+    for parts, text in ((60, "up to 966,467"), (500, "more than 1,000,000,000")):
+        with pytest.raises(ValueError) as refusal:
+            tau(s((1,) * parts))
+        assert str(refusal.value) == (f"this image under tau would have {text} terms; "
+                                      f"the cap is {TERM_CAP:,}")
 
 
 def test_phi_sends_elementary_to_chain_forests():
