@@ -22,20 +22,22 @@ canonicalized; planar and ordered input is taken as written.
 
 Brackets nest at most ``CHAIN_CAP`` deep, the longest chain l<k>: the one
 depth limit, checked while scanning, before any tree is built.  Every walk
-along a tree's depth runs from a loop or an explicit stack, so no tree the
-parser accepts meets Python's recursion limit.
+along a tree's depth or a part list runs from a loop or an explicit stack,
+so no input meets Python's recursion limit.
 
 This module checks only the shape of its input: chain lengths, bracket
 depth, the indices of e<k> and h<k>, the command caps and suite degrees.
 The library operation that would build a result refuses it: a kt or kp
-product over the graft budget ``hopf_rooted.GRAFT_CAP``, and an antipode or
-an image under tau of more than ``hopf.TERM_CAP`` terms, each priced by its
-own algebra or map before any term is made.
+product over the graft budget ``hopf_rooted.GRAFT_CAP``; and an antipode,
+a sym or qsym product, the h<k> shorthand, an image under tau, Z, Zstar or
+kbar, or a row of m in the elementary basis (phi and the sym pairing) of
+more than ``hopf.TERM_CAP`` terms, each priced by its own algebra or map
+before any term is made.
 
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
-(a parse error, a cap, a suite bound, a library refusal, a part list too
-long for the recursion limit) prints exactly one "error:" line on stderr;
+(a parse error, a cap, a suite bound, a library refusal) prints exactly one
+"error:" line on stderr;
 a command line that argparse rejects also exits 2, after its usage text.
 A command whose stdout is closed before it finishes writing exits 141, as
 if killed by SIGPIPE.
@@ -56,13 +58,12 @@ from .trees import (
     _parse_tree,
     ladder,
 )
-from .hopf import TERM_CAP
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
 from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
 from .morphisms import MAP_TABLE
 from .pairings import ip_sym, pair_kp_hf, pair_kt_ck, pair_ns_qs
-from .verify import SUITE_NAMES, partition_count, run_all, run_suite
+from .verify import SUITE_NAMES, run_all, run_suite
 
 ALGEBRAS = {
     "kt": KT, "gl": KT,
@@ -204,8 +205,6 @@ class _Parser:
             if ch in "eh" and k > CHAIN_CAP:
                 raise ValueError(f"{ch}{k} exceeds the index cap {CHAIN_CAP}; its "
                                  f"partitions have up to {k:,} parts")
-            if ch == "h" and (n := partition_count(k)) > TERM_CAP:
-                raise ValueError(f"h{k} has {n:,} terms, more than the cap {TERM_CAP:,}")
             return {"e": e, "h": h, "p": p}[ch](k)
         if ch != self.algebra.letter:
             self.error(f"unexpected {ch!r} in {_PART_LISTS[name]} context")
@@ -495,14 +494,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         # every refusal, ParseError, SuiteBoundError and the library's term
         # and graft caps included; exit 1 is reserved for a failed
-        # verification.  No tree reaches the recursion limit; a part list of
-        # hundreds of parts does, in Z, phi and the qsym product, which
-        # recurse once per part and have no work bound
-        if isinstance(exc, RecursionError):
-            exc = "input is nested too deeply to process"
+        # verification.  No walk along a tree or a part list recurses, so
+        # the recursion limit refuses nothing
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

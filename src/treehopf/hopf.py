@@ -22,7 +22,8 @@ coproduct of x, and is one ``apply_linear`` over those terms.  Every algebra
 prices its antipode too: ``antipode_terms`` bounds the terms of S on a key
 (on QSYM and NSYM it counts them), and ``antipode`` refuses an element
 whose keys' bounds add up to more than ``TERM_CAP`` before it makes any
-term; ``antipode_key``, which the suites call, is not priced.  Products,
+term; ``antipode_key``, which the suites call, is not priced, and SYM and
+QSYM price their products the same way (``symfun``).  Products,
 coproducts, and antipodes of basis keys are memoized per algebra instance,
 in tables registered with ``foundations.clear_caches``; entries are only
 ever written once.  The coproducts are filled from an explicit stack
@@ -39,7 +40,8 @@ from functools import reduce
 
 from .foundations import LinComb, bottom_up, memo, memo_table
 
-# most terms an antipode, an image under tau or the h<k> shorthand may have:
+# most terms a priced operation (an antipode, a sym or qsym product, a map
+# image, an m-to-e row, the h<k> shorthand) may have:
 # p(45) = 89,134 fits
 TERM_CAP = 100_000
 # the largest term count that a bound computes: past it, it returns

@@ -22,12 +22,16 @@ It memoizes each tree's ways to lose leaves, grouped by what is left, and
 kbar per forest, so equal leaves and equal subtrees cost one entry each
 and every stripped forest is shared by all the forests that reach it.
 Z_star is memoized per forest too; both are filled from explicit stacks
-(``foundations.bottom_up``), as every walk along a tree's depth is.
+(``foundations.bottom_up``), as every walk along a tree's depth is, and Z
+over the prefixes of a composition.  tau, Z, Z_star and kbar refuse an
+element whose keys' term bounds add up to more than ``hopf.TERM_CAP``
+before they make any term, as phi does through ``symfun.m_to_e_row``.
 """
 
+from math import comb
 from operator import attrgetter
 
-from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget
+from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget, prefix_fold
 from .trees import (
     Forest,
     OrderedForest,
@@ -37,12 +41,22 @@ from .trees import (
     is_ladder,
     ladder_forest,
     planar_fiber,
+    rooted_count,
     sym_order,
 )
-from .hopf import check_terms
+from .hopf import COUNT_LIMIT, TERM_CAP, _growing_count, check_terms
 from .hopf_rooted import KT, HK, epsilon
 from .hopf_planar import KP, HF
-from .symfun import NSYM, QSYM, SYM, _partitions_at_most, alpha_plus, e_to_m_row, m_to_e
+from .symfun import (
+    NSYM,
+    QSYM,
+    SYM,
+    _compositions_with_parts,
+    _partitions_at_most,
+    alpha_plus,
+    e_to_m_row,
+    m_to_e,
+)
 
 
 def tau(a: LinComb) -> LinComb:
@@ -114,24 +128,89 @@ def _rho_star_key(t: RootedTree) -> LinComb:
 
 
 def Z(a: LinComb) -> LinComb:
-    """Algebra morphism into the grafting algebra taking E_k to epsilon(k)."""
+    """Algebra morphism into the grafting algebra taking E_k to epsilon(k).
+
+    Refused before any tree is grafted when the keys' bounds (``_z_terms``)
+    add up to more than ``TERM_CAP``."""
+    check_terms("this image under Z", sum(map(_z_terms, a)))
     return a.apply_linear(_z_key)
 
 
 @memo
+def _z_terms(comp):
+    """An upper bound on the terms of Z(E_comp), exact on E_n, or
+    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``.  Its terms are trees of
+    |comp| + 1 vertices.  The first product grafts the a_1 leaves of
+    epsilon(a_1), all alike, onto the a_2 + 1 vertices of epsilon(a_2): a
+    multiset of places, one of C(a_1 + a_2, a_1).  Each later product by
+    epsilon(a_i) grafts each root branch of a term so far, at most
+    a_1 + ... + a_(i - 1) of them, onto one of its a_i + 1 vertices."""
+    bits = COUNT_LIMIT.bit_length()
+    ways, branches = 1, sum(comp[:2])
+    if len(comp) > 1:
+        # C(n, k) >= 2^k for n >= 2k: k of COUNT_LIMIT's bit length passes it
+        k = min(comp[:2])
+        ways = comb(branches, k) if k < bits else COUNT_LIMIT + 1
+    for part in comp[2:]:
+        ways = min(ways * (part + 1) ** min(branches, bits), COUNT_LIMIT + 1)
+        branches += part
+    return min(ways, _growing_count(rooted_count, branches + 1))
+
+
+_Z_MEMO: dict[tuple, LinComb] = memo_table()
+
+
 def _z_key(comp):
-    if not comp:
-        return KT.one()
-    return KT.product(_z_key(comp[:-1]), epsilon(comp[-1]))
+    """Z(E_comp), filled over the prefixes of comp."""
+    return prefix_fold(comp, _Z_MEMO, KT.one, _times_epsilon)
+
+
+def _times_epsilon(t, k):
+    return KT.product(t, epsilon(k))
 
 
 _ZSTAR_MEMO: dict[Forest, LinComb] = memo_table()
+# tree -> the most vertices on a path from its root to a leaf
+_HEIGHT: dict[RootedTree, int] = memo_table()
+_children = attrgetter("children")
 
 
 def Z_star(a: LinComb) -> LinComb:
     """The unique algebra morphism from forests to qsym that intertwines
-    rooting a forest with appending a part 1."""
+    rooting a forest with appending a part 1.
+
+    Refused before any term is made when the keys' bounds
+    (``_level_bound``) add up to more than ``TERM_CAP``."""
+    check_terms("this image under Zstar", _level_bound(a))
     return a.apply_linear(_zstar_key)
+
+
+def _level_bound(a: LinComb) -> int:
+    """An upper bound on the terms of Z_star(a) and kbar(a): the
+    compositions of each key's degree, or, when those add up to more than
+    ``TERM_CAP``, the sum of the keys' ``_level_terms``."""
+    bound = sum(_compositions_with_parts(f.degree, 0, f.degree) for f in a)
+    return bound if bound <= TERM_CAP else sum(map(_level_terms, a))
+
+
+@memo
+def _level_terms(f: Forest) -> int:
+    """An upper bound on the terms of Z_star(f) and kbar(f), or
+    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: each term is the fiber
+    sizes of a strictly order-preserving surjection of f onto {1..k}, a
+    composition of |f| into k parts, and k is at least the most vertices
+    h on a path from a root to a leaf.  So there are at most the sum of
+    C(|f| - 1, k - 1) over h <= k <= |f|.  The root of a single tree is
+    alone in the last fiber, so it counts as the forest of its children."""
+    n = f.degree
+    h = max((bottom_up(t, _HEIGHT, _children, _tree_height) for t in f.trees), default=0)
+    if len(f.trees) == 1:
+        n, h = n - 1, h - 1
+    return _compositions_with_parts(n, h, n)
+
+
+def _tree_height(t: RootedTree) -> int:
+    return 1 + max((_HEIGHT[c] for c in t.children), default=0)
 
 
 def _zstar_key(f: Forest) -> LinComb:
@@ -152,7 +231,8 @@ def _zstar_parts(f: Forest) -> tuple:
 def _zstar_value(f: Forest) -> LinComb:
     parts = [_ZSTAR_MEMO[g] for g in _zstar_parts(f)]
     if len(parts) == 2:
-        return QSYM.product(*parts)
+        # by the unpriced key products: ``Z_star`` prices the whole image
+        return LinComb.bilinear(*parts, QSYM._pk)
     return alpha_plus(parts[0]) if parts else QSYM.one()
 
 
@@ -166,8 +246,9 @@ def kbar(a: LinComb) -> LinComb:
     contributes the composition of its fiber sizes.  The minimal vertices
     are the leaves, so kbar(f) is the sum over nonempty sets S of leaves
     of M_(|S|) followed by kbar(f minus S): leaf stripping, memoized per
-    forest.
+    forest.  Refused before any term is made as ``Z_star`` is.
     """
+    check_terms("this image under kbar", _level_bound(a))
     return a.apply_linear(_kbar_forest)
 
 
@@ -175,7 +256,6 @@ _KBAR_MEMO: dict[Forest, LinComb] = memo_table()
 # tree -> {(what is left of it, or None, number of leaves removed): the
 # number of sets of its leaves whose removal leaves that}
 _LEAF_STRIPS: dict[RootedTree, dict] = memo_table()
-_children = attrgetter("children")
 
 
 def _kbar_forest(f: Forest) -> LinComb:

@@ -25,11 +25,14 @@ Ehrenborg), S(m_lam) collects that sum on partitions, a count of the
 rearrangements of lam that coarsen to each term, and S(E_n) is the signed
 sum of E_J over the compositions J of n.  ``antipode_terms`` counts the
 terms of S on a key (on SYM, bounds them) before any is made, which
-``HopfAlgebra.antipode`` checks against its term cap.
+``HopfAlgebra.antipode`` checks against its term cap.  The SYM and QSYM
+products are priced the same way (``product_terms``), from the counts of
+each degree's keys and bounds on each key pair's terms.
 
 The elementary/complete/power sums live here too, along with the conversion
 between the monomial and elementary bases (integer back-substitution along
-the dominance order, one memoized row per partition),
+the dominance order, one memoized row per partition, each priced by the
+partitions it may reach),
 the append-a-part-one operator alpha_plus with its one-sided inverse
 alpha_minus, their NSYM duals, and the truncated polynomial realization of
 QSYM used as an independent oracle for the quasi-shuffle product: a
@@ -43,14 +46,17 @@ from operator import sub
 
 from .foundations import (
     LinComb,
+    bottom_up,
     compositions_of,
     memo,
+    memo_table,
     multiset_splits,
     partitions_of,
     pi_forget,
+    prefix_fold,
     rearrangements,
 )
-from .hopf import COUNT_LIMIT, HopfAlgebra, _power_of_two
+from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _power_of_two, check_terms
 
 
 class _PartLists(HopfAlgebra):
@@ -76,26 +82,126 @@ class _PartLists(HopfAlgebra):
         return (sum(parts), parts)
 
 
-class QuasiSymmetricFunctions(_PartLists):
+class _PricedProducts(_PartLists):
+    """Part lists whose product is refused before any term is made when
+    ``product_terms`` is above ``TERM_CAP``; ``_pk``, which the suites call,
+    is not priced."""
+
+    def product(self, a, b):
+        check_terms("this product", self.product_terms(a, b))
+        return super().product(a, b)
+
+    def product_terms(self, a, b):
+        """An upper bound on the terms of a b, or more than ``COUNT_LIMIT``
+        above it: for each total degree n, the smaller of ``degree_terms(n)``,
+        the keys of degree n, and the sum of ``pair_terms`` over the key
+        pairs of degree n.  When the first add up to at most ``TERM_CAP``,
+        no pair is priced."""
+        degrees = {sum(k1) + sum(k2) for k1 in a for k2 in b}
+        bound = sum(map(self.degree_terms, degrees))
+        if bound <= TERM_CAP:
+            return bound
+        left, right = _by_degree(a), _by_degree(b)
+        return sum(min(self.degree_terms(n), sum(self.pair_terms(k1, k2, n)
+                                                 for i, keys in left.items() for k1 in keys
+                                                 for k2 in right.get(n - i, ())))
+                   for n in degrees)
+
+
+def _by_degree(a):
+    """The keys of ``a`` by degree."""
+    out = defaultdict(list)
+    for key in a:
+        out[sum(key)].append(key)
+    return out
+
+
+# the most parts of the factors on which the quasi-shuffle takes one step
+# and keeps the products it reads: more than the keys of any suite have
+_STEPPED = 16
+
+
+class QuasiSymmetricFunctions(_PricedProducts):
     """Monomial-basis quasi-symmetric functions."""
 
     name = "qsym"
     letter = "M"
 
     def product_keys(self, left, right):
-        """Quasi-shuffle: take a part from either side, or fuse one of each."""
-        if not left:
-            return LinComb.single(right)
-        if not right:
-            return LinComb.single(left)
-        a, b = left[0], right[0]
-        first, second = self._pk(left[1:], right), self._pk(left, right[1:])
-        # the first parts a, b and a + b tell the kinds of term apart, unless a == b
-        parts = [((a,), first + second)] if a == b else [((a,), first), ((b,), second)]
-        parts.append(((a + b,), self._pk(left[1:], right[1:])))
-        return LinComb.trusted(
-            {head + comp: c for head, tail in parts for comp, c in tail.items()}
-        )
+        """Quasi-shuffle: interleave the parts of the two factors, fusing
+        some part of one with a part of the other.  A term starts with the
+        first part a of the left factor, with the first part b of the right
+        one, or with a + b, followed by the product of what is left.  That
+        step is taken while both factors have at most ``_STEPPED`` parts,
+        and the products it reads, which the suites read too, are kept.
+        Past that, the factors are taken longer first, and the step on the
+        longer one's first part is unrolled: b follows its first k parts,
+        alone or fused with the next, so that the products of its suffixes
+        by the whole shorter factor are never made, and a short factor's
+        products cost what they return.  The products that a step reads
+        and the memo lacks are made first, from an explicit stack, so no
+        part list costs Python recursion."""
+        if len(right) > max(len(left), _STEPPED):  # unroll the longer factor
+            return self._pk(right, left)
+        memo, stack = self._prod_memo, [(left, right)]
+        while stack:
+            pair = stack[-1]
+            out = memo.get(pair)
+            if out is None:
+                out = self._quasi_shuffle(*pair)
+            if type(out) is list:
+                stack += out
+            else:
+                memo[pair] = out
+                stack.pop()
+        return out
+
+    def _quasi_shuffle(self, left, right):
+        """M_left M_right from the products it reads, or the list of those
+        that the memo does not hold yet."""
+        if not left or not right:
+            return LinComb.single(left or right)
+        memo, a, b, rest = self._prod_memo, left[0], right[0], right[1:]
+        if len(left) <= _STEPPED:
+            after = left[1:]
+            first = memo.get((after, right))
+            second, fused = memo.get((left, rest)), memo.get((after, rest))
+            if first is None or second is None or fused is None:
+                reads = ((after, right), first), ((left, rest), second), ((after, rest), fused)
+                return [pair for pair, tail in reads if tail is None]
+            # the first parts a, b and a + b tell the kinds of term apart, unless a == b
+            parts = [((a,), first + second)] if a == b else [((a,), first), ((b,), second)]
+            parts.append(((a + b,), fused))
+            return LinComb.trusted(
+                {head + comp: c for head, tail in parts for comp, c in tail.items()}
+            )
+        # the long factor unrolled: b follows its first k parts, alone or
+        # fused with the next one, or follows them all
+        reads = [(left[k:], rest) for k in range(len(left) + 1)]
+        tails = [memo.get(pair) for pair in reads]
+        missing = [pair for pair, tail in zip(reads, tails) if tail is None]
+        if missing:
+            return missing
+        parts = [(left + (b,), tails[-1])]
+        for k in range(len(left)):
+            parts.append((left[:k] + (b,), tails[k]))
+            parts.append((left[:k] + (left[k] + b,), tails[k + 1]))
+        return LinComb([(head + comp, c) for head, tail in parts for comp, c in tail.items()])
+
+    def degree_terms(self, n):
+        """The compositions of n, 2^(n - 1), or ``COUNT_LIMIT + 1`` above
+        ``COUNT_LIMIT``."""
+        return _power_of_two(n - 1) if n else 1
+
+    def pair_terms(self, left, right, n):
+        """A bound on the terms of M_left M_right, of degree n: a term has
+        at least as many parts as the longer factor and at most as many as
+        both, and no part above the sum of their largest parts."""
+        if not left or not right:
+            return 1
+        p, q = len(left), len(right)
+        return min(_compositions_with_parts(n, max(p, q), p + q),
+                   _compositions_with_parts_at_most(n, max(left) + max(right)))
 
     def coproduct_key(self, comp):
         return LinComb.trusted({(comp[:i], comp[i:]): 1 for i in range(len(comp) + 1)})
@@ -141,7 +247,7 @@ class NoncommutativeSymmetricFunctions(_PartLists):
         return _power_of_two(sum(comp) - len(comp))
 
 
-class SymmetricFunctions(_PartLists):
+class SymmetricFunctions(_PricedProducts):
     """Monomial-basis symmetric functions (partition-indexed)."""
 
     name = "sym"
@@ -155,6 +261,18 @@ class SymmetricFunctions(_PartLists):
         m_nu counts the pairs of rearrangements of lam and mu, each padded
         with zeros, that add up to nu."""
         return LinComb(_column_sums(lam, mu))
+
+    def degree_terms(self, n):
+        """The partitions of n, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        return _partitions_at_most(n, n)
+
+    def pair_terms(self, lam, mu, n):
+        """A bound on the terms of m_lam m_mu, of degree n: a term has at
+        most len(lam) + len(mu) parts, and no part above lam_1 + mu_1."""
+        if not lam or not mu:
+            return 1
+        return min(_partitions_at_most(n, len(lam) + len(mu)),
+                   _partitions_at_most(n, lam[0] + mu[0]))
 
     def coproduct_key(self, lam):
         """Each distinct ordered splitting of the part multiset, once."""
@@ -186,34 +304,31 @@ def _column_sums(lam, mu):
     places of v in r_v! / (product of their multiplicities' factorials)
     ways."""
     partners = Counter(mu)
-    values = list(Counter(lam).items())
+    # the partial multisets: (the column sums so far, the product of the
+    # factorials of the columns' multiplicities, the parts of mu left)
+    states = [((), 1, tuple(partners.values()))]
+    for a, m in Counter(lam).items():
+        grown = []
+        for sums, ties, free in states:
+            # how many of the m parts a fuse with each part value of mu
+            takes = [()]
+            for f in free:
+                takes = [t + (k,) for t in takes for k in range(min(f, m - sum(t)) + 1)]
+            for t in takes:
+                alone = m - sum(t)
+                more = sums + (a,) * alone
+                for b, k in zip(partners, t):
+                    more += (a + b,) * k
+                grown.append((more, ties * factorial(alone) * prod(map(factorial, t)),
+                              tuple(map(sub, free, t))))
+        states = grown
     out = []
-
-    def fuse(i, sums, ties, free):
-        # sums: the column sums so far; ties: the product of the factorials
-        # of the columns' multiplicities; free: parts of mu left
-        if i == len(values):
-            for b, f in zip(partners, free):
-                sums += (b,) * f
-                ties *= factorial(f)
-            layouts = prod(map(factorial, Counter(sums).values()))
-            out.append((tuple(sorted(sums, reverse=True)), layouts // ties))
-            return
-        a, m = values[i]
-        # how many of the m parts a fuse with each part value of mu
-        takes = [()]
-        for f in free:
-            takes = [t + (k,) for t in takes for k in range(min(f, m - sum(t)) + 1)]
-        for t in takes:
-            alone = m - sum(t)
-            more = sums + (a,) * alone
-            for b, k in zip(partners, t):
-                more += (a + b,) * k
-            fuse(i + 1, more, ties * factorial(alone) * prod(map(factorial, t)),
-                 tuple(map(sub, free, t)))
-
-    fuse(0, (), 1, tuple(partners.values()))
-    del fuse  # it refers to itself: unbind it, so that no cycle is left
+    for sums, ties, free in states:
+        for b, f in zip(partners, free):
+            sums += (b,) * f
+            ties *= factorial(f)
+        layouts = prod(map(factorial, Counter(sums).values()))
+        out.append((tuple(sorted(sums, reverse=True)), layouts // ties))
     return out
 
 
@@ -305,6 +420,39 @@ def _set_partitions(k):
     return min(bell[-1], COUNT_LIMIT + 1)
 
 
+@memo
+def _compositions_with_parts(n, lo, hi):
+    """The compositions of n into between lo and hi parts, the sum of
+    C(n - 1, k - 1) over k, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
+    the sum stops once it passes the limit."""
+    if not n:
+        return int(lo <= 0)
+    count = 0
+    for k in range(max(lo, 1), min(hi, n) + 1):
+        count += comb(n - 1, k - 1)
+        if count > COUNT_LIMIT:
+            return COUNT_LIMIT + 1
+    return count
+
+
+@memo
+def _compositions_with_parts_at_most(n, m):
+    """The compositions of n into parts of at most m >= 2, or
+    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: the count of each j <= n is
+    the sum of the last m counts, and they never fall, so the walk stops
+    once one passes the limit."""
+    if m >= n:
+        return _power_of_two(n - 1) if n else 1
+    counts = [1]
+    window = 1  # the sum of the last m counts
+    for j in range(1, n + 1):
+        counts.append(window)
+        if window > COUNT_LIMIT:
+            return COUNT_LIMIT + 1
+        window += window - (counts[j - m] if j >= m else 0)
+    return counts[n]
+
+
 QSYM = QuasiSymmetricFunctions()
 NSYM = NoncommutativeSymmetricFunctions()
 SYM = SymmetricFunctions()
@@ -339,9 +487,12 @@ def e(k: int) -> LinComb:
 
 
 def h(k: int) -> LinComb:
-    """Complete homogeneous symmetric function: sum of all degree-k monomials."""
+    """Complete homogeneous symmetric function: sum of all degree-k
+    monomials, refused before any is made when there are more than
+    ``TERM_CAP``."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    check_terms(f"h{k}", _partitions_at_most(k, k))
     return LinComb((lam, 1) for lam in partitions_of(k))
 
 
@@ -356,24 +507,47 @@ def _conjugate(lam):
     return tuple(sum(1 for part in lam if part > i) for i in range(max(lam, default=0)))
 
 
-@memo
+_E_TO_M = memo_table()
+_M_TO_E = memo_table()
+
+
 def e_to_m_row(comp) -> LinComb:
-    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition; the
-    product starts from e_{i_1}, not from 1."""
-    if len(comp) <= 1:
-        return e(sum(comp))
-    return SYM.product(e_to_m_row(comp[:-1]), e(comp[-1]))
+    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition, filled
+    over its prefixes, each the last times one more e_k by the unpriced key
+    products: the callers price the row."""
+    return prefix_fold(comp, _E_TO_M, SYM.one, _times_e)
 
 
-@memo
+def _times_e(row, k):
+    return LinComb.bilinear(row, e(k), SYM._pk)
+
+
 def m_to_e_row(lam) -> LinComb:
     """m_lam in the elementary basis, by integer back-substitution:
     e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
-    visited."""
+    visited, filled from an explicit stack (``foundations.bottom_up``).
+    Refused before any row is made when its terms may pass ``TERM_CAP``:
+    they are e_nu with nu at or above lam' in dominance order, so nu has at
+    most lam_1 parts."""
+    row = _M_TO_E.get(lam)
+    if row is None:
+        check_terms(f"{SYM.key_str(lam)} in the elementary basis",
+                    _partitions_at_most(sum(lam), lam[0] if lam else 0))
+        row = bottom_up(lam, _M_TO_E, _m_lower, _m_to_e_value)
+    return row
+
+
+def _m_lower(lam):
+    """The partitions whose rows that of lam reads: the terms of e_{lam'}
+    other than m_lam."""
+    return [mu for mu in e_to_m_row(_conjugate(lam)) if mu != lam]
+
+
+def _m_to_e_value(lam):
     conj = _conjugate(lam)
     lower = e_to_m_row(conj).filter_keys(lambda mu: mu != lam)
-    return LinComb.single(conj) - lower.apply_linear(m_to_e_row)
+    return LinComb.single(conj) - lower.apply_linear(_M_TO_E.__getitem__)
 
 
 def m_to_e(a: LinComb) -> LinComb:

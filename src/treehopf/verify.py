@@ -817,7 +817,7 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
         ("alternating tree elements are divided powers", "n",
          lambda n: _divided_powers(KT, epsilon, n)),
         ("alternating elements are the signed antipode images", "n",
-         lambda n: epsilon(n) == (-1) ** n * KT.antipode(kappa(n))),
+         lambda n: epsilon(n) == (-1) ** n * kappa(n).apply_linear(KT.antipode_key)),
         # epsilon returns the corolla over n!: that it is the alternating
         # convolution inverse of kappa, which defines epsilon, proves the row
         # by induction on n

@@ -12,10 +12,13 @@ import pytest
 import treehopf
 import treehopf.cli
 import treehopf.hopf_rooted
-from treehopf.cli import CHAIN_CAP, TERM_CAP, build_parser, main, parse_element
+import treehopf.symfun
+from treehopf.cli import CHAIN_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb, clear_caches
 from treehopf.trees import rooted_from_string as rt, Forest
+from treehopf.hopf import TERM_CAP
 from treehopf.hopf_rooted import GRAFT_CAP, KT, GraftingAlgebra
+from treehopf.morphisms import Z
 
 
 def run(capsys, *argv):
@@ -255,18 +258,19 @@ def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monke
                           f"partitions have up to {CHAIN_CAP + 1:,} parts"),
     ("e100000000", "e100000000 exceeds the index cap"),
     (f"h{CHAIN_CAP + 1}", f"h{CHAIN_CAP + 1} exceeds the index cap {CHAIN_CAP}"),
-    ("h46", f"h46 has 105,558 terms, more than the cap {TERM_CAP:,}"),
-    ("h99", "h99 has 169,229,875 terms"),
+    ("h46", f"h46 would have up to 105,558 terms; the cap is {TERM_CAP:,}"),
+    ("h99", "h99 would have up to 169,229,875 terms"),
 ])
 def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypatch, text,
                                                               message):
-    # e<k> is one partition of k parts, h<k> sums over all p(k) partitions of k
-    def build(k):
+    # e<k> is one partition of k parts, h<k> sums over all p(k) partitions
+    # of k: the cli refuses an index above its cap, and h its p(k) terms
+    def build(*args):
         raise AssertionError("the shorthand was built")
 
     with monkeypatch.context() as patch:
         patch.setattr(treehopf.cli, "e", build)
-        patch.setattr(treehopf.cli, "h", build)
+        patch.setattr(treehopf.symfun, "partitions_of", build)
         code, out, err = run(capsys, "counit", "--algebra", "sym", text)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
@@ -362,9 +366,11 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
     ("E(8,8)", "E(8,8,8)", "this product would graft 145,190,817 attachment choices"),
 ])
 def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, element, message):
-    # Z multiplies the epsilons of the parts in turn: every product but the
-    # last is below the cap, and is computed before grafting is forbidden
+    # Z multiplies the epsilons of the parts in turn, and its term bound
+    # refuses the element before any graft; its last product, computed
+    # from the image of the warm prefix, meets the graft budget
     assert run(capsys, "map", "--name", "Z", warm)[0] == 0
+    last = parse_element(f"E({element[2:-1].rsplit(',', 1)[1]})", "nsym")
 
     def graft(*args):
         raise AssertionError("a tree was grafted")
@@ -372,9 +378,13 @@ def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, elemen
     with monkeypatch.context() as patch:
         patch.setattr(GraftingAlgebra, "graft", graft)
         code, out, err = run(capsys, "map", "--name", "Z", element)
+        with pytest.raises(ValueError) as refusal:
+            KT.product(Z(parse_element(warm, "nsym")), Z(last))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {message}")
+    assert err.startswith("error: this image under Z would have ")
+    assert err.endswith(f" terms; the cap is {TERM_CAP:,}\n")
     assert len(err.splitlines()) == 1
+    assert str(refusal.value).startswith(message)
 
 
 def test_grafting_antipode_meets_the_graft_budget(capsys, monkeypatch):
@@ -524,6 +534,52 @@ def test_the_deepest_tree_runs_every_command_under_a_low_recursion_limit():
             want = {"counit": "0\n", "antipode": f"-{'p' * (argv[2] == 'kp')}{chain}\n",
                     "pair": "1\n", "Zstar": ones, "kbar": ones}
             assert out == want.get(argv[0], want.get(argv[2], out)) and out.strip(), argv
+
+
+def _parts(letter, parts):
+    return "%s(%s)" % (letter, ",".join(map(str, parts)))
+
+
+# part lists of 500 parts or more through every command that walks one:
+# argv -> the exit code, and the stdout line count or the refusal's estimate
+_LONG_PART_LISTS = [
+    (["product", "--algebra", "qsym", _parts("M", [1] * 1000), "M(1)"], 0, 1001),
+    (["product", "--algebra", "qsym", "M(1)", _parts("M", [1] * 1000)], 0, 1001),
+    (["product", "--algebra", "sym", _parts("m", [1] * 1000), "m(1)"], 0, 2),
+    (["pair", "--kind", "sym", "--left", _parts("m", [1] * 990), "--right", "m(990)"], 0, 1),
+    (["map", "--name", "phi", _parts("m", [1] * 990)], 0, 1),
+    (["map", "--name", "tau", "E(990)"], 0, 1),
+    (["map", "--name", "Z", "E(990)"], 0, 1),
+    (["map", "--name", "Z", _parts("E", [1] * 500)], 2, "more than 1,000,000,000"),
+    (["map", "--name", "tau", _parts("E", [1] * 500)], 2, "more than 1,000,000,000"),
+    (["map", "--name", "phi", "p500"], 2, "more than 1,000,000,000"),
+    (["pair", "--kind", "sym", "--left", "m(500)", "--right", "m(500)"], 2,
+     "more than 1,000,000,000"),
+    (["product", "--algebra", "qsym", _parts("M", [1] * 500), _parts("M", [1] * 500)], 2,
+     "more than 1,000,000,000"),
+    (["product", "--algebra", "sym", _parts("m", range(1000, 0, -1)), "m(1)"], 2,
+     "more than 1,000,000,000"),
+    (["map", "--name", "Zstar", "l500 l500"], 2, "more than 1,000,000,000"),
+    (["map", "--name", "kbar", "l500 l500"], 2, "more than 1,000,000,000"),
+]
+
+
+def test_long_part_lists_run_every_command_under_a_low_recursion_limit():
+    # every walk along a part list is a loop or a fill from an explicit
+    # stack, so each run answers or refuses with an estimate, whatever the
+    # recursion limit
+    runs = [argv for argv, _, _ in _LONG_PART_LISTS]
+    done = subprocess.run([sys.executable, "-c", _RUN_UNDER_A_LOW_LIMIT, json.dumps(runs)],
+                          capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    for (argv, code, want), (got, out, err) in zip(_LONG_PART_LISTS, json.loads(done.stdout)):
+        if code == 0:
+            assert (got, err) == (0, ""), argv[:3]
+            assert len(out.split(" + ")) == want, argv[:3]
+        else:
+            assert (got, out) == (2, ""), argv[:3]
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, argv[:3]
+            assert err.endswith(f" would have {want} terms; the cap is {TERM_CAP:,}\n"), argv[:3]
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -150,7 +150,8 @@ def test_clear_caches_empties_every_registered_cache():
 
     registered = {id(clear.__self__) for clear in foundations._CLEARS}
     for cache in (KT._prod_memo, SYM._antipode_memo, trees.enumerate_rooted,
-                  trees._FIBER, symfun.e_to_m_row, morphisms._ZSTAR_MEMO):
+                  trees._FIBER, symfun._E_TO_M, symfun._M_TO_E, morphisms._Z_MEMO,
+                  morphisms._ZSTAR_MEMO, morphisms._HEIGHT):
         assert id(cache) in registered
 
     first = [run_suite(name, 3).to_dict() for name in SUITE_NAMES]

@@ -8,7 +8,7 @@ import pytest
 
 import treehopf.morphisms
 from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
-from treehopf.hopf import TERM_CAP, tensor_map
+from treehopf.hopf import COUNT_LIMIT, TERM_CAP, tensor_map
 from treehopf.hopf_rooted import KT, HK, epsilon, kappa
 from treehopf.hopf_planar import HF, KP
 from treehopf.symfun import NSYM, QSYM, SYM, _partitions_at_most, e, h, include_sym
@@ -20,6 +20,8 @@ from treehopf.morphisms import (
     _KBAR_MEMO,
     _LEAF_STRIPS,
     _ZSTAR_MEMO,
+    _level_terms,
+    _z_terms,
     Z_star,
     kbar,
     phi,
@@ -151,6 +153,50 @@ def test_Z_on_generators():
     assert Z(s((1, 1))) == KT.product(epsilon(1), epsilon(1))
     assert Z(s((1, 1))) == s(rt("[[[]]]")) + s(rt("[[][]]"))
     assert Z(s((2, 1))) == KT.product(epsilon(2), epsilon(1))
+
+
+def test_Z_term_bound_is_never_below_the_count_and_exact_on_generators():
+    for n in range(9):
+        for comp in compositions_of(n):
+            assert _z_terms(comp) >= len(Z(s(comp))), comp
+    for n in range(40):
+        assert _z_terms((n,) if n else ()) == 1
+    # two 10-leaf corollas graft in C(20, 10) ways, and 500 parts of 1 pass
+    # the limit
+    assert _z_terms((10, 10)) == 184_756
+    assert _z_terms((1,) * 500) == _z_terms((10**9, 10**9)) == COUNT_LIMIT + 1
+
+
+def test_level_term_bound_is_never_below_the_count_through_degree_8():
+    # a term of Z_star(f) or kbar(f) is a composition of |f| into at least
+    # as many parts as the longest path from a root to a leaf has vertices
+    for n in range(9):
+        for f in forests_of_degree(n):
+            assert _level_terms(f) >= len(Z_star(s(f))), f
+    assert _level_terms(forest(ladder(1000).encoding)) == 1
+    assert _level_terms(Forest([rt("[]")] * 990)) == COUNT_LIMIT + 1
+    # the 17-leaf corolla's root comes last, alone: 2^16 terms, as its leaves
+    assert _level_terms(forest("[" + "[]" * 17 + "]")) == 2**16
+
+
+@pytest.mark.parametrize("name, fn, key_rule, element, text", [
+    ("Z", Z, "_z_key", s((1,) * 500), "more than 1,000,000,000"),
+    ("Z", Z, "_z_key", s((10, 10)), "up to 184,756"),
+    ("Zstar", Z_star, "_zstar_key", s(forest(ladder(500).encoding, ladder(500).encoding)),
+     "more than 1,000,000,000"),
+    ("kbar", kbar, "_kbar_forest", s(Forest([rt("[]")] * 990)), "more than 1,000,000,000"),
+    ("kbar", kbar, "_kbar_forest", s(Forest([rt("[]")] * 18)), "up to 131,072"),
+], ids=["Z-1^500", "Z-10,10", "Zstar-l500-l500", "kbar-990-leaves", "kbar-18-leaves"])
+def test_images_above_the_term_cap_are_refused_before_any_term(name, fn, key_rule, element,
+                                                               text, monkeypatch):
+    def start(key):
+        raise AssertionError("a key's image was started")
+
+    monkeypatch.setattr(treehopf.morphisms, key_rule, start)
+    with pytest.raises(ValueError) as refusal:
+        fn(element)
+    assert str(refusal.value) == (f"this image under {name} would have {text} terms; "
+                                  f"the cap is {TERM_CAP:,}")
 
 
 def test_Z_star_values():

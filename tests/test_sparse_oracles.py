@@ -1647,6 +1647,41 @@ def test_sym_product_matches_the_qsym_round_trip_through_degree_9(fresh_caches):
                     assert SYM.product(s(lam), s(mu)) == want, (lam, mu)
 
 
+def quasi_shuffle_by_first_parts(left, right):
+    """M_left M_right by the first-part recursion, one Python call per
+    step and no memo: the first part of the left factor, of the right one,
+    or both fused, then the product of what is left.  ``QSYM.product_keys``
+    unrolls this recursion's chains and fills them from a stack."""
+    if not left or not right:
+        return s(left + right)
+    a, b = left[0], right[0]
+    return (quasi_shuffle_by_first_parts(left[1:], right).map_keys(lambda c: (a,) + c)
+            + quasi_shuffle_by_first_parts(left, right[1:]).map_keys(lambda c: (b,) + c)
+            + quasi_shuffle_by_first_parts(left[1:], right[1:]).map_keys(
+                lambda c: (a + b,) + c))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["true", "drops-a-term"])
+def test_quasi_shuffle_matches_the_first_part_recursion_through_degree_8(
+        broken, monkeypatch, fresh_caches):
+    if broken:
+        fill = type(QSYM)._quasi_shuffle.__get__(QSYM)
+
+        def drops_a_term(left, right):
+            out = fill(left, right)  # or the products it still needs
+            if isinstance(out, LinComb) and len(out) > 1:
+                return LinComb(list(out.items())[:-1])
+            return out
+
+        monkeypatch.setitem(vars(QSYM), "_quasi_shuffle", drops_a_term)
+    pairs = [pair for n in range(9) for pair in _key_pairs(QSYM.basis, n)]
+    # and past the 16 parts on which it takes one step, unrolling either factor
+    pairs += [((1,) * 12, (1, 2, 1)), ((2, 1, 3), (1,) * 12), ((3, 1, 4, 1, 5), (9, 2, 6, 5)),
+              ((1,) * 17, (1, 1, 1)), ((2, 1), (1, 2) * 10), ((1,) * 20, (2, 3))]
+    wrong = [pair for pair in pairs if QSYM._pk(*pair) != quasi_shuffle_by_first_parts(*pair)]
+    assert bool(wrong) == broken
+
+
 def _key_pairs_through(alg, degree):
     """Every pair of trees of ``alg`` whose degrees sum to at most ``degree``."""
     return [pair for n in range(degree + 1) for pair in _key_pairs(alg.basis, n)]

@@ -2,9 +2,13 @@
 
 import random
 import re
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
+
+import treehopf.symfun
 
 from treehopf.foundations import (
     LinComb,
@@ -13,10 +17,12 @@ from treehopf.foundations import (
     pi_forget,
     rearrangements,
 )
+from treehopf.hopf import COUNT_LIMIT, TERM_CAP
 from treehopf.symfun import (
     NSYM,
     QSYM,
     SYM,
+    _partitions_at_most,
     alpha_minus,
     alpha_minus_dual,
     alpha_plus,
@@ -27,6 +33,7 @@ from treehopf.symfun import (
     h,
     include_sym,
     m_to_e,
+    m_to_e_row,
     p,
 )
 
@@ -229,6 +236,96 @@ def test_antipode_term_counts_bound_the_terms_through_degree_9(alg):
             assert bound >= terms, key
             if alg is not SYM or key == (1,) * n:
                 assert bound == terms, key
+
+
+@pytest.mark.parametrize("alg", [SYM, QSYM], ids=lambda alg: alg.name)
+def test_product_term_bounds_are_never_below_the_count_through_degree_8(alg):
+    # pair_terms bounds each key product, and degree_terms every product of
+    # its degree; both never fall below the count
+    for n in range(9):
+        assert alg.degree_terms(n) == len(alg.basis(n))
+        for i in range(n + 1):
+            for k1 in alg.basis(i):
+                for k2 in alg.basis(n - i):
+                    terms = len(alg._pk(k1, k2))
+                    assert alg.pair_terms(k1, k2, n) >= terms, (k1, k2)
+                    assert alg.product_terms(s(k1), s(k2)) >= terms, (k1, k2)
+
+
+def test_products_within_the_degree_caps_price_no_pair(monkeypatch):
+    # the compositions of 17 are 2^16 = 65,536 and the partitions of 45 are
+    # 89,134, both within the cap: no key pair is priced
+    def price(*args):
+        raise AssertionError("a pair was priced")
+
+    for alg, n in ((QSYM, 17), (SYM, 45)):
+        monkeypatch.setitem(vars(alg), "pair_terms", price)
+        x = LinComb([(key, 1) for key in alg.basis(n // 2)[:20]])
+        y = LinComb([(key, 1) for key in alg.basis(n - n // 2)[:20]])
+        assert alg.product_terms(x, y) == len(alg.basis(n)) <= TERM_CAP
+    # above them the pairs are priced: a term of M(1^1000) M(1) has 1000 or
+    # 1001 parts, as many as its 1,001 terms, and one of m(1^1000) m(1) has
+    # parts of at most 2
+    monkeypatch.undo()
+    assert QSYM.product_terms(s((1,) * 1000), s((1,))) == 1001
+    assert SYM.product_terms(s((1,) * 1000), s((1,))) == 501
+    assert QSYM.product_terms(s((1,) * 500), s((1,) * 500)) == COUNT_LIMIT + 1
+
+
+@pytest.mark.parametrize("alg, left, right", [
+    (QSYM, (1,) * 500, (1,) * 500),
+    (QSYM, (1,) * 30, (1,) * 30),
+    (SYM, tuple(range(1000, 0, -1)), (1,)),
+], ids=["qsym-1^500", "qsym-1^30", "sym-1000..1"])
+def test_products_above_the_term_cap_are_refused_before_any_term(alg, left, right,
+                                                                  monkeypatch):
+    def start(*args):
+        raise AssertionError("a key product was started")
+
+    monkeypatch.setitem(vars(alg), "product_keys", start)
+    with pytest.raises(ValueError) as refusal:
+        alg.product(s(left), s(right))
+    assert str(refusal.value) == (f"this product would have more than {COUNT_LIMIT:,} terms; "
+                                  f"the cap is {TERM_CAP:,}")
+
+
+def test_long_part_lists_leave_the_recursion_limit_alone():
+    # the quasi-shuffle fills its suffix pairs, and the sym product walks
+    # the part values of its left factor, from loops: 300 parts run within
+    # 50 frames above this test's own
+    n, limit = 300, sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        ones = QSYM._pk((1,) * n, (1,))
+        reversed_ones = QSYM._pk((1,), (1,) * n)
+        parts = tuple(range(n, 0, -1))
+        distinct = SYM._pk(parts, (1,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(ones) == n + 1 and ones[(1,) * (n + 1)] == n + 1 and reversed_ones == ones
+    assert len(distinct) == n + 1
+    assert distinct[parts + (1,)] == 2 and distinct[(n + 1,) + parts[1:]] == 1
+
+
+def test_m_to_e_rows_are_priced_by_their_largest_part():
+    # a term e_nu of m_lam has nu at or above lam' in dominance order, so at
+    # most lam_1 parts
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert _partitions_at_most(n, lam[0] if lam else 0) >= len(m_to_e_row(lam)), lam
+    assert m_to_e_row((1,) * 990) == s((990,))
+
+
+def test_m_to_e_rows_above_the_term_cap_are_refused_before_any_row(monkeypatch):
+    def row(comp):
+        raise AssertionError("a row was made")
+
+    monkeypatch.setattr(treehopf.symfun, "e_to_m_row", row)
+    for lam, text in (((46,), "up to 105,558"), ((500,), f"more than {COUNT_LIMIT:,}")):
+        with pytest.raises(ValueError) as refusal:
+            m_to_e_row(lam)
+        assert str(refusal.value) == (f"m({lam[0]}) in the elementary basis would have {text} "
+                                      f"terms; the cap is {TERM_CAP:,}")
 
 
 def test_qsym_antipode_small():

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import treehopf.hopf
 import treehopf.verify
 from treehopf import HF, HK, KP, KT, NSYM, QSYM, SYM
 from treehopf.cli import main
 from treehopf.foundations import LinComb, clear_caches
+from treehopf.hopf_rooted import kappa
 from treehopf.morphisms import MAP_TABLE
 from treehopf.verify import (
     SUITE_NAMES,
@@ -166,6 +168,15 @@ def test_run_all_defaults():
     assert len(reports) == len(SUITE_NAMES)
     assert all(r.ok for r in reports)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
+
+
+def test_divided_powers_takes_no_priced_antipode(monkeypatch):
+    # S(kappa(n)) = (-1)^n epsilon(n) is one term, but the antipode bounds of
+    # kappa(8)'s keys add up to 13,409: the row takes S key by key, so the
+    # suite passes its cap under a term cap of 10,000
+    monkeypatch.setattr(treehopf.hopf, "TERM_CAP", 10_000)
+    assert sum(map(KT.antipode_terms, kappa(8))) == 13_409
+    assert run_suite("divided-powers", 8).ok
 
 
 # sha256 of each suite's JSON report at degree 3 (keys sorted)
