@@ -37,8 +37,12 @@ before any term is made.
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
 (a parse error, a cap, a suite bound, a library refusal) prints exactly one
-"error:" line on stderr;
-a command line that argparse rejects also exits 2, after its usage text.
+"error:" line on stderr.
+
+The command table ``_COMMANDS`` parses a plain command line in one pass
+(``_parse_plain``).  argparse, built from the same table, parses every
+other form, prints help and rejects a command line with exit 2, after its
+usage text.
 A command whose stdout is closed before it finishes writing exits 141, as
 if killed by SIGPIPE.
 """
@@ -490,8 +494,82 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _plain_table():
+    """subcommand -> (argparse's namespace before any argument, option name
+    -> spec, positional specs in order, required option names), a spec
+    being (dest, choices, type or None, whether it stores True).  It reads
+    the add_argument keywords that ``_COMMANDS`` uses: the oracle tests
+    compare the one-pass parse with argparse on every subcommand."""
+    table = {}
+    for command, (_, handler, before, after) in _COMMANDS.items():
+        values, options, positionals, required = {"command": command, "fn": handler}, {}, [], set()
+        for name, kw in before + [_FORMAT] + after:
+            flag = kw.get("action") == "store_true"
+            dest = name.lstrip("-").replace("-", "_")
+            spec = (dest, kw.get("choices"), kw.get("type"), flag)
+            if name[0] != "-":
+                positionals.append(spec)
+                continue
+            options[name] = spec
+            values[dest] = kw.get("default", False if flag else None)
+            if kw.get("required"):
+                required.add(name)
+        table[command] = (values, options, positionals, required)
+    return table
+
+
+_PLAIN = _plain_table()
+
+
+def _parse_plain(argv):
+    """argparse's namespace for a plain command line, parsed in one pass
+    from ``_COMMANDS``: a known subcommand, then options by their exact
+    names and positionals, every value valid and not starting with '-',
+    every required argument given and nothing left over.  None for any
+    other command line, which argparse parses: help, usage errors, and the
+    forms this pass does not take (an abbreviated option, --opt=value, --,
+    a value starting with '-', an int not written in ASCII digits)."""
+    entry = _PLAIN.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    values, options, positionals, required = entry
+    values, given, tokens, free = dict(values), set(), iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        if token[:1] == "-":
+            spec = options.get(token)
+            given.add(token)
+        else:
+            spec = next(free, None)
+        if spec is None:
+            return None
+        dest, choices, kind, flag = spec
+        if flag:
+            values[dest] = True
+            continue
+        if token[:1] == "-":  # an option, whose value is the next token
+            token = next(tokens, "-")
+            if token[:1] == "-":
+                return None
+        if kind is not None:
+            if not (token.isascii() and token.isdigit()):
+                return None
+            try:
+                token = kind(token)
+            except ValueError:  # more digits than the interpreter converts
+                return None
+        if choices is not None and token not in choices:
+            return None
+        values[dest] = token
+    if not required <= given or next(free, None) is not None:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -196,12 +196,14 @@ class QuasiSymmetricFunctions(_PricedProducts):
     def pair_terms(self, left, right, n):
         """A bound on the terms of M_left M_right, of degree n: a term has
         at least as many parts as the longer factor and at most as many as
-        both, and no part above the sum of their largest parts."""
+        both, and no part above the sum of their largest parts; and there
+        are no more terms than quasi-shuffles."""
         if not left or not right:
             return 1
         p, q = len(left), len(right)
         return min(_compositions_with_parts(n, max(p, q), p + q),
-                   _compositions_with_parts_at_most(n, max(left) + max(right)))
+                   _compositions_with_parts_at_most(n, max(left) + max(right)),
+                   _quasi_shuffles(p, q))
 
     def coproduct_key(self, comp):
         return LinComb.trusted({(comp[:i], comp[i:]): 1 for i in range(len(comp) + 1)})
@@ -418,6 +420,17 @@ def _set_partitions(k):
     while len(bell) <= k and bell[-1] <= COUNT_LIMIT:
         bell.append(sum(comb(len(bell) - 1, i) * b for i, b in enumerate(bell)))
     return min(bell[-1], COUNT_LIMIT + 1)
+
+
+def _quasi_shuffles(p, q):
+    """The quasi-shuffles of a p-part list with a q-part list, the Delannoy
+    number D(p, q) = sum of C(p, k) C(q, k) 2^k over k, or ``COUNT_LIMIT +
+    1`` above ``COUNT_LIMIT``: D(p, q) >= 2^min(p, q), so it is summed only
+    while min(p, q) is below the limit's bit length."""
+    k = min(p, q)
+    if k >= COUNT_LIMIT.bit_length():
+        return COUNT_LIMIT + 1
+    return min(sum(comb(p, i) * comb(q, i) << i for i in range(k + 1)), COUNT_LIMIT + 1)
 
 
 @memo

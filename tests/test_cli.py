@@ -1,5 +1,9 @@
 """Command-line behavior: grammar, output formats, exit codes."""
 
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -10,7 +14,7 @@ import sys
 import pytest
 
 import treehopf
-import treehopf.cli
+import treehopf.cli as cli
 import treehopf.hopf_rooted
 import treehopf.symfun
 from treehopf.cli import CHAIN_CAP, build_parser, main, parse_element
@@ -239,8 +243,8 @@ def test_chain_literal_above_the_cap_is_refused_before_it_is_built(capsys, monke
         raise AssertionError("the chain was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(treehopf.cli, "ladder", build)
-        patch.setattr(treehopf.cli, "_parse_tree", build)
+        patch.setattr(cli, "ladder", build)
+        patch.setattr(cli, "_parse_tree", build)
         code, out, err = run(capsys, "counit", "--algebra", "kt", f"l{CHAIN_CAP + 1}")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: chain length {CHAIN_CAP + 1} exceeds the cap {CHAIN_CAP}")
@@ -269,7 +273,7 @@ def test_shorthand_above_its_cap_is_refused_before_it_is_built(capsys, monkeypat
         raise AssertionError("the shorthand was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(treehopf.cli, "e", build)
+        patch.setattr(cli, "e", build)
         patch.setattr(treehopf.symfun, "partitions_of", build)
         code, out, err = run(capsys, "counit", "--algebra", "sym", text)
     assert (code, out) == (2, "")
@@ -298,7 +302,7 @@ def test_antipode_above_the_term_cap_is_refused_before_it_starts(capsys, monkeyp
     # into at most len(lam) parts (p(48) less the two with more than 46
     # parts above), or the set partitions of its parts if fewer; for a
     # ck or hf forest at most 2^(edges), one term per set of edges cut
-    alg = treehopf.cli.ALGEBRAS[algebra]
+    alg = cli.ALGEBRAS[algebra]
 
     def start(key):
         raise AssertionError("the antipode was started")
@@ -545,6 +549,7 @@ def _parts(letter, parts):
 _LONG_PART_LISTS = [
     (["product", "--algebra", "qsym", _parts("M", [1] * 1000), "M(1)"], 0, 1001),
     (["product", "--algebra", "qsym", "M(1)", _parts("M", [1] * 1000)], 0, 1001),
+    (["product", "--algebra", "qsym", "M(1000000)", "M(1)"], 0, 3),
     (["product", "--algebra", "sym", _parts("m", [1] * 1000), "m(1)"], 0, 2),
     (["pair", "--kind", "sym", "--left", _parts("m", [1] * 990), "--right", "m(990)"], 0, 1),
     (["map", "--name", "phi", _parts("m", [1] * 990)], 0, 1),
@@ -702,6 +707,155 @@ def test_the_parser_is_built_once_and_keeps_nothing_between_command_lines(capsys
     assert run(capsys, "counit", "--algebra", "kt", "[]", "--format", "json") == (
         0, '{\n  "value": "1"\n}\n', "")
     assert run(capsys, "counit", "--algebra", "kt", "[]") == (0, "1\n", "")
+
+
+# ------------------------------------------- the one-pass table parse
+
+def _goldens_pool():
+    """Every argv of the benchmark's ``queries`` pool, from ``perfbench/gen.py``
+    loaded by path: it imports nothing from treehopf."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.pool()
+
+
+def _disagreement(argv):
+    """How ``cli._parse_plain`` and argparse, the reference, differ on argv,
+    or None: the table parse may decline anything, but what it answers
+    argparse answers with the same namespace."""
+    got = cli._parse_plain(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = build_parser().parse_args(argv)
+    except SystemExit:
+        want = None
+    if got is None or (want is not None and vars(got) == vars(want)):
+        return None
+    return f"{argv}: table {vars(got)}, argparse {want and vars(want)}"
+
+
+# tokens a plain command line holds nowhere, or only in some places
+_ODD_TOKENS = ["--", "-h", "--help", "-", "-3", "-x", " -x", " 3", "", " ", "+3", "1_0",
+               "\u0663", "\u00b2", "nosuch", "json", "[]"]
+_VALUES = ("[]", "[[]]", "l3", "M(2,1)", "m(1)", "E(1)", "1/2*[]", "p[[]]")
+# ASCII digits, the last more than int() converts by default
+_DIGITS = ("0", "3", "12", "1" * 5000)
+
+
+def _drawn_command_lines():
+    """Token lists near the plain grammar: each subcommand's arguments with
+    values from its choices, its int digits or element texts, one in six
+    an odd token or an option name instead, and one in six required
+    options left out, in a drawn order; then up to
+    three tokens inserted, replaced or deleted, drawn from those and the
+    subcommand's option abbreviations and --opt=value forms."""
+    st = pytest.importorskip("hypothesis").strategies
+    names = sorted({name for _, _, before, after in cli._COMMANDS.values()
+                    for name, _ in before + after if name[0] == "-"} | {"--format"})
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+        _, _, before, after = cli._COMMANDS[command]
+        odd = _ODD_TOKENS + names + sorted(cli._COMMANDS)
+        segments = []
+        for name, kw in before + [cli._FORMAT] + after:
+            valid = kw.get("choices") or (_DIGITS if "type" in kw else _VALUES)
+            value = draw(st.sampled_from(valid if draw(st.integers(0, 5)) else odd))
+            if name[0] != "-":
+                segments.append([value])
+                continue
+            odd += [name[:k] for k in range(3, len(name))] + [f"{name}={value}"]
+            if draw(st.integers(0, 5) if kw.get("required") else st.booleans()):
+                segments.append([name] if "action" in kw else [name, value])
+        argv = [command] + [token for seg in draw(st.permutations(segments)) for token in seg]
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(argv)))
+            how, token = draw(st.sampled_from(("insert", "replace", "delete"))), draw(st.sampled_from(odd))
+            if how == "insert":
+                argv.insert(i, token)
+            elif i < len(argv):
+                argv[i:i + 1] = [token] if how == "replace" else []
+        return argv
+
+    return argvs()
+
+
+def _check_drawn_command_lines():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @hypothesis.given(_drawn_command_lines())
+    def check(argv):
+        assert _disagreement(argv) is None
+
+    check()
+
+
+def test_table_parse_gives_argparse_namespace_on_the_goldens_pool():
+    pool = _goldens_pool()
+    assert [argv for argv in pool if _disagreement(argv)] == []
+    # all but the one invalid choice are plain
+    assert [argv for argv in pool if cli._parse_plain(argv) is None] == [
+        ["product", "--algebra", "nosuch", "[]", "[]"]]
+
+
+def test_table_parse_gives_argparse_namespace_on_drawn_token_lists():
+    _check_drawn_command_lines()
+
+
+def test_a_table_parse_that_skips_choices_fails_the_oracle(monkeypatch):
+    broken = {command: (values, {name: (dest, None, kind, flag)
+                                 for name, (dest, _, kind, flag) in options.items()},
+                        positionals, required)
+              for command, (values, options, positionals, required) in cli._PLAIN.items()}
+    monkeypatch.setattr(cli, "_PLAIN", broken)
+    assert _disagreement(["product", "--algebra", "nosuch", "[]", "[]"])
+    with pytest.raises(AssertionError):
+        _check_drawn_command_lines()
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "-h"] for command in cli._COMMANDS],
+                         ids=lambda argv: argv[0])
+def test_help_is_argparse_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    parser = build_parser() if argv == ["--help"] else _subparsers()[argv[0]]
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["product", "--algebra", "nosuch", "[]", "[]"], "invalid choice: 'nosuch'"),
+    (["counit", "[]"], "the following arguments are required: --algebra"),
+    (["counit", "--algebra", "kt", "[]", "extra"], "unrecognized arguments: extra"),
+], ids=["invalid-choice", "missing-required", "unrecognized"])
+def test_usage_errors_are_argparse_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as reference:
+        build_parser().parse_args(argv)
+    assert (exc.value.code, out) == (reference.value.code, "") == (2, "")
+    assert err == capsys.readouterr().err
+    assert err.startswith("usage: treehopf ") and message in err
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["counit", "--alg", "kt", "[]"], ["counit", "--algebra", "kt", "[]"]),
+    (["product", "--algebra", "kt", "--format=json", "[]", "[[]]"],
+     ["product", "--algebra", "kt", "--format", "json", "[]", "[[]]"]),
+], ids=["abbreviation", "equals"])
+def test_forms_left_to_argparse_answer_as_the_plain_ones(capsys, argv, plain):
+    assert cli._parse_plain(argv) is None and cli._parse_plain(plain) is not None
+    assert run(capsys, *argv) == run(capsys, *plain)
 
 
 # The exact JSON document of each subcommand on the README inputs.

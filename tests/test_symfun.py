@@ -270,6 +270,8 @@ def test_products_within_the_degree_caps_price_no_pair(monkeypatch):
     assert QSYM.product_terms(s((1,) * 1000), s((1,))) == 1001
     assert SYM.product_terms(s((1,) * 1000), s((1,))) == 501
     assert QSYM.product_terms(s((1,) * 500), s((1,) * 500)) == COUNT_LIMIT + 1
+    # and there are no more terms than quasi-shuffles: D(1, 1) = 3
+    assert QSYM.product_terms(s((1_000_000,)), s((1,))) == 3
 
 
 @pytest.mark.parametrize("alg, left, right", [
