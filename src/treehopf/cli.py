@@ -566,7 +566,8 @@ def _parse_plain(argv):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)

@@ -745,12 +745,12 @@ _DIGITS = ("0", "3", "12", "1" * 5000)
 
 
 def _drawn_command_lines():
-    """Token lists near the plain grammar: each subcommand's arguments with
-    values from its choices, its int digits or element texts, one in six
-    an odd token or an option name instead, and one in six required
-    options left out, in a drawn order; then up to
-    three tokens inserted, replaced or deleted, drawn from those and the
-    subcommand's option abbreviations and --opt=value forms."""
+    """Token lists near the plain grammar: a subcommand's arguments in a
+    drawn order, each value from its choices, its ints' digits or element
+    texts, now and then an odd token or an option name instead, and now
+    and then a required option left out; then up to three tokens inserted,
+    replaced or deleted, drawn from those and the subcommand's option
+    abbreviations and --opt=value forms."""
     st = pytest.importorskip("hypothesis").strategies
     names = sorted({name for _, _, before, after in cli._COMMANDS.values()
                     for name, _ in before + after if name[0] == "-"} | {"--format"})
@@ -843,7 +843,7 @@ def test_usage_errors_are_argparse_errors(capsys, argv, message):
     out, err = capsys.readouterr()
     with pytest.raises(SystemExit) as reference:
         build_parser().parse_args(argv)
-    assert (exc.value.code, out) == (reference.value.code, "") == (2, "")
+    assert (exc.value.code, reference.value.code, out) == (2, 2, "")
     assert err == capsys.readouterr().err
     assert err.startswith("usage: treehopf ") and message in err
 
