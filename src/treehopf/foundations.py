@@ -16,11 +16,16 @@ structure map is the linear extension of a rule on basis keys: a linear map
 is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product is
 ``bilinear``, and a key-level rule that already emits each key once hands
 its dict to ``trusted``, or its keys with repetitions to ``tally``, so no
-result is summed a second time.  Two loops do the summing: ``_sum``, and
-the copy of it inlined in ``apply_linear``, the hottest sum.  The sums
-compute no identity: a new key takes its term as it is, and a unit
-coefficient multiplies nothing, so no ``Fraction`` is built for 0 + x,
-1 * x or x * 1.
+result is summed a second time.  A composite map sums all its terms in one
+pass, with no LinComb built per term: ``scaled_sum`` takes a stream of
+scaled item streams (a convolution, a coassociativity side, a pairing row
+read through a coproduct index), and ``tensor_sum`` a stream of scaled
+tensor products c * (a ⊗ b) (``tensor_mult``, ``tensor_map``).  Three
+loops do the summing: ``_sum``, behind ``scaled_sum``, ``bilinear`` and
+the rest; the copy of it inlined in ``apply_linear``, the hottest sum; and
+``tensor_sum``'s, which forms each pair key inline.  The sums compute no
+identity: a new key takes its term as it is, and a unit coefficient
+multiplies nothing, so no ``Fraction`` is built for 0 + x, 1 * x or x * 1.
 
 The image of a basis key under an extension is a LinComb or a dict.  A
 dict image is copied (its zero coefficients pruned), never kept, since its
@@ -234,6 +239,14 @@ class LinComb:
         return LinComb.trusted(_whole(data) if fractions else data)
 
     @staticmethod
+    def scaled_sum(scaled):
+        """The sum of c * x over each (key, x) of ``items``, for each
+        (c, items) of ``scaled``: zeros pruned, and whole coefficients made
+        ``int``s if a c is a ``Fraction`` (``_sum``).  A caller that streams
+        the terms of several images here builds no LinComb per image."""
+        return LinComb.trusted(_sum(scaled))
+
+    @staticmethod
     def bilinear(a, b, image):
         """Bilinear extension: sum of c1 * c2 * image(k1, k2) over the terms
         of ``a`` and ``b``, with ``image``, its contract and whole
@@ -267,6 +280,41 @@ class LinComb:
             if type(c) is Fraction:
                 return LinComb.trusted(_whole(data))
         return LinComb.trusted(data)
+
+    @staticmethod
+    def tensor_sum(scaled):
+        """The sum of c * (a ⊗ b) for each (c, a, b) of ``scaled``, with a
+        and b LinCombs or dicts: keys become ordered pairs, zeros are
+        pruned, and whole ``Fraction`` coefficients come back as ``int``s.
+        Each product of three coefficients is taken as in ``_sum``, with no
+        product computed for a factor of 1, and no LinComb is built for a
+        single a ⊗ b."""
+        data = {}
+        get = data.get
+        for c, a, b in scaled:
+            b_items = b.items()
+            c_unit = c == 1
+            c_frac = type(c) is Fraction
+            for k1, x in a.items():
+                if not c_unit:
+                    x = (c if x == 1 else c * x) if c_frac else c * x
+                unit = x == 1
+                frac = type(x) is Fraction
+                for k2, y in b_items:
+                    if not unit:
+                        y = (x if y == 1 else x * y) if frac else x * y
+                    key = (k1, k2)
+                    cur = get(key)
+                    if cur is None:
+                        if y:
+                            data[key] = y
+                    else:
+                        cur += y
+                        if cur:
+                            data[key] = cur
+                        else:
+                            del data[key]
+        return LinComb.trusted(_whole(data))
 
     def __repr__(self):
         inside = ", ".join(f"{k!r}: {c}" for k, c in self._terms.items())

@@ -3,16 +3,18 @@
 Each concrete algebra supplies the combinatorics on basis keys (grading,
 basis enumeration, product and coproduct of keys, printing); this base class
 supplies the linear extensions, the counit, and the antipode.  Every
-extension is one of the two sums in ``LinComb``: the product and
-``tensor_mult`` are ``LinComb.bilinear`` over the memoized key products (the
-latter over the pairs of their terms), and the coproduct, the antipode and
-``tensor_map`` are ``apply_linear``.  HK, HF and NSYM are free: ``factors``
-splits a key into generators g_1...g_k, and the key's coproduct is the
-product of theirs and its antipode S(g_k)...S(g_1).  The antipode of any
-other key but the unit is the algebra's ``antipode_rule``.  Five algebras
-give it in closed form, each term once and with no cancellation: SYM and
-QSYM on every key, NSYM on E_n, HK and HF on one-tree forests.  KT and KP
-keep the default, the recursion that a one-dimensional degree-0 part
+extension is one of the sums in ``LinComb``: the product is
+``LinComb.bilinear`` over the memoized key products, the coproduct and the
+antipode are ``apply_linear``, and ``tensor_mult`` and ``tensor_map`` are
+one ``LinComb.tensor_sum`` each: of c d (p1 q1 ⊗ p2 q2) over the pairs of
+terms of two tensors, each key product read through ``_pk``, and of
+c (left(k1) ⊗ right(k2)) over the terms of one.  HK, HF and NSYM are free:
+``factors`` splits a key into generators g_1...g_k, and the key's coproduct
+is the product of theirs and its antipode S(g_k)...S(g_1).  The antipode of
+any other key but the unit is the algebra's ``antipode_rule``.  Five
+algebras give it in closed form, each term once and with no cancellation:
+SYM and QSYM on every key, NSYM on E_n, HK and HF on one-tree forests.  KT
+and KP keep the default, the recursion that a one-dimensional degree-0 part
 allows:
 
     S(1) = 1,   S(x) = -x - sum S(x') x''
@@ -54,15 +56,15 @@ def _power_of_two(k):
 
 
 @memo
-def _growing_count(count, n):
-    """``count(n)`` for a count of n >= 1 that grows with n, or
-    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: no count past the first
-    above the limit is computed.  Memoized, since an element's antipode
-    prices each of its keys."""
+def _growing_count(count, n, *args):
+    """``count(n, *args)`` for a count of n >= 1 that grows with n without
+    bound, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: no count past the
+    first above the limit is computed.  Memoized, since an element's
+    antipode prices each of its keys."""
     m = 1
-    while m < n and count(m) <= COUNT_LIMIT:
+    while m < n and count(m, *args) <= COUNT_LIMIT:
         m += 1
-    return min(count(m), COUNT_LIMIT + 1)
+    return min(count(m, *args), COUNT_LIMIT + 1)
 
 
 def check_terms(what, count):
@@ -253,18 +255,17 @@ def tensor_map(t: LinComb, left, right) -> LinComb:
 
     ``left`` and ``right`` send a basis key to a LinComb.
     """
-    return t.apply_linear(lambda pair: LinComb.tensor(left(pair[0]), right(pair[1])))
+    return LinComb.tensor_sum((c, left(k1), right(k2)) for (k1, k2), c in t.items())
 
 
 def tensor_mult(algebra: HopfAlgebra, t1: LinComb, t2: LinComb) -> LinComb:
-    """Componentwise product of two tensors over the same algebra."""
+    """Componentwise product of two tensors over the same algebra: the sum
+    of c d (p1 q1 ⊗ p2 q2) over the terms c (p1 ⊗ p2) of t1 and d (q1 ⊗ q2)
+    of t2, each key product read from the memo."""
     pk = algebra._pk
-
-    def image(p, q):
-        right = pk(p[1], q[1]).items()
-        return {(x, y): c * d for x, c in pk(p[0], q[0]).items() for y, d in right}
-
-    return LinComb.bilinear(t1, t2, image)
+    t2_items = t2.items()
+    return LinComb.tensor_sum((c * d, pk(p1, q1), pk(p2, q2))
+                              for (p1, p2), c in t1.items() for (q1, q2), d in t2_items)
 
 
 def swap_tensor(t: LinComb) -> LinComb:

@@ -41,7 +41,7 @@ from .trees import (
     is_ladder,
     ladder_forest,
     planar_fiber,
-    rooted_count,
+    rooted_count_by_levels,
     sym_order,
 )
 from .hopf import COUNT_LIMIT, TERM_CAP, _growing_count, check_terms
@@ -140,21 +140,24 @@ def Z(a: LinComb) -> LinComb:
 def _z_terms(comp):
     """An upper bound on the terms of Z(E_comp), exact on E_n, or
     ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``.  Its terms are trees of
-    |comp| + 1 vertices.  The first product grafts the a_1 leaves of
-    epsilon(a_1), all alike, onto the a_2 + 1 vertices of epsilon(a_2): a
-    multiset of places, one of C(a_1 + a_2, a_1).  Each later product by
+    |comp| + 1 vertices, and of at most len(comp) + 1 levels, since each
+    product by epsilon(a_i) puts the branches of a term so far on a vertex
+    of a corolla: one level more.  The first product grafts the a_1 leaves
+    of epsilon(a_1), all alike, onto the a_2 + 1 vertices of epsilon(a_2):
+    a multiset of places, one of C(a_1 + a_2, a_1).  Each later product by
     epsilon(a_i) grafts each root branch of a term so far, at most
     a_1 + ... + a_(i - 1) of them, onto one of its a_i + 1 vertices."""
+    if len(comp) < 2:
+        return 1
     bits = COUNT_LIMIT.bit_length()
-    ways, branches = 1, sum(comp[:2])
-    if len(comp) > 1:
-        # C(n, k) >= 2^k for n >= 2k: k of COUNT_LIMIT's bit length passes it
-        k = min(comp[:2])
-        ways = comb(branches, k) if k < bits else COUNT_LIMIT + 1
+    branches = sum(comp[:2])
+    # C(n, k) >= 2^k for n >= 2k: k of COUNT_LIMIT's bit length passes it
+    k = min(comp[:2])
+    ways = comb(branches, k) if k < bits else COUNT_LIMIT + 1
     for part in comp[2:]:
         ways = min(ways * (part + 1) ** min(branches, bits), COUNT_LIMIT + 1)
         branches += part
-    return min(ways, _growing_count(rooted_count, branches + 1))
+    return min(ways, _growing_count(rooted_count_by_levels, branches + 1, len(comp) + 1))
 
 
 _Z_MEMO: dict[tuple, LinComb] = memo_table()

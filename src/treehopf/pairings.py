@@ -22,7 +22,10 @@ coproduct in both directions.  check_pairing_compatibility checks that a
 pairing of A with B exchanges product against coproduct.  Every such
 exchange is one ``_exchange`` of two sparse rows over a third key, which
 reaches the coproducts of the third keys through a transposed index
-``{k: {j: c}}`` (``_transpose``).  ``verify`` reuses ``_transpose``,
+``{k: {j: c}}`` (``_transpose``): each pair of terms of the rows of k1
+and k2 reads its column of the index, summed in one pass
+(``_coproduct_row``), with no row built for k1 (x) k2.  A tensor is paired
+the same way, in one ``LinComb.tensor_sum``.  ``verify`` reuses ``_transpose``,
 ``_through`` and ``_first_mismatch`` for the adjoint rows of its dualities
 suite.
 """
@@ -68,7 +71,7 @@ def pair_tensor(pairing, s: LinComb, t: LinComb):
     """Componentwise pairing of two tensors: couple lefts with lefts and
     rights with rights, multiply, and sum."""
     row = pairing.row
-    return _dot(s.apply_linear(lambda pair: LinComb.tensor(row(pair[0]), row(pair[1]))), t)
+    return _dot(LinComb.tensor_sum((c, row(k1), row(k2)) for (k1, k2), c in s.items()), t)
 
 
 # ------------------------------------------------------------ sparse rows
@@ -111,12 +114,23 @@ def _key_pairs(basis, n):
                 yield k1, k2
 
 
+def _coproduct_row(row1, row2, cop: dict) -> LinComb:
+    """``{k: <k1 (x) k2, coproduct(k)>}``, given the rows of k1 and k2 and
+    ``cop``, the ``_transpose`` of the coproducts of the third keys k: the
+    sum of c1 c2 cop[(j1, j2)] over the terms c1 j1 of row1 and c2 j2 of
+    row2, in one pass, with no row built for k1 (x) k2."""
+    items2 = row2.items()
+    get = cop.get
+    return LinComb.scaled_sum((c1 * c2, col.items())
+                              for j1, c1 in row1.items() for j2, c2 in items2
+                              if (col := get((j1, j2))))
+
+
 def _exchange(product_row: LinComb, row1, row2, cop: dict, pos: dict):
     """The least position ``pos[k]`` of a third key k at which <k1 k2, k>,
-    given as ``product_row``, differs from <k1 (x) k2, coproduct(k)>, read
-    from the rows of k1 and k2 through ``cop``, the ``_transpose`` of the
-    coproducts of the third keys; or None."""
-    return _first_mismatch(product_row, _through(cop, LinComb.tensor(row1, row2)), pos)
+    given as ``product_row``, differs from <k1 (x) k2, coproduct(k)>
+    (``_coproduct_row``); or None."""
+    return _first_mismatch(product_row, _coproduct_row(row1, row2, cop), pos)
 
 
 # --------------------------------------------------------------- checkers

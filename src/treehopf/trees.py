@@ -250,6 +250,31 @@ def rooted_count(n: int) -> int:
     return table[n]
 
 
+_BY_LEVELS = memo_table()  # L -> (counts, divisor sums) of the trees of at most L levels
+
+
+def rooted_count_by_levels(n: int, levels: int) -> int:
+    """Number of unordered rooted trees with n vertices and at most
+    ``levels`` vertices on every path from the root: ``rooted_count(n)``
+    once levels >= n.  A tree of at most L levels is a root over a multiset
+    of trees of at most L - 1, counted by the divisor-sum convolution of
+    ``rooted_count`` over those, so each L keeps a table filled up to n."""
+    if levels >= n:
+        return rooted_count(n)
+    if levels < 1:
+        return 0
+    below = None  # the divisor sums of one level fewer: none below one level
+    for level in range(1, levels + 1):
+        counts, sums = _BY_LEVELS.setdefault(level, ([0, 1], [0]))
+        for m in range(len(counts), n + 1):
+            total = 0 if below is None else sum(below[k] * counts[m - k] for k in range(1, m))
+            counts.append(total // (m - 1))
+        for k in range(len(sums), n + 1):
+            sums.append(sum(d * counts[d] for d in range(1, k + 1) if k % d == 0))
+        below = sums
+    return counts[n]
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number: planar trees with n + 1 vertices."""
     return comb(2 * n, n) // (n + 1)

@@ -410,8 +410,7 @@ def _divided_powers(alg, seq, k):
     """Delta seq(k) = sum of seq(i) (x) seq(k - i): seq is a sequence of
     divided powers through k."""
     cop = alg.coproduct(seq(k))
-    pieces = (LinComb.tensor(seq(i), seq(k - i)) for i in range(k + 1))
-    return cop == sum(pieces, LinComb.zero())
+    return cop == LinComb.tensor_sum((1, seq(i), seq(k - i)) for i in range(k + 1))
 
 
 def _symmetric(t):
@@ -425,12 +424,20 @@ _COMMUTATIVE = {"ck", "sym", "qsym"}
 _COCOMMUTATIVE = {"kt", "sym", "nsym"}
 
 
-def _coassoc_ok(alg, key):
-    """Both ways of applying the coproduct twice to a key agree, as sums
-    over key triples."""
+def _coassoc_sides(alg, key):
+    """(Delta (x) id) Delta and (id (x) Delta) Delta of a key, as sums over
+    key triples, each in one pass over the terms of its coproduct."""
     ck = alg._ck
-    lhs = ck(key).apply_linear(lambda p: {(a, b, p[1]): c for (a, b), c in ck(p[0]).items()})
-    rhs = ck(key).apply_linear(lambda p: {(p[0], a, b): c for (a, b), c in ck(p[1]).items()})
+    cop = ck(key).items()
+    lhs = LinComb.scaled_sum((c, (((a, b, z), d) for (a, b), d in ck(y).items()))
+                             for (y, z), c in cop)
+    rhs = LinComb.scaled_sum((c, (((y, a, b), d) for (a, b), d in ck(z).items()))
+                             for (y, z), c in cop)
+    return lhs, rhs
+
+
+def _coassoc_ok(alg, key):
+    lhs, rhs = _coassoc_sides(alg, key)
     return lhs == rhs
 
 
@@ -442,10 +449,21 @@ def _counit_ok(alg, key, x):
     return left == x and right == x
 
 
+def _convolutions(alg, key):
+    """m (S (x) id) Delta and m (id (x) S) Delta of a key: the sums of
+    c s (u z) over the terms c (y (x) z) of its coproduct and s u of S(y),
+    and of c s (y u) over those of S(z), each in one pass."""
+    pk, S = alg._pk, alg.antipode_key
+    cop = alg._ck(key).items()
+    left = LinComb.scaled_sum((c * s, pk(u, z).items())
+                              for (y, z), c in cop for u, s in S(y).items())
+    right = LinComb.scaled_sum((c * s, pk(y, u).items())
+                               for (y, z), c in cop for u, s in S(z).items())
+    return left, right
+
+
 def _antipode_convolution_ok(alg, key, x):
-    cop = alg._ck(key)
-    left = cop.apply_linear(lambda pair: _times_key(alg, alg.antipode_key(pair[0]), pair[1]))
-    right = cop.apply_linear(lambda pair: _key_times(alg, pair[0], alg.antipode_key(pair[1])))
+    left, right = _convolutions(alg, key)
     target = alg.counit(x) * alg.one()
     return left == target and right == target
 

@@ -362,6 +362,16 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
     assert len(err.splitlines()) == 1
 
 
+# The CLI's refusal of each element: E(8,8,8) by Z's term bound, before
+# any product; E(10,10), within that bound (627 trees of 21 vertices and
+# at most 3 levels), by the graft budget of its last product
+_Z_REFUSALS = {
+    "E(10,10)": "this product would graft 184,756 attachment choices, "
+                f"rebuilding roughly 40,738,698 vertices; the cap is {GRAFT_CAP:,}",
+    "E(8,8,8)": f"this image under Z would have up to 580,901 terms; the cap is {TERM_CAP:,}",
+}
+
+
 @pytest.mark.parametrize("warm, element, message", [
     # epsilon(10) grafted into epsilon(10): the product of two 10-leaf
     # corollas, which the product command refuses too
@@ -370,9 +380,9 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
     ("E(8,8)", "E(8,8,8)", "this product would graft 145,190,817 attachment choices"),
 ])
 def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, element, message):
-    # Z multiplies the epsilons of the parts in turn, and its term bound
-    # refuses the element before any graft; its last product, computed
-    # from the image of the warm prefix, meets the graft budget
+    # Z multiplies the epsilons of the parts in turn, and the CLI refuses
+    # the element before any graft; its last product, computed from the
+    # image of the warm prefix, meets the graft budget
     assert run(capsys, "map", "--name", "Z", warm)[0] == 0
     last = parse_element(f"E({element[2:-1].rsplit(',', 1)[1]})", "nsym")
 
@@ -384,10 +394,7 @@ def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, elemen
         code, out, err = run(capsys, "map", "--name", "Z", element)
         with pytest.raises(ValueError) as refusal:
             KT.product(Z(parse_element(warm, "nsym")), Z(last))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: this image under Z would have ")
-    assert err.endswith(f" terms; the cap is {TERM_CAP:,}\n")
-    assert len(err.splitlines()) == 1
+    assert (code, out, err) == (2, "", f"error: {_Z_REFUSALS[element]}\n")
     assert str(refusal.value).startswith(message)
 
 

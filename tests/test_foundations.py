@@ -255,16 +255,18 @@ def _prunings(tree):
     return [name for name, node in _scopes(tree) if prunes(node)]
 
 
-def test_foundations_sums_in_two_loops():
-    # apply_linear keeps its inline copy of _sum's loop for speed; every
-    # other sum, bilinear's included, goes through _sum
+def test_foundations_sums_in_three_loops():
+    # apply_linear keeps its inline copy of _sum's loop for speed, and
+    # tensor_sum its loop over the pairs of terms of each a (x) b; every
+    # other sum, bilinear's and scaled_sum's included, goes through _sum
     source = pathlib.Path(foundations.__file__).read_text()
-    assert _prunings(ast.parse(source)) == ["LinComb.apply_linear", "_sum"]
-    third = ("def _sum_pairs(pairs):\n    data = {}\n    for key, x in pairs:\n"
-             "        data[key] = data.get(key, 0) + x\n        if not data[key]:\n"
-             "            del data[key]\n    return data\n")
-    assert _prunings(ast.parse(source + third)) == [
-        "LinComb.apply_linear", "_sum", "_sum_pairs"]
+    assert _prunings(ast.parse(source)) == [
+        "LinComb.apply_linear", "LinComb.tensor_sum", "_sum"]
+    fourth = ("def _sum_pairs(pairs):\n    data = {}\n    for key, x in pairs:\n"
+              "        data[key] = data.get(key, 0) + x\n        if not data[key]:\n"
+              "            del data[key]\n    return data\n")
+    assert _prunings(ast.parse(source + fourth)) == [
+        "LinComb.apply_linear", "LinComb.tensor_sum", "_sum", "_sum_pairs"]
     assert _prunings(ast.parse(
         "class A:\n    def f(self, d):\n        del d[1], self.x\n"
         "    def g(self, d):\n        del d\n"

@@ -155,15 +155,24 @@ def test_Z_on_generators():
     assert Z(s((2, 1))) == KT.product(epsilon(2), epsilon(1))
 
 
+def _levels(t):
+    """The most vertices on a path from the root of t."""
+    return 1 + max(map(_levels, t.children), default=0)
+
+
 def test_Z_term_bound_is_never_below_the_count_and_exact_on_generators():
     for n in range(9):
         for comp in compositions_of(n):
-            assert _z_terms(comp) >= len(Z(s(comp))), comp
+            image = Z(s(comp))
+            assert _z_terms(comp) >= len(image), comp
+            # each product by an epsilon adds at most one level
+            assert max(map(_levels, image)) <= len(comp) + 1, comp
     for n in range(40):
         assert _z_terms((n,) if n else ()) == 1
-    # two 10-leaf corollas graft in C(20, 10) ways, and 500 parts of 1 pass
-    # the limit
-    assert _z_terms((10, 10)) == 184_756
+    # two 10-leaf corollas graft in C(20, 10) ways, onto trees of 21
+    # vertices and 3 levels, a root over stars: p(20) of them; and 500
+    # parts of 1 pass the limit
+    assert _z_terms((10, 10)) == 627
     assert _z_terms((1,) * 500) == _z_terms((10**9, 10**9)) == COUNT_LIMIT + 1
 
 
@@ -181,12 +190,12 @@ def test_level_term_bound_is_never_below_the_count_through_degree_8():
 
 @pytest.mark.parametrize("name, fn, key_rule, element, text", [
     ("Z", Z, "_z_key", s((1,) * 500), "more than 1,000,000,000"),
-    ("Z", Z, "_z_key", s((10, 10)), "up to 184,756"),
+    ("Z", Z, "_z_key", s((1,) * 15), "up to 235,381"),
     ("Zstar", Z_star, "_zstar_key", s(forest(ladder(500).encoding, ladder(500).encoding)),
      "more than 1,000,000,000"),
     ("kbar", kbar, "_kbar_forest", s(Forest([rt("[]")] * 990)), "more than 1,000,000,000"),
     ("kbar", kbar, "_kbar_forest", s(Forest([rt("[]")] * 18)), "up to 131,072"),
-], ids=["Z-1^500", "Z-10,10", "Zstar-l500-l500", "kbar-990-leaves", "kbar-18-leaves"])
+], ids=["Z-1^500", "Z-1^15", "Zstar-l500-l500", "kbar-990-leaves", "kbar-18-leaves"])
 def test_images_above_the_term_cap_are_refused_before_any_term(name, fn, key_rule, element,
                                                                text, monkeypatch):
     def start(key):

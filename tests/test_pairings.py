@@ -9,6 +9,7 @@ from treehopf.morphisms import tau
 from treehopf.symfun import NSYM, QSYM, SYM
 from treehopf.pairings import (
     check_duality_criterion,
+    check_pairing_compatibility,
     ip_ck,
     ip_kt,
     ip_ns,
@@ -121,6 +122,13 @@ def test_hopf_compatibility_instances():
     lhs2 = pair_ns_qs(NSYM.product(u, u), m2)
     rhs2 = pair_tensor(pair_ns_qs, LinComb.tensor(u, u), QSYM.coproduct(m2))
     assert lhs2 == rhs2 == 1
+
+
+def test_planar_pairing_is_a_hopf_pairing_through_degree_6():
+    # the planar pairing of the hexagon, which the dualities suite checks
+    # for Gram rank only: both exchanges, each read through the fused
+    # coproduct rows
+    assert check_pairing_compatibility(KP, HF, pair_kp_hf, 6) is None
 
 
 def test_duality_criterion_instances():

@@ -4,7 +4,9 @@ back-substituted e/m transition and the linear extensions through
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
-loops, the antipode's accumulator loop (the recursion behind the closed-form
+loops, the hopf-axioms convolution and coassociativity rows and the
+pairing exchange as nested sums of a LinComb or dict per term, before they
+summed in one pass, the antipode's accumulator loop (the recursion behind the closed-form
 antipodes of SYM, QSYM and the generators of NSYM, HK and HF), LinComb's sums as they were before
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
@@ -73,7 +75,10 @@ from treehopf.hopf_rooted import (
 )
 from treehopf.morphisms import MAP_TABLE, Z, Z_star, kbar, tau
 from treehopf.pairings import (
+    _coproduct_row,
     _key_pairs,
+    _through,
+    _transpose,
     check_duality_criterion,
     check_pairing_compatibility,
     ip_ck,
@@ -123,6 +128,8 @@ from treehopf.trees import (
 )
 from treehopf.verify import (
     _ESTIMATES,
+    _coassoc_sides,
+    _convolutions,
     _key_rule,
     _packed,
     _pairs,
@@ -928,6 +935,35 @@ def bilinear_by_loop(a, b, image):
     return LinComb.trusted(_whole_by_loop(data) if fractions else data)
 
 
+def scaled_sum_by_loop(scaled):
+    data = {}
+    fractions = False
+    for c, items in scaled:
+        fractions = fractions or type(c) is Fraction
+        for key, x in items:
+            cur = data.get(key, 0) + c * x
+            if cur:
+                data[key] = cur
+            else:
+                data.pop(key, None)
+    return LinComb.trusted(_whole_by_loop(data) if fractions else data)
+
+
+def tensor_sum_by_loop(scaled):
+    """The sum of each c (a (x) b) as a loop, then every whole coefficient
+    made an ``int``."""
+    data = {}
+    for c, a, b in scaled:
+        for k1, x in a.items():
+            for k2, y in b.items():
+                cur = data.get((k1, k2), 0) + c * x * y
+                if cur:
+                    data[(k1, k2)] = cur
+                else:
+                    data.pop((k1, k2), None)
+    return LinComb.trusted(_whole_by_loop(data))
+
+
 def tensor_by_loop(a, b):
     """The outer product as it was, then whole coefficients made ``int``s
     if a coefficient of either factor is a ``Fraction``."""
@@ -976,6 +1012,9 @@ def _check_sums_against_the_loops():
         def pair_image(k1, k2):
             return imgs[(k1 + k2) % 4]
 
+        # a stream per term of a, of the images of its key and the next
+        scaled = [(c, imgs[k], imgs[(k + 1) % 4]) for k, c in a.items()]
+        streams = [(c, x.items()) for c, x, _ in scaled]
         for got, want in (
             (a.apply_linear(image), apply_linear_by_loop(a, image)),
             (LinComb.bilinear(a, b, pair_image), bilinear_by_loop(a, b, pair_image)),
@@ -985,6 +1024,8 @@ def _check_sums_against_the_loops():
             (LinComb(dict(pairs)), init_by_loop(dict(pairs))),
             (LinComb.tensor(a, b), tensor_by_loop(a, b)),
             (LinComb.tensor(a, imgs[0]), tensor_by_loop(a, imgs[0])),
+            (LinComb.scaled_sum(streams), scaled_sum_by_loop(streams)),
+            (LinComb.tensor_sum(scaled), tensor_sum_by_loop(scaled)),
         ):
             assert _typed(got) == _typed(want), (a, b, imgs, pairs)
 
@@ -1037,6 +1078,122 @@ def test_sums_in_foundations_build_no_fraction_for_an_identity(monkeypatch, fres
     # the watch sees identities computed on a line of foundations
     exec(compile("0 + half, half * 1", foundations_file, "eval"), {"half": Fraction(1, 2)})
     assert [name for name, *_ in identities] == ["__radd__", "__mul__"]
+
+
+# ------------------------------------------------------------ fused sums
+
+# The hopf-axioms rows and the pairing exchange as they were before each
+# summed its terms in one pass (``LinComb.scaled_sum``): a dict or LinComb
+# per term of a coproduct, or a LinComb of k1 (x) k2, summed again by
+# ``apply_linear``.
+
+def coassoc_by_nesting(alg, key):
+    ck = alg._ck
+    lhs = ck(key).apply_linear(lambda p: {(a, b, p[1]): c for (a, b), c in ck(p[0]).items()})
+    rhs = ck(key).apply_linear(lambda p: {(p[0], a, b): c for (a, b), c in ck(p[1]).items()})
+    return lhs, rhs
+
+
+def convolutions_by_nesting(alg, key):
+    cop, S, pk = alg._ck(key), alg.antipode_key, alg._pk
+    left = cop.apply_linear(lambda p: S(p[0]).apply_linear(lambda u: pk(u, p[1])))
+    right = cop.apply_linear(lambda p: S(p[1]).apply_linear(lambda u: pk(p[0], u)))
+    return left, right
+
+
+def coproduct_row_by_tensor(row1, row2, cop):
+    return _through(cop, LinComb.tensor(row1, row2))
+
+
+def _exchanged_rows(A, B, pairing, degree):
+    """Cases (row1, row2, cop) as ``check_pairing_compatibility`` reads
+    them through ``degree``: the rows of two keys of one side, and the
+    transposed coproducts of the other side's keys of their total degree,
+    both ways."""
+    cols = {}
+    for n in range(degree + 1):
+        _transpose(((w, pairing.row(w)) for w in A.basis(n)), cols)
+        for P, Q, row in ((A, B, pairing.row), (B, A, lambda k: cols.get(k, {}))):
+            cop = _transpose((q, Q._ck(q)) for q in Q.basis(n))
+            for k1, k2 in _key_pairs(P.basis, n):
+                yield row(k1), row(k2), cop
+
+
+def _check_fused_sums(degree=5):
+    """Every one-pass sum against its nesting, in value and type, on every
+    key and pair of keys through ``degree`` of the seven algebras: both
+    sides of coassociativity and of the antipode convolution,
+    ``tensor_map`` of a key's coproduct under S (x) id and ``tensor_mult``
+    of two keys' coproducts; and the coproduct rows of every pairing in
+    ``COMPATIBLE``.  Raises AssertionError."""
+    for alg in ALGEBRAS:
+        for n in range(degree + 1):
+            for key in alg.basis(n):
+                got = _coassoc_sides(alg, key) + _convolutions(alg, key)
+                want = coassoc_by_nesting(alg, key) + convolutions_by_nesting(alg, key)
+                assert list(map(_typed, got)) == list(map(_typed, want)), (alg.name, key)
+                cop = alg._ck(key)
+                assert _typed(tensor_map(cop, alg.antipode_key, s)) == _typed(
+                    tensor_map_by_loops(cop, alg.antipode_key, s, [0])), (alg.name, key)
+        for k1, k2, n in _pairs(alg.basis, degree):
+            t1, t2 = alg._ck(k1), alg._ck(k2)
+            assert _typed(tensor_mult(alg, t1, t2)) == _typed(
+                tensor_mult_by_loops(alg, t1, t2, [0])), (alg.name, k1, k2)
+    for name, (A, B, pairing) in COMPATIBLE.items():
+        for row1, row2, cop in _exchanged_rows(A, B, pairing, degree):
+            assert _typed(_coproduct_row(row1, row2, cop)) == _typed(
+                coproduct_row_by_tensor(row1, row2, cop)), (name, row1, row2)
+
+
+def test_fused_sums_match_the_nesting_through_degree_5(fresh_caches):
+    _check_fused_sums()
+
+
+def scaled_sum_keeping_zeros(scaled):
+    """``LinComb.scaled_sum`` with one fault: a key whose terms cancel
+    keeps a zero coefficient."""
+    data = {}
+    for c, items in scaled:
+        for key, x in items:
+            data[key] = data.get(key, 0) + c * x
+    return LinComb.trusted(data)
+
+
+_TENSOR_SUM = LinComb.tensor_sum
+
+
+def tensor_sum_scaling_twice(scaled):
+    """``LinComb.tensor_sum`` with one fault: each c (a (x) b) is scaled by
+    c once more."""
+    return _TENSOR_SUM((c * c, a, b) for c, a, b in scaled)
+
+
+@pytest.mark.parametrize("name, broken", [("scaled_sum", scaled_sum_keeping_zeros),
+                                          ("tensor_sum", tensor_sum_scaling_twice)],
+                         ids=["scaled_sum-keeps-a-zero", "tensor_sum-scales-twice"])
+def test_the_nestings_catch_a_broken_fused_sum(name, broken, monkeypatch, fresh_caches):
+    monkeypatch.setattr(LinComb, name, staticmethod(broken))
+    with pytest.raises(AssertionError):
+        _check_fused_sums()
+
+
+def _memo_entries():
+    """Every product, coproduct and antipode memo entry of the seven
+    algebras, with a copy of its terms."""
+    return {(alg.name, i, key): (value, dict(value.items()))
+            for alg in ALGEBRAS
+            for i, table in enumerate((alg._prod_memo, alg._cop_memo, alg._antipode_memo))
+            for key, value in table.items()}
+
+
+def test_fused_sums_write_to_no_memo_entry(fresh_caches):
+    _check_fused_sums(4)
+    before = _memo_entries()
+    _check_fused_sums(4)
+    after = _memo_entries()
+    assert after.keys() == before.keys()
+    for entry, (value, terms) in before.items():
+        assert after[entry][0] is value and dict(value.items()) == terms, entry
 
 
 # ------------------------------------------ antipode and forest coproduct

@@ -29,6 +29,8 @@ from treehopf.trees import (
     planar_fiber,
     planar_from_string,
     planar_ladder,
+    rooted_count,
+    rooted_count_by_levels,
     rooted_from_string,
     sym_order,
 )
@@ -80,6 +82,26 @@ def test_enumeration_counts():
         assert len(enumerate_rooted(n)) == ROOTED_COUNTS[n]
     for n in range(1, 8):
         assert len(enumerate_planar(n)) == CATALAN[n - 1]
+
+
+def _levels(t):
+    """The most vertices on a path from the root of t."""
+    return 1 + max(map(_levels, t.children), default=0)
+
+
+def test_level_bounded_counts_match_the_enumeration():
+    for n in range(1, 10):
+        trees = enumerate_rooted(n)
+        for levels in range(n + 2):
+            want = sum(_levels(t) <= levels for t in trees)
+            assert rooted_count_by_levels(n, levels) == want, (n, levels)
+    # two levels: the corolla; three: a root over stars, p(n - 1) of them
+    assert [rooted_count_by_levels(n, 2) for n in range(1, 30)] == [1] * 29
+    assert rooted_count_by_levels(21, 3) == 627
+    assert rooted_count_by_levels(0, 5) == 0 == rooted_count_by_levels(5, 0)
+    # the ladder alone has as many levels as vertices
+    assert rooted_count_by_levels(40, 39) == rooted_count(40) - 1
+    assert rooted_count_by_levels(40, 40) == rooted_count(40)
 
 
 def test_enumeration_sorted_and_distinct():
