@@ -269,17 +269,8 @@ class LinComb:
     @staticmethod
     def tensor(a, b):
         """Outer product of two LinCombs or dicts: keys become ordered
-        pairs.  A unit coefficient multiplies nothing, and whole ``Fraction``
-        coefficients come back as ``int``s."""
-        b_items = b.items()
-        data = {
-            (k1, k2): c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
-            for k1, c1 in a.items() for k2, c2 in b_items
-        }
-        for c in data.values():
-            if type(c) is Fraction:
-                return LinComb.trusted(_whole(data))
-        return LinComb.trusted(data)
+        pairs; ``tensor_sum`` of the one term a ⊗ b."""
+        return LinComb.tensor_sum(((1, a, b),))
 
     @staticmethod
     def tensor_sum(scaled):

@@ -25,9 +25,9 @@ reaches the coproducts of the third keys through a transposed index
 ``{k: {j: c}}`` (``_transpose``): each pair of terms of the rows of k1
 and k2 reads its column of the index, summed in one pass
 (``_coproduct_row``), with no row built for k1 (x) k2.  A tensor is paired
-the same way, in one ``LinComb.tensor_sum``.  ``verify`` reuses ``_transpose``,
-``_through`` and ``_first_mismatch`` for the adjoint rows of its dualities
-suite.
+the same way, in one ``LinComb.tensor_sum``.  ``verify`` reads the adjoint
+rows of its dualities suite through ``_transpose``, ``_through`` (one
+element against an index) and ``_first_mismatch``.
 """
 
 from .foundations import LinComb

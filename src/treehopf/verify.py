@@ -565,7 +565,7 @@ def _alternating_sum(n):
 
 def _primitive(alg, x):
     one = alg.one()
-    return alg.coproduct(x) == LinComb.tensor(x, one) + LinComb.tensor(one, x)
+    return alg.coproduct(x) == LinComb.tensor_sum(((1, x, one), (1, one, x)))
 
 
 def _suite_ideh(d: int) -> list[IdentityResult]:

@@ -965,9 +965,10 @@ def tensor_sum_by_loop(scaled):
 
 
 def tensor_by_loop(a, b):
-    """The outer product as it was, then whole coefficients made ``int``s
-    if a coefficient of either factor is a ``Fraction``."""
-    data = {(k1, k2): c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()}
+    """The outer product as it was, but with zero products pruned, then
+    whole coefficients made ``int``s if a coefficient of either factor is a
+    ``Fraction``."""
+    data = {(k1, k2): c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items() if c1 * c2}
     if any(type(c) is Fraction for x in (a, b) for _, c in x.items()):
         _whole_by_loop(data)
     return LinComb.trusted(data)
