@@ -26,13 +26,11 @@ along a tree's depth or a part list runs from a loop or an explicit stack,
 so no input meets Python's recursion limit.
 
 This module checks only the shape of its input: chain lengths, bracket
-depth, the indices of e<k> and h<k>, the command caps and suite degrees.
-The library operation that would build a result refuses it: a kt or kp
-product over the graft budget ``hopf_rooted.GRAFT_CAP``; and an antipode,
-a sym or qsym product, the h<k> shorthand, an image under tau, Z, Zstar or
-kbar, or a row of m in the elementary basis (phi and the sym pairing) of
-more than ``hopf.TERM_CAP`` terms, each priced by its own algebra or map
-before any term is made.
+depth, the indices of e<k>, h<k>, kappa and epsilon, the vertex count of
+``enumerate --count-only`` and suite degrees.  Everything else is refused
+by the pricing rule that ``hopf`` states, at the entry of the operation
+that would build the result; ``enumerate`` and ``expand`` price their own
+output by it.
 
 Exit codes: 0 success; 1 a verification found a defect, including one the
 library detects by raising while a suite runs; 2 a refusal.  Every refusal
@@ -52,6 +50,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from .foundations import LinComb, memo
 from .trees import (
@@ -62,6 +61,7 @@ from .trees import (
     _parse_tree,
     ladder,
 )
+from .hopf import check_terms
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
 from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
@@ -86,11 +86,10 @@ PAIR_KINDS = {
     "sym": (SYM, SYM, ip_sym),
 }
 
-ENUM_CAP = 12
 SERIES_CAP = 10
-VARS_CAP = 10
 # longest chain literal l<k>, each of whose k trees holds its own encoding,
-# and largest index of the e<k> and h<k> shorthands
+# largest index of the e<k> and h<k> shorthands, and most vertices that
+# ``enumerate --count-only`` counts
 CHAIN_CAP = 1000
 
 # algebra whose basis is written as part lists (after its ``letter``) ->
@@ -390,18 +389,22 @@ def _cmd_series(args):
 
 
 def _cmd_enumerate(args):
+    """The trees of a vertex count, listed and priced by their number, or
+    that number alone, computed without building any tree."""
     kind = args.kind
     n = args.vertices
     if n < 1:
         raise ValueError("vertex count must be at least 1")
-    if n > ENUM_CAP:
-        raise ValueError(f"refusing to enumerate {n}-vertex trees (cap {ENUM_CAP}); "
-                         f"counts grow exponentially")
     alg = KT if kind == "rooted" else KP
+    if args.count_only:
+        if n > CHAIN_CAP:
+            raise ValueError(f"vertex count {n} exceeds the cap {CHAIN_CAP}; the count "
+                             f"has more than {n * 4 // 10:,} digits")
+        count = alg.tree_count(n)
+        return _emit(args, lambda: str(count), {"kind": kind, "vertices": n, "count": count})
+    check_terms("this listing", alg.degree_terms(n - 1), "trees")
     names = [alg.key_str(t) for t in alg.basis(n - 1)]
     doc = {"kind": kind, "vertices": n, "count": len(names)}
-    if args.count_only:
-        return _emit(args, lambda: str(len(names)), doc)
     return _emit(args, lambda: "\n".join(names), {**doc, "trees": names})
 
 
@@ -410,8 +413,8 @@ def _cmd_expand(args):
     n = args.vars
     if n < 0:
         raise ValueError("variable count must be nonnegative")
-    if n > VARS_CAP:
-        raise ValueError(f"refusing more than {VARS_CAP} variables")
+    # a monomial of M_comp picks len(comp) of the n variables, and lists n exponents
+    check_terms("this expansion", n * sum(comb(n, len(comp)) for comp in x), "exponents")
     items = sorted(expand_truncated(x, n).items())
     terms = [{"coefficient": str(c), "exponents": list(expo)} for expo, c in items]
     return _emit(

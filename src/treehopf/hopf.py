@@ -19,17 +19,29 @@ allows:
 
     S(1) = 1,   S(x) = -x - sum S(x') x''
 
-where the sum runs over the middle (both-sides-positive-degree) terms of the
-coproduct of x, and is one ``apply_linear`` over those terms.  Every algebra
-prices its antipode too: ``antipode_terms`` bounds the terms of S on a key
-(on QSYM and NSYM it counts them), and ``antipode`` refuses an element
-whose keys' bounds add up to more than ``TERM_CAP`` before it makes any
-term; ``antipode_key``, which the suites call, is not priced, and SYM and
-QSYM price their products the same way (``symfun``).  Products,
-coproducts, and antipodes of basis keys are memoized per algebra instance,
-in tables registered with ``foundations.clear_caches``; entries are only
-ever written once.  The coproducts are filled from an explicit stack
-(``foundations.bottom_up``), a key's generators first, and before a
+where the sum runs over the middle (both-sides-positive-degree) terms of
+the coproduct of x, and is one ``LinComb.scaled_sum`` of key products.
+
+Pricing.  This is the one rule by which the package refuses work: each
+public operation bounds the terms of its result before it makes any, and
+``check_terms`` refuses it when the bound is above ``TERM_CAP``, once, at
+its entry.  The public operations are ``product`` (``product_terms``),
+``coproduct`` (``coproduct_terms``) and ``antipode`` (``antipode_terms``)
+here; the maps tau, Z, Z_star and kbar (``morphisms``); the h<k> shorthand
+and ``m_to_e_row`` (``symfun``), which phi and the sym pairing share; and
+the CLI's enumerate and expand.  Each bound is computed without making any
+term, and a count above ``COUNT_LIMIT`` stops at ``COUNT_LIMIT + 1``.  The
+kernels (``_pk``, ``_ck``, ``antipode_key``, ``antipode_rule`` and the key
+rules) price nothing, and no kernel or verification suite calls a priced
+entry: they multiply elements by ``_times``, ``LinComb.bilinear`` over
+``_pk``, and take coproducts by ``a.apply_linear(alg._ck)``.  The one
+other guard is KT's and KP's ``GRAFT_CAP`` on their public ``product``,
+whose work the terms do not bound (``hopf_rooted``).
+
+Products, coproducts, and antipodes of basis keys are memoized per algebra
+instance, in tables registered with ``foundations.clear_caches``; entries
+are only ever written once.  The coproducts are filled from an explicit
+stack (``foundations.bottom_up``), a key's generators first, and before a
 generator the keys that ``coproduct_needs`` names, so that HK's and HF's
 root recursion costs no Python recursion.  Nothing in the package uses
 threads, and the algebras are meant for one thread at a time: interning a
@@ -38,13 +50,12 @@ threads building the same new key at once could each get an object of
 their own.
 """
 
+from collections import Counter, defaultdict
 from functools import reduce
 
 from .foundations import LinComb, bottom_up, memo, memo_table
 
-# most terms a priced operation (an antipode, a sym or qsym product, a map
-# image, an m-to-e row, the h<k> shorthand) may have:
-# p(45) = 89,134 fits
+# most terms a priced operation may have: p(45) = 89,134 fits
 TERM_CAP = 100_000
 # the largest term count that a bound computes: past it, it returns
 # COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
@@ -53,6 +64,16 @@ COUNT_LIMIT = 10**9
 
 def _power_of_two(k):
     return 1 << k if k < COUNT_LIMIT.bit_length() else COUNT_LIMIT + 1
+
+
+def _split_count(items):
+    """The distinct ordered splits of the multiset ``items`` into two, the
+    product of m + 1 over its multiplicities m, or ``COUNT_LIMIT + 1``
+    above ``COUNT_LIMIT``."""
+    count = 1
+    for m in Counter(items).values():
+        count = min(count * (m + 1), COUNT_LIMIT + 1)
+    return count
 
 
 @memo
@@ -67,13 +88,13 @@ def _growing_count(count, n, *args):
     return min(count(m, *args), COUNT_LIMIT + 1)
 
 
-def check_terms(what, count):
+def check_terms(what, count, unit="terms"):
     """Refuse ``what`` before any of it is made when ``count``, a bound on
-    its terms, is above ``TERM_CAP``; a count above ``COUNT_LIMIT`` is
-    named only as more than that."""
+    its terms (or on the ``unit`` it writes), is above ``TERM_CAP``; a
+    count above ``COUNT_LIMIT`` is named only as more than that."""
     if count > TERM_CAP:
         text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
-        raise ValueError(f"{what} would have {text} terms; the cap is {TERM_CAP:,}")
+        raise ValueError(f"{what} would have {text} {unit}; the cap is {TERM_CAP:,}")
 
 
 class HopfAlgebra:
@@ -159,10 +180,57 @@ class HopfAlgebra:
         return out
 
     def product(self, a: LinComb, b: LinComb) -> LinComb:
+        """a b, refused before any term is made when ``product_terms`` is
+        above ``TERM_CAP``."""
+        check_terms("this product", self.product_terms(a, b))
         return LinComb.bilinear(a, b, self._pk)
 
+    def product_terms(self, a, b) -> int:
+        """An upper bound on the terms of a b, or more than ``COUNT_LIMIT``
+        above it: for each total degree n, the smaller of ``degree_terms(n)``,
+        the keys of degree n, and the sum of ``pair_terms`` over the key
+        pairs of degree n.  When the first add up to at most ``TERM_CAP``,
+        no pair is priced."""
+        degree = self.degree
+        degrees = {degree(k1) + degree(k2) for k1 in a for k2 in b}
+        bound = sum(map(self.degree_terms, degrees))
+        if bound <= TERM_CAP:
+            return bound
+        left, right = self._by_degree(a), self._by_degree(b)
+        return sum(min(self.degree_terms(n), sum(self.pair_terms(k1, k2, n)
+                                                 for i, keys in left.items() for k1 in keys
+                                                 for k2 in right.get(n - i, ())))
+                   for n in degrees)
+
+    def _by_degree(self, a):
+        """The keys of ``a`` by degree."""
+        out = defaultdict(list)
+        for key in a:
+            out[self.degree(key)].append(key)
+        return out
+
+    def degree_terms(self, n) -> int:
+        """The basis keys of degree n, or ``COUNT_LIMIT + 1`` above
+        ``COUNT_LIMIT``."""
+        raise NotImplementedError
+
+    def pair_terms(self, k1, k2, n) -> int:
+        """An upper bound on the terms of the product of two keys, of total
+        degree n: 1 unless overridden, for a product that is one key."""
+        return 1
+
     def coproduct(self, a: LinComb) -> LinComb:
+        """The coproduct of an element, refused before any term is made when
+        the ``coproduct_terms`` of its keys add up to more than
+        ``TERM_CAP``."""
+        check_terms("this coproduct", sum(map(self.coproduct_terms, a)))
         return a.apply_linear(self._ck)
+
+    def coproduct_terms(self, key) -> int:
+        """An upper bound on the terms of the coproduct of a key, or
+        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``, computed without making
+        any of them."""
+        raise NotImplementedError
 
     def counit(self, a: LinComb):
         return a[self.unit_key()]
@@ -174,7 +242,7 @@ class HopfAlgebra:
             return out
         if len(gens := self.factors(key)) > 1:
             # S reverses products: S(g_1 ... g_k) = S(g_k) ... S(g_1)
-            out = reduce(self.product, map(self.antipode_key, reversed(gens)))
+            out = reduce(self._times, map(self.antipode_key, reversed(gens)))
         elif key == self.unit_key():
             out = self.one()
         else:
@@ -187,11 +255,15 @@ class HopfAlgebra:
         keys, by the recursion S(x) = -x - sum S(x') x'' over the middle
         terms of its coproduct.  An algebra with a closed form overrides
         this; ``antipode_key`` is the one entry point, and memoizes."""
-        unit = self.unit_key()
-        middle = self._ck(key).filter_keys(lambda pair: unit not in pair)
-        return LinComb.single(key, -1) - middle.apply_linear(
-            lambda pair: self.product(self.antipode_key(pair[0]), LinComb.single(pair[1]))
-        )
+        unit, pk, S = self.unit_key(), self._pk, self.antipode_key
+        rest = LinComb.scaled_sum((-c * s, pk(u, z).items())
+                                  for (y, z), c in self._ck(key).items()
+                                  if unit not in (y, z) for u, s in S(y).items())
+        return LinComb.single(key, -1) + rest
+
+    def _times(self, a, b) -> LinComb:
+        """a b by the unpriced key products."""
+        return LinComb.bilinear(a, b, self._pk)
 
     def antipode_terms(self, key) -> int:
         """An upper bound on the number of terms of S(key), or

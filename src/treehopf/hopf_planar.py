@@ -80,6 +80,11 @@ class PlanarGraftingAlgebra(GraftingAlgebra):
         cuts = range(len(kids) + 1)
         return LinComb.trusted({(PlanarTree(kids[:c]), PlanarTree(kids[c:])): 1 for c in cuts})
 
+    def coproduct_terms(self, t):
+        """The number of terms of the coproduct of t, one per cut of its k
+        root branches: k + 1."""
+        return len(t.children) + 1
+
 
 class OrderedForestAlgebra(ForestAlgebra):
     """Free associative Hopf algebra on planar trees (concatenation)."""

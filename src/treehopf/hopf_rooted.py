@@ -21,14 +21,12 @@ attachments; for KP, S is a sequence, and a child takes the next block
 after a block left in the root's gap before it.  Partial results with equal branches left and equal
 children so far merge, so each is carried on once.
 
-``GraftingAlgebra.product``, which KP inherits, keeps one budget for both:
-it prices the key products it has not yet memoized by their attachment
-choices (``product_choices``), each at about v^2 / 2 vertices for a result of
-v vertices, as when each choice rebuilt a whole tree, and refuses the
-product above ``GRAFT_CAP`` before grafting anything.  Every caller meets
-that guard: the CLI's ``product``, Z, the antipode recursion and library
-code.  Key-level lookups (``_pk``), as the verification suites and
-``tensor_mult`` make them, are not priced.
+Both are priced by the rule that ``hopf`` states.  Their public
+``product`` has one guard more, since its work is not bounded by its terms:
+``GRAFT_CAP`` on the key products not yet memoized, each priced by its
+attachment choices (``product_choices``) at about v^2 / 2 vertices for a
+result of v vertices, as when each choice rebuilt a whole tree.  Z, the
+antipode recursion and the suites multiply by the unpriced key products.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
@@ -41,10 +39,7 @@ from the memo's explicit stack, the deepest first.  The
 antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
 over the sets of edges cut, of the pieces left, grouped per subtree
 (``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
-the 2^(edges) cut sets.  Its price (``antipode_terms``) is the smaller of
-the 2^(edges) cut sets and the forests of its degree.  KT keeps
-``HopfAlgebra``'s antipode recursion, priced by the trees of its degree
-and the ways to graft its root branches.
+the 2^(edges) cut sets.  KT keeps ``HopfAlgebra``'s antipode recursion.
 ``ForestAlgebra`` builds its forests and trees from the kind of its unit
 forest, so HF is the same class with the empty ordered forest as unit.  KT
 and HK are graded duals of each other under the pairing in ``pairings``.
@@ -62,7 +57,7 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
-from .hopf import COUNT_LIMIT, HopfAlgebra, _growing_count, _power_of_two
+from .hopf import COUNT_LIMIT, HopfAlgebra, _growing_count, _power_of_two, _split_count
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -132,7 +127,7 @@ class GraftingAlgebra(HopfAlgebra):
     def product(self, a, b):
         """The grafting product, refused before any tree is grafted when its
         key products not yet memoized would rebuild more than ``GRAFT_CAP``
-        vertices."""
+        vertices, and then as ``HopfAlgebra.product`` is."""
         memo = self._prod_memo
         choices = cost = 0
         for t in a:
@@ -145,6 +140,14 @@ class GraftingAlgebra(HopfAlgebra):
             raise ValueError(f"this product would graft {choices:,} attachment choices, "
                              f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
         return super().product(a, b)
+
+    def degree_terms(self, n):
+        """The trees of n + 1 vertices, or ``COUNT_LIMIT + 1`` above it."""
+        return _growing_count(self.tree_count, n + 1)
+
+    def pair_terms(self, t, tp, n):
+        """The attachment choices of t ∘ tp: each term comes from one."""
+        return self.product_choices(t, tp)
 
     def product_keys(self, t, tp):
         """t's root subtrees grafted into tp, in every attachment: |tp|^k
@@ -245,6 +248,12 @@ class GraftingAlgebra(HopfAlgebra):
         return LinComb.trusted({(RootedTree(l), RootedTree(r)): count
                                 for l, r, count in multiset_splits(t.children)})
 
+    def coproduct_terms(self, t):
+        """The number of terms of the coproduct of t: the distinct splits of
+        its root branches, the product of m + 1 over the multiplicities m of
+        equal branches, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        return _split_count(t.children)
+
 
 class ForestAlgebra(HopfAlgebra):
     """Hopf algebra of forests under concatenation, with the root-recursion
@@ -277,6 +286,21 @@ class ForestAlgebra(HopfAlgebra):
 
     def product_keys(self, f, g):
         return LinComb.single(type(f)(f.trees + g.trees))
+
+    def degree_terms(self, n):
+        """The forests of degree n, as many as trees of n + 1 vertices
+        (``b_plus``), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        return _growing_count(self.tree_count, n + 1)
+
+    def coproduct_terms(self, f):
+        """An upper bound on the terms of the coproduct of f, exact on
+        ladders, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: c(f), the
+        product over its trees of c(t) = 1 + c(the forest of t's children),
+        the term t ⊗ 1 and those of the root recursion, filled from an
+        explicit stack (``_forest_cuts``)."""
+        for t in f.trees:
+            bottom_up(t, _CUT_COUNTS, _children, _cut_count)
+        return _forest_cuts(f.trees)
 
     def factors(self, f):
         return tuple(type(f)((t,)) for t in f.trees)
@@ -351,6 +375,27 @@ class ForestAlgebra(HopfAlgebra):
             states = grown
         make = type(t)
         return {(make(kids), pieces): count for (kids, pieces), count in states.items()}
+
+
+# tree -> c(t) of ``ForestAlgebra.coproduct_terms``, for planar trees too
+_CUT_COUNTS = memo_table()
+
+
+def _cut_count(t):
+    return min(_forest_cuts(t.children), COUNT_LIMIT) + 1
+
+
+def _forest_cuts(trees):
+    """c of a forest of trees whose c(t) the memo holds, or ``COUNT_LIMIT +
+    1`` above ``COUNT_LIMIT``: the product of the c(t), the coproduct of a
+    forest being the product of its trees'.  In a commutative forest, m
+    equal trees take a multiset of m of the c(t) terms: C(c(t) + m - 1, m)."""
+    count = 1
+    groups = ((t, 1) for t in trees) if trees and trees[0].ordered else Counter(trees).items()
+    for t, m in groups:
+        c = _CUT_COUNTS[t]
+        count = min(count * (c if m == 1 else comb(c + m - 1, m)), COUNT_LIMIT + 1)
+    return count
 
 
 KT = GraftingAlgebra()

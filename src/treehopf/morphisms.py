@@ -23,9 +23,9 @@ kbar per forest, so equal leaves and equal subtrees cost one entry each
 and every stripped forest is shared by all the forests that reach it.
 Z_star is memoized per forest too; both are filled from explicit stacks
 (``foundations.bottom_up``), as every walk along a tree's depth is, and Z
-over the prefixes of a composition.  tau, Z, Z_star and kbar refuse an
-element whose keys' term bounds add up to more than ``hopf.TERM_CAP``
-before they make any term, as phi does through ``symfun.m_to_e_row``.
+over the prefixes of a composition, by the unpriced key products.  tau, Z,
+Z_star and kbar are priced by the rule that ``hopf`` states, and phi
+through ``symfun.m_to_e_row``.
 """
 
 from math import comb
@@ -60,15 +60,18 @@ from .symfun import (
 
 
 def tau(a: LinComb) -> LinComb:
-    """Abelianization: send each divided-power generator E_k to e_k.
-
-    Refused before any row is made when the keys' bounds add up to more
-    than ``TERM_CAP``: a monomial of e_alpha has exponents of at most
-    len(alpha), so the terms of e_alpha are partitions of |alpha| into
-    parts of at most len(alpha), as many as into at most len(alpha) parts."""
-    check_terms("this image under tau",
-                sum(_partitions_at_most(sum(comp), len(comp)) for comp in a))
+    """Abelianization: send each divided-power generator E_k to e_k,
+    priced by the keys' ``_tau_terms``."""
+    check_terms("this image under tau", sum(map(_tau_terms, a)))
     return a.apply_linear(e_to_m_row)
+
+
+def _tau_terms(comp):
+    """An upper bound on the terms of tau(E_comp): a monomial of e_comp has
+    exponents of at most len(comp), so its terms are partitions of |comp|
+    into parts of at most len(comp), as many as into at most len(comp)
+    parts."""
+    return _partitions_at_most(sum(comp), len(comp))
 
 
 def phi(a: LinComb) -> LinComb:
@@ -128,10 +131,8 @@ def _rho_star_key(t: RootedTree) -> LinComb:
 
 
 def Z(a: LinComb) -> LinComb:
-    """Algebra morphism into the grafting algebra taking E_k to epsilon(k).
-
-    Refused before any tree is grafted when the keys' bounds (``_z_terms``)
-    add up to more than ``TERM_CAP``."""
+    """Algebra morphism into the grafting algebra taking E_k to epsilon(k),
+    priced by the keys' ``_z_terms``."""
     check_terms("this image under Z", sum(map(_z_terms, a)))
     return a.apply_linear(_z_key)
 
@@ -169,7 +170,7 @@ def _z_key(comp):
 
 
 def _times_epsilon(t, k):
-    return KT.product(t, epsilon(k))
+    return KT._times(t, epsilon(k))
 
 
 _ZSTAR_MEMO: dict[Forest, LinComb] = memo_table()
@@ -180,10 +181,7 @@ _children = attrgetter("children")
 
 def Z_star(a: LinComb) -> LinComb:
     """The unique algebra morphism from forests to qsym that intertwines
-    rooting a forest with appending a part 1.
-
-    Refused before any term is made when the keys' bounds
-    (``_level_bound``) add up to more than ``TERM_CAP``."""
+    rooting a forest with appending a part 1, priced by ``_level_bound``."""
     check_terms("this image under Zstar", _level_bound(a))
     return a.apply_linear(_zstar_key)
 
@@ -234,8 +232,7 @@ def _zstar_parts(f: Forest) -> tuple:
 def _zstar_value(f: Forest) -> LinComb:
     parts = [_ZSTAR_MEMO[g] for g in _zstar_parts(f)]
     if len(parts) == 2:
-        # by the unpriced key products: ``Z_star`` prices the whole image
-        return LinComb.bilinear(*parts, QSYM._pk)
+        return QSYM._times(*parts)
     return alpha_plus(parts[0]) if parts else QSYM.one()
 
 
@@ -249,7 +246,7 @@ def kbar(a: LinComb) -> LinComb:
     contributes the composition of its fiber sizes.  The minimal vertices
     are the leaves, so kbar(f) is the sum over nonempty sets S of leaves
     of M_(|S|) followed by kbar(f minus S): leaf stripping, memoized per
-    forest.  Refused before any term is made as ``Z_star`` is.
+    forest.  Priced as ``Z_star`` is.
     """
     check_terms("this image under kbar", _level_bound(a))
     return a.apply_linear(_kbar_forest)
@@ -274,34 +271,11 @@ def _kbar_forest(f: Forest) -> LinComb:
     if out is not None:  # a hit builds none of the helpers below
         return out
 
-    def fold(trees):
-        # {(what is left of trees, as a tuple sorted by identity, which is
-        # canonical for interned trees; leaves removed): count}
-        acc = {((), 0): 1}
-        for t in trees:
-            strips = _LEAF_STRIPS[t].items()
-            grown = {}
-            for (kept, k), m in acc.items():
-                for (rest, j), n in strips:
-                    left = kept if rest is None else tuple(sorted(kept + (rest,), key=id))
-                    grown[left, k + j] = grown.get((left, k + j), 0) + m * n
-            acc = grown
-        return acc
-
-    def tree_strips(t):
-        if not t.children:
-            return {(t, 0): 1, (None, 1): 1}
-        return {(RootedTree(kept), k): m for (kept, k), m in fold(t.children).items()}
-
     def moves(g):
-        # {(forest left, leaves removed): count} over the nonempty sets of
-        # leaves of g, kept for the call, since kbar_of reads them again
+        # ``_leaf_moves``, kept for the call, since kbar_of reads them again
         out = moves_of.get(g)
         if out is None:
-            for t in g.trees:
-                bottom_up(t, _LEAF_STRIPS, _children, tree_strips)
-            out = moves_of[g] = {(Forest(kept), k): m
-                                 for (kept, k), m in fold(g.trees).items() if k}
+            out = moves_of[g] = _leaf_moves(g)
         return out
 
     def kbar_of(g):
@@ -314,6 +288,36 @@ def _kbar_forest(f: Forest) -> LinComb:
 
     moves_of = {}
     return bottom_up(f, _KBAR_MEMO, lambda g: [h for h, _ in moves(g)], kbar_of)
+
+
+def _leaf_moves(g: Forest) -> dict:
+    """{(forest left, leaves removed): count} over the nonempty sets of
+    leaves of g."""
+    for t in g.trees:
+        bottom_up(t, _LEAF_STRIPS, _children, _tree_strips)
+    return {(Forest(kept), k): m for (kept, k), m in _fold_strips(g.trees).items() if k}
+
+
+def _fold_strips(trees) -> dict:
+    """{(what is left of trees, as a tuple sorted by identity, which is
+    canonical for interned trees; leaves removed): count}, from the strips
+    of each tree in the memo."""
+    acc = {((), 0): 1}
+    for t in trees:
+        strips = _LEAF_STRIPS[t].items()
+        grown = {}
+        for (kept, k), m in acc.items():
+            for (rest, j), n in strips:
+                left = kept if rest is None else tuple(sorted(kept + (rest,), key=id))
+                grown[left, k + j] = grown.get((left, k + j), 0) + m * n
+        acc = grown
+    return acc
+
+
+def _tree_strips(t: RootedTree) -> dict:
+    if not t.children:
+        return {(t, 0): 1, (None, 1): 1}
+    return {(RootedTree(kept), k): m for (kept, k), m in _fold_strips(t.children).items()}
 
 
 # name -> (domain, codomain, function), the table the CLI and the

@@ -225,9 +225,9 @@ def check_duality_criterion(A, ip_A, B, ip_B, psi, max_degree: int) -> Criterion
         keys = A.basis(n)
         pos = {k: i for i, k in enumerate(keys)}
         cop_A = _transpose((k, A._ck(k)) for k in keys)
-        cop_B = _transpose((k, B.coproduct(images[k])) for k in keys)
+        cop_B = _transpose((k, images[k].apply_linear(B._ck)) for k in keys)
         for k1, k2 in _key_pairs(A.basis, n):
-            prod_B = B.product(images[k1], images[k2]).apply_linear(ip_B.row)
+            prod_B = B._times(images[k1], images[k2]).apply_linear(ip_B.row)
             jb = _exchange(A._pk(k1, k2).apply_linear(ip_A.row),
                            paired[k1], paired[k2], cop_B, pos)
             jc = _exchange(_through(psi_index[n], prod_B),

@@ -23,16 +23,12 @@ The antipodes are closed forms with no cancellation, as ``HopfAlgebra``
 describes: S(M_a) sums the coarsenings of a reversed (Malvenuto-Reutenauer;
 Ehrenborg), S(m_lam) collects that sum on partitions, a count of the
 rearrangements of lam that coarsen to each term, and S(E_n) is the signed
-sum of E_J over the compositions J of n.  ``antipode_terms`` counts the
-terms of S on a key (on SYM, bounds them) before any is made, which
-``HopfAlgebra.antipode`` checks against its term cap.  The SYM and QSYM
-products are priced the same way (``product_terms``), from the counts of
-each degree's keys and bounds on each key pair's terms.
+sum of E_J over the compositions J of n.  Every public operation here is
+priced by the rule that ``hopf`` states.
 
 The elementary/complete/power sums live here too, along with the conversion
 between the monomial and elementary bases (integer back-substitution along
-the dominance order, one memoized row per partition, each priced by the
-partitions it may reach),
+the dominance order, one memoized row per partition),
 the append-a-part-one operator alpha_plus with its one-sided inverse
 alpha_minus, their NSYM duals, and the truncated polynomial realization of
 QSYM used as an independent oracle for the quasi-shuffle product: a
@@ -56,7 +52,7 @@ from .foundations import (
     prefix_fold,
     rearrangements,
 )
-from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _power_of_two, check_terms
+from .hopf import COUNT_LIMIT, HopfAlgebra, _power_of_two, _split_count, check_terms
 
 
 class _PartLists(HopfAlgebra):
@@ -81,39 +77,10 @@ class _PartLists(HopfAlgebra):
     def key_sort(self, parts):
         return (sum(parts), parts)
 
-
-class _PricedProducts(_PartLists):
-    """Part lists whose product is refused before any term is made when
-    ``product_terms`` is above ``TERM_CAP``; ``_pk``, which the suites call,
-    is not priced."""
-
-    def product(self, a, b):
-        check_terms("this product", self.product_terms(a, b))
-        return super().product(a, b)
-
-    def product_terms(self, a, b):
-        """An upper bound on the terms of a b, or more than ``COUNT_LIMIT``
-        above it: for each total degree n, the smaller of ``degree_terms(n)``,
-        the keys of degree n, and the sum of ``pair_terms`` over the key
-        pairs of degree n.  When the first add up to at most ``TERM_CAP``,
-        no pair is priced."""
-        degrees = {sum(k1) + sum(k2) for k1 in a for k2 in b}
-        bound = sum(map(self.degree_terms, degrees))
-        if bound <= TERM_CAP:
-            return bound
-        left, right = _by_degree(a), _by_degree(b)
-        return sum(min(self.degree_terms(n), sum(self.pair_terms(k1, k2, n)
-                                                 for i, keys in left.items() for k1 in keys
-                                                 for k2 in right.get(n - i, ())))
-                   for n in degrees)
-
-
-def _by_degree(a):
-    """The keys of ``a`` by degree."""
-    out = defaultdict(list)
-    for key in a:
-        out[sum(key)].append(key)
-    return out
+    def degree_terms(self, n):
+        """The compositions of n, 2^(n - 1), or ``COUNT_LIMIT + 1`` above
+        ``COUNT_LIMIT``."""
+        return _power_of_two(n - 1) if n else 1
 
 
 # the most parts of the factors on which the quasi-shuffle takes one step
@@ -121,7 +88,7 @@ def _by_degree(a):
 _STEPPED = 16
 
 
-class QuasiSymmetricFunctions(_PricedProducts):
+class QuasiSymmetricFunctions(_PartLists):
     """Monomial-basis quasi-symmetric functions."""
 
     name = "qsym"
@@ -188,11 +155,6 @@ class QuasiSymmetricFunctions(_PricedProducts):
             parts.append((left[:k] + (left[k] + b,), tails[k + 1]))
         return LinComb([(head + comp, c) for head, tail in parts for comp, c in tail.items()])
 
-    def degree_terms(self, n):
-        """The compositions of n, 2^(n - 1), or ``COUNT_LIMIT + 1`` above
-        ``COUNT_LIMIT``."""
-        return _power_of_two(n - 1) if n else 1
-
     def pair_terms(self, left, right, n):
         """A bound on the terms of M_left M_right, of degree n: a term has
         at least as many parts as the longer factor and at most as many as
@@ -207,6 +169,11 @@ class QuasiSymmetricFunctions(_PricedProducts):
 
     def coproduct_key(self, comp):
         return LinComb.trusted({(comp[:i], comp[i:]): 1 for i in range(len(comp) + 1)})
+
+    def coproduct_terms(self, comp):
+        """The number of terms of the coproduct of M_comp, one per cut:
+        len + 1."""
+        return len(comp) + 1
 
     def antipode_rule(self, comp):
         """S(M_a) = (-1)^len(a) times the sum of M_b over the coarsenings b
@@ -238,6 +205,15 @@ class NoncommutativeSymmetricFunctions(_PartLists):
         part = lambda i: (i,) if i else ()
         return LinComb.trusted({(part(i), part(n - i)): 1 for i in range(n + 1)})
 
+    def coproduct_terms(self, comp):
+        """An upper bound on the terms of the coproduct of E_comp, exact on
+        E_n: the product of those of its parts' coproducts, a + 1 for a
+        part a, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        count = 1
+        for a in comp:
+            count = min(count * (a + 1), COUNT_LIMIT + 1)
+        return count
+
     def antipode_rule(self, comp):
         """S(E_n) = sum of (-1)^len(J) E_J over the compositions J of n."""
         (n,) = comp
@@ -249,7 +225,7 @@ class NoncommutativeSymmetricFunctions(_PartLists):
         return _power_of_two(sum(comp) - len(comp))
 
 
-class SymmetricFunctions(_PricedProducts):
+class SymmetricFunctions(_PartLists):
     """Monomial-basis symmetric functions (partition-indexed)."""
 
     name = "sym"
@@ -279,6 +255,11 @@ class SymmetricFunctions(_PricedProducts):
     def coproduct_key(self, lam):
         """Each distinct ordered splitting of the part multiset, once."""
         return LinComb.trusted({(l, r): 1 for l, r, _ in multiset_splits(lam)})
+
+    def coproduct_terms(self, lam):
+        """The number of terms of the coproduct of m_lam, its distinct
+        splittings (``hopf._split_count``)."""
+        return _split_count(lam)
 
     def antipode_rule(self, lam):
         """QSYM's rule collected on partitions: the coefficient of m_mu in
@@ -532,7 +513,7 @@ def e_to_m_row(comp) -> LinComb:
 
 
 def _times_e(row, k):
-    return LinComb.bilinear(row, e(k), SYM._pk)
+    return SYM._times(row, e(k))
 
 
 def m_to_e_row(lam) -> LinComb:
@@ -540,15 +521,18 @@ def m_to_e_row(lam) -> LinComb:
     e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
     visited, filled from an explicit stack (``foundations.bottom_up``).
-    Refused before any row is made when its terms may pass ``TERM_CAP``:
-    they are e_nu with nu at or above lam' in dominance order, so nu has at
-    most lam_1 parts."""
+    Priced once per new partition (``hopf``), by ``_m_to_e_terms``."""
     row = _M_TO_E.get(lam)
     if row is None:
-        check_terms(f"{SYM.key_str(lam)} in the elementary basis",
-                    _partitions_at_most(sum(lam), lam[0] if lam else 0))
+        check_terms(f"{SYM.key_str(lam)} in the elementary basis", _m_to_e_terms(lam))
         row = bottom_up(lam, _M_TO_E, _m_lower, _m_to_e_value)
     return row
+
+
+def _m_to_e_terms(lam):
+    """An upper bound on the terms of ``m_to_e_row(lam)``, e_nu with nu at
+    or above lam' in dominance order, so with at most lam_1 parts."""
+    return _partitions_at_most(sum(lam), lam[0] if lam else 0)
 
 
 def _m_lower(lam):

@@ -10,8 +10,10 @@ Reports are deterministic: fixed iteration order, and the only
 randomness (those spot checks) uses a hard-coded seed.
 
 A check walks basis keys, and reads the product and coproduct of keys
-from the algebra memos (``alg._pk``, ``alg._ck``); a counterexample names
-its keys with ``key_str``.  The adjoint and delta rows of the dualities
+from the algebra memos (``alg._pk``, ``alg._ck``); it multiplies elements
+by the unpriced key products (``alg._times``) and takes their coproducts
+and antipodes key by key, so no suite meets the pricing of the public
+operations (``hopf``).  A counterexample names its keys with ``key_str``.  The adjoint and delta rows of the dualities
 suite compare sparse rows, as the duality criterion does, not every key
 pair: <f(u), v> = <u, g(v)> is the row of f(u) against u's row through the
 transpose of g, and each e_mu e_nu is its row against a one-term delta.
@@ -409,7 +411,7 @@ def _key_times(alg, key, a):
 def _divided_powers(alg, seq, k):
     """Delta seq(k) = sum of seq(i) (x) seq(k - i): seq is a sequence of
     divided powers through k."""
-    cop = alg.coproduct(seq(k))
+    cop = seq(k).apply_linear(alg._ck)
     return cop == LinComb.tensor_sum((1, seq(i), seq(k - i)) for i in range(k + 1))
 
 
@@ -496,7 +498,7 @@ def _axioms(alg, d):
          key_text),
         ("counit laws", keys(), lambda key, x: _counit_ok(alg, key, x), key_text),
         ("coproduct is an algebra morphism", _pairs(alg.basis, d),
-         lambda kx, ky, n: alg.coproduct(pk(kx, ky)) == tensor_mult(alg, ck(kx), ck(ky)),
+         lambda kx, ky, n: pk(kx, ky).apply_linear(ck) == tensor_mult(alg, ck(kx), ck(ky)),
          pair_text),
         ("antipode convolution identity", keys(),
          lambda key, x: _antipode_convolution_ok(alg, key, x), key_text),
@@ -539,7 +541,7 @@ def _witnesses():
 
 
 def _antipode_signs_e(i):
-    return SYM.antipode(e(i)) == (-1) ** i * h(i)
+    return e(i).apply_linear(SYM.antipode_key) == (-1) ** i * h(i)
 
 
 def _suite_hopf_axioms(d: int) -> list[IdentityResult]:
@@ -559,13 +561,13 @@ def _suite_hopf_axioms(d: int) -> list[IdentityResult]:
 # --------------------------------------------------------------- suite: ideh
 
 def _alternating_sum(n):
-    pieces = ((-1) ** (n - i) * SYM.product(e(i), h(n - i)) for i in range(n + 1))
+    pieces = ((-1) ** (n - i) * SYM._times(e(i), h(n - i)) for i in range(n + 1))
     return sum(pieces, LinComb.zero())
 
 
 def _primitive(alg, x):
     one = alg.one()
-    return alg.coproduct(x) == LinComb.tensor_sum(((1, x, one), (1, one, x)))
+    return x.apply_linear(alg._ck) == LinComb.tensor_sum(((1, x, one), (1, one, x)))
 
 
 def _suite_ideh(d: int) -> list[IdentityResult]:
@@ -648,10 +650,10 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
     fk = _key_rule(fn)
     return [
         _check(f"{name} is multiplicative", spotted, pairs,
-               lambda kx, ky, n: fn(dom._pk(kx, ky)) == cod.product(fk(kx), fk(ky)),
+               lambda kx, ky, n: fn(dom._pk(kx, ky)) == cod._times(fk(kx), fk(ky)),
                lambda kx, ky, n: f"{dom.key_str(kx)} , {dom.key_str(ky)}"),
         _check(f"{name} is comultiplicative", spotted, keys,
-               lambda key, x: cod.coproduct(fn(x)) == tensor_map(dom._ck(key), fk, fk),
+               lambda key, x: fn(x).apply_linear(cod._ck) == tensor_map(dom._ck(key), fk, fk),
                lambda key, x: dom.key_str(key)),
         _check(f"{name} preserves unit and counit", f"degree <= {exhaustive}",
                _unit_counit_cases(dom, cod, fn, exhaustive),
@@ -778,7 +780,7 @@ def _delta_failure(d):
         pos = {lam: j for j, lam in enumerate(lams)}
         first = None  # (position of lam, mu, nu)
         for mu, nu in _key_pairs(SYM.basis, n):
-            row = SYM.product(e_to_m_row(mu), e_to_m_row(nu)).apply_linear(ip_sym.row)
+            row = SYM._times(e_to_m_row(mu), e_to_m_row(nu)).apply_linear(ip_sym.row)
             delta = LinComb.single(tuple(sorted(mu + nu, reverse=True)))
             j = _first_mismatch(row, delta, pos)
             if j is not None and (first is None or j < first[0]):
@@ -840,7 +842,7 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
         # convolution inverse of kappa, which defines epsilon, proves the row
         # by induction on n
         ("factorial multiple is the star tree", "n",
-         lambda n: sum(((-1) ** i * KT.product(kappa(i), epsilon(n - i))
+         lambda n: sum(((-1) ** i * KT._times(kappa(i), epsilon(n - i))
                         for i in range(n + 1)), LinComb.zero())
          == (KT.one() if n == 0 else LinComb.zero())),
         ("ladder projection of the weighted sum is complete", "n",
@@ -877,7 +879,7 @@ def _suite_zstar_intertwine(d: int) -> list[IdentityResult]:
          lambda comp, u: Z(alpha_plus_dual(u)) == strip_primitive_root(Z(u)), word_text),
         ("dual strip matches right multiplication by the chain of two",
          words, _keys(compositions_of, d - 1),
-         lambda comp, u: Z(alpha_minus_dual(u)) == KT.product(Z(u), eps1), word_text),
+         lambda comp, u: Z(alpha_minus_dual(u)) == KT._times(Z(u), eps1), word_text),
     ]
     return [_check(*row) for row in rows]
 
@@ -939,7 +941,7 @@ def _symmetrized_product_error(x, y):
     """Why the QSYM product of the symmetrizations of ``x`` and ``y`` is not
     the symmetrization of a SYM element, or None if it is."""
     try:
-        collect_sym(QSYM.product(include_sym(x), include_sym(y)))
+        collect_sym(QSYM._times(include_sym(x), include_sym(y)))
     except ValueError as exc:
         return str(exc)
     return None
@@ -994,7 +996,7 @@ def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
          f"{_symmetrized_product_error(s(mu), s(nu))}"),
         ("symmetrization is multiplicative", degree, _pairs(SYM.basis, d),
          lambda mu, nu, n: include_sym(SYM._pk(mu, nu))
-         == QSYM.product(include_sym(s(mu)), include_sym(s(nu))),
+         == QSYM._times(include_sym(s(mu)), include_sym(s(nu))),
          lambda mu, nu, n: f"{SYM.key_str(mu)} , {SYM.key_str(nu)}"),
     ]
     return [_check(*row) for row in rows]

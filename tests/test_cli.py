@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -19,10 +20,12 @@ import treehopf.hopf_rooted
 import treehopf.symfun
 from treehopf.cli import CHAIN_CAP, build_parser, main, parse_element
 from treehopf.foundations import LinComb, clear_caches
-from treehopf.trees import rooted_from_string as rt, Forest
+from treehopf.trees import rooted_from_string as rt, Forest, catalan, rooted_count
 from treehopf.hopf import TERM_CAP
+from treehopf.hopf_planar import KP
 from treehopf.hopf_rooted import GRAFT_CAP, KT, GraftingAlgebra
 from treehopf.morphisms import Z
+from treehopf.symfun import SYM
 
 
 def run(capsys, *argv):
@@ -77,6 +80,48 @@ def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--vertices", "50")
     assert code == 2
     assert "cap" in err
+
+
+def test_enumerate_and_expand_are_priced_by_their_output(capsys, monkeypatch):
+    # listing 32,973 trees is within the term cap; counting builds no tree
+    code, out, err = run(capsys, "enumerate", "--kind", "rooted", "--vertices", "14")
+    assert (code, err, len(out.split())) == (0, "", 32_973)
+    with monkeypatch.context() as patch:
+        for alg in (KT, KP):
+            patch.setattr(alg, "basis", None)
+        assert run(capsys, "enumerate", "--vertices", "100", "--count-only") == (
+            0, f"{rooted_count(100)}\n", "")
+        assert run(capsys, "enumerate", "--kind", "planar", "--vertices", "1000",
+                   "--count-only") == (0, f"{catalan(999)}\n", "")
+        assert run(capsys, "enumerate", "--vertices", f"{CHAIN_CAP + 1}", "--count-only") == (
+            2, "", f"error: vertex count {CHAIN_CAP + 1} exceeds the cap {CHAIN_CAP}; "
+            "the count has more than 400 digits\n")
+        for kind in ("rooted", "planar"):
+            for n in (30, 40, 60):
+                assert run(capsys, "enumerate", "--kind", kind, "--vertices", str(n)) == (
+                    2, "", "error: this listing would have more than 1,000,000,000 trees; "
+                    f"the cap is {TERM_CAP:,}\n")
+    # each of the C(12, 8) = 495 monomials lists 12 exponents; with 16
+    # variables, 12,870 monomials list 205,920
+    code, out, err = run(capsys, "expand", "--vars", "12", "M(1,1,1,1,1,1,1,1)")
+    assert (code, err, len(out.split(" + "))) == (0, "", 495)
+    assert run(capsys, "expand", "--vars", "16", "M(1,1,1,1,1,1,1,1)") == (
+        2, "", f"error: this expansion would have up to 205,920 exponents; "
+        f"the cap is {TERM_CAP:,}\n")
+    assert run(capsys, "expand", "--vars", "1000000000", "1")[:2] == (2, "")
+
+
+def test_coproducts_are_priced_by_their_terms(capsys, monkeypatch):
+    # m(20,19,...,1) has 2^20 distinct splits: refused before any is made
+    monkeypatch.setattr(SYM, "_ck", None)
+    lam = "m(%s)" % ",".join(map(str, range(20, 0, -1)))
+    assert run(capsys, "coproduct", "--algebra", "sym", lam) == (
+        2, "", f"error: this coproduct would have up to 1,048,576 terms; "
+        f"the cap is {TERM_CAP:,}\n")
+    monkeypatch.undo()
+    # 17 equal parts split in 18 ways, exactly as the bound says
+    code, out, err = run(capsys, "coproduct", "--algebra", "sym", "m(%s)" % ",".join("1" * 17))
+    assert (code, err, len(out.split(" + "))) == (0, "", 18)
 
 
 def test_coproduct_text(capsys):
@@ -362,13 +407,14 @@ def test_grafting_product_above_its_cap_is_refused_before_grafting(capsys, monke
     assert len(err.splitlines()) == 1
 
 
-# The CLI's refusal of each element: E(8,8,8) by Z's term bound, before
-# any product; E(10,10), within that bound (627 trees of 21 vertices and
-# at most 3 levels), by the graft budget of its last product
+# The CLI's outcome for each element, (exit code, stdout terms or stderr):
+# E(8,8,8) is refused by Z's term bound, before any product; E(10,10),
+# within that bound (627 trees of 21 vertices and at most 3 levels), is
+# answered, since Z multiplies by the unpriced key products
 _Z_REFUSALS = {
-    "E(10,10)": "this product would graft 184,756 attachment choices, "
-                f"rebuilding roughly 40,738,698 vertices; the cap is {GRAFT_CAP:,}",
-    "E(8,8,8)": f"this image under Z would have up to 580,901 terms; the cap is {TERM_CAP:,}",
+    "E(10,10)": (0, 139),
+    "E(8,8,8)": (2, f"error: this image under Z would have up to 580,901 terms; "
+                    f"the cap is {TERM_CAP:,}\n"),
 }
 
 
@@ -380,9 +426,11 @@ _Z_REFUSALS = {
     ("E(8,8)", "E(8,8,8)", "this product would graft 145,190,817 attachment choices"),
 ])
 def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, element, message):
-    # Z multiplies the epsilons of the parts in turn, and the CLI refuses
-    # the element before any graft; its last product, computed from the
-    # image of the warm prefix, meets the graft budget
+    # the public product of the image of the warm prefix by the image of
+    # the last part meets the graft budget before any graft; Z multiplies
+    # the same epsilons by the key products, so the CLI answers or refuses
+    # the element by Z's term bound alone
+    clear_caches()
     assert run(capsys, "map", "--name", "Z", warm)[0] == 0
     last = parse_element(f"E({element[2:-1].rsplit(',', 1)[1]})", "nsym")
 
@@ -391,11 +439,19 @@ def test_tree_embedding_meets_the_graft_budget(capsys, monkeypatch, warm, elemen
 
     with monkeypatch.context() as patch:
         patch.setattr(GraftingAlgebra, "graft", graft)
-        code, out, err = run(capsys, "map", "--name", "Z", element)
         with pytest.raises(ValueError) as refusal:
             KT.product(Z(parse_element(warm, "nsym")), Z(last))
-    assert (code, out, err) == (2, "", f"error: {_Z_REFUSALS[element]}\n")
     assert str(refusal.value).startswith(message)
+    code, out, err = run(capsys, "map", "--name", "Z", element)
+    assert (code, err or len(out.split(" + "))) == _Z_REFUSALS[element]
+
+
+@pytest.mark.parametrize("element, terms", [("E(2,400)", 4), ("E(4,4,4,4)", 19_144)])
+def test_tree_embeddings_within_the_term_bound_are_answered(capsys, element, terms):
+    # Z grafts by the key products: the graft budget of the public product
+    # refuses neither, since only Z's term bound prices them
+    code, out, err = run(capsys, "map", "--name", "Z", element)
+    assert (code, err, len(re.split(" [+-] ", out.strip()))) == (0, "", terms)
 
 
 def test_grafting_antipode_meets_the_graft_budget(capsys, monkeypatch):
@@ -410,13 +466,17 @@ def test_grafting_antipode_meets_the_graft_budget(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == f"error: this antipode would have up to 634,847 terms; the cap is {TERM_CAP:,}\n"
     # within the term cap, the recursion grafts S of smaller corollas into
-    # leaves of this one, and each product meets the graft budget
+    # leaves of this one by the key products, which the graft budget does
+    # not guard: the term bound alone prices the antipode
     clear_caches()
-    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 1000)
+    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 0)
     code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 6 + "]")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: this product would graft ")
-    assert err.endswith("; the cap is 1,000\n")
+    assert (code, err) == (0, "")
+    # every tree of 7 vertices, rooted_count(7) of them
+    terms = re.split(" [+-] ", out.strip())
+    assert len(terms) == 48 and {t.split("*")[-1].count("[") for t in terms} == {7}
+    # the public product still meets it
+    assert run(capsys, "product", "--algebra", "kt", "l4", "l4")[:2] == (2, "")
 
 
 def test_grafting_products_below_the_cap_are_answered(capsys):

@@ -275,8 +275,9 @@ def test_foundations_sums_in_three_loops():
 
 def test_sparse_sums_outside_foundations_go_through_lincomb():
     # the exceptions, each still present: an oracle kept independent of
-    # LinComb, and an in-place integer row update
-    allowed = {"morphisms._kbar_forest", "verify._clear"}
+    # LinComb (kbar's leaf stripping, with the fold of its strips), and an
+    # in-place integer row update
+    allowed = {"morphisms._kbar_forest", "morphisms._fold_strips", "verify._clear"}
     package = pathlib.Path(treehopf.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

@@ -33,7 +33,6 @@ encoding, and the rooted-tree classes against ``networkx``'s rooted tree
 isomorphism."""
 
 import gc
-import inspect
 import random
 import sys
 import weakref
@@ -1530,24 +1529,22 @@ def test_kbar_is_the_downset_dp_on_heavy_forests(fresh_caches):
         assert _typed(kbar(s(f))) == _typed(kbar_by_downsets(f)), f
 
 
-def kbar_stripping_one_leaf_at_a_time():
-    """``morphisms._kbar_forest`` with one fault, built from its source
-    with memos of its own: each step removes a single leaf, never a larger
-    set of leaves."""
-    source = inspect.getsource(treehopf.morphisms._kbar_forest)
-    broken = source.replace(".items() if k}", ".items() if k == 1}")
-    assert broken.count("if k == 1}") == 1
-    namespace = dict(vars(treehopf.morphisms), _KBAR_MEMO={}, _LEAF_STRIPS={})
-    exec(broken, namespace)
-    return namespace["_kbar_forest"]
+def strip_one_leaf_at_a_time(monkeypatch):
+    """Give ``morphisms._kbar_forest`` one fault, with a kbar memo of its
+    own: each step removes a single leaf (``_leaf_moves``), never a larger
+    set of leaves.  The module's own code runs, with one step replaced."""
+    leaf_moves = treehopf.morphisms._leaf_moves
+    monkeypatch.setattr(treehopf.morphisms, "_leaf_moves", lambda g: {
+        move: m for move, m in leaf_moves(g).items() if move[1] == 1})
+    monkeypatch.setattr(treehopf.morphisms, "_KBAR_MEMO", {})
 
 
 def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkeypatch):
-    broken = kbar_stripping_one_leaf_at_a_time()
+    strip_one_leaf_at_a_time(monkeypatch)
+    broken = treehopf.morphisms._kbar_forest
     wrong = [f for n in range(9) for f in forests_of_degree(n)
              if broken(f) != kbar_by_downsets(f)]
     assert wrong[0] == Forest([rooted_from_string("[]")] * 2)
-    monkeypatch.setattr(treehopf.morphisms, "_kbar_forest", broken)
     report = run_suite("zstar-intertwine", 3)
     failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
     assert failed == {"poset labeling realization agrees with the recursion": "[] []"}
