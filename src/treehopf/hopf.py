@@ -50,8 +50,9 @@ threads building the same new key at once could each get an object of
 their own.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import reduce
+from itertools import groupby
 
 from .foundations import LinComb, bottom_up, memo, memo_table
 
@@ -67,12 +68,12 @@ def _power_of_two(k):
 
 
 def _split_count(items):
-    """The distinct ordered splits of the multiset ``items`` into two, the
-    product of m + 1 over its multiplicities m, or ``COUNT_LIMIT + 1``
-    above ``COUNT_LIMIT``."""
+    """The distinct ordered splits of the multiset ``items``, sorted so that
+    equal items are neighbours, into two: the product of m + 1 over its
+    multiplicities m, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
     count = 1
-    for m in Counter(items).values():
-        count = min(count * (m + 1), COUNT_LIMIT + 1)
+    for _, run in groupby(items):
+        count = min(count * (len(tuple(run)) + 1), COUNT_LIMIT + 1)
     return count
 
 

@@ -53,6 +53,7 @@ child; and the root-removal operators in their various linear extensions.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, prod
 from operator import attrgetter
 
@@ -389,9 +390,13 @@ def _forest_cuts(trees):
     """c of a forest of trees whose c(t) the memo holds, or ``COUNT_LIMIT +
     1`` above ``COUNT_LIMIT``: the product of the c(t), the coproduct of a
     forest being the product of its trees'.  In a commutative forest, m
-    equal trees take a multiset of m of the c(t) terms: C(c(t) + m - 1, m)."""
+    equal trees, neighbours in its canonical order, take a multiset of m of
+    the c(t) terms: C(c(t) + m - 1, m)."""
     count = 1
-    groups = ((t, 1) for t in trees) if trees and trees[0].ordered else Counter(trees).items()
+    if trees and trees[0].ordered:
+        groups = ((t, 1) for t in trees)
+    else:
+        groups = ((t, len(tuple(run))) for t, run in groupby(trees))
     for t, m in groups:
         c = _CUT_COUNTS[t]
         count = min(count * (c if m == 1 else comb(c + m - 1, m)), COUNT_LIMIT + 1)
