@@ -50,7 +50,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
 
 from .foundations import LinComb, memo
 from .trees import (
@@ -61,7 +60,7 @@ from .trees import (
     _parse_tree,
     ladder,
 )
-from .hopf import check_terms
+from .hopf import COUNT_LIMIT, check_terms
 from .hopf_rooted import HK, KT, epsilon, kappa
 from .hopf_planar import HF, KP
 from .symfun import NSYM, QSYM, SYM, e, expand_truncated, h, p
@@ -408,13 +407,27 @@ def _cmd_enumerate(args):
     return _emit(args, lambda: "\n".join(names), {**doc, "trees": names})
 
 
+def _choices(n, k):
+    """C(n, k), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: the product
+    stops once it passes the limit, so that no --vars, however large, costs
+    more than a few steps."""
+    k = min(k, n - k)
+    count = int(k >= 0)
+    for i in range(k):
+        count = count * (n - i) // (i + 1)
+        if count > COUNT_LIMIT:
+            return COUNT_LIMIT + 1
+    return count
+
+
 def _cmd_expand(args):
     x = parse_element(args.element, "qsym")
     n = args.vars
     if n < 0:
         raise ValueError("variable count must be nonnegative")
     # a monomial of M_comp picks len(comp) of the n variables, and lists n exponents
-    check_terms("this expansion", n * sum(comb(n, len(comp)) for comp in x), "exponents")
+    monomials = min(sum(_choices(n, len(comp)) for comp in x), COUNT_LIMIT + 1)
+    check_terms("this expansion", min(n * monomials, COUNT_LIMIT + 1), "exponents")
     items = sorted(expand_truncated(x, n).items())
     terms = [{"coefficient": str(c), "exponents": list(expo)} for expo, c in items]
     return _emit(

@@ -35,8 +35,8 @@ kernels (``_pk``, ``_ck``, ``antipode_key``, ``antipode_rule`` and the key
 rules) price nothing, and no kernel or verification suite calls a priced
 entry: they multiply elements by ``_times``, ``LinComb.bilinear`` over
 ``_pk``, and take coproducts by ``a.apply_linear(alg._ck)``.  The one
-other guard is KT's and KP's ``GRAFT_CAP`` on their public ``product``,
-whose work the terms do not bound (``hopf_rooted``).
+other guard is KT's and KP's ``GRAFT_CAP`` on their public ``product``
+and ``antipode``, whose work the terms do not bound (``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
 instance, in tables registered with ``foundations.clear_caches``; entries
@@ -184,7 +184,7 @@ class HopfAlgebra:
         """a b, refused before any term is made when ``product_terms`` is
         above ``TERM_CAP``."""
         check_terms("this product", self.product_terms(a, b))
-        return LinComb.bilinear(a, b, self._pk)
+        return self._times(a, b)
 
     def product_terms(self, a, b) -> int:
         """An upper bound on the terms of a b, or more than ``COUNT_LIMIT``

@@ -22,11 +22,13 @@ after a block left in the root's gap before it.  Partial results with equal bran
 children so far merge, so each is carried on once.
 
 Both are priced by the rule that ``hopf`` states.  Their public
-``product`` has one guard more, since its work is not bounded by its terms:
-``GRAFT_CAP`` on the key products not yet memoized, each priced by its
-attachment choices (``product_choices``) at about v^2 / 2 vertices for a
-result of v vertices, as when each choice rebuilt a whole tree.  Z, the
-antipode recursion and the suites multiply by the unpriced key products.
+``product`` and ``antipode`` have one guard more, since their work is not
+bounded by their terms: ``GRAFT_CAP``, in vertices rebuilt, each attachment
+choice at about v^2 / 2 vertices for a result of v vertices, as when each
+choice rebuilt a whole tree.  The product prices the attachment choices
+(``product_choices``) of its key products not yet memoized; the antipode,
+each term of its result as one choice.  Z, the antipode recursion and the
+suites multiply by the unpriced key products.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
@@ -58,7 +60,7 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
-from .hopf import COUNT_LIMIT, HopfAlgebra, _growing_count, _power_of_two, _split_count
+from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _growing_count, _power_of_two, _split_count
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -80,6 +82,13 @@ _children = attrgetter("children")
 # choices it counts, each at about (result vertices)^2 / 2 vertices, the
 # subtrees' encodings included; [[][]] into l80 is 10.9 million
 GRAFT_CAP = 20_000_000
+
+
+def _rebuilt(choices, vertices):
+    """The vertices that ``choices`` attachments rebuild in trees of
+    ``vertices`` vertices, about half of each tree each, its subtrees'
+    encodings included: the unit of ``GRAFT_CAP``."""
+    return choices * vertices ** 2 // 2
 
 
 @memo
@@ -128,7 +137,11 @@ class GraftingAlgebra(HopfAlgebra):
     def product(self, a, b):
         """The grafting product, refused before any tree is grafted when its
         key products not yet memoized would rebuild more than ``GRAFT_CAP``
-        vertices, and then as ``HopfAlgebra.product`` is."""
+        vertices, and then as ``HopfAlgebra.product`` is.  The two walks
+        over the key pairs price different things: this one the grafting
+        work of the pairs not yet memoized, and that one, only when the
+        trees of the degrees reached are more than ``TERM_CAP``, the terms
+        of every pair."""
         memo = self._prod_memo
         choices = cost = 0
         for t in a:
@@ -136,11 +149,30 @@ class GraftingAlgebra(HopfAlgebra):
                 if (t, tp) not in memo:
                     n = self.product_choices(t, tp)
                     choices += n
-                    cost += n * (t.size + tp.size - 1) ** 2 // 2
+                    cost += _rebuilt(n, t.size + tp.size - 1)
         if cost > GRAFT_CAP:
             raise ValueError(f"this product would graft {choices:,} attachment choices, "
                              f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
         return super().product(a, b)
+
+    def antipode(self, a):
+        """S of an element, priced by its terms as ``HopfAlgebra.antipode``
+        is, and within the term cap refused before any graft when the
+        recursion would rebuild more than ``GRAFT_CAP`` vertices: each term
+        of S(t), a tree of t's size, priced as one attachment choice of a
+        product is.  The terms do not bound this work: S of the tree whose
+        root branches are two leaves and the ladder l310 has at most 313^2
+        terms, but the recursion grafts the two leaves into a tree of 311
+        vertices in about 48,500 ways."""
+        terms = [(self.antipode_terms(t), t.size) for t in a]
+        total = sum(n for n, _ in terms)
+        if total <= TERM_CAP:
+            cost = sum(_rebuilt(n, size) for n, size in terms)
+            if cost > GRAFT_CAP:
+                raise ValueError(f"this antipode of up to {total:,} terms would rebuild "
+                                 f"roughly {cost:,} vertices in grafting; the cap is "
+                                 f"{GRAFT_CAP:,}")
+        return super().antipode(a)
 
     def degree_terms(self, n):
         """The trees of n + 1 vertices, or ``COUNT_LIMIT + 1`` above it."""
@@ -295,8 +327,8 @@ class ForestAlgebra(HopfAlgebra):
 
     def coproduct_terms(self, f):
         """An upper bound on the terms of the coproduct of f, exact on
-        ladders, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: c(f), the
-        product over its trees of c(t) = 1 + c(the forest of t's children),
+        ladders and corollas, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
+        c(f), from c(t) = 1 + c(the forest of t's children) of its trees,
         the term t ⊗ 1 and those of the root recursion, filled from an
         explicit stack (``_forest_cuts``)."""
         for t in f.trees:
@@ -388,19 +420,34 @@ def _cut_count(t):
 
 def _forest_cuts(trees):
     """c of a forest of trees whose c(t) the memo holds, or ``COUNT_LIMIT +
-    1`` above ``COUNT_LIMIT``: the product of the c(t), the coproduct of a
-    forest being the product of its trees'.  In a commutative forest, m
-    equal trees, neighbours in its canonical order, take a multiset of m of
-    the c(t) terms: C(c(t) + m - 1, m)."""
+    1`` above ``COUNT_LIMIT``: the product over its runs of m equal trees of
+    the terms of Δ(t)^m, the coproduct of a forest being the product of
+    its trees'.  In a commutative forest, whose equal trees are neighbours,
+    the m factors take a multiset of the c(t) terms: C(c(t) + m - 1, m).  In
+    an ordered one, ``_ordered_run``."""
     count = 1
-    if trees and trees[0].ordered:
-        groups = ((t, 1) for t in trees)
-    else:
-        groups = ((t, len(tuple(run))) for t, run in groupby(trees))
-    for t, m in groups:
-        c = _CUT_COUNTS[t]
-        count = min(count * (c if m == 1 else comb(c + m - 1, m)), COUNT_LIMIT + 1)
+    for t, run in groupby(trees):
+        c, m = _CUT_COUNTS[t], len(tuple(run))
+        if m > 1:
+            c = _ordered_run(c, m) if t.ordered else comb(c + m - 1, m)
+        count = min(count * c, COUNT_LIMIT + 1)
     return count
+
+
+def _ordered_run(c, m):
+    """A bound on the terms of Δ(t)^m over ordered forests, for a Δ(t) of
+    at most c terms, two of them t ⊗ 1 and 1 ⊗ t, or ``COUNT_LIMIT + 1``
+    above ``COUNT_LIMIT``: r of the m factors take one of the c - 2 other
+    terms, in order, and each of the rest puts t on the left or the right,
+    where only how many land in each of the r + 1 gaps between those counts.
+    That is the sum over r of (c - 2)^r C(m + r + 1, 2r + 1); m + 1 for a
+    leaf."""
+    count = 0
+    for r in range(m + 1):
+        count += (c - 2) ** r * comb(m + r + 1, 2 * r + 1)
+        if count > COUNT_LIMIT or c == 2:
+            break
+    return min(count, COUNT_LIMIT + 1)
 
 
 KT = GraftingAlgebra()

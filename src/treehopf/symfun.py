@@ -52,7 +52,7 @@ from .foundations import (
     prefix_fold,
     rearrangements,
 )
-from .hopf import COUNT_LIMIT, HopfAlgebra, _power_of_two, _split_count, check_terms
+from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _power_of_two, _split_count, check_terms
 
 
 class _PartLists(HopfAlgebra):
@@ -207,12 +207,21 @@ class NoncommutativeSymmetricFunctions(_PartLists):
 
     def coproduct_terms(self, comp):
         """An upper bound on the terms of the coproduct of E_comp, exact on
-        E_n: the product of those of its parts' coproducts, a + 1 for a
-        part a, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        E_n and on E_(1^k), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
+        the product of those of its parts' coproducts, a + 1 for a part a,
+        and no more than the pairs of a left side of degree j and a right
+        side of degree n - j, each with at most len(comp) parts of at most
+        max(comp), since each side takes a piece of each part
+        (``_piece_pairs``).  At n >= ``TERM_CAP`` the product stands: both
+        are above the cap, and so is the count, which has a term of each
+        left degree."""
         count = 1
         for a in comp:
             count = min(count * (a + 1), COUNT_LIMIT + 1)
-        return count
+        n = sum(comp)
+        if not comp or n >= TERM_CAP:
+            return count
+        return min(count, _piece_pairs(n, len(comp), max(comp)))
 
     def antipode_rule(self, comp):
         """S(E_n) = sum of (-1)^len(J) E_J over the compositions J of n."""
@@ -427,6 +436,37 @@ def _compositions_with_parts(n, lo, hi):
         if count > COUNT_LIMIT:
             return COUNT_LIMIT + 1
     return count
+
+
+@memo
+def _piece_pairs(n, parts, largest):
+    """The sum over 0 <= j <= n of c(j) c(n - j), where c(j) bounds the
+    compositions of j into at most ``parts`` parts of at most ``largest``:
+    the smaller of the counts under each limit alone, or ``COUNT_LIMIT +
+    1`` above ``COUNT_LIMIT``.  Neither count falls as j grows, so each is
+    filled until it passes the limit."""
+    top = COUNT_LIMIT + 1
+    few, small = [1], [1]  # at most ``parts`` parts; parts at most ``largest``
+    window = 1  # the sum of the last ``largest`` counts of ``small``
+    for j in range(1, n + 1):
+        count = few[-1]
+        if count < top:
+            count = 0
+            for k in range(min(parts, j)):
+                count += comb(j - 1, k)
+                if count > COUNT_LIMIT:
+                    break
+        few.append(min(count, top))
+        small.append(min(window, top))
+        if window < top:
+            window += window - (small[j - largest] if j >= largest else 0)
+    counts = list(map(min, few, small))
+    total = 0
+    for j in range(n + 1):
+        total += counts[j] * counts[n - j]
+        if total > COUNT_LIMIT:
+            return top
+    return total
 
 
 @memo

@@ -109,6 +109,11 @@ def test_enumerate_and_expand_are_priced_by_their_output(capsys, monkeypatch):
         2, "", f"error: this expansion would have up to 205,920 exponents; "
         f"the cap is {TERM_CAP:,}\n")
     assert run(capsys, "expand", "--vars", "1000000000", "1")[:2] == (2, "")
+    # a --vars of thousands of digits is priced in a few steps
+    ones = "M(%s)" % ",".join(["1"] * 3000)
+    assert run(capsys, "expand", "--vars", "9" * 4000, ones) == (
+        2, "", f"error: this expansion would have more than 1,000,000,000 exponents; "
+        f"the cap is {TERM_CAP:,}\n")
 
 
 def test_coproducts_are_priced_by_their_terms(capsys, monkeypatch):
@@ -119,9 +124,15 @@ def test_coproducts_are_priced_by_their_terms(capsys, monkeypatch):
         2, "", f"error: this coproduct would have up to 1,048,576 terms; "
         f"the cap is {TERM_CAP:,}\n")
     monkeypatch.undo()
-    # 17 equal parts split in 18 ways, exactly as the bound says
-    code, out, err = run(capsys, "coproduct", "--algebra", "sym", "m(%s)" % ",".join("1" * 17))
-    assert (code, err, len(out.split(" + "))) == (0, "", 18)
+    # 17 equal parts split in 18 ways, exactly as the bound says; so do
+    # E(1^17) and the leaves of the 17-leaf corolla, ordered or not, where
+    # a product over the parts or the leaves would say 2^17
+    ones = ",".join("1" * 17)
+    corolla = "[" + "[]" * 17 + "]"
+    for argv, terms in ((("sym", f"m({ones})"), 18), (("nsym", f"E({ones})"), 18),
+                        (("ck", corolla), 19), (("hf", corolla), 19)):
+        code, out, err = run(capsys, "coproduct", "--algebra", *argv)
+        assert (code, err, len(out.split(" + "))) == (0, "", terms), argv
 
 
 def test_coproduct_text(capsys):
@@ -465,18 +476,55 @@ def test_grafting_antipode_meets_the_graft_budget(capsys, monkeypatch):
         code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 16 + "]")
     assert (code, out) == (2, "")
     assert err == f"error: this antipode would have up to 634,847 terms; the cap is {TERM_CAP:,}\n"
-    # within the term cap, the recursion grafts S of smaller corollas into
-    # leaves of this one by the key products, which the graft budget does
-    # not guard: the term bound alone prices the antipode
+    # within the term cap, the graft budget prices the antipode once, at
+    # its entry, each term as one attachment choice: the 6-leaf corolla's
+    # 48 terms of 7 vertices rebuild 48 * 7^2 // 2 = 1,176 vertices, and
+    # the recursion's key products are not priced again
     clear_caches()
-    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 0)
-    code, out, err = run(capsys, "antipode", "--algebra", "kt", "[" + "[]" * 6 + "]")
+    corolla6 = "[" + "[]" * 6 + "]"
+    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 1175)
+    with monkeypatch.context() as patch:
+        patch.setitem(vars(KT), "antipode_key", start)
+        assert run(capsys, "antipode", "--algebra", "kt", corolla6) == (
+            2, "", "error: this antipode of up to 48 terms would rebuild roughly 1,176 "
+            "vertices in grafting; the cap is 1,175\n")
+    monkeypatch.setattr(treehopf.hopf_rooted, "GRAFT_CAP", 1176)
+    code, out, err = run(capsys, "antipode", "--algebra", "kt", corolla6)
     assert (code, err) == (0, "")
     # every tree of 7 vertices, rooted_count(7) of them
     terms = re.split(" [+-] ", out.strip())
     assert len(terms) == 48 and {t.split("*")[-1].count("[") for t in terms} == {7}
-    # the public product still meets it
-    assert run(capsys, "product", "--algebra", "kt", "l4", "l4")[:2] == (2, "")
+    # the public product meets it too: 210 choices into trees of 22 vertices
+    assert run(capsys, "product", "--algebra", "kt", "[[][]]", "l20")[:2] == (2, "")
+
+
+def test_grafting_antipode_within_the_term_cap_meets_the_graft_budget(capsys, monkeypatch):
+    # the root's branches are two leaves and the ladder l310: S has at most
+    # 313^2 = 97,969 terms, but its recursion would graft the two leaves
+    # into a tree of 311 vertices in about 48,500 ways; refused at once
+    def graft(*args):
+        raise AssertionError("a tree was grafted")
+
+    monkeypatch.setattr(GraftingAlgebra, "graft", graft)
+    tree = "[[][]" + "[" * 310 + "]" * 310 + "]"
+    assert run(capsys, "antipode", "--algebra", "kt", tree) == (
+        2, "", "error: this antipode of up to 97,969 terms would rebuild roughly "
+        f"4,798,962,480 vertices in grafting; the cap is {GRAFT_CAP:,}\n")
+    # at 79 vertices, the same shape is within the budget: 79^2 * 79^2 // 2
+    monkeypatch.undo()
+    tree = "[[][]" + "[" * 76 + "]" * 76 + "]"
+    code, out, err = run(capsys, "antipode", "--algebra", "kt", tree)
+    assert (code, err) == (0, "")
+    assert 79 ** 4 // 2 <= GRAFT_CAP < 80 ** 4 // 2
+
+
+def test_planar_grafting_product_priced_by_its_attachment_choices(capsys):
+    # the 7-leaf planar corolla grafted into l8 has 89,148 distinct trees,
+    # but C(2 * 8 + 5, 7) = 116,280 weakly increasing choices of points:
+    # the choices are the bound, since a count of the distinct trees would
+    # have to graft them
+    assert run(capsys, "product", "--algebra", "kp", "[" + "[]" * 7 + "]", "l8") == (
+        2, "", f"error: this product would have up to 116,280 terms; the cap is {TERM_CAP:,}\n")
 
 
 def test_grafting_products_below_the_cap_are_answered(capsys):

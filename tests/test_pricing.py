@@ -40,16 +40,20 @@ def _one_ladder(f):
     return len(f.trees) < 2 and all(map(is_ladder, f.trees))
 
 
+def _one_ladder_or_corolla(f):
+    return _one_ladder(f) or len(f.trees) == 1 and not any(c.children for c in f.trees[0].children)
+
+
 # algebra -> (the keys on which coproduct_terms is exact, those on which
 # antipode_terms is, and whether pair_terms is), as the docstrings say
 EXACT = {
     "kt": (lambda t: True, lambda t: len(t.children) < 2, False),
     "kp": (lambda t: True, lambda t: len(t.children) < 2, False),
-    "ck": (_one_ladder, lambda f: not f.trees, True),
-    "hf": (_one_ladder, _one_ladder, True),
+    "ck": (_one_ladder_or_corolla, lambda f: not f.trees, True),
+    "hf": (_one_ladder_or_corolla, _one_ladder, True),
     "sym": (lambda lam: True, lambda lam: set(lam) <= {1}, False),
     "qsym": (lambda comp: True, lambda comp: True, False),
-    "nsym": (lambda comp: len(comp) < 2, lambda comp: True, True),
+    "nsym": (lambda comp: len(comp) < 2 or set(comp) == {1}, lambda comp: True, True),
 }
 
 
@@ -95,6 +99,14 @@ def test_the_ladder_bounds_are_exact_far_above_the_caps():
     assert HF.coproduct_terms(next(iter(parse_element("l1000", "hf")))) == 1001
     leaves = next(iter(parse_element(" ".join(["[]"] * 40), "ck")))
     assert HK.coproduct_terms(leaves) == len(HK._ck(leaves)) == 41
+    # the 17-leaf corolla: its leaves split as j on the left, 17 - j on the
+    # right, ordered or not, and the tree itself on the left
+    for alg in (HK, HF):
+        (tree,) = parse_element("[" + "[]" * 17 + "]", alg.name)
+        assert alg.coproduct_terms(tree) == len(alg._ck(tree)) == 19, alg.name
+    # E(1^k): k + 1 terms, where the product over the parts is 2^k
+    for k in (17, 100):
+        assert NSYM.coproduct_terms((1,) * k) == len(NSYM._ck((1,) * k)) == k + 1
 
 
 def test_the_map_bounds_hold():
@@ -143,11 +155,11 @@ def test_check_terms_is_called_only_at_the_public_entries():
 
 
 def test_no_kernel_calls_a_priced_algebra_entry():
-    # the one call is the grafting product's own, after its graft budget;
-    # the CLI reaches the entries by the command's name
+    # the calls are the grafting product's and antipode's own, after their
+    # graft budget; the CLI reaches the entries by the command's name
     priced = {"product", "coproduct", "antipode"}
     assert _package_calls(lambda f: getattr(f, "attr", None) in priced) == {
-        "hopf_rooted.GraftingAlgebra.product"}
+        "hopf_rooted.GraftingAlgebra.product", "hopf_rooted.GraftingAlgebra.antipode"}
 
 
 def test_no_suite_reaches_a_priced_algebra_entry(monkeypatch):
@@ -156,7 +168,8 @@ def test_no_suite_reaches_a_priced_algebra_entry(monkeypatch):
 
     clear_caches()
     for cls, attr in ((HopfAlgebra, "product"), (HopfAlgebra, "coproduct"),
-                      (HopfAlgebra, "antipode"), (GraftingAlgebra, "product")):
+                      (HopfAlgebra, "antipode"), (GraftingAlgebra, "product"),
+                      (GraftingAlgebra, "antipode")):
         monkeypatch.setattr(cls, attr, priced)
     with pytest.raises(AssertionError, match="priced entry"):
         KP.product(KP.one(), KP.one())
