@@ -30,13 +30,17 @@ its entry.  The public operations are ``product`` (``product_terms``),
 here; the maps tau, Z, Z_star and kbar (``morphisms``); the h<k> shorthand
 and ``m_to_e_row`` (``symfun``), which phi and the sym pairing share; and
 the CLI's enumerate and expand.  Each bound is computed without making any
-term, and a count above ``COUNT_LIMIT`` stops at ``COUNT_LIMIT + 1``.  The
-kernels (``_pk``, ``_ck``, ``antipode_key``, ``antipode_rule`` and the key
-rules) price nothing, and no kernel or verification suite calls a priced
-entry: they multiply elements by ``_times``, ``LinComb.bilinear`` over
-``_pk``, and take coproducts by ``a.apply_linear(alg._ck)``.  The one
-other guard is KT's and KP's ``GRAFT_CAP`` on their public ``product``
-and ``antipode``, whose work the terms do not bound (``hopf_rooted``).
+term, and every count is capped, above ``COUNT_LIMIT`` at
+``COUNT_LIMIT + 1``, by the ``capped_*`` helpers here, which stop at the
+first partial count past the limit.  The kernels (``_pk``, ``_ck``,
+``antipode_key``, ``antipode_rule`` and the key rules) price nothing, and
+no kernel or verification suite reaches an algebra's priced ``product``,
+``coproduct`` or ``antipode``: they multiply elements by ``_times``,
+``LinComb.bilinear`` over ``_pk``, and take coproducts by
+``a.apply_linear(alg._ck)``.  The maps and h price every call, the
+suites' too, and ``m_to_e_row`` every new row.  The one other guard is
+KT's and KP's ``GRAFT_CAP`` on their public ``product`` and ``antipode``,
+whose work the terms do not bound (``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
 instance, in tables registered with ``foundations.clear_caches``; entries
@@ -58,35 +62,82 @@ from .foundations import LinComb, bottom_up, memo, memo_table
 
 # most terms a priced operation may have: p(45) = 89,134 fits
 TERM_CAP = 100_000
-# the largest term count that a bound computes: past it, it returns
-# COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
+# the largest term count that a bound computes: past it, a count is capped
+# at COUNT_LIMIT + 1, so that a degree far beyond any cap costs no work
 COUNT_LIMIT = 10**9
 
 
-def _power_of_two(k):
-    return 1 << k if k < COUNT_LIMIT.bit_length() else COUNT_LIMIT + 1
+def capped_sum(counts):
+    """The sum of ``counts``, nonnegative, capped: no count after the first
+    partial sum above the limit is read, so a lazy iterator is never read
+    past it."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > COUNT_LIMIT:
+            return COUNT_LIMIT + 1
+    return total
+
+
+def capped_product(factors):
+    """The product of ``factors``, nonnegative, capped: no factor after the
+    first partial product of 0 or above the limit is read, so a factor that
+    may be 0 comes first."""
+    count = 1
+    for factor in factors:
+        count *= factor
+        if not count or count > COUNT_LIMIT:
+            return min(count, COUNT_LIMIT + 1)
+    return count
+
+
+def capped_power(base, exponent):
+    """base ** exponent, capped: a base of at least 2 to the limit's bit
+    length already passes it."""
+    if base > 1 and exponent >= COUNT_LIMIT.bit_length():
+        return COUNT_LIMIT + 1
+    return min(base ** exponent, COUNT_LIMIT + 1)
+
+
+def capped_binomial(n, k):
+    """C(n, k), 0 for k > n, capped: the product stops once it passes the
+    limit, so that no n, however large, costs more than a few steps."""
+    k = min(k, n - k)
+    count = int(k >= 0)
+    for i in range(k):
+        count = count * (n - i) // (i + 1)
+        if count > COUNT_LIMIT:
+            return COUNT_LIMIT + 1
+    return count
+
+
+def capped_counts(counts, n):
+    """The first n + 1 of ``counts``, an iterator of counts that never
+    fall, capped: up to the first above the limit, which stands for every
+    later one, so a lazy iterator is never read past it."""
+    out = []
+    for _, count in zip(range(n + 1), counts):
+        if count > COUNT_LIMIT:
+            out.append(COUNT_LIMIT + 1)
+            break
+        out.append(count)
+    return out
 
 
 def _split_count(items):
     """The distinct ordered splits of the multiset ``items``, sorted so that
     equal items are neighbours, into two: the product of m + 1 over its
-    multiplicities m, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
-    count = 1
-    for _, run in groupby(items):
-        count = min(count * (len(tuple(run)) + 1), COUNT_LIMIT + 1)
-    return count
+    multiplicities m, capped."""
+    return capped_product(len(tuple(run)) + 1 for _, run in groupby(items))
 
 
 @memo
 def _growing_count(count, n, *args):
-    """``count(n, *args)`` for a count of n >= 1 that grows with n without
-    bound, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: no count past the
-    first above the limit is computed.  Memoized, since an element's
-    antipode prices each of its keys."""
-    m = 1
-    while m < n and count(m, *args) <= COUNT_LIMIT:
-        m += 1
-    return min(count(m, *args), COUNT_LIMIT + 1)
+    """``count(n, *args)``, capped, for a count of n >= 1 that never falls
+    as n grows: no count past the first above the limit is computed
+    (``capped_counts``).  Memoized, since an element's antipode prices each
+    of its keys."""
+    return capped_counts((count(m, *args) for m in range(1, n + 1)), n)[-1]
 
 
 def check_terms(what, count, unit="terms"):
@@ -187,11 +238,11 @@ class HopfAlgebra:
         return self._times(a, b)
 
     def product_terms(self, a, b) -> int:
-        """An upper bound on the terms of a b, or more than ``COUNT_LIMIT``
-        above it: for each total degree n, the smaller of ``degree_terms(n)``,
-        the keys of degree n, and the sum of ``pair_terms`` over the key
-        pairs of degree n.  When the first add up to at most ``TERM_CAP``,
-        no pair is priced."""
+        """An upper bound on the terms of a b: the sum over each total
+        degree n of the smaller of ``degree_terms(n)``, the keys of degree
+        n, capped, and the sum of ``pair_terms`` over the key pairs of
+        degree n.  When the first add up to at most ``TERM_CAP``, no pair is
+        priced."""
         degree = self.degree
         degrees = {degree(k1) + degree(k2) for k1 in a for k2 in b}
         bound = sum(map(self.degree_terms, degrees))
@@ -211,8 +262,7 @@ class HopfAlgebra:
         return out
 
     def degree_terms(self, n) -> int:
-        """The basis keys of degree n, or ``COUNT_LIMIT + 1`` above
-        ``COUNT_LIMIT``."""
+        """The basis keys of degree n, capped."""
         raise NotImplementedError
 
     def pair_terms(self, k1, k2, n) -> int:
@@ -228,9 +278,8 @@ class HopfAlgebra:
         return a.apply_linear(self._ck)
 
     def coproduct_terms(self, key) -> int:
-        """An upper bound on the terms of the coproduct of a key, or
-        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``, computed without making
-        any of them."""
+        """An upper bound on the terms of the coproduct of a key, capped,
+        computed without making any of them."""
         raise NotImplementedError
 
     def counit(self, a: LinComb):
@@ -267,9 +316,8 @@ class HopfAlgebra:
         return LinComb.bilinear(a, b, self._pk)
 
     def antipode_terms(self, key) -> int:
-        """An upper bound on the number of terms of S(key), or
-        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``, computed without making
-        any of them."""
+        """An upper bound on the number of terms of S(key), capped,
+        computed without making any of them."""
         raise NotImplementedError
 
     def antipode(self, a: LinComb) -> LinComb:

@@ -27,8 +27,9 @@ bounded by their terms: ``GRAFT_CAP``, in vertices rebuilt, each attachment
 choice at about v^2 / 2 vertices for a result of v vertices, as when each
 choice rebuilt a whole tree.  The product prices the attachment choices
 (``product_choices``) of its key products not yet memoized; the antipode,
-each term of its result as one choice.  Z, the antipode recursion and the
-suites multiply by the unpriced key products.
+each term of its result as one choice, and both refuse by one check
+(``_check_grafts``).  Z, the antipode recursion and the suites multiply by
+the unpriced key products.
 
 HK (basis: forests, degree = total vertices) is the polynomial algebra on
 trees under disjoint union.  Its coproduct is defined on a tree t by
@@ -60,7 +61,8 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
-from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _growing_count, _power_of_two, _split_count
+from .hopf import TERM_CAP, HopfAlgebra, _growing_count, _split_count
+from .hopf import capped_binomial, capped_power, capped_product, capped_sum
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -84,11 +86,14 @@ _children = attrgetter("children")
 GRAFT_CAP = 20_000_000
 
 
-def _rebuilt(choices, vertices):
-    """The vertices that ``choices`` attachments rebuild in trees of
-    ``vertices`` vertices, about half of each tree each, its subtrees'
-    encodings included: the unit of ``GRAFT_CAP``."""
-    return choices * vertices ** 2 // 2
+def _check_grafts(priced, refusal):
+    """Refuse, with the text ``refusal(cost)``, grafting whose (attachment
+    choices, vertices of their trees) pairs ``priced`` rebuild more than
+    ``GRAFT_CAP`` vertices: about half of each tree for each choice, its
+    subtrees' encodings included."""
+    cost = sum(choices * vertices ** 2 // 2 for choices, vertices in priced)
+    if cost > GRAFT_CAP:
+        raise ValueError(f"{refusal(cost)}; the cap is {GRAFT_CAP:,}")
 
 
 @memo
@@ -143,16 +148,11 @@ class GraftingAlgebra(HopfAlgebra):
         trees of the degrees reached are more than ``TERM_CAP``, the terms
         of every pair."""
         memo = self._prod_memo
-        choices = cost = 0
-        for t in a:
-            for tp in b:
-                if (t, tp) not in memo:
-                    n = self.product_choices(t, tp)
-                    choices += n
-                    cost += _rebuilt(n, t.size + tp.size - 1)
-        if cost > GRAFT_CAP:
-            raise ValueError(f"this product would graft {choices:,} attachment choices, "
-                             f"rebuilding roughly {cost:,} vertices; the cap is {GRAFT_CAP:,}")
+        priced = [(self.product_choices(t, tp), t.size + tp.size - 1)
+                  for t in a for tp in b if (t, tp) not in memo]
+        choices = sum(n for n, _ in priced)
+        _check_grafts(priced, lambda cost: f"this product would graft {choices:,} attachment "
+                                           f"choices, rebuilding roughly {cost:,} vertices")
         return super().product(a, b)
 
     def antipode(self, a):
@@ -167,15 +167,12 @@ class GraftingAlgebra(HopfAlgebra):
         terms = [(self.antipode_terms(t), t.size) for t in a]
         total = sum(n for n, _ in terms)
         if total <= TERM_CAP:
-            cost = sum(_rebuilt(n, size) for n, size in terms)
-            if cost > GRAFT_CAP:
-                raise ValueError(f"this antipode of up to {total:,} terms would rebuild "
-                                 f"roughly {cost:,} vertices in grafting; the cap is "
-                                 f"{GRAFT_CAP:,}")
+            _check_grafts(terms, lambda cost: f"this antipode of up to {total:,} terms would "
+                                              f"rebuild roughly {cost:,} vertices in grafting")
         return super().antipode(a)
 
     def degree_terms(self, n):
-        """The trees of n + 1 vertices, or ``COUNT_LIMIT + 1`` above it."""
+        """The trees of n + 1 vertices, capped."""
         return _growing_count(self.tree_count, n + 1)
 
     def pair_terms(self, t, tp, n):
@@ -258,21 +255,18 @@ class GraftingAlgebra(HopfAlgebra):
     branch_points = staticmethod(lambda n: n)
 
     def antipode_terms(self, t):
-        """An upper bound on the number of terms of S(t), or ``COUNT_LIMIT
-        + 1`` above ``COUNT_LIMIT``.  A tree of at most one root branch is
-        the unit or primitive, so S(t) is t or -t.  Otherwise S keeps the
-        degree, so its terms are trees of t's size, and each grafts some of
-        the k root branches of t into the others, never into the root: at
-        most n^(k - 1) ways for n vertices, by Cayley's formula for rooted
-        forests on the branches weighted by their sizes, and for a planar
-        tree at most (2n - 2)^(k - 1), a branch taking one of the gaps of a
-        later branch's vertices or none."""
+        """An upper bound on the number of terms of S(t), capped.  A tree
+        of at most one root branch is the unit or primitive, so S(t) is t
+        or -t.  Otherwise S keeps the degree, so its terms are trees of t's
+        size, and each grafts some of the k root branches of t into the
+        others, never into the root: at most n^(k - 1) ways for n vertices,
+        by Cayley's formula for rooted forests on the branches weighted by
+        their sizes, and for a planar tree at most (2n - 2)^(k - 1), a
+        branch taking one of the gaps of a later branch's vertices or none."""
         n, k = t.size, len(t.children)
         if k < 2:
             return 1
-        # with k >= 2 branches, n >= 3, so the base is at least 2, and its
-        # power to COUNT_LIMIT's bit length already passes the limit
-        ways = self.branch_points(n) ** min(k - 1, COUNT_LIMIT.bit_length())
+        ways = capped_power(self.branch_points(n), k - 1)
         return min(ways, _growing_count(self.tree_count, n))
 
     def coproduct_key(self, t):
@@ -284,7 +278,7 @@ class GraftingAlgebra(HopfAlgebra):
     def coproduct_terms(self, t):
         """The number of terms of the coproduct of t: the distinct splits of
         its root branches, the product of m + 1 over the multiplicities m of
-        equal branches, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        equal branches, capped."""
         return _split_count(t.children)
 
 
@@ -322,15 +316,14 @@ class ForestAlgebra(HopfAlgebra):
 
     def degree_terms(self, n):
         """The forests of degree n, as many as trees of n + 1 vertices
-        (``b_plus``), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        (``b_plus``), capped."""
         return _growing_count(self.tree_count, n + 1)
 
     def coproduct_terms(self, f):
         """An upper bound on the terms of the coproduct of f, exact on
-        ladders and corollas, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
-        c(f), from c(t) = 1 + c(the forest of t's children) of its trees,
-        the term t ⊗ 1 and those of the root recursion, filled from an
-        explicit stack (``_forest_cuts``)."""
+        ladders and corollas, capped: c(f), from c(t) = 1 + c(the forest of
+        t's children) of its trees, the term t ⊗ 1 and those of the root
+        recursion, filled from an explicit stack (``_forest_cuts``)."""
         for t in f.trees:
             bottom_up(t, _CUT_COUNTS, _children, _cut_count)
         return _forest_cuts(f.trees)
@@ -359,14 +352,13 @@ class ForestAlgebra(HopfAlgebra):
     tree_count = staticmethod(rooted_count)
 
     def antipode_terms(self, f):
-        """An upper bound on the number of terms of S(f), or ``COUNT_LIMIT
-        + 1`` above ``COUNT_LIMIT``: S(f) is the product of S of f's trees,
-        each a sum over the sets of its edges, so it has at most
-        2^(|f| - #trees) terms, and S keeps the degree, so they are forests
-        of |f| vertices.  Exact on HF ladders, whose cut sets each leave a
-        different ordered forest."""
+        """An upper bound on the number of terms of S(f), capped: S(f) is
+        the product of S of f's trees, each a sum over the sets of its
+        edges, so it has at most 2^(|f| - #trees) terms, and S keeps the
+        degree, so they are forests of |f| vertices.  Exact on HF ladders,
+        whose cut sets each leave a different ordered forest."""
         n = f.degree
-        return min(_power_of_two(n - len(f.trees)), _growing_count(self.tree_count, n + 1))
+        return min(capped_power(2, n - len(f.trees)), _growing_count(self.tree_count, n + 1))
 
     def antipode_rule(self, f):
         """S of a one-tree forest by the forest formula (Connes-Kreimer):
@@ -415,39 +407,36 @@ _CUT_COUNTS = memo_table()
 
 
 def _cut_count(t):
-    return min(_forest_cuts(t.children), COUNT_LIMIT) + 1
+    return capped_sum((_forest_cuts(t.children), 1))
 
 
 def _forest_cuts(trees):
-    """c of a forest of trees whose c(t) the memo holds, or ``COUNT_LIMIT +
-    1`` above ``COUNT_LIMIT``: the product over its runs of m equal trees of
-    the terms of Δ(t)^m, the coproduct of a forest being the product of
-    its trees'.  In a commutative forest, whose equal trees are neighbours,
-    the m factors take a multiset of the c(t) terms: C(c(t) + m - 1, m).  In
-    an ordered one, ``_ordered_run``."""
-    count = 1
-    for t, run in groupby(trees):
-        c, m = _CUT_COUNTS[t], len(tuple(run))
-        if m > 1:
-            c = _ordered_run(c, m) if t.ordered else comb(c + m - 1, m)
-        count = min(count * c, COUNT_LIMIT + 1)
-    return count
+    """c of a forest of trees whose c(t) the memo holds, capped: the
+    product over its runs of m equal trees of the terms of Δ(t)^m, the
+    coproduct of a forest being the product of its trees'.  In a
+    commutative forest, whose equal trees are neighbours, the m factors
+    take a multiset of the c(t) terms: C(c(t) + m - 1, m).  In an ordered
+    one, ``_ordered_run``."""
+    return capped_product(map(_run_cuts, groupby(trees)))
+
+
+def _run_cuts(run):
+    t, copies = run
+    c, m = _CUT_COUNTS[t], len(tuple(copies))
+    if m == 1:
+        return c
+    return _ordered_run(c, m) if t.ordered else capped_binomial(c + m - 1, m)
 
 
 def _ordered_run(c, m):
     """A bound on the terms of Δ(t)^m over ordered forests, for a Δ(t) of
-    at most c terms, two of them t ⊗ 1 and 1 ⊗ t, or ``COUNT_LIMIT + 1``
-    above ``COUNT_LIMIT``: r of the m factors take one of the c - 2 other
-    terms, in order, and each of the rest puts t on the left or the right,
-    where only how many land in each of the r + 1 gaps between those counts.
-    That is the sum over r of (c - 2)^r C(m + r + 1, 2r + 1); m + 1 for a
-    leaf."""
-    count = 0
-    for r in range(m + 1):
-        count += (c - 2) ** r * comb(m + r + 1, 2 * r + 1)
-        if count > COUNT_LIMIT or c == 2:
-            break
-    return min(count, COUNT_LIMIT + 1)
+    at most c terms, two of them t ⊗ 1 and 1 ⊗ t, capped: r of the m
+    factors take one of the c - 2 other terms, in order, and each of the
+    rest puts t on the left or the right, where only how many land in each
+    of the r + 1 gaps between those counts.  That is the sum over r of
+    (c - 2)^r C(m + r + 1, 2r + 1); m + 1 for a leaf."""
+    return capped_sum((c - 2) ** r * comb(m + r + 1, 2 * r + 1)
+                      for r in range(m + 1 if c > 2 else 1))
 
 
 KT = GraftingAlgebra()

@@ -28,7 +28,7 @@ Z_star and kbar are priced by the rule that ``hopf`` states, and phi
 through ``symfun.m_to_e_row``.
 """
 
-from math import comb
+from itertools import accumulate, chain
 from operator import attrgetter
 
 from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget, prefix_fold
@@ -44,7 +44,8 @@ from .trees import (
     rooted_count_by_levels,
     sym_order,
 )
-from .hopf import COUNT_LIMIT, TERM_CAP, _growing_count, check_terms
+from .hopf import TERM_CAP, _growing_count, check_terms
+from .hopf import capped_binomial, capped_power, capped_product
 from .hopf_rooted import KT, HK, epsilon
 from .hopf_planar import KP, HF
 from .symfun import (
@@ -139,26 +140,21 @@ def Z(a: LinComb) -> LinComb:
 
 @memo
 def _z_terms(comp):
-    """An upper bound on the terms of Z(E_comp), exact on E_n, or
-    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``.  Its terms are trees of
-    |comp| + 1 vertices, and of at most len(comp) + 1 levels, since each
-    product by epsilon(a_i) puts the branches of a term so far on a vertex
-    of a corolla: one level more.  The first product grafts the a_1 leaves
-    of epsilon(a_1), all alike, onto the a_2 + 1 vertices of epsilon(a_2):
-    a multiset of places, one of C(a_1 + a_2, a_1).  Each later product by
-    epsilon(a_i) grafts each root branch of a term so far, at most
-    a_1 + ... + a_(i - 1) of them, onto one of its a_i + 1 vertices."""
+    """An upper bound on the terms of Z(E_comp), exact on E_n, capped.  Its
+    terms are trees of |comp| + 1 vertices, and of at most len(comp) + 1
+    levels, since each product by epsilon(a_i) puts the branches of a term
+    so far on a vertex of a corolla: one level more.  The first product
+    grafts the a_1 leaves of epsilon(a_1), all alike, onto the a_2 + 1
+    vertices of epsilon(a_2): a multiset of places, one of
+    C(a_1 + a_2, a_1).  Each later product by epsilon(a_i) grafts each root
+    branch of a term so far, at most a_1 + ... + a_(i - 1) of them, onto
+    one of its a_i + 1 vertices."""
     if len(comp) < 2:
         return 1
-    bits = COUNT_LIMIT.bit_length()
-    branches = sum(comp[:2])
-    # C(n, k) >= 2^k for n >= 2k: k of COUNT_LIMIT's bit length passes it
-    k = min(comp[:2])
-    ways = comb(branches, k) if k < bits else COUNT_LIMIT + 1
-    for part in comp[2:]:
-        ways = min(ways * (part + 1) ** min(branches, bits), COUNT_LIMIT + 1)
-        branches += part
-    return min(ways, _growing_count(rooted_count_by_levels, branches + 1, len(comp) + 1))
+    branches = list(accumulate(comp))
+    grafts = (capped_power(part + 1, before) for part, before in zip(comp[2:], branches[1:]))
+    ways = capped_product(chain((capped_binomial(branches[1], comp[0]),), grafts))
+    return min(ways, _growing_count(rooted_count_by_levels, branches[-1] + 1, len(comp) + 1))
 
 
 _Z_MEMO: dict[tuple, LinComb] = memo_table()
@@ -190,19 +186,19 @@ def _level_bound(a: LinComb) -> int:
     """An upper bound on the terms of Z_star(a) and kbar(a): the
     compositions of each key's degree, or, when those add up to more than
     ``TERM_CAP``, the sum of the keys' ``_level_terms``."""
-    bound = sum(_compositions_with_parts(f.degree, 0, f.degree) for f in a)
+    bound = sum(QSYM.degree_terms(f.degree) for f in a)
     return bound if bound <= TERM_CAP else sum(map(_level_terms, a))
 
 
 @memo
 def _level_terms(f: Forest) -> int:
-    """An upper bound on the terms of Z_star(f) and kbar(f), or
-    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: each term is the fiber
-    sizes of a strictly order-preserving surjection of f onto {1..k}, a
-    composition of |f| into k parts, and k is at least the most vertices
-    h on a path from a root to a leaf.  So there are at most the sum of
-    C(|f| - 1, k - 1) over h <= k <= |f|.  The root of a single tree is
-    alone in the last fiber, so it counts as the forest of its children."""
+    """An upper bound on the terms of Z_star(f) and kbar(f), capped: each
+    term is the fiber sizes of a strictly order-preserving surjection of f
+    onto {1..k}, a composition of |f| into k parts, and k is at least the
+    most vertices h on a path from a root to a leaf.  So there are at most
+    the sum of C(|f| - 1, k - 1) over h <= k <= |f|.  The root of a single
+    tree is alone in the last fiber, so it counts as the forest of its
+    children."""
     n = f.degree
     h = max((bottom_up(t, _HEIGHT, _children, _tree_height) for t in f.trees), default=0)
     if len(f.trees) == 1:

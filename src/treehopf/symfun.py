@@ -36,7 +36,7 @@ polynomial in x_1..x_n is a LinComb over exponent tuples of length n.
 """
 
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import accumulate, combinations, count
 from math import comb, factorial, prod
 from operator import sub
 
@@ -52,7 +52,8 @@ from .foundations import (
     prefix_fold,
     rearrangements,
 )
-from .hopf import COUNT_LIMIT, TERM_CAP, HopfAlgebra, _power_of_two, _split_count, check_terms
+from .hopf import TERM_CAP, HopfAlgebra, _split_count, check_terms
+from .hopf import capped_counts, capped_power, capped_product, capped_sum
 
 
 class _PartLists(HopfAlgebra):
@@ -78,9 +79,8 @@ class _PartLists(HopfAlgebra):
         return (sum(parts), parts)
 
     def degree_terms(self, n):
-        """The compositions of n, 2^(n - 1), or ``COUNT_LIMIT + 1`` above
-        ``COUNT_LIMIT``."""
-        return _power_of_two(n - 1) if n else 1
+        """The compositions of n, 2^(n - 1), capped."""
+        return capped_power(2, n - 1) if n else 1
 
 
 # the most parts of the factors on which the quasi-shuffle takes one step
@@ -182,9 +182,8 @@ class QuasiSymmetricFunctions(_PartLists):
         return LinComb.trusted(dict.fromkeys(_coarsenings(comp[::-1]), sign))
 
     def antipode_terms(self, comp):
-        """The number of terms of S(M_comp), 2^(len - 1), or
-        ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
-        return _power_of_two(max(len(comp) - 1, 0))
+        """The number of terms of S(M_comp), 2^(len - 1), capped."""
+        return capped_power(2, max(len(comp) - 1, 0))
 
 
 class NoncommutativeSymmetricFunctions(_PartLists):
@@ -207,17 +206,14 @@ class NoncommutativeSymmetricFunctions(_PartLists):
 
     def coproduct_terms(self, comp):
         """An upper bound on the terms of the coproduct of E_comp, exact on
-        E_n and on E_(1^k), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
-        the product of those of its parts' coproducts, a + 1 for a part a,
-        and no more than the pairs of a left side of degree j and a right
-        side of degree n - j, each with at most len(comp) parts of at most
-        max(comp), since each side takes a piece of each part
-        (``_piece_pairs``).  At n >= ``TERM_CAP`` the product stands: both
-        are above the cap, and so is the count, which has a term of each
-        left degree."""
-        count = 1
-        for a in comp:
-            count = min(count * (a + 1), COUNT_LIMIT + 1)
+        E_n and on E_(1^k), capped: the product of those of its parts'
+        coproducts, a + 1 for a part a, and no more than the pairs of a
+        left side of degree j and a right side of degree n - j, each with at
+        most len(comp) parts of at most max(comp), since each side takes a
+        piece of each part (``_piece_pairs``).  At n >= ``TERM_CAP`` the
+        product stands: both are above the cap, and so is the count, which
+        has a term of each left degree."""
+        count = capped_product(a + 1 for a in comp)
         n = sum(comp)
         if not comp or n >= TERM_CAP:
             return count
@@ -230,8 +226,8 @@ class NoncommutativeSymmetricFunctions(_PartLists):
 
     def antipode_terms(self, comp):
         """The number of terms of S(E_comp), the product of 2^(a - 1) over
-        its parts a, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
-        return _power_of_two(sum(comp) - len(comp))
+        its parts a, capped."""
+        return capped_power(2, sum(comp) - len(comp))
 
 
 class SymmetricFunctions(_PartLists):
@@ -250,7 +246,7 @@ class SymmetricFunctions(_PartLists):
         return LinComb(_column_sums(lam, mu))
 
     def degree_terms(self, n):
-        """The partitions of n, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``."""
+        """The partitions of n, capped."""
         return _partitions_at_most(n, n)
 
     def pair_terms(self, lam, mu, n):
@@ -281,8 +277,7 @@ class SymmetricFunctions(_PartLists):
         """An upper bound on the number of terms of S(m_lam), exact for e_n:
         a term merges the parts of lam by a set partition of them, so it is
         a partition of |lam| into at most len(lam) parts, and there are no
-        more terms than set partitions.  ``COUNT_LIMIT + 1`` above
-        ``COUNT_LIMIT``."""
+        more terms than set partitions, B(len(lam)).  Capped."""
         return min(_partitions_at_most(sum(lam), len(lam)), _set_partitions(len(lam)))
 
 
@@ -381,110 +376,93 @@ def _blocks_up_to(values, left, cap):
 
 @memo
 def _partitions_at_most(n, k):
-    """The partitions of n into at most k parts, or ``COUNT_LIMIT + 1``
-    above ``COUNT_LIMIT``: a table over m <= n, started at k = 3 from its
-    closed form round((m + 3)^2 / 12), so that it has at most
-    sqrt(12 COUNT_LIMIT) places, and grown a part size at a time, which
-    stops once the count passes the limit."""
-    k = min(k, n)
+    """The partitions of n into at most k parts, capped: the sum of
+    ``_partition_steps``, read only until it passes the limit."""
+    return capped_sum(_partition_steps(n, min(k, n)))
+
+
+def _partition_steps(n, k):
+    """p(n, min(k, 3)), for k = 3 the closed form round((n + 3)^2 / 12),
+    then for each 3 < j <= k <= n the partitions of n into exactly j parts,
+    p(n - j, j), from a table over m <= n grown a part count at a time and
+    made only once p(n, 3) is within the limit: sqrt(12 COUNT_LIMIT) places."""
     if k <= 2:
-        count = n // 2 + 1 if k == 2 else 1
-    elif (n + 3) ** 2 // 12 > COUNT_LIMIT:
-        count = COUNT_LIMIT + 1
-    else:
-        table = [((m + 3) ** 2 + 6) // 12 for m in range(n + 1)]
-        for j in range(4, k + 1):
-            for m in range(j, n + 1):
-                table[m] += table[m - j]
-            if table[n] > COUNT_LIMIT:
-                break
-        count = table[n]
-    return min(count, COUNT_LIMIT + 1)
+        yield n // 2 + 1 if k == 2 else 1
+        return
+    yield ((n + 3) ** 2 + 6) // 12
+    table = [((m + 3) ** 2 + 6) // 12 for m in range(n + 1)]
+    for j in range(4, k + 1):
+        for m in range(j, n + 1):
+            table[m] += table[m - j]
+        yield table[n - j]
 
 
 @memo
 def _set_partitions(k):
-    """The Bell number B(k), or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``,
-    by B(m + 1) = sum of C(m, i) B(i), stopped once past the limit."""
-    bell = [1]
-    while len(bell) <= k and bell[-1] <= COUNT_LIMIT:
-        bell.append(sum(comb(len(bell) - 1, i) * b for i, b in enumerate(bell)))
-    return min(bell[-1], COUNT_LIMIT + 1)
+    """The Bell number B(k), capped (``_bell_numbers``)."""
+    return capped_counts(_bell_numbers(), k)[-1]
+
+
+def _bell_numbers():
+    """B(0), B(1), ...: the first entries of the rows of the Bell triangle,
+    each the running sums of the row before, started at its last entry."""
+    row = [1]
+    while True:
+        yield row[0]
+        row = list(accumulate(row, initial=row[-1]))
 
 
 def _quasi_shuffles(p, q):
     """The quasi-shuffles of a p-part list with a q-part list, the Delannoy
-    number D(p, q) = sum of C(p, k) C(q, k) 2^k over k, or ``COUNT_LIMIT +
-    1`` above ``COUNT_LIMIT``: D(p, q) >= 2^min(p, q), so it is summed only
-    while min(p, q) is below the limit's bit length."""
-    k = min(p, q)
-    if k >= COUNT_LIMIT.bit_length():
-        return COUNT_LIMIT + 1
-    return min(sum(comb(p, i) * comb(q, i) << i for i in range(k + 1)), COUNT_LIMIT + 1)
+    number D(p, q) = sum of C(p, k) C(q, k) 2^k over k, capped: the k-th
+    addend is at least 2^k, so few are read."""
+    return capped_sum(comb(p, k) * comb(q, k) << k for k in range(min(p, q) + 1))
 
 
 @memo
 def _compositions_with_parts(n, lo, hi):
     """The compositions of n into between lo and hi parts, the sum of
-    C(n - 1, k - 1) over k, or ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``:
-    the sum stops once it passes the limit."""
+    C(n - 1, k - 1) over k, capped."""
     if not n:
         return int(lo <= 0)
-    count = 0
-    for k in range(max(lo, 1), min(hi, n) + 1):
-        count += comb(n - 1, k - 1)
-        if count > COUNT_LIMIT:
-            return COUNT_LIMIT + 1
-    return count
+    return capped_sum(comb(n - 1, k - 1) for k in range(max(lo, 1), min(hi, n) + 1))
 
 
 @memo
 def _piece_pairs(n, parts, largest):
-    """The sum over 0 <= j <= n of c(j) c(n - j), where c(j) bounds the
-    compositions of j into at most ``parts`` parts of at most ``largest``:
-    the smaller of the counts under each limit alone, or ``COUNT_LIMIT +
-    1`` above ``COUNT_LIMIT``.  Neither count falls as j grows, so each is
-    filled until it passes the limit."""
-    top = COUNT_LIMIT + 1
-    few, small = [1], [1]  # at most ``parts`` parts; parts at most ``largest``
-    window = 1  # the sum of the last ``largest`` counts of ``small``
-    for j in range(1, n + 1):
-        count = few[-1]
-        if count < top:
-            count = 0
-            for k in range(min(parts, j)):
-                count += comb(j - 1, k)
-                if count > COUNT_LIMIT:
-                    break
-        few.append(min(count, top))
-        small.append(min(window, top))
-        if window < top:
-            window += window - (small[j - largest] if j >= largest else 0)
-    counts = list(map(min, few, small))
-    total = 0
-    for j in range(n + 1):
-        total += counts[j] * counts[n - j]
-        if total > COUNT_LIMIT:
-            return top
-    return total
+    """The sum over 0 <= j <= n of c(j) c(n - j), capped, where c(j) bounds
+    the compositions of j into at most ``parts`` parts of at most
+    ``largest``: the smaller of the counts under each limit alone.
+    Neither count falls as j grows, so the first is computed again only
+    while the last one computed is below the second."""
+    small = capped_counts(_window_counts(largest), n)
+    small += small[-1:] * (n + 1 - len(small))
+    few, counts = 1, []
+    for j, bound in enumerate(small):
+        if few < bound:
+            few = capped_sum(comb(j - 1, k) for k in range(min(parts, j)))
+        counts.append(min(few, bound))
+    return capped_sum(counts[j] * counts[n - j] for j in range(n + 1))
 
 
 @memo
 def _compositions_with_parts_at_most(n, m):
-    """The compositions of n into parts of at most m >= 2, or
-    ``COUNT_LIMIT + 1`` above ``COUNT_LIMIT``: the count of each j <= n is
-    the sum of the last m counts, and they never fall, so the walk stops
-    once one passes the limit."""
-    if m >= n:
-        return _power_of_two(n - 1) if n else 1
-    counts = [1]
-    window = 1  # the sum of the last m counts
-    for j in range(1, n + 1):
+    """The compositions of n into parts of at most m, capped: all of them,
+    2^(n - 1), when no part can pass m."""
+    if m >= n > 0:
+        return capped_power(2, n - 1)
+    return capped_counts(_window_counts(m), n)[-1]
+
+
+def _window_counts(m):
+    """The compositions of j into parts of at most m, for j = 0, 1, ...:
+    each the sum of the m before it, a window sliding one count at a time."""
+    counts, window = [1], 1
+    yield 1
+    for j in count(1):
         counts.append(window)
-        if window > COUNT_LIMIT:
-            return COUNT_LIMIT + 1
+        yield window
         window += window - (counts[j - m] if j >= m else 0)
-    return counts[n]
 
 
 QSYM = QuasiSymmetricFunctions()

@@ -114,6 +114,10 @@ def test_enumerate_and_expand_are_priced_by_their_output(capsys, monkeypatch):
     assert run(capsys, "expand", "--vars", "9" * 4000, ones) == (
         2, "", f"error: this expansion would have more than 1,000,000,000 exponents; "
         f"the cap is {TERM_CAP:,}\n")
+    # no monomial: the zero element, and more parts than variables, whatever
+    # the other factor of the count
+    for vars_, element in (("9" * 4000, "0"), ("0", "M(1)")):
+        assert run(capsys, "expand", "--vars", vars_, element) == (0, "0\n", "")
 
 
 def test_coproducts_are_priced_by_their_terms(capsys, monkeypatch):

@@ -6,13 +6,23 @@ algebra entry."""
 
 import ast
 import pathlib
+from itertools import chain, count, repeat
 
 import pytest
 
 import treehopf
 from treehopf.cli import parse_element
 from treehopf.foundations import LinComb, clear_caches, compositions_of, partitions_of
-from treehopf.hopf import TERM_CAP, HopfAlgebra
+from treehopf.hopf import (
+    COUNT_LIMIT,
+    TERM_CAP,
+    HopfAlgebra,
+    capped_binomial,
+    capped_counts,
+    capped_power,
+    capped_product,
+    capped_sum,
+)
 from treehopf.hopf_planar import HF, KP
 from treehopf.hopf_rooted import HK, KT, GraftingAlgebra, corolla
 from treehopf.morphisms import (
@@ -131,6 +141,41 @@ def test_the_kt_antipode_of_the_14_leaf_corolla_is_within_the_cap():
     assert KT.antipode_terms(corolla(14)) == 87_811 <= TERM_CAP
 
 
+def _reading(items, read):
+    """``items``, each appended to the list ``read`` as it is read."""
+    for item in items:
+        read.append(item)
+        yield item
+
+
+@pytest.mark.parametrize("helper, items, most", [
+    (capped_sum, lambda: count(10**8), 10),
+    (capped_sum, lambda: (2**k for k in count()), 30),
+    (capped_product, lambda: count(1), 13),
+    (capped_product, lambda: repeat(2), 30),
+    (lambda counts: capped_counts(counts, 10**40)[-1], lambda: (2**k for k in count()), 31),
+], ids=["sum-count", "sum-powers", "product-count", "product-repeat", "counts-powers"])
+def test_a_capped_count_reads_an_endless_iterator_only_to_the_limit(helper, items, most):
+    read = []
+    assert helper(_reading(items(), read)) == COUNT_LIMIT + 1
+    assert len(read) == most
+
+
+def test_capped_counts_at_their_edges():
+    # a zero factor read first ends the product, however large the rest
+    read = []
+    assert capped_product(_reading(chain([0], repeat(2, 100)), read)) == 0
+    assert read == [0]
+    huge = int("9" * 4000)
+    assert capped_binomial(3, 5) == capped_binomial(0, 1) == 0
+    assert capped_binomial(huge, 0) == capped_binomial(huge, huge) == 1
+    assert capped_binomial(huge, 1) == capped_binomial(huge, huge - 1) == COUNT_LIMIT + 1
+    assert capped_binomial(40, 20) == COUNT_LIMIT + 1 and capped_binomial(30, 15) == 155_117_520
+    assert capped_power(2, huge) == capped_power(huge, 2) == COUNT_LIMIT + 1
+    assert capped_power(1, huge) == capped_power(huge, 0) == 1 and capped_power(0, huge) == 0
+    assert capped_power(2, 29) == 2**29 and capped_power(2, 30) == COUNT_LIMIT + 1
+
+
 # ------------------------------------------------------- where the rule runs
 
 def _calls(path, wanted):
@@ -152,6 +197,19 @@ def test_check_terms_is_called_only_at_the_public_entries():
         "morphisms.tau", "morphisms.Z", "morphisms.Z_star", "morphisms.kbar",
         "symfun.h", "symfun.m_to_e_row", "cli._cmd_enumerate", "cli._cmd_expand",
     }
+
+
+def test_only_hopf_caps_a_count():
+    # every other module counts by hopf's capped helpers: none names the
+    # limit or clamps a power to its bit length
+    package = pathlib.Path(treehopf.__file__).parent
+    naming = {path.stem for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if "COUNT_LIMIT" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))}
+    assert naming == {"hopf"}
+    clamps = _package_calls(lambda f: getattr(f, "attr", None) == "bit_length")
+    assert {name.split(".")[0] for name in clamps} == {"hopf"}
 
 
 def test_no_kernel_calls_a_priced_algebra_entry():
