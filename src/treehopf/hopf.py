@@ -96,7 +96,8 @@ def capped_power(base, exponent):
     length already passes it."""
     if base > 1 and exponent >= COUNT_LIMIT.bit_length():
         return COUNT_LIMIT + 1
-    return min(base ** exponent, COUNT_LIMIT + 1)
+    count = base ** exponent
+    return count if count <= COUNT_LIMIT else COUNT_LIMIT + 1
 
 
 def capped_binomial(n, k):
@@ -134,9 +135,8 @@ def _split_count(items):
 @memo
 def _growing_count(count, n, *args):
     """``count(n, *args)``, capped, for a count of n >= 1 that never falls
-    as n grows: no count past the first above the limit is computed
-    (``capped_counts``).  Memoized, since an element's antipode prices each
-    of its keys."""
+    as n grows, by ``capped_counts`` from n = 1.  Memoized, since an
+    element's antipode prices each of its keys."""
     return capped_counts((count(m, *args) for m in range(1, n + 1)), n)[-1]
 
 
