@@ -26,7 +26,7 @@ along a tree's depth or a part list runs from a loop or an explicit stack,
 so no input meets Python's recursion limit.
 
 This module checks only the shape of its input: chain lengths, bracket
-depth, the indices of e<k>, h<k>, kappa and epsilon, the vertex count of
+depth, the indices of e<k>, h<k> and epsilon, the vertex count of
 ``enumerate --count-only`` and suite degrees.  Everything else is refused
 by the pricing rule that ``hopf`` states, at the entry of the operation
 that would build the result; ``enumerate`` and ``expand`` price their own
@@ -85,7 +85,7 @@ PAIR_KINDS = {
     "sym": (SYM, SYM, ip_sym),
 }
 
-SERIES_CAP = 10
+SERIES_CAP = 10  # largest index of epsilon, which no term bound refuses
 # longest chain literal l<k>, each of whose k trees holds its own encoding,
 # largest index of the e<k> and h<k> shorthands, and most vertices that
 # ``enumerate --count-only`` counts
@@ -376,14 +376,19 @@ def _cmd_pair(args):
 
 
 def _cmd_series(args):
-    """kappa, a weighted sum of all trees of a size, and epsilon, a scaled corolla."""
+    """kappa, a weighted sum of all trees of a size, priced by their number,
+    and epsilon, a scaled corolla, whose index is capped: it is one term,
+    so no term bound would refuse it."""
     n = args.n
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n > SERIES_CAP:
-        raise ValueError(f"index {n} exceeds the cap {SERIES_CAP}; kappa({n}) sums over "
-                         f"all {n + 1}-vertex trees, whose number grows exponentially")
-    result = kappa(n) if args.command == "kappa" else epsilon(n)
+    if args.command == "kappa":
+        check_terms(f"kappa({n})", KT.degree_terms(n))
+        result = kappa(n)
+    elif n > SERIES_CAP:
+        raise ValueError(f"index {n} exceeds the cap {SERIES_CAP} of epsilon")
+    else:
+        result = epsilon(n)
     return _element(args, KT, result, algebra=KT.name)
 
 

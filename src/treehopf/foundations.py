@@ -36,9 +36,9 @@ this module reads the terms of a LinComb.
 
 Every cache in the package is registered here: a function memoized with
 ``memo``, or a dict made by ``memo_table`` that ``bottom_up`` fills from an
-explicit stack (``prefix_fold`` over the prefixes of a part list), or that
-its owner looks up inline.
-``clear_caches`` empties them all.
+explicit stack (``HopfAlgebra.fold`` over the products of generators of a
+free algebra), or that its owner looks up inline.  ``clear_caches``
+empties them all.
 """
 
 from collections import Counter
@@ -96,21 +96,6 @@ def bottom_up(key, table: dict, needs, compute):
         stack.pop()
         table[k] = compute(k)
     return table[key]
-
-
-def prefix_fold(parts: tuple, table: dict, start, step):
-    """``table[parts]``, filled first if missing, over the prefixes of
-    ``parts`` (``bottom_up``): the value of () is ``start()``, and that of
-    a longer tuple ``step(value of all but its last part, last part)``."""
-    value = table.get(parts)
-    if value is None:
-        value = bottom_up(parts, table, _all_but_last,
-                          lambda p: step(table[p[:-1]], p[-1]) if p else start())
-    return value
-
-
-def _all_but_last(parts):
-    return (parts[:-1],) if parts else ()
 
 
 class LinComb:

@@ -9,9 +9,12 @@ antipode are ``apply_linear``, and ``tensor_mult`` and ``tensor_map`` are
 one ``LinComb.tensor_sum`` each: of c d (p1 q1 ⊗ p2 q2) over the pairs of
 terms of two tensors, each key product read through ``_pk``, and of
 c (left(k1) ⊗ right(k2)) over the terms of one.  HK, HF and NSYM are free:
-``factors`` splits a key into generators g_1...g_k, and the key's coproduct
-is the product of theirs and its antipode S(g_k)...S(g_1).  The antipode of
-any other key but the unit is the algebra's ``antipode_rule``.  Five
+``split`` cuts a product of generators into (all but the last, the last),
+and ``fold`` fills a table with a map multiplicative over that cut from
+its values on the unit and the generators: the coproduct, Δ(rest last) =
+Δ(rest) Δ(last), the antipode, S(rest last) = S(last) S(rest), and tau, Z
+and Z_star (``symfun``, ``morphisms``).  The antipode of any key but the
+unit that does not split is the algebra's ``antipode_rule``.  Five
 algebras give it in closed form, each term once and with no cancellation:
 SYM and QSYM on every key, NSYM on E_n, HK and HF on one-tree forests.  KT
 and KP keep the default, the recursion that a one-dimensional degree-0 part
@@ -29,10 +32,11 @@ its entry.  The public operations are ``product`` (``product_terms``),
 ``coproduct`` (``coproduct_terms``) and ``antipode`` (``antipode_terms``)
 here; the maps tau, Z, Z_star and kbar (``morphisms``); the h<k> shorthand
 and ``m_to_e_row`` (``symfun``), which phi and the sym pairing share; and
-the CLI's enumerate and expand.  Each bound is computed without making any
-term, and every count is capped, above ``COUNT_LIMIT`` at
+the CLI's kappa, enumerate and expand.  Each bound is computed without
+making any term, and every count is capped, above ``COUNT_LIMIT`` at
 ``COUNT_LIMIT + 1``, by the ``capped_*`` helpers here, which stop at the
-first partial count past the limit.  The kernels (``_pk``, ``_ck``,
+first partial count past the limit, and named by ``count_text``, as the
+suites' estimates are (``verify``).  The kernels (``_pk``, ``_ck``,
 ``antipode_key``, ``antipode_rule`` and the key rules) price nothing, and
 no kernel or verification suite reaches an algebra's priced ``product``,
 ``coproduct`` or ``antipode``: they multiply elements by ``_times``,
@@ -44,18 +48,21 @@ whose work the terms do not bound (``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
 instance, in tables registered with ``foundations.clear_caches``; entries
-are only ever written once.  The coproducts are filled from an explicit
-stack (``foundations.bottom_up``), a key's generators first, and before a
-generator the keys that ``coproduct_needs`` names, so that HK's and HF's
-root recursion costs no Python recursion.  Nothing in the package uses
-threads, and the algebras are meant for one thread at a time: interning a
-new tree or forest (``trees``) looks it up and then inserts it, so two
-threads building the same new key at once could each get an object of
-their own.
+are only ever written once.  A fold fills its table from an explicit stack
+(``foundations.bottom_up``): a key's two parts first, and before a
+generator the keys that its ``needs`` name, for the coproduct those of
+``coproduct_needs``, so that neither a product of many generators nor HK's
+and HF's root recursion costs Python recursion.  It keeps the value of
+every prefix of a key, at a price in memory: the coproduct of E(1^700)
+keeps those of its 698 longer prefixes, about 245,000 terms more.
+Nothing in the package uses threads, and the algebras are meant for one
+thread at a time: interning a new tree or forest (``trees``) looks it up
+and then inserts it, so two threads building the same new key at once
+could each get an object of their own.
 """
 
 from collections import defaultdict
-from functools import reduce
+from functools import partial
 from itertools import groupby
 
 from .foundations import LinComb, bottom_up, memo, memo_table
@@ -140,13 +147,17 @@ def _growing_count(count, n, *args):
     return capped_counts((count(m, *args) for m in range(1, n + 1)), n)[-1]
 
 
+def count_text(count, qualifier="up to"):
+    """A capped count as a refusal names it: ``qualifier`` and the count,
+    or, above ``COUNT_LIMIT``, only more than that."""
+    return f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"{qualifier} {count:,}"
+
+
 def check_terms(what, count, unit="terms"):
     """Refuse ``what`` before any of it is made when ``count``, a bound on
-    its terms (or on the ``unit`` it writes), is above ``TERM_CAP``; a
-    count above ``COUNT_LIMIT`` is named only as more than that."""
+    its terms (or on the ``unit`` it writes), is above ``TERM_CAP``."""
     if count > TERM_CAP:
-        text = f"more than {COUNT_LIMIT:,}" if count > COUNT_LIMIT else f"up to {count:,}"
-        raise ValueError(f"{what} would have {text} {unit}; the cap is {TERM_CAP:,}")
+        raise ValueError(f"{what} would have {count_text(count)} {unit}; the cap is {TERM_CAP:,}")
 
 
 class HopfAlgebra:
@@ -183,9 +194,11 @@ class HopfAlgebra:
         ``_ck``, for the unit or a generator: none unless overridden."""
         return ()
 
-    def factors(self, key) -> tuple:
-        """The generators whose product, in order, is ``key``: ``(key,)`` unless free."""
-        return (key,)
+    def split(self, key):
+        """(rest, last) for a product of several generators: the product of
+        all of them but the last, and the last; None for the unit, for a
+        generator, and for every key of an algebra that is not free."""
+        return None
 
     def key_str(self, key) -> str:
         raise NotImplementedError
@@ -212,24 +225,24 @@ class HopfAlgebra:
         # key's coproduct here
         out = self._cop_memo.get(key)
         if out is None:
-            out = bottom_up(key, self._cop_memo, self._cop_needs, self._cop_fold)
+            out = self.fold(key, self._cop_memo, self.coproduct_key, partial(tensor_mult, self),
+                            self.coproduct_needs)
         return out
 
-    def _cop_needs(self, key):
-        gens = self.factors(key)
-        return gens if len(gens) > 1 else self.coproduct_needs(key)
-
-    def _cop_fold(self, key):
-        """The coproduct of a key of several generators, the product of
-        theirs from the memo; of any other key, ``coproduct_key``."""
-        gens = self.factors(key)
-        if len(gens) < 2:
-            return self.coproduct_key(key)
-        memo = self._cop_memo
-        out = memo[gens[0]]
-        for g in gens[1:]:
-            out = tensor_mult(self, out, memo[g])
-        return out
+    def fold(self, key, table: dict, generator, times, needs=None):
+        """``table[key]``, filled first if missing, for a map f that is
+        multiplicative over ``split``: f(key) = times(f(rest), f(last)) for
+        a key that splits, and ``generator(key)`` for the unit and the
+        generators, which may read from ``table`` the keys that
+        ``needs(key)`` lists.  Filled by ``bottom_up``, every prefix of the
+        key kept.  A fold builds its closures on each call, so a caller
+        looks up a hit inline; each key is split once per call, though
+        ``bottom_up`` reads its needs up to twice and then its value."""
+        pairs = {}
+        split = lambda k: pairs[k] if k in pairs else pairs.setdefault(k, self.split(k))
+        reads = lambda k: split(k) or (needs(k) if needs else ())
+        value = lambda k: times(table[p[0]], table[p[1]]) if (p := split(k)) else generator(k)
+        return bottom_up(key, table, reads, value)
 
     def product(self, a: LinComb, b: LinComb) -> LinComb:
         """a b, refused before any term is made when ``product_terms`` is
@@ -286,19 +299,17 @@ class HopfAlgebra:
         return a[self.unit_key()]
 
     def antipode_key(self, key) -> LinComb:
-        memo = self._antipode_memo
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if len(gens := self.factors(key)) > 1:
-            # S reverses products: S(g_1 ... g_k) = S(g_k) ... S(g_1)
-            out = reduce(self._times, map(self.antipode_key, reversed(gens)))
-        elif key == self.unit_key():
-            out = self.one()
-        else:
-            out = self.antipode_rule(key)
-        memo[key] = out
+        """S of a key, memoized: ``fold`` over ``split``, since S reverses
+        products, S(rest last) = S(last) S(rest); the unit's is itself, and
+        a generator's, ``antipode_rule``."""
+        out = self._antipode_memo.get(key)
+        if out is None:
+            out = self.fold(key, self._antipode_memo, self._antipode_generator,
+                            lambda rest, last: self._times(last, rest))
         return out
+
+    def _antipode_generator(self, key) -> LinComb:
+        return self.one() if key == self.unit_key() else self.antipode_rule(key)
 
     def antipode_rule(self, key) -> LinComb:
         """S of a key that is neither the unit nor a product of other

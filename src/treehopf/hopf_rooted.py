@@ -36,9 +36,10 @@ trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended to forests by ``HopfAlgebra``'s multiplicative rule; since
-``coproduct_needs`` names b_minus(t), the coproducts down a tree are filled
-from the memo's explicit stack, the deepest first.  The
+and extended to forests by ``HopfAlgebra.fold`` over ``split``, which cuts
+the last tree off a forest; since ``coproduct_needs`` names b_minus(t), the
+coproducts down a tree are filled from the fold's explicit stack, the
+deepest first.  The
 antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
 over the sets of edges cut, of the pieces left, grouped per subtree
 (``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
@@ -328,8 +329,10 @@ class ForestAlgebra(HopfAlgebra):
             bottom_up(t, _CUT_COUNTS, _children, _cut_count)
         return _forest_cuts(f.trees)
 
-    def factors(self, f):
-        return tuple(type(f)((t,)) for t in f.trees)
+    def split(self, f):
+        # both parts are runs of f's trees, already in order
+        ts, make = f.trees, type(f).interned
+        return (make(ts[:-1]), make(ts[-1:])) if len(ts) > 1 else None
 
     def coproduct_needs(self, f):
         return tuple(map(b_minus, f.trees))

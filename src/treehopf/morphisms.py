@@ -21,17 +21,17 @@ leaves, so kbar(f) sums M_(|S|) followed by kbar(f minus S) over every S.
 It memoizes each tree's ways to lose leaves, grouped by what is left, and
 kbar per forest, so equal leaves and equal subtrees cost one entry each
 and every stripped forest is shared by all the forests that reach it.
-Z_star is memoized per forest too; both are filled from explicit stacks
-(``foundations.bottom_up``), as every walk along a tree's depth is, and Z
-over the prefixes of a composition, by the unpriced key products.  tau, Z,
-Z_star and kbar are priced by the rule that ``hopf`` states, and phi
-through ``symfun.m_to_e_row``.
+tau, Z and Z_star are fixed by their values on generators (E_k to e_k and
+to epsilon(k), a tree to alpha_plus of the image of its children), and
+each is one ``HopfAlgebra.fold`` of its domain, by the codomain's unpriced
+key products.  All four are priced by the rule that ``hopf`` states, and
+phi through ``symfun.m_to_e_row``.
 """
 
 from itertools import accumulate, chain
 from operator import attrgetter
 
-from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget, prefix_fold
+from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget
 from .trees import (
     Forest,
     OrderedForest,
@@ -161,12 +161,11 @@ _Z_MEMO: dict[tuple, LinComb] = memo_table()
 
 
 def _z_key(comp):
-    """Z(E_comp), filled over the prefixes of comp."""
-    return prefix_fold(comp, _Z_MEMO, KT.one, _times_epsilon)
-
-
-def _times_epsilon(t, k):
-    return KT._times(t, epsilon(k))
+    """Z(E_comp): NSYM's ``fold`` of epsilon(k) over the parts of comp."""
+    out = _Z_MEMO.get(comp)
+    if out is None:
+        out = NSYM.fold(comp, _Z_MEMO, lambda part: epsilon(sum(part)), KT._times)
+    return out
 
 
 _ZSTAR_MEMO: dict[Forest, LinComb] = memo_table()
@@ -211,25 +210,17 @@ def _tree_height(t: RootedTree) -> int:
 
 
 def _zstar_key(f: Forest) -> LinComb:
-    """Z_star of one forest, memoized per forest.  A single tree goes to
-    alpha_plus of the forest of its children, and a forest of several
-    trees to the product of the forest of all but its last tree with the
-    forest of that tree alone."""
-    return bottom_up(f, _ZSTAR_MEMO, _zstar_parts, _zstar_value)
+    """Z_star of one forest: HK's ``fold`` over its trees, a tree sent to
+    alpha_plus of the image of the forest of its children, which
+    ``HK.coproduct_needs`` names, as for the coproduct's root recursion."""
+    out = _ZSTAR_MEMO.get(f)
+    if out is None:
+        out = HK.fold(f, _ZSTAR_MEMO, _zstar_tree, QSYM._times, HK.coproduct_needs)
+    return out
 
 
-def _zstar_parts(f: Forest) -> tuple:
-    trees = f.trees
-    if len(trees) > 1:
-        return Forest(trees[:-1]), Forest(trees[-1:])
-    return tuple(map(b_minus, trees))
-
-
-def _zstar_value(f: Forest) -> LinComb:
-    parts = [_ZSTAR_MEMO[g] for g in _zstar_parts(f)]
-    if len(parts) == 2:
-        return QSYM._times(*parts)
-    return alpha_plus(parts[0]) if parts else QSYM.one()
+def _zstar_tree(f: Forest) -> LinComb:
+    return alpha_plus(_ZSTAR_MEMO[b_minus(f.trees[0])]) if f.trees else QSYM.one()
 
 
 def kbar(a: LinComb) -> LinComb:

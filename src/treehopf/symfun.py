@@ -6,9 +6,12 @@ to a part of the other) and the deconcatenation coproduct.
 
 NSYM is the free associative algebra on generators E_1, E_2, ... with basis
 the products E_I indexed by compositions, concatenation product, and the
-divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n, extended to
-every E_I by ``HopfAlgebra``'s multiplicative rule.  It is the graded dual
-of QSYM under the Kronecker pairing of compositions.
+divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n.  Its
+``split`` cuts the last part off a composition, and ``HopfAlgebra.fold``
+extends over it every map fixed by its values on the E_n: the coproduct
+and the antipode to every E_I, and tau's rows e_I to every composition
+(``e_to_m_row``), as Z's in ``morphisms``.  It is the graded dual of QSYM
+under the Kronecker pairing of compositions.
 
 SYM uses the monomial basis indexed by partitions.  It embeds into QSYM by
 symmetrizing (a partition maps to the sum of its distinct rearrangements).
@@ -49,7 +52,6 @@ from .foundations import (
     multiset_splits,
     partitions_of,
     pi_forget,
-    prefix_fold,
     rearrangements,
 )
 from .hopf import TERM_CAP, HopfAlgebra, _split_count, check_terms
@@ -195,8 +197,8 @@ class NoncommutativeSymmetricFunctions(_PartLists):
     def product_keys(self, left, right):
         return LinComb.single(left + right)
 
-    def factors(self, comp):
-        return tuple((part,) for part in comp)
+    def split(self, comp):
+        return (comp[:-1], comp[-1:]) if len(comp) > 1 else None
 
     def coproduct_key(self, comp):
         """Δ(E_n) = sum of E_i ⊗ E_{n-i} over 0 <= i <= n, where E_0 = 1."""
@@ -524,14 +526,13 @@ _M_TO_E = memo_table()
 
 
 def e_to_m_row(comp) -> LinComb:
-    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition, filled
-    over its prefixes, each the last times one more e_k by the unpriced key
-    products: the callers price the row."""
-    return prefix_fold(comp, _E_TO_M, SYM.one, _times_e)
-
-
-def _times_e(row, k):
-    return SYM._times(row, e(k))
+    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition: NSYM's
+    ``fold`` of e_k over its parts, by the unpriced key products; the
+    callers price the row."""
+    row = _E_TO_M.get(comp)
+    if row is None:
+        row = NSYM.fold(comp, _E_TO_M, lambda part: e(sum(part)), SYM._times)
+    return row
 
 
 def m_to_e_row(lam) -> LinComb:

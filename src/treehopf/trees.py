@@ -12,9 +12,10 @@ of planar trees.  No tree or forest equals one of the other kind.
 Trees and forests are interned (hash-consed): each kind keeps a table
 from the tuple of its (already interned) children or members to a weak
 reference to the one live object built from them, and the constructor
-returns that object when there is one.  So equal values are the same
-object, and equality and hashing are the identity defaults, which run in
-C.  An entry goes away with the last reference to its object.  The tables
+returns that object when there is one (``_Forest.interned`` takes the
+tuple in order, unsorted).  So equal values are the same object, and
+equality and hashing are the identity defaults, which run in C.  An entry
+goes away with the last reference to its object.  The tables
 are not caches: ``clear_caches`` leaves them alone, since a tree built
 after emptying them would not equal a live one built before.
 
@@ -104,7 +105,12 @@ class _Forest:
     __slots__ = ("trees", "degree", "__weakref__")
 
     def __new__(cls, trees=()):
-        ts = tuple(trees) if cls.ordered else tuple(sorted(trees, key=_tree_key))
+        return cls.interned(tuple(trees) if cls.ordered else tuple(sorted(trees, key=_tree_key)))
+
+    @classmethod
+    def interned(cls, ts: tuple):
+        """The forest of the tuple ``ts``, already in this kind's order (a
+        run of a forest's trees is), built without sorting it again."""
         entry = cls._interned.get(ts)
         if entry is not None and (self := entry()) is not None:
             return self
@@ -176,8 +182,9 @@ def b_plus(forest):
 
 
 def b_minus(tree):
-    """Delete the root, leaving the forest of its child subtrees."""
-    return tree.forest_type(tree.children)
+    """Delete the root, leaving the forest of its child subtrees, which are
+    already in that forest's order."""
+    return tree.forest_type.interned(tree.children)
 
 
 _SYM_ORDER: dict[RootedTree, int] = memo_table()

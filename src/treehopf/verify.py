@@ -37,8 +37,8 @@ suite's time at its default degree and at its cap.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, gcd, lcm
+from itertools import chain, count
+from math import factorial, gcd, lcm
 import random
 
 from .foundations import LinComb, compositions_of, memo, memo_table, partitions_of
@@ -61,6 +61,7 @@ from .trees import (
     sym_order,
 )
 from .hopf import swap_tensor, tensor_map, tensor_mult
+from .hopf import capped_binomial, capped_counts, capped_power, capped_sum, count_text
 from .hopf_rooted import (
     HK,
     KT,
@@ -1058,38 +1059,37 @@ def _convolve(a, b):
     return [sum(a[i] * b[s - i] for i in range(s + 1)) for s in range(len(a))]
 
 
-# Rough elementary-check counts per suite, used in refusal messages, and the
-# largest degree at which a refusal computes one: at 600 the slowest,
-# hopf-axioms', takes under a second, at 2,000 half a minute.
-_ESTIMATE_DEGREE = 600
+# Rough elementary-check counts per suite, used in refusal messages, capped
+# as every count in the package is (``hopf.COUNT_LIMIT``): each key count
+# is an algebra's ``degree_terms``, and each sum stops at its first partial
+# sum past the limit, so that no degree, however large, costs more than a
+# few hundred steps.
 _ESTIMATES = {
     # basis triples of total degree <= n in each of kt, kp, sym and qsym
-    "hopf-axioms": lambda n: sum(
-        sum(_convolve(c, _convolve(c, c)))
-        for c in (
-            [count(m) for m in range(n + 1)]
-            for count in (
-                lambda m: rooted_count(m + 1), catalan, partition_count, composition_count
-            )
-        )
+    "hopf-axioms": lambda n: capped_sum(
+        capped_sum(_convolve(c, _convolve(c, c)))
+        for c in (capped_counts(map(alg.degree_terms, count()), n) for alg in (KT, KP, SYM, QSYM))
     ),
-    "hexagon": lambda n: sum(composition_count(m) * catalan(m) for m in range(n + 1)),
+    "hexagon": lambda n: capped_sum(QSYM.degree_terms(m) * KP.degree_terms(m)
+                                    for m in range(n + 1)),
     # hypotheses (b) and (c) on ordered forests, the largest of the four
     # duality criteria: two checks per (a1, a2, a3) of equal total degree
-    "dualities": lambda n: 2 * sum(catalan(m + 1) * catalan(m) for m in range(n + 1)),
-    "divided-powers": lambda n: sum(rooted_count(m + 1) ** 2 for m in range(n + 1)),
-    "zstar-intertwine": lambda n: sum(
-        rooted_count(m + 1) * composition_count(m) for m in range(n + 1)
-    ),
+    "dualities": lambda n: capped_sum(2 * KP.degree_terms(m + 1) * KP.degree_terms(m)
+                                      for m in range(n + 1)),
+    "divided-powers": lambda n: capped_sum(KT.degree_terms(m) ** 2 for m in range(n + 1)),
+    "zstar-intertwine": lambda n: capped_sum(KT.degree_terms(m) * QSYM.degree_terms(m)
+                                             for m in range(n + 1)),
     # terms of Z_star over the level forests of degree n, the certificate:
     # C(2n - 1, n) of them, counted through degree 10
-    "zstar-surjectivity": lambda n: comb(2 * n, n) // 2,
+    "zstar-surjectivity": lambda n: capped_binomial(2 * n - 1, n),
     # monomial products of the polynomial row: the compositions of a expand
     # to C(m + a - 1, a) monomials in m variables, so the pairs of combined
     # degree m make [x^m] (1 - x)^(-2m) = C(3m - 1, m) products
-    "quasi-shuffle-oracle": lambda n: 1 + sum(comb(3 * m - 1, m) for m in range(1, n + 1)),
-    "enumeration-counts": lambda n: rooted_count(n) * n * n + catalan(n - 1) * n,
-    "ideh": lambda n: partition_count(n) ** 3,
+    "quasi-shuffle-oracle": lambda n: capped_sum(capped_binomial(3 * m - 1, m) if m else 1
+                                                 for m in range(n + 1)),
+    "enumeration-counts": lambda n: capped_sum((KT.degree_terms(n - 1) * n * n,
+                                                KP.degree_terms(n - 1) * n)),
+    "ideh": lambda n: capped_power(SYM.degree_terms(n), 3),
 }
 
 
@@ -1103,13 +1103,9 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
     if d < 0:
         raise ValueError("max_degree must be nonnegative")
     if d > cap:
-        # an estimate takes time quadratic in its degree or more, and grows
-        # with it: past _ESTIMATE_DEGREE, the one at that degree bounds it
-        shown = min(d, _ESTIMATE_DEGREE)
-        est = _ESTIMATES[name](shown)
-        need = f"roughly {est:,}" if shown == d else f"more than {est:,}"
         raise SuiteBoundError(
-            f"suite {name} at max_degree {d} would need {need} "
+            f"suite {name} at max_degree {d} would need "
+            f"{count_text(_ESTIMATES[name](d), 'roughly')} "
             f"elementary checks with exact arithmetic; the cap is {cap}. "
             f"Rerun with --max-degree {cap} or lower."
         )

@@ -195,7 +195,8 @@ def test_check_terms_is_called_only_at_the_public_entries():
     assert _package_calls(lambda f: getattr(f, "id", None) == "check_terms") == {
         "hopf.HopfAlgebra.product", "hopf.HopfAlgebra.coproduct", "hopf.HopfAlgebra.antipode",
         "morphisms.tau", "morphisms.Z", "morphisms.Z_star", "morphisms.kbar",
-        "symfun.h", "symfun.m_to_e_row", "cli._cmd_enumerate", "cli._cmd_expand",
+        "symfun.h", "symfun.m_to_e_row", "cli._cmd_series", "cli._cmd_enumerate",
+        "cli._cmd_expand",
     }
 
 
