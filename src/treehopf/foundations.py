@@ -20,10 +20,13 @@ result is summed a second time.  A composite map sums all its terms in one
 pass, with no LinComb built per term: ``scaled_sum`` takes a stream of
 scaled item streams (a convolution, a coassociativity side, a pairing row
 read through a coproduct index), and ``tensor_sum`` a stream of scaled
-tensor products c * (a ⊗ b) (``tensor_mult``, ``tensor_map``).  Three
+tensor products c * (a ⊗ b) (``tensor_mult``, ``tensor_map``), or, with
+a free algebra's ``key_product``, of products c * a * b whose key products
+are one key each (its product, the antipode fold and convolution).  Three
 loops do the summing: ``_sum``, behind ``scaled_sum``, ``bilinear`` and
 the rest; the copy of it inlined in ``apply_linear``, the hottest sum; and
-``tensor_sum``'s, which forms each pair key inline.  The sums compute no
+``tensor_sum``'s, which forms each pair key, or key product, inline.  The
+sums compute no
 identity: a new key takes its term as it is, and a unit coefficient
 multiplies nothing, so no ``Fraction`` is built for 0 + x, 1 * x or x * 1.
 
@@ -35,9 +38,14 @@ memo entry shared with other callers.  No result is ever mutated, and only
 this module reads the terms of a LinComb.
 
 Every cache in the package is registered here: a function memoized with
-``memo``, or a dict made by ``memo_table`` that ``bottom_up`` fills from an
-explicit stack (``HopfAlgebra.fold`` over the products of generators of a
-free algebra), or that its owner looks up inline.  ``clear_caches``
+``memo``, or a dict made by ``memo_table``.  Given a fill, the dict fills
+itself, so a hit is one subscript, in C, with no Python call and no "get,
+then fill if missing" in its caller: the product, coproduct and antipode
+tables of each algebra, the key-product tables of the free ones (``hopf``)
+and the images of tau, Z, Z_star and kbar.  A fill that needs the values of smaller keys first fills them by
+``bottom_up``, from an explicit stack (``HopfAlgebra.fold`` over the
+products of generators of a free algebra).  The other dicts ``bottom_up``
+or their owner fill: the walks along tree depth.  ``clear_caches``
 empties them all.
 """
 
@@ -58,12 +66,29 @@ def memo(fn):
     return cached
 
 
-def memo_table() -> dict:
-    """A new dict, registered for ``clear_caches``, for a cache that
-    ``bottom_up`` fills or that its owner looks up inline: the walks along
-    tree depth, whose values need those of a key's children, and the
-    per-algebra memos."""
-    table = {}
+class _Table(dict):
+    """A dict that fills itself: a missing key's value is ``fill(key)``,
+    stored and returned, so a hit costs one subscript, in C."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def memo_table(fill=None) -> dict:
+    """A new dict, registered for ``clear_caches``.  With a ``fill``, it
+    fills itself: ``table[key]`` computes a missing key's value by
+    ``fill(key)``, keeps it and returns it (the per-algebra memos, and the
+    images of the maps).  Without one, ``bottom_up`` fills it or its owner
+    does (the walks along tree depth, whose values need those of a key's
+    children)."""
+    table = {} if fill is None else _Table(fill)
     _CLEARS.append(table.clear)
     return table
 
@@ -258,13 +283,15 @@ class LinComb:
         return LinComb.tensor_sum(((1, a, b),))
 
     @staticmethod
-    def tensor_sum(scaled):
+    def tensor_sum(scaled, times=None):
         """The sum of c * (a ⊗ b) for each (c, a, b) of ``scaled``, with a
         and b LinCombs or dicts: keys become ordered pairs, zeros are
         pruned, and whole ``Fraction`` coefficients come back as ``int``s.
         Each product of three coefficients is taken as in ``_sum``, with no
         product computed for a factor of 1, and no LinComb is built for a
-        single a ⊗ b."""
+        single a ⊗ b.  With ``times``, the key of a term x k1 of a and y k2
+        of b is ``times(k1, k2)`` in place of the pair: the sum of c * a * b
+        in a free algebra, whose ``key_product`` makes one key of two."""
         data = {}
         get = data.get
         for c, a, b in scaled:
@@ -279,7 +306,7 @@ class LinComb:
                 for k2, y in b_items:
                     if not unit:
                         y = (x if y == 1 else x * y) if frac else x * y
-                    key = (k1, k2)
+                    key = (k1, k2) if times is None else times(k1, k2)
                     cur = get(key)
                     if cur is None:
                         if y:

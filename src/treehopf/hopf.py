@@ -7,8 +7,8 @@ extension is one of the sums in ``LinComb``: the product is
 ``LinComb.bilinear`` over the memoized key products, the coproduct and the
 antipode are ``apply_linear``, and ``tensor_mult`` and ``tensor_map`` are
 one ``LinComb.tensor_sum`` each: of c d (p1 q1 ⊗ p2 q2) over the pairs of
-terms of two tensors, each key product read through ``_pk``, and of
-c (left(k1) ⊗ right(k2)) over the terms of one.  HK, HF and NSYM are free:
+terms of two tensors, and of c (left(k1) ⊗ right(k2)) over the terms of
+one.  HK, HF and NSYM are free:
 ``split`` cuts a product of generators into (all but the last, the last),
 and ``fold`` fills a table with a map multiplicative over that cut from
 its values on the unit and the generators: the coproduct, Δ(rest last) =
@@ -39,16 +39,27 @@ first partial count past the limit, and named by ``count_text``, as the
 suites' estimates are (``verify``).  The kernels (``_pk``, ``_ck``,
 ``antipode_key``, ``antipode_rule`` and the key rules) price nothing, and
 no kernel or verification suite reaches an algebra's priced ``product``,
-``coproduct`` or ``antipode``: they multiply elements by ``_times``,
-``LinComb.bilinear`` over ``_pk``, and take coproducts by
-``a.apply_linear(alg._ck)``.  The maps and h price every call, the
+``coproduct`` or ``antipode``: they multiply elements by ``_times``, and
+read key products, coproducts and antipodes from the tables below.  The maps and h price every call, the
 suites' too, and ``m_to_e_row`` every new row.  The one other guard is
 KT's and KP's ``GRAFT_CAP`` on their public ``product`` and ``antipode``,
 whose work the terms do not bound (``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
-instance, in tables registered with ``foundations.clear_caches``; entries
-are only ever written once.  A fold fills its table from an explicit stack
+instance, in self-filling tables (``foundations.memo_table``): a hit is one
+subscript, ``alg._prod_memo[k1, k2]``, ``alg._cop_memo[key]`` or
+``alg._antipode_memo[key]``, and a miss computes the value by
+``product_keys``, the coproduct fold or the antipode fold.  ``_pk``,
+``_ck`` and ``antipode_key`` read them for the public operations, and the
+hot loops subscript them: ``tensor_mult``, ``_times``, ``antipode_rule``
+and the axiom rows of ``verify``.  Entries are only ever written once.  In
+HK, HF and NSYM the product of two keys is one key, their
+``key_product``, read from a table of its own, a factor that is the unit
+aside; there ``tensor_mult``, ``_times`` (the antipode fold) and the
+antipode convolutions of ``verify`` add c d at the key product, in
+``LinComb.tensor_sum``'s loop, and build no LinComb per product of keys.
+KT, KP, SYM and QSYM, whose key products have many terms, read them from
+the product table.  A fold fills its table from an explicit stack
 (``foundations.bottom_up``): a key's two parts first, and before a
 generator the keys that its ``needs`` name, for the coproduct those of
 ``coproduct_needs``, so that neither a product of many generators nor HK's
@@ -164,11 +175,15 @@ class HopfAlgebra:
     """Graded connected Hopf algebra presented by a combinatorial basis."""
 
     name = "?"
+    # the product of two keys as one key, in a free algebra, whose product
+    # of basis elements is a basis element; None where a product of keys
+    # has many terms
+    key_product = None
 
     def __init__(self):
-        self._prod_memo = memo_table()
-        self._cop_memo = memo_table()
-        self._antipode_memo = memo_table()
+        self._prod_memo = memo_table(lambda pair: self.product_keys(*pair))
+        self._cop_memo = memo_table(self._coproduct_fold)
+        self._antipode_memo = memo_table(self._antipode_fold)
 
     # combinatorial structure, supplied by subclasses
 
@@ -213,21 +228,16 @@ class HopfAlgebra:
         return LinComb.single(self.unit_key())
 
     def _pk(self, k1, k2) -> LinComb:
-        memo = self._prod_memo
-        out = memo.get((k1, k2))
-        if out is None:
-            out = self.product_keys(k1, k2)
-            memo[(k1, k2)] = out
-        return out
+        return self._prod_memo[k1, k2]
 
     def _ck(self, key) -> LinComb:
-        # a hit is one lookup inline, with no call: the suites read every
-        # key's coproduct here
-        out = self._cop_memo.get(key)
-        if out is None:
-            out = self.fold(key, self._cop_memo, self.coproduct_key, partial(tensor_mult, self),
-                            self.coproduct_needs)
-        return out
+        return self._cop_memo[key]
+
+    def _coproduct_fold(self, key) -> LinComb:
+        """Δ of a key: ``fold`` over ``split``, Δ(rest last) = Δ(rest) Δ(last),
+        from ``coproduct_key`` on the unit and the generators."""
+        return self.fold(key, self._cop_memo, self.coproduct_key, partial(tensor_mult, self),
+                         self.coproduct_needs)
 
     def fold(self, key, table: dict, generator, times, needs=None):
         """``table[key]``, filled first if missing, for a map f that is
@@ -235,9 +245,10 @@ class HopfAlgebra:
         a key that splits, and ``generator(key)`` for the unit and the
         generators, which may read from ``table`` the keys that
         ``needs(key)`` lists.  Filled by ``bottom_up``, every prefix of the
-        key kept.  A fold builds its closures on each call, so a caller
-        looks up a hit inline; each key is split once per call, though
-        ``bottom_up`` reads its needs up to twice and then its value."""
+        key kept.  A fold builds its closures on each call, so it is a
+        table's fill, called on a miss; each key is split once per call,
+        though ``bottom_up`` reads its needs up to twice and then its
+        value."""
         pairs = {}
         split = lambda k: pairs[k] if k in pairs else pairs.setdefault(k, self.split(k))
         reads = lambda k: split(k) or (needs(k) if needs else ())
@@ -299,14 +310,15 @@ class HopfAlgebra:
         return a[self.unit_key()]
 
     def antipode_key(self, key) -> LinComb:
-        """S of a key, memoized: ``fold`` over ``split``, since S reverses
-        products, S(rest last) = S(last) S(rest); the unit's is itself, and
-        a generator's, ``antipode_rule``."""
-        out = self._antipode_memo.get(key)
-        if out is None:
-            out = self.fold(key, self._antipode_memo, self._antipode_generator,
-                            lambda rest, last: self._times(last, rest))
-        return out
+        """S of a key, from the antipode table."""
+        return self._antipode_memo[key]
+
+    def _antipode_fold(self, key) -> LinComb:
+        """S of a key: ``fold`` over ``split``, since S reverses products,
+        S(rest last) = S(last) S(rest); the unit's is itself, and a
+        generator's, ``antipode_rule``."""
+        return self.fold(key, self._antipode_memo, self._antipode_generator,
+                         lambda rest, last: self._times(last, rest))
 
     def _antipode_generator(self, key) -> LinComb:
         return self.one() if key == self.unit_key() else self.antipode_rule(key)
@@ -315,15 +327,19 @@ class HopfAlgebra:
         """S of a key that is neither the unit nor a product of other
         keys, by the recursion S(x) = -x - sum S(x') x'' over the middle
         terms of its coproduct.  An algebra with a closed form overrides
-        this; ``antipode_key`` is the one entry point, and memoizes."""
-        unit, pk, S = self.unit_key(), self._pk, self.antipode_key
-        rest = LinComb.scaled_sum((-c * s, pk(u, z).items())
-                                  for (y, z), c in self._ck(key).items()
-                                  if unit not in (y, z) for u, s in S(y).items())
+        this; the antipode table is the one entry point, and memoizes."""
+        unit, pk, S = self.unit_key(), self._prod_memo, self._antipode_memo
+        rest = LinComb.scaled_sum((-c * s, pk[u, z].items())
+                                  for (y, z), c in self._cop_memo[key].items()
+                                  if unit not in (y, z) for u, s in S[y].items())
         return LinComb.single(key, -1) + rest
 
     def _times(self, a, b) -> LinComb:
-        """a b by the unpriced key products."""
+        """a b by the unpriced key products: in a free algebra, each c d at
+        the key product, else the products of keys from the table."""
+        times = self.key_product
+        if times is not None:
+            return LinComb.tensor_sum(((1, a, b),), times)
         return LinComb.bilinear(a, b, self._pk)
 
     def antipode_terms(self, key) -> int:
@@ -393,10 +409,15 @@ def tensor_map(t: LinComb, left, right) -> LinComb:
 def tensor_mult(algebra: HopfAlgebra, t1: LinComb, t2: LinComb) -> LinComb:
     """Componentwise product of two tensors over the same algebra: the sum
     of c d (p1 q1 ⊗ p2 q2) over the terms c (p1 ⊗ p2) of t1 and d (q1 ⊗ q2)
-    of t2, each key product read from the memo."""
-    pk = algebra._pk
+    of t2.  In a free algebra c d goes to the pair of key products, else
+    each key product is read from the table."""
+    times = algebra.key_product
+    if times is not None:
+        return LinComb.tensor_sum(
+            ((1, t1, t2),), lambda p, q: (times(p[0], q[0]), times(p[1], q[1])))
+    pk = algebra._prod_memo
     t2_items = t2.items()
-    return LinComb.tensor_sum((c * d, pk(p1, q1), pk(p2, q2))
+    return LinComb.tensor_sum((c * d, pk[p1, q1], pk[p2, q2])
                               for (p1, p2), c in t1.items() for (q1, q2), d in t2_items)
 
 

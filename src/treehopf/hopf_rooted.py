@@ -294,6 +294,8 @@ class ForestAlgebra(HopfAlgebra):
     def __init__(self):
         super().__init__()
         self._cut_memo = memo_table()
+        # (f, g) -> the forest of the trees of both, merged in this kind's order
+        self._merge_memo = memo_table(lambda pair: type(pair[0])(pair[0].trees + pair[1].trees))
 
     def unit_key(self):
         return self.empty
@@ -313,7 +315,12 @@ class ForestAlgebra(HopfAlgebra):
         return f.sort_key
 
     def product_keys(self, f, g):
-        return LinComb.single(type(f)(f.trees + g.trees))
+        return LinComb.single(self.key_product(f, g))
+
+    def key_product(self, f, g):
+        """The product of two forests, one forest; a factor that is the
+        unit, the empty forest, is not looked up."""
+        return g if not f.trees else f if not g.trees else self._merge_memo[f, g]
 
     def degree_terms(self, n):
         """The forests of degree n, as many as trees of n + 1 vertices
@@ -346,7 +353,7 @@ class ForestAlgebra(HopfAlgebra):
         # unit on the right
         (t,) = f.trees
         terms = {(f, self.empty): 1}
-        inner = self._ck(b_minus(t))
+        inner = self._cop_memo[b_minus(t)]
         terms.update(((u, type(f)((b_plus(v),))), c) for (u, v), c in inner.items())
         return LinComb.trusted(terms)
 

@@ -157,18 +157,17 @@ def _z_terms(comp):
     return min(ways, _growing_count(rooted_count_by_levels, branches[-1] + 1, len(comp) + 1))
 
 
-_Z_MEMO: dict[tuple, LinComb] = memo_table()
+# comp -> Z(E_comp): NSYM's ``fold`` of epsilon(k) over the parts of comp
+_Z_MEMO: dict[tuple, LinComb] = memo_table(
+    lambda comp: NSYM.fold(comp, _Z_MEMO, lambda part: epsilon(sum(part)), KT._times))
+_z_key = _Z_MEMO.__getitem__
 
-
-def _z_key(comp):
-    """Z(E_comp): NSYM's ``fold`` of epsilon(k) over the parts of comp."""
-    out = _Z_MEMO.get(comp)
-    if out is None:
-        out = NSYM.fold(comp, _Z_MEMO, lambda part: epsilon(sum(part)), KT._times)
-    return out
-
-
-_ZSTAR_MEMO: dict[Forest, LinComb] = memo_table()
+# forest -> Z_star(f): HK's ``fold`` over its trees, a tree sent to
+# alpha_plus of the image of the forest of its children, which
+# ``HK.coproduct_needs`` names, as for the coproduct's root recursion
+_ZSTAR_MEMO: dict[Forest, LinComb] = memo_table(
+    lambda f: HK.fold(f, _ZSTAR_MEMO, _zstar_tree, QSYM._times, HK.coproduct_needs))
+_zstar_key = _ZSTAR_MEMO.__getitem__
 # tree -> the most vertices on a path from its root to a leaf
 _HEIGHT: dict[RootedTree, int] = memo_table()
 _children = attrgetter("children")
@@ -209,16 +208,6 @@ def _tree_height(t: RootedTree) -> int:
     return 1 + max((_HEIGHT[c] for c in t.children), default=0)
 
 
-def _zstar_key(f: Forest) -> LinComb:
-    """Z_star of one forest: HK's ``fold`` over its trees, a tree sent to
-    alpha_plus of the image of the forest of its children, which
-    ``HK.coproduct_needs`` names, as for the coproduct's root recursion."""
-    out = _ZSTAR_MEMO.get(f)
-    if out is None:
-        out = HK.fold(f, _ZSTAR_MEMO, _zstar_tree, QSYM._times, HK.coproduct_needs)
-    return out
-
-
 def _zstar_tree(f: Forest) -> LinComb:
     return alpha_plus(_ZSTAR_MEMO[b_minus(f.trees[0])]) if f.trees else QSYM.one()
 
@@ -239,14 +228,14 @@ def kbar(a: LinComb) -> LinComb:
     return a.apply_linear(_kbar_forest)
 
 
-_KBAR_MEMO: dict[Forest, LinComb] = memo_table()
 # tree -> {(what is left of it, or None, number of leaves removed): the
 # number of sets of its leaves whose removal leaves that}
 _LEAF_STRIPS: dict[RootedTree, dict] = memo_table()
 
 
-def _kbar_forest(f: Forest) -> LinComb:
-    """kbar of one forest by leaf stripping, with integer sums of its own.
+def _kbar_stripped(f: Forest) -> LinComb:
+    """kbar of one forest by leaf stripping, with integer sums of its own:
+    the fill of its table.
 
     The sets of leaves of a forest are folded tree by tree from the
     memoized strips of each tree, and those of a tree from the strips of
@@ -254,9 +243,6 @@ def _kbar_forest(f: Forest) -> LinComb:
     subtrees add to one entry each, so a corolla with k leaves has k + 1
     strips, not 2^k.
     """
-    out = _KBAR_MEMO.get(f)
-    if out is not None:  # a hit builds none of the helpers below
-        return out
 
     def moves(g):
         # ``_leaf_moves``, kept for the call, since kbar_of reads them again
@@ -275,6 +261,10 @@ def _kbar_forest(f: Forest) -> LinComb:
 
     moves_of = {}
     return bottom_up(f, _KBAR_MEMO, lambda g: [h for h, _ in moves(g)], kbar_of)
+
+
+_KBAR_MEMO: dict[Forest, LinComb] = memo_table(_kbar_stripped)
+_kbar_forest = _KBAR_MEMO.__getitem__
 
 
 def _leaf_moves(g: Forest) -> dict:

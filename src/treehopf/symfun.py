@@ -194,8 +194,20 @@ class NoncommutativeSymmetricFunctions(_PartLists):
     name = "nsym"
     letter = "E"
 
+    def __init__(self):
+        super().__init__()
+        # (left, right) -> their concatenation, one tuple for every product
+        # that makes it, so that the terms of a long key's coproduct share it
+        self._concat_memo = memo_table(lambda pair: pair[0] + pair[1])
+
     def product_keys(self, left, right):
-        return LinComb.single(left + right)
+        return LinComb.single(self.key_product(left, right))
+
+    def key_product(self, left, right):
+        """The product of two compositions, one composition; a factor that
+        is the unit, the empty one, is not looked up."""
+        return (right if not left else left if not right
+                else self._concat_memo[left, right])
 
     def split(self, comp):
         return (comp[:-1], comp[-1:]) if len(comp) > 1 else None
@@ -521,18 +533,15 @@ def _conjugate(lam):
     return tuple(sum(1 for part in lam if part > i) for i in range(max(lam, default=0)))
 
 
-_E_TO_M = memo_table()
+_E_TO_M = memo_table(lambda comp: NSYM.fold(comp, _E_TO_M, lambda part: e(sum(part)), SYM._times))
 _M_TO_E = memo_table()
 
 
 def e_to_m_row(comp) -> LinComb:
     """e_{i_1} e_{i_2} ... in the monomial basis, for a composition: NSYM's
-    ``fold`` of e_k over its parts, by the unpriced key products; the
-    callers price the row."""
-    row = _E_TO_M.get(comp)
-    if row is None:
-        row = NSYM.fold(comp, _E_TO_M, lambda part: e(sum(part)), SYM._times)
-    return row
+    ``fold`` of e_k over its parts, by the unpriced key products, from its
+    table; the callers price the row."""
+    return _E_TO_M[comp]
 
 
 def m_to_e_row(lam) -> LinComb:

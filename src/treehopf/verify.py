@@ -9,10 +9,12 @@ exhaustively through degree 4, plus seeded degree-5 spot checks.
 Reports are deterministic: fixed iteration order, and the only
 randomness (those spot checks) uses a hard-coded seed.
 
-A check walks basis keys, and reads the product and coproduct of keys
-from the algebra memos (``alg._pk``, ``alg._ck``); it multiplies elements
-by the unpriced key products (``alg._times``) and takes their coproducts
-and antipodes key by key, so no suite meets the pricing of the public
+A check walks basis keys, and reads the product, coproduct and antipode
+of keys from the algebra's self-filling tables, one subscript each
+(``alg._prod_memo``, ``alg._cop_memo``, ``alg._antipode_memo``); it
+multiplies elements by the unpriced key products (``alg._times``), in a
+free algebra by its ``key_product``, and takes their coproducts and
+antipodes key by key, so no suite meets the pricing of the public
 operations (``hopf``).  A counterexample names its keys with ``key_str``.  The adjoint and delta rows of the dualities
 suite compare sparse rows, as the duality criterion does, not every key
 pair: <f(u), v> = <u, g(v)> is the row of f(u) against u's row through the
@@ -238,18 +240,24 @@ def composition_count(n: int) -> int:
 
 # ------------------------------------------------- independent generators
 
-def _leaf_growth(n: int) -> set[str]:
-    """Encodings of all rooted trees with n vertices, grown by attaching a
-    new leaf at every vertex of every smaller tree.  Independent of the
-    multiset-based enumerator."""
-    trees = {LEAF.encoding: LEAF}
-    for _ in range(n - 1):
-        grown = {}
-        for t in trees.values():
-            for g in _attach_leaf(t):
-                grown[g.encoding] = g
-        trees = grown
-    return set(trees)
+def _leaf_growth():
+    """n -> the encodings of all rooted trees with n vertices, grown from the
+    single vertex by attaching a new leaf at every vertex of every tree one
+    vertex smaller.  Independent of the multiset-based enumerator.  Each
+    level is grown once, from the one below, and kept only as long as the
+    function: one suite run."""
+    levels = [{}, {LEAF.encoding: LEAF}]
+
+    def growth(n: int) -> set[str]:
+        while len(levels) <= n:
+            grown = {}
+            for t in levels[-1].values():
+                for g in _attach_leaf(t):
+                    grown[g.encoding] = g
+            levels.append(grown)
+        return set(levels[n])
+
+    return growth
 
 
 def _attach_leaf(t: RootedTree):
@@ -389,24 +397,27 @@ def _pairs(basis, d):
 def _triples(alg, d):
     """Cases (kx, ky, kz, xy): basis keys of degrees i, j, n - i - j for
     n <= d, in order of n, i, j, kx, ky, kz, with xy the product of kx, ky."""
+    pk = alg._prod_memo
     for n in range(d + 1):
         for i in range(n + 1):
             for j in range(n - i + 1):
                 for kx in alg.basis(i):
                     for ky in alg.basis(j):
-                        xy = alg._pk(kx, ky)
+                        xy = pk[kx, ky]
                         for kz in alg.basis(n - i - j):
                             yield kx, ky, kz, xy
 
 
 def _times_key(alg, a, key):
     """The product ``a key`` of an element and a basis key."""
-    return a.apply_linear(lambda k: alg._pk(k, key))
+    pk = alg._prod_memo
+    return a.apply_linear(lambda k: pk[k, key])
 
 
 def _key_times(alg, key, a):
     """The product ``key a`` of a basis key and an element."""
-    return a.apply_linear(lambda k: alg._pk(key, k))
+    pk = alg._prod_memo
+    return a.apply_linear(lambda k: pk[key, k])
 
 
 def _divided_powers(alg, seq, k):
@@ -430,11 +441,11 @@ _COCOMMUTATIVE = {"kt", "sym", "nsym"}
 def _coassoc_sides(alg, key):
     """(Delta (x) id) Delta and (id (x) Delta) Delta of a key, as sums over
     key triples, each in one pass over the terms of its coproduct."""
-    ck = alg._ck
-    cop = ck(key).items()
-    lhs = LinComb.scaled_sum((c, (((a, b, z), d) for (a, b), d in ck(y).items()))
+    ck = alg._cop_memo
+    cop = ck[key].items()
+    lhs = LinComb.scaled_sum((c, (((a, b, z), d) for (a, b), d in ck[y].items()))
                              for (y, z), c in cop)
-    rhs = LinComb.scaled_sum((c, (((y, a, b), d) for (a, b), d in ck(z).items()))
+    rhs = LinComb.scaled_sum((c, (((y, a, b), d) for (a, b), d in ck[z].items()))
                              for (y, z), c in cop)
     return lhs, rhs
 
@@ -445,7 +456,7 @@ def _coassoc_ok(alg, key):
 
 
 def _counit_ok(alg, key, x):
-    cop = alg._ck(key)
+    cop = alg._cop_memo[key]
     unit = alg.unit_key()
     left = cop.filter_keys(lambda pair: pair[0] == unit).map_keys(lambda pair: pair[1])
     right = cop.filter_keys(lambda pair: pair[1] == unit).map_keys(lambda pair: pair[0])
@@ -455,13 +466,19 @@ def _counit_ok(alg, key, x):
 def _convolutions(alg, key):
     """m (S (x) id) Delta and m (id (x) S) Delta of a key: the sums of
     c s (u z) over the terms c (y (x) z) of its coproduct and s u of S(y),
-    and of c s (y u) over those of S(z), each in one pass."""
-    pk, S = alg._pk, alg.antipode_key
-    cop = alg._ck(key).items()
-    left = LinComb.scaled_sum((c * s, pk(u, z).items())
-                              for (y, z), c in cop for u, s in S(y).items())
-    right = LinComb.scaled_sum((c * s, pk(y, u).items())
-                               for (y, z), c in cop for u, s in S(z).items())
+    and of c s (y u) over those of S(z), each in one pass; in a free
+    algebra, c s at the key product."""
+    S, times = alg._antipode_memo, alg.key_product
+    cop = alg._cop_memo[key].items()
+    if times is not None:
+        left = LinComb.tensor_sum(((c, S[y], {z: 1}) for (y, z), c in cop), times)
+        right = LinComb.tensor_sum(((c, {y: 1}, S[z]) for (y, z), c in cop), times)
+        return left, right
+    pk = alg._prod_memo
+    left = LinComb.scaled_sum((c * s, pk[u, z].items())
+                              for (y, z), c in cop for u, s in S[y].items())
+    right = LinComb.scaled_sum((c * s, pk[y, u].items())
+                               for (y, z), c in cop for u, s in S[z].items())
     return left, right
 
 
@@ -475,31 +492,32 @@ def _grading_cases(alg, d):
     """Cases (n, degrees, parts): for each total degree n <= d, the degrees
     of the terms of the product of each basis pair, then of the coproduct
     of each basis key; ``parts`` holds the keys involved."""
+    pk, ck = alg._prod_memo, alg._cop_memo
     for n in range(d + 1):
         for kx, ky in _key_pairs(alg.basis, n):
-            yield n, [alg.degree(k) for k in alg._pk(kx, ky)], (kx, ky)
+            yield n, [alg.degree(k) for k in pk[kx, ky]], (kx, ky)
         for key in alg.basis(n):
-            cop = alg._ck(key)
-            yield n, [alg.degree(k1) + alg.degree(k2) for k1, k2 in cop], (key,)
+            yield n, [alg.degree(k1) + alg.degree(k2) for k1, k2 in ck[key]], (key,)
 
 
 def _axioms(alg, d):
     """The Hopf algebra axioms of one algebra on its basis through degree d."""
-    pk, ck, text = alg._pk, alg._ck, alg.key_str
+    pk, ck, text = alg._prod_memo, alg._cop_memo, alg.key_str
     unit = alg.unit_key()
     key_text = lambda key, x: text(key)
     pair_text = lambda kx, ky, n: f"{text(kx)} , {text(ky)}"
     keys = lambda: _keys(alg.basis, d)
     rows = [
         ("product is associative", _triples(alg, d),
-         lambda kx, ky, kz, xy: _times_key(alg, xy, kz) == _key_times(alg, kx, pk(ky, kz)),
+         lambda kx, ky, kz, xy: _times_key(alg, xy, kz) == _key_times(alg, kx, pk[ky, kz]),
          lambda kx, ky, kz, xy: f"{text(kx)} , {text(ky)} , {text(kz)}"),
-        ("unit laws", keys(), lambda key, x: pk(unit, key) == x == pk(key, unit), key_text),
+        ("unit laws", keys(), lambda key, x: pk[unit, key] == x == pk[key, unit], key_text),
         ("coproduct is coassociative", keys(), lambda key, x: _coassoc_ok(alg, key),
          key_text),
         ("counit laws", keys(), lambda key, x: _counit_ok(alg, key, x), key_text),
         ("coproduct is an algebra morphism", _pairs(alg.basis, d),
-         lambda kx, ky, n: pk(kx, ky).apply_linear(ck) == tensor_mult(alg, ck(kx), ck(ky)),
+         lambda kx, ky, n: pk[kx, ky].apply_linear(ck.__getitem__)
+         == tensor_mult(alg, ck[kx], ck[ky]),
          pair_text),
         ("antipode convolution identity", keys(),
          lambda key, x: _antipode_convolution_ok(alg, key, x), key_text),
@@ -509,10 +527,10 @@ def _axioms(alg, d):
     ]
     if alg.name in _COMMUTATIVE:
         rows.append(("product is commutative", _pairs(alg.basis, d),
-                     lambda kx, ky, n: pk(kx, ky) == pk(ky, kx), pair_text))
+                     lambda kx, ky, n: pk[kx, ky] == pk[ky, kx], pair_text))
     if alg.name in _COCOMMUTATIVE:
         rows.append(("coproduct is cocommutative", keys(),
-                     lambda key, x: _symmetric(alg._ck(key)), key_text))
+                     lambda key, x: _symmetric(ck[key]), key_text))
     return [
         _check(f"{alg.name}: {identity}", f"degree <= {d}", *row)
         for identity, *row in rows
@@ -1013,7 +1031,7 @@ def _suite_enumeration_counts(d: int) -> list[IdentityResult]:
          (mismatch, lambda n: len(enumerate_rooted(n)), rooted_count)),
         ("unordered trees match the leaf-growth generator", vertices, ns,
          ("{n} vertices", lambda n: {t.encoding for t in enumerate_rooted(n)},
-          _leaf_growth)),
+          _leaf_growth())),
         ("planar tree counts are Catalan", vertices, ns,
          (mismatch, lambda n: len(enumerate_planar(n)), lambda n: catalan(n - 1))),
         ("planar trees match the bracket-string generator", vertices, ns,

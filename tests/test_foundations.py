@@ -14,6 +14,7 @@ from treehopf.foundations import (
     bottom_up,
     clear_caches,
     compositions_of,
+    memo_table,
     multiset_splits,
     partitions_of,
     pi_forget,
@@ -161,6 +162,25 @@ def test_clear_caches_empties_every_registered_cache():
     assert [run_suite(name, 3).to_dict() for name in SUITE_NAMES] == first
 
 
+def test_a_self_filling_table_fills_each_key_once_and_empties_with_the_caches():
+    from treehopf import HF
+
+    calls = []
+    table = memo_table(lambda key: calls.append(key) or 2 * key)
+    assert table[3] == 6 and table[3] == 6 and calls == [3]
+    # only a subscript fills: get and in read what is there
+    assert table.get(4) is None and 4 not in table and calls == [3]
+    clear_caches()
+    assert not table
+    assert table[3] == 6 and calls == [3, 3]
+    # an algebra's antipode table: emptied, then filled again to equal values
+    first = {key: HF.antipode_key(key) for n in range(6) for key in HF.basis(n)}
+    assert len(HF._antipode_memo) >= len(first)
+    clear_caches()
+    assert not HF._antipode_memo
+    assert {key: HF._antipode_memo[key] for key in first} == first
+
+
 def test_bottom_up_fills_a_chain_deeper_than_the_recursion_limit():
     n = 3 * sys.getrecursionlimit()
     table = {}
@@ -277,7 +297,7 @@ def test_sparse_sums_outside_foundations_go_through_lincomb():
     # the exceptions, each still present: an oracle kept independent of
     # LinComb (kbar's leaf stripping, with the fold of its strips), and an
     # in-place integer row update
-    allowed = {"morphisms._kbar_forest", "morphisms._fold_strips", "verify._clear"}
+    allowed = {"morphisms._kbar_stripped", "morphisms._fold_strips", "verify._clear"}
     package = pathlib.Path(treehopf.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

@@ -1390,21 +1390,16 @@ def test_the_oracles_catch_factors_in_reverse_order(alg, monkeypatch, fresh_cach
 
 
 def _unreversed_antipode(alg):
-    """``antipode_key`` with a fold that multiplies S(rest) S(last), not
-    S(last) S(rest)."""
-    def antipode_key(key):
-        out = alg._antipode_memo.get(key)
-        if out is None:
-            out = alg.fold(key, alg._antipode_memo, alg._antipode_generator, alg._times)
-        return out
-    return antipode_key
+    """The fill of the antipode table, with a fold that multiplies
+    S(rest) S(last), not S(last) S(rest)."""
+    return lambda key: alg.fold(key, alg._antipode_memo, alg._antipode_generator, alg._times)
 
 
 @pytest.mark.parametrize("alg, key", [(HF, "([],[[]])"), (NSYM, "E(2,1)")],
                          ids=["hf", "nsym"])
 def test_the_oracle_and_the_axioms_catch_an_unreversed_antipode(alg, key, monkeypatch,
                                                                 fresh_caches):
-    monkeypatch.setitem(vars(alg), "antipode_key", _unreversed_antipode(alg))
+    monkeypatch.setattr(alg._antipode_memo, "fill", _unreversed_antipode(alg))
     with pytest.raises(AssertionError):
         _antipodes_match(alg)
     clear_caches()
@@ -1460,6 +1455,36 @@ def test_antipodes_of_long_products_leave_the_recursion_limit_alone(fresh_caches
             ((1,) * i, (1,) * (n - i)): comb(n, i) for i in range(n + 1)})
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -------------------------------------------------------- free key products
+
+# the product of two keys of each free algebra as the one-term product
+# built it: the factors concatenated, an unordered forest's trees then put
+# in the canonical order
+CONCATENATED = {"ck": lambda f, g: Forest(f.trees + g.trees),
+                "hf": lambda f, g: OrderedForest(f.trees + g.trees), "nsym": add}
+
+
+@pytest.mark.parametrize("alg", (HK, HF, NSYM), ids=lambda alg: alg.name)
+def test_key_product_is_the_one_key_of_the_product_through_degree_6(alg, fresh_caches):
+    oracle = CONCATENATED[alg.name]
+    for n in range(7):
+        for k1, k2 in _key_pairs(alg.basis, n):
+            want = s(oracle(k1, k2))
+            assert s(alg.key_product(k1, k2)) == want == alg._pk(k1, k2), (k1, k2)
+
+
+def test_the_axioms_catch_a_reversed_key_product(monkeypatch, fresh_caches):
+    # HF's key product with its factors swapped: the product, and every sum
+    # of key products, multiplies in the opposite order
+    key_product = type(HF).key_product.__get__(HF)
+    monkeypatch.setitem(vars(HF), "key_product", lambda f, g: key_product(g, f))
+    assert run_suite("hopf-axioms", 2).ok
+    failed = [r for r in run_suite("hopf-axioms", 3).results if r.status == "fail"]
+    assert (failed[0].identity, failed[0].counterexample) == (
+        "hf: coproduct is coassociative", "([],[[]])")
+    assert {r.identity.split(":")[0] for r in failed} == {"hf"}
 
 
 # ---------------------------------------------------------- divided powers
@@ -1579,16 +1604,17 @@ def test_kbar_is_the_downset_dp_on_heavy_forests(fresh_caches):
 
 
 def strip_one_leaf_at_a_time(monkeypatch):
-    """Give ``morphisms._kbar_forest`` one fault, with a kbar memo of its
-    own: each step removes a single leaf (``_leaf_moves``), never a larger
-    set of leaves.  The module's own code runs, with one step replaced."""
+    """Give ``morphisms._kbar_forest`` one fault: each step removes a single
+    leaf (``_leaf_moves``), never a larger set of leaves.  The module's own
+    code runs, with one step replaced; the wrong values it keeps in the kbar
+    table go with the caches."""
     leaf_moves = treehopf.morphisms._leaf_moves
     monkeypatch.setattr(treehopf.morphisms, "_leaf_moves", lambda g: {
         move: m for move, m in leaf_moves(g).items() if move[1] == 1})
-    monkeypatch.setattr(treehopf.morphisms, "_KBAR_MEMO", {})
 
 
-def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkeypatch):
+def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkeypatch,
+                                                                         fresh_caches):
     strip_one_leaf_at_a_time(monkeypatch)
     broken = treehopf.morphisms._kbar_forest
     wrong = [f for n in range(9) for f in forests_of_degree(n)
