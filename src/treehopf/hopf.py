@@ -50,16 +50,16 @@ instance, in self-filling tables (``foundations.memo_table``): a hit is one
 subscript, ``alg._prod_memo[k1, k2]``, ``alg._cop_memo[key]`` or
 ``alg._antipode_memo[key]``, and a miss computes the value by
 ``product_keys``, the coproduct fold or the antipode fold.  ``_pk``,
-``_ck`` and ``antipode_key`` read them for the public operations, and the
-hot loops subscript them: ``tensor_mult``, ``_times``, ``antipode_rule``
-and the axiom rows of ``verify``.  Entries are only ever written once.  In
-HK, HF and NSYM the product of two keys is one key, their
-``key_product``, read from a table of its own, a factor that is the unit
-aside; there ``tensor_mult``, ``_times`` (the antipode fold) and the
-antipode convolutions of ``verify`` add c d at the key product, in
-``LinComb.tensor_sum``'s loop, and build no LinComb per product of keys.
-KT, KP, SYM and QSYM, whose key products have many terms, read them from
-the product table.  A fold fills its table from an explicit stack
+``_ck`` and ``antipode_key`` read them for the public operations and for
+``LinComb.bilinear``, whose image is a function, and the hot loops
+subscript them: ``tensor_mult``, ``antipode_rule`` and the axiom rows of
+``verify``.  Entries are only ever written once.  In HK, HF and NSYM the
+product of two keys is one key, their ``key_product``, read from a table
+of its own, a factor that is the unit aside; there ``tensor_mult``,
+``_times`` (the antipode fold) and the antipode convolutions of
+``verify`` add c d at the key product, in ``LinComb.tensor_sum``'s loop,
+and build no LinComb per product of keys.  KT, KP, SYM and QSYM, whose
+key products have many terms, read them from the product table.  A fold fills its table from an explicit stack
 (``foundations.bottom_up``): a key's two parts first, and before a
 generator the keys that its ``needs`` name, for the coproduct those of
 ``coproduct_needs``, so that neither a product of many generators nor HK's
