@@ -42,11 +42,11 @@ Every cache in the package is registered here: a function memoized with
 itself, so a hit is one subscript, in C, with no Python call and no "get,
 then fill if missing" in its caller: the product, coproduct and antipode
 tables of each algebra, the key-product tables of the free ones (``hopf``)
-and the images of tau, Z, Z_star and kbar.  A fill that needs the values of smaller keys first fills them by
-``bottom_up``, from an explicit stack (``HopfAlgebra.fold`` over the
-products of generators of a free algebra).  The other dicts ``bottom_up``
-or their owner fill: the walks along tree depth.  ``clear_caches``
-empties them all.
+and the images of tau, Z, Z_star and kbar.  A fill that needs the values of
+smaller keys first fills them by ``bottom_up``, from an explicit stack
+(``HopfAlgebra.fold`` over the products of generators of a free algebra).
+The other dicts ``bottom_up`` or their owner fill: the walks along tree
+depth.  ``clear_caches`` empties them all.
 """
 
 from collections import Counter

@@ -40,10 +40,11 @@ suites' estimates are (``verify``).  The kernels (``_pk``, ``_ck``,
 ``antipode_key``, ``antipode_rule`` and the key rules) price nothing, and
 no kernel or verification suite reaches an algebra's priced ``product``,
 ``coproduct`` or ``antipode``: they multiply elements by ``_times``, and
-read key products, coproducts and antipodes from the tables below.  The maps and h price every call, the
-suites' too, and ``m_to_e_row`` every new row.  The one other guard is
-KT's and KP's ``GRAFT_CAP`` on their public ``product`` and ``antipode``,
-whose work the terms do not bound (``hopf_rooted``).
+read key products, coproducts and antipodes from the tables below.  The
+maps and h price every call, the suites' too, and ``m_to_e_row`` every new
+row.  The one other guard is KT's and KP's ``GRAFT_CAP`` on their public
+``product`` and ``antipode``, whose work the terms do not bound
+(``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
 instance, in self-filling tables (``foundations.memo_table``): a hit is one
@@ -54,22 +55,22 @@ subscript, ``alg._prod_memo[k1, k2]``, ``alg._cop_memo[key]`` or
 ``LinComb.bilinear``, whose image is a function, and the hot loops
 subscript them: ``tensor_mult``, ``antipode_rule`` and the axiom rows of
 ``verify``.  Entries are only ever written once.  In HK, HF and NSYM the
-product of two keys is one key, their ``key_product``, read from a table
-of its own, a factor that is the unit aside; there ``tensor_mult``,
-``_times`` (the antipode fold) and the antipode convolutions of
-``verify`` add c d at the key product, in ``LinComb.tensor_sum``'s loop,
-and build no LinComb per product of keys.  KT, KP, SYM and QSYM, whose
-key products have many terms, read them from the product table.  A fold fills its table from an explicit stack
-(``foundations.bottom_up``): a key's two parts first, and before a
+product of two keys is one key, their ``key_product``, read from a table of
+its own, a factor that is the unit aside; there ``tensor_mult``, ``_times``
+(the antipode fold) and the antipode convolutions of ``verify`` add c d at
+the key product, in ``LinComb.tensor_sum``'s loop, and build no LinComb per
+product of keys.  KT, KP, SYM and QSYM, whose key products have many terms,
+read them from the product table.  A fold fills its table from an explicit
+stack (``foundations.bottom_up``): a key's two parts first, and before a
 generator the keys that its ``needs`` name, for the coproduct those of
 ``coproduct_needs``, so that neither a product of many generators nor HK's
 and HF's root recursion costs Python recursion.  It keeps the value of
 every prefix of a key, at a price in memory: the coproduct of E(1^700)
-keeps those of its 698 longer prefixes, about 245,000 terms more.
-Nothing in the package uses threads, and the algebras are meant for one
-thread at a time: interning a new tree or forest (``trees``) looks it up
-and then inserts it, so two threads building the same new key at once
-could each get an object of their own.
+keeps those of its 698 longer prefixes, about 245,000 terms more.  Nothing
+in the package uses threads, and the algebras are meant for one thread at a
+time: interning a new tree or forest (``trees``) looks it up and then
+inserts it, so two threads building the same new key at once could each get
+an object of their own.
 """
 
 from collections import defaultdict

@@ -9,16 +9,17 @@ exhaustively through degree 4, plus seeded degree-5 spot checks.
 Reports are deterministic: fixed iteration order, and the only
 randomness (those spot checks) uses a hard-coded seed.
 
-A check walks basis keys, and reads the product, coproduct and antipode
-of keys from the algebra's self-filling tables, one subscript each
+A check walks basis keys, and reads the product, coproduct and antipode of
+keys from the algebra's self-filling tables, one subscript each
 (``alg._prod_memo``, ``alg._cop_memo``, ``alg._antipode_memo``); it
 multiplies elements by the unpriced key products (``alg._times``), in a
 free algebra by its ``key_product``, and takes their coproducts and
 antipodes key by key, so no suite meets the pricing of the public
-operations (``hopf``).  A counterexample names its keys with ``key_str``.  The adjoint and delta rows of the dualities
-suite compare sparse rows, as the duality criterion does, not every key
-pair: <f(u), v> = <u, g(v)> is the row of f(u) against u's row through the
-transpose of g, and each e_mu e_nu is its row against a one-term delta.
+operations (``hopf``).  A counterexample names its keys with ``key_str``.
+The adjoint and delta rows of the dualities suite compare sparse rows, as
+the duality criterion does, not every key pair: <f(u), v> = <u, g(v)> is
+the row of f(u) against u's row through the transpose of g, and each e_mu
+e_nu is its row against a one-term delta.
 
 The hexagon cells and the morphism rows apply a map to an element
 through a key rule (``_key_rule``), which memoizes the image of each basis
