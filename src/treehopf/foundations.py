@@ -82,12 +82,8 @@ class _Table(dict):
 
 
 def memo_table(fill=None) -> dict:
-    """A new dict, registered for ``clear_caches``.  With a ``fill``, it
-    fills itself: ``table[key]`` computes a missing key's value by
-    ``fill(key)``, keeps it and returns it (the per-algebra memos, and the
-    images of the maps).  Without one, ``bottom_up`` fills it or its owner
-    does (the walks along tree depth, whose values need those of a key's
-    children)."""
+    """A new dict, registered for ``clear_caches``: with a ``fill``, one
+    that fills itself, else one that ``bottom_up`` or its owner fills."""
     table = {} if fill is None else _Table(fill)
     _CLEARS.append(table.clear)
     return table

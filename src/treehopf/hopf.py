@@ -176,9 +176,8 @@ class HopfAlgebra:
     """Graded connected Hopf algebra presented by a combinatorial basis."""
 
     name = "?"
-    # the product of two keys as one key, in a free algebra, whose product
-    # of basis elements is a basis element; None where a product of keys
-    # has many terms
+    # in a free algebra, the product of two keys, which is one key; None
+    # where a product of keys has many terms
     key_product = None
 
     def __init__(self):
