@@ -11,24 +11,24 @@ coefficients as ``int``s, so that only genuine fractions (1/n! in
 Coproducts reuse the same container with ordered pairs ``(key, key)`` as
 keys; nothing in the container itself cares what the keys mean.
 
-``LinComb`` is the one place where terms are summed and zeros pruned.  Every
-structure map is the linear extension of a rule on basis keys: a linear map
-is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product is
-``bilinear``, and a key-level rule that already emits each key once hands
-its dict to ``trusted``, or its keys with repetitions to ``tally``, so no
-result is summed a second time.  A composite map sums all its terms in one
-pass, with no LinComb built per term: ``scaled_sum`` takes a stream of
-scaled item streams (a convolution, a coassociativity side, a pairing row
-read through a coproduct index), and ``tensor_sum`` a stream of scaled
-tensor products c * (a ⊗ b) (``tensor_mult``, ``tensor_map``), or, with
-a free algebra's ``key_product``, of products c * a * b whose key products
+``LinComb`` is the one place where terms are summed and zeros pruned.
+Every structure map is the linear extension of a rule on basis keys: a
+linear map is ``apply_linear`` (or ``map_keys``/``filter_keys``), a product
+is ``bilinear``, and a key-level rule that already emits each key once
+hands its dict to ``trusted``, or its keys with repetitions to ``tally``,
+so no result is summed a second time.  A composite map sums all its terms
+in one pass, with no LinComb built per term: ``scaled_sum`` takes a stream
+of scaled item streams (a convolution, a coassociativity side, a pairing
+row read through a coproduct index), and ``tensor_sum`` a stream of scaled
+tensor products c * (a ⊗ b) (``tensor_mult``, ``tensor_map``), or, with a
+free algebra's ``key_product``, of products c * a * b whose key products
 are one key each (its product, the antipode fold and convolution).  Three
-loops do the summing: ``_sum``, behind ``scaled_sum``, ``bilinear`` and
-the rest; the copy of it inlined in ``apply_linear``, the hottest sum; and
+loops do the summing: ``_sum``, behind ``scaled_sum``, ``bilinear`` and the
+rest; the copy of it inlined in ``apply_linear``, the hottest sum; and
 ``tensor_sum``'s, which forms each pair key, or key product, inline.  The
-sums compute no
-identity: a new key takes its term as it is, and a unit coefficient
-multiplies nothing, so no ``Fraction`` is built for 0 + x, 1 * x or x * 1.
+sums compute no identity: a new key takes its term as it is, and a unit
+coefficient multiplies nothing, so no ``Fraction`` is built for 0 + x,
+1 * x or x * 1.
 
 The image of a basis key under an extension is a LinComb or a dict.  A
 dict image is copied (its zero coefficients pruned), never kept, since its
