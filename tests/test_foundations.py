@@ -293,6 +293,20 @@ def test_foundations_sums_in_three_loops():
         "def h(d):\n    d.pop(1)\n")) == ["A.f"]
 
 
+def test_the_loops_outside_foundations_that_prune_a_sum_are_named():
+    # the free product and tensor product (hopf) and the hopf-axioms rows
+    # (verify) sum in loops of their own, for speed (CHANGES.md), each
+    # checked against its generic form in test_sparse_oracles; verify's
+    # integer row update and the intern table's removal are the others
+    package = pathlib.Path(treehopf.__file__).parent
+    found = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+             if path.name != "foundations.py"
+             for name in _prunings(ast.parse(path.read_text()))}
+    assert found == {"hopf.HopfAlgebra._times", "hopf.tensor_mult", "verify._products",
+                     "verify._coassoc_sides", "verify._convolutions", "verify._clear",
+                     "trees._InternTable._remove"}
+
+
 def test_sparse_sums_outside_foundations_go_through_lincomb():
     # the exceptions, each still present: an oracle kept independent of
     # LinComb (kbar's leaf stripping, with the fold of its strips), and an

@@ -4,9 +4,9 @@ back-substituted e/m transition and the linear extensions through
 dense Bareiss elimination, pairings of every two basis keys, the triple loop
 over basis triples, the whole-degree Fraction Gauss-Jordan inversion of the
 e-to-m matrix, the hand-written product, tensor product and tensor map
-loops, the hopf-axioms convolution and coassociativity rows and the
-pairing exchange as nested sums of a LinComb or dict per term, before they
-summed in one pass, the antipode's accumulator loop (the recursion behind the closed-form
+loops, the hopf-axioms convolution, coassociativity and associativity
+rows and the pairing exchange as nested sums of a LinComb or dict per term,
+before they summed in one pass, the antipode's accumulator loop (the recursion behind the closed-form
 antipodes of SYM, QSYM and the generators of NSYM, HK and HF), LinComb's sums as they were before
 they skipped 0 + x and 1 * x, the forest coproduct memoized per tree,
 NSYM's coproduct as a DP over the splits of each part, epsilon by the
@@ -33,8 +33,10 @@ encoding, and the rooted-tree classes against ``networkx``'s rooted tree
 isomorphism."""
 
 import gc
+import inspect
 import random
 import sys
+import textwrap
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -127,12 +129,14 @@ from treehopf.trees import (
 )
 from treehopf.verify import (
     _ESTIMATES,
+    _assoc_sides,
     _coassoc_sides,
     _convolutions,
     _key_rule,
     _packed,
     _pairs,
     _polynomial_product_holds,
+    _triples,
     catalan,
     composition_count,
     exact_rank,
@@ -1083,9 +1087,10 @@ def test_sums_in_foundations_build_no_fraction_for_an_identity(monkeypatch, fres
 # ------------------------------------------------------------ fused sums
 
 # The hopf-axioms rows and the pairing exchange as they were before each
-# summed its terms in one pass (``LinComb.scaled_sum``): a dict or LinComb
-# per term of a coproduct, or a LinComb of k1 (x) k2, summed again by
-# ``apply_linear``.
+# summed its terms in one pass: a dict or LinComb per term of a coproduct,
+# or a LinComb of k1 (x) k2, summed again by ``apply_linear``.  The loops
+# of the free product and tensor product are checked against
+# ``product_by_loops`` and ``tensor_mult_by_loops`` above.
 
 def coassoc_by_nesting(alg, key):
     ck = alg._ck
@@ -1119,13 +1124,23 @@ def _exchanged_rows(A, B, pairing, degree):
                 yield row(k1), row(k2), cop
 
 
+def associativity_by_products(alg, kx, ky, kz):
+    """(x y) z and x (y z) of three keys, each product of keys read through
+    the product table and summed by ``apply_linear``."""
+    pk = alg._pk
+    return (pk(kx, ky).apply_linear(lambda k: pk(k, kz)),
+            pk(ky, kz).apply_linear(lambda k: pk(kx, k)))
+
+
 def _check_fused_sums(degree=5):
     """Every one-pass sum against its nesting, in value and type, on every
-    key and pair of keys through ``degree`` of the seven algebras: both
-    sides of coassociativity and of the antipode convolution,
-    ``tensor_map`` of a key's coproduct under S (x) id and ``tensor_mult``
-    of two keys' coproducts; and the coproduct rows of every pairing in
-    ``COMPATIBLE``.  Raises AssertionError."""
+    key, pair and triple of keys through ``degree`` of the seven algebras:
+    both sides of coassociativity, of the antipode convolution and of
+    associativity (in a free algebra, two key products against the
+    products read through the product table), ``tensor_map`` of a key's
+    coproduct under S (x) id, ``tensor_mult`` of two keys' coproducts and
+    ``_times`` of two keys' antipodes; and the coproduct rows of every
+    pairing in ``COMPATIBLE``.  Raises AssertionError."""
     for alg in ALGEBRAS:
         for n in range(degree + 1):
             for key in alg.basis(n):
@@ -1139,6 +1154,15 @@ def _check_fused_sums(degree=5):
             t1, t2 = alg._ck(k1), alg._ck(k2)
             assert _typed(tensor_mult(alg, t1, t2)) == _typed(
                 tensor_mult_by_loops(alg, t1, t2, [0])), (alg.name, k1, k2)
+            a, b = alg.antipode_key(k1), alg.antipode_key(k2)
+            assert _typed(alg._times(a, b)) == _typed(product_by_loops(alg, a, b, [0])), (
+                alg.name, k1, k2)
+        for kx, ky, kz, xy in _triples(alg, degree):
+            got = _assoc_sides(alg, kx, ky, kz, xy)
+            if alg.key_product is not None:
+                got = tuple(map(s, got))
+            want = associativity_by_products(alg, kx, ky, kz)
+            assert list(map(_typed, got)) == list(map(_typed, want)), (alg.name, kx, ky, kz)
     for name, (A, B, pairing) in COMPATIBLE.items():
         for row1, row2, cop in _exchanged_rows(A, B, pairing, degree):
             assert _typed(_coproduct_row(row1, row2, cop)) == _typed(
@@ -1147,16 +1171,6 @@ def _check_fused_sums(degree=5):
 
 def test_fused_sums_match_the_nesting_through_degree_5(fresh_caches):
     _check_fused_sums()
-
-
-def scaled_sum_keeping_zeros(scaled):
-    """``LinComb.scaled_sum`` with one fault: a key whose terms cancel
-    keeps a zero coefficient."""
-    data = {}
-    for c, items in scaled:
-        for key, x in items:
-            data[key] = data.get(key, 0) + c * x
-    return LinComb.trusted(data)
 
 
 _TENSOR_SUM = LinComb.tensor_sum
@@ -1168,13 +1182,72 @@ def tensor_sum_scaling_twice(scaled):
     return _TENSOR_SUM((c * c, a, b) for c, a, b in scaled)
 
 
-@pytest.mark.parametrize("name, broken", [("scaled_sum", scaled_sum_keeping_zeros),
+def with_fault(owner, name, old, new):
+    """The function ``name`` of ``owner``, a module or a class, compiled
+    again from its source with ``old`` replaced by ``new``: a summing loop
+    written inline, with one fault."""
+    fn = vars(owner)[name]
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert old in source, (name, old)
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _patch_with_fault(monkeypatch, owner, name, old, new):
+    """``owner.name`` replaced by ``with_fault(owner, name, old, new)``, and
+    so is the copy of the name that verify or this module imported."""
+    broken = with_fault(owner, name, old, new)
+    monkeypatch.setattr(owner, name, broken)
+    for module in (treehopf.verify, sys.modules[__name__]):
+        if module is not owner and name in vars(module):
+            monkeypatch.setattr(module, name, broken)
+
+
+@pytest.mark.parametrize("name, broken", [("_convolutions", ("del left[k]", "left[k] = cur")),
                                           ("tensor_sum", tensor_sum_scaling_twice)],
-                         ids=["scaled_sum-keeps-a-zero", "tensor_sum-scales-twice"])
+                         ids=["_convolutions-keeps-a-zero", "tensor_sum-scales-twice"])
 def test_the_nestings_catch_a_broken_fused_sum(name, broken, monkeypatch, fresh_caches):
-    monkeypatch.setattr(LinComb, name, staticmethod(broken))
+    if name == "tensor_sum":
+        monkeypatch.setattr(LinComb, name, staticmethod(broken))
+    else:
+        _patch_with_fault(monkeypatch, treehopf.verify, name, *broken)
     with pytest.raises(AssertionError):
         _check_fused_sums()
+
+
+# each summing loop written outside foundations, with one fault: its
+# owner, its name, the text replaced and its replacement; and the
+# hopf-axioms rows that then fail at degree 4
+BROKEN_LOOPS = {
+    "_times-reversed": (HopfAlgebra, "_times", "key_product(k1, k2)", "key_product(k2, k1)",
+                        {"hf: antipode convolution identity",
+                         "nsym: antipode convolution identity"}),
+    "tensor_mult-reversed": (treehopf.hopf, "tensor_mult", "key_product(p1, q1)",
+                             "key_product(q1, p1)",
+                             {f"{name}: {row}" for name in ("hf", "nsym")
+                              for row in ("antipode convolution identity", "counit laws",
+                                          "coproduct is coassociative")}
+                             | {"nsym: coproduct is cocommutative"}),
+    "_coassoc_sides-swapped": (treehopf.verify, "_coassoc_sides", "k = y, a, b", "k = y, b, a",
+                               {f"{name}: coproduct is coassociative"
+                                for name in ("ck", "hf", "kp", "qsym")}),
+    "_convolutions-reversed": (treehopf.verify, "_convolutions", "k = key_product(u, z)",
+                               "k = key_product(z, u)", {"hf: antipode convolution identity"}),
+    "_products-reversed": (treehopf.verify, "_products", "pk[left, k]", "pk[k, left]",
+                           {"kp: product is associative", "kt: product is associative"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_LOOPS))
+def test_the_oracle_and_the_axioms_catch_a_broken_loop(case, monkeypatch, fresh_caches):
+    *loop, rows = BROKEN_LOOPS[case]
+    _patch_with_fault(monkeypatch, *loop)
+    with pytest.raises(AssertionError):
+        _check_fused_sums()
+    clear_caches()
+    report = run_suite("hopf-axioms", 4)
+    assert {r.identity for r in report.results if r.status == "fail"} == rows
 
 
 def _memo_entries():
