@@ -561,8 +561,8 @@ def _convolutions(alg, key):
     coproduct and antipode tables: in a free algebra c s at the key
     product, else c s times each term of the key product, read from the
     product table.  Where the identity holds each side is at most one
-    term, so making their whole coefficients ``int``s costs nothing
-    measurable."""
+    term, so making their whole coefficients ``int``s costs one pass over
+    at most one term."""
     S, key_product = alg._antipode_memo, alg.key_product
     left, right = {}, {}
     left_get, right_get = left.get, right.get
