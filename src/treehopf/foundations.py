@@ -19,17 +19,18 @@ rule that already emits each key once hands its dict to ``trusted``, or
 its keys with repetitions to ``tally``, so no result is summed a second
 time.  A composite map sums all its terms in one pass, with no LinComb
 built per term: ``scaled_sum`` takes a stream of scaled item streams (the
-antipode recursion, a pairing row read through a coproduct index), and
+antipode recursion, the antipode convolution outside the free algebras, a
+pairing row read through a coproduct index), and
 ``tensor_sum`` a stream of scaled tensor products c * (a ⊗ b)
 (``tensor_map``, and ``tensor_mult`` where key products have many terms).
 Three loops here do the summing: ``_sum``, behind ``scaled_sum``,
 ``bilinear`` and the rest; the copy of it inlined in ``apply_linear``, the
-hottest sum; and ``tensor_sum``'s, which forms each pair key inline.  Five
+hottest sum; and ``tensor_sum``'s, which forms each pair key inline.  Four
 loops elsewhere sum in place, where a stream would cost a generator step
 or a key function call per term: a free algebra's product
 (``HopfAlgebra._times``) and ``tensor_mult`` in ``hopf``, which add c d at
 the key product, and in ``verify`` the sides of the hopf-axioms rows on
-coassociativity, the antipode convolution and associativity.  On
+coassociativity and, in the free algebras, the antipode convolution.  On
 HF's keys through degree 6 a term of the coassociativity sides took 200
 ns in its loop against 326 ns through ``scaled_sum`` fed by nested
 generators, and a term of ``tensor_mult`` 394 ns against 496 ns through

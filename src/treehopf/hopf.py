@@ -58,13 +58,13 @@ subscript them: ``tensor_mult``, ``antipode_rule`` and the axiom rows of
 ``verify``.  Entries are only ever written once.  In HK, HF and NSYM the
 product of two keys is one key, their ``key_product``, read from a table of
 its own, a factor that is the unit aside; there ``_times`` (the product and
-the antipode fold), ``tensor_mult`` (the coproduct fold) and the
-associativity and antipode convolution rows of ``verify`` add c d at the
-key product in loops of their own, with no LinComb built per product of
-keys and no key function called per term.  Through ``LinComb.tensor_sum``
-with the key product as a key function, a term of ``tensor_mult`` took 496
-ns on HF's keys through degree 6, against 394 ns in its own loop
-(``foundations``).  KT, KP, SYM and QSYM, whose key products have many
+the antipode fold), ``tensor_mult`` (the coproduct fold) and the antipode
+convolution rows of ``verify`` add c d at the key product in loops of
+their own, with no LinComb built per product of keys and no key function
+called per term, and ``verify``'s associativity row compares key
+products.  Through ``LinComb.tensor_sum`` with the key product as a key
+function, a term of ``tensor_mult`` took 496 ns on HF's keys through
+degree 6, against 394 ns in its own loop (``foundations``).  KT, KP, SYM and QSYM, whose key products have many
 terms, read them from the product table.  A fold fills its table from an
 explicit stack (``foundations.bottom_up``): a key's two parts first, and
 before a generator the keys that its ``needs`` name, for the coproduct

@@ -17,19 +17,19 @@ free algebra by its ``key_product``, and takes their coproducts and
 antipodes key by key, so no suite meets the pricing of the public
 operations (``hopf``).  A counterexample names its keys with ``key_str``.
 
-The hopf-axioms suite is the largest, and its costliest rows sum each side
-in one loop of its own over the tables, with no generator step, closure or
-key function called per term: coassociativity (``_coassoc_sides``), the
-antipode convolution (``_convolutions``) and, outside the free algebras,
-associativity (``_products``).  On HF's keys through degree 6 a term of
-the coassociativity sides took 200 ns in its loop against 326 ns through
-``LinComb.scaled_sum`` fed by nested generators, and a term of the
-convolution sides 297 ns against 500 ns through ``LinComb.tensor_sum`` with
-the key product as a key function (``foundations``).  In HK, HF and NSYM
-the rows on products (associativity, the unit laws, the algebra-morphism
-row, the grading and commutativity) compare key products, and read no
-one-term product from the product table.  The sums they replaced stay in
-the tests as their oracles.
+The hopf-axioms suite is the largest, and two of its costliest rows sum
+each side in one loop of its own over the tables, with no generator step
+or key function called per term: coassociativity (``_coassoc_sides``) and,
+in the free algebras, the antipode convolution (``_convolutions``).  On
+HF's keys through degree 6 a term of the coassociativity sides took 200 ns
+in its loop against 326 ns through ``LinComb.scaled_sum`` fed by nested
+generators, and a term of the convolution sides 297 ns against 500 ns
+through ``LinComb.tensor_sum`` with the key product as a key function
+(``foundations``).  In HK, HF and NSYM the rows on products
+(associativity, the unit laws, the algebra-morphism row, the grading and
+commutativity) compare key products, and read no one-term product from
+the product table.  The sums the loops replaced stay in the tests as their
+oracles.
 The adjoint and delta rows of the dualities suite compare sparse rows, as
 the duality criterion does, not every key pair: <f(u), v> = <u, g(v)> is
 the row of f(u) against u's row through the transpose of g, and each e_mu
@@ -425,51 +425,6 @@ def _triples(alg, d):
                             yield kx, ky, kz, xy
 
 
-def _assoc_sides(alg, kx, ky, kz, xy):
-    """(x y) z and x (y z) of three keys, from xy, the product of kx and
-    ky: in a free algebra two key products, else the sums of c (k kz) over
-    the terms c k of xy and of c (kx k) over those of ky kz (``_products``)."""
-    key_product = alg.key_product
-    if key_product is not None:
-        return key_product(xy, kz), key_product(kx, key_product(ky, kz))
-    pk = alg._prod_memo
-    return _products(pk, xy, None, kz), _products(pk, pk[ky, kz], kx, None)
-
-
-def _assoc_ok(alg, kx, ky, kz, xy):
-    lhs, rhs = _assoc_sides(alg, kx, ky, kz, xy)
-    return lhs == rhs
-
-
-def _products(pk, a, left, right):
-    """The sum of c (left k), or with ``left`` None of c (k right), over the
-    terms c k of ``a``, in one loop over the terms of the products of keys
-    read from the product table ``pk``.  As in ``LinComb.apply_linear``, an
-    ``a`` of one key with coefficient 1 gives that key's product as it is,
-    and whole coefficients are made ``int``s if a c is a ``Fraction``."""
-    if len(a) == 1:
-        for k, c in a.items():
-            if c == 1 and type(c) is int:
-                return pk[k, right] if left is None else pk[left, k]
-    data, fractions = {}, False
-    get = data.get
-    for k, c in a.items():
-        if type(c) is Fraction:
-            fractions = True
-        for key, x in (pk[k, right] if left is None else pk[left, k]).items():
-            x *= c
-            cur = get(key)
-            if cur is None:
-                data[key] = x
-            else:
-                cur += x
-                if cur:
-                    data[key] = cur
-                else:
-                    del data[key]
-    return LinComb.trusted(_whole(data) if fractions else data)
-
-
 def _times_key(alg, a, key):
     """The product ``a key`` of an element and a basis key."""
     pk = alg._prod_memo
@@ -557,70 +512,47 @@ def _counit_ok(alg, key, x):
 def _convolutions(alg, key):
     """m (S (x) id) Delta and m (id (x) S) Delta of a key: the sums of
     c s (u z) over the terms c (y (x) z) of its coproduct and s u of S(y),
-    and of c s (y u) over those of S(z), both in one loop over the
-    coproduct and antipode tables: in a free algebra c s at the key
-    product, else c s times each term of the key product, read from the
-    product table.  Where the identity holds each side is at most one
-    term, so making their whole coefficients ``int``s costs one pass over
-    at most one term."""
+    and of c s (y u) over those of S(z), each in one pass.  In a free
+    algebra both sides sum c s at the key product in one loop over the
+    coproduct and antipode tables; where the identity holds each side is
+    at most one term, so making their whole coefficients ``int``s costs
+    one pass over at most one term."""
     S, key_product = alg._antipode_memo, alg.key_product
+    cop = alg._cop_memo[key].items()
+    if key_product is None:
+        pk = alg._prod_memo
+        left = LinComb.scaled_sum((c * s, pk[u, z].items())
+                                  for (y, z), c in cop for u, s in S[y].items())
+        right = LinComb.scaled_sum((c * s, pk[y, u].items())
+                                   for (y, z), c in cop for u, s in S[z].items())
+        return left, right
     left, right = {}, {}
     left_get, right_get = left.get, right.get
-    if key_product is not None:
-        for (y, z), c in alg._cop_memo[key].items():
-            for u, s in S[y].items():
-                s *= c
-                k = key_product(u, z)
-                cur = left_get(k)
-                if cur is None:
-                    left[k] = s
+    for (y, z), c in cop:
+        for u, s in S[y].items():
+            s *= c
+            k = key_product(u, z)
+            cur = left_get(k)
+            if cur is None:
+                left[k] = s
+            else:
+                cur += s
+                if cur:
+                    left[k] = cur
                 else:
-                    cur += s
-                    if cur:
-                        left[k] = cur
-                    else:
-                        del left[k]
-            for u, s in S[z].items():
-                s *= c
-                k = key_product(y, u)
-                cur = right_get(k)
-                if cur is None:
-                    right[k] = s
+                    del left[k]
+        for u, s in S[z].items():
+            s *= c
+            k = key_product(y, u)
+            cur = right_get(k)
+            if cur is None:
+                right[k] = s
+            else:
+                cur += s
+                if cur:
+                    right[k] = cur
                 else:
-                    cur += s
-                    if cur:
-                        right[k] = cur
-                    else:
-                        del right[k]
-    else:
-        pk = alg._prod_memo
-        for (y, z), c in alg._cop_memo[key].items():
-            for u, s in S[y].items():
-                s *= c
-                for k, x in pk[u, z].items():
-                    x *= s
-                    cur = left_get(k)
-                    if cur is None:
-                        left[k] = x
-                    else:
-                        cur += x
-                        if cur:
-                            left[k] = cur
-                        else:
-                            del left[k]
-            for u, s in S[z].items():
-                s *= c
-                for k, x in pk[y, u].items():
-                    x *= s
-                    cur = right_get(k)
-                    if cur is None:
-                        right[k] = x
-                    else:
-                        cur += x
-                        if cur:
-                            right[k] = cur
-                        else:
-                            del right[k]
+                    del right[k]
     return LinComb.trusted(_whole(left)), LinComb.trusted(_whole(right))
 
 
@@ -654,16 +586,19 @@ def _axioms(alg, d):
     pair_text = lambda kx, ky, n: f"{text(kx)} , {text(ky)}"
     keys = lambda: _keys(alg.basis, d)
     if key_product is None:
+        associative = lambda kx, ky, kz, xy: (_times_key(alg, xy, kz)
+                                              == _key_times(alg, kx, pk[ky, kz]))
         unit_laws = lambda key, x: pk[unit, key] == x == pk[key, unit]
         coproduct_of_product = lambda kx, ky: pk[kx, ky].apply_linear(ck.__getitem__)
         commutes = lambda kx, ky, n: pk[kx, ky] == pk[ky, kx]
     else:
+        associative = lambda kx, ky, kz, xy: (key_product(xy, kz)
+                                              == key_product(kx, key_product(ky, kz)))
         unit_laws = lambda key, x: key_product(unit, key) == key == key_product(key, unit)
         coproduct_of_product = lambda kx, ky: ck[key_product(kx, ky)]
         commutes = lambda kx, ky, n: key_product(kx, ky) == key_product(ky, kx)
     rows = [
-        ("product is associative", _triples(alg, d),
-         lambda kx, ky, kz, xy: _assoc_ok(alg, kx, ky, kz, xy),
+        ("product is associative", _triples(alg, d), associative,
          lambda kx, ky, kz, xy: f"{text(kx)} , {text(ky)} , {text(kz)}"),
         ("unit laws", keys(), unit_laws, key_text),
         ("coproduct is coassociative", keys(), lambda key, x: _coassoc_ok(alg, key),
