@@ -131,7 +131,8 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> LinComb:
-        total = LinComb.zero()
+        """The signed terms of the text, summed once at the end."""
+        terms = []
         self.skip_ws()
         if self.pos == len(self.text):
             self.error("empty element")
@@ -140,10 +141,10 @@ class _Parser:
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
         while True:
-            total += sign * self.term()
+            terms.append((sign, self.term().items()))
             self.skip_ws()
             if self.pos == len(self.text):
-                return total
+                return LinComb.scaled_sum(terms)
             if self.peek() not in "+-":
                 self.error(f"expected '+' or '-', found {self.peek()!r}")
             sign = -1 if self.peek() == "-" else 1

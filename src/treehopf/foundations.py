@@ -30,13 +30,9 @@ loops elsewhere sum in place, where a stream would cost a generator step
 or a key function call per term: a free algebra's product
 (``HopfAlgebra._times``) and ``tensor_mult`` in ``hopf``, which add c d at
 the key product, and in ``verify`` the sides of the hopf-axioms rows on
-coassociativity and, in the free algebras, the antipode convolution.  On
-HF's keys through degree 6 a term of the coassociativity sides took 200
-ns in its loop against 326 ns through ``scaled_sum`` fed by nested
-generators, and a term of ``tensor_mult`` 394 ns against 496 ns through
-``tensor_sum`` with a key function (one core of a shared x86-64 machine,
-Python 3.11; CHANGES.md).  Each keeps its generic form in the tests as its
-oracle.  The sums here compute no identity: a new key takes its term as
+coassociativity and, in the free algebras, the antipode convolution.  Each
+keeps its generic form in the tests as its oracle (CHANGES.md has their
+timings).  The sums here compute no identity: a new key takes its term as
 it is, and a unit coefficient multiplies nothing, so no ``Fraction`` is
 built for 0 + x, 1 * x or x * 1.
 
@@ -47,16 +43,16 @@ sum of one term with coefficient 1 is its image, so a result may be a
 memo entry shared with other callers.  No result is ever mutated, and only
 this module reads the terms of a LinComb.
 
-Every cache in the package is registered here: a function memoized with
-``memo``, or a dict made by ``memo_table``.  Given a fill, the dict fills
-itself, so a hit is one subscript, in C, with no Python call and no "get,
-then fill if missing" in its caller: the product, coproduct and antipode
-tables of each algebra, the key-product tables of the free ones (``hopf``)
-and the images of tau, Z, Z_star and kbar.  A fill that needs the values of
-smaller keys first fills them by ``bottom_up``, from an explicit stack
-(``HopfAlgebra.fold`` over the products of generators of a free algebra).
-The other dicts ``bottom_up`` or their owner fill: the walks along tree
-depth.  ``clear_caches`` empties them all.
+Every cache in the package is registered here, and fills itself: a
+function memoized with ``memo``, or a dict made by ``memo_table(fill)``,
+whose missing key is ``fill(key)``, computed when it is subscripted, so a
+hit is one subscript, in C, with no Python call and no "get, then fill if
+missing" in its caller.  A fill that needs the values of smaller keys
+first, as every walk along a tree's depth does, fills them by
+``bottom_up``, from an explicit stack, and ``bottom_up`` runs only inside a
+fill.  The one other kind of table is a sequence that its owner grows in
+order, n = 0, 1, ... (the tree and partition counts, ``memo_table()`` with
+no fill).  ``clear_caches`` empties them all.
 """
 
 from collections import Counter
@@ -93,7 +89,7 @@ class _Table(dict):
 
 def memo_table(fill=None) -> dict:
     """A new dict, registered for ``clear_caches``: with a ``fill``, one
-    that fills itself, else one that ``bottom_up`` or its owner fills."""
+    that fills itself, else a sequence that its owner grows in order."""
     table = {} if fill is None else _Table(fill)
     _CLEARS.append(table.clear)
     return table
@@ -106,14 +102,11 @@ def clear_caches():
 
 
 def bottom_up(key, table: dict, needs, compute):
-    """``table[key]``, filled first if missing: ``compute(k)`` gives the
-    value of a key k, never None, once ``table`` holds every key that
-    ``needs(k)`` lists.  Keys are filled from an explicit stack, the needed
-    ones first, so a chain of needs as long as a tree is deep costs no
-    Python recursion.  A key already in ``table`` costs one dict lookup."""
-    value = table.get(key)
-    if value is not None:
-        return value
+    """``table[key]``, filled first if missing, for the fill of a
+    self-filling ``table``: ``compute(k)`` gives the value of a key k once
+    ``table`` holds every key that ``needs(k)`` lists.  Keys are filled from
+    an explicit stack, the needed ones first, so a chain of needs as long as
+    a tree is deep costs no Python recursion."""
     stack = [key]
     while stack:
         k = stack[-1]

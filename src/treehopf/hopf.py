@@ -48,34 +48,33 @@ row.  The one other guard is KT's and KP's ``GRAFT_CAP`` on their public
 (``hopf_rooted``).
 
 Products, coproducts, and antipodes of basis keys are memoized per algebra
-instance, in self-filling tables (``foundations.memo_table``): a hit is one
-subscript, ``alg._prod_memo[k1, k2]``, ``alg._cop_memo[key]`` or
-``alg._antipode_memo[key]``, and a miss computes the value by
-``product_keys``, the coproduct fold or the antipode fold.  ``_pk``,
-``_ck`` and ``antipode_key`` read them for the public operations and for
-``LinComb.bilinear``, whose image is a function, and the hot loops
-subscript them: ``tensor_mult``, ``antipode_rule`` and the axiom rows of
-``verify``.  Entries are only ever written once.  In HK, HF and NSYM the
-product of two keys is one key, their ``key_product``, read from a table of
-its own, a factor that is the unit aside; there ``_times`` (the product and
-the antipode fold), ``tensor_mult`` (the coproduct fold) and the antipode
-convolution rows of ``verify`` add c d at the key product in loops of
-their own, with no LinComb built per product of keys and no key function
-called per term, and ``verify``'s associativity row compares key
-products.  Through ``LinComb.tensor_sum`` with the key product as a key
-function, a term of ``tensor_mult`` took 496 ns on HF's keys through
-degree 6, against 394 ns in its own loop (``foundations``).  KT, KP, SYM and QSYM, whose key products have many
-terms, read them from the product table.  A fold fills its table from an
-explicit stack (``foundations.bottom_up``): a key's two parts first, and
-before a generator the keys that its ``needs`` name, for the coproduct
-those of ``coproduct_needs``, so that neither a product of many generators
-nor HK's and HF's root recursion costs Python recursion.  It keeps the value of
-every prefix of a key, at a price in memory: the coproduct of E(1^700)
-keeps those of its 698 longer prefixes, about 245,000 terms more.  Nothing
-in the package uses threads, and the algebras are meant for one thread at a
-time: interning a new tree or forest (``trees``) looks it up and then
-inserts it, so two threads building the same new key at once could each get
-an object of their own.
+instance, in self-filling tables (``foundations.memo_table``), the one
+way the package memoizes: a hit is one subscript, ``alg._prod_memo[k1,
+k2]``, ``alg._cop_memo[key]`` or ``alg._antipode_memo[key]``, and a miss
+computes the value by the table's fill, ``product_keys``, the coproduct
+fold or the antipode fold.  ``_pk``, ``_ck`` and ``antipode_key`` read
+them for the public operations and for ``LinComb.bilinear``, whose image
+is a function, and the hot loops subscript them: ``tensor_mult``,
+``antipode_rule`` and the axiom rows of ``verify``.  Entries are only ever
+written once.  In HK, HF and NSYM the product of two keys is one key,
+their ``key_product``, read from a table of its own, a factor that is the
+unit aside, and ``_pk`` wraps it in a one-term LinComb that no table
+keeps, so their product tables stay empty; there ``_times`` (the product
+and the antipode fold), ``tensor_mult`` (the coproduct fold) and the
+antipode convolution rows of ``verify`` add c d at the key product in
+loops of their own, with no LinComb built per product of keys and no key
+function called per term.  KT, KP, SYM and QSYM, whose key products have
+many terms, read them from the product table.  A fold fills its table from
+an explicit stack (``foundations.bottom_up``): a key's two parts first,
+and before a generator the keys that its ``needs`` name, for the
+coproduct those of ``coproduct_needs``, so that neither a product of many
+generators nor HK's and HF's root recursion costs Python recursion.  It
+keeps the value of every prefix of a key, at a price in memory: the
+coproduct of E(1^700) keeps those of its 698 longer prefixes, about
+245,000 terms more.  Nothing in the package uses threads, and the
+algebras are meant for one thread at a time: interning a new tree or
+forest (``trees``) looks it up and then inserts it, so two threads
+building the same new key at once could each get an object of their own.
 """
 
 from collections import defaultdict

@@ -12,14 +12,15 @@ branches into a tree T = B+(c_1 ... c_k) by a recursion over T's subtrees:
 it folds over the children, each c_i takes a share of the branches left and
 is grafted with it recursively, and whatever is left after the last child
 stays at T's root.  Each result is memoized per (T, S) in a per-algebra
-table, filled from an explicit stack (``foundations.bottom_up``), as every
-walk along a tree's depth in this package is.  The two algebras differ
-only in how S shares out (``_shares``): for KT, S is a sorted multiset, a
-child takes any sub-multiset, weighted by the product of binomials C(m, j)
-over the kinds of branch, so the counts stay those of the |t'|^k labelled
-attachments; for KP, S is a sequence, and a child takes the next block
-after a block left in the root's gap before it.  Partial results with equal branches left and equal
-children so far merge, so each is carried on once.
+table, whose fill works from an explicit stack (``foundations.bottom_up``),
+as every walk along a tree's depth in this package does.  The two algebras
+differ only in how S shares out (``_shares``): for KT, S is a sorted
+multiset, a child takes any sub-multiset, weighted by the product of
+binomials C(m, j) over the kinds of branch, so the counts stay those of the
+|t'|^k labelled attachments; for KP, S is a sequence, and a child takes the
+next block after a block left in the root's gap before it.  Partial results
+with equal branches left and equal children so far merge, so each is
+carried on once.
 
 Both are priced by the rule that ``hopf`` states.  Their public
 ``product`` and ``antipode`` have one guard more, since their work is not
@@ -124,7 +125,8 @@ class GraftingAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._graft_memo = memo_table()
+        self._graft_memo = memo_table(lambda key: bottom_up(key, self._graft_memo,
+                                                            self._graft_needs, self._graft_fold))
 
     def unit_key(self):
         return self.leaf
@@ -192,8 +194,7 @@ class GraftingAlgebra(HopfAlgebra):
             return {tree: 1}
         if not tree.children:
             return {type(tree)(branches): 1}
-        return bottom_up((tree, branches), self._graft_memo, self._graft_needs,
-                         self._graft_fold)
+        return self._graft_memo[tree, branches]
 
     # the ways a child subtree takes part of the branches left: here a
     # sub-multiset, weighted by the binomials of choosing its members
@@ -293,7 +294,8 @@ class ForestAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._cut_memo = memo_table()
+        self._cut_memo = memo_table(lambda t: bottom_up(t, self._cut_memo, _children,
+                                                        self._cut_fold))
         # (f, g) -> the forest of the trees of both, merged in this kind's order
         self._merge_memo = memo_table(lambda pair: type(pair[0])(pair[0].trees + pair[1].trees))
 
@@ -315,7 +317,12 @@ class ForestAlgebra(HopfAlgebra):
         return f.sort_key
 
     def product_keys(self, f, g):
+        """The product of two forests as a one-term LinComb, made afresh:
+        it is ``_pk`` here, and no table keeps it, since ``key_product``
+        has a table of its own."""
         return LinComb.single(self.key_product(f, g))
+
+    _pk = product_keys
 
     def key_product(self, f, g):
         """The product of two forests, one forest; a factor that is the
@@ -332,8 +339,6 @@ class ForestAlgebra(HopfAlgebra):
         ladders and corollas, capped: c(f), from c(t) = 1 + c(the forest of
         t's children) of its trees, the term t ⊗ 1 and those of the root
         recursion, filled from an explicit stack (``_forest_cuts``)."""
-        for t in f.trees:
-            bottom_up(t, _CUT_COUNTS, _children, _cut_count)
         return _forest_cuts(f.trees)
 
     def split(self, f):
@@ -386,7 +391,7 @@ class ForestAlgebra(HopfAlgebra):
     def _cuts(self, t):
         """(trunk, pieces cut off) -> how many sets of edges of t cutting
         leaves them, memoized per tree and filled from an explicit stack."""
-        return bottom_up(t, self._cut_memo, _children, self._cut_fold)
+        return self._cut_memo[t]
 
     def _cut_fold(self, t):
         """Fold over the children of t, each with its cuts from the memo:
@@ -413,7 +418,7 @@ class ForestAlgebra(HopfAlgebra):
 
 
 # tree -> c(t) of ``ForestAlgebra.coproduct_terms``, for planar trees too
-_CUT_COUNTS = memo_table()
+_CUT_COUNTS = memo_table(lambda t: bottom_up(t, _CUT_COUNTS, _children, _cut_count))
 
 
 def _cut_count(t):
@@ -421,7 +426,7 @@ def _cut_count(t):
 
 
 def _forest_cuts(trees):
-    """c of a forest of trees whose c(t) the memo holds, capped: the
+    """c of a forest of trees, each c(t) from its table, capped: the
     product over its runs of m equal trees of the terms of Δ(t)^m, the
     coproduct of a forest being the product of its trees'.  In a
     commutative forest, whose equal trees are neighbours, the m factors

@@ -168,9 +168,10 @@ _z_key = _Z_MEMO.__getitem__
 _ZSTAR_MEMO: dict[Forest, LinComb] = memo_table(
     lambda f: HK.fold(f, _ZSTAR_MEMO, _zstar_tree, QSYM._times, HK.coproduct_needs))
 _zstar_key = _ZSTAR_MEMO.__getitem__
-# tree -> the most vertices on a path from its root to a leaf
-_HEIGHT: dict[RootedTree, int] = memo_table()
 _children = attrgetter("children")
+# tree -> the most vertices on a path from its root to a leaf
+_HEIGHT: dict[RootedTree, int] = memo_table(
+    lambda t: bottom_up(t, _HEIGHT, _children, _tree_height))
 
 
 def Z_star(a: LinComb) -> LinComb:
@@ -198,7 +199,7 @@ def _level_terms(f: Forest) -> int:
     tree is alone in the last fiber, so it counts as the forest of its
     children."""
     n = f.degree
-    h = max((bottom_up(t, _HEIGHT, _children, _tree_height) for t in f.trees), default=0)
+    h = max((_HEIGHT[t] for t in f.trees), default=0)
     if len(f.trees) == 1:
         n, h = n - 1, h - 1
     return _compositions_with_parts(n, h, n)
@@ -230,7 +231,8 @@ def kbar(a: LinComb) -> LinComb:
 
 # tree -> {(what is left of it, or None, number of leaves removed): the
 # number of sets of its leaves whose removal leaves that}
-_LEAF_STRIPS: dict[RootedTree, dict] = memo_table()
+_LEAF_STRIPS: dict[RootedTree, dict] = memo_table(
+    lambda t: bottom_up(t, _LEAF_STRIPS, _children, _tree_strips))
 
 
 def _kbar_stripped(f: Forest) -> LinComb:
@@ -270,15 +272,13 @@ _kbar_forest = _KBAR_MEMO.__getitem__
 def _leaf_moves(g: Forest) -> dict:
     """{(forest left, leaves removed): count} over the nonempty sets of
     leaves of g."""
-    for t in g.trees:
-        bottom_up(t, _LEAF_STRIPS, _children, _tree_strips)
     return {(Forest(kept), k): m for (kept, k), m in _fold_strips(g.trees).items() if k}
 
 
 def _fold_strips(trees) -> dict:
     """{(what is left of trees, as a tuple sorted by identity, which is
     canonical for interned trees; leaves removed): count}, from the strips
-    of each tree in the memo."""
+    of each tree in their table."""
     acc = {((), 0): 1}
     for t in trees:
         strips = _LEAF_STRIPS[t].items()

@@ -90,6 +90,18 @@ class _PartLists(HopfAlgebra):
 _STEPPED = 16
 
 
+def _quasi_shuffle_reads(pair):
+    """The products that the quasi-shuffle step on ``pair`` reads."""
+    left, right = pair
+    if not left or not right:
+        return ()
+    rest = right[1:]
+    if len(left) <= _STEPPED:
+        after = left[1:]
+        return (after, right), (left, rest), (after, rest)
+    return [(left[k:], rest) for k in range(len(left) + 1)]
+
+
 class QuasiSymmetricFunctions(_PartLists):
     """Monomial-basis quasi-symmetric functions."""
 
@@ -107,37 +119,23 @@ class QuasiSymmetricFunctions(_PartLists):
         longer one's first part is unrolled: b follows its first k parts,
         alone or fused with the next, so that the products of its suffixes
         by the whole shorter factor are never made, and a short factor's
-        products cost what they return.  The products that a step reads
-        and the memo lacks are made first, from an explicit stack, so no
-        part list costs Python recursion."""
+        products cost what they return.  It is the product table's fill,
+        and the products that a step reads are filled first, from an
+        explicit stack, so no part list costs Python recursion."""
         if len(right) > max(len(left), _STEPPED):  # unroll the longer factor
-            return self._pk(right, left)
-        memo, stack = self._prod_memo, [(left, right)]
-        while stack:
-            pair = stack[-1]
-            out = memo.get(pair)
-            if out is None:
-                out = self._quasi_shuffle(*pair)
-            if type(out) is list:
-                stack += out
-            else:
-                memo[pair] = out
-                stack.pop()
-        return out
+            return self._prod_memo[right, left]
+        return bottom_up((left, right), self._prod_memo, _quasi_shuffle_reads,
+                         self._quasi_shuffle)
 
-    def _quasi_shuffle(self, left, right):
-        """M_left M_right from the products it reads, or the list of those
-        that the memo does not hold yet."""
+    def _quasi_shuffle(self, pair):
+        """M_left M_right from the products it reads, in the table."""
+        left, right = pair
         if not left or not right:
             return LinComb.single(left or right)
         memo, a, b, rest = self._prod_memo, left[0], right[0], right[1:]
         if len(left) <= _STEPPED:
             after = left[1:]
-            first = memo.get((after, right))
-            second, fused = memo.get((left, rest)), memo.get((after, rest))
-            if first is None or second is None or fused is None:
-                reads = ((after, right), first), ((left, rest), second), ((after, rest), fused)
-                return [pair for pair, tail in reads if tail is None]
+            first, second, fused = memo[after, right], memo[left, rest], memo[after, rest]
             # the first parts a, b and a + b tell the kinds of term apart, unless a == b
             parts = [((a,), first + second)] if a == b else [((a,), first), ((b,), second)]
             parts.append(((a + b,), fused))
@@ -146,11 +144,7 @@ class QuasiSymmetricFunctions(_PartLists):
             )
         # the long factor unrolled: b follows its first k parts, alone or
         # fused with the next one, or follows them all
-        reads = [(left[k:], rest) for k in range(len(left) + 1)]
-        tails = [memo.get(pair) for pair in reads]
-        missing = [pair for pair, tail in zip(reads, tails) if tail is None]
-        if missing:
-            return missing
+        tails = [memo[left[k:], rest] for k in range(len(left) + 1)]
         parts = [(left + (b,), tails[-1])]
         for k in range(len(left)):
             parts.append((left[:k] + (b,), tails[k]))
@@ -201,7 +195,11 @@ class NoncommutativeSymmetricFunctions(_PartLists):
         self._concat_memo = memo_table(lambda pair: pair[0] + pair[1])
 
     def product_keys(self, left, right):
+        """The product of two compositions as a one-term LinComb, made
+        afresh, as ``ForestAlgebra.product_keys`` is."""
         return LinComb.single(self.key_product(left, right))
+
+    _pk = product_keys
 
     def key_product(self, left, right):
         """The product of two compositions, one composition; a factor that
@@ -534,7 +532,6 @@ def _conjugate(lam):
 
 
 _E_TO_M = memo_table(lambda comp: NSYM.fold(comp, _E_TO_M, lambda part: e(sum(part)), SYM._times))
-_M_TO_E = memo_table()
 
 
 def e_to_m_row(comp) -> LinComb:
@@ -548,13 +545,19 @@ def m_to_e_row(lam) -> LinComb:
     """m_lam in the elementary basis, by integer back-substitution:
     e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
-    visited, filled from an explicit stack (``foundations.bottom_up``).
-    Priced once per new partition (``hopf``), by ``_m_to_e_terms``."""
-    row = _M_TO_E.get(lam)
-    if row is None:
-        check_terms(f"{SYM.key_str(lam)} in the elementary basis", _m_to_e_terms(lam))
-        row = bottom_up(lam, _M_TO_E, _m_lower, _m_to_e_value)
-    return row
+    visited.  Priced once per new partition (``hopf``), by
+    ``_m_to_e_terms``, in its table's fill (``_m_to_e_fill``)."""
+    return _M_TO_E[lam]
+
+
+def _m_to_e_fill(lam):
+    """The fill of ``_M_TO_E``: priced, then filled from an explicit stack
+    (``foundations.bottom_up``), the rows it reads first."""
+    check_terms(f"{SYM.key_str(lam)} in the elementary basis", _m_to_e_terms(lam))
+    return bottom_up(lam, _M_TO_E, _m_lower, _m_to_e_value)
+
+
+_M_TO_E = memo_table(_m_to_e_fill)
 
 
 def _m_to_e_terms(lam):

@@ -187,7 +187,8 @@ def b_minus(tree):
     return tree.forest_type.interned(tree.children)
 
 
-_SYM_ORDER: dict[RootedTree, int] = memo_table()
+_SYM_ORDER: dict[RootedTree, int] = memo_table(
+    lambda t: bottom_up(t, _SYM_ORDER, _children, _sym_order_fold))
 
 
 def sym_order(t: RootedTree) -> int:
@@ -197,7 +198,7 @@ def sym_order(t: RootedTree) -> int:
     of the isomorphism classes among the vertex's child subtrees; memoized
     per tree, and filled from an explicit stack.
     """
-    return bottom_up(t, _SYM_ORDER, _children, _sym_order_fold)
+    return _SYM_ORDER[t]
 
 
 def _sym_order_fold(t):
@@ -328,26 +329,28 @@ def _child_lists(m: int, kind) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table()
+_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table(
+    lambda t: bottom_up(t, _FORGOTTEN, _children, _forget_fold))
 
 
 def forget_order(t: PlanarTree) -> RootedTree:
     """Collapse a planar tree to its underlying rooted tree; memoized per
     tree, and filled from an explicit stack."""
-    return bottom_up(t, _FORGOTTEN, _children, _forget_fold)
+    return _FORGOTTEN[t]
 
 
 def _forget_fold(t):
     return RootedTree([_FORGOTTEN[c] for c in t.children])
 
 
-_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table()
+_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table(
+    lambda t: bottom_up(t, _FIBER, _children, _fiber_fold))
 
 
 def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:
     """All distinct planar trees whose underlying rooted tree is t; memoized
     per tree, and filled from an explicit stack."""
-    return bottom_up(t, _FIBER, _children, _fiber_fold)
+    return _FIBER[t]
 
 
 def _fiber_fold(t):

@@ -11,36 +11,32 @@ randomness (those spot checks) uses a hard-coded seed.
 
 A check walks basis keys, and reads the product, coproduct and antipode of
 keys from the algebra's self-filling tables, one subscript each
-(``alg._prod_memo``, ``alg._cop_memo``, ``alg._antipode_memo``); it
-multiplies elements by the unpriced key products (``alg._times``), in a
-free algebra by its ``key_product``, and takes their coproducts and
-antipodes key by key, so no suite meets the pricing of the public
-operations (``hopf``).  A counterexample names its keys with ``key_str``.
+(``alg._prod_memo``, ``alg._cop_memo``, ``alg._antipode_memo``), as every
+memo in the package is read (``foundations``); it multiplies elements by
+the unpriced key products (``alg._times``), in a free algebra by its
+``key_product``, and takes their coproducts and antipodes key by key, so
+no suite meets the pricing of the public operations (``hopf``).  A
+counterexample names its keys with ``key_str``.
 
 The hopf-axioms suite is the largest, and two of its costliest rows sum
 each side in one loop of its own over the tables, with no generator step
 or key function called per term: coassociativity (``_coassoc_sides``) and,
-in the free algebras, the antipode convolution (``_convolutions``).  On
-HF's keys through degree 6 a term of the coassociativity sides took 200 ns
-in its loop against 326 ns through ``LinComb.scaled_sum`` fed by nested
-generators, and a term of the convolution sides 297 ns against 500 ns
-through ``LinComb.tensor_sum`` with the key product as a key function
-(``foundations``).  In HK, HF and NSYM the rows on products
-(associativity, the unit laws, the algebra-morphism row, the grading and
-commutativity) compare key products, and read no one-term product from
-the product table.  The sums the loops replaced stay in the tests as their
-oracles.
+in the free algebras, the antipode convolution (``_convolutions``).  In
+HK, HF and NSYM the rows on products (associativity, the unit laws, the
+algebra-morphism row, the grading and commutativity) compare key
+products, and the product table of those algebras stays empty.  The sums
+the loops replaced stay in the tests as their oracles.
 The adjoint and delta rows of the dualities suite compare sparse rows, as
 the duality criterion does, not every key pair: <f(u), v> = <u, g(v)> is
 the row of f(u) against u's row through the transpose of g, and each e_mu
 e_nu is its row against a one-term delta.
 
 The hexagon cells and the morphism rows apply a map to an element
-through a key rule (``_key_rule``), which memoizes the image of each basis
-key in a dict that lives for one suite run: the full circuit maps each
-tree of Z(x) through Phistar and rhostar once per run, not once per
-composition.  It is not a registered memo, since the maps it reads may be
-patched between runs.
+through a key rule, the subscript of a self-filling table of the image of
+each basis key (``foundations._Table``) that lives for one suite run: the
+full circuit maps each tree of Z(x) through Phistar and rhostar once per
+run, not once per composition.  It is not a registered memo, since the
+maps it reads may be patched between runs.
 
 The zstar-surjectivity suite decides each degree by a triangular
 certificate: the images of one level forest per composition, whose
@@ -58,7 +54,7 @@ from itertools import chain, count
 from math import factorial, gcd, lcm
 import random
 
-from .foundations import LinComb, _whole, compositions_of, memo, memo_table, partitions_of
+from .foundations import LinComb, _Table, _whole, compositions_of, memo, memo_table, partitions_of
 from .trees import (
     Forest,
     LEAF,
@@ -719,22 +715,6 @@ def _spot_keys(dom, rng):
         yield key, LinComb.single(key)
 
 
-def _key_rule(fn):
-    """The image ``fn(LinComb.single(key))`` of one basis key, as a rule
-    that memoizes it in a dict of its own.  A suite run makes its rules
-    afresh, so the dict lives for one run: never a registered memo, since
-    the maps a rule reads may be patched between runs."""
-    images = {}
-
-    def rule(key):
-        image = images.get(key)
-        if image is None:
-            image = images[key] = fn(LinComb.single(key))
-        return image
-
-    return rule
-
-
 def _unit_counit_cases(dom, cod, fn, d):
     """Cases (lhs, rhs, key): the image of the unit, then the counit of the
     image of each basis key of degree <= d."""
@@ -754,7 +734,7 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
         pairs = chain(pairs, _spot_pairs(dom, rng))
         keys = chain(keys, _spot_keys(dom, rng))
 
-    fk = _key_rule(fn)
+    fk = _Table(lambda key: fn(LinComb.single(key))).__getitem__
     return [
         _check(f"{name} is multiplicative", spotted, pairs,
                lambda kx, ky, n: fn(dom._pk(kx, ky)) == cod._times(fk(kx), fk(ky)),
@@ -772,7 +752,7 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
 def _suite_hexagon(d: int) -> list[IdentityResult]:
     degree = f"degree <= {d}"
     Phi, Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phi", "Phistar", "rhostar"))
-    lower = _key_rule(lambda x: Phistar(rhostar(x)))
+    lower = _Table(lambda t: Phistar(rhostar(LinComb.single(t)))).__getitem__
     word_text = lambda comp, x: NSYM.key_str(comp)
     rows = [
         ("upper diamond: forgetting order after ladder insertion matches "

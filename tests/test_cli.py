@@ -783,6 +783,27 @@ def test_print_parse_print_fixed_point():
         assert alg.format(again) == printed, ctx
 
 
+def test_a_long_element_is_the_running_sum_of_its_terms():
+    # the parser sums its signed terms once, at the end, as a running sum
+    # of each term parsed alone would: the same terms, in the same order,
+    # with the same coefficient types, cancellations and fractions included
+    import random
+
+    rng = random.Random(4000)
+    pieces = []
+    for _ in range(4000):
+        coeff = rng.choice(["", "2*", "3/2*", "1/2*", "4/4*"])
+        pieces.append((rng.choice("+-"), f"{coeff}m({rng.randint(1, 9)},{rng.randint(1, 3)})"))
+    text = " ".join(f"{sign} {term}" for sign, term in pieces)
+    want = LinComb.zero()
+    for sign, term in pieces:
+        want += (-1 if sign == "-" else 1) * parse_element(term, "sym")
+    got = parse_element(text, "sym")
+    assert got == want
+    assert [(k, c, type(c)) for k, c in got.items()] == [
+        (k, c, type(c)) for k, c in want.items()]
+
+
 def test_parser_canonicalizes_rooted_but_not_planar():
     assert parse_element("[[][[]]]", "kt") == parse_element("[[[]][]]", "kt")
     assert parse_element("[[][[]]]", "kp") != parse_element("[[[]][]]", "kp")

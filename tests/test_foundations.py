@@ -233,6 +233,104 @@ def test_every_cache_goes_through_the_registry():
         "functools", "lru_cache", "_T", "_U", "_x_memo"]
 
 
+# the tables that their owners grow in order, n = 0, 1, ..., with no fill
+_SEQUENCE_TABLES = {"_ROOTED", "_DIVISOR_SUMS", "_BY_LEVELS", "_PARTITIONS"}
+
+
+def _name_of(node):
+    """The name a call or a reference uses: ``f`` in ``f(...)`` and
+    ``x.f(...)``; None for anything else."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _memo_departures(trees):
+    """What departs from the one memo mechanism in the parsed modules
+    ``trees``: each ``memo_table()`` without a fill that is not one of the
+    sequence tables (by the name it is bound to, or its line), and each
+    ``bottom_up`` call outside a fill (by its line).  A fill is a function
+    given to ``memo_table`` or ``_Table``, as a lambda or by name, or a
+    function whose every call, by its name, is inside a fill."""
+    enclosing = {}  # call node -> the functions around it, innermost last
+    roots, root_names, calls, unfilled = set(), set(), [], []
+
+    def walk(node, around):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            around = around + (node,)
+        if isinstance(node, ast.Call):
+            enclosing[node] = around
+            calls.append(node)
+            if _name_of(node.func) in ("memo_table", "_Table") and node.args:
+                fill = node.args[0]
+                if isinstance(fill, ast.Lambda):
+                    roots.add(fill)
+                else:
+                    root_names.add(_name_of(fill))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+            value = node.value
+            if _name_of(value.func) == "memo_table" and not value.args:
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                name = _name_of(target)
+                if not (isinstance(target, ast.Name) and name in _SEQUENCE_TABLES):
+                    unfilled.append(f"memo_table() -> {name}")
+                unfilled_calls.add(value)
+        for child in ast.iter_child_nodes(node):
+            walk(child, around)
+
+    unfilled_calls = set()
+    for tree in trees:
+        walk(tree, ())
+    unfilled += [f"memo_table() at line {call.lineno}" for call in calls
+                 if _name_of(call.func) == "memo_table" and not call.args
+                 and call not in unfilled_calls]
+    defs = {node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+    sites = {}
+    for call in calls:
+        sites.setdefault(_name_of(call.func), []).append(call)
+    fills = roots | {node for node in defs if node.name in root_names}
+    grown = True
+    while grown:
+        grown = False
+        for node in defs - fills:
+            here = sites.get(node.name)
+            if here and all(fills & set(enclosing[call]) for call in here):
+                fills.add(node)
+                grown = True
+    readers = [f"bottom_up at line {call.lineno}" for call in calls
+               if _name_of(call.func) == "bottom_up" and not fills & set(enclosing[call])]
+    return unfilled + readers
+
+
+def test_every_memo_fills_itself_and_bottom_up_runs_only_in_a_fill():
+    package = pathlib.Path(treehopf.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    trees = [ast.parse(text) for text in sources.values()]
+    assert _memo_departures(trees) == []
+    # the sequence tables are the only memo_table() calls without a fill
+    unfilled = [node.targets[0].id for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and _name_of(node.value.func) == "memo_table" and not node.value.args]
+    assert sorted(unfilled) == sorted(_SEQUENCE_TABLES)
+    # a bottom_up reader, as sym_order was, and a table it fills by hand
+    reader = ("\n_HAND = memo_table()\n\n\ndef depth(t):\n"
+              "    return bottom_up(t, _HAND, _children, lambda t: 1)\n")
+    patched = [ast.parse(sources["trees.py"] + reader)] + [
+        tree for name, tree in zip(sources, trees) if name != "trees.py"]
+    lines = sources["trees.py"].count("\n")
+    assert _memo_departures(patched) == ["memo_table() -> _HAND",
+                                         f"bottom_up at line {lines + 6}"]
+    # a fill's helper stays inside the fill only while every call of it is
+    assert _memo_departures([ast.parse(
+        "_T = memo_table(lambda k: walk(k))\n"
+        "def walk(k):\n    return bottom_up(k, _T, None, None)\n")]) == []
+    assert _memo_departures([ast.parse(
+        "_T = memo_table(lambda k: walk(k))\n"
+        "def walk(k):\n    return bottom_up(k, _T, None, None)\n"
+        "def read(k):\n    return walk(k)\n"
+        "class A:\n    def __init__(self):\n        self._x_memo = memo_table()\n")]) == [
+        "memo_table() -> _x_memo", "bottom_up at line 3"]
+
+
 def _scopes(tree):
     """(name, node) for each top-level statement of a module, a method
     named ``Class.method``, and any other statement ``<module>``."""

@@ -131,7 +131,6 @@ from treehopf.verify import (
     _ESTIMATES,
     _coassoc_sides,
     _convolutions,
-    _key_rule,
     _packed,
     _pairs,
     _polynomial_product_holds,
@@ -1718,7 +1717,7 @@ def test_the_full_circuit_key_rule_is_the_direct_path_through_degree_7(fresh_cac
         computed.append(x)
         return Phistar(rhostar(x))
 
-    lower = _key_rule(lower_of)
+    lower = treehopf.foundations._Table(lambda t: lower_of(s(t))).__getitem__
     for n in range(8):
         for t in KT.basis(n):
             assert _typed(lower(t)) == _typed(Phistar(rhostar(s(t)))), t
@@ -1974,13 +1973,11 @@ def quasi_shuffle_by_first_parts(left, right):
 def test_quasi_shuffle_matches_the_first_part_recursion_through_degree_8(
         broken, monkeypatch, fresh_caches):
     if broken:
-        fill = type(QSYM)._quasi_shuffle.__get__(QSYM)
+        step = type(QSYM)._quasi_shuffle.__get__(QSYM)
 
-        def drops_a_term(left, right):
-            out = fill(left, right)  # or the products it still needs
-            if isinstance(out, LinComb) and len(out) > 1:
-                return LinComb(list(out.items())[:-1])
-            return out
+        def drops_a_term(pair):
+            out = step(pair)
+            return LinComb(list(out.items())[:-1]) if len(out) > 1 else out
 
         monkeypatch.setitem(vars(QSYM), "_quasi_shuffle", drops_a_term)
     pairs = [pair for n in range(9) for pair in _key_pairs(QSYM.basis, n)]
