@@ -44,15 +44,14 @@ memo entry shared with other callers.  No result is ever mutated, and only
 this module reads the terms of a LinComb.
 
 Every cache in the package is registered here, and fills itself: a
-function memoized with ``memo``, or a dict made by ``memo_table(fill)``,
-whose missing key is ``fill(key)``, computed when it is subscripted, so a
-hit is one subscript, in C, with no Python call and no "get, then fill if
-missing" in its caller.  A fill that needs the values of smaller keys
-first, as every walk along a tree's depth does, fills them by
-``bottom_up``, from an explicit stack, and ``bottom_up`` runs only inside a
-fill.  The one other kind of table is a sequence that its owner grows in
-order, n = 0, 1, ... (the tree and partition counts, ``memo_table()`` with
-no fill).  ``clear_caches`` empties them all.
+function memoized with ``memo``, or a table made by ``memo_table(fill,
+needs)``, a dict whose missing key is ``fill(key)``, computed when it is
+subscripted, so a hit is one subscript, in C, with no Python call and no
+"get, then fill if missing" in its caller.  That is the one memo rule: a
+table names the smaller keys that a key's fill reads, ``needs(key)``, and
+the table fills those first, from an explicit stack, so that a walk along
+a tree's depth, a product of many generators or a sequence counted up
+from n = 0 costs no Python recursion.  ``clear_caches`` empties them all.
 """
 
 from collections import Counter
@@ -72,25 +71,45 @@ def memo(fn):
     return cached
 
 
+# pushed on a table's stack above a key, with the key's needs above it:
+# once it is popped, the key's needs are filled, and the key is next
+_READY = object()
+
+
 class _Table(dict):
     """A dict that fills itself: a missing key's value is ``fill(key)``,
-    stored and returned, so a hit costs one subscript, in C."""
+    stored and returned, so a hit costs one subscript, in C.  With
+    ``needs``, the keys that ``needs(key)`` lists, and theirs in turn, are
+    filled first, from an explicit stack, so a chain of needs as long as a
+    tree is deep costs no Python recursion.  Each key's needs are read once
+    and each key is filled once; a fill that raises leaves no entry."""
 
-    __slots__ = ("fill",)
+    __slots__ = ("fill", "needs")
 
-    def __init__(self, fill):
+    def __init__(self, fill, needs=None):
         super().__init__()
         self.fill = fill
+        self.needs = needs
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        fill, needs = self.fill, self.needs
+        if needs is not None:
+            stack = [k for k in needs(key) if k not in self]
+            while stack:
+                k = stack.pop()
+                if k is _READY:
+                    k = stack.pop()
+                    self[k] = fill(k)
+                elif k not in self:
+                    stack += (k, _READY)
+                    stack += [d for d in needs(k) if d not in self]
+        value = self[key] = fill(key)
         return value
 
 
-def memo_table(fill=None) -> dict:
-    """A new dict, registered for ``clear_caches``: with a ``fill``, one
-    that fills itself, else a sequence that its owner grows in order."""
-    table = {} if fill is None else _Table(fill)
+def memo_table(fill, needs=None) -> dict:
+    """A self-filling ``_Table``, registered for ``clear_caches``."""
+    table = _Table(fill, needs)
     _CLEARS.append(table.clear)
     return table
 
@@ -99,27 +118,6 @@ def clear_caches():
     """Empty every registered cache."""
     for clear in _CLEARS:
         clear()
-
-
-def bottom_up(key, table: dict, needs, compute):
-    """``table[key]``, filled first if missing, for the fill of a
-    self-filling ``table``: ``compute(k)`` gives the value of a key k once
-    ``table`` holds every key that ``needs(k)`` lists.  Keys are filled from
-    an explicit stack, the needed ones first, so a chain of needs as long as
-    a tree is deep costs no Python recursion."""
-    stack = [key]
-    while stack:
-        k = stack[-1]
-        if k in table:
-            stack.pop()
-            continue
-        missing = [d for d in needs(k) if d not in table]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        table[k] = compute(k)
-    return table[key]
 
 
 class LinComb:

@@ -11,13 +11,14 @@ terms of two tensors, one ``LinComb.tensor_sum`` of the products of keys
 read from the table; in a free algebra each is a loop of its own, below.
 HK, HF and NSYM are free:
 ``split`` cuts a product of generators into (all but the last, the last),
-and ``fold`` fills a table with a map multiplicative over that cut from
-its values on the unit and the generators: the coproduct, Δ(rest last) =
-Δ(rest) Δ(last), the antipode, S(rest last) = S(last) S(rest), and tau, Z
-and Z_star (``symfun``, ``morphisms``).  The antipode of any key but the
-unit that does not split is the algebra's ``antipode_rule``.  Five
-algebras give it in closed form, each term once and with no cancellation:
-SYM and QSYM on every key, NSYM on E_n, HK and HF on one-tree forests.  KT
+and ``multiplicative`` makes the table of a map multiplicative over that
+cut from its values on the unit and the generators: the coproduct,
+Δ(rest last) = Δ(rest) Δ(last), the antipode, S(rest last) = S(last)
+S(rest), and tau, Z and Z_star (``symfun``, ``morphisms``).  The antipode
+of any key but the unit that does not split is the algebra's
+``antipode_rule``.  Five algebras give it in closed form, each term once
+and with no cancellation: SYM and QSYM on every key, NSYM on E_n, HK and
+HF on one-tree forests.  KT
 and KP keep the default, the recursion that a one-dimensional degree-0 part
 allows:
 
@@ -51,27 +52,29 @@ Products, coproducts, and antipodes of basis keys are memoized per algebra
 instance, in self-filling tables (``foundations.memo_table``), the one
 way the package memoizes: a hit is one subscript, ``alg._prod_memo[k1,
 k2]``, ``alg._cop_memo[key]`` or ``alg._antipode_memo[key]``, and a miss
-computes the value by the table's fill, ``product_keys``, the coproduct
-fold or the antipode fold.  ``_pk``, ``_ck`` and ``antipode_key`` read
-them for the public operations and for ``LinComb.bilinear``, whose image
+computes the value by the table's fill, ``product_keys`` or the
+multiplicative fill over ``split``, once the table holds the keys that
+the key needs (``product_needs``; a key's two parts, or for a generator
+those of ``coproduct_needs``).  The fills look the kernels up on the
+instance when a key is missing, so a kernel replaced later is the one
+called.  ``_pk``, ``_ck`` and ``antipode_key`` read them for the public
+operations and for ``LinComb.bilinear``, whose image
 is a function, and the hot loops subscript them: ``tensor_mult``,
 ``antipode_rule`` and the axiom rows of ``verify``.  Entries are only ever
 written once.  In HK, HF and NSYM the product of two keys is one key,
 their ``key_product``, read from a table of its own, a factor that is the
 unit aside, and ``_pk`` wraps it in a one-term LinComb that no table
-keeps, so their product tables stay empty; there ``_times`` (the product
-and the antipode fold), ``tensor_mult`` (the coproduct fold) and the
+keeps, so they have no product table; there ``_times`` (the product and
+the antipode table), ``tensor_mult`` (the coproduct table) and the
 antipode convolution rows of ``verify`` add c d at the key product in
 loops of their own, with no LinComb built per product of keys and no key
 function called per term.  KT, KP, SYM and QSYM, whose key products have
-many terms, read them from the product table.  A fold fills its table from
-an explicit stack (``foundations.bottom_up``): a key's two parts first,
-and before a generator the keys that its ``needs`` name, for the
-coproduct those of ``coproduct_needs``, so that neither a product of many
-generators nor HK's and HF's root recursion costs Python recursion.  It
-keeps the value of every prefix of a key, at a price in memory: the
-coproduct of E(1^700) keeps those of its 698 longer prefixes, about
-245,000 terms more.  Nothing in the package uses threads, and the
+many terms, read them from the product table.  A table fills what a key
+needs from an explicit stack, so that neither a product of many
+generators nor HK's and HF's root recursion costs Python recursion.  A
+multiplicative table keeps the value of every prefix of a key, at a
+price in memory: the coproduct of E(1^700) keeps those of its 698 longer
+prefixes, about 245,000 terms more.  Nothing in the package uses threads, and the
 algebras are meant for one thread at a time: interning a new tree or
 forest (``trees``) looks it up and then inserts it, so two threads
 building the same new key at once could each get an object of their own.
@@ -79,10 +82,9 @@ building the same new key at once could each get an object of their own.
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 
-from .foundations import LinComb, _whole, bottom_up, memo, memo_table
+from .foundations import LinComb, _whole, memo, memo_table
 
 # most terms a priced operation may have: p(45) = 89,134 fits
 TERM_CAP = 100_000
@@ -185,10 +187,21 @@ class HopfAlgebra:
     # where a product of keys has many terms
     key_product = None
 
+    # (k1, k2) -> the pairs whose products ``product_keys`` reads from the
+    # product table, which fills them first: None where it reads none
+    product_needs = None
+
     def __init__(self):
-        self._prod_memo = memo_table(lambda pair: self.product_keys(*pair))
-        self._cop_memo = memo_table(self._coproduct_fold)
-        self._antipode_memo = memo_table(self._antipode_fold)
+        # the kernels are looked up when a key is missing, so that a kernel
+        # replaced on the instance or the class later is the one called
+        if self.key_product is None:
+            self._prod_memo = memo_table(lambda pair: self.product_keys(*pair),
+                                         self.product_needs)
+        self._cop_memo = self.multiplicative(lambda key: self.coproduct_key(key),
+                                             lambda a, b: tensor_mult(self, a, b),
+                                             self.coproduct_needs)
+        self._antipode_memo = self.multiplicative(lambda key: self._antipode_generator(key),
+                                                  lambda rest, last: self._times(last, rest))
 
     # combinatorial structure, supplied by subclasses
 
@@ -238,27 +251,22 @@ class HopfAlgebra:
     def _ck(self, key) -> LinComb:
         return self._cop_memo[key]
 
-    def _coproduct_fold(self, key) -> LinComb:
-        """Δ of a key: ``fold`` over ``split``, Δ(rest last) = Δ(rest) Δ(last),
-        from ``coproduct_key`` on the unit and the generators."""
-        return self.fold(key, self._cop_memo, self.coproduct_key, partial(tensor_mult, self),
-                         self.coproduct_needs)
+    def multiplicative(self, generator, times, needs=None) -> dict:
+        """A new table of a map f multiplicative over ``split``: f(key) =
+        times(f(rest), f(last)) for a key that splits, its two parts filled
+        first, and ``generator(key)`` for the unit and the generators, which
+        may read from the table the keys that ``needs(key)`` lists.  Every
+        prefix of a key is kept.  ``split`` is looked up on each miss."""
 
-    def fold(self, key, table: dict, generator, times, needs=None):
-        """``table[key]``, filled first if missing, for a map f that is
-        multiplicative over ``split``: f(key) = times(f(rest), f(last)) for
-        a key that splits, and ``generator(key)`` for the unit and the
-        generators, which may read from ``table`` the keys that
-        ``needs(key)`` lists.  Filled by ``bottom_up``, every prefix of the
-        key kept.  A fold builds its closures on each call, so it is a
-        table's fill, called on a miss; each key is split once per call,
-        though ``bottom_up`` reads its needs up to twice and then its
-        value."""
-        pairs = {}
-        split = lambda k: pairs[k] if k in pairs else pairs.setdefault(k, self.split(k))
-        reads = lambda k: split(k) or (needs(k) if needs else ())
-        value = lambda k: times(table[p[0]], table[p[1]]) if (p := split(k)) else generator(k)
-        return bottom_up(key, table, reads, value)
+        def parts(key):
+            return self.split(key) or (needs(key) if needs else ())
+
+        def fill(key):
+            pair = self.split(key)
+            return times(table[pair[0]], table[pair[1]]) if pair else generator(key)
+
+        table = memo_table(fill, parts)
+        return table
 
     def product(self, a: LinComb, b: LinComb) -> LinComb:
         """a b, refused before any term is made when ``product_terms`` is
@@ -318,14 +326,10 @@ class HopfAlgebra:
         """S of a key, from the antipode table."""
         return self._antipode_memo[key]
 
-    def _antipode_fold(self, key) -> LinComb:
-        """S of a key: ``fold`` over ``split``, since S reverses products,
-        S(rest last) = S(last) S(rest); the unit's is itself, and a
-        generator's, ``antipode_rule``."""
-        return self.fold(key, self._antipode_memo, self._antipode_generator,
-                         lambda rest, last: self._times(last, rest))
-
     def _antipode_generator(self, key) -> LinComb:
+        """S of the unit, itself, or of a generator, ``antipode_rule``; the
+        antipode table multiplies them in reverse over ``split``, since S
+        reverses products: S(rest last) = S(last) S(rest)."""
         return self.one() if key == self.unit_key() else self.antipode_rule(key)
 
     def antipode_rule(self, key) -> LinComb:

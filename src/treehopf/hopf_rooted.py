@@ -12,9 +12,10 @@ branches into a tree T = B+(c_1 ... c_k) by a recursion over T's subtrees:
 it folds over the children, each c_i takes a share of the branches left and
 is grafted with it recursively, and whatever is left after the last child
 stays at T's root.  Each result is memoized per (T, S) in a per-algebra
-table, whose fill works from an explicit stack (``foundations.bottom_up``),
-as every walk along a tree's depth in this package does.  The two algebras
-differ only in how S shares out (``_shares``): for KT, S is a sorted
+table, which fills the (child, share) pairs that a result needs first,
+from an explicit stack (``foundations.memo_table``), as every walk along a
+tree's depth in this package does.  The two algebras differ only in how
+S shares out (``_shares``): for KT, S is a sorted
 multiset, a child takes any sub-multiset, weighted by the product of
 binomials C(m, j) over the kinds of branch, so the counts stay those of the
 |t'|^k labelled attachments; for KP, S is a sequence, and a child takes the
@@ -37,10 +38,10 @@ trees under disjoint union.  Its coproduct is defined on a tree t by
 
     Δ(t) = t ⊗ 1 + (id ⊗ b_plus) Δ(b_minus(t))
 
-and extended to forests by ``HopfAlgebra.fold`` over ``split``, which cuts
-the last tree off a forest; since ``coproduct_needs`` names b_minus(t), the
-coproducts down a tree are filled from the fold's explicit stack, the
-deepest first.  The
+and extended to forests multiplicatively over ``split``, which cuts the
+last tree off a forest (``HopfAlgebra.multiplicative``); since
+``coproduct_needs`` names b_minus(t), the coproducts down a tree are
+filled from the table's explicit stack, the deepest first.  The
 antipode of a tree is the forest formula (Connes-Kreimer): a signed sum,
 over the sets of edges cut, of the pieces left, grouped per subtree
 (``ForestAlgebra._cuts``), so that its cost follows the distinct pieces, not
@@ -62,7 +63,7 @@ from itertools import groupby
 from math import comb, factorial, prod
 from operator import attrgetter
 
-from .foundations import LinComb, bottom_up, memo, memo_table, multiset_splits
+from .foundations import LinComb, memo, memo_table, multiset_splits
 from .hopf import TERM_CAP, HopfAlgebra, _growing_count, _split_count
 from .hopf import capped_binomial, capped_power, capped_product, capped_sum
 from .trees import (
@@ -125,8 +126,7 @@ class GraftingAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._graft_memo = memo_table(lambda key: bottom_up(key, self._graft_memo,
-                                                            self._graft_needs, self._graft_fold))
+        self._graft_memo = memo_table(lambda key: self._graft_fold(key), self._graft_needs)
 
     def unit_key(self):
         return self.leaf
@@ -294,8 +294,7 @@ class ForestAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._cut_memo = memo_table(lambda t: bottom_up(t, self._cut_memo, _children,
-                                                        self._cut_fold))
+        self._cut_memo = memo_table(lambda t: self._cut_fold(t), _children)
         # (f, g) -> the forest of the trees of both, merged in this kind's order
         self._merge_memo = memo_table(lambda pair: type(pair[0])(pair[0].trees + pair[1].trees))
 
@@ -418,7 +417,7 @@ class ForestAlgebra(HopfAlgebra):
 
 
 # tree -> c(t) of ``ForestAlgebra.coproduct_terms``, for planar trees too
-_CUT_COUNTS = memo_table(lambda t: bottom_up(t, _CUT_COUNTS, _children, _cut_count))
+_CUT_COUNTS = memo_table(lambda t: _cut_count(t), _children)
 
 
 def _cut_count(t):

@@ -23,15 +23,17 @@ kbar per forest, so equal leaves and equal subtrees cost one entry each
 and every stripped forest is shared by all the forests that reach it.
 tau, Z and Z_star are fixed by their values on generators (E_k to e_k and
 to epsilon(k), a tree to alpha_plus of the image of its children), and
-each is one ``HopfAlgebra.fold`` of its domain, by the codomain's unpriced
-key products.  All four are priced by the rule that ``hopf`` states, and
-phi through ``symfun.m_to_e_row``.
+each is one ``HopfAlgebra.multiplicative`` table of its domain, by the
+codomain's unpriced key products.  Every table here names the smaller
+keys its fill reads, as ``foundations`` requires: a tree's children, a
+forest's leaf strippings, a key's generators.  All four are priced by
+the rule that ``hopf`` states, and phi through ``symfun.m_to_e_row``.
 """
 
 from itertools import accumulate, chain
 from operator import attrgetter
 
-from .foundations import LinComb, bottom_up, memo, memo_table, pi_forget
+from .foundations import LinComb, memo, memo_table, pi_forget
 from .trees import (
     Forest,
     OrderedForest,
@@ -157,21 +159,21 @@ def _z_terms(comp):
     return min(ways, _growing_count(rooted_count_by_levels, branches[-1] + 1, len(comp) + 1))
 
 
-# comp -> Z(E_comp): NSYM's ``fold`` of epsilon(k) over the parts of comp
-_Z_MEMO: dict[tuple, LinComb] = memo_table(
-    lambda comp: NSYM.fold(comp, _Z_MEMO, lambda part: epsilon(sum(part)), KT._times))
+# comp -> Z(E_comp): multiplicative over NSYM's ``split``, from epsilon(k)
+_Z_MEMO: dict[tuple, LinComb] = NSYM.multiplicative(lambda part: epsilon(sum(part)),
+                                                    lambda a, b: KT._times(a, b))
 _z_key = _Z_MEMO.__getitem__
 
-# forest -> Z_star(f): HK's ``fold`` over its trees, a tree sent to
+# forest -> Z_star(f): multiplicative over HK's ``split``, a tree sent to
 # alpha_plus of the image of the forest of its children, which
 # ``HK.coproduct_needs`` names, as for the coproduct's root recursion
-_ZSTAR_MEMO: dict[Forest, LinComb] = memo_table(
-    lambda f: HK.fold(f, _ZSTAR_MEMO, _zstar_tree, QSYM._times, HK.coproduct_needs))
+_ZSTAR_MEMO: dict[Forest, LinComb] = HK.multiplicative(lambda f: _zstar_tree(f),
+                                                       lambda a, b: QSYM._times(a, b),
+                                                       HK.coproduct_needs)
 _zstar_key = _ZSTAR_MEMO.__getitem__
 _children = attrgetter("children")
 # tree -> the most vertices on a path from its root to a leaf
-_HEIGHT: dict[RootedTree, int] = memo_table(
-    lambda t: bottom_up(t, _HEIGHT, _children, _tree_height))
+_HEIGHT: dict[RootedTree, int] = memo_table(lambda t: _tree_height(t), _children)
 
 
 def Z_star(a: LinComb) -> LinComb:
@@ -231,41 +233,40 @@ def kbar(a: LinComb) -> LinComb:
 
 # tree -> {(what is left of it, or None, number of leaves removed): the
 # number of sets of its leaves whose removal leaves that}
-_LEAF_STRIPS: dict[RootedTree, dict] = memo_table(
-    lambda t: bottom_up(t, _LEAF_STRIPS, _children, _tree_strips))
+_LEAF_STRIPS: dict[RootedTree, dict] = memo_table(lambda t: _tree_strips(t), _children)
 
 
-def _kbar_stripped(f: Forest) -> LinComb:
-    """kbar of one forest by leaf stripping, with integer sums of its own:
-    the fill of its table.
+def _kbar_stripped():
+    """The table of kbar per forest, by leaf stripping, with integer sums
+    of its own.
 
     The sets of leaves of a forest are folded tree by tree from the
     memoized strips of each tree, and those of a tree from the strips of
     its children, grouping equal results: identical leaves and identical
     subtrees add to one entry each, so a corolla with k leaves has k + 1
-    strips, not 2^k.
+    strips, not 2^k.  A forest's moves (``_leaf_moves``) are made once, by
+    its needs, and handed to its fill, which the table calls next for that
+    forest; no forest's moves are kept after its fill.
     """
+    moves_of = {}  # forest -> its moves, from its needs to its fill
 
-    def moves(g):
-        # ``_leaf_moves``, kept for the call, since kbar_of reads them again
-        out = moves_of.get(g)
-        if out is None:
-            out = moves_of[g] = _leaf_moves(g)
-        return out
+    def needs(g):
+        moves = moves_of[g] = _leaf_moves(g)
+        return [h for h, _ in moves]
 
-    def kbar_of(g):
+    def fill(g):
         terms = {} if g.trees else {(): 1}
-        for (h, k), m in moves(g).items():
-            for comp, c in _KBAR_MEMO[h].items():
+        for (h, k), m in moves_of.pop(g).items():
+            for comp, c in table[h].items():
                 key = (k,) + comp
                 terms[key] = terms.get(key, 0) + m * c
         return LinComb.trusted(terms)
 
-    moves_of = {}
-    return bottom_up(f, _KBAR_MEMO, lambda g: [h for h, _ in moves(g)], kbar_of)
+    table = memo_table(fill, needs)
+    return table
 
 
-_KBAR_MEMO: dict[Forest, LinComb] = memo_table(_kbar_stripped)
+_KBAR_MEMO: dict[Forest, LinComb] = _kbar_stripped()
 _kbar_forest = _KBAR_MEMO.__getitem__
 
 

@@ -7,11 +7,15 @@ to a part of the other) and the deconcatenation coproduct.
 NSYM is the free associative algebra on generators E_1, E_2, ... with basis
 the products E_I indexed by compositions, concatenation product, and the
 divided-power coproduct Δ(E_n) = sum E_i ⊗ E_j over i + j = n.  Its
-``split`` cuts the last part off a composition, and ``HopfAlgebra.fold``
-extends over it every map fixed by its values on the E_n: the coproduct
-and the antipode to every E_I, and tau's rows e_I to every composition
-(``e_to_m_row``), as Z's in ``morphisms``.  It is the graded dual of QSYM
-under the Kronecker pairing of compositions.
+``split`` cuts the last part off a composition, and
+``HopfAlgebra.multiplicative`` extends over it every map fixed by its
+values on the E_n: the coproduct and the antipode to every E_I, and tau's
+rows e_I to every composition (``e_to_m_row``), as Z's in ``morphisms``.
+Like every memo of the package, each table here names what its fill
+reads (``foundations``): QSYM's product table the products of one
+quasi-shuffle step (``product_needs``), the e/m rows those below in
+dominance order.  It is the graded dual of QSYM under the Kronecker
+pairing of compositions.
 
 SYM uses the monomial basis indexed by partitions.  It embeds into QSYM by
 symmetrizing (a partition maps to the sum of its distinct rearrangements).
@@ -45,7 +49,6 @@ from operator import sub
 
 from .foundations import (
     LinComb,
-    bottom_up,
     compositions_of,
     memo,
     memo_table,
@@ -90,18 +93,6 @@ class _PartLists(HopfAlgebra):
 _STEPPED = 16
 
 
-def _quasi_shuffle_reads(pair):
-    """The products that the quasi-shuffle step on ``pair`` reads."""
-    left, right = pair
-    if not left or not right:
-        return ()
-    rest = right[1:]
-    if len(left) <= _STEPPED:
-        after = left[1:]
-        return (after, right), (left, rest), (after, rest)
-    return [(left[k:], rest) for k in range(len(left) + 1)]
-
-
 class QuasiSymmetricFunctions(_PartLists):
     """Monomial-basis quasi-symmetric functions."""
 
@@ -120,12 +111,27 @@ class QuasiSymmetricFunctions(_PartLists):
         alone or fused with the next, so that the products of its suffixes
         by the whole shorter factor are never made, and a short factor's
         products cost what they return.  It is the product table's fill,
-        and the products that a step reads are filled first, from an
-        explicit stack, so no part list costs Python recursion."""
+        and the table fills the products that ``product_needs`` names
+        first, from an explicit stack, so no part list costs Python
+        recursion."""
         if len(right) > max(len(left), _STEPPED):  # unroll the longer factor
             return self._prod_memo[right, left]
-        return bottom_up((left, right), self._prod_memo, _quasi_shuffle_reads,
-                         self._quasi_shuffle)
+        return self._quasi_shuffle((left, right))
+
+    def product_needs(self, pair):
+        """The products that ``product_keys`` reads for ``pair``: the pair
+        swapped, when the right factor is the longer one past ``_STEPPED``
+        parts, else those that one quasi-shuffle step reads."""
+        left, right = pair
+        if len(right) > max(len(left), _STEPPED):
+            return ((right, left),)
+        if not left or not right:
+            return ()
+        rest = right[1:]
+        if len(left) <= _STEPPED:
+            after = left[1:]
+            return (after, right), (left, rest), (after, rest)
+        return [(left[k:], rest) for k in range(len(left) + 1)]
 
     def _quasi_shuffle(self, pair):
         """M_left M_right from the products it reads, in the table."""
@@ -531,12 +537,13 @@ def _conjugate(lam):
     return tuple(sum(1 for part in lam if part > i) for i in range(max(lam, default=0)))
 
 
-_E_TO_M = memo_table(lambda comp: NSYM.fold(comp, _E_TO_M, lambda part: e(sum(part)), SYM._times))
+# comp -> e_comp in the monomial basis: multiplicative over NSYM's ``split``
+_E_TO_M = NSYM.multiplicative(lambda part: e(sum(part)), lambda a, b: SYM._times(a, b))
 
 
 def e_to_m_row(comp) -> LinComb:
-    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition: NSYM's
-    ``fold`` of e_k over its parts, by the unpriced key products, from its
+    """e_{i_1} e_{i_2} ... in the monomial basis, for a composition: the
+    product of e_k over its parts, by the unpriced key products, from its
     table; the callers price the row."""
     return _E_TO_M[comp]
 
@@ -546,18 +553,9 @@ def m_to_e_row(lam) -> LinComb:
     e_{lam'} is m_lam plus terms m_mu with mu strictly below lam in
     dominance order (Macdonald, ch. I.6), so only the down-set of lam is
     visited.  Priced once per new partition (``hopf``), by
-    ``_m_to_e_terms``, in its table's fill (``_m_to_e_fill``)."""
+    ``_m_to_e_terms``, before its row or any it reads is made
+    (``_m_to_e_needs``)."""
     return _M_TO_E[lam]
-
-
-def _m_to_e_fill(lam):
-    """The fill of ``_M_TO_E``: priced, then filled from an explicit stack
-    (``foundations.bottom_up``), the rows it reads first."""
-    check_terms(f"{SYM.key_str(lam)} in the elementary basis", _m_to_e_terms(lam))
-    return bottom_up(lam, _M_TO_E, _m_lower, _m_to_e_value)
-
-
-_M_TO_E = memo_table(_m_to_e_fill)
 
 
 def _m_to_e_terms(lam):
@@ -566,9 +564,14 @@ def _m_to_e_terms(lam):
     return _partitions_at_most(sum(lam), lam[0] if lam else 0)
 
 
-def _m_lower(lam):
-    """The partitions whose rows that of lam reads: the terms of e_{lam'}
-    other than m_lam."""
+def _m_to_e_needs(lam):
+    """The partitions whose rows that of lam reads, the terms of e_{lam'}
+    other than m_lam, once the row is priced: the table reads a row's
+    needs once, before its fill, and those of the first row first, so a
+    row is refused before any is made.  A row it reads is never refused:
+    its partition lies below lam in dominance order, so its largest part,
+    and with it its bound, is no larger."""
+    check_terms(f"{SYM.key_str(lam)} in the elementary basis", _m_to_e_terms(lam))
     return [mu for mu in e_to_m_row(_conjugate(lam)) if mu != lam]
 
 
@@ -576,6 +579,9 @@ def _m_to_e_value(lam):
     conj = _conjugate(lam)
     lower = e_to_m_row(conj).filter_keys(lambda mu: mu != lam)
     return LinComb.single(conj) - lower.apply_linear(_M_TO_E.__getitem__)
+
+
+_M_TO_E = memo_table(lambda lam: _m_to_e_value(lam), _m_to_e_needs)
 
 
 def m_to_e(a: LinComb) -> LinComb:

@@ -26,10 +26,10 @@ bijections between forests with n vertices and trees with n + 1.
 
 from itertools import groupby, product
 from math import comb, factorial
-from operator import attrgetter
+from operator import attrgetter, mul
 from weakref import ref
 
-from .foundations import bottom_up, memo, memo_table, multiset_permutations
+from .foundations import memo, memo_table, multiset_permutations
 
 # the canonical order of trees, by size and then encoding: children and
 # forest members are sorted by it, and trees and forests print in it
@@ -187,8 +187,7 @@ def b_minus(tree):
     return tree.forest_type.interned(tree.children)
 
 
-_SYM_ORDER: dict[RootedTree, int] = memo_table(
-    lambda t: bottom_up(t, _SYM_ORDER, _children, _sym_order_fold))
+_SYM_ORDER: dict[RootedTree, int] = memo_table(lambda t: _sym_order_fold(t), _children)
 
 
 def sym_order(t: RootedTree) -> int:
@@ -233,54 +232,52 @@ def ordered_forests_of_degree(n: int) -> tuple[OrderedForest, ...]:
     return _forests(n, OrderedForest)
 
 
-_ROOTED = memo_table()  # n -> rooted_count(n), filled for n = 1, 2, ... in turn
-_DIVISOR_SUMS = memo_table()  # k -> the sum of d * rooted_count(d) over d | k
-
-
 def rooted_count(n: int) -> int:
     """Number of unordered rooted trees with n vertices, by the classical
-    divisor-sum convolution (no enumeration), as a table filled up to n."""
-    table = _ROOTED
-    if n in table:
-        return table[n]
-    if n < 1:
-        return 0
-    sums = _DIVISOR_SUMS
-    for m in range(len(table) + 1, n + 1):
-        if m == 1:
-            table[1] = 1
-            continue
-        k = m - 1
-        sums[k] = sum(d * table[d] for d in range(1, k + 1) if k % d == 0)
-        total = sum(sums[k] * table[m - k] for k in range(1, m))
-        assert total % (m - 1) == 0
-        table[m] = total // (m - 1)
-    return table[n]
-
-
-_BY_LEVELS = memo_table()  # L -> (counts, divisor sums) of the trees of at most L levels
+    divisor-sum convolution (no enumeration), from its table."""
+    return _BY_LEVELS[n][0] if n >= 1 else 0
 
 
 def rooted_count_by_levels(n: int, levels: int) -> int:
     """Number of unordered rooted trees with n vertices and at most
     ``levels`` vertices on every path from the root: ``rooted_count(n)``
-    once levels >= n.  A tree of at most L levels is a root over a multiset
-    of trees of at most L - 1, counted by the divisor-sum convolution of
-    ``rooted_count`` over those, so each L keeps a table filled up to n."""
+    once levels >= n."""
     if levels >= n:
         return rooted_count(n)
-    if levels < 1:
-        return 0
-    below = None  # the divisor sums of one level fewer: none below one level
-    for level in range(1, levels + 1):
-        counts, sums = _BY_LEVELS.setdefault(level, ([0, 1], [0]))
-        for m in range(len(counts), n + 1):
-            total = 0 if below is None else sum(below[k] * counts[m - k] for k in range(1, m))
-            counts.append(total // (m - 1))
-        for k in range(len(sums), n + 1):
-            sums.append(sum(d * counts[d] for d in range(1, k + 1) if k % d == 0))
-        below = sums
-    return counts[n]
+    return _BY_LEVELS[n, levels][0] if levels >= 1 else 0
+
+
+def _level_row(key):
+    """(r_L(n), s_L(n)) for the key (n, L), or n alone when L >= n bounds
+    nothing: the trees of n vertices and at most L levels, and the sum of
+    d r_L(d) over the divisors d of n.  A tree of at most L levels is a root
+    over a multiset of trees of at most L - 1, so (n - 1) r_L(n) is the sum
+    of s_(L-1)(k) r_L(n - k) over 0 < k < n (the Euler transform)."""
+    n, top = (key, key) if type(key) is int else key
+    if top == 0:
+        return 0, 0
+    if n == 1:
+        return 1, 1
+    table = _BY_LEVELS
+    sums = [table[k if k < top else (k, top - 1)][1] for k in range(1, n)]
+    counts = [table[m if m <= top else (m, top)][0] for m in range(1, n)]
+    count = sum(map(mul, sums, reversed(counts))) // (n - 1)
+    return count, n * count + sum(d * counts[d - 1] for d in range(1, n // 2 + 1) if n % d == 0)
+
+
+def _level_needs(key):
+    """The rows that ``_level_row`` reads, by the last of each of its two
+    levels: every row of a level needs the one before it."""
+    n, top = (key, key) if type(key) is int else key
+    if top == 0 or n == 1:
+        return ()
+    m = n - 1
+    return (m if m <= top else (m, top)), (m if m < top else (m, top - 1))
+
+
+# n or (n, L) -> ``_level_row``; an unbounded count, keyed by n alone,
+# costs no tuple per read
+_BY_LEVELS = memo_table(_level_row, _level_needs)
 
 
 def catalan(n: int) -> int:
@@ -329,8 +326,7 @@ def _child_lists(m: int, kind) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table(
-    lambda t: bottom_up(t, _FORGOTTEN, _children, _forget_fold))
+_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table(lambda t: _forget_fold(t), _children)
 
 
 def forget_order(t: PlanarTree) -> RootedTree:
@@ -343,8 +339,8 @@ def _forget_fold(t):
     return RootedTree([_FORGOTTEN[c] for c in t.children])
 
 
-_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table(
-    lambda t: bottom_up(t, _FIBER, _children, _fiber_fold))
+_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table(lambda t: _fiber_fold(t),
+                                                               _children)
 
 
 def planar_fiber(t: RootedTree) -> tuple[PlanarTree, ...]:

@@ -12,7 +12,9 @@ randomness (those spot checks) uses a hard-coded seed.
 A check walks basis keys, and reads the product, coproduct and antipode of
 keys from the algebra's self-filling tables, one subscript each
 (``alg._prod_memo``, ``alg._cop_memo``, ``alg._antipode_memo``), as every
-memo in the package is read (``foundations``); it multiplies elements by
+memo in the package is read and filled (``foundations``: a table fills
+what a key needs first, then the key; the partition counts here too,
+p(n) needing p(n - 1)); it multiplies elements by
 the unpriced key products (``alg._times``), in a free algebra by its
 ``key_product``, and takes their coproducts and antipodes key by key, so
 no suite meets the pricing of the public operations (``hopf``).  A
@@ -24,7 +26,7 @@ or key function called per term: coassociativity (``_coassoc_sides``) and,
 in the free algebras, the antipode convolution (``_convolutions``).  In
 HK, HF and NSYM the rows on products (associativity, the unit laws, the
 algebra-morphism row, the grading and commutativity) compare key
-products, and the product table of those algebras stays empty.  The sums
+products, and those algebras have no product table.  The sums
 the loops replaced stay in the tests as their oracles.
 The adjoint and delta rows of the dualities suite compare sparse rows, as
 the duality criterion does, not every key pair: <f(u), v> = <u, g(v)> is
@@ -222,27 +224,26 @@ def _counts(identity, range_tested, ns, *sides):
 
 # ---------------------------------------------------------------- counting
 
-_PARTITIONS = memo_table()  # n -> partition_count(n), filled for n = 0, 1, ... in turn
-
-
 def partition_count(n: int) -> int:
-    """Number of partitions of n, by the pentagonal-number recurrence, as a
-    table filled up to n."""
-    table = _PARTITIONS
-    if n in table:
-        return table[n]
-    if n < 0:
-        return 0
-    for m in range(len(table), n + 1):
-        total, k = 0 if m else 1, 1
-        while (g := k * (3 * k - 1) // 2) <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * table[m - g]
-            if (g := g + k) <= m:
-                total += sign * table[m - g]
-            k += 1
-        table[m] = total
-    return table[n]
+    """Number of partitions of n, by the pentagonal-number recurrence, from
+    its table."""
+    return _PARTITIONS[n] if n >= 0 else 0
+
+
+def _pentagonal(n):
+    """p(n) from p(m), m < n, by Euler's pentagonal-number theorem."""
+    total, k = 0 if n else 1, 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        sign = 1 if k % 2 else -1
+        total += sign * _PARTITIONS[n - g]
+        if (g := g + k) <= n:
+            total += sign * _PARTITIONS[n - g]
+        k += 1
+    return total
+
+
+# n -> p(n); each n needs n - 1, so a table filled up to n holds every p(m)
+_PARTITIONS = memo_table(_pentagonal, lambda n: (n - 1,) if n else ())
 
 
 def composition_count(n: int) -> int:
@@ -410,13 +411,13 @@ def _triples(alg, d):
     n <= d, in order of n, i, j, kx, ky, kz, with xy the product of kx, ky:
     in a free algebra their key product, else their product from the
     table."""
-    key_product, pk = alg.key_product, alg._prod_memo
+    key_product = alg.key_product
     for n in range(d + 1):
         for i in range(n + 1):
             for j in range(n - i + 1):
                 for kx in alg.basis(i):
                     for ky in alg.basis(j):
-                        xy = pk[kx, ky] if key_product is None else key_product(kx, ky)
+                        xy = alg._prod_memo[kx, ky] if key_product is None else key_product(kx, ky)
                         for kz in alg.basis(n - i - j):
                             yield kx, ky, kz, xy
 
@@ -563,10 +564,10 @@ def _grading_cases(alg, d):
     of the terms of the product of each basis pair (in a free algebra, of
     their key product), then of the coproduct of each basis key; ``parts``
     holds the keys involved."""
-    key_product, pk, ck = alg.key_product, alg._prod_memo, alg._cop_memo
+    key_product, ck = alg.key_product, alg._cop_memo
     for n in range(d + 1):
         for kx, ky in _key_pairs(alg.basis, n):
-            keys = pk[kx, ky] if key_product is None else (key_product(kx, ky),)
+            keys = alg._prod_memo[kx, ky] if key_product is None else (key_product(kx, ky),)
             yield n, [alg.degree(k) for k in keys], (kx, ky)
         for key in alg.basis(n):
             yield n, [alg.degree(k1) + alg.degree(k2) for k1, k2 in ck[key]], (key,)
@@ -574,14 +575,15 @@ def _grading_cases(alg, d):
 
 def _axioms(alg, d):
     """The Hopf algebra axioms of one algebra on its basis through degree d.
-    In a free algebra the rows on products compare key products, and read
-    no one-term product from the product table."""
-    key_product, pk, ck, text = alg.key_product, alg._prod_memo, alg._cop_memo, alg.key_str
+    In a free algebra the rows on products compare key products: it has no
+    product table."""
+    key_product, ck, text = alg.key_product, alg._cop_memo, alg.key_str
     unit = alg.unit_key()
     key_text = lambda key, x: text(key)
     pair_text = lambda kx, ky, n: f"{text(kx)} , {text(ky)}"
     keys = lambda: _keys(alg.basis, d)
     if key_product is None:
+        pk = alg._prod_memo
         associative = lambda kx, ky, kz, xy: (_times_key(alg, xy, kz)
                                               == _key_times(alg, kx, pk[ky, kz]))
         unit_laws = lambda key, x: pk[unit, key] == x == pk[key, unit]

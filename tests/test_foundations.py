@@ -5,13 +5,15 @@ import math
 import pathlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import treehopf
 from treehopf import foundations, pairings
 from treehopf.foundations import (
     LinComb,
-    bottom_up,
     clear_caches,
     compositions_of,
     memo_table,
@@ -147,12 +149,12 @@ def _cache_sizes():
 
 
 def test_clear_caches_empties_every_registered_cache():
-    from treehopf import KT, SYM, morphisms, symfun, trees
+    from treehopf import KT, SYM, morphisms, symfun, trees, verify
 
     registered = {id(clear.__self__) for clear in foundations._CLEARS}
     for cache in (KT._prod_memo, SYM._antipode_memo, trees.enumerate_rooted,
-                  trees._FIBER, symfun._E_TO_M, symfun._M_TO_E, morphisms._Z_MEMO,
-                  morphisms._ZSTAR_MEMO, morphisms._HEIGHT):
+                  trees._FIBER, trees._BY_LEVELS, verify._PARTITIONS, symfun._E_TO_M,
+                  symfun._M_TO_E, morphisms._Z_MEMO, morphisms._ZSTAR_MEMO, morphisms._HEIGHT):
         assert id(cache) in registered
 
     first = [run_suite(name, 3).to_dict() for name in SUITE_NAMES]
@@ -181,14 +183,60 @@ def test_a_self_filling_table_fills_each_key_once_and_empties_with_the_caches():
     assert {key: HF._antipode_memo[key] for key in first} == first
 
 
-def test_bottom_up_fills_a_chain_deeper_than_the_recursion_limit():
+def _counted_table(needs, fill):
+    """``memo_table(fill, needs)``, with Counters of the keys whose needs
+    were read and of the keys filled."""
+    reads, fills = Counter(), Counter()
+
+    def counted_needs(k):
+        reads[k] += 1
+        return needs(k)
+
+    def counted_fill(k):
+        fills[k] += 1
+        return fill(table, k)
+
+    table = memo_table(counted_fill, counted_needs)
+    return table, reads, fills
+
+
+def test_a_table_fills_a_chain_of_needs_deeper_than_the_recursion_limit():
     n = 3 * sys.getrecursionlimit()
-    table = {}
-    needs = lambda k: [k - 1] if k else []
-    assert bottom_up(n, table, needs, lambda k: table[k - 1] + 1 if k else 0) == n
-    assert len(table) == n + 1
+    table, reads, fills = _counted_table(lambda k: [k - 1] if k else [],
+                                         lambda table, k: table[k - 1] + 1 if k else 0)
+    assert table[n] == n and len(table) == n + 1
+    # each key's needs are read once, and each key is filled once
+    assert reads == fills == Counter(range(n + 1))
     # a filled key is read, not computed again
-    assert bottom_up(n, table, needs, None) == n
+    assert table[n] == n and table[n // 2] == n // 2
+    assert reads == fills == Counter(range(n + 1))
+
+
+def test_a_key_two_keys_need_is_filled_once_and_a_failed_fill_leaves_no_entry():
+    broken = set()
+
+    def fibonacci(table, k):
+        if k in broken:
+            raise ValueError(k)
+        return table[k - 1] + table[k - 2] if k > 1 else k
+
+    table, reads, fills = _counted_table(lambda k: [k - 1, k - 2] if k > 1 else [], fibonacci)
+    assert table[30] == 832_040
+    assert reads == fills == Counter(range(31))
+    # a fill that raises leaves no entry, and the next subscript computes
+    # the key again; the keys filled before it stay
+    table.clear()
+    reads.clear()
+    fills.clear()
+    broken.add(5)
+    with pytest.raises(ValueError):
+        table[10]
+    assert sorted(table) == [0, 1, 2, 3, 4] and fills == Counter(range(6))
+    broken.clear()
+    reads.clear()
+    fills.clear()
+    assert table[10] == 55
+    assert reads == fills == Counter(range(5, 11))
 
 
 def _memo_definitions(tree):
@@ -233,10 +281,6 @@ def test_every_cache_goes_through_the_registry():
         "functools", "lru_cache", "_T", "_U", "_x_memo"]
 
 
-# the tables that their owners grow in order, n = 0, 1, ..., with no fill
-_SEQUENCE_TABLES = {"_ROOTED", "_DIVISOR_SUMS", "_BY_LEVELS", "_PARTITIONS"}
-
-
 def _name_of(node):
     """The name a call or a reference uses: ``f`` in ``f(...)`` and
     ``x.f(...)``; None for anything else."""
@@ -245,90 +289,56 @@ def _name_of(node):
 
 def _memo_departures(trees):
     """What departs from the one memo mechanism in the parsed modules
-    ``trees``: each ``memo_table()`` without a fill that is not one of the
-    sequence tables (by the name it is bound to, or its line), and each
-    ``bottom_up`` call outside a fill (by its line).  A fill is a function
-    given to ``memo_table`` or ``_Table``, as a lambda or by name, or a
-    function whose every call, by its name, is inside a fill."""
-    enclosing = {}  # call node -> the functions around it, innermost last
-    roots, root_names, calls, unfilled = set(), set(), [], []
-
-    def walk(node, around):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            around = around + (node,)
-        if isinstance(node, ast.Call):
-            enclosing[node] = around
-            calls.append(node)
-            if _name_of(node.func) in ("memo_table", "_Table") and node.args:
-                fill = node.args[0]
-                if isinstance(fill, ast.Lambda):
-                    roots.add(fill)
-                else:
-                    root_names.add(_name_of(fill))
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
-            value = node.value
-            if _name_of(value.func) == "memo_table" and not value.args:
-                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-                name = _name_of(target)
-                if not (isinstance(target, ast.Name) and name in _SEQUENCE_TABLES):
-                    unfilled.append(f"memo_table() -> {name}")
-                unfilled_calls.add(value)
-        for child in ast.iter_child_nodes(node):
-            walk(child, around)
-
-    unfilled_calls = set()
+    ``trees``: each ``memo_table`` or ``_Table`` call without a fill (by its
+    line), and each subscript written into a module-level name or an
+    attribute bound to a table, which only the table itself fills (by the
+    name and line)."""
+    fillers = ("memo_table", "_Table")
+    makers = fillers + ("multiplicative",)
+    tables, departures = set(), []
     for tree in trees:
-        walk(tree, ())
-    unfilled += [f"memo_table() at line {call.lineno}" for call in calls
-                 if _name_of(call.func) == "memo_table" and not call.args
-                 and call not in unfilled_calls]
-    defs = {node for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)}
-    sites = {}
-    for call in calls:
-        sites.setdefault(_name_of(call.func), []).append(call)
-    fills = roots | {node for node in defs if node.name in root_names}
-    grown = True
-    while grown:
-        grown = False
-        for node in defs - fills:
-            here = sites.get(node.name)
-            if here and all(fills & set(enclosing[call]) for call in here):
-                fills.add(node)
-                grown = True
-    readers = [f"bottom_up at line {call.lineno}" for call in calls
-               if _name_of(call.func) == "bottom_up" and not fills & set(enclosing[call])]
-    return unfilled + readers
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name_of(node.func) in fillers:
+                if not node.args and not any(k.arg == "fill" for k in node.keywords):
+                    departures.append(f"{_name_of(node.func)}() at line {node.lineno}")
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call)
+                    and _name_of(node.value.func) in makers):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                tables |= {_name_of(target) for target in targets
+                           if isinstance(target, ast.Attribute) or node in tree.body}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                departures += [f"{_name_of(target.value)}[...] = at line {node.lineno}"
+                               for target in targets if isinstance(target, ast.Subscript)
+                               and _name_of(target.value) in tables]
+    return departures
 
 
-def test_every_memo_fills_itself_and_bottom_up_runs_only_in_a_fill():
+def test_every_memo_fills_itself():
     package = pathlib.Path(treehopf.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     trees = [ast.parse(text) for text in sources.values()]
     assert _memo_departures(trees) == []
-    # the sequence tables are the only memo_table() calls without a fill
-    unfilled = [node.targets[0].id for tree in trees for node in ast.walk(tree)
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                and _name_of(node.value.func) == "memo_table" and not node.value.args]
-    assert sorted(unfilled) == sorted(_SEQUENCE_TABLES)
-    # a bottom_up reader, as sym_order was, and a table it fills by hand
-    reader = ("\n_HAND = memo_table()\n\n\ndef depth(t):\n"
-              "    return bottom_up(t, _HAND, _children, lambda t: 1)\n")
-    patched = [ast.parse(sources["trees.py"] + reader)] + [
+    assert not hasattr(foundations, "bottom_up") and not hasattr(treehopf.HopfAlgebra, "fold")
+    # a table with no fill, which its owner grows by hand
+    grown = ("\n_HAND = memo_table()\n\n\ndef count(n):\n"
+             "    for m in range(len(_HAND), n + 1):\n        _HAND[m] = m\n")
+    patched = [ast.parse(sources["trees.py"] + grown)] + [
         tree for name, tree in zip(sources, trees) if name != "trees.py"]
     lines = sources["trees.py"].count("\n")
-    assert _memo_departures(patched) == ["memo_table() -> _HAND",
-                                         f"bottom_up at line {lines + 6}"]
-    # a fill's helper stays inside the fill only while every call of it is
+    assert _memo_departures(patched) == [f"memo_table() at line {lines + 2}",
+                                         f"_HAND[...] = at line {lines + 7}"]
+    # a fill passed by name or keyword is a fill; a write into a table
+    # that an algebra made, or into its attribute, is a departure
     assert _memo_departures([ast.parse(
-        "_T = memo_table(lambda k: walk(k))\n"
-        "def walk(k):\n    return bottom_up(k, _T, None, None)\n")]) == []
+        "_T = memo_table(len, needs=None)\n_U = _Table(fill=len)\n")]) == []
     assert _memo_departures([ast.parse(
-        "_T = memo_table(lambda k: walk(k))\n"
-        "def walk(k):\n    return bottom_up(k, _T, None, None)\n"
-        "def read(k):\n    return walk(k)\n"
-        "class A:\n    def __init__(self):\n        self._x_memo = memo_table()\n")]) == [
-        "memo_table() -> _x_memo", "bottom_up at line 3"]
+        "class A:\n    def __init__(self):\n"
+        "        self._x_memo = self.multiplicative(None, None)\n"
+        "        self._x_memo[1] = 2\n        self._y_memo = _Table()\n")]) == [
+        "_Table() at line 5", "_x_memo[...] = at line 4"]
 
 
 def _scopes(tree):

@@ -192,11 +192,12 @@ def _package_calls(wanted):
 
 
 def test_check_terms_is_called_only_at_the_public_entries():
-    # m_to_e_row prices each new row in its table's fill, _m_to_e_fill
+    # m_to_e_row prices each new row in its table's needs, _m_to_e_needs,
+    # which the table reads before the row's fill
     assert _package_calls(lambda f: getattr(f, "id", None) == "check_terms") == {
         "hopf.HopfAlgebra.product", "hopf.HopfAlgebra.coproduct", "hopf.HopfAlgebra.antipode",
         "morphisms.tau", "morphisms.Z", "morphisms.Z_star", "morphisms.kbar",
-        "symfun.h", "symfun._m_to_e_fill", "cli._cmd_series", "cli._cmd_enumerate",
+        "symfun.h", "symfun._m_to_e_needs", "cli._cmd_series", "cli._cmd_enumerate",
         "cli._cmd_expand",
     }
 

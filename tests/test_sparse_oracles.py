@@ -30,7 +30,9 @@ planar tree, planar embeddings and the forest coproduct) are checked
 against recursions of a Python call per level, as they were before they
 were filled from explicit stacks.  Interned trees and forests are checked against equality of kind and
 encoding, and the rooted-tree classes against ``networkx``'s rooted tree
-isomorphism."""
+isomorphism.  The tree counts, with and without a bound on the levels,
+and the partition counts are checked against the loops that grew them
+in order, n = 1, 2, ..., before their tables named their needs."""
 
 import gc
 import inspect
@@ -124,6 +126,7 @@ from treehopf.trees import (
     ordered_forests_of_degree,
     planar_fiber,
     planar_from_string,
+    rooted_count_by_levels,
     rooted_from_string,
     sym_order,
 )
@@ -1257,11 +1260,12 @@ def test_the_oracle_and_the_axioms_catch_a_broken_loop(case, monkeypatch, fresh_
 
 def _memo_entries():
     """Every product, coproduct and antipode memo entry of the seven
-    algebras, with a copy of its terms."""
-    return {(alg.name, i, key): (value, dict(value.items()))
+    algebras, with a copy of its terms; a free algebra has no product
+    table."""
+    return {(alg.name, name, key): (value, dict(value.items()))
             for alg in ALGEBRAS
-            for i, table in enumerate((alg._prod_memo, alg._cop_memo, alg._antipode_memo))
-            for key, value in table.items()}
+            for name in ("_prod_memo", "_cop_memo", "_antipode_memo") if hasattr(alg, name)
+            for key, value in getattr(alg, name).items()}
 
 
 def test_fused_sums_write_to_no_memo_entry(fresh_caches):
@@ -1468,9 +1472,11 @@ def test_the_oracles_catch_factors_in_reverse_order(alg, monkeypatch, fresh_cach
 
 
 def _unreversed_antipode(alg):
-    """The fill of the antipode table, with a fold that multiplies
-    S(rest) S(last), not S(last) S(rest)."""
-    return lambda key: alg.fold(key, alg._antipode_memo, alg._antipode_generator, alg._times)
+    """The fill of the antipode table, with one fault: a key that splits
+    is S(rest) S(last), not S(last) S(rest)."""
+    S = alg._antipode_memo
+    return lambda key: (alg._times(S[pair[0]], S[pair[1]]) if (pair := alg.split(key))
+                        else alg._antipode_generator(key))
 
 
 @pytest.mark.parametrize("alg, key", [(HF, "([],[[]])"), (NSYM, "E(2,1)")],
@@ -2129,6 +2135,78 @@ def test_the_recursions_catch_a_fill_that_drops_a_child(fill, monkeypatch, fresh
     monkeypatch.setattr(module, attr, breaking(getattr(module, attr)))
     with pytest.raises(AssertionError):
         _walks_match(4)
+
+
+# ------------------------------------------------------ counting sequences
+
+def rooted_counts_by_loop(n):
+    """[r(0), ..., r(n)], the rooted trees of each number of vertices, by
+    the divisor-sum convolution in one loop over m = 1, 2, ..., as
+    ``rooted_count`` filled its table before the table named its needs."""
+    table, sums = [0, 1], [0]
+    for m in range(2, n + 1):
+        k = m - 1
+        sums.append(sum(d * table[d] for d in range(1, k + 1) if k % d == 0))
+        total = sum(sums[k] * table[m - k] for k in range(1, m))
+        assert total % (m - 1) == 0
+        table.append(total // (m - 1))
+    return table
+
+
+def level_counts_by_loop(n, top):
+    """rows[L][m], the rooted trees of m <= n vertices and at most L <= top
+    levels, a level at a time, as ``rooted_count_by_levels`` grew them."""
+    rows, below = [[0] * (n + 1)], None
+    for _ in range(top):
+        counts = [0, 1]
+        for m in range(2, n + 1):
+            total = 0 if below is None else sum(below[k] * counts[m - k] for k in range(1, m))
+            counts.append(total // (m - 1))
+        below = [sum(d * counts[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+        rows.append(counts)
+    return rows
+
+
+def partition_counts_by_loop(n):
+    """[p(0), ..., p(n)] by the pentagonal-number recurrence in one loop, as
+    ``partition_count`` filled its table before the table named its needs."""
+    table = []
+    for m in range(n + 1):
+        total, k = 0 if m else 1, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * table[m - g]
+            if (g := g + k) <= m:
+                total += sign * table[m - g]
+            k += 1
+        table.append(total)
+    return table
+
+
+def _counts_match():
+    """The tree and partition counts of the tables against the loops."""
+    rows = level_counts_by_loop(60, 61)
+    assert [rooted_count(n) for n in range(61)] == rooted_counts_by_loop(60)
+    for n in range(1, 61):
+        for levels in range(62):
+            assert rooted_count_by_levels(n, levels) == rows[levels][n], (n, levels)
+
+
+def test_the_count_tables_match_the_loops(fresh_caches):
+    _counts_match()
+    assert [partition_count(n) for n in range(2001)] == partition_counts_by_loop(2000)
+    clear_caches()
+    assert rooted_count(1100) == rooted_counts_by_loop(1100)[1100]
+
+
+def test_the_loops_catch_a_tree_count_off_by_one_level(monkeypatch, fresh_caches):
+    # a row of at most L levels filled as the row of at most L - 1
+    table = treehopf.trees._BY_LEVELS
+    fill = table.fill
+    monkeypatch.setattr(table, "fill", lambda key: fill(key) if type(key) is int or key[1] < 2
+                        else fill((key[0], key[1] - 1)))
+    with pytest.raises(AssertionError, match=r"\(3, 2\)"):
+        _counts_match()
 
 
 def monomial_expansion_by_placement(comp, nvars):
