@@ -5,8 +5,20 @@ finitely supported map from canonical hashable basis keys to exact rational
 coefficients.  Coefficients are ``int`` or ``fractions.Fraction``, never
 floats, so identity checks downstream are literal term-by-term equalities.
 A sum over inputs with a ``Fraction`` coefficient hands back its whole
-coefficients as ``int``s, so that only genuine fractions (1/n! in
-``epsilon``, 1/2 in ``kappa``) pay ``Fraction`` arithmetic downstream.
+coefficients as ``int``s, so that only genuine fractions pay ``Fraction``
+arithmetic downstream.  They enter at the edges, and the hot paths keep
+to ``int``s.  ``epsilon`` returns the corolla over n! and ``kappa`` the
+weights 1/sym(t), as their definitions say; Z keeps its table in
+``int``s, the products of corollas, and the public ``Z`` divides once per
+key as it reads it (``morphisms``); the suite rows that read Z,
+``kappa`` or ``epsilon`` compare both sides times the product of the
+factorials of the parts, or n!, in ``int``s (``verify``).  What still
+pays ``Fraction`` arithmetic is the public Z and the sums it feeds (the
+CLI's ``map --name Z``, and the dualities suite's adjoint row, which
+checks the public Z through the pairings), ``kappa`` and ``epsilon``
+where they are printed or summed unscaled (the CLI, and the one
+divided-powers row on epsilon(n) alone), and ``exact_rank``'s clearing of
+denominators, per row, in ``verify``.
 
 Coproducts reuse the same container with ordered pairs ``(key, key)`` as
 keys; nothing in the container itself cares what the keys mean.
@@ -51,7 +63,10 @@ subscripted, so a hit is one subscript, in C, with no Python call and no
 table names the smaller keys that a key's fill reads, ``needs(key)``, and
 the table fills those first, from an explicit stack, so that a walk along
 a tree's depth, a product of many generators or a sequence counted up
-from n = 0 costs no Python recursion.  ``clear_caches`` empties them all.
+from n = 0 costs no Python recursion.  Such a key's fill is ``fill(key,
+needed)``, handed what ``needs(key)`` returned, so that it does not find
+again what its needs found (a key's split, a forest's leaf moves).
+``clear_caches`` empties them all.
 """
 
 from collections import Counter
@@ -71,8 +86,9 @@ def memo(fn):
     return cached
 
 
-# pushed on a table's stack above a key, with the key's needs above it:
-# once it is popped, the key's needs are filled, and the key is next
+# pushed on a table's stack above a key and what its needs returned, with
+# the keys it needs above it: once it is popped, those are filled, and the
+# key is next
 _READY = object()
 
 
@@ -81,8 +97,11 @@ class _Table(dict):
     stored and returned, so a hit costs one subscript, in C.  With
     ``needs``, the keys that ``needs(key)`` lists, and theirs in turn, are
     filled first, from an explicit stack, so a chain of needs as long as a
-    tree is deep costs no Python recursion.  Each key's needs are read once
-    and each key is filled once; a fill that raises leaves no entry."""
+    tree is deep costs no Python recursion, and the key's value is
+    ``fill(key, needed)``, with ``needed`` the collection that ``needs(key)``
+    returned, so that a fill reads what its needs found, not finding it
+    again.  Each key's needs are read once and each key is filled once; a
+    fill that raises leaves no entry."""
 
     __slots__ = ("fill", "needs")
 
@@ -93,17 +112,21 @@ class _Table(dict):
 
     def __missing__(self, key):
         fill, needs = self.fill, self.needs
-        if needs is not None:
-            stack = [k for k in needs(key) if k not in self]
-            while stack:
+        if needs is None:
+            value = self[key] = fill(key)
+            return value
+        needed = needs(key)
+        stack = [k for k in needed if k not in self]
+        while stack:
+            k = stack.pop()
+            if k is _READY:
                 k = stack.pop()
-                if k is _READY:
-                    k = stack.pop()
-                    self[k] = fill(k)
-                elif k not in self:
-                    stack += (k, _READY)
-                    stack += [d for d in needs(k) if d not in self]
-        value = self[key] = fill(key)
+                self[k] = fill(k, stack.pop())
+            elif k not in self:
+                found = needs(k)
+                stack += (found, k, _READY)
+                stack += [d for d in found if d not in self]
+        value = self[key] = fill(key, needed)
         return value
 
 

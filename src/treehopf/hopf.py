@@ -195,7 +195,7 @@ class HopfAlgebra:
         # the kernels are looked up when a key is missing, so that a kernel
         # replaced on the instance or the class later is the one called
         if self.key_product is None:
-            self._prod_memo = memo_table(lambda pair: self.product_keys(*pair),
+            self._prod_memo = memo_table(lambda pair, *_: self.product_keys(*pair),
                                          self.product_needs)
         self._cop_memo = self.multiplicative(lambda key: self.coproduct_key(key),
                                              lambda a, b: tensor_mult(self, a, b),
@@ -256,14 +256,17 @@ class HopfAlgebra:
         times(f(rest), f(last)) for a key that splits, its two parts filled
         first, and ``generator(key)`` for the unit and the generators, which
         may read from the table the keys that ``needs(key)`` lists.  Every
-        prefix of a key is kept.  ``split`` is looked up on each miss."""
+        prefix of a key is kept.  ``split`` is looked up on each miss, and
+        called once per key: the fill receives its pair, a tuple, where a
+        generator's needs come as a list."""
 
         def parts(key):
-            return self.split(key) or (needs(key) if needs else ())
+            return self.split(key) or (list(needs(key)) if needs else [])
 
-        def fill(key):
-            pair = self.split(key)
-            return times(table[pair[0]], table[pair[1]]) if pair else generator(key)
+        def fill(key, found):
+            if type(found) is tuple:
+                return times(table[found[0]], table[found[1]])
+            return generator(key)
 
         table = memo_table(fill, parts)
         return table

@@ -126,7 +126,7 @@ class GraftingAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._graft_memo = memo_table(lambda key: self._graft_fold(key), self._graft_needs)
+        self._graft_memo = memo_table(lambda key, _: self._graft_fold(key), self._graft_needs)
 
     def unit_key(self):
         return self.leaf
@@ -294,7 +294,7 @@ class ForestAlgebra(HopfAlgebra):
 
     def __init__(self):
         super().__init__()
-        self._cut_memo = memo_table(lambda t: self._cut_fold(t), _children)
+        self._cut_memo = memo_table(lambda t, _: self._cut_fold(t), _children)
         # (f, g) -> the forest of the trees of both, merged in this kind's order
         self._merge_memo = memo_table(lambda pair: type(pair[0])(pair[0].trees + pair[1].trees))
 
@@ -417,7 +417,7 @@ class ForestAlgebra(HopfAlgebra):
 
 
 # tree -> c(t) of ``ForestAlgebra.coproduct_terms``, for planar trees too
-_CUT_COUNTS = memo_table(lambda t: _cut_count(t), _children)
+_CUT_COUNTS = memo_table(lambda t, _: _cut_count(t), _children)
 
 
 def _cut_count(t):

@@ -24,13 +24,21 @@ and every stripped forest is shared by all the forests that reach it.
 tau, Z and Z_star are fixed by their values on generators (E_k to e_k and
 to epsilon(k), a tree to alpha_plus of the image of its children), and
 each is one ``HopfAlgebra.multiplicative`` table of its domain, by the
-codomain's unpriced key products.  Every table here names the smaller
+codomain's unpriced key products.  Z's table is kept in integers: since
+epsilon(k) is C_k / k!, with C_k the corolla with k leaves, Z(E_a) is
+C_(a_1) ... C_(a_m) / (a_1! ... a_m!), and ``_Z_MEMO`` holds the product
+of corollas, folded in ``int``s, while the public ``Z`` divides it by the
+product of factorials (``_z_scale``) once per key as it reads it, and
+keeps no divided copy.  The suites read the table itself and compare
+sides times the scale (``verify``).  Every table here names the smaller
 keys its fill reads, as ``foundations`` requires: a tree's children, a
 forest's leaf strippings, a key's generators.  All four are priced by
 the rule that ``hopf`` states, and phi through ``symfun.m_to_e_row``.
 """
 
+from fractions import Fraction
 from itertools import accumulate, chain
+from math import factorial, prod
 from operator import attrgetter
 
 from .foundations import LinComb, memo, memo_table, pi_forget
@@ -48,7 +56,7 @@ from .trees import (
 )
 from .hopf import TERM_CAP, _growing_count, check_terms
 from .hopf import capped_binomial, capped_power, capped_product
-from .hopf_rooted import KT, HK, epsilon
+from .hopf_rooted import KT, HK, corolla
 from .hopf_planar import KP, HF
 from .symfun import (
     NSYM,
@@ -140,6 +148,24 @@ def Z(a: LinComb) -> LinComb:
     return a.apply_linear(_z_key)
 
 
+def _z_key(comp) -> LinComb:
+    """Z(E_comp): the product of corollas in ``_Z_MEMO``, each coefficient
+    divided once by ``_z_scale(comp)``, an ``int`` where it divides, so no
+    ``Fraction`` is built for a whole coefficient."""
+    scale = _z_scale(comp)
+    whole = _Z_MEMO[comp]
+    if scale == 1:
+        return whole
+    return LinComb.trusted({t: c // scale if c % scale == 0 else Fraction(c, scale)
+                            for t, c in whole.items()})
+
+
+def _z_scale(comp) -> int:
+    """The product of the factorials of the parts of ``comp``: Z(E_comp)
+    times it is ``_Z_MEMO[comp]``, which has integer coefficients."""
+    return prod(map(factorial, comp))
+
+
 @memo
 def _z_terms(comp):
     """An upper bound on the terms of Z(E_comp), exact on E_n, capped.  Its
@@ -159,10 +185,11 @@ def _z_terms(comp):
     return min(ways, _growing_count(rooted_count_by_levels, branches[-1] + 1, len(comp) + 1))
 
 
-# comp -> Z(E_comp): multiplicative over NSYM's ``split``, from epsilon(k)
-_Z_MEMO: dict[tuple, LinComb] = NSYM.multiplicative(lambda part: epsilon(sum(part)),
-                                                    lambda a, b: KT._times(a, b))
-_z_key = _Z_MEMO.__getitem__
+# comp -> C_(a_1) ... C_(a_m), the product of the corollas with a_i leaves,
+# which is _z_scale(comp) Z(E_comp): multiplicative over NSYM's ``split``,
+# in integers, since epsilon(k) is C_k / k!
+_Z_MEMO: dict[tuple, LinComb] = NSYM.multiplicative(
+    lambda part: LinComb.single(corolla(sum(part))), lambda a, b: KT._times(a, b))
 
 # forest -> Z_star(f): multiplicative over HK's ``split``, a tree sent to
 # alpha_plus of the image of the forest of its children, which
@@ -173,7 +200,7 @@ _ZSTAR_MEMO: dict[Forest, LinComb] = HK.multiplicative(lambda f: _zstar_tree(f),
 _zstar_key = _ZSTAR_MEMO.__getitem__
 _children = attrgetter("children")
 # tree -> the most vertices on a path from its root to a leaf
-_HEIGHT: dict[RootedTree, int] = memo_table(lambda t: _tree_height(t), _children)
+_HEIGHT: dict[RootedTree, int] = memo_table(lambda t, _: _tree_height(t), _children)
 
 
 def Z_star(a: LinComb) -> LinComb:
@@ -233,47 +260,40 @@ def kbar(a: LinComb) -> LinComb:
 
 # tree -> {(what is left of it, or None, number of leaves removed): the
 # number of sets of its leaves whose removal leaves that}
-_LEAF_STRIPS: dict[RootedTree, dict] = memo_table(lambda t: _tree_strips(t), _children)
+_LEAF_STRIPS: dict[RootedTree, dict] = memo_table(lambda t, _: _tree_strips(t), _children)
 
 
-def _kbar_stripped():
-    """The table of kbar per forest, by leaf stripping, with integer sums
-    of its own.
+def _kbar_fill(g: Forest, moves: dict) -> LinComb:
+    """kbar(g) by leaf stripping, with integer sums of its own: M_(k)
+    followed by kbar(h), m times, for each forest h that g leaves in m ways
+    when it loses k of its leaves.  Its ``moves``, {h: m}, are the table's
+    needs for g (``_leaf_moves``), made once and handed to the fill.
 
     The sets of leaves of a forest are folded tree by tree from the
     memoized strips of each tree, and those of a tree from the strips of
     its children, grouping equal results: identical leaves and identical
     subtrees add to one entry each, so a corolla with k leaves has k + 1
-    strips, not 2^k.  A forest's moves (``_leaf_moves``) are made once, by
-    its needs, and handed to its fill, which the table calls next for that
-    forest; no forest's moves are kept after its fill.
+    strips, not 2^k.
     """
-    moves_of = {}  # forest -> its moves, from its needs to its fill
-
-    def needs(g):
-        moves = moves_of[g] = _leaf_moves(g)
-        return [h for h, _ in moves]
-
-    def fill(g):
-        terms = {} if g.trees else {(): 1}
-        for (h, k), m in moves_of.pop(g).items():
-            for comp, c in table[h].items():
-                key = (k,) + comp
-                terms[key] = terms.get(key, 0) + m * c
-        return LinComb.trusted(terms)
-
-    table = memo_table(fill, needs)
-    return table
+    terms = {} if g.trees else {(): 1}
+    for h, m in moves.items():
+        k = g.degree - h.degree
+        for comp, c in _KBAR_MEMO[h].items():
+            key = (k,) + comp
+            terms[key] = terms.get(key, 0) + m * c
+    return LinComb.trusted(terms)
 
 
-_KBAR_MEMO: dict[Forest, LinComb] = _kbar_stripped()
+# forest -> kbar(f), by its leaf moves
+_KBAR_MEMO: dict[Forest, LinComb] = memo_table(lambda g, moves: _kbar_fill(g, moves),
+                                               lambda g: _leaf_moves(g))
 _kbar_forest = _KBAR_MEMO.__getitem__
 
 
 def _leaf_moves(g: Forest) -> dict:
-    """{(forest left, leaves removed): count} over the nonempty sets of
-    leaves of g."""
-    return {(Forest(kept), k): m for (kept, k), m in _fold_strips(g.trees).items() if k}
+    """{forest left: count} over the nonempty sets of leaves of g; the
+    leaves removed are the degree lost."""
+    return {Forest(kept): m for (kept, k), m in _fold_strips(g.trees).items() if k}
 
 
 def _fold_strips(trees) -> dict:

@@ -581,7 +581,7 @@ def _m_to_e_value(lam):
     return LinComb.single(conj) - lower.apply_linear(_M_TO_E.__getitem__)
 
 
-_M_TO_E = memo_table(lambda lam: _m_to_e_value(lam), _m_to_e_needs)
+_M_TO_E = memo_table(lambda lam, _: _m_to_e_value(lam), _m_to_e_needs)
 
 
 def m_to_e(a: LinComb) -> LinComb:

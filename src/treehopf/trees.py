@@ -187,7 +187,7 @@ def b_minus(tree):
     return tree.forest_type.interned(tree.children)
 
 
-_SYM_ORDER: dict[RootedTree, int] = memo_table(lambda t: _sym_order_fold(t), _children)
+_SYM_ORDER: dict[RootedTree, int] = memo_table(lambda t, _: _sym_order_fold(t), _children)
 
 
 def sym_order(t: RootedTree) -> int:
@@ -277,7 +277,7 @@ def _level_needs(key):
 
 # n or (n, L) -> ``_level_row``; an unbounded count, keyed by n alone,
 # costs no tuple per read
-_BY_LEVELS = memo_table(_level_row, _level_needs)
+_BY_LEVELS = memo_table(lambda key, _: _level_row(key), _level_needs)
 
 
 def catalan(n: int) -> int:
@@ -326,7 +326,7 @@ def _child_lists(m: int, kind) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table(lambda t: _forget_fold(t), _children)
+_FORGOTTEN: dict[PlanarTree, RootedTree] = memo_table(lambda t, _: _forget_fold(t), _children)
 
 
 def forget_order(t: PlanarTree) -> RootedTree:
@@ -339,7 +339,7 @@ def _forget_fold(t):
     return RootedTree([_FORGOTTEN[c] for c in t.children])
 
 
-_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table(lambda t: _fiber_fold(t),
+_FIBER: dict[RootedTree, tuple[PlanarTree, ...]] = memo_table(lambda t, _: _fiber_fold(t),
                                                                _children)
 
 

@@ -40,6 +40,22 @@ full circuit maps each tree of Z(x) through Phistar and rhostar once per
 run, not once per composition.  It is not a registered memo, since the
 maps it reads may be patched between runs.
 
+Nine rows compare both sides of their identity times a nonzero integer,
+so that they run in ``int``s where the identity has fractions: the same
+identity, scaled per key.  Four read Z from its integer table, the
+product of corollas C_(a_1) ... C_(a_m), which is Z(E_a) times the
+integer a_1! ... a_m! (``_z_scale``): the hexagon's left triangle and
+full circuit, and zstar-intertwine's "dual append" and "dual strip"
+rows, each times that integer for its composition a (``_z_times``).
+Five of the divided-powers suite read n! kappa(n) and n! epsilon(n),
+made once per run from ``kappa`` and ``epsilon`` as this module names
+them (``_factorial_multiples``), and compare times n!: the symmetry-
+weighted divided powers (Delta(n! kappa(n)) is the sum of C(n, i) (i!
+kappa(i)) ⊗ ((n - i)! kappa(n - i))), the signed antipode images, the
+factorial multiple (the terms weighted by C(n, i)), and the two ladder
+projections (n! h_n and n! e_n).  The dualities suite's adjoint row
+reads the public Z, which divides.
+
 The zstar-surjectivity suite decides each degree by a triangular
 certificate: the images of one level forest per composition, whose
 leading compositions are every composition once.  Elimination over the
@@ -53,7 +69,7 @@ suite's time at its default degree and at its cap.
 
 from fractions import Fraction
 from itertools import chain, count
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 import random
 
 from .foundations import LinComb, _Table, _whole, compositions_of, memo, memo_table, partitions_of
@@ -104,7 +120,7 @@ from .symfun import (
     include_sym,
     p,
 )
-from .morphisms import MAP_TABLE, Z, Z_star, kbar, phi, phi_star, rho, tau
+from .morphisms import MAP_TABLE, Z, Z_star, _Z_MEMO, _z_scale, kbar, phi, phi_star, rho, tau
 from .pairings import (
     _first_mismatch,
     _key_pairs,
@@ -243,7 +259,7 @@ def _pentagonal(n):
 
 
 # n -> p(n); each n needs n - 1, so a table filled up to n holds every p(m)
-_PARTITIONS = memo_table(_pentagonal, lambda n: (n - 1,) if n else ())
+_PARTITIONS = memo_table(lambda n, _: _pentagonal(n), lambda n: (n - 1,) if n else ())
 
 
 def composition_count(n: int) -> int:
@@ -751,18 +767,37 @@ def _morphism_checks(name, dom, cod, fn, d, rng):
     ]
 
 
+def _z_cases(d):
+    """Cases (comp, E_comp, ``_z_scale(comp)``) for each composition of
+    degree <= d: a row on Z(E_comp) compares both sides times the scale,
+    which reads Z from its integer table (``_z_times``)."""
+    for comp, x in _keys(compositions_of, d):
+        yield comp, x, _z_scale(comp)
+
+
+def _z_times(x, scale):
+    """scale Z(x), from the integer table ``_Z_MEMO``: each key's product
+    of corollas times scale over the key's own ``_z_scale``, a whole
+    factor in every row here, so the sum stays in ``int``s."""
+    def image(comp):
+        own = _z_scale(comp)
+        return _Z_MEMO[comp] * (scale // own if scale % own == 0 else Fraction(scale, own))
+
+    return x.apply_linear(image)
+
+
 def _suite_hexagon(d: int) -> list[IdentityResult]:
     degree = f"degree <= {d}"
     Phi, Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phi", "Phistar", "rhostar"))
     lower = _Table(lambda t: Phistar(rhostar(LinComb.single(t)))).__getitem__
-    word_text = lambda comp, x: NSYM.key_str(comp)
+    word_text = lambda comp, *_: NSYM.key_str(comp)
     rows = [
         ("upper diamond: forgetting order after ladder insertion matches "
          "ladders of the abelianization", _keys(compositions_of, d),
          lambda comp, x: rho(Phi(x)) == phi(tau(x)), word_text),
         ("left triangle: ladder-shape projection of the tree image is the "
-         "abelianization", _keys(compositions_of, d),
-         lambda comp, x: phi_star(Z(x)) == tau(x), word_text),
+         "abelianization", _z_cases(d),
+         lambda comp, x, scale: phi_star(_z_times(x, scale)) == tau(x) * scale, word_text),
         ("right triangle: forest image collapses to the symmetrization",
          _keys(partitions_of, d),
          lambda lam, x: Z_star(phi(x)) == include_sym(x), lambda lam, x: SYM.key_str(lam)),
@@ -771,8 +806,9 @@ def _suite_hexagon(d: int) -> list[IdentityResult]:
          lambda t, x: lower(t) == include_sym(phi_star(x)),
          lambda t, x: t.encoding),
         ("full circuit: both long ways from divided powers to compositions agree",
-         _keys(compositions_of, d),
-         lambda comp, x: Z_star(rho(Phi(x))) == Z(x).apply_linear(lower), word_text),
+         _z_cases(d),
+         lambda comp, x, scale: Z_star(rho(Phi(x))) * scale
+         == _z_times(x, scale).apply_linear(lower), word_text),
     ]
     results = [_check(identity, degree, *row) for identity, *row in rows]
 
@@ -915,29 +951,40 @@ def _suite_dualities(d: int) -> list[IdentityResult]:
 
 # --------------------------------------------------- suite: divided powers
 
+def _factorial_multiples(seq, d):
+    """[n! seq(n) for n <= d], whole coefficients as ``int``s: n! kappa(n)
+    is an integer sum, since sym(t) divides n! for a tree of n + 1
+    vertices, whose automorphisms fix the root and permute the rest."""
+    return [seq(n) * Fraction(factorial(n)) for n in range(d + 1)]
+
+
 def _suite_divided_powers(d: int) -> list[IdentityResult]:
     def chain_forest(kind):
         """The forest of one i-vertex chain (empty for i = 0), as an element."""
         return lambda i: LinComb.single(ladder_forest((i,) if i else (), kind))
 
+    # n! kappa(n) and n! epsilon(n), in ints: the rows on them compare both
+    # sides times n!
+    kappas, epsilons = _factorial_multiples(kappa, d), _factorial_multiples(epsilon, d)
     rows = [
         ("symmetry-weighted tree sums are divided powers", "n",
-         lambda n: _divided_powers(KT, kappa, n)),
+         lambda n: kappas[n].apply_linear(KT._ck)
+         == LinComb.tensor_sum((comb(n, i), kappas[i], kappas[n - i]) for i in range(n + 1))),
         ("alternating tree elements are divided powers", "n",
          lambda n: _divided_powers(KT, epsilon, n)),
         ("alternating elements are the signed antipode images", "n",
-         lambda n: epsilon(n) == (-1) ** n * kappa(n).apply_linear(KT.antipode_key)),
+         lambda n: epsilons[n] == (-1) ** n * kappas[n].apply_linear(KT.antipode_key)),
         # epsilon returns the corolla over n!: that it is the alternating
         # convolution inverse of kappa, which defines epsilon, proves the row
         # by induction on n
         ("factorial multiple is the star tree", "n",
-         lambda n: sum(((-1) ** i * KT._times(kappa(i), epsilon(n - i))
+         lambda n: sum(((-1) ** i * comb(n, i) * KT._times(kappas[i], epsilons[n - i])
                         for i in range(n + 1)), LinComb.zero())
          == (KT.one() if n == 0 else LinComb.zero())),
         ("ladder projection of the weighted sum is complete", "n",
-         lambda n: phi_star(kappa(n)) == h(n)),
+         lambda n: phi_star(kappas[n]) == h(n) * factorial(n)),
         ("ladder projection of the alternating element is elementary", "n",
-         lambda n: phi_star(epsilon(n)) == e(n)),
+         lambda n: phi_star(epsilons[n]) == e(n) * factorial(n)),
         ("chains are divided powers among ordered forests", "i",
          lambda i: _divided_powers(HF, chain_forest(OrderedForest), i)),
         ("chains are divided powers among forests", "i",
@@ -954,7 +1001,7 @@ def _suite_divided_powers(d: int) -> list[IdentityResult]:
 def _suite_zstar_intertwine(d: int) -> list[IdentityResult]:
     forests, words = f"degree <= {d}", f"degree <= {d - 1}"
     forest_text = lambda f, x: HK.key_str(f)
-    word_text = lambda comp, u: NSYM.key_str(comp)
+    word_text = lambda comp, *_: NSYM.key_str(comp)
     eps1 = epsilon(1)
     rows = [
         ("rooting a forest appends a part one", forests, _keys(forests_of_degree, d),
@@ -964,11 +1011,13 @@ def _suite_zstar_intertwine(d: int) -> list[IdentityResult]:
         ("poset labeling realization agrees with the recursion", forests,
          _keys(forests_of_degree, d), lambda f, x: kbar(x) == Z_star(x), forest_text),
         ("dual append matches root stripping after the single-child projection",
-         words, _keys(compositions_of, d - 1),
-         lambda comp, u: Z(alpha_plus_dual(u)) == strip_primitive_root(Z(u)), word_text),
+         words, _z_cases(d - 1),
+         lambda comp, u, scale: _z_times(alpha_plus_dual(u), scale)
+         == strip_primitive_root(_z_times(u, scale)), word_text),
         ("dual strip matches right multiplication by the chain of two",
-         words, _keys(compositions_of, d - 1),
-         lambda comp, u: Z(alpha_minus_dual(u)) == KT._times(Z(u), eps1), word_text),
+         words, _z_cases(d - 1),
+         lambda comp, u, scale: _z_times(alpha_minus_dual(u), scale)
+         == KT._times(_z_times(u, scale), eps1), word_text),
     ]
     return [_check(*row) for row in rows]
 

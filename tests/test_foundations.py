@@ -185,14 +185,17 @@ def test_a_self_filling_table_fills_each_key_once_and_empties_with_the_caches():
 
 def _counted_table(needs, fill):
     """``memo_table(fill, needs)``, with Counters of the keys whose needs
-    were read and of the keys filled."""
-    reads, fills = Counter(), Counter()
+    were read and of the keys filled; each fill checks that it receives
+    the very collection that its key's needs returned."""
+    reads, fills, found = Counter(), Counter(), {}
 
     def counted_needs(k):
         reads[k] += 1
-        return needs(k)
+        found[k] = needs(k)
+        return found[k]
 
-    def counted_fill(k):
+    def counted_fill(k, needed):
+        assert needed is found[k]
         fills[k] += 1
         return fill(table, k)
 
@@ -418,7 +421,7 @@ def test_sparse_sums_outside_foundations_go_through_lincomb():
     # the exceptions, each still present: an oracle kept independent of
     # LinComb (kbar's leaf stripping, with the fold of its strips), and an
     # in-place integer row update
-    allowed = {"morphisms._kbar_stripped", "morphisms._fold_strips", "verify._clear"}
+    allowed = {"morphisms._kbar_fill", "morphisms._fold_strips", "verify._clear"}
     package = pathlib.Path(treehopf.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

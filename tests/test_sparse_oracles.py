@@ -43,7 +43,7 @@ import weakref
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from operator import add
 
 import pytest
@@ -75,8 +75,9 @@ from treehopf.hopf_rooted import (
     epsilon,
     forest_b_plus,
     kappa,
+    strip_primitive_root,
 )
-from treehopf.morphisms import MAP_TABLE, Z, Z_star, kbar, tau
+from treehopf.morphisms import MAP_TABLE, Z, Z_star, kbar, phi_star, rho, tau
 from treehopf.pairings import (
     _coproduct_row,
     _key_pairs,
@@ -102,6 +103,8 @@ from treehopf.symfun import (
     SYM,
     _column_sums,
     _monomial_expansion,
+    alpha_minus_dual,
+    alpha_plus_dual,
     collect_sym,
     e,
     expand_truncated,
@@ -1475,8 +1478,8 @@ def _unreversed_antipode(alg):
     """The fill of the antipode table, with one fault: a key that splits
     is S(rest) S(last), not S(last) S(rest)."""
     S = alg._antipode_memo
-    return lambda key: (alg._times(S[pair[0]], S[pair[1]]) if (pair := alg.split(key))
-                        else alg._antipode_generator(key))
+    return lambda key, _: (alg._times(S[pair[0]], S[pair[1]]) if (pair := alg.split(key))
+                           else alg._antipode_generator(key))
 
 
 @pytest.mark.parametrize("alg, key", [(HF, "([],[[]])"), (NSYM, "E(2,1)")],
@@ -1616,6 +1619,187 @@ def test_the_divided_powers_suite_sees_epsilon_wrong_at_one_degree(monkeypatch):
            "         counterexample: n = 5" in report.lines()
 
 
+# ------------------------------------------------- Z and rows scaled to ints
+
+@memo
+def z_by_fractions(comp) -> LinComb:
+    """Z(E_comp) as it was folded before its table held integers: the
+    product epsilon(a_1) ... epsilon(a_m), in Fractions, prefix by prefix."""
+    if not comp:
+        return KT.one()
+    return KT._times(z_by_fractions(comp[:-1]), epsilon(comp[-1]))
+
+
+def test_Z_is_the_fraction_fold_in_value_and_type_through_degree_10(fresh_caches):
+    for n in range(11):
+        for comp in compositions_of(n):
+            assert _typed(Z(s(comp))) == _typed(z_by_fractions(comp)), comp
+    # the table keeps the products of corollas, in ints, and nothing else
+    table = treehopf.morphisms._Z_MEMO
+    assert {type(c) for whole in table.values() for _, c in whole.items()} == {int}
+
+
+def _scaled_z_rows(lower):
+    """Each row that reads Z from its integer table, by name: (its sides,
+    times the scale, as the suite computes them; its sides as computed
+    before, from Fraction Z), each a function of (E_comp, scale)."""
+    z_int, z_frac = V._z_times, lambda x: x.apply_linear(z_by_fractions)
+    Phi = MAP_TABLE["Phi"][2]
+    return {
+        "left triangle": (lambda x, k: (phi_star(z_int(x, k)), tau(x) * k),
+                          lambda x: (phi_star(z_frac(x)), tau(x))),
+        "full circuit": (lambda x, k: (Z_star(rho(Phi(x))) * k, z_int(x, k).apply_linear(lower)),
+                         lambda x: (Z_star(rho(Phi(x))), z_frac(x).apply_linear(lower))),
+        "dual append": (lambda x, k: (z_int(alpha_plus_dual(x), k),
+                                      strip_primitive_root(z_int(x, k))),
+                        lambda x: (z_frac(alpha_plus_dual(x)), strip_primitive_root(z_frac(x)))),
+        "dual strip": (lambda x, k: (z_int(alpha_minus_dual(x), k),
+                                     KT._times(z_int(x, k), epsilon(1))),
+                       lambda x: (z_frac(alpha_minus_dual(x)), KT._times(z_frac(x), epsilon(1)))),
+    }
+
+
+def test_the_rows_on_integer_Z_are_the_fraction_rows_times_the_scale(fresh_caches):
+    # each side of the hexagon's left triangle and full circuit through the
+    # hexagon's cap, and of zstar-intertwine's dual rows through theirs,
+    # is the side computed from Fraction Z times the product of the
+    # factorials of the parts, in value and in type
+    Phistar, rhostar = (MAP_TABLE[m][2] for m in ("Phistar", "rhostar"))
+    lower = treehopf.foundations._Table(lambda t: Phistar(rhostar(s(t)))).__getitem__
+    caps = {"left triangle": V._SUITES["hexagon"][1], "full circuit": V._SUITES["hexagon"][1],
+            "dual append": V._SUITES["zstar-intertwine"][1] - 1,
+            "dual strip": V._SUITES["zstar-intertwine"][1] - 1}
+    for name, (scaled, fractions) in _scaled_z_rows(lower).items():
+        for n in range(caps[name] + 1):
+            for comp in compositions_of(n):
+                x = s(comp)
+                scale = prod(map(factorial, comp))
+                assert V._z_scale(comp) == scale
+                want = [side * Fraction(scale) for side in fractions(x)]
+                assert list(map(_typed, scaled(x, scale))) == list(map(_typed, want)), (name, comp)
+
+
+def _scaled_factorial_rows(kappas, epsilons):
+    """Each divided-powers row that compares sides times n!, by name: (its
+    sides from n! kappa(n) and n! epsilon(n), as the suite computes them;
+    its sides as computed before, in Fractions), each a function of n."""
+    def delta(n):
+        return KT.one() if n == 0 else LinComb.zero()
+
+    def alternating(n, ks, es, weight):
+        return sum(((-1) ** i * weight(n, i) * KT._times(ks(i), es(n - i))
+                    for i in range(n + 1)), LinComb.zero())
+
+    K, E = kappas.__getitem__, epsilons.__getitem__
+    S = KT.antipode_key
+    return {
+        "symmetry-weighted tree sums": (
+            lambda n: (K(n).apply_linear(KT._ck),
+                       LinComb.tensor_sum((comb(n, i), K(i), K(n - i)) for i in range(n + 1))),
+            lambda n: (kappa(n).apply_linear(KT._ck),
+                       LinComb.tensor_sum((1, kappa(i), kappa(n - i)) for i in range(n + 1)))),
+        "signed antipode images": (
+            lambda n: (E(n), (-1) ** n * K(n).apply_linear(S)),
+            lambda n: (epsilon(n), (-1) ** n * kappa(n).apply_linear(S))),
+        "factorial multiple": (
+            lambda n: (alternating(n, K, E, comb), delta(n)),
+            lambda n: (alternating(n, kappa, epsilon, lambda n, i: 1), delta(n))),
+        "ladder projection of the weighted sum": (
+            lambda n: (phi_star(K(n)), h(n) * factorial(n)),
+            lambda n: (phi_star(kappa(n)), h(n))),
+        "ladder projection of the alternating element": (
+            lambda n: (phi_star(E(n)), e(n) * factorial(n)),
+            lambda n: (phi_star(epsilon(n)), e(n))),
+    }
+
+
+def test_the_factorial_rows_are_the_fraction_rows_times_n_factorial(fresh_caches):
+    # through the divided-powers suite's cap, in value and in type
+    cap = V._SUITES["divided-powers"][1]
+    kappas, epsilons = V._factorial_multiples(kappa, cap), V._factorial_multiples(epsilon, cap)
+    for n in range(cap + 1):
+        assert _typed(kappas[n]) == _typed(kappa(n) * Fraction(factorial(n))), n
+        assert {type(c) for _, c in chain(kappas[n].items(), epsilons[n].items())} == {int}, n
+    for name, (scaled, fractions) in _scaled_factorial_rows(kappas, epsilons).items():
+        for n in range(cap + 1):
+            want = [side * Fraction(factorial(n)) for side in fractions(n)]
+            assert list(map(_typed, scaled(n))) == list(map(_typed, want)), (name, n)
+
+
+def drop_a_term_of_one_corolla_product(monkeypatch, comp):
+    """Give the integer Z table one fault: the product of corollas it
+    fills for ``comp`` loses its last term, and so does every product it
+    is a prefix of.  The wrong entries go with the caches."""
+    table = treehopf.morphisms._Z_MEMO
+    fill = table.fill
+
+    def broken(key, found):
+        whole = fill(key, found)
+        return LinComb.trusted(dict(list(whole.items())[:-1])) if key == comp else whole
+
+    monkeypatch.setattr(table, "fill", broken)
+
+
+def test_a_z_table_missing_a_term_fails_the_oracle_and_the_suites(monkeypatch, fresh_caches):
+    drop_a_term_of_one_corolla_product(monkeypatch, (1, 1))
+    wrong = [comp for n in range(5) for comp in compositions_of(n)
+             if Z(s(comp)) != z_by_fractions(comp)]
+    assert wrong[0] == (1, 1)
+    failed = {}
+    for suite in ("hexagon", "zstar-intertwine"):
+        report = run_suite(suite, 4)
+        failed[suite] = {r.identity: r.counterexample for r in report.results
+                         if r.status == "fail"}
+    assert failed == {
+        "hexagon": {
+            "left triangle: ladder-shape projection of the tree image is the "
+            "abelianization": "E(1,1)",
+            "full circuit: both long ways from divided powers to compositions agree": "E(1,1)",
+            "Z is multiplicative": "E(1) , E(1)",
+            "Z is comultiplicative": "E(2,1)",
+        },
+        "zstar-intertwine": {
+            "dual append matches root stripping after the single-child projection": "E(1,1)",
+            "dual strip matches right multiplication by the chain of two": "E(1)",
+        },
+    }
+
+
+def kappa_weight_off_by_one(monkeypatch, n, tree):
+    """Give the divided-powers suite's n! kappa(n) one fault: ``tree``, of
+    degree n, weighs one more than n!/sym(tree)."""
+    multiples = treehopf.verify._factorial_multiples
+    monkeypatch.setattr(treehopf.verify, "_factorial_multiples", lambda seq, d: [
+        x + s(tree) if seq is kappa and i == n else x for i, x in enumerate(multiples(seq, d))])
+
+
+def test_an_integer_kappa_weight_off_by_one_fails_the_oracle_and_the_suite(monkeypatch,
+                                                                         fresh_caches):
+    kappa_weight_off_by_one(monkeypatch, 4, corolla(4))
+    kappas = treehopf.verify._factorial_multiples(kappa, 6)
+    assert [n for n in range(7) if kappas[n] != kappa(n) * factorial(n)] == [4]
+    report = run_suite("divided-powers", 6)
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == {
+        "symmetry-weighted tree sums are divided powers": "n = 4",
+        "alternating elements are the signed antipode images": "n = 4",
+        "factorial multiple is the star tree": "n = 4",
+        "ladder projection of the weighted sum is complete": "n = 4",
+    }
+
+
+def test_a_wrong_denominator_in_Z_fails_the_adjoint_row(monkeypatch, fresh_caches):
+    # the public Z divides by a scale of 1 at E(2): the dualities suite,
+    # which reads the public Z, sees it
+    scale = treehopf.morphisms._z_scale
+    monkeypatch.setattr(treehopf.morphisms, "_z_scale",
+                        lambda comp: 1 if comp == (2,) else scale(comp))
+    assert Z(s((2,))) == s(corolla(2))
+    report = run_suite("dualities", 3)
+    failed = {r.identity: r.counterexample for r in report.results if r.status == "fail"}
+    assert failed == {"tree embedding is adjoint to the composition quotient": "E(2) , [] []"}
+
+
 # --------------------------------------------------------------------- kbar
 
 @memo
@@ -1694,7 +1878,7 @@ def strip_one_leaf_at_a_time(monkeypatch):
     table go with the caches."""
     leaf_moves = treehopf.morphisms._leaf_moves
     monkeypatch.setattr(treehopf.morphisms, "_leaf_moves", lambda g: {
-        move: m for move, m in leaf_moves(g).items() if move[1] == 1})
+        h: m for h, m in leaf_moves(g).items() if g.degree - h.degree == 1})
 
 
 def test_kbar_stripping_one_leaf_at_a_time_fails_the_oracle_and_the_suite(monkeypatch,
@@ -2203,8 +2387,8 @@ def test_the_loops_catch_a_tree_count_off_by_one_level(monkeypatch, fresh_caches
     # a row of at most L levels filled as the row of at most L - 1
     table = treehopf.trees._BY_LEVELS
     fill = table.fill
-    monkeypatch.setattr(table, "fill", lambda key: fill(key) if type(key) is int or key[1] < 2
-                        else fill((key[0], key[1] - 1)))
+    monkeypatch.setattr(table, "fill", lambda key, needed: fill(key, needed)
+                        if type(key) is int or key[1] < 2 else fill((key[0], key[1] - 1), needed))
     with pytest.raises(AssertionError, match=r"\(3, 2\)"):
         _counts_match()
 
