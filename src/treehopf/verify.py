@@ -56,6 +56,17 @@ factorial multiple (the terms weighted by C(n, i)), and the two ladder
 projections (n! h_n and n! e_n).  The dualities suite's adjoint row
 reads the public Z, which divides.
 
+The quasi-shuffle-oracle suite checks QSYM's product against the
+product of polynomials, in N = len(a) + len(b) variables for M_a M_b,
+not in |a| + |b|: restricting QSYM to N variables is a ring
+homomorphism, injective on the span of the M_c with at most N parts
+(Grinberg-Reiner, Hopf Algebras in Combinatorics, 5.1), and every term
+of M_a M_b has at most N parts.  So the row first fails a computed term
+with more than N parts, which N variables would expand to 0, and then
+compares the expansions (``_polynomial_product_holds``).  Its two rows
+on symmetrized elements read one product per key pair, made once per
+run in a ``_Table``.
+
 The zstar-surjectivity suite decides each degree by a triangular
 certificate: the images of one level forest per composition, whose
 leading compositions are every composition once.  Elimination over the
@@ -1075,11 +1086,11 @@ def _suite_zstar_surjectivity(d: int) -> list[IdentityResult]:
 
 # --------------------------------------------- suite: quasi-shuffle oracle
 
-def _symmetrized_product_error(x, y):
-    """Why the QSYM product of the symmetrizations of ``x`` and ``y`` is not
-    the symmetrization of a SYM element, or None if it is."""
+def _symmetry_error(xy):
+    """Why ``xy``, a QSYM product of symmetrized elements, is not the
+    symmetrization of a SYM element, or None if it is."""
     try:
-        collect_sym(QSYM._times(include_sym(x), include_sym(y)))
+        collect_sym(xy)
     except ValueError as exc:
         return str(exc)
     return None
@@ -1092,7 +1103,8 @@ def _packed(comp, nvars: int, base: int) -> LinComb:
     monomials adds two ints.  While its entries are below ``base``, they are
     the digits of that int in base ``base``, so packing is injective; the
     caller picks ``base`` above every exponent it packs or makes by adding.
-    Every coefficient is 1, as in the expansion."""
+    Every coefficient is 1, as in the expansion, and a composition with
+    more than nvars parts expands to nothing."""
     packed = {}
     for expo in _monomial_expansion(comp, nvars):
         x = 0
@@ -1103,15 +1115,23 @@ def _packed(comp, nvars: int, base: int) -> LinComb:
 
 
 def _polynomial_product_holds(ci, cj, n):
-    """Whether M_ci M_cj in x_1..x_n is the product of the polynomials M_ci
-    and M_cj, on packed exponent tuples.  The exponents are the parts of the
-    product's terms, and sums of a part of ci and a part of cj (at most n):
-    the base is above them all.  The monomials of an expansion have
-    coefficient 1, so the product of two is the tally of their sums."""
+    """Whether M_ci M_cj is the product of the polynomials M_ci and M_cj, in
+    N = len(ci) + len(cj) variables, on packed exponent tuples.  Every term
+    of the true product has at most N parts, so a computed term with more
+    fails first; in N variables the M_comp with at most N parts are then
+    independent, and restricting to N variables is a ring homomorphism, so
+    N variables decide the identity as n = |ci| + |cj| do.  The exponents
+    are the parts of the product's terms, and sums of a part of ci and a
+    part of cj (at most n): the base is above them all.  The monomials of
+    an expansion have coefficient 1, so the product of two is the tally of
+    their sums."""
     xy = QSYM._pk(ci, cj)
+    nvars = len(ci) + len(cj)
+    if any(len(comp) > nvars for comp in xy):
+        return False
     base = max(chain((n,), *xy)) + 1
-    left, right = _packed(ci, n, base), _packed(cj, n, base)
-    return xy.apply_linear(lambda comp: _packed(comp, n, base)) == LinComb.tally(
+    left, right = _packed(ci, nvars, base), _packed(cj, nvars, base)
+    return xy.apply_linear(lambda comp: _packed(comp, nvars, base)) == LinComb.tally(
         x + y for x in left for y in right
     )
 
@@ -1119,6 +1139,9 @@ def _polynomial_product_holds(ci, cj, n):
 def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
     degree = f"degree <= {d}"
     pk, s = QSYM._pk, LinComb.single
+    # the QSYM product of the symmetrizations of each SYM key pair, made
+    # once per run for the two rows that read it
+    sym_times = _Table(lambda pair: QSYM._times(*(include_sym(s(lam)) for lam in pair)))
     rows = [
         ("product agrees with truncated polynomial multiplication",
          f"combined degree <= {d}", _pairs(QSYM.basis, d), _polynomial_product_holds,
@@ -1129,12 +1152,11 @@ def _suite_quasi_shuffle_oracle(d: int) -> list[IdentityResult]:
          + _key_times(QSYM, ci, alpha_minus(s(cj))),
          lambda ci, cj, n: f"{QSYM.key_str(ci)} , {QSYM.key_str(cj)}"),
         ("products of symmetrized elements stay symmetric", degree, _pairs(SYM.basis, d),
-         lambda mu, nu, n: _symmetrized_product_error(s(mu), s(nu)) is None,
+         lambda mu, nu, n: _symmetry_error(sym_times[mu, nu]) is None,
          lambda mu, nu, n: f"{SYM.key_str(mu)} * {SYM.key_str(nu)}: "
-         f"{_symmetrized_product_error(s(mu), s(nu))}"),
+         f"{_symmetry_error(sym_times[mu, nu])}"),
         ("symmetrization is multiplicative", degree, _pairs(SYM.basis, d),
-         lambda mu, nu, n: include_sym(SYM._pk(mu, nu))
-         == QSYM._times(include_sym(s(mu)), include_sym(s(nu))),
+         lambda mu, nu, n: include_sym(SYM._pk(mu, nu)) == sym_times[mu, nu],
          lambda mu, nu, n: f"{SYM.key_str(mu)} , {SYM.key_str(nu)}"),
     ]
     return [_check(*row) for row in rows]
@@ -1183,7 +1205,7 @@ _SUITES = {
     "divided-powers": (6, 8, _suite_divided_powers),
     "zstar-intertwine": (6, 8, _suite_zstar_intertwine),
     "zstar-surjectivity": (7, 10, _suite_zstar_surjectivity),
-    "quasi-shuffle-oracle": (6, 8, _suite_quasi_shuffle_oracle),
+    "quasi-shuffle-oracle": (6, 9, _suite_quasi_shuffle_oracle),
     "enumeration-counts": (8, 11, _suite_enumeration_counts),
     "ideh": (8, 18, _suite_ideh),
 }
@@ -1219,11 +1241,15 @@ _ESTIMATES = {
     # terms of Z_star over the level forests of degree n, the certificate:
     # C(2n - 1, n) of them, counted through degree 10
     "zstar-surjectivity": lambda n: capped_binomial(2 * n - 1, n),
-    # monomial products of the polynomial row: the compositions of a expand
-    # to C(m + a - 1, a) monomials in m variables, so the pairs of combined
-    # degree m make [x^m] (1 - x)^(-2m) = C(3m - 1, m) products
-    "quasi-shuffle-oracle": lambda n: capped_sum(capped_binomial(3 * m - 1, m) if m else 1
-                                                 for m in range(n + 1)),
+    # monomial products of the polynomial row: a pair of lengths l1, l2
+    # expands in N = l1 + l2 variables to C(N, l1) and C(N, l2) monomials,
+    # C(N, l1)^2 products; the pairs of combined degree m and N parts in
+    # all are a composition of m into N parts and a split, and the sum of
+    # C(N, l1)^2 over the splits is C(2N, N)
+    "quasi-shuffle-oracle": lambda n: capped_sum(
+        capped_sum(capped_binomial(m - 1, N - 1) * capped_binomial(2 * N, N)
+                   for N in range(1, m + 1)) if m else 1
+        for m in range(n + 1)),
     "enumeration-counts": lambda n: capped_sum((KT.degree_terms(n - 1) * n * n,
                                                 KP.degree_terms(n - 1) * n)),
     "ideh": lambda n: capped_power(SYM.degree_terms(n), 3),

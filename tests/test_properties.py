@@ -104,11 +104,11 @@ def _homogeneous(alg, n):
     return st.lists(terms, min_size=2, max_size=3).map(LinComb)
 
 
-# the suite checks basis keys with coefficient 1 through degree 8; these
-# are sums with fraction coefficients of combined degree 9 or 10, and 20
-# examples take about 3 s
+# the suite checks basis keys with coefficient 1 through degree 9; these
+# are sums with fraction coefficients of combined degree 10, and 20
+# examples take about 6 s
 @settings(SEEDED, max_examples=20)
-@given(st.integers(9, 10).flatmap(lambda n: st.integers(1, n - 1).flatmap(
+@given(st.integers(10, 10).flatmap(lambda n: st.integers(1, n - 1).flatmap(
     lambda i: st.tuples(st.just(n), _homogeneous(QSYM, i), _homogeneous(QSYM, n - i)))))
 def test_quasi_shuffle_realizes_polynomial_multiplication_above_the_cap(case):
     n, x, y = case

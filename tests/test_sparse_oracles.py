@@ -2507,9 +2507,36 @@ def test_the_packed_row_gives_the_tuple_verdicts_through_degree_7(defect, monkey
     assert all(want for got, want in verdicts.values()) == (defect is None)
 
 
+def test_only_the_length_guard_sees_a_term_with_more_parts_than_its_factors(
+        monkeypatch, fresh_caches):
+    # the table read adds M(1, ..., 1) of length n to M_ci M_cj when ci and
+    # cj have fewer than n parts together, so the quasi-shuffle's own
+    # recursion, which reads the table, stays correct
+    pk = QSYM._pk
+
+    def broken(ci, cj):
+        n = sum(ci) + sum(cj)
+        return pk(ci, cj) + s((1,) * n) if len(ci) + len(cj) < n else pk(ci, cj)
+
+    monkeypatch.setitem(vars(QSYM), "_pk", broken)
+    short = [(ci, cj, n) for ci, cj, n in _pairs(QSYM.basis, 7) if len(ci) + len(cj) < n]
+    # in the N = len(ci) + len(cj) variables of the packed row the extra
+    # term is 0, so the polynomial comparison cannot see it
+    assert all(not expand_truncated(s((1,) * n), len(ci) + len(cj)) for ci, cj, n in short)
+    verdicts = {case: (_polynomial_product_holds(*case), polynomial_row_by_tuples(*case))
+                for case in _pairs(QSYM.basis, 7)}
+    assert [case for case, (got, want) in verdicts.items() if got != want] == []
+    assert [case for case, (got, want) in verdicts.items() if not got] == short
+    assert short[0] == ((), (2,), 2)
+    row = run_suite("quasi-shuffle-oracle", 7).results[0]
+    assert (row.identity, row.status, row.counterexample) == (
+        "product agrees with truncated polynomial multiplication", "fail", "1 * M(2)")
+
+
 def test_the_suite_packs_exponent_tuples_injectively(monkeypatch):
-    # every (nvars, base) the suite packs with, on every exponent tuple of
-    # degree <= nvars: the expansions of the compositions of those degrees
+    # every (nvars, base) the suite packs with, on every exponent tuple in
+    # nvars variables with entries below base: the expansions of the
+    # compositions of degree < base, which bounds the pair's combined degree
     packings = set()
 
     def spy(comp, nvars, base):
@@ -2521,7 +2548,7 @@ def test_the_suite_packs_exponent_tuples_injectively(monkeypatch):
     assert {nvars for nvars, base in packings} == set(range(8))
     for nvars, base in packings:
         tuple_of = {}
-        for m in range(nvars + 1):
+        for m in range(base):
             for comp in compositions_of(m):
                 expos = _monomial_expansion(comp, nvars)
                 for expo, x in zip(expos, _packed(comp, nvars, base)):
@@ -2531,12 +2558,14 @@ def test_the_suite_packs_exponent_tuples_injectively(monkeypatch):
 
 
 def test_quasi_shuffle_estimate_counts_the_monomial_products():
-    # an expansion in n variables has C(n, length) monomials
+    # the row expands M_ci and M_cj in N = len(ci) + len(cj) variables, to
+    # C(N, len(ci)) and C(N, len(cj)) monomials; the estimate is exact
     products = 0
-    for n in range(10):
-        products += sum(comb(n, len(ci)) * comb(n, len(cj))
+    for n in range(11):
+        products += sum(comb(len(ci) + len(cj), len(ci)) * comb(len(ci) + len(cj), len(cj))
                         for ci, cj in _key_pairs(QSYM.basis, n))
-        assert products / 2 <= _ESTIMATES["quasi-shuffle-oracle"](n) <= 2 * products, n
+        assert _ESTIMATES["quasi-shuffle-oracle"](n) == products, n
+    assert products == 1_936_881
 
 
 # ------------------------------------------------------------- interning

@@ -154,8 +154,8 @@ def test_bound_refusal_names_cap_and_estimate():
     with pytest.raises(SuiteBoundError):
         run_suite("dualities", 8)
     with pytest.raises(SuiteBoundError) as exc:
-        run_suite("quasi-shuffle-oracle", 9)
-    assert "cap is 8" in str(exc.value)
+        run_suite("quasi-shuffle-oracle", 10)
+    assert "cap is 9" in str(exc.value)
     with pytest.raises(SuiteBoundError) as exc:
         run_suite("zstar-surjectivity", 11)
     msg = str(exc.value)
