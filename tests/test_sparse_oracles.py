@@ -22,7 +22,8 @@ points, each grafted as a whole tree,
 the KT coproduct over all 2^k two-colourings of the root's children,
 planar embeddings from all orderings of the children, the hopf-axioms
 estimate as a triple sum, the quasi-shuffle-oracle suite's product of
-polynomials on exponent tuples, before it packed each tuple into an int,
+polynomials on exponent tuples in |a| + |b| variables, before it packed
+each tuple into an int and took len(a) + len(b) variables,
 and the zstar-surjectivity suite's elimination over the image of every
 forest, before one level forest per composition certified the rank.
 The walks along a tree's depth (symmetry orders, the rooted tree under a
@@ -2457,7 +2458,8 @@ def polynomial_product(f: LinComb, g: LinComb) -> LinComb:
 
 def polynomial_row_by_tuples(ci, cj, n):
     """The suite's row "product agrees with truncated polynomial
-    multiplication" on exponent tuples, as it was before it packed them."""
+    multiplication" on exponent tuples in n variables, as it was before it
+    packed them and took len(ci) + len(cj) variables."""
     return expand_truncated(QSYM._pk(ci, cj), n) == polynomial_product(
         expand_truncated(s(ci), n), expand_truncated(s(cj), n))
 
